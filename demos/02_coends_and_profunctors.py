@@ -7,14 +7,14 @@ per class.
 """
 
 from coendcheck.fixtures import build
-from coendcheck.profunctor import (coend, compose_prof, hom_prof,
+from coendcheck.profunctor import (CoendSet, compose_prof, hom_prof,
                                    representable_in, representable_out)
 
 z2 = build("z2").base
 
 # the coend of the hom profunctor over Z/2: conjugation is trivial in an
 # abelian group, so two classes survive
-ce = coend(hom_prof(z2))
+ce = CoendSet(hom_prof(z2))
 print("coend of hom over Z/2:", ce.class_count, "classes")
 for rep in ce.reps:
     print("  class of", rep, "with members", ce.members(rep))

@@ -15,7 +15,7 @@ from .fincat import (FinCategory, MonoidalStructure, FinFunctor,
                      from_lattice, from_comm_monoid, load_fixture,
                      load_fixture_file, dump_fixture)
 from .profunctor import (ConcreteProf, CoendSet, NatFamily, ProfunctorError,
-                         coend, compose_prof, tensor_prof, hom_prof,
+                         compose_prof, tensor_prof, hom_prof,
                          representable_in, representable_out, junction, fork,
                          unit_in, unit_out, copy_prof, merge_prof,
                          discard_prof, codiscard_prof, swap_prof, cup_prof,
@@ -27,7 +27,7 @@ from .shapelang import (Wire, Id, Gen, Seq, Par, Signature, Env, Evaluator,
                         boundary, eval_closed, class_count, norm)
 from .rewrite import (RULES, Step, Derivation, DerivationScript, Report,
                       RewriteError, MatchError, DirectionError, PathError,
-                      apply_step, semantic_map, check_derivation,
+                      apply_step, check_derivation,
                       parse_derivation_script)
 from .pointed import (OpenDiagram, PointError, embed, forget, lift,
                       lift_many, compose_open, equal_up_to)
@@ -39,7 +39,7 @@ __all__ = [
     "validate_category", "validate_monoidal", "validate_functor",
     "opposite", "product", "terminal_category", "from_lattice",
     "from_comm_monoid", "load_fixture", "load_fixture_file", "dump_fixture",
-    "ConcreteProf", "CoendSet", "NatFamily", "ProfunctorError", "coend",
+    "ConcreteProf", "CoendSet", "NatFamily", "ProfunctorError",
     "compose_prof", "tensor_prof", "hom_prof", "representable_in",
     "representable_out", "junction", "fork", "unit_in", "unit_out",
     "copy_prof", "merge_prof", "discard_prof", "codiscard_prof", "swap_prof",
@@ -51,7 +51,7 @@ __all__ = [
     "eval_closed", "class_count", "norm",
     "RULES", "Step", "Derivation", "DerivationScript", "Report",
     "RewriteError", "MatchError", "DirectionError", "PathError",
-    "apply_step", "semantic_map", "check_derivation",
+    "apply_step", "check_derivation",
     "parse_derivation_script",
     "OpenDiagram", "PointError", "embed", "forget", "lift", "lift_many",
     "compose_open", "equal_up_to",

@@ -14,7 +14,7 @@ import sys
 
 from .fincat import FixtureError, load_fixture_file, validate_category, validate_monoidal
 from .rewrite import (Report, RewriteError, check_derivation,
-                      parse_derivation_script)
+                      load_derivation_script)
 from .shapelang import (Env, EvalError, Evaluator, ShapeSyntaxError,
                         ShapeTypeError, StructureMissing, boundary,
                         parse_shape_script)
@@ -119,19 +119,10 @@ def cmd_eval(args):
 
 
 def cmd_check(args):
+    base = os.path.dirname(os.path.abspath(args.script))
     try:
-        text = _read(args.script)
-        shapes_ref = None
-        for line in text.splitlines():
-            stripped = line.split(";", 1)[0].strip()
-            if stripped.startswith("use "):
-                shapes_ref = stripped[4:].strip()
-                break
-        if shapes_ref is None:
-            raise InputError("derivation script has no 'use' line")
-        base = os.path.dirname(os.path.abspath(args.script))
-        sig = parse_shape_script(_read(os.path.join(base, shapes_ref)))
-        script = parse_derivation_script(text, sig)
+        sig, script = load_derivation_script(
+            _read(args.script), lambda ref: _read(os.path.join(base, ref)))
     except (ShapeSyntaxError, RewriteError) as e:
         raise InputError(str(e))
     bindings = _parse_bindings(args.bind)

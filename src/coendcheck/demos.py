@@ -7,10 +7,9 @@ from __future__ import annotations
 from importlib import resources
 
 from .fixtures import fixture
-from .rewrite import (CheckAborted, Report, check_derivation_once,
-                      parse_derivation_script, script_object_symbols,
-                      _check_points)
-from .shapelang import Env, parse_shape_script
+from .rewrite import (CheckAborted, Report, check_assignments,
+                      load_derivation_script)
+from .shapelang import Env
 
 
 def demo_dir():
@@ -20,18 +19,9 @@ def demo_dir():
 def load_scripts(deriv_name):
     """Parse a packaged derivation script together with its shape script."""
     droot = demo_dir()
-    text = (droot / deriv_name).read_text(encoding="utf-8")
-    shapes_ref = None
-    for line in text.splitlines():
-        line = line.split(";", 1)[0].strip()
-        if line.startswith("use "):
-            shapes_ref = line[4:].strip()
-            break
-    if shapes_ref is None:
-        raise ValueError(f"{deriv_name} does not reference a shape script")
-    sig = parse_shape_script((droot / shapes_ref).read_text(encoding="utf-8"))
-    script = parse_derivation_script(text, sig)
-    return sig, script
+    return load_derivation_script(
+        (droot / deriv_name).read_text(encoding="utf-8"),
+        lambda ref: (droot / ref).read_text(encoding="utf-8"))
 
 
 def _fiber_count(env, sig, term):
@@ -207,23 +197,8 @@ def run_demo(name, fail_fast=False) -> Report:
             mons = {sym: fixture(fx) for sym, fx in binding.items()}
             rendered = " ".join(f"{s}={f}" for s, f in sorted(binding.items()))
             report.line(f"oracle {rendered}")
-            env = Env(sig, mons)
-            used = script_object_symbols(script, sig)
-            for env_a in env.assignments(only=used):
-                desc = env_a.describe_objs()
-                report.line(f"assignment: {desc}" if desc else "assignment: (none)")
-                named_results = {}
-                for dname, deriv in list(script.named.items()) + (
-                        [("main", script.main)] if script.main else []):
-                    report.line(f" derivation {dname} from {deriv.shape}:")
-                    out = check_derivation_once(deriv, sig, env_a, report)
-                    if out is None:
-                        continue
-                    named_results[dname] = out
-                    if dname == "main" and spec.get("epilogue"):
-                        spec["epilogue"](report, env_a, sig, *out)
-                _check_points(script, sig, env_a, named_results, report)
+            check_assignments(script, sig, Env(sig, mons), report,
+                              spec.get("epilogue"))
     except CheckAborted:
         pass
-    report.line(f"result: {'ok' if report.ok else 'FAILURE'}")
-    return report
+    return report.finish()

@@ -348,7 +348,8 @@ def validate_monoidal(m: MonoidalStructure) -> ValidationReport:
     if m.cartesian is not None:
         _validate_cartesian(m, rep)
     if m.cocartesian is not None:
-        _validate_cocartesian(m, rep)
+        # a cocartesian witness is a cartesian witness of the opposite category
+        _validate_cartesian(opposite_monoidal(m), rep, _COCARTESIAN_WORDS)
     return rep
 
 
@@ -398,29 +399,35 @@ def _validate_braiding(m, rep):
                     rep.add("braiding", f"co-hexagon fails at ({c.obj_name(a)},{c.obj_name(b)},{c.obj_name(d)})")
 
 
-def _validate_cartesian(m, rep):
+_CARTESIAN_WORDS = ("cartesian", "proj", "terminal", "pairing")
+_COCARTESIAN_WORDS = ("cocartesian", "inj", "initial", "copairing")
+
+
+def _validate_cartesian(m, rep, words=_CARTESIAN_WORDS):
+    """Check m.cartesian; `words` name the structure in the messages."""
+    kind, proj, terminal, pairing = words
     c, w = m.base, m.cartesian
     for a in c.objects:
         for b in c.objects:
             ab = m.tensor(a, b)
-            for key, tgt, tab in (("proj1", a, w.proj1), ("proj2", b, w.proj2)):
+            for key, tgt, tab in ((f"{proj}1", a, w.proj1), (f"{proj}2", b, w.proj2)):
                 if (a, b) not in tab:
                     rep.add("malformed", f"{key} missing at ({c.obj_name(a)},{c.obj_name(b)})")
                     continue
                 p = tab[(a, b)]
                 if c.dom(p) != ab or c.cod(p) != tgt:
-                    rep.add("cartesian", f"{key} at ({c.obj_name(a)},{c.obj_name(b)}) has wrong type")
+                    rep.add(kind, f"{key} at ({c.obj_name(a)},{c.obj_name(b)}) has wrong type")
     if not rep.ok:
         return
     for x in c.objects:
         if x not in w.terminal:
-            rep.add("malformed", f"terminal point missing at {c.obj_name(x)}")
+            rep.add("malformed", f"{terminal} point missing at {c.obj_name(x)}")
             continue
         t = w.terminal[x]
         if c.dom(t) != x or c.cod(t) != m.unit:
-            rep.add("cartesian", f"terminal point at {c.obj_name(x)} has wrong type")
+            rep.add(kind, f"{terminal} point at {c.obj_name(x)} has wrong type")
         elif c.hom(x, m.unit) != (t,):
-            rep.add("cartesian", f"unit is not terminal at {c.obj_name(x)}")
+            rep.add(kind, f"unit is not {terminal} at {c.obj_name(x)}")
         for a in c.objects:
             for b in c.objects:
                 p1, p2 = w.proj1[(a, b)], w.proj2[(a, b)]
@@ -428,55 +435,14 @@ def _validate_cartesian(m, rep):
                     for h2 in c.hom(x, b):
                         if (h1, h2) not in w.pairing:
                             rep.add("malformed",
-                                    f"pairing missing for ({c.mor_name(h1)},{c.mor_name(h2)})")
+                                    f"{pairing} missing for ({c.mor_name(h1)},{c.mor_name(h2)})")
                             continue
                         p = w.pairing[(h1, h2)]
                         cands = [q for q in c.hom(x, m.tensor(a, b))
                                  if c.compose(q, p1) == h1 and c.compose(q, p2) == h2]
                         if cands != [p]:
-                            rep.add("cartesian",
-                                    f"pairing of ({c.mor_name(h1)},{c.mor_name(h2)}) is not the "
-                                    f"unique mediating morphism")
-
-
-def _validate_cocartesian(m, rep):
-    c, w = m.base, m.cocartesian
-    for a in c.objects:
-        for b in c.objects:
-            ab = m.tensor(a, b)
-            for key, src, tab in (("inj1", a, w.inj1), ("inj2", b, w.inj2)):
-                if (a, b) not in tab:
-                    rep.add("malformed", f"{key} missing at ({c.obj_name(a)},{c.obj_name(b)})")
-                    continue
-                p = tab[(a, b)]
-                if c.dom(p) != src or c.cod(p) != ab:
-                    rep.add("cocartesian", f"{key} at ({c.obj_name(a)},{c.obj_name(b)}) has wrong type")
-    if not rep.ok:
-        return
-    for x in c.objects:
-        if x not in w.initial:
-            rep.add("malformed", f"initial point missing at {c.obj_name(x)}")
-            continue
-        t = w.initial[x]
-        if c.dom(t) != m.unit or c.cod(t) != x:
-            rep.add("cocartesian", f"initial point at {c.obj_name(x)} has wrong type")
-        elif c.hom(m.unit, x) != (t,):
-            rep.add("cocartesian", f"unit is not initial at {c.obj_name(x)}")
-        for a in c.objects:
-            for b in c.objects:
-                i1, i2 = w.inj1[(a, b)], w.inj2[(a, b)]
-                for h1 in c.hom(a, x):
-                    for h2 in c.hom(b, x):
-                        if (h1, h2) not in w.copairing:
-                            rep.add("malformed",
-                                    f"copairing missing for ({c.mor_name(h1)},{c.mor_name(h2)})")
-                            continue
-                        p = w.copairing[(h1, h2)]
-                        cands = [q for q in c.hom(m.tensor(a, b), x)
-                                 if c.compose(i1, q) == h1 and c.compose(i2, q) == h2]
-                        if cands != [p]:
-                            rep.add("cocartesian",
-                                    f"copairing of ({c.mor_name(h1)},{c.mor_name(h2)}) is not the "
+                            rep.add(kind,
+                                    f"{pairing} of ({c.mor_name(h1)},{c.mor_name(h2)}) is not the "
                                     f"unique mediating morphism")
 
 
@@ -541,7 +507,7 @@ def opposite_monoidal(m: MonoidalStructure) -> MonoidalStructure:
     op = opposite(m.base)
     braiding = None
     if m.braiding is not None:
-        braiding = {(a, b): m.braiding[(b, a)] for (a, b) in m.braiding}
+        braiding = {(b, a): s for (a, b), s in m.braiding.items()}
     cart = cocart = None
     if m.cocartesian is not None:
         w = m.cocartesian
@@ -816,6 +782,8 @@ def load_fixture(data) -> tuple:
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
+    if not isinstance(data, dict):
+        raise FixtureError("fixture must be a JSON object")
     try:
         objects = list(data["objects"])
         homs = {_split_pair(k): list(v) for k, v in data["homs"].items()}

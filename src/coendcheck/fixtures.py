@@ -59,10 +59,6 @@ def fixture_path(name) -> str:
     return str(resources.files("coendcheck") / "data" / "fixtures" / f"{name}.json")
 
 
-def all_fixtures() -> dict:
-    return {name: fixture(name) for name in FIXTURE_NAMES}
-
-
 def bad_fixture_names():
     root = resources.files("coendcheck") / "data" / "fixtures" / "bad"
     return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fincat import MonoidalStructure, product
-from .profunctor import (CoendSet, ConcreteProf, join_objs, split_mor2,
-                          split_obj2)
+from .profunctor import CoendSet, ConcreteProf, join_objs, split_mor, split_obj
 from .shapelang import StructureMissing
 
 
@@ -229,16 +228,16 @@ class LearnerSpace:
         cc = product(c, c)
 
         def fib(s, t):
-            p1, q1 = split_obj2(cc, c, c, s)
-            p2, q2 = split_obj2(cc, c, c, t)
+            p1, q1 = split_obj(cc, c, c, s)
+            p2, q2 = split_obj(cc, c, c, t)
             return tuple(
                 (h1, h2)
                 for h1 in c.hom(mon.tensor(p1, a), mon.tensor(q2, b))
                 for h2 in c.hom(mon.tensor(q1, b), mon.tensor(p2, a)))
 
         def act(fm, gm, v):
-            f1, f2 = split_mor2(cc, c, c, fm)
-            g1, g2 = split_mor2(cc, c, c, gm)
+            f1, f2 = split_mor(cc, c, c, fm)
+            g1, g2 = split_mor(cc, c, c, gm)
             h1, h2 = v
             ia, ib = c.identity(a), c.identity(b)
             return (c.compose(mon.tensor_m(f1, ia),
@@ -314,7 +313,7 @@ def learner_reduce(mon, a, b, learner_cls, space: LearnerSpace = None,
     space = space or learner_set(mon, a, b)
     triples = triples or learner_triples(mon, a, b)
     s, (h1, h2) = learner_cls
-    p, q = split_obj2(space.pair_cat, c, c, s)
+    p, q = split_obj(space.pair_cat, c, c, s)
     i = c.compose(h1, w.proj2[(q, b)])
     qmap = c.compose(h1, w.proj1[(q, b)])          # p(x)a -> q
     wmap = c.compose(mon.tensor_m(qmap, c.identity(b)), h2)  # p(x)a(x)b -> p(x)a

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .profunctor import join_mors, join_objs, split_obj2
-from .rewrite import RULES, RewriteError, TCtx, apply_step, build_seq_value, strip_labels
+from .profunctor import join_mors, join_objs, split_obj
+from .rewrite import RULES, RewriteError, apply_step, build_seq_value, strip_labels
 from .shapelang import (Env, Evaluator, Gen, Id, Par, Seq, Wire, boundary,
                         obj_expr_cat, print_term)
 
@@ -41,25 +41,19 @@ class OpenDiagram:
 
     @staticmethod
     def _build(sig, env, shape, norm_assign, left_obj, ev=None):
-        tc = TCtx(ev or Evaluator(env))
-        value, right = _walk(tc, sig, shape, norm_assign, left_obj)
+        ev = ev or Evaluator(env)
+        value, right = _walk(ev, sig, shape, norm_assign, left_obj)
         return OpenDiagram(shape, dict(norm_assign), (left_obj, right), value)
 
     @staticmethod
-    def from_values(sig, env: Env, shape, assignment, ev: Evaluator = None):
-        """Build from resolved leaf values: {label: value} or
-        {label: (value, right objects tuple)} where the extra objects pin
-        fibers that the value alone does not determine (forks, caps, ...).
-
-        Shapes with a non-empty left boundary infer their left fiber object
-        when the assigned values pin it uniquely."""
-        norm_assign = OpenDiagram._normalize(assignment)
+    def _search(sig, env, shape, norm_assign, ev):
+        """Build at the left fiber object that the assigned values pin
+        uniquely (the only one when the left boundary is empty)."""
         lw, _ = boundary(shape, sig)
         if not lw:
             return OpenDiagram._build(sig, env, shape, norm_assign, 0, ev)
-        cat = env.boundary_cat(lw)
         hits, last_err = [], None
-        for left in cat.objects:
+        for left in env.boundary_cat(lw).objects:
             try:
                 hits.append(OpenDiagram._build(sig, env, shape, norm_assign,
                                                left, ev))
@@ -72,6 +66,17 @@ class OpenDiagram:
         raise PointError("left fiber object is ambiguous; use from_fiber")
 
     @staticmethod
+    def from_values(sig, env: Env, shape, assignment, ev: Evaluator = None):
+        """Build from resolved leaf values: {label: value} or
+        {label: (value, right objects tuple)} where the extra objects pin
+        fibers that the value alone does not determine (forks, caps, ...).
+
+        Shapes with a non-empty left boundary infer their left fiber object
+        when the assigned values pin it uniquely."""
+        return OpenDiagram._search(sig, env, shape,
+                                   OpenDiagram._normalize(assignment), ev)
+
+    @staticmethod
     def from_fiber(sig, env: Env, shape, assignment, left_obj,
                    ev: Evaluator = None):
         return OpenDiagram._build(sig, env, shape,
@@ -81,22 +86,8 @@ class OpenDiagram:
     def from_names(sig, env: Env, shape, named_assignment, ev: Evaluator = None):
         """Build from script-level value specs (morphism names, (pair ..),
         (split f M N), (mor f X), *)."""
-        resolved = _resolve_named(sig, env, shape, named_assignment)
-        lw, _ = boundary(shape, sig)
-        if not lw:
-            return OpenDiagram._build(sig, env, shape, resolved, 0, ev)
-        cat = env.boundary_cat(lw)
-        hits, last_err = [], None
-        for left in cat.objects:
-            try:
-                hits.append(OpenDiagram._build(sig, env, shape, resolved, left, ev))
-            except PointError as e:
-                last_err = e
-        if len(hits) == 1:
-            return hits[0]
-        if not hits:
-            raise last_err or PointError("no left fiber object fits the assignment")
-        raise PointError("left fiber object is ambiguous; use from_fiber")
+        return OpenDiagram._search(
+            sig, env, shape, _resolve_named(sig, env, shape, named_assignment), ev)
 
     def describe(self):
         a, b = self.fiber
@@ -174,10 +165,10 @@ def compose_open(d1: OpenDiagram, d2: OpenDiagram, sig, env,
     the pair of points."""
     if d1.fiber[1] != d2.fiber[0]:
         raise PointError("open diagrams do not share a middle object")
-    tc = TCtx(ev or Evaluator(env))
+    ev = ev or Evaluator(env)
     s1, s2 = _relabel(d1.shape, "l:"), _relabel(d2.shape, "r:")
     shape = Seq((s1, s2))
-    value = build_seq_value(tc, [(s1, d1.point, d1.fiber[0], d1.fiber[1]),
+    value = build_seq_value(ev, [(s1, d1.point, d1.fiber[0], d1.fiber[1]),
                                  (s2, d2.point, d2.fiber[0], d2.fiber[1])],
                             (d1.fiber[0], d2.fiber[1]))
     assignment = {("l:" + k): v for k, v in d1.assignment.items()}
@@ -189,40 +180,28 @@ def compose_open(d1: OpenDiagram, d2: OpenDiagram, sig, env,
 # point construction
 
 
-def _walk(tc, sig, term, assignment, left_obj):
-    env = tc.env
+def _walk(ev, sig, term, assignment, left_obj):
+    env = ev.env
     if isinstance(term, Seq):
         items = []
         cur = left_obj
         for p in term.parts:
-            v, r = _walk(tc, sig, p, assignment, cur)
+            v, r = _walk(ev, sig, p, assignment, cur)
             items.append((p, v, cur, r))
             cur = r
-        return build_seq_value(tc, items, (left_obj, cur)), cur
+        return build_seq_value(ev, items, (left_obj, cur)), cur
     if isinstance(term, Par):
-        lw_t = boundary(term.top, sig)[0]
-        lw_b = boundary(term.bottom, sig)[0]
-        ct = env.boundary_cat(lw_t)
-        cb = env.boundary_cat(lw_b)
-        cc = env.boundary_cat(lw_t + lw_b)
-        parts = cc.obj_tuple(left_obj)
-        k = len(ct.factors) if ct.factors is not None else 1
-        if not lw_t:
-            k = 0
-        lt = ct.pack_obj(parts[:k])
-        lb = cb.pack_obj(parts[k:])
-        vt, rt = _walk(tc, sig, term.top, assignment, lt)
-        vb, rb = _walk(tc, sig, term.bottom, assignment, lb)
-        rc_t = env.boundary_cat(boundary(term.top, sig)[1])
-        rc_b = env.boundary_cat(boundary(term.bottom, sig)[1])
-        rc = env.boundary_cat(boundary(term, sig)[1])
-        right = rc.pack_obj(rc_t.obj_tuple(rt) + rc_b.obj_tuple(rb))
-        return (vt, vb), right
-    return _leaf_value(tc, sig, term, assignment, left_obj)
+        (lw_t, rw_t), (lw_b, rw_b) = boundary(term.top, sig), boundary(term.bottom, sig)
+        cat = env.boundary_cat
+        lt, lb = split_obj(cat(lw_t + lw_b), cat(lw_t), cat(lw_b), left_obj)
+        vt, rt = _walk(ev, sig, term.top, assignment, lt)
+        vb, rb = _walk(ev, sig, term.bottom, assignment, lb)
+        return (vt, vb), join_objs(cat(rw_t + rw_b), [(cat(rw_t), rt), (cat(rw_b), rb)])
+    return _leaf_value(ev, sig, term, assignment, left_obj)
 
 
-def _leaf_value(tc, sig, term, assignment, left_obj):
-    env = tc.env
+def _leaf_value(ev, sig, term, assignment, left_obj):
+    env = ev.env
     label = term.label
     assigned = assignment.get(label) if label else None
     if isinstance(term, Id):
@@ -257,7 +236,7 @@ def _leaf_value(tc, sig, term, assignment, left_obj):
         mon = env.monoidal(args[0])
         c = mon.base
         cc = env.boundary_cat((Wire(args[0]),) * 2)
-        m, n = split_obj2(cc, c, c, left_obj)
+        m, n = split_obj(cc, c, c, left_obj)
         mn = mon.tensor(m, n)
         v = assigned[0] if assigned else c.identity(mn)
         if c.dom(v) != mn:
@@ -267,7 +246,7 @@ def _leaf_value(tc, sig, term, assignment, left_obj):
     if kind == "merge":
         c = env.cats[args[0]]
         cc = env.boundary_cat((Wire(args[0]),) * 2)
-        m, n = split_obj2(cc, c, c, left_obj)
+        m, n = split_obj(cc, c, c, left_obj)
         if assigned:
             (p, q) = assigned[0]
             if c.dom(p) != m or c.dom(q) != n or c.cod(p) != c.cod(q):
@@ -308,7 +287,7 @@ def _leaf_value(tc, sig, term, assignment, left_obj):
         c2 = env.wire_cat(args[1])
         cc = env.boundary_cat(args)
         ccs = env.boundary_cat((args[1], args[0]))
-        a, b = split_obj2(cc, c1, c2, left_obj)
+        a, b = split_obj(cc, c1, c2, left_obj)
         if assigned:
             (u, v) = assigned[0]
             if c1.dom(u) != a or c2.dom(v) != b:
@@ -320,7 +299,7 @@ def _leaf_value(tc, sig, term, assignment, left_obj):
         w = Wire(args[0])
         cc = env.boundary_cat((w, w.flip()))
         from .fincat import opposite
-        x, y = split_obj2(cc, c, opposite(c), left_obj)
+        x, y = split_obj(cc, c, opposite(c), left_obj)
         if assigned:
             v = assigned[0]
             if c.dom(v) != x or c.cod(v) != y:
@@ -357,7 +336,7 @@ def _leaf_value(tc, sig, term, assignment, left_obj):
             raise PointError(f"cobox value for {label or kind} is ill-typed")
         return v, x
     if kind == "named":
-        prof = tc.env.profs.get(args[0])
+        prof = ev.env.profs.get(args[0])
         if prof is None:
             raise PointError(f"named profunctor {args[0]!r} is unbound")
         if not assigned or assigned[1] is None:

@@ -67,10 +67,6 @@ class ConcreteProf:
             return self._render(v)
         return render_generic(v)
 
-    def fiber_sizes(self):
-        return {(a, b): len(self.fiber(a, b))
-                for a in self.source.objects for b in self.target.objects}
-
     def __repr__(self):
         return f"ConcreteProf({self.name})"
 
@@ -184,13 +180,6 @@ class CoendSet:
     def members(self, rep):
         return self._members[rep]
 
-    def same_class(self, t1, t2):
-        return self._rep_of[t1] is self._rep_of[t2] or self._rep_of[t1] == self._rep_of[t2]
-
-
-def coend(p: ConcreteProf) -> CoendSet:
-    return CoendSet(p)
-
 
 # ---------------------------------------------------------------------------
 # basic constructors
@@ -200,20 +189,17 @@ def _factors(c: FinCategory):
     return c.factors if c.factors is not None else (c,)
 
 
-def _split_obj(total: FinCategory, left: FinCategory, right: FinCategory, o):
+def split_obj(total: FinCategory, left: FinCategory, right: FinCategory, o):
+    """Unpack an object of the flattened product left x right."""
     parts = total.obj_tuple(o)
     k = len(_factors(left))
     return left.pack_obj(parts[:k]), right.pack_obj(parts[k:])
 
 
-def _split_mor(total: FinCategory, left: FinCategory, right: FinCategory, m):
+def split_mor(total: FinCategory, left: FinCategory, right: FinCategory, m):
     parts = total.mor_tuple(m)
     k = len(_factors(left))
     return left.pack_mor(parts[:k]), right.pack_mor(parts[k:])
-
-
-def _join_obj(total: FinCategory, left: FinCategory, right: FinCategory, a, b):
-    return total.pack_obj(left.obj_tuple(a) + right.obj_tuple(b))
 
 
 def join_objs(total: FinCategory, pairs):
@@ -224,15 +210,6 @@ def join_objs(total: FinCategory, pairs):
 
 def join_mors(total: FinCategory, pairs):
     return total.pack_mor(tuple(x for cat, m in pairs for x in cat.mor_tuple(m)))
-
-
-def split_obj2(total, left, right, o):
-    return _split_obj(total, left, right, o)
-
-
-def split_mor2(total, left, right, m):
-    return _split_mor(total, left, right, m)
-
 
 
 def hom_prof(c: FinCategory) -> ConcreteProf:
@@ -276,11 +253,11 @@ def junction(m) -> ConcreteProf:
     cc = product(c, c)
 
     def fib(s, y):
-        a, b = _split_obj(cc, c, c, s)
+        a, b = split_obj(cc, c, c, s)
         return c.hom(m.tensor(a, b), y)
 
     def act(fp, g, v):
-        f1, f2 = _split_mor(cc, c, c, fp)
+        f1, f2 = split_mor(cc, c, c, fp)
         return c.compose(m.tensor_m(f1, f2), c.compose(v, g))
 
     return ConcreteProf(cc, c, fib, act, name=f"junction({c.name})",
@@ -293,11 +270,11 @@ def fork(m) -> ConcreteProf:
     cc = product(c, c)
 
     def fib(x, t):
-        a, b = _split_obj(cc, c, c, t)
+        a, b = split_obj(cc, c, c, t)
         return c.hom(x, m.tensor(a, b))
 
     def act(f, gp, v):
-        g1, g2 = _split_mor(cc, c, c, gp)
+        g1, g2 = split_mor(cc, c, c, gp)
         return c.compose(f, c.compose(v, m.tensor_m(g1, g2)))
 
     return ConcreteProf(c, cc, fib, act, name=f"fork({c.name})",
@@ -317,11 +294,11 @@ def copy_prof(c: FinCategory) -> ConcreteProf:
     cc = product(c, c)
 
     def fib(x, t):
-        a, b = _split_obj(cc, c, c, t)
+        a, b = split_obj(cc, c, c, t)
         return tuple((p, q) for p in c.hom(x, a) for q in c.hom(x, b))
 
     def act(f, gp, v):
-        g1, g2 = _split_mor(cc, c, c, gp)
+        g1, g2 = split_mor(cc, c, c, gp)
         p, q = v
         return (c.compose(f, c.compose(p, g1)), c.compose(f, c.compose(q, g2)))
 
@@ -333,11 +310,11 @@ def merge_prof(c: FinCategory) -> ConcreteProf:
     cc = product(c, c)
 
     def fib(s, y):
-        a, b = _split_obj(cc, c, c, s)
+        a, b = split_obj(cc, c, c, s)
         return tuple((p, q) for p in c.hom(a, y) for q in c.hom(b, y))
 
     def act(fp, g, v):
-        f1, f2 = _split_mor(cc, c, c, fp)
+        f1, f2 = split_mor(cc, c, c, fp)
         p, q = v
         return (c.compose(f1, c.compose(p, g)), c.compose(f2, c.compose(q, g)))
 
@@ -362,13 +339,13 @@ def swap_prof(c1: FinCategory, c2: FinCategory) -> ConcreteProf:
     tgt = product(c2, c1)
 
     def fib(s, t):
-        a, b = _split_obj(src, c1, c2, s)
-        b2, a2 = _split_obj(tgt, c2, c1, t)
+        a, b = split_obj(src, c1, c2, s)
+        b2, a2 = split_obj(tgt, c2, c1, t)
         return tuple((u, v) for u in c1.hom(a, a2) for v in c2.hom(b, b2))
 
     def act(fp, gp, val):
-        f1, f2 = _split_mor(src, c1, c2, fp)
-        g2, g1 = _split_mor(tgt, c2, c1, gp)
+        f1, f2 = split_mor(src, c1, c2, fp)
+        g2, g1 = split_mor(tgt, c2, c1, gp)
         u, v = val
         return (c1.compose(f1, c1.compose(u, g1)), c2.compose(f2, c2.compose(v, g2)))
 
@@ -381,11 +358,11 @@ def cup_prof(c: FinCategory) -> ConcreteProf:
     t = terminal_category()
 
     def fib(s, _):
-        x, y = _split_obj(src, c, opposite(c), s)
+        x, y = split_obj(src, c, opposite(c), s)
         return c.hom(x, y)
 
     def act(fp, _, v):
-        f, gop = _split_mor(src, c, opposite(c), fp)
+        f, gop = split_mor(src, c, opposite(c), fp)
         # gop: y' -> y in op(c), i.e. g: y -> y' in c
         return c.compose(f, c.compose(v, gop))
 
@@ -398,11 +375,11 @@ def cap_prof(c: FinCategory) -> ConcreteProf:
     t = terminal_category()
 
     def fib(_, s):
-        y, x = _split_obj(tgt, opposite(c), c, s)
+        y, x = split_obj(tgt, opposite(c), c, s)
         return c.hom(y, x)
 
     def act(_, gp, v):
-        uop, g = _split_mor(tgt, opposite(c), c, gp)
+        uop, g = split_mor(tgt, opposite(c), c, gp)
         # uop: y -> y'' in op(c), i.e. u: y'' -> y in c
         return c.compose(uop, c.compose(v, g))
 
@@ -452,13 +429,13 @@ def tensor_prof(p1: ConcreteProf, p2: ConcreteProf) -> ConcreteProf:
     tgt = product(p1.target, p2.target)
 
     def fib(a, b):
-        a1, a2 = _split_obj(src, p1.source, p2.source, a)
-        b1, b2 = _split_obj(tgt, p1.target, p2.target, b)
+        a1, a2 = split_obj(src, p1.source, p2.source, a)
+        b1, b2 = split_obj(tgt, p1.target, p2.target, b)
         return tuple((v1, v2) for v1 in p1.fiber(a1, b1) for v2 in p2.fiber(a2, b2))
 
     def act(f, g, v):
-        f1, f2 = _split_mor(src, p1.source, p2.source, f)
-        g1, g2 = _split_mor(tgt, p1.target, p2.target, g)
+        f1, f2 = split_mor(src, p1.source, p2.source, f)
+        g1, g2 = split_mor(tgt, p1.target, p2.target, g)
         return (p1.act(f1, g1, v[0]), p2.act(f2, g2, v[1]))
 
     def render(v):

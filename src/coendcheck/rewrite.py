@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fincat import FixtureError
-from .profunctor import join_mors, join_objs, split_obj2
+from .profunctor import join_mors, join_objs, split_obj
 from .shapelang import (Env, Evaluator, Gen, Id, Par, Seq, ShapeTypeError,
                         StructureMissing, Wire, boundary, is_plain_id, norm,
-                        obj_expr_cat, functor_expr_sig, print_term)
+                        obj_expr_cat, functor_expr_sig, parse_shape_script,
+                        print_term)
 
 
 class RewriteError(Exception):
@@ -68,37 +69,22 @@ class Adapter:
 class SliceOutcome:
     consumed: int
     parts: tuple
-    transform: object          # (vals, fibers, lobj, robj, tc) -> (vals, mids) | Adapter
+    transform: object          # (vals, fibers, lobj, robj, ev) -> (vals, mids) | Adapter
     inverse_inst: dict = field(default_factory=dict)
 
 
 @dataclass
 class NodeOutcome:
     term: object
-    transform: object          # (fiber, value, tc) -> value
+    transform: object          # (fiber, value, ev) -> value
     inverse_inst: dict = field(default_factory=dict)
-
-
-class TCtx:
-    """Shared context for semantic transforms."""
-
-    def __init__(self, ev: Evaluator):
-        self.ev = ev
-        self.env = ev.env
-        self.sig = ev.sig
-
-    def node(self, term):
-        return self.ev.node(term)
-
-    def act(self, term, f, g, v):
-        return self.node(term).prof.act(f, g, v)
 
 
 # ---------------------------------------------------------------------------
 # value assembly mirroring term normalization
 
 
-def build_seq_value(tc: TCtx, items, fiber):
+def build_seq_value(ev: Evaluator, items, fiber):
     """Value of norm(Seq(terms)) given per-item values and fiber ends.
 
     items: list of (term, value, left_obj, right_obj).  Mirrors the silent
@@ -108,7 +94,7 @@ def build_seq_value(tc: TCtx, items, fiber):
     flat = []
     for (t, v, l, r) in items:
         if isinstance(t, Seq):
-            node = tc.node(t)
+            node = ev.node(t)
             vals, mids = node.unfold((l, r), v)
             ends = [l] + mids + [r]
             for k, p in enumerate(t.parts):
@@ -122,11 +108,11 @@ def build_seq_value(tc: TCtx, items, fiber):
             if pend is None:
                 pend = [v, l]
             else:
-                cat = tc.env.boundary_cat(t.wires)
+                cat = ev.env.boundary_cat(t.wires)
                 pend[0] = cat.compose(pend[0], v)
         else:
             if pend is not None:
-                prof = tc.node(t).prof
+                prof = ev.node(t).prof
                 v = prof.act(pend[0], prof.target.identity(r), v)
                 l = pend[1]
                 pend = None
@@ -135,7 +121,7 @@ def build_seq_value(tc: TCtx, items, fiber):
         if not out:
             return pend[0]  # the whole composite is an identity wire
         t, v, l, r = out[-1]
-        prof = tc.node(t).prof
+        prof = ev.node(t).prof
         out[-1][1] = prof.act(prof.source.identity(l), pend[0], v)
         out[-1][3] = None  # right end moves to the fiber end
     if len(out) == 1:
@@ -143,15 +129,15 @@ def build_seq_value(tc: TCtx, items, fiber):
     terms = tuple(it[0] for it in out)
     vals = [it[1] for it in out]
     mids = [it[3] for it in out[:-1]]
-    return tc.node(Seq(terms)).refold(fiber, vals, mids)
+    return ev.node(Seq(terms)).refold(fiber, vals, mids)
 
 
-def par_value(tc: TCtx, top_term, v_top, bottom_term, v_bottom):
+def par_value(ev: Evaluator, top_term, v_top, bottom_term, v_bottom):
     """Value of norm(Par(top, bottom)) from the component values."""
     if is_plain_id(top_term) and is_plain_id(bottom_term):
-        ct = tc.env.boundary_cat(top_term.wires)
-        cb = tc.env.boundary_cat(bottom_term.wires)
-        cc = tc.env.boundary_cat(top_term.wires + bottom_term.wires)
+        ct = ev.env.boundary_cat(top_term.wires)
+        cb = ev.env.boundary_cat(bottom_term.wires)
+        cc = ev.env.boundary_cat(top_term.wires + bottom_term.wires)
         return cc.pack_mor(ct.mor_tuple(v_top) + cb.mor_tuple(v_bottom))
     if is_plain_id(top_term) and not top_term.wires:
         return v_bottom
@@ -172,7 +158,7 @@ def _slice_wires(sig, seqterm, parts, i):
     return boundary(seqterm, sig)[0]
 
 
-def _seq_level(tc, term, i, outcome: SliceOutcome, sig):
+def _seq_level(ev, term, i, outcome: SliceOutcome, sig):
     """Replace parts[i : i+consumed] of a sequential composite."""
     parts = term.parts if isinstance(term, Seq) else (term,)
     j = i + outcome.consumed
@@ -189,14 +175,14 @@ def _seq_level(tc, term, i, outcome: SliceOutcome, sig):
 
     def transport(fiber, value):
         if isinstance(term, Seq):
-            node = tc.node(term)
+            node = ev.node(term)
             vals, mids = node.unfold(fiber, value)
             ends = [fiber[0]] + mids + [fiber[1]]
         else:
             vals, ends = [value], [fiber[0], fiber[1]]
         slice_vals = vals[i:j]
         slice_fibers = list(zip(ends[i:j], ends[i + 1:j + 1]))
-        res = outcome.transform(slice_vals, slice_fibers, ends[i], ends[j], tc)
+        res = outcome.transform(slice_vals, slice_fibers, ends[i], ends[j], ev)
         if isinstance(res, Adapter):
             rep_items = [(Id(wires_at), res.mor, ends[i], ends[j])]
         else:
@@ -208,24 +194,24 @@ def _seq_level(tc, term, i, outcome: SliceOutcome, sig):
         items += rep_items
         items += [(parts[k], vals[k], ends[k], ends[k + 1])
                   for k in range(j, len(parts))]
-        return build_seq_value(tc, items, fiber)
+        return build_seq_value(ev, items, fiber)
 
     return new_term, transport
 
 
-def rewrite_at(tc: TCtx, term, path, rule, inst, backward):
-    sig = tc.sig
+def rewrite_at(ev: Evaluator, term, path, rule, inst, backward):
+    sig = ev.sig
     if rule.site == "node":
         if not path:
-            out = rule.apply_node(tc, term, inst, backward)
+            out = rule.apply_node(ev, term, inst, backward)
             return out.term, out.transform, out.inverse_inst
     else:
         if len(path) == 1:
             i = path[0]
             out = rule.apply_slice(
-                tc, term.parts if isinstance(term, Seq) else (term,), i,
+                ev, term.parts if isinstance(term, Seq) else (term,), i,
                 inst, backward, term)
-            new_term, transport = _seq_level(tc, term, i, out, sig)
+            new_term, transport = _seq_level(ev, term, i, out, sig)
             return new_term, transport, out.inverse_inst
     if not path:
         raise PathError(f"rule {rule.name} needs a {rule.site} position")
@@ -234,10 +220,10 @@ def rewrite_at(tc: TCtx, term, path, rule, inst, backward):
         if not 0 <= k < len(term.parts):
             raise PathError(f"no part {k} in sequential composite")
         child = term.parts[k]
-        new_child, child_tr, inv = rewrite_at(tc, child, rest, rule, inst, backward)
+        new_child, child_tr, inv = rewrite_at(ev, child, rest, rule, inst, backward)
 
         # express the child replacement through the splice machinery
-        def transform(vals, fibers, lobj, robj, tc2, child_tr=child_tr,
+        def transform(vals, fibers, lobj, robj, ev2, child_tr=child_tr,
                       new_child=new_child):
             v = child_tr(fibers[0], vals[0])
             if is_plain_id(new_child):
@@ -245,44 +231,46 @@ def rewrite_at(tc: TCtx, term, path, rule, inst, backward):
             return ([v], [])
         out = SliceOutcome(1, () if is_plain_id(new_child) else (new_child,),
                            transform)
-        new_term, transport = _seq_level(tc, term, k, out, sig)
+        new_term, transport = _seq_level(ev, term, k, out, sig)
         return new_term, transport, inv
     if isinstance(term, Par):
         if k not in (0, 1):
             raise PathError("par sides are 0 and 1")
         child = term.top if k == 0 else term.bottom
         other = term.bottom if k == 0 else term.top
-        new_child, child_tr, inv = rewrite_at(tc, child, rest, rule, inst, backward)
+        new_child, child_tr, inv = rewrite_at(ev, child, rest, rule, inst, backward)
         new_top, new_bottom = ((new_child, other) if k == 0 else (other, new_child))
         new_term = norm(Par(new_top, new_bottom))
 
         def transport(fiber, value, term=term, k=k):
-            node = tc.node(term)
+            node = ev.node(term)
             (f_top, v_top), (f_bot, v_bot) = node.split_value(fiber, value)
             if k == 0:
                 v_top = child_tr(f_top, v_top)
             else:
                 v_bot = child_tr(f_bot, v_bot)
-            return par_value(tc, new_top, v_top, new_bottom, v_bot)
+            return par_value(ev, new_top, v_top, new_bottom, v_bot)
 
         return new_term, transport, inv
     raise PathError(f"path descends into a leaf {print_term(term)}")
 
 
 def apply_step(term, step: Step, sig, env, ev: Evaluator = None):
-    """Apply one rewrite step; returns (new term, element transport).
+    """Apply one rewrite step; returns (new term, element transport,
+    inverse instantiation).
 
     The transport maps an element of eval(term) at a fiber to the
     corresponding element of eval(new term); it is total on raw coend index
-    elements, not just canonical representatives.
+    elements, not just canonical representatives.  The inverse
+    instantiation is the `inst` of the backward step that undoes this one.
     """
     rule = RULES.get(step.rule)
     if rule is None:
         raise RewriteError(f"unknown rule {step.rule!r}")
     if step.backward and rule.tag == "directed":
         raise DirectionError(f"{rule.name} is directed; backward use rejected")
-    tc = TCtx(ev or Evaluator(env))
-    new_term, transport, inv = rewrite_at(tc, term, tuple(step.path), rule,
+    ev = ev or Evaluator(env)
+    new_term, transport, inv = rewrite_at(ev, term, tuple(step.path), rule,
                                           step.inst, step.backward)
     b_old = boundary(term, sig)
     b_new = boundary(new_term, sig)
@@ -290,12 +278,6 @@ def apply_step(term, step: Step, sig, env, ev: Evaluator = None):
         raise RewriteError(
             f"{rule.name} changed the boundary: {b_old} -> {b_new}")
     return new_term, transport, inv
-
-
-def semantic_map(term, step: Step, sig, env, ev: Evaluator = None):
-    """The induced element map between eval(term) and eval(apply_step(term))."""
-    new_term, transport, _ = apply_step(term, step, sig, env, ev)
-    return new_term, transport
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +289,10 @@ class Rule:
     tag = "iso"
     site = "slice"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         raise MatchError(f"{self.name} is not a slice rule")
 
-    def apply_node(self, tc, term, inst, backward):
+    def apply_node(self, ev, term, inst, backward):
         raise MatchError(f"{self.name} is not a node rule")
 
 
@@ -325,30 +307,22 @@ def _part(parts, i, msg="rule site"):
     return parts[i]
 
 
-def _resolve_obj(tc, expr):
-    return tc.env.resolve_obj(expr)
-
-
-def _mon_for_obj(tc, expr):
-    return tc.env.monoidal(obj_expr_cat(expr, tc.sig))
-
-
-def _gate_cartesian(tc, catsym):
-    m = tc.env.monoidal(catsym)
+def _gate_cartesian(ev, catsym):
+    m = ev.env.monoidal(catsym)
     if m.cartesian is None:
         raise StructureMissing(f"oracle for {catsym!r} has no cartesian witness")
     return m
 
 
-def _gate_cocartesian(tc, catsym):
-    m = tc.env.monoidal(catsym)
+def _gate_cocartesian(ev, catsym):
+    m = ev.env.monoidal(catsym)
     if m.cocartesian is None:
         raise StructureMissing(f"oracle for {catsym!r} has no cocartesian witness")
     return m
 
 
-def _gate_braiding(tc, catsym):
-    m = tc.env.monoidal(catsym)
+def _gate_braiding(ev, catsym):
+    m = ev.env.monoidal(catsym)
     if m.braiding is None:
         raise StructureMissing(f"oracle for {catsym!r} has no braiding")
     return m
@@ -359,28 +333,28 @@ class YonedaL(Rule):
     name = "R-YONEDA-L"
     tag = "iso"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         if backward:
             t = _part(parts, i)
-            lw = boundary(t, tc.sig)[0]
+            lw = boundary(t, ev.sig)[0]
             label = inst.get("label")
             new_id = Id(lw, label)
             _want(label is not None, "backward R-YONEDA-L needs a label "
                   "(an unlabelled identity would normalize away)")
 
-            def tf(vals, fibers, lobj, robj, tc2):
-                cat = tc2.env.boundary_cat(lw)
+            def tf(vals, fibers, lobj, robj, ev2):
+                cat = ev2.env.boundary_cat(lw)
                 return ([cat.identity(lobj), vals[0]], [lobj])
 
             return SliceOutcome(1, (new_id, t), tf)
         idt = _part(parts, i)
         t = _part(parts, i + 1)
         _want(isinstance(idt, Id), "R-YONEDA-L expects an identity wire first")
-        _want(boundary(t, tc.sig)[0] == idt.wires, "wire mismatch")
+        _want(boundary(t, ev.sig)[0] == idt.wires, "wire mismatch")
 
-        def tf(vals, fibers, lobj, robj, tc2, t=t):
+        def tf(vals, fibers, lobj, robj, ev2, t=t):
             f, v = vals
-            prof = tc2.node(t).prof
+            prof = ev2.node(t).prof
             return ([prof.act(f, prof.target.identity(robj), v)], [])
 
         return SliceOutcome(2, (t,), tf, inverse_inst={"label": idt.label})
@@ -391,27 +365,27 @@ class YonedaR(Rule):
     name = "R-YONEDA-R"
     tag = "iso"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         if backward:
             t = _part(parts, i)
-            rw = boundary(t, tc.sig)[1]
+            rw = boundary(t, ev.sig)[1]
             label = inst.get("label")
             _want(label is not None, "backward R-YONEDA-R needs a label")
             new_id = Id(rw, label)
 
-            def tf(vals, fibers, lobj, robj, tc2):
-                cat = tc2.env.boundary_cat(rw)
+            def tf(vals, fibers, lobj, robj, ev2):
+                cat = ev2.env.boundary_cat(rw)
                 return ([vals[0], cat.identity(robj)], [robj])
 
             return SliceOutcome(1, (t, new_id), tf)
         t = _part(parts, i)
         idt = _part(parts, i + 1)
         _want(isinstance(idt, Id), "R-YONEDA-R expects an identity wire second")
-        _want(boundary(t, tc.sig)[1] == idt.wires, "wire mismatch")
+        _want(boundary(t, ev.sig)[1] == idt.wires, "wire mismatch")
 
-        def tf(vals, fibers, lobj, robj, tc2, t=t):
+        def tf(vals, fibers, lobj, robj, ev2, t=t):
             v, g = vals
-            prof = tc2.node(t).prof
+            prof = ev2.node(t).prof
             return ([prof.act(prof.source.identity(lobj), g, v)], [])
 
         return SliceOutcome(2, (t,), tf, inverse_inst={"label": idt.label})
@@ -423,46 +397,46 @@ class Assoc(Rule):
     tag = "iso"
     site = "node"
 
-    def apply_node(self, tc, term, inst, backward):
+    def apply_node(self, ev, term, inst, backward):
         _want(isinstance(term, Par), "R-ASSOC expects a parallel composite")
         if not backward:
             _want(isinstance(term.top, Par), "R-ASSOC forward expects ((a|b)|c)")
             a, b, c = term.top.top, term.top.bottom, term.bottom
             new_term = norm(Par(a, Par(b, c)))
 
-            def tf(fiber, value, tc2=tc):
-                node = tc2.node(term)
+            def tf(fiber, value, ev2=ev):
+                node = ev2.node(term)
                 (ft, vt), (fc, vc) = node.split_value(fiber, value)
-                inner = tc2.node(term.top)
+                inner = ev2.node(term.top)
                 (fa, va), (fb, vb) = inner.split_value(ft, vt)
-                vbc = par_value(tc2, b, vb, c, vc)
-                return par_value(tc2, a, va, norm(Par(b, c)), vbc)
+                vbc = par_value(ev2, b, vb, c, vc)
+                return par_value(ev2, a, va, norm(Par(b, c)), vbc)
 
             return NodeOutcome(new_term, tf)
         _want(isinstance(term.bottom, Par), "R-ASSOC backward expects (a|(b|c))")
         a, b, c = term.top, term.bottom.top, term.bottom.bottom
         new_term = norm(Par(Par(a, b), c))
 
-        def tf(fiber, value, tc2=tc):
-            node = tc2.node(term)
+        def tf(fiber, value, ev2=ev):
+            node = ev2.node(term)
             (fa, va), (fbc, vbc) = node.split_value(fiber, value)
-            inner = tc2.node(term.bottom)
+            inner = ev2.node(term.bottom)
             (fb, vb), (fc, vc) = inner.split_value(fbc, vbc)
-            vab = par_value(tc2, a, va, b, vb)
-            return par_value(tc2, norm(Par(a, b)), vab, c, vc)
+            vab = par_value(ev2, a, va, b, vb)
+            return par_value(ev2, norm(Par(a, b)), vab, c, vc)
 
         return NodeOutcome(new_term, tf)
 
 
-def _cut_pieces(tc, term, cut):
+def _cut_pieces(ev, term, cut):
     """Split a term (viewed as its part list) at a cut position."""
     parts = term.parts if isinstance(term, Seq) else (term,)
     if not 0 <= cut <= len(parts):
         raise MatchError(f"cut {cut} out of range")
-    lw, rw = boundary(term, tc.sig)
+    lw, rw = boundary(term, ev.sig)
     first = parts[:cut]
     second = parts[cut:]
-    bnd_mid = boundary(first[-1], tc.sig)[1] if first else lw
+    bnd_mid = boundary(first[-1], ev.sig)[1] if first else lw
 
     def piece(ps, wires):
         if not ps:
@@ -482,7 +456,7 @@ class Interchange(Rule):
     name = "R-INTERCHANGE"
     tag = "iso"
 
-    def _column(self, tc, parts, lo, hi):
+    def _column(self, ev, parts, lo, hi):
         if hi - lo == 1 and isinstance(parts[lo], Par):
             p = parts[lo]
             return p.top, p.bottom, parts[lo:hi]
@@ -490,17 +464,17 @@ class Interchange(Rule):
         if not run:
             raise MatchError("empty interchange column")
         b = norm(Seq(run)) if len(run) > 1 else run[0]
-        if boundary(b, tc.sig)[0] != () or boundary(b, tc.sig)[1] != ():
+        if boundary(b, ev.sig)[0] != () or boundary(b, ev.sig)[1] != ():
             raise MatchError("a spanned interchange column must be closed")
         return Id(()), b, run
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
-        sig = tc.sig
+    def apply_slice(self, ev, parts, i, inst, backward, container):
+        sig = ev.sig
         if not backward:
             n1 = int(inst.get("span1", 1))
             n2 = int(inst.get("span2", 1))
-            a, b, run1 = self._column(tc, parts, i, i + n1)
-            c, d, run2 = self._column(tc, parts, i + n1, i + n1 + n2)
+            a, b, run1 = self._column(ev, parts, i, i + n1)
+            c, d, run2 = self._column(ev, parts, i + n1, i + n1 + n2)
             ra, lc = boundary(a, sig)[1], boundary(c, sig)[0]
             rb, ld = boundary(b, sig)[1], boundary(d, sig)[0]
             _want(ra == lc and rb == ld,
@@ -512,27 +486,27 @@ class Interchange(Rule):
             cut1 = len(a.parts) if isinstance(a, Seq) else (0 if is_plain_id(a) else 1)
             cut2 = len(b.parts) if isinstance(b, Seq) else (0 if is_plain_id(b) else 1)
 
-            def column_values(tc2, run, vals, fibers):
+            def column_values(ev2, run, vals, fibers):
                 if len(run) == 1 and isinstance(run[0], Par):
-                    node = tc2.node(run[0])
+                    node = ev2.node(run[0])
                     return node.split_value(fibers[0], vals[0])
                 # empty top leg: the top value is the unit identity
                 items = [(t, v, f[0], f[1]) for t, v, f in zip(run, vals, fibers)]
-                vb = build_seq_value(tc2, items, (fibers[0][0], fibers[-1][1]))
+                vb = build_seq_value(ev2, items, (fibers[0][0], fibers[-1][1]))
                 return ((0, 0), 0), ((fibers[0][0], fibers[-1][1]), vb)
 
-            def tf(vals, fibers, lobj, robj, tc2):
-                (fa, va), (fb, vb) = column_values(tc2, run1,
+            def tf(vals, fibers, lobj, robj, ev2):
+                (fa, va), (fb, vb) = column_values(ev2, run1,
                                                    vals[:n1], fibers[:n1])
-                (fc, vc), (fd, vd) = column_values(tc2, run2,
+                (fc, vc), (fd, vd) = column_values(ev2, run2,
                                                    vals[n1:], fibers[n1:])
-                v_ac = build_seq_value(tc2, [(a, va, fa[0], fa[1]),
+                v_ac = build_seq_value(ev2, [(a, va, fa[0], fa[1]),
                                              (c, vc, fc[0], fc[1])],
                                        (fa[0], fc[1]))
-                v_bd = build_seq_value(tc2, [(b, vb, fb[0], fb[1]),
+                v_bd = build_seq_value(ev2, [(b, vb, fb[0], fb[1]),
                                              (d, vd, fd[0], fd[1])],
                                        (fb[0], fd[1]))
-                return ([par_value(tc2, ac, v_ac, bd, v_bd)], [])
+                return ([par_value(ev2, ac, v_ac, bd, v_bd)], [])
 
             return SliceOutcome(n1 + n2, (new_par,), tf,
                                 inverse_inst={"cut1": cut1, "cut2": cut2})
@@ -542,60 +516,55 @@ class Interchange(Rule):
         _want("cut1" in inst and "cut2" in inst,
               "backward R-INTERCHANGE needs cut1 and cut2")
         top, bottom = p.top, p.bottom
-        a, c, tparts = _cut_pieces(tc, top, int(inst["cut1"]))
-        b, d, bparts = _cut_pieces(tc, bottom, int(inst["cut2"]))
+        a, c, tparts = _cut_pieces(ev, top, int(inst["cut1"]))
+        b, d, bparts = _cut_pieces(ev, bottom, int(inst["cut2"]))
         q1, q2 = norm(Par(a, b)), norm(Par(c, d))
         if is_plain_id(q1) or is_plain_id(q2):
             raise MatchError("backward R-INTERCHANGE cut produces a bare "
                              "identity column")
         span1 = len(q1.parts) if isinstance(q1, Seq) else 1
         span2 = len(q2.parts) if isinstance(q2, Seq) else 1
+        wa, wb = boundary(a, ev.sig)[1], boundary(b, ev.sig)[1]
 
-        def tf(vals, fibers, lobj, robj, tc2):
-            node = tc2.node(p)
+        def tf(vals, fibers, lobj, robj, ev2):
+            node = ev2.node(p)
             (ft, vt), (fb_, vb) = node.split_value(fibers[0], vals[0])
-            va, ma, vc = _split_seq_value(tc2, top, int(inst["cut1"]), ft, vt)
-            vb2, mb, vd = _split_seq_value(tc2, bottom, int(inst["cut2"]), fb_, vb)
-            v1 = par_value(tc2, a, va, b, vb2)
-            v2 = par_value(tc2, c, vc, d, vd)
-            mid = _join_objs(tc2, a, b, ma, mb)
+            va, ma, vc = _split_seq_value(ev2, top, int(inst["cut1"]), ft, vt)
+            vb2, mb, vd = _split_seq_value(ev2, bottom, int(inst["cut2"]), fb_, vb)
+            v1 = par_value(ev2, a, va, b, vb2)
+            v2 = par_value(ev2, c, vc, d, vd)
+            cat = ev2.env.boundary_cat
+            mid = join_objs(cat(wa + wb), [(cat(wa), ma), (cat(wb), mb)])
             return ([v1, v2], [mid])
 
         return SliceOutcome(1, (q1, q2), tf,
                             inverse_inst={"span1": span1, "span2": span2})
 
 
-def _split_seq_value(tc, term, cut, fiber, value):
+def _split_seq_value(ev, term, cut, fiber, value):
     """Split a composite value at a cut: (left piece value, cut object,
     right piece value); identity pieces carry identity morphisms."""
     parts = term.parts if isinstance(term, Seq) else (term,)
     if isinstance(term, Seq):
-        node = tc.node(term)
+        node = ev.node(term)
         vals, mids = node.unfold(fiber, value)
         ends = [fiber[0]] + mids + [fiber[1]]
     else:
         vals, ends = [value], [fiber[0], fiber[1]]
     mid_obj = ends[cut]
-    lw = boundary(term, tc.sig)[0]
-    bnd_mid = boundary(parts[cut - 1], tc.sig)[1] if cut > 0 else lw
+    lw = boundary(term, ev.sig)[0]
+    bnd_mid = boundary(parts[cut - 1], ev.sig)[1] if cut > 0 else lw
 
     def assemble(ps, vs, es):
         if not ps:
-            cat = tc.env.boundary_cat(bnd_mid)
+            cat = ev.env.boundary_cat(bnd_mid)
             return cat.identity(mid_obj)
         items = [(ps[k], vs[k], es[k], es[k + 1]) for k in range(len(ps))]
-        return build_seq_value(tc, items, (es[0], es[-1]))
+        return build_seq_value(ev, items, (es[0], es[-1]))
 
     left_v = assemble(parts[:cut], vals[:cut], ends[:cut + 1])
     right_v = assemble(parts[cut:], vals[cut:], ends[cut:])
     return left_v, mid_obj, right_v
-
-
-def _join_objs(tc, term_a, term_b, oa, ob):
-    ca = tc.env.boundary_cat(boundary(term_a, tc.sig)[1])
-    cb = tc.env.boundary_cat(boundary(term_b, tc.sig)[1])
-    cc = tc.env.boundary_cat(boundary(term_a, tc.sig)[1] + boundary(term_b, tc.sig)[1])
-    return cc.pack_obj(ca.obj_tuple(oa) + cb.obj_tuple(ob))
 
 
 class PortFuse(Rule):
@@ -604,9 +573,9 @@ class PortFuse(Rule):
     name = "R-PORT-FUSE"
     tag = "iso"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         if backward:
-            return self._backward(tc, parts, i, inst)
+            return self._backward(ev, parts, i, inst)
         p1 = _part(parts, i)
         p2 = _part(parts, i + 1)
         if (isinstance(p1, Par) and isinstance(p1.top, Gen)
@@ -614,10 +583,10 @@ class PortFuse(Rule):
                 and p1.bottom.kind == "inport" and isinstance(p2, Gen)
                 and p2.kind == "junction"):
             ea, eb = p1.top.args[0], p1.bottom.args[0]
-            mon = tc.env.monoidal(p2.args[0])
+            mon = ev.env.monoidal(p2.args[0])
             fused = Gen("inport", (("tensor", ea, eb),))
 
-            def tf(vals, fibers, lobj, robj, tc2):
+            def tf(vals, fibers, lobj, robj, ev2):
                 (f, g), j = vals
                 c = mon.base
                 return ([c.compose(mon.tensor_m(f, g), j)], [])
@@ -628,10 +597,10 @@ class PortFuse(Rule):
                 and isinstance(p2.top, Gen) and p2.top.kind == "outport"
                 and isinstance(p2.bottom, Gen) and p2.bottom.kind == "outport"):
             ea, eb = p2.top.args[0], p2.bottom.args[0]
-            mon = tc.env.monoidal(p1.args[0])
+            mon = ev.env.monoidal(p1.args[0])
             fused = Gen("outport", (("tensor", ea, eb),))
 
-            def tf(vals, fibers, lobj, robj, tc2):
+            def tf(vals, fibers, lobj, robj, ev2):
                 h, (f, g) = vals
                 c = mon.base
                 return ([c.compose(h, mon.tensor_m(f, g))], [])
@@ -641,43 +610,43 @@ class PortFuse(Rule):
         raise MatchError("R-PORT-FUSE expects parallel ports beside a junction "
                          "or fork")
 
-    def _backward(self, tc, parts, i, inst):
+    def _backward(self, ev, parts, i, inst):
         t = _part(parts, i)
         _want("A" in inst and "B" in inst, "backward R-PORT-FUSE needs A and B")
         ea, eb = inst["A"], inst["B"]
-        catsym = obj_expr_cat(ea, tc.sig)
-        mon = tc.env.monoidal(catsym)
-        a_id, b_id = _resolve_obj(tc, ea), _resolve_obj(tc, eb)
+        catsym = obj_expr_cat(ea, ev.sig)
+        mon = ev.env.monoidal(catsym)
+        a_id, b_id = ev.env.resolve_obj(ea), ev.env.resolve_obj(eb)
         _want(isinstance(t, Gen) and t.kind in ("inport", "outport"),
               "backward R-PORT-FUSE expects a port")
-        _want(_resolve_obj(tc, t.args[0]) == mon.tensor(a_id, b_id),
+        _want(ev.env.resolve_obj(t.args[0]) == mon.tensor(a_id, b_id),
               "port object is not the tensor of the instantiation")
         c = mon.base
         if t.kind == "inport":
             rep = (Par(Gen("inport", (ea,)), Gen("inport", (eb,))),
                    Gen("junction", (catsym,)))
 
-            def tf(vals, fibers, lobj, robj, tc2):
+            def tf(vals, fibers, lobj, robj, ev2):
                 h = vals[0]
-                mid = _pack_pair(tc2, catsym, a_id, b_id)
+                mid = _pack_pair(ev2, catsym, a_id, b_id)
                 return ([(c.identity(a_id), c.identity(b_id)), h], [mid])
 
             return SliceOutcome(1, rep, tf)
         rep = (Gen("fork", (catsym,)),
                Par(Gen("outport", (ea,)), Gen("outport", (eb,))))
 
-        def tf(vals, fibers, lobj, robj, tc2):
+        def tf(vals, fibers, lobj, robj, ev2):
             h = vals[0]
-            mid = _pack_pair(tc2, catsym, a_id, b_id)
+            mid = _pack_pair(ev2, catsym, a_id, b_id)
             return ([h, (c.identity(a_id), c.identity(b_id))], [mid])
 
         return SliceOutcome(1, rep, tf)
 
 
-def _pack_pair(tc, catsym, a, b):
+def _pack_pair(ev, catsym, a, b):
     w = Wire(catsym)
-    c = tc.env.cats[catsym]
-    cc = tc.env.boundary_cat((w, w))
+    c = ev.env.cats[catsym]
+    cc = ev.env.boundary_cat((w, w))
     return join_objs(cc, [(c, a), (c, b)])
 
 
@@ -687,14 +656,14 @@ class EtaPort(Rule):
     tag = "directed"
     site = "insert"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         _want("A" in inst, "R-ETA-A needs an object A")
         ea = inst["A"]
-        a = _resolve_obj(tc, ea)
-        c = tc.env.cats[obj_expr_cat(ea, tc.sig)]
+        a = ev.env.resolve_obj(ea)
+        c = ev.env.cats[obj_expr_cat(ea, ev.sig)]
         rep = (Gen("inport", (ea,)), Gen("outport", (ea,)))
 
-        def tf(vals, fibers, lobj, robj, tc2):
+        def tf(vals, fibers, lobj, robj, ev2):
             return ([c.identity(a), c.identity(a)], [a])
 
         return SliceOutcome(0, rep, tf)
@@ -705,17 +674,17 @@ class EpsPort(Rule):
     name = "R-EPS-A"
     tag = "directed"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         p1, p2 = _part(parts, i), _part(parts, i + 1)
         _want(isinstance(p1, Gen) and p1.kind == "outport"
               and isinstance(p2, Gen) and p2.kind == "inport",
               "R-EPS-A expects outport then inport")
-        a1 = _resolve_obj(tc, p1.args[0])
-        a2 = _resolve_obj(tc, p2.args[0])
+        a1 = ev.env.resolve_obj(p1.args[0])
+        a2 = ev.env.resolve_obj(p2.args[0])
         _want(a1 == a2, "R-EPS-A ports disagree on the object")
-        c = tc.env.cats[obj_expr_cat(p1.args[0], tc.sig)]
+        c = ev.env.cats[obj_expr_cat(p1.args[0], ev.sig)]
 
-        def tf(vals, fibers, lobj, robj, tc2):
+        def tf(vals, fibers, lobj, robj, ev2):
             f, g = vals
             return Adapter(c.compose(f, g))
 
@@ -728,17 +697,17 @@ class EtaTensor(Rule):
     tag = "directed"
     site = "insert"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
-        wires = _slice_wires(tc.sig, container, parts, i)
+    def apply_slice(self, ev, parts, i, inst, backward, container):
+        wires = _slice_wires(ev.sig, container, parts, i)
         _want(len(wires) == 2 and wires[0] == wires[1] and not wires[0].op,
               "R-ETA-TENSOR needs a C,C boundary point")
         catsym = wires[0].cat
-        mon = tc.env.monoidal(catsym)
+        mon = ev.env.monoidal(catsym)
         rep = (Gen("junction", (catsym,)), Gen("fork", (catsym,)))
 
-        def tf(vals, fibers, lobj, robj, tc2):
-            cc = tc2.env.boundary_cat(wires)
-            m, n = split_obj2(cc, mon.base, mon.base, lobj)
+        def tf(vals, fibers, lobj, robj, ev2):
+            cc = ev2.env.boundary_cat(wires)
+            m, n = split_obj(cc, mon.base, mon.base, lobj)
             t = mon.tensor(m, n)
             return ([mon.base.identity(t), mon.base.identity(t)], [t])
 
@@ -750,15 +719,15 @@ class EpsTensor(Rule):
     name = "R-EPS-TENSOR"
     tag = "directed"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         p1, p2 = _part(parts, i), _part(parts, i + 1)
         _want(isinstance(p1, Gen) and p1.kind == "fork"
               and isinstance(p2, Gen) and p2.kind == "junction"
               and p1.args == p2.args,
               "R-EPS-TENSOR expects fork then junction")
-        c = tc.env.cats[p1.args[0]]
+        c = ev.env.cats[p1.args[0]]
 
-        def tf(vals, fibers, lobj, robj, tc2):
+        def tf(vals, fibers, lobj, robj, ev2):
             h, j = vals
             return Adapter(c.compose(h, j))
 
@@ -772,16 +741,16 @@ class CartFork(Rule):
     tag = "iso"
     site = "node"
 
-    def apply_node(self, tc, term, inst, backward):
+    def apply_node(self, ev, term, inst, backward):
         if not backward:
             _want(isinstance(term, Gen) and term.kind == "fork",
                   "R-CART-FORK forward expects a fork")
-            mon = _gate_cartesian(tc, term.args[0])
+            mon = _gate_cartesian(ev, term.args[0])
             new_term = Gen("copy", term.args, term.label)
 
-            def tf(fiber, value, tc2=tc):
-                cc = tc2.env.boundary_cat((Wire(term.args[0]),) * 2)
-                m, n = split_obj2(cc, mon.base, mon.base, fiber[1])
+            def tf(fiber, value, ev2=ev):
+                cc = ev2.env.boundary_cat((Wire(term.args[0]),) * 2)
+                m, n = split_obj(cc, mon.base, mon.base, fiber[1])
                 w = mon.cartesian
                 c = mon.base
                 return (c.compose(value, w.proj1[(m, n)]),
@@ -790,10 +759,10 @@ class CartFork(Rule):
             return NodeOutcome(new_term, tf)
         _want(isinstance(term, Gen) and term.kind == "copy",
               "R-CART-FORK backward expects a copy")
-        mon = _gate_cartesian(tc, term.args[0])
+        mon = _gate_cartesian(ev, term.args[0])
         new_term = Gen("fork", term.args, term.label)
 
-        def tf(fiber, value, tc2=tc):
+        def tf(fiber, value, ev2=ev):
             return mon.cartesian.pairing[value]
 
         return NodeOutcome(new_term, tf)
@@ -805,24 +774,24 @@ class CartCounit(Rule):
     tag = "iso"
     site = "node"
 
-    def apply_node(self, tc, term, inst, backward):
+    def apply_node(self, ev, term, inst, backward):
         if not backward:
             _want(isinstance(term, Gen) and term.kind in ("outport", "unit-out"),
                   "R-CART-COUNIT forward expects a unit outport")
             if term.kind == "outport":
-                catsym = obj_expr_cat(term.args[0], tc.sig)
-                mon = _gate_cartesian(tc, catsym)
-                _want(_resolve_obj(tc, term.args[0]) == mon.unit,
+                catsym = obj_expr_cat(term.args[0], ev.sig)
+                mon = _gate_cartesian(ev, catsym)
+                _want(ev.env.resolve_obj(term.args[0]) == mon.unit,
                       "R-CART-COUNIT needs the unit object")
             else:
                 catsym = term.args[0]
-                mon = _gate_cartesian(tc, catsym)
+                mon = _gate_cartesian(ev, catsym)
             new_term = Gen("discard", (catsym,), term.label)
             return NodeOutcome(new_term, lambda fiber, value: "*",
                                inverse_inst={})
         _want(isinstance(term, Gen) and term.kind == "discard",
               "R-CART-COUNIT backward expects a discard")
-        mon = _gate_cartesian(tc, term.args[0])
+        mon = _gate_cartesian(ev, term.args[0])
         new_term = Gen("unit-out", term.args, term.label)
 
         def tf(fiber, value):
@@ -837,16 +806,16 @@ class CocartJunction(Rule):
     tag = "iso"
     site = "node"
 
-    def apply_node(self, tc, term, inst, backward):
+    def apply_node(self, ev, term, inst, backward):
         if not backward:
             _want(isinstance(term, Gen) and term.kind == "junction",
                   "R-COCART-JUNCTION forward expects a junction")
-            mon = _gate_cocartesian(tc, term.args[0])
+            mon = _gate_cocartesian(ev, term.args[0])
             new_term = Gen("merge", term.args, term.label)
 
-            def tf(fiber, value, tc2=tc):
-                cc = tc2.env.boundary_cat((Wire(term.args[0]),) * 2)
-                m, n = split_obj2(cc, mon.base, mon.base, fiber[0])
+            def tf(fiber, value, ev2=ev):
+                cc = ev2.env.boundary_cat((Wire(term.args[0]),) * 2)
+                m, n = split_obj(cc, mon.base, mon.base, fiber[0])
                 w = mon.cocartesian
                 c = mon.base
                 return (c.compose(w.inj1[(m, n)], value),
@@ -855,7 +824,7 @@ class CocartJunction(Rule):
             return NodeOutcome(new_term, tf)
         _want(isinstance(term, Gen) and term.kind == "merge",
               "R-COCART-JUNCTION backward expects a merge")
-        mon = _gate_cocartesian(tc, term.args[0])
+        mon = _gate_cocartesian(ev, term.args[0])
         new_term = Gen("junction", term.args, term.label)
 
         def tf(fiber, value):
@@ -870,23 +839,23 @@ class CocartUnit(Rule):
     tag = "iso"
     site = "node"
 
-    def apply_node(self, tc, term, inst, backward):
+    def apply_node(self, ev, term, inst, backward):
         if not backward:
             _want(isinstance(term, Gen) and term.kind in ("inport", "unit-in"),
                   "R-COCART-UNIT forward expects a unit inport")
             if term.kind == "inport":
-                catsym = obj_expr_cat(term.args[0], tc.sig)
-                mon = _gate_cocartesian(tc, catsym)
-                _want(_resolve_obj(tc, term.args[0]) == mon.unit,
+                catsym = obj_expr_cat(term.args[0], ev.sig)
+                mon = _gate_cocartesian(ev, catsym)
+                _want(ev.env.resolve_obj(term.args[0]) == mon.unit,
                       "R-COCART-UNIT needs the unit object")
             else:
                 catsym = term.args[0]
-                mon = _gate_cocartesian(tc, catsym)
+                mon = _gate_cocartesian(ev, catsym)
             new_term = Gen("codiscard", (catsym,), term.label)
             return NodeOutcome(new_term, lambda fiber, value: "*")
         _want(isinstance(term, Gen) and term.kind == "codiscard",
               "R-COCART-UNIT backward expects a codiscard")
-        mon = _gate_cocartesian(tc, term.args[0])
+        mon = _gate_cocartesian(ev, term.args[0])
         new_term = Gen("unit-in", term.args, term.label)
 
         def tf(fiber, value):
@@ -901,9 +870,9 @@ class Sym(Rule):
     name = "R-SYM"
     tag = "iso"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         if backward:
-            return self._backward(tc, parts, i, inst, container)
+            return self._backward(ev, parts, i, inst, container)
         p1 = _part(parts, i)
         p2 = _part(parts, i + 1)
         # (sym ; junction) => junction, precomposing the braiding
@@ -911,13 +880,13 @@ class Sym(Rule):
                 and p2.kind == "junction"):
             w1, w2 = p1.args
             _want(w1 == w2 == Wire(p2.args[0]), "R-SYM wires must match the junction")
-            mon = _gate_braiding(tc, p2.args[0])
+            mon = _gate_braiding(ev, p2.args[0])
             c = mon.base
 
-            def tf(vals, fibers, lobj, robj, tc2):
+            def tf(vals, fibers, lobj, robj, ev2):
                 (u, v), j = vals
-                cc = tc2.env.boundary_cat((w1, w1))
-                m, n = split_obj2(cc, c, c, fibers[0][0])
+                cc = ev2.env.boundary_cat((w1, w1))
+                m, n = split_obj(cc, c, c, fibers[0][0])
                 return ([c.compose(mon.braid(m, n),
                                    c.compose(mon.tensor_m(v, u), j))], [])
 
@@ -927,10 +896,10 @@ class Sym(Rule):
                 and p2.kind == "sym"):
             w1, w2 = p2.args
             _want(w1 == w2 == Wire(p1.args[0]), "R-SYM wires must match the fork")
-            mon = _gate_braiding(tc, p1.args[0])
+            mon = _gate_braiding(ev, p1.args[0])
             c = mon.base
 
-            def tf(vals, fibers, lobj, robj, tc2):
+            def tf(vals, fibers, lobj, robj, ev2):
                 h, (u, v) = vals
                 # u: m->m2 on the first emitted wire, v: n->n2 on the second
                 return ([c.compose(h, c.compose(mon.tensor_m(u, v),
@@ -941,18 +910,18 @@ class Sym(Rule):
         # (par of sources ; sym) => par swapped
         if (isinstance(p1, Par) and isinstance(p2, Gen) and p2.kind == "sym"):
             a, b = p1.top, p1.bottom
-            la, lb = boundary(a, tc.sig)[0], boundary(b, tc.sig)[0]
+            la, lb = boundary(a, ev.sig)[0], boundary(b, ev.sig)[0]
             _want(la == () and lb == (), "R-SYM port slide needs source legs")
             swapped = norm(Par(b, a))
 
-            def tf(vals, fibers, lobj, robj, tc2):
-                node = tc2.node(_part(parts, i))
+            def tf(vals, fibers, lobj, robj, ev2):
+                node = ev2.node(_part(parts, i))
                 (fa, va), (fb, vb) = node.split_value(fibers[0], vals[0])
                 (u, v) = vals[1]
-                pa, pb = tc2.node(a).prof, tc2.node(b).prof
+                pa, pb = ev2.node(a).prof, ev2.node(b).prof
                 va2 = pa.act(pa.source.identity(fa[0]), u, va)
                 vb2 = pb.act(pb.source.identity(fb[0]), v, vb)
-                return ([par_value(tc2, b, vb2, a, va2)], [])
+                return ([par_value(ev2, b, vb2, a, va2)], [])
 
             return SliceOutcome(2, (swapped,), tf, inverse_inst={"config": "par"})
         # (sym ; sym) cancels
@@ -961,32 +930,32 @@ class Sym(Rule):
             _want(p1.args == (p2.args[1], p2.args[0]),
                   "R-SYM cancellation needs opposite crossings")
 
-            def tf(vals, fibers, lobj, robj, tc2):
+            def tf(vals, fibers, lobj, robj, ev2):
                 (u, v), (v2, u2) = vals
-                c1 = tc2.env.wire_cat(p1.args[0])
-                c2 = tc2.env.wire_cat(p1.args[1])
-                cc = tc2.env.boundary_cat(p1.args)
+                c1 = ev2.env.wire_cat(p1.args[0])
+                c2 = ev2.env.wire_cat(p1.args[1])
+                cc = ev2.env.boundary_cat(p1.args)
                 return Adapter(join_mors(cc, [(c1, c1.compose(u, u2)),
                                               (c2, c2.compose(v, v2))]))
 
             return SliceOutcome(2, (), tf, inverse_inst={"config": "cancel"})
         raise MatchError("R-SYM does not match this site")
 
-    def _backward(self, tc, parts, i, inst, container):
+    def _backward(self, ev, parts, i, inst, container):
         config = inst.get("config")
         if config == "junction":
             p = _part(parts, i)
             _want(isinstance(p, Gen) and p.kind == "junction",
                   "backward R-SYM (junction) expects a junction")
-            mon = _gate_braiding(tc, p.args[0])
+            mon = _gate_braiding(ev, p.args[0])
             c = mon.base
             w = Wire(p.args[0])
             rep = (Gen("sym", (w, w)), p)
 
-            def tf(vals, fibers, lobj, robj, tc2):
+            def tf(vals, fibers, lobj, robj, ev2):
                 j = vals[0]
-                cc = tc2.env.boundary_cat((w, w))
-                m, n = split_obj2(cc, c, c, lobj)
+                cc = ev2.env.boundary_cat((w, w))
+                m, n = split_obj(cc, c, c, lobj)
                 mid = join_objs(cc, [(c, n), (c, m)])
                 return ([(c.identity(m), c.identity(n)),
                          c.compose(mon.braid(n, m), j)], [mid])
@@ -996,15 +965,15 @@ class Sym(Rule):
             p = _part(parts, i)
             _want(isinstance(p, Gen) and p.kind == "fork",
                   "backward R-SYM (fork) expects a fork")
-            mon = _gate_braiding(tc, p.args[0])
+            mon = _gate_braiding(ev, p.args[0])
             c = mon.base
             w = Wire(p.args[0])
             rep = (p, Gen("sym", (w, w)))
 
-            def tf(vals, fibers, lobj, robj, tc2):
+            def tf(vals, fibers, lobj, robj, ev2):
                 h = vals[0]
-                cc = tc2.env.boundary_cat((w, w))
-                m, n = split_obj2(cc, c, c, robj)
+                cc = ev2.env.boundary_cat((w, w))
+                m, n = split_obj(cc, c, c, robj)
                 mid = join_objs(cc, [(c, n), (c, m)])
                 return ([c.compose(h, mon.braid(m, n)),
                          (c.identity(n), c.identity(m))], [mid])
@@ -1014,33 +983,33 @@ class Sym(Rule):
             p = _part(parts, i)
             _want(isinstance(p, Par), "backward R-SYM (par) expects a par")
             b, a = p.top, p.bottom
-            wa = boundary(a, tc.sig)[1]
-            wb = boundary(b, tc.sig)[1]
+            wa = boundary(a, ev.sig)[1]
+            wb = boundary(b, ev.sig)[1]
             _want(len(wa) == 1 and len(wb) == 1, "one output wire per leg")
             rep = (norm(Par(a, b)), Gen("sym", (wa[0], wb[0])))
 
-            def tf(vals, fibers, lobj, robj, tc2):
-                node = tc2.node(p)
+            def tf(vals, fibers, lobj, robj, ev2):
+                node = ev2.node(p)
                 (fb, vb), (fa, va) = node.split_value(fibers[0], vals[0])
-                ca = tc2.env.wire_cat(wa[0])
-                cb = tc2.env.wire_cat(wb[0])
-                cc = tc2.env.boundary_cat((wa[0], wb[0]))
+                ca = ev2.env.wire_cat(wa[0])
+                cb = ev2.env.wire_cat(wb[0])
+                cc = ev2.env.boundary_cat((wa[0], wb[0]))
                 mid = join_objs(cc, [(ca, fa[1]), (cb, fb[1])])
-                return ([par_value(tc2, a, va, b, vb),
+                return ([par_value(ev2, a, va, b, vb),
                          (ca.identity(fa[1]), cb.identity(fb[1]))], [mid])
 
             return SliceOutcome(1, rep, tf)
         if config == "cancel":
-            wires = _slice_wires(tc.sig, container, parts, i)
+            wires = _slice_wires(ev.sig, container, parts, i)
             _want(len(wires) == 2, "R-SYM cancellation insertion needs two wires")
             w1, w2 = wires
             rep = (Gen("sym", (w1, w2)), Gen("sym", (w2, w1)))
 
-            def tf(vals, fibers, lobj, robj, tc2):
-                c1, c2 = tc2.env.wire_cat(w1), tc2.env.wire_cat(w2)
-                cc = tc2.env.boundary_cat((w1, w2))
-                ccs = tc2.env.boundary_cat((w2, w1))
-                x, y = split_obj2(cc, c1, c2, lobj)
+            def tf(vals, fibers, lobj, robj, ev2):
+                c1, c2 = ev2.env.wire_cat(w1), ev2.env.wire_cat(w2)
+                cc = ev2.env.boundary_cat((w1, w2))
+                ccs = ev2.env.boundary_cat((w2, w1))
+                x, y = split_obj(cc, c1, c2, lobj)
                 mid = join_objs(ccs, [(c2, y), (c1, x)])
                 return ([(c1.identity(x), c2.identity(y)),
                          (c2.identity(y), c1.identity(x))], [mid])
@@ -1054,18 +1023,18 @@ class LaxCopy(Rule):
     name = "R-LAX-COPY"
     tag = "directed"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         t = _part(parts, i)
         p2 = _part(parts, i + 1)
         _want(isinstance(p2, Gen) and p2.kind == "copy",
               "R-LAX-COPY expects a copy second")
-        lb, rb = boundary(t, tc.sig)
+        lb, rb = boundary(t, ev.sig)
         _want(lb == () and len(rb) == 1, "R-LAX-COPY needs a one-wire source leg")
         rep = norm(Par(t, t))
 
-        def tf(vals, fibers, lobj, robj, tc2):
+        def tf(vals, fibers, lobj, robj, ev2):
             v, (f1, f2) = vals
-            prof = tc2.node(t).prof
+            prof = ev2.node(t).prof
             z = prof.source.identity(0)
             return ([(prof.act(z, f1, v), prof.act(z, f2, v))], [])
 
@@ -1077,18 +1046,18 @@ class LaxMerge(Rule):
     name = "R-LAX-MERGE"
     tag = "directed"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         p1 = _part(parts, i)
         t = _part(parts, i + 1)
         _want(isinstance(p1, Gen) and p1.kind == "merge",
               "R-LAX-MERGE expects a merge first")
-        lb, rb = boundary(t, tc.sig)
+        lb, rb = boundary(t, ev.sig)
         _want(rb == () and len(lb) == 1, "R-LAX-MERGE needs a one-wire sink leg")
         rep = norm(Par(t, t))
 
-        def tf(vals, fibers, lobj, robj, tc2):
+        def tf(vals, fibers, lobj, robj, ev2):
             (f1, f2), v = vals
-            prof = tc2.node(t).prof
+            prof = ev2.node(t).prof
             z = prof.target.identity(0)
             return ([(prof.act(f1, z, v), prof.act(f2, z, v))], [])
 
@@ -1100,20 +1069,20 @@ class LaxDiscard(Rule):
     name = "R-LAX-DISCARD"
     tag = "directed"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         p1 = _part(parts, i)
         p2 = _part(parts, i + 1)
         if (isinstance(p2, Gen) and p2.kind == "discard"
-                and boundary(p1, tc.sig)[0] == ()):
+                and boundary(p1, ev.sig)[0] == ()):
             pass
         elif (isinstance(p1, Gen) and p1.kind == "codiscard"
-              and boundary(p2, tc.sig)[1] == ()):
+              and boundary(p2, ev.sig)[1] == ()):
             pass
         else:
             raise MatchError("R-LAX-DISCARD expects a source into a discard "
                              "or a codiscard into a sink")
 
-        def tf(vals, fibers, lobj, robj, tc2):
+        def tf(vals, fibers, lobj, robj, ev2):
             from .fincat import terminal_category
             return Adapter(terminal_category().identity(0))
 
@@ -1125,9 +1094,9 @@ class ZigzagCup(Rule):
     name = "R-ZIGZAG-CUP"
     tag = "iso"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         if backward:
-            wires = _slice_wires(tc.sig, container, parts, i)
+            wires = _slice_wires(ev.sig, container, parts, i)
             _want(len(wires) == 1 and not wires[0].op,
                   "backward R-ZIGZAG-CUP needs a single forward wire")
             catsym = wires[0].cat
@@ -1135,10 +1104,10 @@ class ZigzagCup(Rule):
             rep = (Par(Id((w,)), Gen("cap", (catsym,))),
                    Par(Gen("cup", (catsym,)), Id((w,))))
 
-            def tf(vals, fibers, lobj, robj, tc2):
-                c = tc2.env.cats[catsym]
-                fwd_c, op_c = tc2.env.wire_cat(w), tc2.env.wire_cat(w.flip())
-                mid = join_objs(tc2.env.boundary_cat((w, w.flip(), w)),
+            def tf(vals, fibers, lobj, robj, ev2):
+                c = ev2.env.cats[catsym]
+                fwd_c, op_c = ev2.env.wire_cat(w), ev2.env.wire_cat(w.flip())
+                mid = join_objs(ev2.env.boundary_cat((w, w.flip(), w)),
                                 [(fwd_c, lobj), (op_c, lobj), (fwd_c, lobj)])
                 e = c.identity(lobj)
                 return ([(e, e), (e, e)], [mid])
@@ -1155,9 +1124,9 @@ class ZigzagCup(Rule):
         catsym = p1.bottom.args[0]
         _want(p1.top.wires[0].cat == catsym == p2.top.args[0],
               "R-ZIGZAG-CUP wires must agree")
-        c = tc.env.cats[catsym]
+        c = ev.env.cats[catsym]
 
-        def tf(vals, fibers, lobj, robj, tc2):
+        def tf(vals, fibers, lobj, robj, ev2):
             (f, cel), (uel, v) = vals
             return Adapter(c.compose_chain(f, uel, cel, v))
 
@@ -1169,9 +1138,9 @@ class ZigzagCap(Rule):
     name = "R-ZIGZAG-CAP"
     tag = "iso"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         if backward:
-            wires = _slice_wires(tc.sig, container, parts, i)
+            wires = _slice_wires(ev.sig, container, parts, i)
             _want(len(wires) == 1 and wires[0].op,
                   "backward R-ZIGZAG-CAP needs a single dual wire")
             catsym = wires[0].cat
@@ -1179,10 +1148,10 @@ class ZigzagCap(Rule):
             rep = (Par(Gen("cap", (catsym,)), Id((w,))),
                    Par(Id((w,)), Gen("cup", (catsym,))))
 
-            def tf(vals, fibers, lobj, robj, tc2):
-                c = tc2.env.cats[catsym]
-                w1, w2 = tc2.env.wire_cat(w), tc2.env.wire_cat(w.flip())
-                mid = join_objs(tc2.env.boundary_cat((w, w.flip(), w)),
+            def tf(vals, fibers, lobj, robj, ev2):
+                c = ev2.env.cats[catsym]
+                w1, w2 = ev2.env.wire_cat(w), ev2.env.wire_cat(w.flip())
+                mid = join_objs(ev2.env.boundary_cat((w, w.flip(), w)),
                                 [(w1, lobj), (w2, lobj), (w1, lobj)])
                 e = c.identity(lobj)
                 return ([(e, e), (e, e)], [mid])
@@ -1197,9 +1166,9 @@ class ZigzagCap(Rule):
               and isinstance(p2.bottom, Gen) and p2.bottom.kind == "cup",
               "R-ZIGZAG-CAP expects (id | cup) second")
         catsym = p1.top.args[0]
-        c = tc.env.cats[catsym]
+        c = ev.env.cats[catsym]
 
-        def tf(vals, fibers, lobj, robj, tc2):
+        def tf(vals, fibers, lobj, robj, ev2):
             (cel, f), (g, uel) = vals
             # all values are base-category morphisms; the op-wire composite
             # reads right to left in the base
@@ -1213,7 +1182,7 @@ class FunctorFuse(Rule):
     name = "R-FUNCTOR-FUSE"
     tag = "iso"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         if backward:
             t = _part(parts, i)
             _want(isinstance(t, Gen) and t.kind == "box",
@@ -1221,15 +1190,15 @@ class FunctorFuse(Rule):
             _want("F" in inst and "G" in inst,
                   "backward R-FUNCTOR-FUSE needs F and G")
             ef, eg = inst["F"], inst["G"]
-            fused = tc.env.resolve_functor(("fcomp", ef, eg))
-            given = tc.env.resolve_functor(t.args[0])
+            fused = ev.env.resolve_functor(("fcomp", ef, eg))
+            given = ev.env.resolve_functor(t.args[0])
             _want(fused.obj_map == given.obj_map and fused.mor_map == given.mor_map,
                   "instantiation does not compose to the fused functor")
-            fnF = tc.env.resolve_functor(ef)
+            fnF = ev.env.resolve_functor(ef)
             d = fnF.target
             rep = (Gen("box", (ef,)), Gen("box", (eg,)))
 
-            def tf(vals, fibers, lobj, robj, tc2):
+            def tf(vals, fibers, lobj, robj, ev2):
                 w = vals[0]
                 fx = fnF.obj(fibers[0][0])
                 return ([d.identity(fx), w], [fx])
@@ -1239,14 +1208,14 @@ class FunctorFuse(Rule):
         _want(isinstance(p1, Gen) and p1.kind == "box"
               and isinstance(p2, Gen) and p2.kind == "box",
               "R-FUNCTOR-FUSE expects two functor boxes")
-        _want(functor_expr_sig(p1.args[0], tc.sig)[1]
-              == functor_expr_sig(p2.args[0], tc.sig)[0],
+        _want(functor_expr_sig(p1.args[0], ev.sig)[1]
+              == functor_expr_sig(p2.args[0], ev.sig)[0],
               "functor boxes are not composable")
-        fnG = tc.env.resolve_functor(p2.args[0])
+        fnG = ev.env.resolve_functor(p2.args[0])
         e = fnG.target
         fused = Gen("box", (("fcomp", p1.args[0], p2.args[0]),))
 
-        def tf(vals, fibers, lobj, robj, tc2):
+        def tf(vals, fibers, lobj, robj, ev2):
             u, v = vals
             return ([e.compose(fnG.mor(u), v)], [])
 
@@ -1260,13 +1229,13 @@ class FunctorEta(Rule):
     tag = "directed"
     site = "insert"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         _want("F" in inst, "R-FUNCTOR-ADJ-ETA needs a functor F")
         ef = inst["F"]
-        fn = tc.env.resolve_functor(ef)
+        fn = ev.env.resolve_functor(ef)
         rep = (Gen("box", (ef,)), Gen("cobox", (ef,)))
 
-        def tf(vals, fibers, lobj, robj, tc2):
+        def tf(vals, fibers, lobj, robj, ev2):
             fx = fn.obj(lobj)
             e = fn.target.identity(fx)
             return ([e, e], [fx])
@@ -1279,16 +1248,16 @@ class FunctorEps(Rule):
     name = "R-FUNCTOR-ADJ-EPS"
     tag = "directed"
 
-    def apply_slice(self, tc, parts, i, inst, backward, container):
+    def apply_slice(self, ev, parts, i, inst, backward, container):
         p1, p2 = _part(parts, i), _part(parts, i + 1)
         _want(isinstance(p1, Gen) and p1.kind == "cobox"
               and isinstance(p2, Gen) and p2.kind == "box"
               and p1.args == p2.args,
               "R-FUNCTOR-ADJ-EPS expects cobox then box of one functor")
-        fn = tc.env.resolve_functor(p1.args[0])
+        fn = ev.env.resolve_functor(p1.args[0])
         d = fn.target
 
-        def tf(vals, fibers, lobj, robj, tc2):
+        def tf(vals, fibers, lobj, robj, ev2):
             p, q = vals
             return Adapter(d.compose(p, q))
 
@@ -1370,6 +1339,11 @@ class Report:
         if self.fail_fast:
             raise CheckAborted(text)
 
+    def finish(self):
+        """Append the result line; returns the report."""
+        self.line(f"result: {'ok' if self.ok else 'FAILURE'}")
+        return self
+
     def text(self):
         return "\n".join(self.lines) + "\n"
 
@@ -1404,16 +1378,16 @@ def _count(node):
                for b in node.prof.target.objects)
 
 
-def check_step(tc: TCtx, term, step: Step, report: Report, idx, sig, env):
+def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
     """Apply and semantically verify one step.  Returns
     (new term, class map {fiber: {src rep: dst rep}}) or None on failure."""
     try:
-        new_term, transport, inv_inst = apply_step(term, step, sig, env, tc.ev)
+        new_term, transport, inv_inst = apply_step(term, step, sig, env, ev)
     except (RewriteError, StructureMissing, ShapeTypeError, FixtureError) as e:
         report.fail(f"step {idx} {step.rule}: {e}")
         return None
-    src = tc.node(term)
-    dst = tc.node(new_term)
+    src = ev.node(term)
+    dst = ev.node(new_term)
     fwd = {}
     for fiber, groups in _fiber_members(src).items():
         dst_fiber = set(dst.prof.fiber(*fiber))
@@ -1447,7 +1421,7 @@ def check_step(tc: TCtx, term, step: Step, report: Report, idx, sig, env):
         inv_step = Step(step.rule, step.path, not step.backward, inv_inst)
         back_tr = None
         try:
-            back_term, back_tr, _ = apply_step(new_term, inv_step, sig, env, tc.ev)
+            back_term, back_tr, _ = apply_step(new_term, inv_step, sig, env, ev)
             if strip_labels(back_term) != strip_labels(term):
                 back_tr = None
         except (PathError, MatchError):
@@ -1499,7 +1473,7 @@ def check_derivation_once(deriv: Derivation, sig, env, report: Report):
     if deriv.shape not in sig.shapes:
         report.fail(f"unknown shape {deriv.shape!r}")
         return None
-    tc = TCtx(Evaluator(env))
+    ev = Evaluator(env)
     term = sig.shapes[deriv.shape]
     try:
         boundary(term, sig)
@@ -1509,7 +1483,7 @@ def check_derivation_once(deriv: Derivation, sig, env, report: Report):
     terms = [term]
     maps = []
     for idx, step in enumerate(deriv.steps, 1):
-        out = check_step(tc, terms[-1], step, report, idx, sig, env)
+        out = check_step(ev, terms[-1], step, report, idx, sig, env)
         if out is None:
             return None
         new_term, fwd = out
@@ -1524,7 +1498,7 @@ def check_derivation_once(deriv: Derivation, sig, env, report: Report):
             report.fail(f"obligation {first}..{last}: terms differ, composite "
                         f"cannot be an identity")
             return None
-        node = tc.node(t0)
+        node = ev.node(t0)
         ok = True
         for fiber in _fiber_members(node):
             for rep in node.prof.fiber(*fiber):
@@ -1543,12 +1517,6 @@ def check_derivation_once(deriv: Derivation, sig, env, report: Report):
     return terms, maps
 
 
-def compose_step_maps(maps, fiber, value):
-    for fwd in maps:
-        value = fwd[fiber][value]
-    return value
-
-
 def script_object_symbols(script: DerivationScript, sig):
     """Object symbols used by any shape a script touches (others are not
     swept)."""
@@ -1564,32 +1532,35 @@ def script_object_symbols(script: DerivationScript, sig):
     return used
 
 
+def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
+                      epilogue=None):
+    """Check every derivation of the script over every assignment of the
+    free object symbols, then the point assertions.  `epilogue(report, env,
+    sig, terms, maps)` runs after each main derivation that checks."""
+    derivs = list(script.named.items()) + ([("main", script.main)] if script.main else [])
+    for env_a in env.assignments(only=script_object_symbols(script, sig)):
+        desc = env_a.describe_objs()
+        report.line(f"assignment: {desc}" if desc else "assignment: (none)")
+        for name, deriv in derivs:
+            report.line(f" derivation {name} from {deriv.shape}:")
+            out = check_derivation_once(deriv, sig, env_a, report)
+            if out is not None and name == "main" and epilogue:
+                epilogue(report, env_a, sig, *out)
+        _check_points(script, sig, env_a, report)
+
+
 def check_derivation(script: DerivationScript, sig, env: Env,
                      fail_fast=False) -> Report:
-    """Check every derivation of the script over every assignment of the
-    free object symbols, then the point assertions."""
+    """The report of check_assignments, ending in the result line."""
     report = Report(fail_fast)
-    used = script_object_symbols(script, sig)
     try:
-        for env_a in env.assignments(only=used):
-            desc = env_a.describe_objs()
-            report.line(f"assignment: {desc}" if desc else "assignment: (none)")
-            named_results = {}
-            for name, deriv in list(script.named.items()) + (
-                    [("main", script.main)] if script.main else []):
-                report.line(f" derivation {name} from {deriv.shape}:")
-                out = check_derivation_once(deriv, sig, env_a, report)
-                if out is None:
-                    continue
-                named_results[name] = out
-            _check_points(script, sig, env_a, named_results, report)
+        check_assignments(script, sig, env, report)
     except CheckAborted:
         pass
-    report.line(f"result: {'ok' if report.ok else 'FAILURE'}")
-    return report
+    return report.finish()
 
 
-def _check_points(script, sig, env, named_results, report):
+def _check_points(script, sig, env, report):
     if not script.points and not script.asserts:
         return
     from . import pointed
@@ -1724,6 +1695,18 @@ def _parse_step_line(rest, sig):
     return Step(rule, path, backward, inst)
 
 
+def load_derivation_script(text, read_shapes):
+    """Parse a derivation script together with the shape script named on
+    its `use` line; read_shapes(name) returns that script's text.  Returns
+    (signature, script)."""
+    for raw in text.splitlines():
+        line = raw.split(";", 1)[0].strip()
+        if line.startswith("use "):
+            sig = parse_shape_script(read_shapes(line[4:].strip()))
+            return sig, parse_derivation_script(text, sig)
+    raise RewriteError("derivation script has no 'use' line")
+
+
 def parse_derivation_script(text, sig) -> DerivationScript:
     shapes_ref = None
     main = None
@@ -1762,7 +1745,10 @@ def parse_derivation_script(text, sig) -> DerivationScript:
                 raise RewriteError(f"malformed obligation: {line!r}")
             if current is None:
                 raise RewriteError("obligation before any derivation")
-            current.obligations.append((int(toks[1]), int(toks[2])))
+            try:
+                current.obligations.append((int(toks[1]), int(toks[2])))
+            except ValueError:
+                raise RewriteError(f"malformed obligation: {line!r}") from None
         elif head == "point":
             name, _, tail = rest.partition(" ")
             shape, _, braced = tail.strip().partition(" ")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import profunctor as pf
 from .fincat import FinCategory, FinFunctor, MonoidalStructure, opposite, product
-from .profunctor import ConcreteProf, compose_prof, tensor_prof
+from .profunctor import compose_prof, tensor_prof
 
 
 class ShapeSyntaxError(Exception):
@@ -657,17 +657,9 @@ class EvalPar(EvalNode):
         src, tgt = self.prof.source, self.prof.target
         ts, bs = self.top.prof.source, self.bottom.prof.source
         tt, bt = self.top.prof.target, self.bottom.prof.target
-        a1, a2 = pf._split_obj(src, ts, bs, a)
-        b1, b2 = pf._split_obj(tgt, tt, bt, b)
+        a1, a2 = pf.split_obj(src, ts, bs, a)
+        b1, b2 = pf.split_obj(tgt, tt, bt, b)
         return ((a1, b1), value[0]), ((a2, b2), value[1])
-
-    def join_obj_left(self, a1, a2):
-        return pf._join_obj(self.prof.source, self.top.prof.source,
-                            self.bottom.prof.source, a1, a2)
-
-    def join_obj_right(self, b1, b2):
-        return pf._join_obj(self.prof.target, self.top.prof.target,
-                            self.bottom.prof.target, b1, b2)
 
 
 class EvalSeq(EvalNode):
@@ -700,11 +692,6 @@ class EvalSeq(EvalNode):
             v = self.cums[k].classify(a, right, mids[k - 1], v, vals[k])
         return v
 
-    def child_fibers(self, fiber, mids):
-        a, b = fiber
-        ends = [a] + list(mids) + [b]
-        return list(zip(ends[:-1], ends[1:]))
-
 
 class Evaluator:
     def __init__(self, env: Env):
@@ -718,9 +705,6 @@ class Evaluator:
         node = self._build(term)
         self._memo[term] = node
         return node
-
-    def prof(self, term) -> ConcreteProf:
-        return self.node(term).prof
 
     def _build(self, term):
         env = self.env

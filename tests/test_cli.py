@@ -109,3 +109,23 @@ def test_fail_fast_stops_early(capsys):
     code, out, _ = run(capsys, "check", demo_path("bad_backward.deriv"),
                        "--bind", f"C={fixture_path('z2')}", "--fail-fast")
     assert code == 1
+
+
+def test_validate_non_object_fixture(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_check_malformed_obligation(capsys, tmp_path):
+    (tmp_path / "leg.shapes").write_text("(category C) (object A C)\n"
+                                         "(shape in-leg (inport A))\n")
+    script = tmp_path / "leg.deriv"
+    script.write_text("use leg.shapes\nderive in-leg\nobligation identity 1 x\n")
+    code, out, err = run(capsys, "check", str(script),
+                         "--bind", f"C={fixture_path('z2')}")
+    assert code == 2
+    assert out == ""
+    assert err == "error: malformed obligation: 'obligation identity 1 x'\n"

@@ -14,7 +14,7 @@ from coendcheck.optics import (apply_lens, compose_optic,
                                lens_to_feedback, lens_to_pair,
                                lenses_to_learner, prism_to_pair)
 from coendcheck.pointed import OpenDiagram, lift_many
-from coendcheck.profunctor import split_obj2
+from coendcheck.profunctor import split_obj
 from coendcheck.rewrite import strip_labels
 from coendcheck.shapelang import Env, Evaluator
 
@@ -229,7 +229,7 @@ def test_learner_reduction_script_computes_learner_reduce():
         ls = learner_set(mon, a, b)
         ts = learner_triples(mon, a, b)
         for (s, (h1, h2)) in ls.coend.reps:
-            p, q = split_obj2(ls.pair_cat, c, c, s)
+            p, q = split_obj(ls.pair_cat, c, c, s)
             d = OpenDiagram.from_values(
                 sig, env, sig.shapes["learner"],
                 _learner_assignment(mon, p, q, h1, h2, a, b), ev)
@@ -279,7 +279,7 @@ def test_lenses_to_learner_script_computes_the_operation():
                          "cu": c.identity(m)}, ev)
                     out = lift_many(steps, d, sig, env, ev)
                     (s, (h1, h2)) = lenses_to_learner(l1, l2, mon, ls)
-                    lp, lq = split_obj2(ls.pair_cat, c, c, s)
+                    lp, lq = split_obj(ls.pair_cat, c, c, s)
                     expected = OpenDiagram.from_values(
                         sig, env, sig.shapes["learner"],
                         _learner_assignment(mon, lp, lq, h1, h2, a, b), ev)

@@ -94,6 +94,36 @@ def test_join_lattice_monoidal():
     assert validate_monoidal(mon).ok
 
 
+def _drop_copairing(mon, c):
+    del mon.cocartesian.copairing[(c.mor_id("id_0"), c.mor_id("id_0"))]
+
+
+def _mistype_initial(mon, c):
+    mon.cocartesian.initial[c.obj_id("0")] = c.mor_id("id_1")
+
+
+def _mistype_inj1(mon, c):
+    mon.cocartesian.inj1[(c.obj_id("0"), c.obj_id("0"))] = c.mor_id("id_1")
+
+
+def _drop_braiding(mon, c):
+    del mon.braiding[(c.obj_id("0"), c.obj_id("1"))]
+
+
+@pytest.mark.parametrize("mutate, line", [
+    (_drop_copairing, "[malformed] copairing missing for (id_0,id_0)"),
+    (_mistype_initial, "[cocartesian] initial point at 0 has wrong type"),
+    (_mistype_inj1, "[cocartesian] inj1 at (0,0) has wrong type"),
+    (_drop_braiding, "[malformed] braiding missing at (0,1)"),
+], ids=["copairing-missing", "initial-mistyped", "inj1-mistyped",
+        "braiding-missing"])
+def test_cocartesian_oracle_violations_reported(mutate, line):
+    mon = build("join-lattice-2")
+    mutate(mon, mon.base)
+    rep = validate_monoidal(mon)
+    assert line in [str(v) for v in rep.violations], str(rep)
+
+
 def test_z2_monoidal_symmetric_no_witnesses():
     mon = build("z2")
     assert validate_monoidal(mon).ok

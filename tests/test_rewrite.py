@@ -1,10 +1,11 @@
 import pytest
 
+from coendcheck import rewrite
 from coendcheck.fixtures import build
 from coendcheck.profunctor import constant_prof
 from coendcheck.rewrite import (Derivation, DirectionError, Report, Step,
                                 apply_step, check_derivation_once,
-                                semantic_map, strip_labels)
+                                strip_labels)
 from coendcheck.shapelang import (Env, Evaluator, Gen, Id, Par, Seq,
                                   StructureMissing, Wire, boundary,
                                   class_count, eval_closed, parse_shape_script)
@@ -68,7 +69,7 @@ def test_eps_port_collapses_plugged(sig):
     env = env_z2(sig)
     t = sig.shapes["plugged"]
     assert class_count(t, env) == 4
-    new_t, tr = semantic_map(t, Step("R-EPS-A", (1,)), sig, env)
+    new_t, tr = apply_step(t, Step("R-EPS-A", (1,)), sig, env)[:2]
     assert new_t == sig.shapes["arrow"]
     assert class_count(new_t, env) == 2
 
@@ -123,7 +124,7 @@ def test_yoneda_on_labeled_homs(sig):
         run_derivation(sig, env, "hom-pair", [Step("R-YONEDA-L", (0,))])
         c = env.cats["C"]
         t = sig.shapes["hom-pair"]
-        new_t, tr = semantic_map(t, Step("R-YONEDA-L", (0,)), sig, env)
+        new_t, tr = apply_step(t, Step("R-YONEDA-L", (0,)), sig, env)[:2]
         assert isinstance(new_t, Id) and new_t.label == "f"
         ev = Evaluator(env)
         node = ev.node(t)
@@ -175,7 +176,7 @@ def test_snake_collapses(sig):
         env = Env(sig, {"C": build(name)})
         run_derivation(sig, env, "snake", [Step("R-ZIGZAG-CUP", (1,))])
         t = sig.shapes["snake"]
-        new_t, tr = semantic_map(t, Step("R-ZIGZAG-CUP", (1,)), sig, env)
+        new_t, tr = apply_step(t, Step("R-ZIGZAG-CUP", (1,)), sig, env)[:2]
         assert strip_labels(new_t) == strip_labels(sig.shapes["arrow"]) or \
             new_t == Seq((Gen("inport", ("X",)), Gen("outport", ("Y",))))
 
@@ -196,7 +197,7 @@ def test_lax_copy_on_representable_is_bijection(sig):
     # map, so compare image and codomain counts here
     env = env_z2(sig)
     t = sig.shapes["copy-shape"]
-    new_t, tr = semantic_map(t, Step("R-LAX-COPY", (0,)), sig, env)
+    new_t, tr = apply_step(t, Step("R-LAX-COPY", (0,)), sig, env)[:2]
     ev = Evaluator(env)
     src, dst = ev.node(t), ev.node(new_t)
     tgt = src.prof.target
@@ -213,7 +214,7 @@ def test_lax_copy_on_constant_prof_not_surjective(sig):
               profs={"K": constant_prof(mon.base)})
     t = sig.shapes["named-copy"]
     run_derivation(sig, env, "named-copy", [Step("R-LAX-COPY", (0,))])
-    new_t, tr = semantic_map(t, Step("R-LAX-COPY", (0,)), sig, env)
+    new_t, tr = apply_step(t, Step("R-LAX-COPY", (0,)), sig, env)[:2]
     ev = Evaluator(env)
     src, dst = ev.node(t), ev.node(new_t)
     b = 0
@@ -226,7 +227,7 @@ def test_lax_copy_on_constant_prof_not_surjective(sig):
 def test_lax_discard(sig):
     env = env_z2(sig)
     t = Seq((Gen("inport", ("A",)), Gen("discard", ("C",))))
-    new_t, tr = semantic_map(t, Step("R-LAX-DISCARD", (0,)), sig, env)
+    new_t, tr = apply_step(t, Step("R-LAX-DISCARD", (0,)), sig, env)[:2]
     assert isinstance(new_t, Id) and new_t.wires == ()
     assert tr((0, 0), next(iter(Evaluator(env).node(t).prof.fiber(0, 0)))) == 0
 
@@ -387,9 +388,92 @@ def test_named_hole_lens_encoding(sig):
         for a in c.objects:
             base_env = Env(s2, {"C": mon},
                            objs={"A": a, "B": a, "X": a, "Y": a})
-            hole = Evaluator(base_env).prof(s2.shapes["hole"])
+            hole = Evaluator(base_env).node(s2.shapes["hole"]).prof
             env = Env(s2, {"C": mon},
                       objs={"A": a, "B": a, "X": a, "Y": a},
                       profs={"K": hole})
             assert class_count(s2.shapes["comb-lens"], env) == \
                 class_count(s2.shapes["lens"], env)
+
+
+# -- checker rejections ---------------------------------------------------------
+# Each fault corrupts the forward transport of one rule; the checker must
+# reject the step (or the obligation) with the matching message.
+
+
+def _fault_identity(transport, dst):
+    # keeps raw index elements apart, so one class has several images
+    return lambda fiber, v: v
+
+
+def _fault_outside(transport, dst):
+    return lambda fiber, v: "outside"
+
+
+def _fault_collapse(transport, dst):
+    return lambda fiber, v: dst.fiber(*fiber)[0]
+
+
+def _fault_swap(transport, dst):
+    def swapped(fiber, v):
+        out = transport(fiber, v)
+        reps = dst.fiber(*fiber)
+        if len(reps) > 1 and out in reps[:2]:
+            return reps[1] if out == reps[0] else reps[0]
+        return out
+    return swapped
+
+
+def _fault_swap_on_repeat(transport, dst):
+    # answers correctly the first time an element is transported and
+    # swaps the answer when asked again
+    seen, swapped = set(), _fault_swap(transport, dst)
+
+    def fault(fiber, v):
+        if (fiber, v) in seen:
+            return swapped(fiber, v)
+        seen.add((fiber, v))
+        return transport(fiber, v)
+    return fault
+
+
+ETA_EPS = [Step("R-ETA-A", (0,), inst={"A": "A"}), Step("R-EPS-A", (1,))]
+
+
+@pytest.mark.parametrize("shape, steps, obligations, rule, fault, message", [
+    ("plugged", [Step("R-EPS-A", (1,))], [], "R-EPS-A", _fault_identity,
+     "step 1 R-EPS-A: not well-defined on the class of"),
+    ("plugged", [Step("R-EPS-A", (1,))], [], "R-EPS-A", _fault_outside,
+     "step 1 R-EPS-A: image outside the target set at fiber (0, 0)"),
+    ("hom-pair", [Step("R-YONEDA-L", (0,))], [], "R-YONEDA-L", _fault_collapse,
+     "step 1 R-YONEDA-L: not a bijection at fiber (0, 0) (1 of 2 classes hit)"),
+    ("hom-pair", [Step("R-YONEDA-L", (0,))], [], "R-YONEDA-L", _fault_swap,
+     "step 1 R-YONEDA-L: backward(forward) is not the identity on"),
+    ("hom-pair", [Step("R-YONEDA-L", (0,))], [], "R-YONEDA-L",
+     _fault_swap_on_repeat,
+     "step 1 R-YONEDA-L: forward(backward) is not the identity on"),
+    ("inport-only", ETA_EPS, [(1, 2)], "R-EPS-A", _fault_swap,
+     "obligation 1..2: composite moves"),
+], ids=["not-well-defined", "image-outside", "not-a-bijection",
+        "backward-forward", "forward-backward", "obligation"])
+def test_checker_rejects_faulty_transport(sig, monkeypatch, shape, steps,
+                                          obligations, rule, fault, message):
+    real = rewrite.apply_step
+
+    def faulty_apply_step(term, step, sig, env, ev=None):
+        new_term, transport, inv = real(term, step, sig, env, ev)
+        if step.rule == rule and not step.backward:
+            dst = (ev or Evaluator(env)).node(new_term).prof
+            transport = fault(transport, dst)
+        return new_term, transport, inv
+
+    env = env_z2(sig)
+    deriv = Derivation("t", shape, list(steps), list(obligations))
+    report = Report()
+    check_derivation_once(deriv, sig, env, report)
+    assert report.ok, report.text()
+    monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)
+    report = Report()
+    check_derivation_once(deriv, sig, env, report)
+    assert len(report.failures) == 1, report.text()
+    assert report.failures[0].startswith(message), report.text()
