@@ -19,7 +19,7 @@ from .profunctor import (ConcreteProf, CoendSet, NatFamily, ProfunctorError,
                          representable_in, representable_out, junction, fork,
                          unit_in, unit_out, copy_prof, merge_prof,
                          discard_prof, codiscard_prof, swap_prof, cup_prof,
-                         cap_prof, box_prof, cobox_prof, check_natural,
+                         cap_prof, box_prof, cobox_prof, dual, check_natural,
                          validate_prof)
 from .shapelang import (Wire, Id, Gen, Seq, Par, Signature, Env, Evaluator,
                         ShapeSyntaxError, ShapeTypeError, StructureMissing,
@@ -43,7 +43,7 @@ __all__ = [
     "compose_prof", "tensor_prof", "hom_prof", "representable_in",
     "representable_out", "junction", "fork", "unit_in", "unit_out",
     "copy_prof", "merge_prof", "discard_prof", "codiscard_prof", "swap_prof",
-    "cup_prof", "cap_prof", "box_prof", "cobox_prof", "check_natural",
+    "cup_prof", "cap_prof", "box_prof", "cobox_prof", "dual", "check_natural",
     "validate_prof",
     "Wire", "Id", "Gen", "Seq", "Par", "Signature", "Env", "Evaluator",
     "ShapeSyntaxError", "ShapeTypeError", "StructureMissing", "EvalError",

@@ -112,7 +112,7 @@ def cmd_eval(args):
                                 f"  fiber ({node.prof.source.obj_name(a)},"
                                 f"{node.prof.target.obj_name(b)}): {n}")
                 report.line(f"classes: {total}")
-    except (ShapeTypeError, EvalError, StructureMissing) as e:
+    except (ShapeTypeError, EvalError, StructureMissing, FixtureError) as e:
         raise InputError(str(e))
     _emit(report, args.format)
     return EXIT_OK
@@ -128,7 +128,7 @@ def cmd_check(args):
     bindings = _parse_bindings(args.bind)
     try:
         env = Env(sig, bindings)
-    except EvalError as e:
+    except (EvalError, FixtureError) as e:
         raise InputError(str(e))
     report = check_derivation(script, sig, env, fail_fast=args.fail_fast)
     _emit(report, args.format)

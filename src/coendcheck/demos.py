@@ -7,9 +7,9 @@ from __future__ import annotations
 from importlib import resources
 
 from .fixtures import fixture
-from .rewrite import (CheckAborted, Report, check_assignments,
+from .rewrite import (CheckAborted, Report, _count, check_assignments,
                       load_derivation_script)
-from .shapelang import Env
+from .shapelang import Env, Evaluator
 
 
 def demo_dir():
@@ -24,18 +24,9 @@ def load_scripts(deriv_name):
         lambda ref: (droot / ref).read_text(encoding="utf-8"))
 
 
-def _fiber_count(env, sig, term):
-    from .shapelang import Evaluator
-    node = Evaluator(env).node(term)
-    return sum(len(node.prof.fiber(a, b))
-               for a in node.prof.source.objects
-               for b in node.prof.target.objects)
-
-
 def _composite_bijection(report, env, sig, terms, maps, label):
     """Compose the per-step class maps of the main derivation and report
     whether the composite is a bijection at every fiber."""
-    from .shapelang import Evaluator
     ev = Evaluator(env)
     src = ev.node(terms[0])
     dst = ev.node(terms[-1])
@@ -74,7 +65,7 @@ def _epilogue_lens_reduction(report, env, sig, terms, maps):
     a, b = env.objs["A"], env.objs["B"]
     x, y = env.objs["X"], env.objs["Y"]
     want = len(c.hom(a, x)) * len(c.hom(mon.tensor(a, y), b))
-    got = _fiber_count(env, sig, terms[-1])
+    got = _count(Evaluator(env).node(terms[-1]))
     ok = _composite_bijection(report, env, sig, terms, maps, "view/update pair")
     _expect(report, ok and got == want,
             f"|pairs| = |C(A,X)|*|C(A(x)Y,B)| = {want} at {env.describe_objs()}")
@@ -86,7 +77,7 @@ def _epilogue_prism_reduction(report, env, sig, terms, maps):
     a, b = env.objs["A"], env.objs["B"]
     x, y = env.objs["X"], env.objs["Y"]
     want = len(c.hom(y, b)) * len(c.hom(a, mon.tensor(b, x)))
-    got = _fiber_count(env, sig, terms[-1])
+    got = _count(Evaluator(env).node(terms[-1]))
     ok = _composite_bijection(report, env, sig, terms, maps, "match/build pair")
     _expect(report, ok and got == want,
             f"|pairs| = |C(Y,B)|*|C(A,B(+)X)| = {want} at {env.describe_objs()}")
@@ -95,7 +86,7 @@ def _epilogue_prism_reduction(report, env, sig, terms, maps):
 def _epilogue_lens_apply(report, env, sig, terms, maps):
     c = env.cats["C"]
     a, b = env.objs["A"], env.objs["B"]
-    got = _fiber_count(env, sig, terms[-1])
+    got = _count(Evaluator(env).node(terms[-1]))
     _expect(report, got == len(c.hom(a, b)),
             f"final classes = |C(A,B)| = {len(c.hom(a, b))} at {env.describe_objs()}")
 
@@ -105,7 +96,7 @@ def _epilogue_learner_reduction(report, env, sig, terms, maps):
     mon = env.monoidal("C")
     a, b = env.objs["A"], env.objs["B"]
     want = learner_triples(mon, a, b).class_count
-    got = _fiber_count(env, sig, terms[-1])
+    got = _count(Evaluator(env).node(terms[-1]))
     ok = _composite_bijection(report, env, sig, terms, maps, "triple reduction")
     _expect(report, ok and got == want,
             f"final classes = |triples| = {want} at {env.describe_objs()}")
@@ -116,7 +107,7 @@ def _epilogue_feedback(report, env, sig, terms, maps):
     mon = env.monoidal("C")
     x, y = env.objs["X"], env.objs["Y"]
     want = feedback_set(mon, x, y).class_count
-    got = _fiber_count(env, sig, terms[0])
+    got = _count(Evaluator(env).node(terms[0]))
     _expect(report, got == want,
             f"feedback classes = {want} at {env.describe_objs()}")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 _UID = itertools.count()
 
@@ -80,7 +80,6 @@ class FinCategory:
         self._obj_pack = None
         self._mor_tuple = None
         self._mor_pack = None
-        self.op_of = None
         self._op_cache = None
 
     # -- basic accessors ---------------------------------------------------
@@ -490,34 +489,37 @@ def compose_functors(f: FinFunctor, g: FinFunctor) -> FinFunctor:
 
 
 def opposite(c: FinCategory) -> FinCategory:
-    """Reverse all morphisms.  Morphism ids are shared with the base."""
+    """Reverse all morphisms.  Object and morphism ids are shared with the
+    base; the opposite of a product is the (interned) product of the
+    factors' opposites, so mirrored boundaries meet at identical objects."""
     if c._op_cache is not None:
         return c._op_cache
-    op = FinCategory(f"op({c.name})", c.obj_names, c.mor_names,
-                     c._cod, c._dom,
-                     {(g, f): h for (f, g), h in c._compose.items()},
-                     c._identity)
-    op.op_of = c
+    if c.factors is not None:
+        op = product(*map(opposite, c.factors))
+    else:
+        op = FinCategory(f"op({c.name})", c.obj_names, c.mor_names,
+                         c._cod, c._dom,
+                         {(g, f): h for (f, g), h in c._compose.items()},
+                         c._identity)
     op._op_cache = c
     c._op_cache = op
     return op
 
 
 def opposite_monoidal(m: MonoidalStructure) -> MonoidalStructure:
-    op = opposite(m.base)
+    """The same tensor on C^op; the (co)cartesian witnesses trade places.
+    Tables are shared with m, except the braiding, which is transposed."""
     braiding = None
     if m.braiding is not None:
         braiding = {(b, a): s for (a, b), s in m.braiding.items()}
     cart = cocart = None
     if m.cocartesian is not None:
-        w = m.cocartesian
-        cart = CartesianWitness(dict(w.inj1), dict(w.inj2), dict(w.copairing),
-                                dict(w.initial))
+        cart = CartesianWitness(*(getattr(m.cocartesian, f.name)
+                                  for f in fields(CocartesianWitness)))
     if m.cartesian is not None:
-        w = m.cartesian
-        cocart = CocartesianWitness(dict(w.proj1), dict(w.proj2), dict(w.pairing),
-                                    dict(w.terminal))
-    return MonoidalStructure(op, dict(m.tensor_obj), dict(m.tensor_mor), m.unit,
+        cocart = CocartesianWitness(*(getattr(m.cartesian, f.name)
+                                      for f in fields(CartesianWitness)))
+    return MonoidalStructure(opposite(m.base), m.tensor_obj, m.tensor_mor, m.unit,
                              braiding, cart, cocart)
 
 
@@ -619,6 +621,8 @@ def build_category(name, objects, homs, compose, identities) -> FinCategory:
     obj_ids = {n: i for i, n in enumerate(objects)}
     mor_names, dom, cod = [], [], []
     for (a, b), names in homs.items():
+        if a not in obj_ids or b not in obj_ids:
+            raise FixtureError(f"hom key {a}->{b} names an unknown object")
         if len(set(names)) != len(names):
             raise FixtureError(f"duplicate morphism name in hom({a},{b})")
         for n in names:
@@ -775,6 +779,18 @@ def _split_pair(key):
     return parts[0], parts[1]
 
 
+def _triples(entries, key):
+    for e in entries:
+        if len(e) != 3:
+            raise FixtureError(f"{key} entry {e!r} is not a triple")
+    return entries
+
+
+# the two witness blocks; their dataclass fields share one order (the two
+# (co)projections, the (co)pairing, the terminal/initial points)
+_WITNESSES = (("cartesian", CartesianWitness), ("cocartesian", CocartesianWitness))
+
+
 def load_fixture(data) -> tuple:
     """Load a category fixture from parsed JSON data.
 
@@ -785,45 +801,44 @@ def load_fixture(data) -> tuple:
     if not isinstance(data, dict):
         raise FixtureError("fixture must be a JSON object")
     try:
-        objects = list(data["objects"])
-        homs = {_split_pair(k): list(v) for k, v in data["homs"].items()}
-        compose = {(f, g): h for f, g, h in data["compose"]}
-        identities = dict(data["identities"])
+        return _load_fixture(data)
     except KeyError as e:
         raise FixtureError(f"fixture is missing key {e}")
-    name = data.get("name", "fixture")
-    cat = build_category(name, objects, homs, compose, identities)
+
+
+def _load_fixture(data):
+    objects = list(data["objects"])
+    homs = {_split_pair(k): list(v) for k, v in data["homs"].items()}
+    compose = {(f, g): h for f, g, h in _triples(data["compose"], "compose")}
+    identities = dict(data["identities"])
+    cat = build_category(data.get("name", "fixture"), objects, homs, compose, identities)
     if "monoidal" not in data:
         return cat, None
     mb = data["monoidal"]
+
+    def obj_pairs(table):
+        return {_obj_pair(cat, k): cat.mor_id(v) for k, v in table.items()}
+
     t_obj = {(cat.obj_id(a), cat.obj_id(b)): cat.obj_id(v)
              for (a, b), v in ((_split_comma(k), v) for k, v in mb["tensor_obj"].items())}
     t_mor = {}
-    for f, g, h in mb["tensor_mor"]:
+    for f, g, h in _triples(mb["tensor_mor"], "tensor_mor"):
         pairs = [(i, j) for i in cat.mors_named(f) for j in cat.mors_named(g)]
         if len(pairs) != 1:
             raise FixtureError(f"tensor_mor entry ({f},{g}) is ambiguous")
         t_mor[pairs[0]] = cat.mor_id(h)
     mon = MonoidalStructure(cat, t_obj, t_mor, cat.obj_id(mb["unit"]))
     if "braiding" in mb:
-        mon.braiding = {_obj_pair(cat, k): cat.mor_id(v)
-                        for k, v in mb["braiding"].items()}
-    if "cartesian" in mb:
-        w = mb["cartesian"]
-        mon.cartesian = CartesianWitness(
-            proj1={_obj_pair(cat, k): cat.mor_id(v) for k, v in w["proj1"].items()},
-            proj2={_obj_pair(cat, k): cat.mor_id(v) for k, v in w["proj2"].items()},
-            pairing={(cat.mor_id(f), cat.mor_id(g)): cat.mor_id(h)
-                     for f, g, h in w["pairing"]},
-            terminal={cat.obj_id(k): cat.mor_id(v) for k, v in w["terminal"].items()})
-    if "cocartesian" in mb:
-        w = mb["cocartesian"]
-        mon.cocartesian = CocartesianWitness(
-            inj1={_obj_pair(cat, k): cat.mor_id(v) for k, v in w["inj1"].items()},
-            inj2={_obj_pair(cat, k): cat.mor_id(v) for k, v in w["inj2"].items()},
-            copairing={(cat.mor_id(f), cat.mor_id(g)): cat.mor_id(h)
-                       for f, g, h in w["copairing"]},
-            initial={cat.obj_id(k): cat.mor_id(v) for k, v in w["initial"].items()})
+        mon.braiding = obj_pairs(mb["braiding"])
+    for key, cls in _WITNESSES:
+        if key in mb:
+            w = mb[key]
+            one, two, pairing, point = (f.name for f in fields(cls))
+            setattr(mon, key, cls(
+                obj_pairs(w[one]), obj_pairs(w[two]),
+                {(cat.mor_id(f), cat.mor_id(g)): cat.mor_id(h)
+                 for f, g, h in _triples(w[pairing], pairing)},
+                {cat.obj_id(k): cat.mor_id(v) for k, v in w[point].items()}))
     return cat, mon
 
 
@@ -850,52 +865,38 @@ def load_fixture_file(path):
 
 def dump_fixture(cat: FinCategory, mon: MonoidalStructure = None) -> dict:
     """Serialize back to the fixture file format."""
+    on, mn = cat.obj_name, cat.mor_name
+
+    def obj_pairs(table):
+        return {f"{on(a)},{on(b)}": mn(v) for (a, b), v in sorted(table.items())}
+
+    def triples(table):
+        return sorted([mn(f), mn(g), mn(h)] for (f, g), h in table.items())
+
     data = {
         "name": cat.name,
         "objects": list(cat.obj_names),
-        "homs": {f"{cat.obj_name(a)}->{cat.obj_name(b)}":
-                 [cat.mor_name(m) for m in ms]
+        "homs": {f"{on(a)}->{on(b)}": [mn(m) for m in ms]
                  for (a, b), ms in sorted(cat._hom.items())},
-        "compose": sorted([cat.mor_name(f), cat.mor_name(g), cat.mor_name(h)]
-                          for (f, g), h in cat._compose.items()),
-        "identities": {cat.obj_name(o): cat.mor_name(cat.identity(o))
-                       for o in cat.objects},
+        "compose": triples(cat._compose),
+        "identities": {on(o): mn(cat.identity(o)) for o in cat.objects},
     }
     if mon is None:
         return data
     mb = {
-        "tensor_obj": {f"{cat.obj_name(a)},{cat.obj_name(b)}": cat.obj_name(v)
+        "tensor_obj": {f"{on(a)},{on(b)}": on(v)
                        for (a, b), v in sorted(mon.tensor_obj.items())},
-        "tensor_mor": sorted([cat.mor_name(f), cat.mor_name(g), cat.mor_name(h)]
-                             for (f, g), h in mon.tensor_mor.items()),
-        "unit": cat.obj_name(mon.unit),
+        "tensor_mor": triples(mon.tensor_mor),
+        "unit": on(mon.unit),
     }
     if mon.braiding is not None:
-        mb["braiding"] = {f"{cat.obj_name(a)},{cat.obj_name(b)}": cat.mor_name(v)
-                          for (a, b), v in sorted(mon.braiding.items())}
-    if mon.cartesian is not None:
-        w = mon.cartesian
-        mb["cartesian"] = {
-            "proj1": {f"{cat.obj_name(a)},{cat.obj_name(b)}": cat.mor_name(v)
-                      for (a, b), v in sorted(w.proj1.items())},
-            "proj2": {f"{cat.obj_name(a)},{cat.obj_name(b)}": cat.mor_name(v)
-                      for (a, b), v in sorted(w.proj2.items())},
-            "pairing": sorted([cat.mor_name(f), cat.mor_name(g), cat.mor_name(h)]
-                              for (f, g), h in w.pairing.items()),
-            "terminal": {cat.obj_name(o): cat.mor_name(v)
-                         for o, v in sorted(w.terminal.items())},
-        }
-    if mon.cocartesian is not None:
-        w = mon.cocartesian
-        mb["cocartesian"] = {
-            "inj1": {f"{cat.obj_name(a)},{cat.obj_name(b)}": cat.mor_name(v)
-                     for (a, b), v in sorted(w.inj1.items())},
-            "inj2": {f"{cat.obj_name(a)},{cat.obj_name(b)}": cat.mor_name(v)
-                     for (a, b), v in sorted(w.inj2.items())},
-            "copairing": sorted([cat.mor_name(f), cat.mor_name(g), cat.mor_name(h)]
-                                for (f, g), h in w.copairing.items()),
-            "initial": {cat.obj_name(o): cat.mor_name(v)
-                        for o, v in sorted(w.initial.items())},
-        }
+        mb["braiding"] = obj_pairs(mon.braiding)
+    for key, cls in _WITNESSES:
+        w = getattr(mon, key)
+        if w is not None:
+            one, two, pairing, point = (f.name for f in fields(cls))
+            mb[key] = {one: obj_pairs(getattr(w, one)), two: obj_pairs(getattr(w, two)),
+                       pairing: triples(getattr(w, pairing)),
+                       point: {on(o): mn(v) for o, v in sorted(getattr(w, point).items())}}
     data["monoidal"] = mb
     return data

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .profunctor import join_mors, join_objs, split_obj
+from .profunctor import join_mors, join_objs, render_generic, split_obj
 from .rewrite import RULES, RewriteError, apply_step, build_seq_value, strip_labels
 from .shapelang import (Env, Evaluator, Gen, Id, Par, Seq, Wire, boundary,
                         obj_expr_cat, print_term)
@@ -91,13 +91,7 @@ class OpenDiagram:
 
     def describe(self):
         a, b = self.fiber
-        return f"point {render_value(self.point)} at fiber ({a},{b})"
-
-
-def render_value(v):
-    if isinstance(v, tuple):
-        return "(" + ",".join(render_value(x) for x in v) + ")"
-    return str(v)
+        return f"point {render_generic(self.point)} at fiber ({a},{b})"
 
 
 def forget(d: OpenDiagram):

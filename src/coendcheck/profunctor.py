@@ -9,9 +9,8 @@ independent of enumeration order.
 
 from __future__ import annotations
 
-from .fincat import FinCategory, opposite, product, terminal_category
-
-VALIDATE_ON_BUILD = False
+from .fincat import (FinCategory, FinFunctor, opposite, opposite_monoidal,
+                     product, terminal_category)
 
 
 class ProfunctorError(Exception):
@@ -35,8 +34,8 @@ def _tag_key(tagged):
 class ConcreteProf:
     """A profunctor source^op x target -> Set with explicit finite fibers.
 
-    fiber_fn(a, b) returns the element values at (a, b); act_fn(f, g, v)
-    is the two-sided action for f: a'->a in source and g: b->b' in target.
+    fiber_fn(a, b) returns the element values at (a, b); act(f, g, v) is
+    the two-sided action for f: a'->a in source and g: b->b' in target.
     """
 
     def __init__(self, source: FinCategory, target: FinCategory, fiber_fn,
@@ -44,23 +43,16 @@ class ConcreteProf:
         self.source = source
         self.target = target
         self._fiber_fn = fiber_fn
-        self._act_fn = act_fn
+        self.act = act_fn
         self.name = name
         self._render = render
         self._fibers = {}
-        if VALIDATE_ON_BUILD:
-            rep = validate_prof(self)
-            if rep:
-                raise ProfunctorError(f"{name}: {rep[0]}")
 
     def fiber(self, a, b):
         key = (a, b)
         if key not in self._fibers:
             self._fibers[key] = tuple(self._fiber_fn(a, b))
         return self._fibers[key]
-
-    def act(self, f, g, v):
-        return self._act_fn(f, g, v)
 
     def render(self, v):
         if self._render is not None:
@@ -77,7 +69,7 @@ def render_generic(v):
     return str(v)
 
 
-def validate_prof(p: ConcreteProf, max_checks=None):
+def validate_prof(p: ConcreteProf):
     """Exhaustive identity and functoriality check; returns a list of
     violation strings (empty iff the actions are lawful)."""
     out = []
@@ -236,15 +228,7 @@ def representable_in(c: FinCategory, a) -> ConcreteProf:
 
 def representable_out(c: FinCategory, a) -> ConcreteProf:
     """C(-, a), a profunctor from c to the terminal category."""
-    if a not in c.objects:
-        raise ProfunctorError(f"unknown object id {a} in {c.name}")
-    t = terminal_category()
-    return ConcreteProf(
-        c, t,
-        lambda b, _: c.hom(b, a),
-        lambda f, _, v: c.compose(f, v),
-        name=f"{c.name}(-,{c.obj_name(a)})",
-        render=c.mor_name)
+    return dual(representable_in(opposite(c), a), f"{c.name}(-,{c.obj_name(a)})")
 
 
 def junction(m) -> ConcreteProf:
@@ -266,19 +250,7 @@ def junction(m) -> ConcreteProf:
 
 def fork(m) -> ConcreteProf:
     """C(-, (-)(x)(-)) from the base to the product category."""
-    c = m.base
-    cc = product(c, c)
-
-    def fib(x, t):
-        a, b = split_obj(cc, c, c, t)
-        return c.hom(x, m.tensor(a, b))
-
-    def act(f, gp, v):
-        g1, g2 = split_mor(cc, c, c, gp)
-        return c.compose(f, c.compose(v, m.tensor_m(g1, g2)))
-
-    return ConcreteProf(c, cc, fib, act, name=f"fork({c.name})",
-                        render=c.mor_name)
+    return dual(junction(opposite_monoidal(m)), f"fork({m.base.name})")
 
 
 def unit_in(m) -> ConcreteProf:
@@ -307,18 +279,7 @@ def copy_prof(c: FinCategory) -> ConcreteProf:
 
 def merge_prof(c: FinCategory) -> ConcreteProf:
     """The canonical pseudomonoid C(-^1,-) x C(-^2,-): merges on the left."""
-    cc = product(c, c)
-
-    def fib(s, y):
-        a, b = split_obj(cc, c, c, s)
-        return tuple((p, q) for p in c.hom(a, y) for q in c.hom(b, y))
-
-    def act(fp, g, v):
-        f1, f2 = split_mor(cc, c, c, fp)
-        p, q = v
-        return (c.compose(f1, c.compose(p, g)), c.compose(f2, c.compose(q, g)))
-
-    return ConcreteProf(cc, c, fib, act, name=f"merge({c.name})")
+    return dual(copy_prof(opposite(c)), f"merge({c.name})")
 
 
 def discard_prof(c: FinCategory) -> ConcreteProf:
@@ -328,9 +289,7 @@ def discard_prof(c: FinCategory) -> ConcreteProf:
 
 
 def codiscard_prof(c: FinCategory) -> ConcreteProf:
-    t = terminal_category()
-    return ConcreteProf(t, c, lambda _, b: ("*",), lambda _, g, v: "*",
-                        name=f"codiscard({c.name})")
+    return dual(discard_prof(opposite(c)), f"codiscard({c.name})")
 
 
 def swap_prof(c1: FinCategory, c2: FinCategory) -> ConcreteProf:
@@ -371,19 +330,7 @@ def cup_prof(c: FinCategory) -> ConcreteProf:
 
 def cap_prof(c: FinCategory) -> ConcreteProf:
     """Unit of the compact closure: emits a dual wire and a wire."""
-    tgt = product(opposite(c), c)
-    t = terminal_category()
-
-    def fib(_, s):
-        y, x = split_obj(tgt, opposite(c), c, s)
-        return c.hom(y, x)
-
-    def act(_, gp, v):
-        uop, g = split_mor(tgt, opposite(c), c, gp)
-        # uop: y -> y'' in op(c), i.e. u: y'' -> y in c
-        return c.compose(uop, c.compose(v, g))
-
-    return ConcreteProf(t, tgt, fib, act, name=f"cap({c.name})", render=c.mor_name)
+    return dual(cup_prof(c), f"cap({c.name})")
 
 
 def box_prof(fn) -> ConcreteProf:
@@ -398,12 +345,19 @@ def box_prof(fn) -> ConcreteProf:
 
 def cobox_prof(fn) -> ConcreteProf:
     """D(-, F-): the conjoint of a functor F: C -> D."""
-    c, d = fn.source, fn.target
-    return ConcreteProf(
-        d, c,
-        lambda y, x: d.hom(y, fn.obj(x)),
-        lambda g, f, v: d.compose(g, d.compose(v, fn.mor(f))),
-        name=f"cobox({fn.name})", render=d.mor_name)
+    op_fn = FinFunctor(fn.name, opposite(fn.source), opposite(fn.target),
+                       fn.obj_map, fn.mor_map)
+    return dual(box_prof(op_fn), f"cobox({fn.name})")
+
+
+def dual(p: ConcreteProf, name) -> ConcreteProf:
+    """P read in the opposite categories: a profunctor from target^op to
+    source^op with dual(P)(b, a) = P(a, b).  A mirror-image construction
+    (outport from inport, fork from junction, ...) is its twin's dual."""
+    return ConcreteProf(opposite(p.target), opposite(p.source),
+                        lambda b, a: p.fiber(a, b),
+                        lambda g, f, v: p.act(f, g, v),
+                        name=name, render=p.render)
 
 
 def constant_prof(c: FinCategory, values=("p0", "p1")) -> ConcreteProf:

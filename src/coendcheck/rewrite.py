@@ -1,6 +1,6 @@
 """The catalog of rewrite rules on shape terms and the derivation checker.
 
-Each rule has a syntactic side (replacing a subterm, a slice of a
+Each rule has a syntactic side (replacing a node of the term, a slice of a
 sequential composite, or inserting at a boundary point) and an executable
 semantic action on evaluated elements.  The checker verifies every applied
 step against the oracle: totality, well-definedness on coend classes,
@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fincat import FixtureError
-from .profunctor import join_mors, join_objs, split_obj
+from .fincat import FixtureError, opposite_monoidal
+from .profunctor import join_mors, join_objs, split_obj, value_key
 from .shapelang import (Env, Evaluator, Gen, Id, Par, Seq, ShapeTypeError,
                         StructureMissing, Wire, boundary, is_plain_id, norm,
                         obj_expr_cat, functor_expr_sig, parse_shape_script,
@@ -307,17 +307,15 @@ def _part(parts, i, msg="rule site"):
     return parts[i]
 
 
-def _gate_cartesian(ev, catsym):
+def _gate_cartesian(ev, catsym, op=False):
+    """The oracle's monoidal structure, read in C^op when `op` is set (its
+    cartesian witness is then the cocartesian one of C)."""
     m = ev.env.monoidal(catsym)
+    if op:
+        m = opposite_monoidal(m)
     if m.cartesian is None:
-        raise StructureMissing(f"oracle for {catsym!r} has no cartesian witness")
-    return m
-
-
-def _gate_cocartesian(ev, catsym):
-    m = ev.env.monoidal(catsym)
-    if m.cocartesian is None:
-        raise StructureMissing(f"oracle for {catsym!r} has no cocartesian witness")
+        raise StructureMissing(
+            f"oracle for {catsym!r} has no {'co' if op else ''}cartesian witness")
     return m
 
 
@@ -740,32 +738,33 @@ class CartFork(Rule):
     name = "R-CART-FORK"
     tag = "iso"
     site = "node"
+    kinds = ("fork", "copy")
+    op = False    # True: read in C^op, where a fiber's two-wire end is its left end
 
     def apply_node(self, ev, term, inst, backward):
-        if not backward:
-            _want(isinstance(term, Gen) and term.kind == "fork",
-                  "R-CART-FORK forward expects a fork")
-            mon = _gate_cartesian(ev, term.args[0])
-            new_term = Gen("copy", term.args, term.label)
+        old, new = self.kinds[::-1] if backward else self.kinds
+        _want(isinstance(term, Gen) and term.kind == old,
+              f"{self.name} {'backward' if backward else 'forward'} expects a {old}")
+        mon = _gate_cartesian(ev, term.args[0], self.op)
+        c, w = mon.base, mon.cartesian
+        new_term = Gen(new, term.args, term.label)
+        if backward:
+            return NodeOutcome(new_term, lambda fiber, value: w.pairing[value])
+        cc, end = ev.env.boundary_cat((Wire(term.args[0]),) * 2), 0 if self.op else 1
 
-            def tf(fiber, value, ev2=ev):
-                cc = ev2.env.boundary_cat((Wire(term.args[0]),) * 2)
-                m, n = split_obj(cc, mon.base, mon.base, fiber[1])
-                w = mon.cartesian
-                c = mon.base
-                return (c.compose(value, w.proj1[(m, n)]),
-                        c.compose(value, w.proj2[(m, n)]))
-
-            return NodeOutcome(new_term, tf)
-        _want(isinstance(term, Gen) and term.kind == "copy",
-              "R-CART-FORK backward expects a copy")
-        mon = _gate_cartesian(ev, term.args[0])
-        new_term = Gen("fork", term.args, term.label)
-
-        def tf(fiber, value, ev2=ev):
-            return mon.cartesian.pairing[value]
+        def tf(fiber, value):
+            m, n = split_obj(cc, c, c, fiber[end])
+            return (c.compose(value, w.proj1[(m, n)]),
+                    c.compose(value, w.proj2[(m, n)]))
 
         return NodeOutcome(new_term, tf)
+
+
+class CocartJunction(CartFork):
+    """junction <=> merge over a cocartesian oracle: R-CART-FORK in C^op."""
+    name = "R-COCART-JUNCTION"
+    kinds = ("junction", "merge")
+    op = True
 
 
 class CartCounit(Rule):
@@ -773,95 +772,37 @@ class CartCounit(Rule):
     name = "R-CART-COUNIT"
     tag = "iso"
     site = "node"
+    kinds = ("outport", "unit-out", "discard")
+    op = False    # True: read in C^op, where a fiber's wire end is its right end
 
     def apply_node(self, ev, term, inst, backward):
-        if not backward:
-            _want(isinstance(term, Gen) and term.kind in ("outport", "unit-out"),
-                  "R-CART-COUNIT forward expects a unit outport")
-            if term.kind == "outport":
-                catsym = obj_expr_cat(term.args[0], ev.sig)
-                mon = _gate_cartesian(ev, catsym)
-                _want(ev.env.resolve_obj(term.args[0]) == mon.unit,
-                      "R-CART-COUNIT needs the unit object")
-            else:
-                catsym = term.args[0]
-                mon = _gate_cartesian(ev, catsym)
-            new_term = Gen("discard", (catsym,), term.label)
-            return NodeOutcome(new_term, lambda fiber, value: "*",
-                               inverse_inst={})
-        _want(isinstance(term, Gen) and term.kind == "discard",
-              "R-CART-COUNIT backward expects a discard")
-        mon = _gate_cartesian(ev, term.args[0])
-        new_term = Gen("unit-out", term.args, term.label)
-
-        def tf(fiber, value):
-            return mon.cartesian.terminal[fiber[0]]
-
-        return NodeOutcome(new_term, tf)
+        port, unit, gen = self.kinds
+        if backward:
+            _want(isinstance(term, Gen) and term.kind == gen,
+                  f"{self.name} backward expects a {gen}")
+            w = _gate_cartesian(ev, term.args[0], self.op).cartesian
+            end = 1 if self.op else 0
+            return NodeOutcome(Gen(unit, term.args, term.label),
+                               lambda fiber, value: w.terminal[fiber[end]])
+        _want(isinstance(term, Gen) and term.kind in (port, unit),
+              f"{self.name} forward expects a unit {port}")
+        if term.kind == port:
+            catsym = obj_expr_cat(term.args[0], ev.sig)
+            mon = _gate_cartesian(ev, catsym, self.op)
+            _want(ev.env.resolve_obj(term.args[0]) == mon.unit,
+                  f"{self.name} needs the unit object")
+        else:
+            catsym = term.args[0]
+            _gate_cartesian(ev, catsym, self.op)
+        return NodeOutcome(Gen(gen, (catsym,), term.label), lambda fiber, value: "*")
 
 
-class CocartJunction(Rule):
-    """junction <=> merge over a cocartesian oracle."""
-    name = "R-COCART-JUNCTION"
-    tag = "iso"
-    site = "node"
-
-    def apply_node(self, ev, term, inst, backward):
-        if not backward:
-            _want(isinstance(term, Gen) and term.kind == "junction",
-                  "R-COCART-JUNCTION forward expects a junction")
-            mon = _gate_cocartesian(ev, term.args[0])
-            new_term = Gen("merge", term.args, term.label)
-
-            def tf(fiber, value, ev2=ev):
-                cc = ev2.env.boundary_cat((Wire(term.args[0]),) * 2)
-                m, n = split_obj(cc, mon.base, mon.base, fiber[0])
-                w = mon.cocartesian
-                c = mon.base
-                return (c.compose(w.inj1[(m, n)], value),
-                        c.compose(w.inj2[(m, n)], value))
-
-            return NodeOutcome(new_term, tf)
-        _want(isinstance(term, Gen) and term.kind == "merge",
-              "R-COCART-JUNCTION backward expects a merge")
-        mon = _gate_cocartesian(ev, term.args[0])
-        new_term = Gen("junction", term.args, term.label)
-
-        def tf(fiber, value):
-            return mon.cocartesian.copairing[value]
-
-        return NodeOutcome(new_term, tf)
-
-
-class CocartUnit(Rule):
-    """inport(I) <=> codiscard over a cocartesian oracle (I initial)."""
+class CocartUnit(CartCounit):
+    """inport(I) <=> codiscard over a cocartesian oracle (I initial):
+    R-CART-COUNIT in C^op."""
     name = "R-COCART-UNIT"
-    tag = "iso"
-    site = "node"
-
-    def apply_node(self, ev, term, inst, backward):
-        if not backward:
-            _want(isinstance(term, Gen) and term.kind in ("inport", "unit-in"),
-                  "R-COCART-UNIT forward expects a unit inport")
-            if term.kind == "inport":
-                catsym = obj_expr_cat(term.args[0], ev.sig)
-                mon = _gate_cocartesian(ev, catsym)
-                _want(ev.env.resolve_obj(term.args[0]) == mon.unit,
-                      "R-COCART-UNIT needs the unit object")
-            else:
-                catsym = term.args[0]
-                mon = _gate_cocartesian(ev, catsym)
-            new_term = Gen("codiscard", (catsym,), term.label)
-            return NodeOutcome(new_term, lambda fiber, value: "*")
-        _want(isinstance(term, Gen) and term.kind == "codiscard",
-              "R-COCART-UNIT backward expects a codiscard")
-        mon = _gate_cocartesian(ev, term.args[0])
-        new_term = Gen("unit-in", term.args, term.label)
-
-        def tf(fiber, value):
-            return mon.cocartesian.initial[fiber[1]]
-
-        return NodeOutcome(new_term, tf)
+    kinds = ("inport", "unit-in", "codiscard")
+    op = True
 
 
 class Sym(Rule):
@@ -1311,7 +1252,6 @@ class AssertDecl:
 
 @dataclass
 class DerivationScript:
-    shapes_ref: str
     main: Derivation
     named: dict
     points: list
@@ -1438,7 +1378,7 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
                 return None
         for fiber, fmap in fwd.items():
             dst_reps = list(dst.prof.fiber(*fiber))
-            if sorted(map(_render_key, fmap.values())) != sorted(map(_render_key, dst_reps)):
+            if sorted(map(value_key, fmap.values())) != sorted(map(value_key, dst_reps)):
                 report.fail(f"step {idx} {step.rule}: not a bijection at fiber "
                             f"{fiber} ({len(set(fmap.values()))} of "
                             f"{len(dst_reps)} classes hit)")
@@ -1460,11 +1400,6 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
     report.line(f"  step {idx} {step.rule} ok: classes {_count(src)} -> "
                 f"{_count(dst)}{note}")
     return new_term, fwd
-
-
-def _render_key(v):
-    from .profunctor import value_key
-    return value_key(v)
 
 
 def check_derivation_once(deriv: Derivation, sig, env, report: Report):
@@ -1708,7 +1643,6 @@ def load_derivation_script(text, read_shapes):
 
 
 def parse_derivation_script(text, sig) -> DerivationScript:
-    shapes_ref = None
     main = None
     named = {}
     points = []
@@ -1721,7 +1655,7 @@ def parse_derivation_script(text, sig) -> DerivationScript:
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head == "use":
-            shapes_ref = rest
+            pass  # read by load_derivation_script
         elif head == "derive":
             if main is not None:
                 raise RewriteError("only one main derivation per script")
@@ -1763,4 +1697,4 @@ def parse_derivation_script(text, sig) -> DerivationScript:
             raise RewriteError(f"unknown directive {head!r}")
     if main is None and not named:
         raise RewriteError("script declares no derivation")
-    return DerivationScript(shapes_ref, main, named, points, asserts)
+    return DerivationScript(main, named, points, asserts)

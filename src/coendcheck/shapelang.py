@@ -129,21 +129,6 @@ def objects_in(term):
     return out
 
 
-def subterm(t, path):
-    for i, step in enumerate(path):
-        if isinstance(t, Seq):
-            if not 0 <= step < len(t.parts):
-                raise ShapeTypeError(f"path step {step} out of range", path[:i + 1])
-            t = t.parts[step]
-        elif isinstance(t, Par):
-            if step not in (0, 1):
-                raise ShapeTypeError(f"path step {step} not a par side", path[:i + 1])
-            t = t.top if step == 0 else t.bottom
-        else:
-            raise ShapeTypeError("path descends into a leaf", path[:i + 1])
-    return t
-
-
 def leaves(t, path=()):
     """Generator leaves (ports, junctions, hom wires, ...) in reading order."""
     if isinstance(t, Seq):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coendcheck.cli import main
 from coendcheck.demos import demo_dir
 from coendcheck.fixtures import bad_fixture_path, fixture_path
@@ -129,3 +131,50 @@ def test_check_malformed_obligation(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: malformed obligation: 'obligation identity 1 x'\n"
+
+
+def _one_line_exit_2(code, out, err):
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_functor_to_unknown_object_exits_2(capsys):
+    binds = ["--bind", f"C={fixture_path('z2')}", "--bind", f"D={fixture_path('z2')}"]
+    code, out, err = run(capsys, "check", demo_path("adjunctions.deriv"), *binds)
+    _one_line_exit_2(code, out, err)
+    assert "unknown object '0' in z2" in err
+    code, out, err = run(capsys, "eval", demo_path("adjunctions.shapes"),
+                         "--shape", "in-leg", *binds)
+    _one_line_exit_2(code, out, err)
+
+
+def test_object_pinned_to_unknown_fixture_object_exits_2(capsys, tmp_path):
+    (tmp_path / "pin.shapes").write_text("(category C) (object A C 9)\n"
+                                         "(shape in-leg (inport A))\n")
+    (tmp_path / "pin.deriv").write_text("use pin.shapes\nderive in-leg\n")
+    bind = ("--bind", f"C={fixture_path('z2')}")
+    _one_line_exit_2(*run(capsys, "eval", str(tmp_path / "pin.shapes"),
+                          "--shape", "in-leg", *bind))
+    _one_line_exit_2(*run(capsys, "check", str(tmp_path / "pin.deriv"), *bind))
+
+
+MALFORMED = {
+    "hom-unknown-object": lambda d: d["homs"].update({"0->9": ["f"]}),
+    "compose-pair": lambda d: d["compose"].append(["id_0", "id_0"]),
+    "tensor-mor-pair": lambda d: d["monoidal"]["tensor_mor"].append(["id_0", "id_0"]),
+    "pairing-pair": lambda d: d["monoidal"]["cartesian"]["pairing"].append(["id_0", "id_0"]),
+    "no-proj1": lambda d: d["monoidal"]["cartesian"].pop("proj1"),
+    "no-unit": lambda d: d["monoidal"].pop("unit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_fixture_exits_2(capsys, tmp_path, case):
+    with open(fixture_path("meet-lattice-2"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    MALFORMED[case](data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    _one_line_exit_2(*run(capsys, "validate", str(path)))
+    _one_line_exit_2(*run(capsys, "check", demo_path("lens_apply.deriv"),
+                          "--bind", f"C={path}"))

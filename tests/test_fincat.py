@@ -281,3 +281,15 @@ def test_duplicate_names_within_hom_rejected():
     }
     with pytest.raises(FixtureError):
         load_fixture(json.dumps(data))
+
+
+def test_opposite_of_a_product_is_the_product_of_opposites(oracles):
+    t = terminal_category()
+    assert opposite(t) is t
+    for mon in oracles.values():
+        c = mon.base
+        cc = product(c, c)
+        assert opposite(cc) is product(opposite(c), opposite(c))
+        assert opposite(opposite(cc)) is cc
+        mixed = product(c, opposite(c))
+        assert opposite(mixed) is product(opposite(c), c)

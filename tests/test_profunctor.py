@@ -336,3 +336,91 @@ def test_constant_prof_is_functorial_but_not_representable():
     assert validate_prof(p) == []
     # representables over z2 have transitive actions; the constant one does not
     assert p.act(0, c.mor_id("1"), "p0") == "p0"
+
+
+# -- the mirror constructors, pinned to their docstring formulas ---------------
+
+
+def _mirror_cases(mon):
+    """(profunctor, fiber formula, action formula) for each mirror
+    constructor; formulas take and return ids of the base category c."""
+    from coendcheck.fincat import FinFunctor, opposite, product
+    from coendcheck.profunctor import cobox_prof, codiscard_prof, split_mor, split_obj
+    c = mon.base
+    cc, ocx = product(c, c), product(opposite(c), c)
+    out = []
+    for a in c.objects:
+        out.append((representable_out(c, a),
+                    lambda b, _, a=a: c.hom(b, a),
+                    lambda f, _, v: c.compose(f, v)))
+
+    def fork_fib(x, t):
+        return c.hom(x, mon.tensor(*split_obj(cc, c, c, t)))
+
+    def fork_act(f, gp, v):
+        return c.compose(f, c.compose(v, mon.tensor_m(*split_mor(cc, c, c, gp))))
+
+    def merge_fib(s, y):
+        a, b = split_obj(cc, c, c, s)
+        return tuple((p, q) for p in c.hom(a, y) for q in c.hom(b, y))
+
+    def merge_act(fp, g, v):
+        f1, f2 = split_mor(cc, c, c, fp)
+        return (c.compose(f1, c.compose(v[0], g)), c.compose(f2, c.compose(v[1], g)))
+
+    def cap_fib(_, s):
+        y, x = split_obj(ocx, opposite(c), c, s)
+        return c.hom(y, x)
+
+    def cap_act(_, gp, v):
+        u, g = split_mor(ocx, opposite(c), c, gp)
+        return c.compose(u, c.compose(v, g))
+
+    out += [(fork(mon), fork_fib, fork_act),
+            (merge_prof(c), merge_fib, merge_act),
+            (codiscard_prof(c), lambda _, b: ("*",), lambda _, g, v: "*"),
+            (cap_prof(c), cap_fib, cap_act)]
+    ident = FinFunctor("id", c, c, {o: o for o in c.objects},
+                       {m: m for m in c.morphisms})
+    # D(-, F-) with F the identity: the cobox is the hom profunctor
+    out.append((cobox_prof(ident), lambda y, x: c.hom(y, x),
+                lambda g, f, v: c.compose(g, c.compose(v, f))))
+    return out
+
+
+@pytest.mark.parametrize("loader", ["build", "json"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_mirror_constructors_match_their_formulas(name, loader):
+    from coendcheck.fixtures import fixture
+    mon = build(name) if loader == "build" else fixture(name)
+    for p, fib, act in _mirror_cases(mon):
+        src, tgt = p.source, p.target
+        for a in src.objects:
+            for b in tgt.objects:
+                assert p.fiber(a, b) == tuple(fib(a, b)), (name, p.name, a, b)
+                for v in p.fiber(a, b):
+                    for f in src.morphisms:
+                        if src.cod(f) != a:
+                            continue
+                        for g in tgt.morphisms:
+                            if tgt.dom(g) == b:
+                                assert p.act(f, g, v) == act(f, g, v), (name, p.name)
+
+
+def test_cobox_of_a_functor_between_oracles():
+    from coendcheck.fincat import FinFunctor
+    from coendcheck.profunctor import cobox_prof
+    c, d = build("meet-lattice-2").base, build("z2").base
+    fn = FinFunctor("F", c, d, {o: 0 for o in c.objects},
+                    {m: d.mor_id("1") if c.dom(m) != c.cod(m) else d.identity(0)
+                     for m in c.morphisms})
+    p = cobox_prof(fn)
+    assert p.source is d and p.target is c
+    for y in d.objects:
+        for x in c.objects:
+            assert p.fiber(y, x) == d.hom(y, fn.obj(x))
+            for v in p.fiber(y, x):
+                for g in d.morphisms:
+                    for f in c.morphisms:
+                        if c.dom(f) == x:
+                            assert p.act(g, f, v) == d.compose(g, d.compose(v, fn.mor(f)))

@@ -477,3 +477,64 @@ def test_checker_rejects_faulty_transport(sig, monkeypatch, shape, steps,
     check_derivation_once(deriv, sig, env, report)
     assert len(report.failures) == 1, report.text()
     assert report.failures[0].startswith(message), report.text()
+
+
+# -- node-rule gates and wrong-generator messages ----------------------------------
+
+NODE_SCRIPT = """
+(category C)
+(object A C)
+(shape fork-g (fork C)) (shape copy-g (copy C))
+(shape junction-g (junction C)) (shape merge-g (merge C))
+(shape outport-a (outport A)) (shape outport-i (outport (unit C)))
+(shape unit-out-g (unit-out C)) (shape discard-g (discard C))
+(shape inport-a (inport A)) (shape inport-i (inport (unit C)))
+(shape unit-in-g (unit-in C)) (shape codiscard-g (codiscard C))
+"""
+
+NO_CART = "oracle for 'C' has no cartesian witness"
+NO_COCART = "oracle for 'C' has no cocartesian witness"
+
+
+@pytest.mark.parametrize("rule, backward, shape, oracle, a, message", [
+    ("R-CART-FORK", False, "copy-g", "meet-lattice-2", "0",
+     "R-CART-FORK forward expects a fork"),
+    ("R-CART-FORK", True, "fork-g", "meet-lattice-2", "0",
+     "R-CART-FORK backward expects a copy"),
+    ("R-CART-FORK", False, "fork-g", "z2", "x", NO_CART),
+    ("R-CART-FORK", True, "copy-g", "z2", "x", NO_CART),
+    ("R-CART-FORK", False, "fork-g", "join-lattice-2", "0", NO_CART),
+    ("R-CART-COUNIT", False, "discard-g", "meet-lattice-2", "0",
+     "R-CART-COUNIT forward expects a unit outport"),
+    ("R-CART-COUNIT", False, "outport-a", "meet-lattice-2", "0",
+     "R-CART-COUNIT needs the unit object"),
+    ("R-CART-COUNIT", True, "outport-i", "meet-lattice-2", "0",
+     "R-CART-COUNIT backward expects a discard"),
+    ("R-CART-COUNIT", False, "outport-i", "z2", "x", NO_CART),
+    ("R-CART-COUNIT", False, "unit-out-g", "z2", "x", NO_CART),
+    ("R-CART-COUNIT", True, "discard-g", "z2", "x", NO_CART),
+    ("R-COCART-JUNCTION", False, "merge-g", "join-lattice-2", "0",
+     "R-COCART-JUNCTION forward expects a junction"),
+    ("R-COCART-JUNCTION", True, "junction-g", "join-lattice-2", "0",
+     "R-COCART-JUNCTION backward expects a merge"),
+    ("R-COCART-JUNCTION", False, "junction-g", "z2", "x", NO_COCART),
+    ("R-COCART-JUNCTION", True, "merge-g", "z2", "x", NO_COCART),
+    ("R-COCART-JUNCTION", False, "junction-g", "meet-lattice-2", "0", NO_COCART),
+    ("R-COCART-UNIT", False, "codiscard-g", "join-lattice-2", "0",
+     "R-COCART-UNIT forward expects a unit inport"),
+    ("R-COCART-UNIT", False, "inport-a", "join-lattice-2", "1",
+     "R-COCART-UNIT needs the unit object"),
+    ("R-COCART-UNIT", True, "inport-i", "join-lattice-2", "0",
+     "R-COCART-UNIT backward expects a codiscard"),
+    ("R-COCART-UNIT", False, "inport-i", "z2", "x", NO_COCART),
+    ("R-COCART-UNIT", False, "unit-in-g", "z2", "x", NO_COCART),
+    ("R-COCART-UNIT", True, "codiscard-g", "z2", "x", NO_COCART),
+])
+def test_node_rule_messages(rule, backward, shape, oracle, a, message):
+    s2 = parse_shape_script(NODE_SCRIPT)
+    mon = build(oracle)
+    env = Env(s2, {"C": mon}, objs={"A": mon.base.obj_id(a)})
+    error = StructureMissing if message in (NO_CART, NO_COCART) else rewrite.MatchError
+    with pytest.raises(error) as info:
+        apply_step(s2.shapes[shape], Step(rule, (), backward), s2, env)
+    assert str(info.value) == message

@@ -1,0 +1,128 @@
+"""Per-rule mutation suite: for every rule a shipped derivation applies,
+corrupt the element transport of one of its shipped steps and check that
+the checker rejects exactly that step with the matching message.
+
+Cases come from the demo registry, so a new shipped derivation brings its
+rules in without a test edit.  An iso rule has its transport collapsed to
+one class ("not a bijection") at the first shipped step, oracle binding
+and object assignment where a target fiber has two or more classes.  A
+directed rule, or an iso rule whose every shipped target fiber is a
+singleton (a collapse is then a bijection, as on the thin lattice oracles
+and on unit legs), returns a value outside the target fiber ("image
+outside the target set").
+"""
+
+import pytest
+
+from coendcheck import rewrite
+from coendcheck.demos import DEMOS, load_scripts
+from coendcheck.fixtures import fixture
+from coendcheck.rewrite import (RULES, Derivation, Report, Step,
+                                check_derivation_once, script_object_symbols)
+from coendcheck.shapelang import Env, Evaluator, parse_shape_script
+
+NOT_BIJECTION = "not a bijection"
+OUTSIDE = "image outside the target set"
+
+
+def _derivations():
+    """(sig, script, derivation, bindings) for every shipped derivation."""
+    for spec in DEMOS.values():
+        sig, script = load_scripts(spec["script"])
+        named = list(script.named.values()) + ([script.main] if script.main else [])
+        for deriv in named:
+            yield sig, script, deriv, spec["bindings"]
+
+
+DEMO_RULES = sorted({step.rule for _, _, deriv, _ in _derivations()
+                     for step in deriv.steps})
+
+UNIT_LEGS = parse_shape_script("""
+(category C)
+(object A C)
+(shape unit-out-leg (seq (inport A) (outport (unit C))))
+(shape unit-in-leg (seq (inport (unit C)) (outport A)))
+""")
+
+UNIT_CASES = {
+    "R-CART-COUNIT": ("unit-out-leg", "meet-lattice-2", (1,)),
+    "R-COCART-UNIT": ("unit-in-leg", "join-lattice-2", (0,)),
+}
+
+
+def _runs(rule):
+    """(sig, derivation, env, step indices applying `rule`) in registry,
+    binding and assignment order."""
+    if rule in UNIT_CASES:
+        shape, oracle, path = UNIT_CASES[rule]
+        deriv = Derivation("t", shape, [Step(rule, path)])
+        for env in Env(UNIT_LEGS, {"C": fixture(oracle)}).assignments():
+            yield UNIT_LEGS, deriv, env, [1]
+        return
+    for sig, script, deriv, bindings in _derivations():
+        ks = [k for k, step in enumerate(deriv.steps, 1) if step.rule == rule]
+        if not ks:
+            continue
+        for binding in bindings:
+            env = Env(sig, {sym: fixture(fx) for sym, fx in binding.items()})
+            for env_a in env.assignments(only=script_object_symbols(script, sig)):
+                yield sig, deriv, env_a, ks
+
+
+def _fibers(prof):
+    return [prof.fiber(a, b) for a in prof.source.objects for b in prof.target.objects]
+
+
+def _collapse(dst):
+    return lambda fiber, v: dst.fiber(*fiber)[0]
+
+
+def _outside(dst):
+    return lambda fiber, v: "outside"
+
+
+def _visible(fault, src, dst):
+    """Whether the fault can show on this step."""
+    if fault is _collapse:
+        return any(len(f) >= 2 for f in _fibers(dst))
+    return any(_fibers(src))
+
+
+def _site(rule):
+    """The first (fault, sig, derivation, env, step index) that can show."""
+    faults = (_collapse, _outside) if RULES[rule].tag == "iso" else (_outside,)
+    for fault in faults:
+        for sig, deriv, env, ks in _runs(rule):
+            report = Report()
+            out = check_derivation_once(deriv, sig, env, report)
+            assert out is not None and report.ok, report.text()
+            ev = Evaluator(env)
+            for k in ks:
+                if _visible(fault, ev.node(out[0][k - 1]).prof, ev.node(out[0][k]).prof):
+                    return fault, sig, deriv, env, k
+    pytest.fail(f"no shipped step can show a faulty {rule}")
+
+
+@pytest.mark.parametrize("rule", DEMO_RULES + sorted(UNIT_CASES))
+def test_rule_rejects_corrupted_transport(rule, monkeypatch):
+    fault, sig, deriv, env, k = _site(rule)
+    message = NOT_BIJECTION if fault is _collapse else OUTSIDE
+    target, real = deriv.steps[k - 1], rewrite.apply_step
+
+    def faulty_apply_step(term, step, sig, env, ev=None):
+        new_term, transport, inv = real(term, step, sig, env, ev)
+        if step is target:
+            transport = fault((ev or Evaluator(env)).node(new_term).prof)
+        return new_term, transport, inv
+
+    monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)
+    report = Report()
+    assert check_derivation_once(deriv, sig, env, report) is None
+    assert len(report.failures) == 1, report.text()
+    assert report.failures[0].startswith(f"step {k} {rule}: {message}"), report.text()
+
+
+def test_cases_cover_the_shipped_rules():
+    assert {"R-CART-FORK", "R-COCART-JUNCTION"} <= set(DEMO_RULES)
+    assert len(DEMO_RULES) >= 16
+    assert set(DEMO_RULES) | set(UNIT_CASES) <= set(RULES)
