@@ -2,7 +2,8 @@
 derivation scripts, and run the shipped demos.
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 malformed
-input (unknown commands, missing bindings, unparsable files).
+input (unknown commands, missing bindings, unparsable files, bound
+fixtures that fail validation), 3 an internal error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .shapelang import (Env, EvalError, Evaluator, ShapeSyntaxError,
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_MALFORMED = 2
+EXIT_INTERNAL = 3
 
 
 class InputError(Exception):
@@ -38,6 +40,12 @@ def _parse_bindings(pairs):
             cat, mon = load_fixture_file(path)
         except (OSError, FixtureError) as e:
             raise InputError(f"cannot load fixture {path!r}: {e}")
+        rep = validate_category(cat)
+        if rep.ok and mon is not None:
+            rep = validate_monoidal(mon)
+        if not rep.ok:
+            raise InputError(f"fixture {path!r} fails validation: {rep.violations[0]} "
+                             f"({len(rep.violations)} violation(s))")
         out[sym.strip()] = mon if mon is not None else cat
     return out
 
@@ -194,6 +202,9 @@ def main(argv=None):
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MALFORMED
+    except Exception as e:  # noqa: BLE001 - a crash must not read as a failed proof
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

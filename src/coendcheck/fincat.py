@@ -7,6 +7,7 @@ a table, and every law is checked by exhaustive loops.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field, fields
@@ -141,6 +142,40 @@ class FinCategory:
         for m in ms[1:]:
             out = self.compose(out, m)
         return out
+
+    @functools.cached_property
+    def generators(self):
+        """Non-identity morphisms from which composition reaches every
+        non-identity morphism.  A product pairs each factor's generators
+        with identities in the other slots; any other category keeps its
+        non-identity morphisms minus each one the rest already generate."""
+        if self.factors is not None:
+            ids = [[d.identity(o) for o in d.objects] for d in self.factors]
+            gens = []
+            for i, c in enumerate(self.factors):
+                slots = ids[:i] + [c.generators] + ids[i + 1:]
+                gens.extend(self.pack_mor(t) for t in itertools.product(*slots))
+            return tuple(gens)
+        gens = [m for m in self.morphisms if m not in self._identity]
+        for m in tuple(gens):
+            rest = [g for g in gens if g != m]
+            if m in self._generated_by(rest):
+                gens = rest
+        return tuple(gens)
+
+    def _generated_by(self, gens):
+        """The identities and every composite of the morphisms `gens`."""
+        reached = set(self._identity)
+        todo = list(reached)
+        while todo:
+            f = todo.pop()
+            for g in gens:
+                if self._cod[f] == self._dom[g]:
+                    h = self.compose(f, g)
+                    if h not in reached:
+                        reached.add(h)
+                        todo.append(h)
+        return reached
 
     # -- product packing ---------------------------------------------------
 

@@ -1,5 +1,5 @@
 """Set-valued profunctors between finite categories, with coends computed
-as union-find coequalizers.
+as union-find coequalizers over a generating set of morphisms.
 
 Element values are nested tuples over leaves (interned morphism ids, or
 short strings for singleton fibers).  A global key function flattens tuple
@@ -8,6 +8,8 @@ independent of enumeration order.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .fincat import (FinCategory, FinFunctor, opposite, opposite_monoidal,
                      product, terminal_category)
@@ -117,7 +119,9 @@ class CoendSet:
     profunctor with equal endpoints (a coend over the base category).
 
     Tagged elements are pairs (object, value); classes are represented by
-    the least tagged element under the global order.
+    the least tagged element under the global order.  Only the category's
+    generators are related: an identity relates an element to itself, and
+    for a lawful action a composite's relation chains its factors' ones.
     """
 
     def __init__(self, p: ConcreteProf):
@@ -137,7 +141,7 @@ class CoendSet:
                 parent[t], t = root, parent[t]
             return root
 
-        for f in cat.morphisms:
+        for f in cat.generators:
             x, y = cat.dom(f), cat.cod(f)
             idx, idy = cat.identity(x), cat.identity(y)
             for q in p.fiber(y, x):
@@ -146,17 +150,19 @@ class CoendSet:
                 ra, rb = find(left), find(right)
                 if ra != rb:
                     parent[ra] = rb
+        # one sort: each class lists its members in order, and the classes
+        # come in the order of their least members, the representatives
         classes = {}
-        for t in self.index:
+        for t in sorted(self.index, key=_tag_key):
             classes.setdefault(find(t), []).append(t)
         self._rep_of = {}
         self._members = {}
         for group in classes.values():
-            rep = min(group, key=_tag_key)
-            self._members[rep] = sorted(group, key=_tag_key)
+            rep = group[0]
+            self._members[rep] = group
             for t in group:
                 self._rep_of[t] = rep
-        self.reps = sorted(self._members, key=_tag_key)
+        self.reps = list(self._members)
 
     @property
     def class_count(self):
@@ -415,7 +421,8 @@ class ComposedProf(ConcreteProf):
         self.p, self.q = p, q
         self.mid = p.target
         self._coends = {}
-        super().__init__(p.source, q.target, self._fib, self._act,
+        # _act is pure for fixed p and q: compute it once per (f, g, value)
+        super().__init__(p.source, q.target, self._fib, functools.cache(self._act),
                          name=f"({p.name};{q.name})", render=self._render_elem)
 
     def coend_at(self, a, c) -> CoendSet:

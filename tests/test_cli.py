@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from coendcheck import cli
 from coendcheck.cli import main
 from coendcheck.demos import demo_dir
-from coendcheck.fixtures import bad_fixture_path, fixture_path
+from coendcheck.fixtures import bad_fixture_names, bad_fixture_path, fixture_path
 
 
 def demo_path(name):
@@ -178,3 +179,24 @@ def test_malformed_fixture_exits_2(capsys, tmp_path, case):
     _one_line_exit_2(*run(capsys, "validate", str(path)))
     _one_line_exit_2(*run(capsys, "check", demo_path("lens_apply.deriv"),
                           "--bind", f"C={path}"))
+
+
+@pytest.mark.parametrize("cmd", [("check", "lens_reduction.deriv"),
+                                 ("eval", "lens.shapes", "--shape", "lens")])
+@pytest.mark.parametrize("name", bad_fixture_names())
+def test_bad_bound_fixture_exits_2(capsys, name, cmd):
+    # a fixture failing validation is refused before any sweep
+    code, out, err = run(capsys, cmd[0], demo_path(cmd[1]), *cmd[2:],
+                         "--bind", f"C={bad_fixture_path(name)}")
+    _one_line_exit_2(code, out, err)
+    assert "fails validation: [" in err and "violation(s))" in err
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def crash(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "cmd_validate", crash)
+    code, out, err = run(capsys, "validate", fixture_path("z2"))
+    assert code == cli.EXIT_INTERNAL == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: boom\n"

@@ -293,3 +293,59 @@ def test_opposite_of_a_product_is_the_product_of_opposites(oracles):
         assert opposite(opposite(cc)) is cc
         mixed = product(c, opposite(c))
         assert opposite(mixed) is product(opposite(c), c)
+
+
+def _generated(c, gens):
+    """Identities and every composite of gens, by fixed-point sweeps."""
+    reached = {c.identity(o) for o in c.objects}
+    while True:
+        more = {c.compose(f, g) for f in reached for g in gens
+                if c.cod(f) == c.dom(g)} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+def _z(n):
+    return from_comm_monoid(f"Z{n}", list(range(n)),
+                            {(a, b): (a + b) % n for a in range(n) for b in range(n)}, 0)
+
+
+def _generator_cases():
+    cases = {"1": terminal_category()}
+    for name in FIXTURE_NAMES:
+        for how, mon in (("json", fixture(name)), ("built", build(name))):
+            c = mon.base
+            cases.update({f"{name}/{how}": c, f"op {name}/{how}": opposite(c),
+                          f"{name}/{how}^2": product(c, c),
+                          f"op {name}/{how}^2": opposite(product(c, c))})
+    for n in range(1, 7):
+        cases[f"Z{n}"] = _z(n).base
+    return cases
+
+
+@pytest.mark.parametrize("c", [pytest.param(c, id=name)
+                               for name, c in sorted(_generator_cases().items())])
+def test_generators_generate_every_morphism(c):
+    gens = c.generators
+    assert len(set(gens)) == len(gens)
+    assert not set(gens) & {c.identity(o) for o in c.objects}
+    assert _generated(c, gens) == set(c.morphisms)
+    if c.factors is not None:
+        for g in gens:
+            parts = zip(c.factors, c.mor_tuple(g))
+            assert sum(m != f.identity(f.dom(m)) for f, m in parts) == 1
+    else:
+        # the greedy pass keeps no generator that the others generate
+        for g in gens:
+            assert g not in _generated(c, [h for h in gens if h != g])
+
+
+def test_generator_counts():
+    assert len(fixture("diamond").base.generators) == 4          # of 9 morphisms
+    assert len(fixture("prod-l2-z2").base.generators) == 3       # of 6
+    assert len(build("prod-l2-z2").base.generators) == 3         # factor-wise
+    assert len(fixture("z2").base.generators) == 1
+    assert terminal_category().generators == ()
+    # a cyclic group: every non-identity element is a power of the last one
+    assert [len(_z(n).base.generators) for n in range(1, 7)] == [0, 1, 1, 1, 1, 1]

@@ -1,10 +1,17 @@
+import contextlib
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coendcheck.fincat import build_category, terminal_category
+from coendcheck import profunctor
+from coendcheck.demos import demo_dir
+from coendcheck.fincat import (build_category, from_comm_monoid, from_lattice,
+                               opposite, product, terminal_category)
 from coendcheck.fixtures import FIXTURE_NAMES, build
-from coendcheck.profunctor import (ConcreteProf, NatFamily,
+from coendcheck.profunctor import (ConcreteProf, NatFamily, _tag_key,
                                    ProfunctorError, cap_prof,
                                    check_natural, compose_prof,
                                    constant_prof, copy_prof, cup_prof,
@@ -13,6 +20,7 @@ from coendcheck.profunctor import (ConcreteProf, NatFamily,
                                    representable_in, representable_out,
                                    swap_prof, tensor_prof, unit_in, unit_out,
                                    validate_prof, value_key)
+from coendcheck.shapelang import Env, Evaluator, objects_in, parse_shape_script
 
 
 @pytest.fixture(scope="module")
@@ -22,22 +30,26 @@ def oracles():
 
 def naive_quotient(pairs, relations):
     """Independent oracle: quotient a finite set by the symmetric-transitive
-    closure of a relation, via fixed-point sweeps (no union-find)."""
-    classes = [{p} for p in pairs]
+    closure of a relation, via fixed-point sweeps that spread the least
+    label over each related pair (no union-find)."""
+    label = {p: i for i, p in enumerate(pairs)}
     changed = True
     while changed:
         changed = False
         for (x, y) in relations:
-            cx = next(c for c in classes if x in c)
-            cy = next(c for c in classes if y in c)
-            if cx is not cy:
-                cx |= cy
-                classes.remove(cy)
+            lx, ly = label[x], label[y]
+            if lx != ly:
+                label[x] = label[y] = min(lx, ly)
                 changed = True
-    return classes
+    classes = {}
+    for p in pairs:
+        classes.setdefault(label[p], set()).add(p)
+    return list(classes.values())
 
 
 def coend_relations(p):
+    """The coend relation of every morphism, identities and composites
+    included."""
     cat = p.source
     rels = []
     for f in cat.morphisms:
@@ -49,12 +61,43 @@ def coend_relations(p):
 
 
 def assert_matches_naive(p):
-    ce = CoendSet(p)
-    naive = naive_quotient(list(ce.index), coend_relations(p))
+    assert_coend_matches_naive(CoendSet(p))
+
+
+def assert_coend_matches_naive(ce):
+    """The classes, representatives and member order of a built coend
+    against the closure over all morphisms."""
+    p, cat = ce.prof, ce.prof.source
+    index = [(x, v) for x in cat.objects for v in p.fiber(x, x)]
+    naive = naive_quotient(index, coend_relations(p))
     assert ce.class_count == len(naive)
     mine = {frozenset(ce.members(r)) for r in ce.reps}
     theirs = {frozenset(c) for c in naive}
     assert mine == theirs
+    ordered = sorted((sorted(c, key=_tag_key) for c in naive),
+                     key=lambda c: _tag_key(c[0]))
+    assert ce.reps == [c[0] for c in ordered]
+    assert [ce.members(r) for r in ce.reps] == ordered
+
+
+@contextlib.contextmanager
+def recorded_coends():
+    """Collect every coend built meanwhile, ComposedProf.coend_at's pair
+    quotients included."""
+    built = []
+
+    def record(p):
+        built.append(CoendSet(p))
+        return built[-1]
+    with mock.patch.object(profunctor, "CoendSet", record):
+        yield built
+
+
+def evaluate_every_fiber(term, env):
+    prof = Evaluator(env).node(term).prof
+    for a in prof.source.objects:
+        for b in prof.target.objects:
+            prof.fiber(a, b)
 
 
 def discrete_category(n):
@@ -154,6 +197,86 @@ def test_coend_of_all_fixture_homs_matches_naive(oracles):
     for mon in oracles.values():
         assert_matches_naive(hom_prof(mon.base))
         assert_matches_naive(fork_junction := compose_prof(fork(mon), junction(mon)))
+
+
+SCRIPTS = {name: parse_shape_script((demo_dir() / name).read_text(encoding="utf-8"))
+           for name in ("lens.shapes", "feedback.shapes")}
+
+
+# lens.shapes meets products as middle categories, feedback.shapes also
+# their opposites (its cost over prod-l2-z2 would double the test's)
+@pytest.mark.parametrize("fx,scripts", [
+    pytest.param("z2", ("lens.shapes", "feedback.shapes"), id="z2"),
+    pytest.param("meet-lattice-2", ("lens.shapes", "feedback.shapes"), id="meet-lattice-2"),
+    pytest.param("prod-l2-z2", ("lens.shapes",), id="prod-l2-z2")])
+def test_pair_quotients_of_shipped_shapes_match_naive(fx, scripts):
+    mon = build(fx)
+    with recorded_coends() as built:
+        for sig in map(SCRIPTS.get, scripts):
+            for term in sig.shapes.values():
+                for env in Env(sig, {"C": mon}).assignments(only=objects_in(term)):
+                    evaluate_every_fiber(term, env)
+    mids = {ce.cat for ce in built}
+    c = mon.base
+    assert product(c, c) in mids
+    assert (product(opposite(c), c) in mids) == ("feedback.shapes" in scripts)
+    for ce in built:
+        assert_coend_matches_naive(ce)
+
+
+def _closure(elems, cover):
+    """The reflexive-transitive closure of a covering relation."""
+    order = {(x, x) for x in elems} | set(cover)
+    while True:
+        more = {(a, d) for (a, b) in order for (c, d) in order if b == c} - order
+        if not more:
+            return order
+        order |= more
+
+
+@st.composite
+def small_oracles(draw):
+    kind = draw(st.sampled_from(["add", "mul", "chain", "diamond"]))
+    if kind in ("add", "mul"):
+        n = draw(st.integers(1, 6))
+        op = {(a, b): (a + b if kind == "add" else a * b) % n
+              for a in range(n) for b in range(n)}
+        return from_comm_monoid(f"Z{n}{kind}", list(range(n)), op,
+                                0 if kind == "add" else 1 % n)
+    mode = draw(st.sampled_from(["meet", "join"]))
+    if kind == "chain":
+        elems = [str(i) for i in range(draw(st.integers(1, 4)))]
+        cover = list(zip(elems, elems[1:]))
+    else:
+        # a diamond with an optional element below and above it
+        below, above = draw(st.booleans()), draw(st.booleans())
+        elems = ["bot", "a", "b", "top"]
+        cover = [("bot", "a"), ("bot", "b"), ("a", "top"), ("b", "top")]
+        if below:
+            elems.insert(0, "z")
+            cover.append(("z", "bot"))
+        if above:
+            elems.append("t")
+            cover.append(("top", "t"))
+    return from_lattice(f"{kind}{len(elems)}", elems, _closure(elems, cover), mode)
+
+
+# the two largest lens shapes are covered on the shipped oracles above
+SMALL_SHAPES = ("lens", "lens-pair", "arrow", "composite-reduced", "prism-pair")
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(mon=small_oracles(), shape=st.sampled_from(SMALL_SHAPES), data=st.data())
+def test_pair_quotients_over_random_oracles_match_naive(mon, shape, data):
+    sig = SCRIPTS["lens.shapes"]
+    term = sig.shapes[shape]
+    objs = {sym: data.draw(st.sampled_from(list(mon.base.objects)), label=sym)
+            for sym in sorted(objects_in(term))}
+    with recorded_coends() as built:
+        evaluate_every_fiber(term, Env(sig, {"C": mon}, objs=objs))
+    assert built
+    for ce in built:
+        assert_coend_matches_naive(ce)
 
 
 def test_coend_enumeration_order_invariance(oracles):
