@@ -15,11 +15,10 @@ from .fincat import (FinCategory, MonoidalStructure, FinFunctor,
                      from_lattice, from_comm_monoid, load_fixture,
                      load_fixture_file, dump_fixture)
 from .profunctor import (ConcreteProf, CoendSet, NatFamily, ProfunctorError,
-                         compose_prof, tensor_prof, hom_prof,
-                         representable_in, representable_out, junction, fork,
-                         unit_in, unit_out, copy_prof, merge_prof,
-                         discard_prof, codiscard_prof, swap_prof, cup_prof,
-                         cap_prof, box_prof, cobox_prof, dual, check_natural,
+                         compose_prof, tensor_prof, hom_prof, point,
+                         tensor_functor, companion, conjoint, copy_prof,
+                         merge_prof, discard_prof, codiscard_prof, swap_prof,
+                         cup_prof, cap_prof, dual, check_natural,
                          validate_prof)
 from .shapelang import (Wire, Id, Gen, Seq, Par, Signature, Env, Evaluator,
                         ShapeSyntaxError, ShapeTypeError, StructureMissing,
@@ -40,11 +39,10 @@ __all__ = [
     "opposite", "product", "terminal_category", "from_lattice",
     "from_comm_monoid", "load_fixture", "load_fixture_file", "dump_fixture",
     "ConcreteProf", "CoendSet", "NatFamily", "ProfunctorError",
-    "compose_prof", "tensor_prof", "hom_prof", "representable_in",
-    "representable_out", "junction", "fork", "unit_in", "unit_out",
-    "copy_prof", "merge_prof", "discard_prof", "codiscard_prof", "swap_prof",
-    "cup_prof", "cap_prof", "box_prof", "cobox_prof", "dual", "check_natural",
-    "validate_prof",
+    "compose_prof", "tensor_prof", "hom_prof", "point", "tensor_functor",
+    "companion", "conjoint", "copy_prof", "merge_prof", "discard_prof",
+    "codiscard_prof", "swap_prof", "cup_prof", "cap_prof", "dual",
+    "check_natural", "validate_prof",
     "Wire", "Id", "Gen", "Seq", "Par", "Signature", "Env", "Evaluator",
     "ShapeSyntaxError", "ShapeTypeError", "StructureMissing", "EvalError",
     "parse_shape_script", "parse_term", "print_term", "boundary",

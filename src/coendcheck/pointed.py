@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .profunctor import join_mors, join_objs, render_generic, split_obj
 from .rewrite import RULES, RewriteError, apply_step, build_seq_value, strip_labels
-from .shapelang import (Env, Evaluator, Gen, Id, Par, Seq, Wire, boundary,
-                        obj_expr_cat, print_term)
+from .shapelang import (COMPANION_KINDS, CONJOINT_KINDS, Env, Evaluator, Gen,
+                        Id, Par, Seq, Wire, boundary, obj_expr_cat, print_term)
 
 
 class PointError(Exception):
@@ -207,36 +207,32 @@ def _leaf_value(ev, sig, term, assignment, left_obj):
             raise PointError(f"assignment for {label!r} starts at the wrong object")
         return v, cat.cod(v)
     kind, args = term.kind, term.args
-    if kind in ("inport", "outport", "unit-in", "unit-out"):
-        if kind in ("inport", "outport"):
-            catsym = obj_expr_cat(args[0], sig)
-            a = env.resolve_obj(args[0])
-        else:
-            catsym = args[0]
-            a = env.monoidal(catsym).unit
-        c = env.cats[catsym]
-        if kind in ("inport", "unit-in"):
-            v = assigned[0] if assigned else c.identity(a)
-            if c.dom(v) != a:
-                raise PointError(f"port value for {label or kind} must start at "
-                                 f"{c.obj_name(a)}")
-            return v, c.cod(v)
-        v = assigned[0] if assigned else c.identity(a)
-        if c.cod(v) != a or c.dom(v) != left_obj:
-            raise PointError(f"port value for {label or kind} must map "
-                             f"{c.obj_name(left_obj)} to {c.obj_name(a)}")
-        return v, 0
-    if kind == "junction":
-        mon = env.monoidal(args[0])
-        c = mon.base
-        cc = env.boundary_cat((Wire(args[0]),) * 2)
-        m, n = split_obj(cc, c, c, left_obj)
-        mn = mon.tensor(m, n)
-        v = assigned[0] if assigned else c.identity(mn)
-        if c.dom(v) != mn:
-            raise PointError(f"junction value for {label or kind} must start at "
-                             f"{c.obj_name(mn)}")
-        return v, c.cod(v)
+    if kind in COMPANION_KINDS:
+        # D(F-, -): a morphism out of F(left)
+        fn = env.functor_of(term)
+        d, fx = fn.target, fn.obj(left_obj)
+        v = assigned[0] if assigned else d.identity(fx)
+        if d.dom(v) != fx:
+            raise PointError(f"{kind} value for {label or kind} must start at "
+                             f"{d.obj_name(fx)}")
+        return v, d.cod(v)
+    if kind in CONJOINT_KINDS:
+        # D(-, F-): a morphism from left into F(x); the value names x, one
+        # object per right wire, unless the right boundary is empty
+        fn = env.functor_of(term)
+        d = fn.target
+        _, rw = boundary(term, sig)
+        objs = (assigned[1] if assigned else None) if rw else ()
+        if objs is None or len(objs) != len(rw):
+            raise PointError(f"{kind} {label or kind!r} needs a value with its "
+                             "target objects")
+        x = join_objs(env.boundary_cat(rw), zip(map(env.wire_cat, rw), objs))
+        fx = fn.obj(x)
+        v = assigned[0] if assigned else d.identity(fx)
+        if d.dom(v) != left_obj or d.cod(v) != fx:
+            raise PointError(f"{kind} value for {label or kind} must map "
+                             f"{d.obj_name(left_obj)} to {d.obj_name(fx)}")
+        return v, x
     if kind == "merge":
         c = env.cats[args[0]]
         cc = env.boundary_cat((Wire(args[0]),) * 2)
@@ -249,17 +245,6 @@ def _leaf_value(ev, sig, term, assignment, left_obj):
         if m != n:
             raise PointError("an unassigned merge needs equal inputs")
         return (c.identity(m), c.identity(n)), m
-    if kind == "fork":
-        mon = env.monoidal(args[0])
-        c = mon.base
-        if not assigned or assigned[1] is None:
-            raise PointError(f"fork {label or kind!r} needs an assigned value "
-                             "with its output split")
-        v, (m, n) = assigned
-        if c.dom(v) != left_obj or c.cod(v) != mon.tensor(m, n):
-            raise PointError(f"fork value for {label or kind} is ill-typed")
-        cc = env.boundary_cat((Wire(args[0]),) * 2)
-        return v, join_objs(cc, [(c, m), (c, n)])
     if kind == "copy":
         c = env.cats[args[0]]
         cc = env.boundary_cat((Wire(args[0]),) * 2)
@@ -311,24 +296,6 @@ def _leaf_value(ev, sig, term, assignment, left_obj):
         v = assigned[0]
         from .fincat import opposite
         return v, join_objs(cc, [(opposite(c), c.dom(v)), (c, c.cod(v))])
-    if kind == "box":
-        fn = env.resolve_functor(args[0])
-        d = fn.target
-        fx = fn.obj(left_obj)
-        v = assigned[0] if assigned else d.identity(fx)
-        if d.dom(v) != fx:
-            raise PointError(f"box value for {label or kind} is ill-typed")
-        return v, d.cod(v)
-    if kind == "cobox":
-        fn = env.resolve_functor(args[0])
-        d = fn.target
-        if not assigned or assigned[1] is None:
-            raise PointError(f"cobox {label or kind!r} needs a value with its "
-                             "target object")
-        v, (x,) = assigned
-        if d.dom(v) != left_obj or d.cod(v) != fn.obj(x):
-            raise PointError(f"cobox value for {label or kind} is ill-typed")
-        return v, x
     if kind == "named":
         prof = ev.env.profs.get(args[0])
         if prof is None:

@@ -1,6 +1,11 @@
 """Set-valued profunctors between finite categories, with coends computed
 as union-find coequalizers over a generating set of morphisms.
 
+Every functor F: C -> D gives an adjoint pair of representables, its
+companion D(F-, -) and its conjoint D(-, F-).  Ports, units,
+junctions/forks and functor boxes are this pair for four functors: a point
+1 -> C, the unit, the tensor C x C -> C, and F itself.
+
 Element values are nested tuples over leaves (interned morphism ids, or
 short strings for singleton fibers).  A global key function flattens tuple
 trees left-to-right, which makes canonical class representatives
@@ -11,8 +16,7 @@ from __future__ import annotations
 
 import functools
 
-from .fincat import (FinCategory, FinFunctor, opposite, opposite_monoidal,
-                     product, terminal_category)
+from .fincat import FinCategory, FinFunctor, opposite, product, terminal_category
 
 
 class ProfunctorError(Exception):
@@ -219,54 +223,6 @@ def hom_prof(c: FinCategory) -> ConcreteProf:
         render=c.mor_name)
 
 
-def representable_in(c: FinCategory, a) -> ConcreteProf:
-    """C(a, -), a profunctor from the terminal category to c."""
-    if a not in c.objects:
-        raise ProfunctorError(f"unknown object id {a} in {c.name}")
-    t = terminal_category()
-    return ConcreteProf(
-        t, c,
-        lambda _, b: c.hom(a, b),
-        lambda _, g, v: c.compose(v, g),
-        name=f"{c.name}({c.obj_name(a)},-)",
-        render=c.mor_name)
-
-
-def representable_out(c: FinCategory, a) -> ConcreteProf:
-    """C(-, a), a profunctor from c to the terminal category."""
-    return dual(representable_in(opposite(c), a), f"{c.name}(-,{c.obj_name(a)})")
-
-
-def junction(m) -> ConcreteProf:
-    """C((-)(x)(-), -) from the product category to the base."""
-    c = m.base
-    cc = product(c, c)
-
-    def fib(s, y):
-        a, b = split_obj(cc, c, c, s)
-        return c.hom(m.tensor(a, b), y)
-
-    def act(fp, g, v):
-        f1, f2 = split_mor(cc, c, c, fp)
-        return c.compose(m.tensor_m(f1, f2), c.compose(v, g))
-
-    return ConcreteProf(cc, c, fib, act, name=f"junction({c.name})",
-                        render=c.mor_name)
-
-
-def fork(m) -> ConcreteProf:
-    """C(-, (-)(x)(-)) from the base to the product category."""
-    return dual(junction(opposite_monoidal(m)), f"fork({m.base.name})")
-
-
-def unit_in(m) -> ConcreteProf:
-    return representable_in(m.base, m.unit)
-
-
-def unit_out(m) -> ConcreteProf:
-    return representable_out(m.base, m.unit)
-
-
 def copy_prof(c: FinCategory) -> ConcreteProf:
     """The canonical pseudocomonoid C(-,-^1) x C(-,-^2): copies on the right."""
     cc = product(c, c)
@@ -339,27 +295,48 @@ def cap_prof(c: FinCategory) -> ConcreteProf:
     return dual(cup_prof(c), f"cap({c.name})")
 
 
-def box_prof(fn) -> ConcreteProf:
-    """D(F-, -): the companion of a functor F: C -> D."""
+def point(c: FinCategory, a) -> FinFunctor:
+    """The functor 1 -> c picking the object a."""
+    if a not in c.objects:
+        raise ProfunctorError(f"unknown object id {a} in {c.name}")
+    return FinFunctor(c.obj_name(a), terminal_category(), c, {0: a},
+                      {0: c.identity(a)})
+
+
+def tensor_functor(m) -> FinFunctor:
+    """The tensor C x C -> C of a monoidal structure, read off its tables."""
+    c = m.base
+    cc = product(c, c)
+    return FinFunctor(
+        f"(x)({c.name})", cc, c,
+        {s: m.tensor(*split_obj(cc, c, c, s)) for s in cc.objects},
+        {f: m.tensor_m(*split_mor(cc, c, c, f)) for f in cc.morphisms})
+
+
+def companion(fn) -> ConcreteProf:
+    """D(F-, -): the companion of a functor F: C -> D.  An inport is the
+    companion of a point, a junction that of the tensor."""
     c, d = fn.source, fn.target
     return ConcreteProf(
         c, d,
         lambda x, y: d.hom(fn.obj(x), y),
         lambda f, g, v: d.compose(fn.mor(f), d.compose(v, g)),
-        name=f"box({fn.name})", render=d.mor_name)
+        name=f"{d.name}({fn.name}-,-)", render=d.mor_name)
 
 
-def cobox_prof(fn) -> ConcreteProf:
-    """D(-, F-): the conjoint of a functor F: C -> D."""
+def conjoint(fn) -> ConcreteProf:
+    """D(-, F-): the conjoint of a functor F: C -> D, the companion of F
+    read in the opposite categories.  An outport is the conjoint of a
+    point, a fork that of the tensor."""
     op_fn = FinFunctor(fn.name, opposite(fn.source), opposite(fn.target),
                        fn.obj_map, fn.mor_map)
-    return dual(box_prof(op_fn), f"cobox({fn.name})")
+    return dual(companion(op_fn), f"{fn.target.name}(-,{fn.name}-)")
 
 
 def dual(p: ConcreteProf, name) -> ConcreteProf:
     """P read in the opposite categories: a profunctor from target^op to
     source^op with dual(P)(b, a) = P(a, b).  A mirror-image construction
-    (outport from inport, fork from junction, ...) is its twin's dual."""
+    (a conjoint from a companion, merge from copy, ...) is its twin's dual."""
     return ConcreteProf(opposite(p.target), opposite(p.source),
                         lambda b, a: p.fiber(a, b),
                         lambda g, f, v: p.act(f, g, v),

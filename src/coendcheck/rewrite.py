@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 from .fincat import FixtureError, opposite_monoidal
 from .profunctor import join_mors, join_objs, split_obj, value_key
-from .shapelang import (Env, Evaluator, Gen, Id, Par, Seq, ShapeTypeError,
-                        StructureMissing, Wire, boundary, is_plain_id, norm,
-                        obj_expr_cat, functor_expr_sig, parse_shape_script,
-                        print_term)
+from .shapelang import (Env, EvalError, Evaluator, Gen, Id, Par, Seq,
+                        ShapeTypeError, StructureMissing, Wire, boundary,
+                        is_plain_id, norm, obj_expr_cat, functor_expr_sig,
+                        parse_shape_script, print_term)
 
 
 class RewriteError(Exception):
@@ -301,6 +301,13 @@ def _want(cond, msg):
         raise MatchError(msg)
 
 
+def _int_inst(inst, key, default=None):
+    try:
+        return int(inst.get(key, default))
+    except (TypeError, ValueError):
+        raise MatchError(f"instantiation {key} must be an integer")
+
+
 def _part(parts, i, msg="rule site"):
     if not 0 <= i < len(parts):
         raise MatchError(f"{msg}: no part at offset {i}")
@@ -469,8 +476,7 @@ class Interchange(Rule):
     def apply_slice(self, ev, parts, i, inst, backward, container):
         sig = ev.sig
         if not backward:
-            n1 = int(inst.get("span1", 1))
-            n2 = int(inst.get("span2", 1))
+            n1, n2 = _int_inst(inst, "span1", 1), _int_inst(inst, "span2", 1)
             a, b, run1 = self._column(ev, parts, i, i + n1)
             c, d, run2 = self._column(ev, parts, i + n1, i + n1 + n2)
             ra, lc = boundary(a, sig)[1], boundary(c, sig)[0]
@@ -514,8 +520,9 @@ class Interchange(Rule):
         _want("cut1" in inst and "cut2" in inst,
               "backward R-INTERCHANGE needs cut1 and cut2")
         top, bottom = p.top, p.bottom
-        a, c, tparts = _cut_pieces(ev, top, int(inst["cut1"]))
-        b, d, bparts = _cut_pieces(ev, bottom, int(inst["cut2"]))
+        cut1, cut2 = _int_inst(inst, "cut1"), _int_inst(inst, "cut2")
+        a, c, tparts = _cut_pieces(ev, top, cut1)
+        b, d, bparts = _cut_pieces(ev, bottom, cut2)
         q1, q2 = norm(Par(a, b)), norm(Par(c, d))
         if is_plain_id(q1) or is_plain_id(q2):
             raise MatchError("backward R-INTERCHANGE cut produces a bare "
@@ -527,8 +534,8 @@ class Interchange(Rule):
         def tf(vals, fibers, lobj, robj, ev2):
             node = ev2.node(p)
             (ft, vt), (fb_, vb) = node.split_value(fibers[0], vals[0])
-            va, ma, vc = _split_seq_value(ev2, top, int(inst["cut1"]), ft, vt)
-            vb2, mb, vd = _split_seq_value(ev2, bottom, int(inst["cut2"]), fb_, vb)
+            va, ma, vc = _split_seq_value(ev2, top, cut1, ft, vt)
+            vb2, mb, vd = _split_seq_value(ev2, bottom, cut2, fb_, vb)
             v1 = par_value(ev2, a, va, b, vb2)
             v2 = par_value(ev2, c, vc, d, vd)
             cat = ev2.env.boundary_cat
@@ -648,86 +655,57 @@ def _pack_pair(ev, catsym, a, b):
     return join_objs(cc, [(c, a), (c, b)])
 
 
-class EtaPort(Rule):
-    """Insert inport(A); outport(A) at an empty boundary point."""
-    name = "R-ETA-A"
+class AdjunctionUnit(Rule):
+    """Insert companion(F); conjoint(F) at a point of F's source wires, with
+    identities at F(left): the unit of companion -| conjoint.  `key` names
+    the instantiation that gives F; without one, F is the tensor of the
+    category of a C,C boundary point."""
     tag = "directed"
     site = "insert"
 
+    def __init__(self, name, kinds, key=None, needs=None):
+        self.name, self.kinds, self.key, self.needs = name, kinds, key, needs
+
     def apply_slice(self, ev, parts, i, inst, backward, container):
-        _want("A" in inst, "R-ETA-A needs an object A")
-        ea = inst["A"]
-        a = ev.env.resolve_obj(ea)
-        c = ev.env.cats[obj_expr_cat(ea, ev.sig)]
-        rep = (Gen("inport", (ea,)), Gen("outport", (ea,)))
+        if self.key is None:
+            wires = _slice_wires(ev.sig, container, parts, i)
+            _want(len(wires) == 2 and wires[0] == wires[1] and not wires[0].op,
+                  f"{self.name} needs a C,C boundary point")
+            arg = wires[0].cat
+        else:
+            _want(self.key in inst, f"{self.name} needs {self.needs}")
+            arg = inst[self.key]
+        rep = tuple(Gen(kind, (arg,)) for kind in self.kinds)
+        fn = ev.env.functor_of(rep[0])
 
         def tf(vals, fibers, lobj, robj, ev2):
-            return ([c.identity(a), c.identity(a)], [a])
+            fx = fn.obj(lobj)
+            e = fn.target.identity(fx)
+            return ([e, e], [fx])
 
         return SliceOutcome(0, rep, tf)
 
 
-class EpsPort(Rule):
-    """outport(A); inport(A) collapses by composing through A."""
-    name = "R-EPS-A"
+class AdjunctionCounit(Rule):
+    """conjoint(F); companion(F) of one functor collapses by composing in
+    F's target: the counit of companion -| conjoint."""
     tag = "directed"
+
+    def __init__(self, name, kinds, expects, disagree=None):
+        self.name, self.kinds = name, kinds
+        self.expects = f"{name} expects {expects}"
+        self.disagree = f"{name} {disagree}" if disagree else self.expects
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
         p1, p2 = _part(parts, i), _part(parts, i + 1)
-        _want(isinstance(p1, Gen) and p1.kind == "outport"
-              and isinstance(p2, Gen) and p2.kind == "inport",
-              "R-EPS-A expects outport then inport")
-        a1 = ev.env.resolve_obj(p1.args[0])
-        a2 = ev.env.resolve_obj(p2.args[0])
-        _want(a1 == a2, "R-EPS-A ports disagree on the object")
-        c = ev.env.cats[obj_expr_cat(p1.args[0], ev.sig)]
+        _want(isinstance(p1, Gen) and p1.kind == self.kinds[1]
+              and isinstance(p2, Gen) and p2.kind == self.kinds[0], self.expects)
+        fn = ev.env.functor_of(p1)
+        _want(fn == ev.env.functor_of(p2), self.disagree)
+        d = fn.target
 
         def tf(vals, fibers, lobj, robj, ev2):
-            f, g = vals
-            return Adapter(c.compose(f, g))
-
-        return SliceOutcome(2, (), tf)
-
-
-class EtaTensor(Rule):
-    """Insert junction; fork at a two-wire boundary point."""
-    name = "R-ETA-TENSOR"
-    tag = "directed"
-    site = "insert"
-
-    def apply_slice(self, ev, parts, i, inst, backward, container):
-        wires = _slice_wires(ev.sig, container, parts, i)
-        _want(len(wires) == 2 and wires[0] == wires[1] and not wires[0].op,
-              "R-ETA-TENSOR needs a C,C boundary point")
-        catsym = wires[0].cat
-        mon = ev.env.monoidal(catsym)
-        rep = (Gen("junction", (catsym,)), Gen("fork", (catsym,)))
-
-        def tf(vals, fibers, lobj, robj, ev2):
-            cc = ev2.env.boundary_cat(wires)
-            m, n = split_obj(cc, mon.base, mon.base, lobj)
-            t = mon.tensor(m, n)
-            return ([mon.base.identity(t), mon.base.identity(t)], [t])
-
-        return SliceOutcome(0, rep, tf)
-
-
-class EpsTensor(Rule):
-    """fork; junction collapses by composing through the tensor."""
-    name = "R-EPS-TENSOR"
-    tag = "directed"
-
-    def apply_slice(self, ev, parts, i, inst, backward, container):
-        p1, p2 = _part(parts, i), _part(parts, i + 1)
-        _want(isinstance(p1, Gen) and p1.kind == "fork"
-              and isinstance(p2, Gen) and p2.kind == "junction"
-              and p1.args == p2.args,
-              "R-EPS-TENSOR expects fork then junction")
-        c = ev.env.cats[p1.args[0]]
-
-        def tf(vals, fibers, lobj, robj, ev2):
-            h, j = vals
-            return Adapter(c.compose(h, j))
+            return Adapter(d.compose(*vals))
 
         return SliceOutcome(2, (), tf)
 
@@ -786,14 +764,11 @@ class CartCounit(Rule):
                                lambda fiber, value: w.terminal[fiber[end]])
         _want(isinstance(term, Gen) and term.kind in (port, unit),
               f"{self.name} forward expects a unit {port}")
-        if term.kind == port:
-            catsym = obj_expr_cat(term.args[0], ev.sig)
-            mon = _gate_cartesian(ev, catsym, self.op)
-            _want(ev.env.resolve_obj(term.args[0]) == mon.unit,
-                  f"{self.name} needs the unit object")
-        else:
-            catsym = term.args[0]
-            _gate_cartesian(ev, catsym, self.op)
+        catsym = (obj_expr_cat(term.args[0], ev.sig) if term.kind == port
+                  else term.args[0])
+        mon = _gate_cartesian(ev, catsym, self.op)
+        _want(ev.env.functor_of(term).obj(0) == mon.unit,
+              f"{self.name} needs the unit object")
         return NodeOutcome(Gen(gen, (catsym,), term.label), lambda fiber, value: "*")
 
 
@@ -1164,53 +1139,19 @@ class FunctorFuse(Rule):
                             inverse_inst={"F": p1.args[0], "G": p2.args[0]})
 
 
-class FunctorEta(Rule):
-    """Insert box(F); cobox(F) at a source-category wire point."""
-    name = "R-FUNCTOR-ADJ-ETA"
-    tag = "directed"
-    site = "insert"
-
-    def apply_slice(self, ev, parts, i, inst, backward, container):
-        _want("F" in inst, "R-FUNCTOR-ADJ-ETA needs a functor F")
-        ef = inst["F"]
-        fn = ev.env.resolve_functor(ef)
-        rep = (Gen("box", (ef,)), Gen("cobox", (ef,)))
-
-        def tf(vals, fibers, lobj, robj, ev2):
-            fx = fn.obj(lobj)
-            e = fn.target.identity(fx)
-            return ([e, e], [fx])
-
-        return SliceOutcome(0, rep, tf)
-
-
-class FunctorEps(Rule):
-    """cobox(F); box(F) collapses by composing through the image."""
-    name = "R-FUNCTOR-ADJ-EPS"
-    tag = "directed"
-
-    def apply_slice(self, ev, parts, i, inst, backward, container):
-        p1, p2 = _part(parts, i), _part(parts, i + 1)
-        _want(isinstance(p1, Gen) and p1.kind == "cobox"
-              and isinstance(p2, Gen) and p2.kind == "box"
-              and p1.args == p2.args,
-              "R-FUNCTOR-ADJ-EPS expects cobox then box of one functor")
-        fn = ev.env.resolve_functor(p1.args[0])
-        d = fn.target
-
-        def tf(vals, fibers, lobj, robj, ev2):
-            p, q = vals
-            return Adapter(d.compose(p, q))
-
-        return SliceOutcome(2, (), tf)
-
-
 RULES = {r.name: r for r in [
     YonedaL(), YonedaR(), Assoc(), Interchange(), PortFuse(),
-    EtaPort(), EpsPort(), EtaTensor(), EpsTensor(),
+    AdjunctionUnit("R-ETA-A", ("inport", "outport"), "A", "an object A"),
+    AdjunctionCounit("R-EPS-A", ("inport", "outport"), "outport then inport",
+                     "ports disagree on the object"),
+    AdjunctionUnit("R-ETA-TENSOR", ("junction", "fork")),
+    AdjunctionCounit("R-EPS-TENSOR", ("junction", "fork"), "fork then junction"),
     CartFork(), CartCounit(), CocartJunction(), CocartUnit(),
     Sym(), LaxCopy(), LaxMerge(), LaxDiscard(),
-    ZigzagCup(), ZigzagCap(), FunctorFuse(), FunctorEta(), FunctorEps(),
+    ZigzagCup(), ZigzagCap(), FunctorFuse(),
+    AdjunctionUnit("R-FUNCTOR-ADJ-ETA", ("box", "cobox"), "F", "a functor F"),
+    AdjunctionCounit("R-FUNCTOR-ADJ-EPS", ("box", "cobox"),
+                     "cobox then box of one functor"),
 ]}
 
 
@@ -1318,12 +1259,16 @@ def _count(node):
                for b in node.prof.target.objects)
 
 
+# a step the oracle or the instantiation cannot support fails; it is no crash
+STEP_ERRORS = (RewriteError, StructureMissing, ShapeTypeError, FixtureError, EvalError)
+
+
 def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
     """Apply and semantically verify one step.  Returns
     (new term, class map {fiber: {src rep: dst rep}}) or None on failure."""
     try:
         new_term, transport, inv_inst = apply_step(term, step, sig, env, ev)
-    except (RewriteError, StructureMissing, ShapeTypeError, FixtureError) as e:
+    except STEP_ERRORS as e:
         report.fail(f"step {idx} {step.rule}: {e}")
         return None
     src = ev.node(term)
@@ -1366,7 +1311,7 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
                 back_tr = None
         except (PathError, MatchError):
             back_tr = None
-        except (RewriteError, StructureMissing, ShapeTypeError, FixtureError) as e:
+        except STEP_ERRORS as e:
             report.fail(f"step {idx} {step.rule}: inverse application failed: {e}")
             return None
         if back_tr is None:
@@ -1570,7 +1515,10 @@ def _parse_inst_value(text, sig):
     except ValueError:
         pass
     if text.startswith("("):
-        (form,) = read_sexprs(text)
+        forms = read_sexprs(text)
+        if len(forms) != 1:
+            raise RewriteError(f"instantiation {text!r} is not one value")
+        (form,) = forms
         if isinstance(form, list) and form and form[0] in ("tensor", "unit"):
             return _parse_obj_expr(form, sig)
         if isinstance(form, list) and form and form[0] == "fcomp":

@@ -304,6 +304,11 @@ def functor_expr_sig(e, sig):
     return sig.functors[e][0], sig.functors[e][1]
 
 
+# generator kinds that are the companion, and the conjoint, of the functor
+# Env.functor_of names
+COMPANION_KINDS = ("inport", "unit-in", "junction", "box")
+CONJOINT_KINDS = ("outport", "unit-out", "fork", "cobox")
+
 _NULLARY = {"junction", "fork", "copy", "merge", "discard", "codiscard",
             "unit-in", "unit-out", "cup", "cap"}
 
@@ -605,7 +610,23 @@ class Env:
             from .fincat import compose_functors
             return compose_functors(self.resolve_functor(expr[1]),
                                     self.resolve_functor(expr[2]))
+        if expr not in self.functors:
+            raise EvalError(f"unknown functor symbol {expr!r}")
         return self.functors[expr]
+
+    def functor_of(self, gen: Gen) -> FinFunctor:
+        """The functor F whose companion D(F-, -) or conjoint D(-, F-) the
+        generator is: a point for a port, the unit for a unit port, the
+        tensor for a junction or fork, the named functor for a box."""
+        kind, arg = gen.kind, gen.args[0]
+        if kind in ("inport", "outport"):
+            a = self.resolve_obj(arg)  # first: an unknown symbol is unassigned
+            return pf.point(self.cats[obj_expr_cat(arg, self.sig)], a)
+        if kind in ("unit-in", "unit-out"):
+            return pf.point(self.cats[arg], self.monoidal(arg).unit)
+        if kind in ("junction", "fork"):
+            return pf.tensor_functor(self.monoidal(arg))
+        return self.resolve_functor(arg)
 
     def describe_objs(self):
         parts = []
@@ -710,20 +731,10 @@ class Evaluator:
 
     def _gen_prof(self, t: Gen):
         env, kind, args = self.env, t.kind, t.args
-        if kind == "inport":
-            catsym = obj_expr_cat(args[0], self.sig)
-            return pf.representable_in(env.cats[catsym], env.resolve_obj(args[0]))
-        if kind == "outport":
-            catsym = obj_expr_cat(args[0], self.sig)
-            return pf.representable_out(env.cats[catsym], env.resolve_obj(args[0]))
-        if kind == "junction":
-            return pf.junction(env.monoidal(args[0]))
-        if kind == "fork":
-            return pf.fork(env.monoidal(args[0]))
-        if kind == "unit-in":
-            return pf.unit_in(env.monoidal(args[0]))
-        if kind == "unit-out":
-            return pf.unit_out(env.monoidal(args[0]))
+        if kind in COMPANION_KINDS:
+            return pf.companion(env.functor_of(t))
+        if kind in CONJOINT_KINDS:
+            return pf.conjoint(env.functor_of(t))
         if kind == "copy":
             return pf.copy_prof(env.cats[args[0]])
         if kind == "merge":
@@ -738,10 +749,6 @@ class Evaluator:
             return pf.cup_prof(env.cats[args[0]])
         if kind == "cap":
             return pf.cap_prof(env.cats[args[0]])
-        if kind == "box":
-            return pf.box_prof(env.resolve_functor(args[0]))
-        if kind == "cobox":
-            return pf.cobox_prof(env.resolve_functor(args[0]))
         if kind == "named":
             if args[0] not in env.profs:
                 raise EvalError(f"named profunctor {args[0]!r} is unbound")

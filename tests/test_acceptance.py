@@ -24,12 +24,11 @@ from coendcheck.optics import (Lens, apply_lens, compose_optic,
                                pair_to_lens, pair_to_prism, prism_to_pair,
                                triple_to_learner)
 from coendcheck.pointed import OpenDiagram, forget, lift
-from coendcheck.profunctor import (ConcreteProf, CoendSet, compose_prof,
-                                   constant_prof, copy_prof, cup_prof,
-                                   cap_prof, fork, hom_prof, junction,
-                                   merge_prof, representable_in,
-                                   representable_out, swap_prof, unit_in,
-                                   unit_out, value_key)
+from coendcheck.profunctor import (ConcreteProf, CoendSet, companion,
+                                   compose_prof, conjoint, constant_prof,
+                                   copy_prof, cup_prof, cap_prof, hom_prof,
+                                   merge_prof, point, swap_prof,
+                                   tensor_functor, value_key)
 from coendcheck.rewrite import (Derivation, Report, Step, apply_step,
                                 check_derivation_once,
                                 script_object_symbols)
@@ -47,12 +46,14 @@ def oracles():
 
 def shipped_profunctors(mon):
     c = mon.base
-    out = [hom_prof(c), junction(mon), fork(mon), unit_in(mon), unit_out(mon),
+    tensor, unit = tensor_functor(mon), point(c, mon.unit)
+    out = [hom_prof(c), companion(tensor), conjoint(tensor), companion(unit),
+           conjoint(unit),
            copy_prof(c), merge_prof(c), swap_prof(c, c), cup_prof(c),
            cap_prof(c)]
     for a in c.objects:
-        out.append(representable_in(c, a))
-        out.append(representable_out(c, a))
+        out.append(companion(point(c, a)))
+        out.append(conjoint(point(c, a)))
     return out
 
 

@@ -200,3 +200,44 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def _step_script(tmp_path, shapes, shape, step):
+    (tmp_path / shapes).write_text((demo_dir() / shapes).read_text(encoding="utf-8"))
+    script = tmp_path / "step.deriv"
+    script.write_text(f"use {shapes}\nderivation x from {shape}\n  {step}\nend\n")
+    return str(script)
+
+
+STEP_BIND = ("--bind", f"C={fixture_path('meet-lattice-2')}",
+            "--bind", f"D={fixture_path('z2')}")
+
+
+@pytest.mark.parametrize("shapes,shape,step,message", [
+    ("adjunctions.shapes", "in-leg", "step R-ETA-A at 0 with {A := Q}",
+     "R-ETA-A: object symbol 'Q' is unassigned"),
+    ("adjunctions.shapes", "box-leg", "step R-FUNCTOR-ADJ-ETA at 0 with {F := G}",
+     "R-FUNCTOR-ADJ-ETA: unknown functor symbol 'G'"),
+    ("lens.shapes", "lens", "step R-INTERCHANGE at 2 with {span1 := abc}",
+     "R-INTERCHANGE: instantiation span1 must be an integer"),
+    ("lens.shapes", "lens", "step R-INTERCHANGE at 2 backward with {cut1 := x, cut2 := 0}",
+     "R-INTERCHANGE: instantiation cut1 must be an integer"),
+])
+def test_bad_step_instantiation_fails_the_step(capsys, tmp_path, shapes, shape,
+                                               step, message):
+    # an instantiation naming an unknown symbol or a non-integer cut is a
+    # failed step (exit 1), not an internal error (exit 3)
+    code, out, err = run(capsys, "check", _step_script(tmp_path, shapes, shape, step),
+                         *STEP_BIND)
+    assert (code, err) == (1, "")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert fails and all(line == f"FAIL step 1 {message}" for line in fails)
+    assert out.endswith("result: FAILURE\n")
+
+
+def test_instantiation_of_two_forms_exits_2(capsys, tmp_path):
+    script = _step_script(tmp_path, "adjunctions.shapes", "in-leg",
+                          "step R-ETA-A at 0 with {A := (a)(b)}")
+    code, out, err = run(capsys, "check", script, *STEP_BIND)
+    _one_line_exit_2(code, out, err)
+    assert "instantiation '(a)(b)' is not one value" in err

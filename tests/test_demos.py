@@ -5,6 +5,9 @@ map agree pointwise, checked by transporting points through the scripts."""
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,8 +25,23 @@ from coendcheck.rewrite import strip_labels
 from coendcheck.shapelang import Env, Evaluator
 
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.json"
 DEMO_DIGESTS = json.loads(WORKLOADS.read_text())["workloads"]["demos"]["digests"]
+EXAMPLES = sorted((ROOT / "demos").glob("0[1-6]_*.py"))
+
+
+def test_six_example_scripts():
+    assert len(EXAMPLES) == 6
+
+
+@pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
+def test_example_script_runs_clean(script):
+    # a fresh interpreter, importing the package from this checkout
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(script)], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("name", sorted(DEMOS))

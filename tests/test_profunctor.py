@@ -13,12 +13,11 @@ from coendcheck.fincat import (build_category, from_comm_monoid, from_lattice,
 from coendcheck.fixtures import FIXTURE_NAMES, build
 from coendcheck.profunctor import (ConcreteProf, NatFamily, _tag_key,
                                    ProfunctorError, cap_prof,
-                                   check_natural, compose_prof,
-                                   constant_prof, copy_prof, cup_prof,
-                                   CoendSet, discard_prof, empty_prof, fork,
-                                   hom_prof, junction, merge_prof,
-                                   representable_in, representable_out,
-                                   swap_prof, tensor_prof, unit_in, unit_out,
+                                   check_natural, companion, compose_prof,
+                                   conjoint, constant_prof, copy_prof, cup_prof,
+                                   CoendSet, discard_prof, empty_prof,
+                                   hom_prof, merge_prof, point, swap_prof,
+                                   tensor_functor, tensor_prof,
                                    validate_prof, value_key)
 from coendcheck.shapelang import Env, Evaluator, objects_in, parse_shape_script
 
@@ -113,9 +112,9 @@ def discrete_category(n):
 
 def test_representables_on_chain():
     c = build("meet-lattice-2").base
-    rin = representable_in(c, c.obj_id("0"))
+    rin = companion(point(c, c.obj_id("0")))
     assert len(rin.fiber(0, c.obj_id("1"))) == 1
-    rout = representable_out(c, c.obj_id("0"))
+    rout = conjoint(point(c, c.obj_id("0")))
     assert len(rout.fiber(c.obj_id("1"), 0)) == 0
 
 
@@ -130,28 +129,29 @@ def test_hom_prof_action_is_two_sided_composition():
 
 def test_junction_fork_unit_sizes(oracles):
     m2 = oracles["meet-lattice-2"]
-    f = fork(m2)
+    f = conjoint(tensor_functor(m2))
     one = m2.base.obj_id("1")
     cc = f.target
     assert len(f.fiber(one, cc.pack_obj((one, one)))) == 1
     z2 = oracles["z2"]
-    j = junction(z2)
+    j = companion(tensor_functor(z2))
     assert len(j.fiber(j.source.pack_obj((0, 0)), 0)) == 2
-    uo = unit_out(m2)
+    uo = conjoint(point(m2.base, m2.unit))
     assert len(uo.fiber(m2.base.obj_id("0"), 0)) == 1
-    ui = unit_in(m2)
+    ui = companion(point(m2.base, m2.unit))
     assert len(ui.fiber(0, m2.base.obj_id("0"))) == 0  # no arrow 1 -> 0
 
 
 def test_constructed_profunctors_are_functorial(oracles):
     for name, mon in oracles.items():
         c = mon.base
-        profs = [hom_prof(c), junction(mon), fork(mon), unit_in(mon),
-                 unit_out(mon), copy_prof(c), merge_prof(c), discard_prof(c),
+        tensor, unit = tensor_functor(mon), point(c, mon.unit)
+        profs = [hom_prof(c), companion(tensor), conjoint(tensor), companion(unit),
+                 conjoint(unit), copy_prof(c), merge_prof(c), discard_prof(c),
                  swap_prof(c, c), cup_prof(c), cap_prof(c)]
         for a in c.objects:
-            profs.append(representable_in(c, a))
-            profs.append(representable_out(c, a))
+            profs.append(companion(point(c, a)))
+            profs.append(conjoint(point(c, a)))
         for p in profs:
             assert validate_prof(p) == [], (name, p.name)
 
@@ -189,14 +189,16 @@ def test_coend_two_sided_representable_is_hom():
     assert ce.class_count == len(c.hom(lo, hi)) == 1
     assert_matches_naive(p)
     # the same count through the composition route
-    comp = compose_prof(representable_in(c, lo), representable_out(c, hi))
+    comp = compose_prof(companion(point(c, lo)), conjoint(point(c, hi)))
     assert len(comp.fiber(0, 0)) == 1
 
 
 def test_coend_of_all_fixture_homs_matches_naive(oracles):
     for mon in oracles.values():
         assert_matches_naive(hom_prof(mon.base))
-        assert_matches_naive(fork_junction := compose_prof(fork(mon), junction(mon)))
+        tensor = tensor_functor(mon)
+        assert_matches_naive(fork_junction := compose_prof(conjoint(tensor),
+                                                           companion(tensor)))
 
 
 SCRIPTS = {name: parse_shape_script((demo_dir() / name).read_text(encoding="utf-8"))
@@ -304,7 +306,7 @@ def test_coend_enumeration_order_invariance(oracles):
 def test_coend_requires_equal_endpoints():
     c = build("z2").base
     with pytest.raises(ProfunctorError):
-        CoendSet(representable_in(c, 0))
+        CoendSet(companion(point(c, 0)))
 
 
 # -- composition and tensor ---------------------------------------------------
@@ -314,8 +316,8 @@ def all_profs_for(mon):
     c = mon.base
     out = [hom_prof(c)]
     for a in c.objects:
-        out.append(representable_in(c, a))
-        out.append(representable_out(c, a))
+        out.append(companion(point(c, a)))
+        out.append(conjoint(point(c, a)))
     return out
 
 
@@ -323,7 +325,8 @@ def test_yoneda_unitors_are_bijections(oracles):
     for name, mon in oracles.items():
         c = mon.base
         h = hom_prof(c)
-        for p in all_profs_for(mon) + [junction(mon), fork(mon)]:
+        tensor = tensor_functor(mon)
+        for p in all_profs_for(mon) + [companion(tensor), conjoint(tensor)]:
             left = compose_prof(h, p) if p.source is c else None
             if left is not None:
                 for a in p.source.objects:
@@ -357,7 +360,8 @@ def test_composed_action_well_defined(oracles):
     # acting on any two members of one class lands in one class
     for name, mon in oracles.items():
         c = mon.base
-        comp = compose_prof(fork(mon), junction(mon))
+        tensor = tensor_functor(mon)
+        comp = compose_prof(conjoint(tensor), companion(tensor))
         for a in c.objects:
             for b in c.objects:
                 for rep, members in comp.members(a, b).items():
@@ -389,8 +393,8 @@ def test_tensor_sizes_multiply(oracles):
 
 def test_tensor_of_representables_hand_count():
     c = build("meet-lattice-2").base
-    p = tensor_prof(representable_in(c, c.obj_id("0")),
-                    representable_in(c, c.obj_id("1")))
+    p = tensor_prof(companion(point(c, c.obj_id("0"))),
+                    companion(point(c, c.obj_id("1"))))
     tgt = p.target
     # C(0,a) x C(1,b): nonzero only when b = 1; sizes all 1 there
     assert len(p.fiber(0, tgt.pack_obj((c.obj_id("1"), c.obj_id("1"))))) == 1
@@ -422,7 +426,7 @@ def test_composition_family_is_natural(oracles):
     for mon in oracles.values():
         c = mon.base
         for ap in c.objects:
-            comp = compose_prof(representable_out(c, ap), representable_in(c, ap))
+            comp = compose_prof(conjoint(point(c, ap)), companion(point(c, ap)))
             fam = NatFamily(lambda a, b, v, c=c, comp=comp: c.compose(v[1], v[2]))
             assert check_natural(comp, hom_prof(c), fam)
 
@@ -468,12 +472,12 @@ def _mirror_cases(mon):
     """(profunctor, fiber formula, action formula) for each mirror
     constructor; formulas take and return ids of the base category c."""
     from coendcheck.fincat import FinFunctor, opposite, product
-    from coendcheck.profunctor import cobox_prof, codiscard_prof, split_mor, split_obj
+    from coendcheck.profunctor import codiscard_prof, split_mor, split_obj
     c = mon.base
     cc, ocx = product(c, c), product(opposite(c), c)
     out = []
     for a in c.objects:
-        out.append((representable_out(c, a),
+        out.append((conjoint(point(c, a)),
                     lambda b, _, a=a: c.hom(b, a),
                     lambda f, _, v: c.compose(f, v)))
 
@@ -499,14 +503,14 @@ def _mirror_cases(mon):
         u, g = split_mor(ocx, opposite(c), c, gp)
         return c.compose(u, c.compose(v, g))
 
-    out += [(fork(mon), fork_fib, fork_act),
+    out += [(conjoint(tensor_functor(mon)), fork_fib, fork_act),
             (merge_prof(c), merge_fib, merge_act),
             (codiscard_prof(c), lambda _, b: ("*",), lambda _, g, v: "*"),
             (cap_prof(c), cap_fib, cap_act)]
     ident = FinFunctor("id", c, c, {o: o for o in c.objects},
                        {m: m for m in c.morphisms})
     # D(-, F-) with F the identity: the cobox is the hom profunctor
-    out.append((cobox_prof(ident), lambda y, x: c.hom(y, x),
+    out.append((conjoint(ident), lambda y, x: c.hom(y, x),
                 lambda g, f, v: c.compose(g, c.compose(v, f))))
     return out
 
@@ -530,14 +534,56 @@ def test_mirror_constructors_match_their_formulas(name, loader):
                                 assert p.act(f, g, v) == act(f, g, v), (name, p.name)
 
 
+def _companion_cases(mon, load):
+    """(functor F: C -> D, object formula, morphism formula) for the point at
+    every object of the base, the tensor, and a functor meet-lattice-2 -> z2;
+    formulas give F's action from the oracle's tables, not from F."""
+    from coendcheck.fincat import FinFunctor
+    from coendcheck.profunctor import split_mor, split_obj
+    c = mon.base
+    cc = product(c, c)
+    out = [(point(c, a), lambda _, a=a: a, lambda _, a=a: c.identity(a))
+           for a in c.objects]
+    out.append((tensor_functor(mon),
+                lambda s: mon.tensor(*split_obj(cc, c, c, s)),
+                lambda f: mon.tensor_m(*split_mor(cc, c, c, f))))
+    l2, z2 = load("meet-lattice-2").base, load("z2").base
+    up = l2.mor_id("0<1")
+    mors = {m: z2.mor_id("1" if m == up else "0") for m in l2.morphisms}
+    out.append((FinFunctor("F", l2, z2, {o: 0 for o in l2.objects}, mors),
+                lambda x: 0, mors.__getitem__))
+    return out
+
+
+@pytest.mark.parametrize("loader", ["build", "json"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_companions_match_their_formula(name, loader):
+    # companion(F) = D(F-, -): the fiber at (x, y) is D(Fx, y) in hom order,
+    # and f: x' -> x, g: y -> y' act by F(f);v;g
+    from coendcheck.fixtures import fixture
+    load = build if loader == "build" else fixture
+    for fn, fobj, fmor in _companion_cases(load(name), load):
+        p, src, d = companion(fn), fn.source, fn.target
+        assert p.source is src and p.target is d
+        for x in src.objects:
+            for y in d.objects:
+                assert p.fiber(x, y) == d.hom(fobj(x), y), (name, fn.name, x, y)
+                for v in p.fiber(x, y):
+                    for f in src.morphisms:
+                        if src.cod(f) != x:
+                            continue
+                        for g in d.morphisms:
+                            if d.dom(g) == y:
+                                assert p.act(f, g, v) == d.compose_chain(fmor(f), v, g)
+
+
 def test_cobox_of_a_functor_between_oracles():
     from coendcheck.fincat import FinFunctor
-    from coendcheck.profunctor import cobox_prof
     c, d = build("meet-lattice-2").base, build("z2").base
     fn = FinFunctor("F", c, d, {o: 0 for o in c.objects},
                     {m: d.mor_id("1") if c.dom(m) != c.cod(m) else d.identity(0)
                      for m in c.morphisms})
-    p = cobox_prof(fn)
+    p = conjoint(fn)
     assert p.source is d and p.target is c
     for y in d.objects:
         for x in c.objects:

@@ -325,6 +325,42 @@ def test_functor_adjunction_triangle(fsig):
                    obligations=[(1, 2)])
 
 
+# -- each counit collapses a conjoint and a companion of one functor only ------
+
+
+COUNIT_SCRIPT = """
+(category C) (category D)
+(object A C) (object B C)
+(functor F C D (obj (0 x) (1 x)) (mor (id_0 0) (id_1 0) (0<1 1)))
+(functor H C D (obj (0 x) (1 x)) (mor (id_0 0) (id_1 0) (0<1 0)))
+(shape ports (seq (outport A) (inport B)))
+(shape tensors (seq (fork C) (junction D)))
+(shape boxes (seq (cobox F) (box H)))
+"""
+
+
+@pytest.mark.parametrize("shape,rule,message", [
+    ("ports", "R-EPS-A", "R-EPS-A ports disagree on the object"),
+    ("tensors", "R-EPS-TENSOR", "R-EPS-TENSOR expects fork then junction"),
+    ("boxes", "R-FUNCTOR-ADJ-EPS",
+     "R-FUNCTOR-ADJ-EPS expects cobox then box of one functor"),
+])
+def test_counit_rejects_two_functors(shape, rule, message):
+    sig = parse_shape_script(COUNIT_SCRIPT)
+    env = Env(sig, {"C": build("meet-lattice-2"), "D": build("z2")},
+              objs={"A": 0, "B": 1})
+    with pytest.raises(rewrite.MatchError, match=message):
+        apply_step(sig.shapes[shape], Step(rule, (0,)), sig, env)
+
+
+def test_port_counit_compares_objects_not_symbols():
+    sig = parse_shape_script(COUNIT_SCRIPT)
+    env = Env(sig, {"C": build("meet-lattice-2"), "D": build("z2")},
+              objs={"A": 1, "B": 1})
+    new_t = apply_step(sig.shapes["ports"], Step("R-EPS-A", (0,)), sig, env)[0]
+    assert new_t == Id((Wire("C"),))
+
+
 # -- determinism -----------------------------------------------------------------
 
 
