@@ -9,7 +9,7 @@ from importlib import resources
 from .fixtures import fixture
 from .rewrite import (CheckAborted, Report, _count, check_assignments,
                       load_derivation_script)
-from .shapelang import Env, Evaluator
+from .shapelang import Env
 
 
 def demo_dir():
@@ -24,10 +24,9 @@ def load_scripts(deriv_name):
         lambda ref: (droot / ref).read_text(encoding="utf-8"))
 
 
-def _composite_bijection(report, env, sig, terms, maps, label):
+def _composite_bijection(report, ev, terms, maps, label):
     """Compose the per-step class maps of the main derivation and report
     whether the composite is a bijection at every fiber."""
-    ev = Evaluator(env)
     src = ev.node(terms[0])
     dst = ev.node(terms[-1])
     total = bij = True
@@ -45,7 +44,7 @@ def _composite_bijection(report, env, sig, terms, maps, label):
             n_dst += len(dstf)
             if len(set(image)) != len(image) or set(image) != set(dstf):
                 bij = False
-    desc = env.describe_objs()
+    desc = ev.env.describe_objs()
     tag = "bijection" if bij else "map"
     report.line(f"  composite {tag}: {n_src} -> {n_dst} classes"
                 f"{' for ' + desc if desc else ''} [{label}]")
@@ -59,55 +58,55 @@ def _expect(report, cond, text):
         report.fail("expected: " + text)
 
 
-def _epilogue_lens_reduction(report, env, sig, terms, maps):
+def _epilogue_lens_reduction(report, env, ev, terms, maps):
     c = env.cats["C"]
     mon = env.monoidal("C")
     a, b = env.objs["A"], env.objs["B"]
     x, y = env.objs["X"], env.objs["Y"]
     want = len(c.hom(a, x)) * len(c.hom(mon.tensor(a, y), b))
-    got = _count(Evaluator(env).node(terms[-1]))
-    ok = _composite_bijection(report, env, sig, terms, maps, "view/update pair")
+    got = _count(ev.node(terms[-1]))
+    ok = _composite_bijection(report, ev, terms, maps, "view/update pair")
     _expect(report, ok and got == want,
             f"|pairs| = |C(A,X)|*|C(A(x)Y,B)| = {want} at {env.describe_objs()}")
 
 
-def _epilogue_prism_reduction(report, env, sig, terms, maps):
+def _epilogue_prism_reduction(report, env, ev, terms, maps):
     c = env.cats["C"]
     mon = env.monoidal("C")
     a, b = env.objs["A"], env.objs["B"]
     x, y = env.objs["X"], env.objs["Y"]
     want = len(c.hom(y, b)) * len(c.hom(a, mon.tensor(b, x)))
-    got = _count(Evaluator(env).node(terms[-1]))
-    ok = _composite_bijection(report, env, sig, terms, maps, "match/build pair")
+    got = _count(ev.node(terms[-1]))
+    ok = _composite_bijection(report, ev, terms, maps, "match/build pair")
     _expect(report, ok and got == want,
             f"|pairs| = |C(Y,B)|*|C(A,B(+)X)| = {want} at {env.describe_objs()}")
 
 
-def _epilogue_lens_apply(report, env, sig, terms, maps):
+def _epilogue_lens_apply(report, env, ev, terms, maps):
     c = env.cats["C"]
     a, b = env.objs["A"], env.objs["B"]
-    got = _count(Evaluator(env).node(terms[-1]))
+    got = _count(ev.node(terms[-1]))
     _expect(report, got == len(c.hom(a, b)),
             f"final classes = |C(A,B)| = {len(c.hom(a, b))} at {env.describe_objs()}")
 
 
-def _epilogue_learner_reduction(report, env, sig, terms, maps):
+def _epilogue_learner_reduction(report, env, ev, terms, maps):
     from .optics import learner_triples
     mon = env.monoidal("C")
     a, b = env.objs["A"], env.objs["B"]
     want = learner_triples(mon, a, b).class_count
-    got = _count(Evaluator(env).node(terms[-1]))
-    ok = _composite_bijection(report, env, sig, terms, maps, "triple reduction")
+    got = _count(ev.node(terms[-1]))
+    ok = _composite_bijection(report, ev, terms, maps, "triple reduction")
     _expect(report, ok and got == want,
             f"final classes = |triples| = {want} at {env.describe_objs()}")
 
 
-def _epilogue_feedback(report, env, sig, terms, maps):
+def _epilogue_feedback(report, env, ev, terms, maps):
     from .optics import feedback_set
     mon = env.monoidal("C")
     x, y = env.objs["X"], env.objs["Y"]
     want = feedback_set(mon, x, y).class_count
-    got = _count(Evaluator(env).node(terms[0]))
+    got = _count(ev.node(terms[0]))
     _expect(report, got == want,
             f"feedback classes = {want} at {env.describe_objs()}")
 

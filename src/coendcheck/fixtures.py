@@ -1,8 +1,9 @@
 """Shipped oracle fixtures.
 
-Five validated universes cover the structure matrix: two thin cartesian
+Six validated universes cover the structure matrix: two thin cartesian
 lattices, one thin cocartesian lattice, one non-thin commutative monoid,
-and a non-thin non-cartesian product.  The JSON files under data/fixtures
+a non-thin non-cartesian product, and a discrete category whose tensor is
+not commutative and has no braiding.  The JSON files under data/fixtures
 are generated from the builders here (tools/gen_fixtures.py) and are the
 loadable source of truth for the CLI.
 """
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .fincat import (MonoidalStructure, from_comm_monoid, from_lattice,
-                     load_fixture, product_monoidal)
+from .fincat import (MonoidalStructure, build_category, from_comm_monoid,
+                     from_lattice, load_fixture, product_monoidal)
 
-FIXTURE_NAMES = ("meet-lattice-2", "join-lattice-2", "diamond", "z2", "prod-l2-z2")
+FIXTURE_NAMES = ("meet-lattice-2", "join-lattice-2", "diamond", "z2", "prod-l2-z2",
+                 "right-zero-band")
 
 _CACHE = {}
 
@@ -40,6 +42,14 @@ def build(name) -> MonoidalStructure:
         mon = product_monoidal(build("meet-lattice-2"), build("z2"))
         mon.base.name = name
         return mon
+    if name == "right-zero-band":
+        # objects 1, a, b with xy = y unless y = 1; the identity of object
+        # i is morphism i, so one table tensors objects and morphisms
+        ids = {x: f"id_{x}" for x in "1ab"}
+        cat = build_category(name, list(ids), {(x, x): [f] for x, f in ids.items()},
+                             {(f, f): f for f in ids.values()}, ids)
+        xy = {(i, j): j or i for i in range(3) for j in range(3)}
+        return MonoidalStructure(cat, xy, dict(xy), 0)
     raise KeyError(f"unknown fixture {name!r}")
 
 

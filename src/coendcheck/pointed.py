@@ -12,13 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .profunctor import join_mors, join_objs, render_generic, split_obj
-from .rewrite import RULES, RewriteError, apply_step, build_seq_value, strip_labels
+from .rewrite import (RULES, PointError, RewriteError, apply_step, build_seq_value,
+                      strip_labels)
 from .shapelang import (COMPANION_KINDS, CONJOINT_KINDS, Env, Evaluator, Gen,
                         Id, Par, Seq, Wire, boundary, obj_expr_cat, print_term)
-
-
-class PointError(Exception):
-    pass
 
 
 @dataclass
@@ -112,7 +109,8 @@ def lift_many(steps, d: OpenDiagram, sig, env, ev: Evaluator = None) -> OpenDiag
     return d
 
 
-def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation, sig, env) -> bool:
+def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation, sig, env,
+                ev: Evaluator = None) -> bool:
     """Transport d1's point along an all-iso derivation from d1's shape and
     compare with d2's point.  Equality of open diagrams is only defined
     relative to the supplied deformation."""
@@ -123,10 +121,7 @@ def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation, sig, env) -> bool
         if rule.tag != "iso":
             raise RewriteError(
                 f"deformations must be invertible; {rule.name} is directed")
-    ev = Evaluator(env)
-    d = d1
-    for step in deformation:
-        d = lift(step, d, sig, env, ev)
+    d = lift_many(deformation, d1, sig, env, ev)
     if strip_labels(d.shape) != strip_labels(d2.shape):
         raise PointError(
             "deformation does not reach the target shape: "

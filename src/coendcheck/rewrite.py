@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fincat import FixtureError, opposite_monoidal
-from .profunctor import join_mors, join_objs, split_obj, value_key
+from .fincat import FixtureError, opposite_monoidal, terminal_category
+from .profunctor import (ProfunctorError, dual, join_mors, join_objs, split_obj,
+                         value_key)
 from .shapelang import (Env, EvalError, Evaluator, Gen, Id, Par, Seq,
                         ShapeTypeError, StructureMissing, Wire, boundary,
                         is_plain_id, norm, obj_expr_cat, functor_expr_sig,
@@ -33,6 +34,10 @@ class DirectionError(RewriteError):
 
 class PathError(RewriteError):
     pass
+
+
+class PointError(Exception):
+    """An open diagram's point cannot be built from its assignment."""
 
 
 @dataclass
@@ -69,14 +74,14 @@ class Adapter:
 class SliceOutcome:
     consumed: int
     parts: tuple
-    transform: object          # (vals, fibers, lobj, robj, ev) -> (vals, mids) | Adapter
+    transform: object          # (vals, fibers, lobj, robj) -> (vals, mids) | Adapter
     inverse_inst: dict = field(default_factory=dict)
 
 
 @dataclass
 class NodeOutcome:
     term: object
-    transform: object          # (fiber, value, ev) -> value
+    transform: object          # (fiber, value) -> value
     inverse_inst: dict = field(default_factory=dict)
 
 
@@ -158,6 +163,15 @@ def _slice_wires(sig, seqterm, parts, i):
     return boundary(seqterm, sig)[0]
 
 
+def _unfold(ev, term, fiber, value):
+    """The part values of a sequential composite (or of a lone part) and
+    the objects at the ends of its parts."""
+    if not isinstance(term, Seq):
+        return [value], list(fiber)
+    vals, mids = ev.node(term).unfold(fiber, value)
+    return vals, [fiber[0]] + mids + [fiber[1]]
+
+
 def _seq_level(ev, term, i, outcome: SliceOutcome, sig):
     """Replace parts[i : i+consumed] of a sequential composite."""
     parts = term.parts if isinstance(term, Seq) else (term,)
@@ -174,15 +188,10 @@ def _seq_level(ev, term, i, outcome: SliceOutcome, sig):
     wires_at = _slice_wires(sig, term, parts, i)
 
     def transport(fiber, value):
-        if isinstance(term, Seq):
-            node = ev.node(term)
-            vals, mids = node.unfold(fiber, value)
-            ends = [fiber[0]] + mids + [fiber[1]]
-        else:
-            vals, ends = [value], [fiber[0], fiber[1]]
+        vals, ends = _unfold(ev, term, fiber, value)
         slice_vals = vals[i:j]
         slice_fibers = list(zip(ends[i:j], ends[i + 1:j + 1]))
-        res = outcome.transform(slice_vals, slice_fibers, ends[i], ends[j], ev)
+        res = outcome.transform(slice_vals, slice_fibers, ends[i], ends[j])
         if isinstance(res, Adapter):
             rep_items = [(Id(wires_at), res.mor, ends[i], ends[j])]
         else:
@@ -223,7 +232,7 @@ def rewrite_at(ev: Evaluator, term, path, rule, inst, backward):
         new_child, child_tr, inv = rewrite_at(ev, child, rest, rule, inst, backward)
 
         # express the child replacement through the splice machinery
-        def transform(vals, fibers, lobj, robj, ev2, child_tr=child_tr,
+        def transform(vals, fibers, lobj, robj, child_tr=child_tr,
                       new_child=new_child):
             v = child_tr(fibers[0], vals[0])
             if is_plain_id(new_child):
@@ -286,7 +295,7 @@ def apply_step(term, step: Step, sig, env, ev: Evaluator = None):
 
 class Rule:
     name = "?"
-    tag = "iso"
+    tag = "iso"       # or "directed": no backward use
     site = "slice"
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
@@ -314,92 +323,114 @@ def _part(parts, i, msg="rule site"):
     return parts[i]
 
 
-def _gate_cartesian(ev, catsym, op=False):
+def _monoidal(ev, catsym, op=False, need=None):
     """The oracle's monoidal structure, read in C^op when `op` is set (its
-    cartesian witness is then the cocartesian one of C)."""
+    cartesian witness is then the cocartesian one of C, its braiding the
+    transpose); `need` names a structure it must carry."""
     m = ev.env.monoidal(catsym)
     if op:
         m = opposite_monoidal(m)
-    if m.cartesian is None:
-        raise StructureMissing(
-            f"oracle for {catsym!r} has no {'co' if op else ''}cartesian witness")
+    if need is not None and getattr(m, need) is None:
+        what = "braiding" if need == "braiding" else f"{'co' if op else ''}cartesian witness"
+        raise StructureMissing(f"oracle for {catsym!r} has no {what}")
     return m
 
 
-def _gate_braiding(ev, catsym):
-    m = ev.env.monoidal(catsym)
-    if m.braiding is None:
-        raise StructureMissing(f"oracle for {catsym!r} has no braiding")
-    return m
+# A mirror-image slice rule is its twin read in C^op: P |-> P^op sends
+# Prof(C, D) to Prof(D^op, C^op).  Its body, written once for the direct
+# reading, sees the window reversed, each boundary with its ends swapped,
+# each profunctor as its dual and each monoidal structure as its opposite,
+# and names the twin generators (fork for junction, ...) in that reading;
+# _read_back turns what it returns into an outcome on the window itself.
+
+
+def _window(parts, i, n, op):
+    """The n parts from offset i, reversed in the C^op reading."""
+    w = tuple(_part(parts, i + k) for k in range(n))
+    return w[::-1] if op else w
+
+
+def _ends(t, sig, op):
+    """The (left, right) boundary of t in the reading."""
+    lw, rw = boundary(t, sig)
+    return (rw, lw) if op else (lw, rw)
+
+
+def _prof(ev, t, op):
+    """The profunctor of t in the reading."""
+    p = ev.node(t).prof
+    return dual(p, p.name) if op else p
+
+
+def _is_sym(t):
+    return isinstance(t, Gen) and t.kind == "sym"
+
+
+def _read_back(out: SliceOutcome, parts, i, op):
+    """The outcome of a rule body run on the C^op reading of the window at
+    offset i, as an outcome on the window: parts, values and middle objects
+    reverse, the fiber ends swap, and a braiding's value swaps its two
+    components (sym(a, b) read in C^op is sym(b, a)).  Object and morphism
+    ids are shared with the opposite categories, so values carry over."""
+    if not op:
+        return out
+    tf, old, new = out.transform, parts[i:i + out.consumed][::-1], out.parts
+
+    def swap(terms, vals):
+        return [v[::-1] if _is_sym(t) else v for t, v in zip(terms, vals)]
+
+    def transform(vals, fibers, lobj, robj):
+        res = tf(swap(old, vals[::-1]), [f[::-1] for f in fibers[::-1]], robj, lobj)
+        if isinstance(res, Adapter):
+            return res
+        vals, mids = res
+        return swap(new, vals)[::-1], mids[::-1]
+
+    return SliceOutcome(out.consumed, new[::-1], transform, out.inverse_inst)
 
 
 class YonedaL(Rule):
     """hom ; P  =>  P  (and back): the left unitor."""
     name = "R-YONEDA-L"
-    tag = "iso"
+    op = False    # True: read in C^op, where the identity wire comes second
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
+        op = self.op
         if backward:
             t = _part(parts, i)
-            lw = boundary(t, ev.sig)[0]
+            lw = _ends(t, ev.sig, op)[0]
             label = inst.get("label")
-            new_id = Id(lw, label)
-            _want(label is not None, "backward R-YONEDA-L needs a label "
-                  "(an unlabelled identity would normalize away)")
+            _want(label is not None, f"backward {self.name} needs a label" + (
+                "" if op else " (an unlabelled identity would normalize away)"))
+            cat = ev.env.boundary_cat(lw)
 
-            def tf(vals, fibers, lobj, robj, ev2):
-                cat = ev2.env.boundary_cat(lw)
+            def tf(vals, fibers, lobj, robj):
                 return ([cat.identity(lobj), vals[0]], [lobj])
 
-            return SliceOutcome(1, (new_id, t), tf)
-        idt = _part(parts, i)
-        t = _part(parts, i + 1)
-        _want(isinstance(idt, Id), "R-YONEDA-L expects an identity wire first")
-        _want(boundary(t, ev.sig)[0] == idt.wires, "wire mismatch")
+            return _read_back(SliceOutcome(1, (Id(lw, label), t), tf), parts, i, op)
+        idt, t = _window(parts, i, 2, op)
+        _want(isinstance(idt, Id),
+              f"{self.name} expects an identity wire {'second' if op else 'first'}")
+        _want(_ends(t, ev.sig, op)[0] == idt.wires, "wire mismatch")
 
-        def tf(vals, fibers, lobj, robj, ev2, t=t):
+        def tf(vals, fibers, lobj, robj):
             f, v = vals
-            prof = ev2.node(t).prof
+            prof = _prof(ev, t, op)
             return ([prof.act(f, prof.target.identity(robj), v)], [])
 
-        return SliceOutcome(2, (t,), tf, inverse_inst={"label": idt.label})
+        return _read_back(SliceOutcome(2, (t,), tf, inverse_inst={"label": idt.label}),
+                          parts, i, op)
 
 
-class YonedaR(Rule):
-    """P ; hom  =>  P  (and back): the right unitor."""
+class YonedaR(YonedaL):
+    """P ; hom  =>  P  (and back): the right unitor, R-YONEDA-L in C^op."""
     name = "R-YONEDA-R"
-    tag = "iso"
-
-    def apply_slice(self, ev, parts, i, inst, backward, container):
-        if backward:
-            t = _part(parts, i)
-            rw = boundary(t, ev.sig)[1]
-            label = inst.get("label")
-            _want(label is not None, "backward R-YONEDA-R needs a label")
-            new_id = Id(rw, label)
-
-            def tf(vals, fibers, lobj, robj, ev2):
-                cat = ev2.env.boundary_cat(rw)
-                return ([vals[0], cat.identity(robj)], [robj])
-
-            return SliceOutcome(1, (t, new_id), tf)
-        t = _part(parts, i)
-        idt = _part(parts, i + 1)
-        _want(isinstance(idt, Id), "R-YONEDA-R expects an identity wire second")
-        _want(boundary(t, ev.sig)[1] == idt.wires, "wire mismatch")
-
-        def tf(vals, fibers, lobj, robj, ev2, t=t):
-            v, g = vals
-            prof = ev2.node(t).prof
-            return ([prof.act(prof.source.identity(lobj), g, v)], [])
-
-        return SliceOutcome(2, (t,), tf, inverse_inst={"label": idt.label})
+    op = True
 
 
 class Assoc(Rule):
     """Par re-bracketing: ((a|b)|c) <=> (a|(b|c)); elements re-bracket."""
     name = "R-ASSOC"
-    tag = "iso"
     site = "node"
 
     def apply_node(self, ev, term, inst, backward):
@@ -409,26 +440,26 @@ class Assoc(Rule):
             a, b, c = term.top.top, term.top.bottom, term.bottom
             new_term = norm(Par(a, Par(b, c)))
 
-            def tf(fiber, value, ev2=ev):
-                node = ev2.node(term)
+            def tf(fiber, value):
+                node = ev.node(term)
                 (ft, vt), (fc, vc) = node.split_value(fiber, value)
-                inner = ev2.node(term.top)
+                inner = ev.node(term.top)
                 (fa, va), (fb, vb) = inner.split_value(ft, vt)
-                vbc = par_value(ev2, b, vb, c, vc)
-                return par_value(ev2, a, va, norm(Par(b, c)), vbc)
+                vbc = par_value(ev, b, vb, c, vc)
+                return par_value(ev, a, va, norm(Par(b, c)), vbc)
 
             return NodeOutcome(new_term, tf)
         _want(isinstance(term.bottom, Par), "R-ASSOC backward expects (a|(b|c))")
         a, b, c = term.top, term.bottom.top, term.bottom.bottom
         new_term = norm(Par(Par(a, b), c))
 
-        def tf(fiber, value, ev2=ev):
-            node = ev2.node(term)
+        def tf(fiber, value):
+            node = ev.node(term)
             (fa, va), (fbc, vbc) = node.split_value(fiber, value)
-            inner = ev2.node(term.bottom)
+            inner = ev.node(term.bottom)
             (fb, vb), (fc, vc) = inner.split_value(fbc, vbc)
-            vab = par_value(ev2, a, va, b, vb)
-            return par_value(ev2, norm(Par(a, b)), vab, c, vc)
+            vab = par_value(ev, a, va, b, vb)
+            return par_value(ev, norm(Par(a, b)), vab, c, vc)
 
         return NodeOutcome(new_term, tf)
 
@@ -459,7 +490,6 @@ class Interchange(Rule):
     an empty top leg (the form a unit leg takes after normalization).
     """
     name = "R-INTERCHANGE"
-    tag = "iso"
 
     def _column(self, ev, parts, lo, hi):
         if hi - lo == 1 and isinstance(parts[lo], Par):
@@ -490,27 +520,23 @@ class Interchange(Rule):
             cut1 = len(a.parts) if isinstance(a, Seq) else (0 if is_plain_id(a) else 1)
             cut2 = len(b.parts) if isinstance(b, Seq) else (0 if is_plain_id(b) else 1)
 
-            def column_values(ev2, run, vals, fibers):
+            def column_values(run, vals, fibers):
                 if len(run) == 1 and isinstance(run[0], Par):
-                    node = ev2.node(run[0])
+                    node = ev.node(run[0])
                     return node.split_value(fibers[0], vals[0])
                 # empty top leg: the top value is the unit identity
                 items = [(t, v, f[0], f[1]) for t, v, f in zip(run, vals, fibers)]
-                vb = build_seq_value(ev2, items, (fibers[0][0], fibers[-1][1]))
+                vb = build_seq_value(ev, items, (fibers[0][0], fibers[-1][1]))
                 return ((0, 0), 0), ((fibers[0][0], fibers[-1][1]), vb)
 
-            def tf(vals, fibers, lobj, robj, ev2):
-                (fa, va), (fb, vb) = column_values(ev2, run1,
-                                                   vals[:n1], fibers[:n1])
-                (fc, vc), (fd, vd) = column_values(ev2, run2,
-                                                   vals[n1:], fibers[n1:])
-                v_ac = build_seq_value(ev2, [(a, va, fa[0], fa[1]),
-                                             (c, vc, fc[0], fc[1])],
-                                       (fa[0], fc[1]))
-                v_bd = build_seq_value(ev2, [(b, vb, fb[0], fb[1]),
-                                             (d, vd, fd[0], fd[1])],
-                                       (fb[0], fd[1]))
-                return ([par_value(ev2, ac, v_ac, bd, v_bd)], [])
+            def tf(vals, fibers, lobj, robj):
+                (fa, va), (fb, vb) = column_values(run1, vals[:n1], fibers[:n1])
+                (fc, vc), (fd, vd) = column_values(run2, vals[n1:], fibers[n1:])
+                v_ac = build_seq_value(ev, [(a, va, fa[0], fa[1]),
+                                            (c, vc, fc[0], fc[1])], (fa[0], fc[1]))
+                v_bd = build_seq_value(ev, [(b, vb, fb[0], fb[1]),
+                                            (d, vd, fd[0], fd[1])], (fb[0], fd[1]))
+                return ([par_value(ev, ac, v_ac, bd, v_bd)], [])
 
             return SliceOutcome(n1 + n2, (new_par,), tf,
                                 inverse_inst={"cut1": cut1, "cut2": cut2})
@@ -531,14 +557,14 @@ class Interchange(Rule):
         span2 = len(q2.parts) if isinstance(q2, Seq) else 1
         wa, wb = boundary(a, ev.sig)[1], boundary(b, ev.sig)[1]
 
-        def tf(vals, fibers, lobj, robj, ev2):
-            node = ev2.node(p)
+        def tf(vals, fibers, lobj, robj):
+            node = ev.node(p)
             (ft, vt), (fb_, vb) = node.split_value(fibers[0], vals[0])
-            va, ma, vc = _split_seq_value(ev2, top, cut1, ft, vt)
-            vb2, mb, vd = _split_seq_value(ev2, bottom, cut2, fb_, vb)
-            v1 = par_value(ev2, a, va, b, vb2)
-            v2 = par_value(ev2, c, vc, d, vd)
-            cat = ev2.env.boundary_cat
+            va, ma, vc = _split_seq_value(ev, top, cut1, ft, vt)
+            vb2, mb, vd = _split_seq_value(ev, bottom, cut2, fb_, vb)
+            v1 = par_value(ev, a, va, b, vb2)
+            v2 = par_value(ev, c, vc, d, vd)
+            cat = ev.env.boundary_cat
             mid = join_objs(cat(wa + wb), [(cat(wa), ma), (cat(wb), mb)])
             return ([v1, v2], [mid])
 
@@ -550,12 +576,7 @@ def _split_seq_value(ev, term, cut, fiber, value):
     """Split a composite value at a cut: (left piece value, cut object,
     right piece value); identity pieces carry identity morphisms."""
     parts = term.parts if isinstance(term, Seq) else (term,)
-    if isinstance(term, Seq):
-        node = ev.node(term)
-        vals, mids = node.unfold(fiber, value)
-        ends = [fiber[0]] + mids + [fiber[1]]
-    else:
-        vals, ends = [value], [fiber[0], fiber[1]]
+    vals, ends = _unfold(ev, term, fiber, value)
     mid_obj = ends[cut]
     lw = boundary(term, ev.sig)[0]
     bnd_mid = boundary(parts[cut - 1], ev.sig)[1] if cut > 0 else lw
@@ -573,45 +594,30 @@ def _split_seq_value(ev, term, cut, fiber, value):
 
 
 class PortFuse(Rule):
-    """Two parallel ports into a junction (or out of a fork) fuse to the
-    port of the tensor object."""
+    """Two parallel ports into a junction fuse to the port of the tensor
+    object; in C^op, two parallel ports out of a fork."""
     name = "R-PORT-FUSE"
-    tag = "iso"
+    readings = ((False, ("inport", "junction"), "in"), (True, ("outport", "fork"), "out"))
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
         if backward:
             return self._backward(ev, parts, i, inst)
-        p1 = _part(parts, i)
-        p2 = _part(parts, i + 1)
-        if (isinstance(p1, Par) and isinstance(p1.top, Gen)
-                and p1.top.kind == "inport" and isinstance(p1.bottom, Gen)
-                and p1.bottom.kind == "inport" and isinstance(p2, Gen)
-                and p2.kind == "junction"):
-            ea, eb = p1.top.args[0], p1.bottom.args[0]
-            mon = ev.env.monoidal(p2.args[0])
-            fused = Gen("inport", (("tensor", ea, eb),))
+        for op, (port, gen), side in self.readings:
+            ports, j = _window(parts, i, 2, op)
+            if not (isinstance(ports, Par) and isinstance(j, Gen) and j.kind == gen
+                    and all(isinstance(p, Gen) and p.kind == port
+                            for p in (ports.top, ports.bottom))):
+                continue
+            ea, eb = ports.top.args[0], ports.bottom.args[0]
+            mon = _monoidal(ev, j.args[0], op)
 
-            def tf(vals, fibers, lobj, robj, ev2):
-                (f, g), j = vals
-                c = mon.base
-                return ([c.compose(mon.tensor_m(f, g), j)], [])
+            def tf(vals, fibers, lobj, robj):
+                (f, g), h = vals
+                return ([mon.base.compose(mon.tensor_m(f, g), h)], [])
 
-            return SliceOutcome(2, (fused,), tf,
-                                inverse_inst={"A": ea, "B": eb, "side": "in"})
-        if (isinstance(p1, Gen) and p1.kind == "fork" and isinstance(p2, Par)
-                and isinstance(p2.top, Gen) and p2.top.kind == "outport"
-                and isinstance(p2.bottom, Gen) and p2.bottom.kind == "outport"):
-            ea, eb = p2.top.args[0], p2.bottom.args[0]
-            mon = ev.env.monoidal(p1.args[0])
-            fused = Gen("outport", (("tensor", ea, eb),))
-
-            def tf(vals, fibers, lobj, robj, ev2):
-                h, (f, g) = vals
-                c = mon.base
-                return ([c.compose(h, mon.tensor_m(f, g))], [])
-
-            return SliceOutcome(2, (fused,), tf,
-                                inverse_inst={"A": ea, "B": eb, "side": "out"})
+            out = SliceOutcome(2, (Gen(port, (("tensor", ea, eb),)),), tf,
+                               inverse_inst={"A": ea, "B": eb, "side": side})
+            return _read_back(out, parts, i, op)
         raise MatchError("R-PORT-FUSE expects parallel ports beside a junction "
                          "or fork")
 
@@ -626,33 +632,15 @@ class PortFuse(Rule):
               "backward R-PORT-FUSE expects a port")
         _want(ev.env.resolve_obj(t.args[0]) == mon.tensor(a_id, b_id),
               "port object is not the tensor of the instantiation")
+        op, (port, gen), _ = self.readings[t.kind == "outport"]
         c = mon.base
-        if t.kind == "inport":
-            rep = (Par(Gen("inport", (ea,)), Gen("inport", (eb,))),
-                   Gen("junction", (catsym,)))
+        rep = (Par(Gen(port, (ea,)), Gen(port, (eb,))), Gen(gen, (catsym,)))
+        mid = join_objs(ev.env.boundary_cat((Wire(catsym),) * 2), [(c, a_id), (c, b_id)])
 
-            def tf(vals, fibers, lobj, robj, ev2):
-                h = vals[0]
-                mid = _pack_pair(ev2, catsym, a_id, b_id)
-                return ([(c.identity(a_id), c.identity(b_id)), h], [mid])
+        def tf(vals, fibers, lobj, robj):
+            return ([(c.identity(a_id), c.identity(b_id)), vals[0]], [mid])
 
-            return SliceOutcome(1, rep, tf)
-        rep = (Gen("fork", (catsym,)),
-               Par(Gen("outport", (ea,)), Gen("outport", (eb,))))
-
-        def tf(vals, fibers, lobj, robj, ev2):
-            h = vals[0]
-            mid = _pack_pair(ev2, catsym, a_id, b_id)
-            return ([h, (c.identity(a_id), c.identity(b_id))], [mid])
-
-        return SliceOutcome(1, rep, tf)
-
-
-def _pack_pair(ev, catsym, a, b):
-    w = Wire(catsym)
-    c = ev.env.cats[catsym]
-    cc = ev.env.boundary_cat((w, w))
-    return join_objs(cc, [(c, a), (c, b)])
+        return _read_back(SliceOutcome(1, rep, tf), parts, i, op)
 
 
 class AdjunctionUnit(Rule):
@@ -678,7 +666,7 @@ class AdjunctionUnit(Rule):
         rep = tuple(Gen(kind, (arg,)) for kind in self.kinds)
         fn = ev.env.functor_of(rep[0])
 
-        def tf(vals, fibers, lobj, robj, ev2):
+        def tf(vals, fibers, lobj, robj):
             fx = fn.obj(lobj)
             e = fn.target.identity(fx)
             return ([e, e], [fx])
@@ -704,7 +692,7 @@ class AdjunctionCounit(Rule):
         _want(fn == ev.env.functor_of(p2), self.disagree)
         d = fn.target
 
-        def tf(vals, fibers, lobj, robj, ev2):
+        def tf(vals, fibers, lobj, robj):
             return Adapter(d.compose(*vals))
 
         return SliceOutcome(2, (), tf)
@@ -714,7 +702,6 @@ class CartFork(Rule):
     """fork <=> copy over a cartesian oracle (universal property of the
     product, witnessed by projections and pairing)."""
     name = "R-CART-FORK"
-    tag = "iso"
     site = "node"
     kinds = ("fork", "copy")
     op = False    # True: read in C^op, where a fiber's two-wire end is its left end
@@ -723,7 +710,7 @@ class CartFork(Rule):
         old, new = self.kinds[::-1] if backward else self.kinds
         _want(isinstance(term, Gen) and term.kind == old,
               f"{self.name} {'backward' if backward else 'forward'} expects a {old}")
-        mon = _gate_cartesian(ev, term.args[0], self.op)
+        mon = _monoidal(ev, term.args[0], self.op, "cartesian")
         c, w = mon.base, mon.cartesian
         new_term = Gen(new, term.args, term.label)
         if backward:
@@ -748,7 +735,6 @@ class CocartJunction(CartFork):
 class CartCounit(Rule):
     """outport(I) <=> discard over a cartesian oracle (I terminal)."""
     name = "R-CART-COUNIT"
-    tag = "iso"
     site = "node"
     kinds = ("outport", "unit-out", "discard")
     op = False    # True: read in C^op, where a fiber's wire end is its right end
@@ -758,7 +744,7 @@ class CartCounit(Rule):
         if backward:
             _want(isinstance(term, Gen) and term.kind == gen,
                   f"{self.name} backward expects a {gen}")
-            w = _gate_cartesian(ev, term.args[0], self.op).cartesian
+            w = _monoidal(ev, term.args[0], self.op, "cartesian").cartesian
             end = 1 if self.op else 0
             return NodeOutcome(Gen(unit, term.args, term.label),
                                lambda fiber, value: w.terminal[fiber[end]])
@@ -766,7 +752,7 @@ class CartCounit(Rule):
               f"{self.name} forward expects a unit {port}")
         catsym = (obj_expr_cat(term.args[0], ev.sig) if term.kind == port
                   else term.args[0])
-        mon = _gate_cartesian(ev, catsym, self.op)
+        mon = _monoidal(ev, catsym, self.op, "cartesian")
         _want(ev.env.functor_of(term).obj(0) == mon.unit,
               f"{self.name} needs the unit object")
         return NodeOutcome(Gen(gen, (catsym,), term.label), lambda fiber, value: "*")
@@ -784,45 +770,15 @@ class Sym(Rule):
     """Slide the braiding through junctions, forks and ports; cancel a
     double crossing."""
     name = "R-SYM"
-    tag = "iso"
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
         if backward:
             return self._backward(ev, parts, i, inst, container)
-        p1 = _part(parts, i)
-        p2 = _part(parts, i + 1)
-        # (sym ; junction) => junction, precomposing the braiding
-        if (isinstance(p1, Gen) and p1.kind == "sym" and isinstance(p2, Gen)
-                and p2.kind == "junction"):
-            w1, w2 = p1.args
-            _want(w1 == w2 == Wire(p2.args[0]), "R-SYM wires must match the junction")
-            mon = _gate_braiding(ev, p2.args[0])
-            c = mon.base
-
-            def tf(vals, fibers, lobj, robj, ev2):
-                (u, v), j = vals
-                cc = ev2.env.boundary_cat((w1, w1))
-                m, n = split_obj(cc, c, c, fibers[0][0])
-                return ([c.compose(mon.braid(m, n),
-                                   c.compose(mon.tensor_m(v, u), j))], [])
-
-            return SliceOutcome(2, (p2,), tf, inverse_inst={"config": "junction"})
-        # (fork ; sym) => fork, postcomposing the braiding
-        if (isinstance(p1, Gen) and p1.kind == "fork" and isinstance(p2, Gen)
-                and p2.kind == "sym"):
-            w1, w2 = p2.args
-            _want(w1 == w2 == Wire(p1.args[0]), "R-SYM wires must match the fork")
-            mon = _gate_braiding(ev, p1.args[0])
-            c = mon.base
-
-            def tf(vals, fibers, lobj, robj, ev2):
-                h, (u, v) = vals
-                # u: m->m2 on the first emitted wire, v: n->n2 on the second
-                return ([c.compose(h, c.compose(mon.tensor_m(u, v),
-                                                mon.braid(c.cod(u), c.cod(v))))],
-                        [])
-
-            return SliceOutcome(2, (p1,), tf, inverse_inst={"config": "fork"})
+        for op in (False, True):
+            out = self._slide(ev, parts, i, op)
+            if out is not None:
+                return out
+        p1, p2 = _window(parts, i, 2, False)
         # (par of sources ; sym) => par swapped
         if (isinstance(p1, Par) and isinstance(p2, Gen) and p2.kind == "sym"):
             a, b = p1.top, p1.bottom
@@ -830,14 +786,14 @@ class Sym(Rule):
             _want(la == () and lb == (), "R-SYM port slide needs source legs")
             swapped = norm(Par(b, a))
 
-            def tf(vals, fibers, lobj, robj, ev2):
-                node = ev2.node(_part(parts, i))
+            def tf(vals, fibers, lobj, robj):
+                node = ev.node(_part(parts, i))
                 (fa, va), (fb, vb) = node.split_value(fibers[0], vals[0])
                 (u, v) = vals[1]
-                pa, pb = ev2.node(a).prof, ev2.node(b).prof
+                pa, pb = ev.node(a).prof, ev.node(b).prof
                 va2 = pa.act(pa.source.identity(fa[0]), u, va)
                 vb2 = pb.act(pb.source.identity(fb[0]), v, vb)
-                return ([par_value(ev2, b, vb2, a, va2)], [])
+                return ([par_value(ev, b, vb2, a, va2)], [])
 
             return SliceOutcome(2, (swapped,), tf, inverse_inst={"config": "par"})
         # (sym ; sym) cancels
@@ -846,55 +802,55 @@ class Sym(Rule):
             _want(p1.args == (p2.args[1], p2.args[0]),
                   "R-SYM cancellation needs opposite crossings")
 
-            def tf(vals, fibers, lobj, robj, ev2):
+            def tf(vals, fibers, lobj, robj):
                 (u, v), (v2, u2) = vals
-                c1 = ev2.env.wire_cat(p1.args[0])
-                c2 = ev2.env.wire_cat(p1.args[1])
-                cc = ev2.env.boundary_cat(p1.args)
+                c1 = ev.env.wire_cat(p1.args[0])
+                c2 = ev.env.wire_cat(p1.args[1])
+                cc = ev.env.boundary_cat(p1.args)
                 return Adapter(join_mors(cc, [(c1, c1.compose(u, u2)),
                                               (c2, c2.compose(v, v2))]))
 
             return SliceOutcome(2, (), tf, inverse_inst={"config": "cancel"})
         raise MatchError("R-SYM does not match this site")
 
+    def _slide(self, ev, parts, i, op, backward=False):
+        """(sym ; junction) <=> junction, precomposing the braiding; in C^op,
+        (fork ; sym) <=> fork, postcomposing it.  None if the site is neither."""
+        gen = "fork" if op else "junction"
+        if backward:
+            p = _part(parts, i)
+            _want(isinstance(p, Gen) and p.kind == gen,
+                  f"backward R-SYM ({gen}) expects a {gen}")
+        else:
+            s, p = _window(parts, i, 2, op)
+            if not (_is_sym(s) and isinstance(p, Gen) and p.kind == gen):
+                return None
+            _want(s.args[0] == s.args[1] == Wire(p.args[0]),
+                  f"R-SYM wires must match the {gen}")
+        mon = _monoidal(ev, p.args[0], op, "braiding")
+        c, w = mon.base, Wire(p.args[0])
+        cc = ev.env.boundary_cat((w, w))
+        if backward:
+            def tf(vals, fibers, lobj, robj):
+                m, n = split_obj(cc, c, c, lobj)
+                return ([(c.identity(m), c.identity(n)),
+                         c.compose(mon.braid(n, m), vals[0])],
+                        [join_objs(cc, [(c, n), (c, m)])])
+
+            return _read_back(SliceOutcome(1, (Gen("sym", (w, w)), p), tf), parts, i, op)
+
+        def tf(vals, fibers, lobj, robj):
+            (u, v), j = vals
+            m, n = split_obj(cc, c, c, fibers[0][0])
+            return ([c.compose(mon.braid(m, n), c.compose(mon.tensor_m(v, u), j))], [])
+
+        return _read_back(SliceOutcome(2, (p,), tf, inverse_inst={"config": gen}),
+                          parts, i, op)
+
     def _backward(self, ev, parts, i, inst, container):
         config = inst.get("config")
-        if config == "junction":
-            p = _part(parts, i)
-            _want(isinstance(p, Gen) and p.kind == "junction",
-                  "backward R-SYM (junction) expects a junction")
-            mon = _gate_braiding(ev, p.args[0])
-            c = mon.base
-            w = Wire(p.args[0])
-            rep = (Gen("sym", (w, w)), p)
-
-            def tf(vals, fibers, lobj, robj, ev2):
-                j = vals[0]
-                cc = ev2.env.boundary_cat((w, w))
-                m, n = split_obj(cc, c, c, lobj)
-                mid = join_objs(cc, [(c, n), (c, m)])
-                return ([(c.identity(m), c.identity(n)),
-                         c.compose(mon.braid(n, m), j)], [mid])
-
-            return SliceOutcome(1, rep, tf)
-        if config == "fork":
-            p = _part(parts, i)
-            _want(isinstance(p, Gen) and p.kind == "fork",
-                  "backward R-SYM (fork) expects a fork")
-            mon = _gate_braiding(ev, p.args[0])
-            c = mon.base
-            w = Wire(p.args[0])
-            rep = (p, Gen("sym", (w, w)))
-
-            def tf(vals, fibers, lobj, robj, ev2):
-                h = vals[0]
-                cc = ev2.env.boundary_cat((w, w))
-                m, n = split_obj(cc, c, c, robj)
-                mid = join_objs(cc, [(c, n), (c, m)])
-                return ([c.compose(h, mon.braid(m, n)),
-                         (c.identity(n), c.identity(m))], [mid])
-
-            return SliceOutcome(1, rep, tf)
+        if config in ("junction", "fork"):
+            return self._slide(ev, parts, i, config == "fork", backward=True)
         if config == "par":
             p = _part(parts, i)
             _want(isinstance(p, Par), "backward R-SYM (par) expects a par")
@@ -904,14 +860,14 @@ class Sym(Rule):
             _want(len(wa) == 1 and len(wb) == 1, "one output wire per leg")
             rep = (norm(Par(a, b)), Gen("sym", (wa[0], wb[0])))
 
-            def tf(vals, fibers, lobj, robj, ev2):
-                node = ev2.node(p)
+            def tf(vals, fibers, lobj, robj):
+                node = ev.node(p)
                 (fb, vb), (fa, va) = node.split_value(fibers[0], vals[0])
-                ca = ev2.env.wire_cat(wa[0])
-                cb = ev2.env.wire_cat(wb[0])
-                cc = ev2.env.boundary_cat((wa[0], wb[0]))
+                ca = ev.env.wire_cat(wa[0])
+                cb = ev.env.wire_cat(wb[0])
+                cc = ev.env.boundary_cat((wa[0], wb[0]))
                 mid = join_objs(cc, [(ca, fa[1]), (cb, fb[1])])
-                return ([par_value(ev2, a, va, b, vb),
+                return ([par_value(ev, a, va, b, vb),
                          (ca.identity(fa[1]), cb.identity(fb[1]))], [mid])
 
             return SliceOutcome(1, rep, tf)
@@ -921,10 +877,10 @@ class Sym(Rule):
             w1, w2 = wires
             rep = (Gen("sym", (w1, w2)), Gen("sym", (w2, w1)))
 
-            def tf(vals, fibers, lobj, robj, ev2):
-                c1, c2 = ev2.env.wire_cat(w1), ev2.env.wire_cat(w2)
-                cc = ev2.env.boundary_cat((w1, w2))
-                ccs = ev2.env.boundary_cat((w2, w1))
+            def tf(vals, fibers, lobj, robj):
+                c1, c2 = ev.env.wire_cat(w1), ev.env.wire_cat(w2)
+                cc = ev.env.boundary_cat((w1, w2))
+                ccs = ev.env.boundary_cat((w2, w1))
                 x, y = split_obj(cc, c1, c2, lobj)
                 mid = join_objs(ccs, [(c2, y), (c1, x)])
                 return ([(c1.identity(x), c2.identity(y)),
@@ -938,165 +894,114 @@ class LaxCopy(Rule):
     """A pointwise source is laxly copied through the canonical copy."""
     name = "R-LAX-COPY"
     tag = "directed"
+    kinds = ("copy",)
+    op = False    # True: read in C^op, a sink merged through the canonical merge
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
-        t = _part(parts, i)
-        p2 = _part(parts, i + 1)
-        _want(isinstance(p2, Gen) and p2.kind == "copy",
-              "R-LAX-COPY expects a copy second")
-        lb, rb = boundary(t, ev.sig)
-        _want(lb == () and len(rb) == 1, "R-LAX-COPY needs a one-wire source leg")
-        rep = norm(Par(t, t))
+        op, (gen,) = self.op, self.kinds
+        t, g = _window(parts, i, 2, op)
+        _want(isinstance(g, Gen) and g.kind == gen,
+              f"{self.name} expects a {gen} {'first' if op else 'second'}")
+        lb, rb = _ends(t, ev.sig, op)
+        _want(lb == () and len(rb) == 1,
+              f"{self.name} needs a one-wire {'sink' if op else 'source'} leg")
 
-        def tf(vals, fibers, lobj, robj, ev2):
+        def tf(vals, fibers, lobj, robj):
             v, (f1, f2) = vals
-            prof = ev2.node(t).prof
+            prof = _prof(ev, t, op)
             z = prof.source.identity(0)
             return ([(prof.act(z, f1, v), prof.act(z, f2, v))], [])
 
-        return SliceOutcome(2, (rep,), tf)
+        return _read_back(SliceOutcome(2, (norm(Par(t, t)),), tf), parts, i, op)
 
 
-class LaxMerge(Rule):
-    """Dual lax structure: a pointwise sink is laxly merged."""
+class LaxMerge(LaxCopy):
+    """Dual lax structure: a pointwise sink is laxly merged, R-LAX-COPY in
+    C^op."""
     name = "R-LAX-MERGE"
-    tag = "directed"
-
-    def apply_slice(self, ev, parts, i, inst, backward, container):
-        p1 = _part(parts, i)
-        t = _part(parts, i + 1)
-        _want(isinstance(p1, Gen) and p1.kind == "merge",
-              "R-LAX-MERGE expects a merge first")
-        lb, rb = boundary(t, ev.sig)
-        _want(rb == () and len(lb) == 1, "R-LAX-MERGE needs a one-wire sink leg")
-        rep = norm(Par(t, t))
-
-        def tf(vals, fibers, lobj, robj, ev2):
-            (f1, f2), v = vals
-            prof = ev2.node(t).prof
-            z = prof.target.identity(0)
-            return ([(prof.act(f1, z, v), prof.act(f2, z, v))], [])
-
-        return SliceOutcome(2, (rep,), tf)
+    kinds = ("merge",)
+    op = True
 
 
 class LaxDiscard(Rule):
-    """A pointwise source or sink is discarded."""
+    """A pointwise source is discarded; in C^op, a sink codiscarded."""
     name = "R-LAX-DISCARD"
     tag = "directed"
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
-        p1 = _part(parts, i)
-        p2 = _part(parts, i + 1)
-        if (isinstance(p2, Gen) and p2.kind == "discard"
-                and boundary(p1, ev.sig)[0] == ()):
-            pass
-        elif (isinstance(p1, Gen) and p1.kind == "codiscard"
-              and boundary(p2, ev.sig)[1] == ()):
-            pass
-        else:
-            raise MatchError("R-LAX-DISCARD expects a source into a discard "
-                             "or a codiscard into a sink")
-
-        def tf(vals, fibers, lobj, robj, ev2):
-            from .fincat import terminal_category
-            return Adapter(terminal_category().identity(0))
-
-        return SliceOutcome(2, (), tf)
+        for op, gen in ((False, "discard"), (True, "codiscard")):
+            t, g = _window(parts, i, 2, op)
+            if isinstance(g, Gen) and g.kind == gen and _ends(t, ev.sig, op)[0] == ():
+                return SliceOutcome(
+                    2, (), lambda *_: Adapter(terminal_category().identity(0)))
+        raise MatchError("R-LAX-DISCARD expects a source into a discard "
+                         "or a codiscard into a sink")
 
 
 class ZigzagCup(Rule):
     """The snake on a forward wire: (id | cap) ; (cup | id) collapses."""
     name = "R-ZIGZAG-CUP"
-    tag = "iso"
+    kinds = ("cap", "cup")
+    op = False    # True: read in C^op, where the snake's wire is a dual one
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
+        op, (k1, k2) = self.op, self.kinds
         if backward:
             wires = _slice_wires(ev.sig, container, parts, i)
-            _want(len(wires) == 1 and not wires[0].op,
-                  "backward R-ZIGZAG-CUP needs a single forward wire")
-            catsym = wires[0].cat
-            w = Wire(catsym)
-            rep = (Par(Id((w,)), Gen("cap", (catsym,))),
-                   Par(Gen("cup", (catsym,)), Id((w,))))
+            _want(len(wires) == 1 and wires[0].op == op,
+                  f"backward {self.name} needs a single "
+                  f"{'dual' if op else 'forward'} wire")
+            (w,), catsym = wires, wires[0].cat
+            rep = (Par(Id((w,)), Gen(k1, (catsym,))),
+                   Par(Gen(k2, (catsym,)), Id((w,))))
+            c, mid_cat = ev.env.cats[catsym], ev.env.boundary_cat((w, w.flip(), w))
+            cw, cf = ev.env.wire_cat(w), ev.env.wire_cat(w.flip())
 
-            def tf(vals, fibers, lobj, robj, ev2):
-                c = ev2.env.cats[catsym]
-                fwd_c, op_c = ev2.env.wire_cat(w), ev2.env.wire_cat(w.flip())
-                mid = join_objs(ev2.env.boundary_cat((w, w.flip(), w)),
-                                [(fwd_c, lobj), (op_c, lobj), (fwd_c, lobj)])
+            def tf(vals, fibers, lobj, robj):
+                mid = join_objs(mid_cat, [(cw, lobj), (cf, lobj), (cw, lobj)])
                 e = c.identity(lobj)
                 return ([(e, e), (e, e)], [mid])
 
-            return SliceOutcome(0, rep, tf)
-        p1, p2 = _part(parts, i), _part(parts, i + 1)
-        _want(isinstance(p1, Par) and is_plain_id(p1.top)
-              and len(p1.top.wires) == 1 and not p1.top.wires[0].op
-              and isinstance(p1.bottom, Gen) and p1.bottom.kind == "cap",
-              "R-ZIGZAG-CUP expects (id | cap) first")
-        _want(isinstance(p2, Par) and isinstance(p2.top, Gen)
-              and p2.top.kind == "cup" and is_plain_id(p2.bottom),
-              "R-ZIGZAG-CUP expects (cup | id) second")
-        catsym = p1.bottom.args[0]
-        _want(p1.top.wires[0].cat == catsym == p2.top.args[0],
-              "R-ZIGZAG-CUP wires must agree")
+            return _read_back(SliceOutcome(0, rep, tf), parts, i, op)
+        q1, q2 = _window(parts, i, 2, op)
+
+        def column(q, kind, gen_below):
+            """q is (id | kind), or (kind | id), on one wire of the reading."""
+            if not isinstance(q, Par):
+                return False
+            idt, g = (q.top, q.bottom) if gen_below else (q.bottom, q.top)
+            return (is_plain_id(idt) and len(idt.wires) == 1 and idt.wires[0].op == op
+                    and isinstance(g, Gen) and g.kind == kind)
+
+        found = [(column(q1, k1, True), f"(id | {k1})"),
+                 (column(q2, k2, False), f"({k2} | id)")]
+        for (ok, pattern), place in zip(found[::-1] if op else found,
+                                        ("first", "second")):
+            _want(ok, f"{self.name} expects {pattern} {place}")
+        catsym = q1.bottom.args[0]
+        _want(q1.top.wires[0].cat == catsym == q2.top.args[0],
+              f"{self.name} wires must agree")
+        # in either reading the snake's wire is a forward one, over C
         c = ev.env.cats[catsym]
 
-        def tf(vals, fibers, lobj, robj, ev2):
+        def tf(vals, fibers, lobj, robj):
             (f, cel), (uel, v) = vals
             return Adapter(c.compose_chain(f, uel, cel, v))
 
-        return SliceOutcome(2, (), tf, inverse_inst={})
+        return _read_back(SliceOutcome(2, (), tf, inverse_inst={}), parts, i, op)
 
 
-class ZigzagCap(Rule):
-    """The snake on a dual wire: (cap | id) ; (id | cup) collapses."""
+class ZigzagCap(ZigzagCup):
+    """The snake on a dual wire: (cap | id) ; (id | cup) collapses,
+    R-ZIGZAG-CUP in C^op."""
     name = "R-ZIGZAG-CAP"
-    tag = "iso"
-
-    def apply_slice(self, ev, parts, i, inst, backward, container):
-        if backward:
-            wires = _slice_wires(ev.sig, container, parts, i)
-            _want(len(wires) == 1 and wires[0].op,
-                  "backward R-ZIGZAG-CAP needs a single dual wire")
-            catsym = wires[0].cat
-            w = Wire(catsym, True)
-            rep = (Par(Gen("cap", (catsym,)), Id((w,))),
-                   Par(Id((w,)), Gen("cup", (catsym,))))
-
-            def tf(vals, fibers, lobj, robj, ev2):
-                c = ev2.env.cats[catsym]
-                w1, w2 = ev2.env.wire_cat(w), ev2.env.wire_cat(w.flip())
-                mid = join_objs(ev2.env.boundary_cat((w, w.flip(), w)),
-                                [(w1, lobj), (w2, lobj), (w1, lobj)])
-                e = c.identity(lobj)
-                return ([(e, e), (e, e)], [mid])
-
-            return SliceOutcome(0, rep, tf)
-        p1, p2 = _part(parts, i), _part(parts, i + 1)
-        _want(isinstance(p1, Par) and isinstance(p1.top, Gen)
-              and p1.top.kind == "cap" and is_plain_id(p1.bottom)
-              and len(p1.bottom.wires) == 1 and p1.bottom.wires[0].op,
-              "R-ZIGZAG-CAP expects (cap | id) first")
-        _want(isinstance(p2, Par) and is_plain_id(p2.top)
-              and isinstance(p2.bottom, Gen) and p2.bottom.kind == "cup",
-              "R-ZIGZAG-CAP expects (id | cup) second")
-        catsym = p1.top.args[0]
-        c = ev.env.cats[catsym]
-
-        def tf(vals, fibers, lobj, robj, ev2):
-            (cel, f), (g, uel) = vals
-            # all values are base-category morphisms; the op-wire composite
-            # reads right to left in the base
-            return Adapter(c.compose_chain(g, cel, uel, f))
-
-        return SliceOutcome(2, (), tf, inverse_inst={})
+    kinds = ("cup", "cap")
+    op = True
 
 
 class FunctorFuse(Rule):
     """Consecutive functor boxes fuse to the composite functor."""
     name = "R-FUNCTOR-FUSE"
-    tag = "iso"
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
         if backward:
@@ -1114,7 +1019,7 @@ class FunctorFuse(Rule):
             d = fnF.target
             rep = (Gen("box", (ef,)), Gen("box", (eg,)))
 
-            def tf(vals, fibers, lobj, robj, ev2):
+            def tf(vals, fibers, lobj, robj):
                 w = vals[0]
                 fx = fnF.obj(fibers[0][0])
                 return ([d.identity(fx), w], [fx])
@@ -1131,7 +1036,7 @@ class FunctorFuse(Rule):
         e = fnG.target
         fused = Gen("box", (("fcomp", p1.args[0], p2.args[0]),))
 
-        def tf(vals, fibers, lobj, robj, ev2):
+        def tf(vals, fibers, lobj, robj):
             u, v = vals
             return ([e.compose(fnG.mor(u), v)], [])
 
@@ -1261,6 +1166,9 @@ def _count(node):
 
 # a step the oracle or the instantiation cannot support fails; it is no crash
 STEP_ERRORS = (RewriteError, StructureMissing, ShapeTypeError, FixtureError, EvalError)
+# nor is a transport, point or assertion that fails with one of these; any
+# other exception is an internal error, never a failed proof
+CHECK_ERRORS = STEP_ERRORS + (ProfunctorError, PointError)
 
 
 def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
@@ -1282,7 +1190,7 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
             for m in members:
                 try:
                     images.add(transport(fiber, m))
-                except Exception as e:
+                except CHECK_ERRORS as e:
                     report.fail(f"step {idx} {step.rule}: action failed on a "
                                 f"representative at fiber {fiber}: {e}")
                     return None
@@ -1347,13 +1255,15 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
     return new_term, fwd
 
 
-def check_derivation_once(deriv: Derivation, sig, env, report: Report):
+def check_derivation_once(deriv: Derivation, sig, env, report: Report,
+                          ev: Evaluator = None):
     """Run all steps and obligations of one derivation under one full
-    object assignment.  Returns (terms, per-step class maps) or None."""
+    object assignment, evaluating with `ev` (a fresh evaluator of env if
+    none is given).  Returns (terms, per-step class maps) or None."""
     if deriv.shape not in sig.shapes:
         report.fail(f"unknown shape {deriv.shape!r}")
         return None
-    ev = Evaluator(env)
+    ev = ev or Evaluator(env)
     term = sig.shapes[deriv.shape]
     try:
         boundary(term, sig)
@@ -1415,18 +1325,20 @@ def script_object_symbols(script: DerivationScript, sig):
 def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
                       epilogue=None):
     """Check every derivation of the script over every assignment of the
-    free object symbols, then the point assertions.  `epilogue(report, env,
-    sig, terms, maps)` runs after each main derivation that checks."""
+    free object symbols, then the point assertions, with one evaluator per
+    assignment.  `epilogue(report, env, ev, terms, maps)` runs after each
+    main derivation that checks, with the assignment and its evaluator."""
     derivs = list(script.named.items()) + ([("main", script.main)] if script.main else [])
     for env_a in env.assignments(only=script_object_symbols(script, sig)):
         desc = env_a.describe_objs()
         report.line(f"assignment: {desc}" if desc else "assignment: (none)")
+        ev = Evaluator(env_a)
         for name, deriv in derivs:
             report.line(f" derivation {name} from {deriv.shape}:")
-            out = check_derivation_once(deriv, sig, env_a, report)
+            out = check_derivation_once(deriv, sig, env_a, report, ev)
             if out is not None and name == "main" and epilogue:
-                epilogue(report, env_a, sig, *out)
-        _check_points(script, sig, env_a, report)
+                epilogue(report, env_a, ev, *out)
+        _check_points(script, sig, ev, report)
 
 
 def check_derivation(script: DerivationScript, sig, env: Env,
@@ -1440,16 +1352,16 @@ def check_derivation(script: DerivationScript, sig, env: Env,
     return report.finish()
 
 
-def _check_points(script, sig, env, report):
+def _check_points(script, sig, ev, report):
     if not script.points and not script.asserts:
         return
     from . import pointed
     diagrams = {}
     for decl in script.points:
         try:
-            d = pointed.OpenDiagram.from_names(sig, env, sig.shapes[decl.shape],
-                                               decl.assignment)
-        except Exception as e:
+            d = pointed.OpenDiagram.from_names(sig, ev.env, sig.shapes[decl.shape],
+                                               decl.assignment, ev)
+        except CHECK_ERRORS as e:
             report.fail(f"point {decl.name}: {e}")
             continue
         diagrams[decl.name] = d
@@ -1467,8 +1379,8 @@ def _check_points(script, sig, env, report):
                 continue
             deformation = script.named[a.via].steps
         try:
-            eq = pointed.equal_up_to(d1, d2, deformation, sig, env)
-        except Exception as e:
+            eq = pointed.equal_up_to(d1, d2, deformation, sig, ev.env, ev)
+        except CHECK_ERRORS as e:
             report.fail(f"assert-equal {a.left} {a.right}: {e}")
             continue
         if eq:

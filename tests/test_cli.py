@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coendcheck import cli
+from coendcheck import cli, pointed, profunctor, rewrite
 from coendcheck.cli import main
 from coendcheck.demos import demo_dir
 from coendcheck.fixtures import bad_fixture_names, bad_fixture_path, fixture_path
@@ -200,6 +200,36 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert code == cli.EXIT_INTERNAL == 3
     assert out == ""
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def _crash(*args, **kwargs):
+    raise RuntimeError("injected")
+
+
+def _crash_transports(monkeypatch):
+    real = rewrite.apply_step
+
+    def apply_step(*args, **kwargs):
+        new_term, _, inv = real(*args, **kwargs)
+        return new_term, _crash, inv
+    monkeypatch.setattr(rewrite, "apply_step", apply_step)
+
+
+@pytest.mark.parametrize("fault", [
+    _crash_transports,
+    lambda mp: mp.setattr(profunctor.CoendSet, "rep", _crash),
+    lambda mp: mp.setattr(pointed, "_leaf_value", _crash),
+], ids=["transport", "coend-rep", "leaf-value"])
+@pytest.mark.parametrize("argv", [
+    ("check", demo_path("points.deriv"), "--bind", f"C={fixture_path('z2')}"),
+    ("demo", "points"),
+], ids=["check", "demo"])
+def test_internal_crash_is_not_a_failed_proof(capsys, monkeypatch, fault, argv):
+    # a bug inside a transport, a coend quotient or the point builder must
+    # reach the internal-error exit, not read as a failed step or point
+    fault(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: injected\n")
 
 
 def _step_script(tmp_path, shapes, shape, step):

@@ -574,3 +574,147 @@ def test_node_rule_messages(rule, backward, shape, oracle, a, message):
     with pytest.raises(error) as info:
         apply_step(s2.shapes[shape], Step(rule, (), backward), s2, env)
     assert str(info.value) == message
+
+
+# -- mirror sides no shipped script reaches ---------------------------------------
+# R-YONEDA-R, R-SYM's fork configuration and R-LAX-DISCARD's codiscard branch,
+# each pinned by its element map and a round trip over five oracles.
+
+MIRROR_SCRIPT = """
+(category C)
+(object A C)
+(shape port (inport A))
+(shape port-hom (seq (inport A) (id C @w)))
+(shape port-fork (seq (inport A) (fork C)))
+(shape fork-sym (seq (inport A) (fork C) (sym C C)))
+(shape codiscard-port (seq (codiscard C) (outport A)))
+"""
+
+MIRROR_ORACLES = ("z2", "meet-lattice-2", "join-lattice-2", "prod-l2-z2", "diamond")
+
+
+def _mirror_envs():
+    sig = parse_shape_script(MIRROR_SCRIPT)
+    for name in MIRROR_ORACLES:
+        yield sig, name, Env(sig, {"C": build(name)})
+
+
+def _element_map(sig, env, shape, step):
+    """(source node, target node, transport) of one step on a shape."""
+    t = sig.shapes[shape]
+    new_t, tr, _ = apply_step(t, step, sig, env)
+    ev = Evaluator(env)
+    return ev.node(t), ev.node(new_t), tr
+
+
+def _reps(node):
+    prof = node.prof
+    for a in prof.source.objects:
+        for b in prof.target.objects:
+            for rep in prof.fiber(a, b):
+                yield (a, b), rep
+
+
+def test_yoneda_right_element_map():
+    # (u, g) at the hom wire maps to u;g
+    for sig, name, env in _mirror_envs():
+        for env_a in env.assignments():
+            c = env_a.cats["C"]
+            src, dst, tr = _element_map(sig, env_a, "port-hom",
+                                        Step("R-YONEDA-R", (0,)))
+            assert dst.term == Gen("inport", ("A",))
+            for fiber, (m, u, g) in _reps(src):
+                assert tr(fiber, (m, u, g)) == c.compose(u, g), name
+
+
+def test_yoneda_right_round_trips():
+    back = Step("R-YONEDA-R", (0,), backward=True, inst={"label": "w"})
+    for sig, name, env in _mirror_envs():
+        run_derivation(sig, env, "port-hom", [Step("R-YONEDA-R", (0,)), back],
+                       obligations=[(1, 2)])
+        run_derivation(sig, env, "port", [back, Step("R-YONEDA-R", (0,))],
+                       obligations=[(1, 2)])
+    with pytest.raises(rewrite.MatchError, match="backward R-YONEDA-R needs a label"):
+        apply_step(sig.shapes["port"], Step("R-YONEDA-R", (0,), backward=True),
+                   sig, env)
+
+
+def test_sym_fork_element_map():
+    # (h, (u, v)) slides to h ; (u (x) v) ; braid
+    for sig, name, env in _mirror_envs():
+        for env_a in env.assignments():
+            mon = env_a.monoidal("C")
+            c = mon.base
+            src, dst, tr = _element_map(sig, env_a, "fork-sym", Step("R-SYM", (1,)))
+            assert strip_labels(dst.term) == sig.shapes["port-fork"]
+            for (a, b), (m2, (m1, i, h), (u, v)) in _reps(src):
+                slid = c.compose(h, c.compose(mon.tensor_m(u, v),
+                                              mon.braid(c.cod(u), c.cod(v))))
+                assert tr((a, b), (m2, (m1, i, h), (u, v))) == \
+                    dst.prof.classify(a, b, m1, i, slid), name
+
+
+def test_sym_fork_round_trips():
+    back = Step("R-SYM", (1,), backward=True, inst={"config": "fork"})
+    for sig, name, env in _mirror_envs():
+        run_derivation(sig, env, "fork-sym", [Step("R-SYM", (1,)), back],
+                       obligations=[(1, 2)])
+        run_derivation(sig, env, "port-fork", [back, Step("R-SYM", (1,))],
+                       obligations=[(1, 2)])
+    with pytest.raises(rewrite.MatchError,
+                       match=r"backward R-SYM \(fork\) expects a fork"):
+        apply_step(sig.shapes["fork-sym"],
+                   Step("R-SYM", (0,), backward=True, inst={"config": "fork"}),
+                   sig, env)
+
+
+def test_lax_codiscard():
+    # directed, so no backward step: every element goes to the one point
+    for sig, name, env in _mirror_envs():
+        run_derivation(sig, env, "codiscard-port", [Step("R-LAX-DISCARD", (0,))])
+        for env_a in env.assignments():
+            src, dst, tr = _element_map(sig, env_a, "codiscard-port",
+                                        Step("R-LAX-DISCARD", (0,)))
+            assert dst.term == Id(())
+            assert [tr(f, rep) for f, rep in _reps(src)] == [0], name
+    with pytest.raises(rewrite.MatchError, match="R-LAX-DISCARD expects"):
+        apply_step(sig.shapes["port-fork"], Step("R-LAX-DISCARD", (0,)), sig, env)
+
+
+# -- a tensor that is not commutative ------------------------------------------------
+
+BAND_SCRIPT = """
+(category C)
+(object A C) (object B C) (object Y C)
+(shape fuse-in (seq (par (inport A) (inport B)) (junction C) (outport Y)))
+(shape fuse-out (seq (inport Y) (fork C) (par (outport A) (outport B))))
+(shape sym-junction (seq (par (inport A) (inport B)) (sym C C) (junction C)))
+"""
+
+
+def test_band_tensor_is_not_commutative():
+    mon = build("right-zero-band")
+    a, b = mon.base.obj_id("a"), mon.base.obj_id("b")
+    assert (mon.tensor(a, b), mon.tensor(b, a)) == (b, a)
+    assert mon.braiding is None and mon.cartesian is None
+
+
+@pytest.mark.parametrize("shape, path", [("fuse-in", (0,)), ("fuse-out", (1,))])
+def test_port_fuse_keeps_argument_order(shape, path):
+    # the fused port is A (x) B; read B (x) A, the images leave their fibers
+    sig = parse_shape_script(BAND_SCRIPT)
+    env = Env(sig, {"C": build("right-zero-band")})
+    report = run_derivation(sig, env, shape, [Step("R-PORT-FUSE", path)])
+    assert report.text().count("step 1 R-PORT-FUSE ok") == 27
+
+
+def test_sym_refuses_an_unbraided_oracle():
+    sig = parse_shape_script(BAND_SCRIPT)
+    env = Env(sig, {"C": build("right-zero-band")}, objs={"A": 1, "B": 2, "Y": 2})
+    for t, step in [("sym-junction", Step("R-SYM", (1,))),
+                    ("fuse-in", Step("R-SYM", (1,), backward=True,
+                                     inst={"config": "junction"})),
+                    ("fuse-out", Step("R-SYM", (1,), backward=True,
+                                      inst={"config": "fork"}))]:
+        with pytest.raises(StructureMissing, match="'C' has no braiding"):
+            apply_step(sig.shapes[t], step, sig, env)
