@@ -58,7 +58,8 @@ def _expect(report, cond, text):
         report.fail("expected: " + text)
 
 
-def _epilogue_lens_reduction(report, env, ev, terms, maps):
+def _epilogue_lens_reduction(report, ev, terms, maps):
+    env = ev.env
     c = env.cats["C"]
     mon = env.monoidal("C")
     a, b = env.objs["A"], env.objs["B"]
@@ -70,7 +71,8 @@ def _epilogue_lens_reduction(report, env, ev, terms, maps):
             f"|pairs| = |C(A,X)|*|C(A(x)Y,B)| = {want} at {env.describe_objs()}")
 
 
-def _epilogue_prism_reduction(report, env, ev, terms, maps):
+def _epilogue_prism_reduction(report, ev, terms, maps):
+    env = ev.env
     c = env.cats["C"]
     mon = env.monoidal("C")
     a, b = env.objs["A"], env.objs["B"]
@@ -82,7 +84,8 @@ def _epilogue_prism_reduction(report, env, ev, terms, maps):
             f"|pairs| = |C(Y,B)|*|C(A,B(+)X)| = {want} at {env.describe_objs()}")
 
 
-def _epilogue_lens_apply(report, env, ev, terms, maps):
+def _epilogue_lens_apply(report, ev, terms, maps):
+    env = ev.env
     c = env.cats["C"]
     a, b = env.objs["A"], env.objs["B"]
     got = _count(ev.node(terms[-1]))
@@ -90,8 +93,9 @@ def _epilogue_lens_apply(report, env, ev, terms, maps):
             f"final classes = |C(A,B)| = {len(c.hom(a, b))} at {env.describe_objs()}")
 
 
-def _epilogue_learner_reduction(report, env, ev, terms, maps):
+def _epilogue_learner_reduction(report, ev, terms, maps):
     from .optics import learner_triples
+    env = ev.env
     mon = env.monoidal("C")
     a, b = env.objs["A"], env.objs["B"]
     want = learner_triples(mon, a, b).class_count
@@ -101,8 +105,9 @@ def _epilogue_learner_reduction(report, env, ev, terms, maps):
             f"final classes = |triples| = {want} at {env.describe_objs()}")
 
 
-def _epilogue_feedback(report, env, ev, terms, maps):
+def _epilogue_feedback(report, ev, terms, maps):
     from .optics import feedback_set
+    env = ev.env
     mon = env.monoidal("C")
     x, y = env.objs["X"], env.objs["Y"]
     want = feedback_set(mon, x, y).class_count

@@ -109,8 +109,8 @@ def lift_many(steps, d: OpenDiagram, sig, env, ev: Evaluator = None) -> OpenDiag
     return d
 
 
-def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation, sig, env,
-                ev: Evaluator = None) -> bool:
+def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation, sig,
+                ev: Evaluator) -> bool:
     """Transport d1's point along an all-iso derivation from d1's shape and
     compare with d2's point.  Equality of open diagrams is only defined
     relative to the supplied deformation."""
@@ -121,7 +121,7 @@ def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation, sig, env,
         if rule.tag != "iso":
             raise RewriteError(
                 f"deformations must be invertible; {rule.name} is directed")
-    d = lift_many(deformation, d1, sig, env, ev)
+    d = lift_many(deformation, d1, sig, ev.env, ev)
     if strip_labels(d.shape) != strip_labels(d2.shape):
         raise PointError(
             "deformation does not reach the target shape: "

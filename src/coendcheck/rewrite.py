@@ -366,27 +366,24 @@ def _is_sym(t):
     return isinstance(t, Gen) and t.kind == "sym"
 
 
-def _read_back(out: SliceOutcome, parts, i, op):
-    """The outcome of a rule body run on the C^op reading of the window at
-    offset i, as an outcome on the window: parts, values and middle objects
-    reverse, the fiber ends swap, and a braiding's value swaps its two
-    components (sym(a, b) read in C^op is sym(b, a)).  Object and morphism
-    ids are shared with the opposite categories, so values carry over."""
+def _read_back(out: SliceOutcome, op):
+    """The outcome of a rule body run on the C^op reading of a window, as an
+    outcome on the window: parts, values and middle objects reverse and the
+    fiber ends swap.  Object and morphism ids are shared with the opposite
+    categories, and a profunctor's elements with its dual's, so values carry
+    over unchanged."""
     if not op:
         return out
-    tf, old, new = out.transform, parts[i:i + out.consumed][::-1], out.parts
-
-    def swap(terms, vals):
-        return [v[::-1] if _is_sym(t) else v for t, v in zip(terms, vals)]
+    tf = out.transform
 
     def transform(vals, fibers, lobj, robj):
-        res = tf(swap(old, vals[::-1]), [f[::-1] for f in fibers[::-1]], robj, lobj)
+        res = tf(vals[::-1], [f[::-1] for f in fibers[::-1]], robj, lobj)
         if isinstance(res, Adapter):
             return res
         vals, mids = res
-        return swap(new, vals)[::-1], mids[::-1]
+        return vals[::-1], mids[::-1]
 
-    return SliceOutcome(out.consumed, new[::-1], transform, out.inverse_inst)
+    return SliceOutcome(out.consumed, out.parts[::-1], transform, out.inverse_inst)
 
 
 class YonedaL(Rule):
@@ -407,7 +404,7 @@ class YonedaL(Rule):
             def tf(vals, fibers, lobj, robj):
                 return ([cat.identity(lobj), vals[0]], [lobj])
 
-            return _read_back(SliceOutcome(1, (Id(lw, label), t), tf), parts, i, op)
+            return _read_back(SliceOutcome(1, (Id(lw, label), t), tf), op)
         idt, t = _window(parts, i, 2, op)
         _want(isinstance(idt, Id),
               f"{self.name} expects an identity wire {'second' if op else 'first'}")
@@ -418,8 +415,7 @@ class YonedaL(Rule):
             prof = _prof(ev, t, op)
             return ([prof.act(f, prof.target.identity(robj), v)], [])
 
-        return _read_back(SliceOutcome(2, (t,), tf, inverse_inst={"label": idt.label}),
-                          parts, i, op)
+        return _read_back(SliceOutcome(2, (t,), tf, inverse_inst={"label": idt.label}), op)
 
 
 class YonedaR(YonedaL):
@@ -617,7 +613,7 @@ class PortFuse(Rule):
 
             out = SliceOutcome(2, (Gen(port, (("tensor", ea, eb),)),), tf,
                                inverse_inst={"A": ea, "B": eb, "side": side})
-            return _read_back(out, parts, i, op)
+            return _read_back(out, op)
         raise MatchError("R-PORT-FUSE expects parallel ports beside a junction "
                          "or fork")
 
@@ -640,7 +636,7 @@ class PortFuse(Rule):
         def tf(vals, fibers, lobj, robj):
             return ([(c.identity(a_id), c.identity(b_id)), vals[0]], [mid])
 
-        return _read_back(SliceOutcome(1, rep, tf), parts, i, op)
+        return _read_back(SliceOutcome(1, rep, tf), op)
 
 
 class AdjunctionUnit(Rule):
@@ -815,7 +811,9 @@ class Sym(Rule):
 
     def _slide(self, ev, parts, i, op, backward=False):
         """(sym ; junction) <=> junction, precomposing the braiding; in C^op,
-        (fork ; sym) <=> fork, postcomposing it.  None if the site is neither."""
+        (fork ; sym) <=> fork, postcomposing it.  None if the site is neither.
+        sym(a, b) read in C^op is sym(b, a), so there its value's two
+        components swap."""
         gen = "fork" if op else "junction"
         if backward:
             p = _part(parts, i)
@@ -833,19 +831,19 @@ class Sym(Rule):
         if backward:
             def tf(vals, fibers, lobj, robj):
                 m, n = split_obj(cc, c, c, lobj)
-                return ([(c.identity(m), c.identity(n)),
-                         c.compose(mon.braid(n, m), vals[0])],
+                e = (c.identity(m), c.identity(n))
+                return ([e[::-1] if op else e, c.compose(mon.braid(n, m), vals[0])],
                         [join_objs(cc, [(c, n), (c, m)])])
 
-            return _read_back(SliceOutcome(1, (Gen("sym", (w, w)), p), tf), parts, i, op)
+            return _read_back(SliceOutcome(1, (Gen("sym", (w, w)), p), tf), op)
 
         def tf(vals, fibers, lobj, robj):
             (u, v), j = vals
+            u, v = (v, u) if op else (u, v)
             m, n = split_obj(cc, c, c, fibers[0][0])
             return ([c.compose(mon.braid(m, n), c.compose(mon.tensor_m(v, u), j))], [])
 
-        return _read_back(SliceOutcome(2, (p,), tf, inverse_inst={"config": gen}),
-                          parts, i, op)
+        return _read_back(SliceOutcome(2, (p,), tf, inverse_inst={"config": gen}), op)
 
     def _backward(self, ev, parts, i, inst, container):
         config = inst.get("config")
@@ -912,7 +910,7 @@ class LaxCopy(Rule):
             z = prof.source.identity(0)
             return ([(prof.act(z, f1, v), prof.act(z, f2, v))], [])
 
-        return _read_back(SliceOutcome(2, (norm(Par(t, t)),), tf), parts, i, op)
+        return _read_back(SliceOutcome(2, (norm(Par(t, t)),), tf), op)
 
 
 class LaxMerge(LaxCopy):
@@ -962,7 +960,7 @@ class ZigzagCup(Rule):
                 e = c.identity(lobj)
                 return ([(e, e), (e, e)], [mid])
 
-            return _read_back(SliceOutcome(0, rep, tf), parts, i, op)
+            return _read_back(SliceOutcome(0, rep, tf), op)
         q1, q2 = _window(parts, i, 2, op)
 
         def column(q, kind, gen_below):
@@ -988,7 +986,7 @@ class ZigzagCup(Rule):
             (f, cel), (uel, v) = vals
             return Adapter(c.compose_chain(f, uel, cel, v))
 
-        return _read_back(SliceOutcome(2, (), tf, inverse_inst={}), parts, i, op)
+        return _read_back(SliceOutcome(2, (), tf, inverse_inst={}), op)
 
 
 class ZigzagCap(ZigzagCup):
@@ -1255,15 +1253,13 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
     return new_term, fwd
 
 
-def check_derivation_once(deriv: Derivation, sig, env, report: Report,
-                          ev: Evaluator = None):
-    """Run all steps and obligations of one derivation under one full
-    object assignment, evaluating with `ev` (a fresh evaluator of env if
-    none is given).  Returns (terms, per-step class maps) or None."""
+def check_derivation_once(deriv: Derivation, sig, ev: Evaluator, report: Report):
+    """Run all steps and obligations of one derivation under the full object
+    assignment that `ev` evaluates.  Returns (terms, per-step class maps) or
+    None."""
     if deriv.shape not in sig.shapes:
         report.fail(f"unknown shape {deriv.shape!r}")
         return None
-    ev = ev or Evaluator(env)
     term = sig.shapes[deriv.shape]
     try:
         boundary(term, sig)
@@ -1273,7 +1269,7 @@ def check_derivation_once(deriv: Derivation, sig, env, report: Report,
     terms = [term]
     maps = []
     for idx, step in enumerate(deriv.steps, 1):
-        out = check_step(ev, terms[-1], step, report, idx, sig, env)
+        out = check_step(ev, terms[-1], step, report, idx, sig, ev.env)
         if out is None:
             return None
         new_term, fwd = out
@@ -1326,8 +1322,8 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
                       epilogue=None):
     """Check every derivation of the script over every assignment of the
     free object symbols, then the point assertions, with one evaluator per
-    assignment.  `epilogue(report, env, ev, terms, maps)` runs after each
-    main derivation that checks, with the assignment and its evaluator."""
+    assignment.  `epilogue(report, ev, terms, maps)` runs after each main
+    derivation that checks, with the assignment's evaluator."""
     derivs = list(script.named.items()) + ([("main", script.main)] if script.main else [])
     for env_a in env.assignments(only=script_object_symbols(script, sig)):
         desc = env_a.describe_objs()
@@ -1335,9 +1331,9 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
         ev = Evaluator(env_a)
         for name, deriv in derivs:
             report.line(f" derivation {name} from {deriv.shape}:")
-            out = check_derivation_once(deriv, sig, env_a, report, ev)
+            out = check_derivation_once(deriv, sig, ev, report)
             if out is not None and name == "main" and epilogue:
-                epilogue(report, env_a, ev, *out)
+                epilogue(report, ev, *out)
         _check_points(script, sig, ev, report)
 
 
@@ -1379,7 +1375,7 @@ def _check_points(script, sig, ev, report):
                 continue
             deformation = script.named[a.via].steps
         try:
-            eq = pointed.equal_up_to(d1, d2, deformation, sig, ev.env, ev)
+            eq = pointed.equal_up_to(d1, d2, deformation, sig, ev)
         except CHECK_ERRORS as e:
             report.fail(f"assert-equal {a.left} {a.right}: {e}")
             continue

@@ -171,7 +171,7 @@ def test_criterion_5_lens_apply_script(oracles):
         report = Report()
         used = script_object_symbols(script, sig)
         for env_a in env.assignments(only=used):
-            assert check_derivation_once(deriv, sig, env_a, report) is not None
+            assert check_derivation_once(deriv, sig, Evaluator(env_a), report) is not None
         assert report.ok, report.text()
         # well-definedness and pointwise agreement with the script
         from coendcheck.pointed import lift_many
@@ -263,7 +263,7 @@ def test_criterion_7_adjunction_zigzags(oracles):
             deriv = Derivation("t", shape, steps, [(1, 2)])
             report = Report()
             for env_a in env.assignments():
-                assert check_derivation_once(deriv, sig, env_a, report) \
+                assert check_derivation_once(deriv, sig, Evaluator(env_a), report) \
                     is not None, (name, shape, report.text())
                 checked += 1
             assert report.ok, (name, shape, report.text())
@@ -380,7 +380,7 @@ def test_criterion_10_lax_copy(oracles):
             deriv = Derivation("t", shape, [Step("R-LAX-COPY", (0,))])
             report = Report()
             for env_a in env.assignments():
-                assert check_derivation_once(deriv, sig, env_a, report) \
+                assert check_derivation_once(deriv, sig, Evaluator(env_a), report) \
                     is not None, (name, shape, report.text())
             assert report.ok, (name, shape)
         # bijective exactly on the representable inputs of the shipped set

@@ -104,9 +104,9 @@ def test_sliding_equality_as_class_equality(sig):
     # slide m = 1 from the forward leg to the backward leg
     d1 = lens_point(sig, env, mon, 0, one, zero)
     d2 = lens_point(sig, env, mon, 0, zero, one)
-    assert equal_up_to(d1, d2, [], sig, env)
+    assert equal_up_to(d1, d2, [], sig, Evaluator(env))
     d3 = lens_point(sig, env, mon, 0, zero, zero)
-    assert not equal_up_to(d1, d3, [], sig, env)
+    assert not equal_up_to(d1, d3, [], sig, Evaluator(env))
 
 
 # -- lifting -------------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_equal_up_to_rejects_directed(sig):
     mon = env.mons["C"]
     d = lens_point(sig, env, mon, 0, 0, 0)
     with pytest.raises(Exception) as e:
-        equal_up_to(d, d, [Step("R-EPS-A", (0,))], sig, env)
+        equal_up_to(d, d, [Step("R-EPS-A", (0,))], sig, Evaluator(env))
     assert "directed" in str(e.value) or "invertible" in str(e.value)
 
 
@@ -190,19 +190,19 @@ def test_equal_up_to_equivalence_relation(sig):
     ev = Evaluator(env)
     d1 = lens_point(sig, env, mon, 0, 1, 0)
     # reflexivity under the empty deformation
-    assert equal_up_to(d1, d1, [], sig, env)
+    assert equal_up_to(d1, d1, [], sig, ev)
     step = Step("R-INTERCHANGE", (2,))
     d2 = lift(step, d1, sig, env, ev)
-    assert equal_up_to(d1, d2, [step], sig, env)
+    assert equal_up_to(d1, d2, [step], sig, ev)
     # symmetry: the inverse deformation relates them the other way
     _, _, inv = apply_step(d1.shape, step, sig, env, ev)
     back_step = Step("R-INTERCHANGE", step.path, True, inv)
-    assert equal_up_to(d2, d1, [back_step], sig, env)
+    assert equal_up_to(d2, d1, [back_step], sig, ev)
     # transitivity: concatenation of deformations
     step2 = Step("R-INTERCHANGE", (2,), True, {"cut1": 1, "cut2": 1})
     d3 = lift(step2, d2, sig, env, ev)
-    assert equal_up_to(d2, d3, [step2], sig, env)
-    assert equal_up_to(d1, d3, [step, step2], sig, env)
+    assert equal_up_to(d2, d3, [step2], sig, ev)
+    assert equal_up_to(d1, d3, [step, step2], sig, ev)
 
 
 def test_embed_forget_is_the_hom_shape(sig):

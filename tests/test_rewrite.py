@@ -55,7 +55,7 @@ def run_derivation(sig, env, shape, steps, obligations=()):
     report = Report()
     ok_envs = 0
     for env_a in env.assignments():
-        out = check_derivation_once(deriv, sig, env_a, report)
+        out = check_derivation_once(deriv, sig, Evaluator(env_a), report)
         assert out is not None, report.text()
         ok_envs += 1
     assert report.ok, report.text()
@@ -158,7 +158,7 @@ def test_cart_fork_structure_missing_on_z2(sig):
     env = env_z2(sig)
     report = Report()
     deriv = Derivation("t", "lens", [Step("R-CART-FORK", (1,))])
-    out = check_derivation_once(deriv, sig, env, report)
+    out = check_derivation_once(deriv, sig, Evaluator(env), report)
     assert out is None
     assert any("cartesian" in f for f in report.failures)
 
@@ -506,11 +506,11 @@ def test_checker_rejects_faulty_transport(sig, monkeypatch, shape, steps,
     env = env_z2(sig)
     deriv = Derivation("t", shape, list(steps), list(obligations))
     report = Report()
-    check_derivation_once(deriv, sig, env, report)
+    check_derivation_once(deriv, sig, Evaluator(env), report)
     assert report.ok, report.text()
     monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)
     report = Report()
-    check_derivation_once(deriv, sig, env, report)
+    check_derivation_once(deriv, sig, Evaluator(env), report)
     assert len(report.failures) == 1, report.text()
     assert report.failures[0].startswith(message), report.text()
 
@@ -585,6 +585,8 @@ MIRROR_SCRIPT = """
 (object A C)
 (shape port (inport A))
 (shape port-hom (seq (inport A) (id C @w)))
+(shape sym (sym C C))
+(shape sym-hom (seq (sym C C) (id C C @w)))
 (shape port-fork (seq (inport A) (fork C)))
 (shape fork-sym (seq (inport A) (fork C) (sym C C)))
 (shape codiscard-port (seq (codiscard C) (outport A)))
@@ -637,6 +639,24 @@ def test_yoneda_right_round_trips():
     with pytest.raises(rewrite.MatchError, match="backward R-YONEDA-R needs a label"):
         apply_step(sig.shapes["port"], Step("R-YONEDA-R", (0,), backward=True),
                    sig, env)
+
+
+def test_yoneda_right_over_a_braiding():
+    # the braiding's element is read through its own profunctor, unswapped:
+    # (s, g) at the hom wires maps to s acted on by g
+    for sig, name, env in _mirror_envs():
+        for env_a in env.assignments():
+            src, dst, tr = _element_map(sig, env_a, "sym-hom", Step("R-YONEDA-R", (0,)))
+            prof = dst.prof
+            for (a, b), (m, s, g) in _reps(src):
+                assert tr((a, b), (m, s, g)) == \
+                    prof.act(prof.source.identity(a), g, s), name
+    back = Step("R-YONEDA-R", (0,), backward=True, inst={"label": "w"})
+    for sig, name, env in _mirror_envs():
+        run_derivation(sig, env, "sym-hom", [Step("R-YONEDA-R", (0,)), back],
+                       obligations=[(1, 2)])
+        run_derivation(sig, env, "sym", [back, Step("R-YONEDA-R", (0,))],
+                       obligations=[(1, 2)])
 
 
 def test_sym_fork_element_map():

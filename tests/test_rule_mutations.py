@@ -43,6 +43,7 @@ UNIT_LEGS = parse_shape_script("""
 (shape unit-out-leg (seq (inport A) (outport (unit C))))
 (shape unit-in-leg (seq (inport (unit C)) (outport A)))
 (shape port-hom (seq (inport A) (id C @w)))
+(shape sym-hom (seq (sym C C) (id C C @w)))
 (shape fork-sym (seq (inport A) (fork C) (sym C C)))
 (shape codiscard-port (seq (codiscard C) (outport A)))
 """)
@@ -53,6 +54,7 @@ UNIT_CASES = {
     "R-CART-COUNIT": ("unit-out-leg", "meet-lattice-2", (1,)),
     "R-COCART-UNIT": ("unit-in-leg", "join-lattice-2", (0,)),
     "R-YONEDA-R": ("port-hom", "z2", (0,)),
+    "R-YONEDA-R:sym": ("sym-hom", "z2", (0,)),
     "R-SYM:fork": ("fork-sym", "z2", (1,)),
     "R-LAX-DISCARD:codiscard": ("codiscard-port", "z2", (0,)),
 }
@@ -107,9 +109,9 @@ def _site(case):
     for fault in faults:
         for sig, deriv, env, ks in _runs(case):
             report = Report()
-            out = check_derivation_once(deriv, sig, env, report)
-            assert out is not None and report.ok, report.text()
             ev = Evaluator(env)
+            out = check_derivation_once(deriv, sig, ev, report)
+            assert out is not None and report.ok, report.text()
             for k in ks:
                 if _visible(fault, ev.node(out[0][k - 1]).prof, ev.node(out[0][k]).prof):
                     return fault, sig, deriv, env, k
@@ -131,7 +133,7 @@ def test_rule_rejects_corrupted_transport(case, monkeypatch):
 
     monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)
     report = Report()
-    assert check_derivation_once(deriv, sig, env, report) is None
+    assert check_derivation_once(deriv, sig, Evaluator(env), report) is None
     assert len(report.failures) == 1, report.text()
     assert report.failures[0].startswith(f"step {k} {rule}: {message}"), report.text()
 
