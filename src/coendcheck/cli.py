@@ -99,11 +99,12 @@ def cmd_eval(args):
     try:
         bnd = boundary(term, sig)
         env = Env(sig, bindings)
+        ev = Evaluator(env, env.free_objects())
         for env_a in env.assignments():
             desc = env_a.describe_objs()
             if desc:
                 report.line(f"assignment: {desc}")
-            node = Evaluator(env_a).node(term)
+            node = ev.at(env_a).node(term)
             if bnd == ((), ()):
                 fib = node.prof.fiber(0, 0)
                 report.line(f"classes: {len(fib)}")
@@ -151,10 +152,9 @@ def cmd_demo(args):
             report.line(f"{name}: {spec['blurb']}")
         _emit(report, args.format)
         return EXIT_OK
-    try:
-        report = run_demo(args.name, fail_fast=args.fail_fast)
-    except KeyError as e:
-        raise InputError(str(e))
+    if args.name not in DEMOS:
+        raise InputError(f"unknown demo {args.name!r}; known: {', '.join(sorted(DEMOS))}")
+    report = run_demo(args.name, fail_fast=args.fail_fast)
     _emit(report, args.format)
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 

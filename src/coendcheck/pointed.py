@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .profunctor import join_mors, join_objs, render_generic, split_obj
-from .rewrite import (RULES, PointError, RewriteError, apply_step, build_seq_value,
-                      strip_labels)
+from .rewrite import (PointError, RewriteError, apply_step, build_seq_value,
+                      check_instantiation, strip_labels)
 from .shapelang import (COMPANION_KINDS, CONJOINT_KINDS, Env, Evaluator, Gen,
                         Id, Par, Seq, Wire, boundary, obj_expr_cat, print_term)
 
@@ -115,9 +115,7 @@ def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation, sig,
     compare with d2's point.  Equality of open diagrams is only defined
     relative to the supplied deformation."""
     for step in deformation:
-        rule = RULES.get(step.rule)
-        if rule is None:
-            raise RewriteError(f"unknown rule {step.rule!r}")
+        rule = check_instantiation(step)
         if rule.tag != "iso":
             raise RewriteError(
                 f"deformations must be invertible; {rule.name} is directed")

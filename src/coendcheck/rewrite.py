@@ -273,11 +273,7 @@ def apply_step(term, step: Step, sig, env, ev: Evaluator = None):
     elements, not just canonical representatives.  The inverse
     instantiation is the `inst` of the backward step that undoes this one.
     """
-    rule = RULES.get(step.rule)
-    if rule is None:
-        raise RewriteError(f"unknown rule {step.rule!r}")
-    if step.backward and rule.tag == "directed":
-        raise DirectionError(f"{rule.name} is directed; backward use rejected")
+    rule = check_instantiation(step)
     ev = ev or Evaluator(env)
     new_term, transport, inv = rewrite_at(ev, term, tuple(step.path), rule,
                                           step.inst, step.backward)
@@ -289,6 +285,21 @@ def apply_step(term, step: Step, sig, env, ev: Evaluator = None):
     return new_term, transport, inv
 
 
+def check_instantiation(step: Step):
+    """The rule of a step, or the RewriteError that the step fails with
+    under every assignment: an unknown rule, a directed rule used backward,
+    or a span or cut that is not an integer."""
+    rule = RULES.get(step.rule)
+    if rule is None:
+        raise RewriteError(f"unknown rule {step.rule!r}")
+    if step.backward and rule.tag == "directed":
+        raise DirectionError(f"{rule.name} is directed; backward use rejected")
+    for key in rule.int_keys[step.backward]:
+        if key in step.inst:
+            _int_inst(step.inst, key)
+    return rule
+
+
 # ---------------------------------------------------------------------------
 # rule implementations
 
@@ -297,6 +308,7 @@ class Rule:
     name = "?"
     tag = "iso"       # or "directed": no backward use
     site = "slice"
+    int_keys = ((), ())  # integer instantiations read forward, backward
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
         raise MatchError(f"{self.name} is not a slice rule")
@@ -486,6 +498,7 @@ class Interchange(Rule):
     an empty top leg (the form a unit leg takes after normalization).
     """
     name = "R-INTERCHANGE"
+    int_keys = (("span1", "span2"), ("cut1", "cut2"))
 
     def _column(self, ev, parts, lo, hi):
         if hi - lo == 1 and isinstance(parts[lo], Par):
@@ -1321,20 +1334,45 @@ def script_object_symbols(script: DerivationScript, sig):
 def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
                       epilogue=None):
     """Check every derivation of the script over every assignment of the
-    free object symbols, then the point assertions, with one evaluator per
-    assignment.  `epilogue(report, ev, terms, maps)` runs after each main
-    derivation that checks, with the assignment's evaluator."""
+    free object symbols, then the point assertions, with one evaluator for
+    the sweep.  `epilogue(report, ev, terms, maps)` runs after each main
+    derivation that checks, with the evaluator at that assignment."""
     derivs = list(script.named.items()) + ([("main", script.main)] if script.main else [])
-    for env_a in env.assignments(only=script_object_symbols(script, sig)):
+    derivs = _refuse_instantiations(derivs, report)
+    if not (derivs or script.points or script.asserts):
+        return
+    only = script_object_symbols(script, sig)
+    ev = Evaluator(env, env.free_objects(only))
+    for env_a in env.assignments(only=only):
         desc = env_a.describe_objs()
         report.line(f"assignment: {desc}" if desc else "assignment: (none)")
-        ev = Evaluator(env_a)
+        ev.at(env_a)
         for name, deriv in derivs:
             report.line(f" derivation {name} from {deriv.shape}:")
             out = check_derivation_once(deriv, sig, ev, report)
             if out is not None and name == "main" and epilogue:
                 epilogue(report, ev, *out)
         _check_points(script, sig, ev, report)
+
+
+def _refuse_instantiations(derivs, report):
+    """Report once, before the sweep, every step that fails whatever the
+    assignment; return the derivations that have none."""
+    kept = []
+    for name, deriv in derivs:
+        fails = []
+        for idx, step in enumerate(deriv.steps, 1):
+            try:
+                check_instantiation(step)
+            except RewriteError as e:
+                fails.append(f"step {idx} {step.rule}: {e}")
+        if fails:
+            report.line(f" derivation {name} from {deriv.shape}:")
+            for text in fails:
+                report.fail(text)
+        else:
+            kept.append((name, deriv))
+    return kept
 
 
 def check_derivation(script: DerivationScript, sig, env: Env,

@@ -8,6 +8,8 @@ evaluates to the coend-quotient set with canonical representatives.
 
 from __future__ import annotations
 
+import copy
+import itertools
 from dataclasses import dataclass
 
 from . import profunctor as pf
@@ -566,18 +568,14 @@ class Env:
 
     def assignments(self, only=None):
         """Deterministic sweep over all values of the free object symbols,
-        optionally restricted to the symbols a script actually uses."""
+        optionally restricted to the symbols a script actually uses.  Each
+        assignment shares this env's categories, functors and profunctors
+        and replaces only its object values."""
         free = self.free_objects(only)
-        if not free:
-            yield self
-            return
-        import itertools
         ranges = [list(self.cats[self.sig.objects[sym][0]].objects) for sym in free]
         for combo in itertools.product(*ranges):
-            env = Env(self.sig, {s: (self.mons[s] or self.cats[s])
-                                 for s in self.sig.categories},
-                      objs={**self.objs, **dict(zip(free, combo))},
-                      profs=self.profs)
+            env = copy.copy(self)
+            env.objs = {**self.objs, **dict(zip(free, combo))}
             yield env
 
     def monoidal(self, catsym) -> MonoidalStructure:
@@ -700,27 +698,68 @@ class EvalSeq(EvalNode):
 
 
 class Evaluator:
-    def __init__(self, env: Env):
+    """The evaluator of one sweep over object assignments.
+
+    A node depends only on the values of the object symbols its term
+    mentions, so it is kept under (term, those values) and shared by every
+    assignment that agrees on them.  `free` lists the swept symbols in
+    `itertools.product` order and `at` moves to the next assignment.  An
+    entry whose symbols cover the first j free symbols is dropped once one
+    of those j values changes: product order never brings it back.
+    """
+
+    def __init__(self, env: Env, free=()):
         self.env = env
         self.sig = env.sig
-        self._memo = {}
+        self.free = tuple(free)
+        self._scopes = {}  # term -> (symbols it mentions, its bucket)
+        self._memo = [{} for _ in range(len(self.free) + 1)]
+        self._values = [env.objs.get(s) for s in self.free]
+
+    def at(self, env: Env) -> Evaluator:
+        """Move to the next assignment of the sweep."""
+        values = [env.objs.get(s) for s in self.free]
+        changed = next((i for i, (u, v) in enumerate(zip(self._values, values))
+                        if u != v), len(values))
+        for bucket in self._memo[changed + 1:]:
+            bucket.clear()
+        self.env, self._values = env, values
+        return self
+
+    def _scope(self, term):
+        scope = self._scopes.get(term)
+        if scope is None:
+            syms = tuple(sorted(objects_in(term)))
+            j = 0
+            while j < len(self.free) and self.free[j] in syms:
+                j += 1
+            scope = self._scopes[term] = (syms, j)
+        return scope
 
     def node(self, term) -> EvalNode:
-        if term in self._memo:
-            return self._memo[term]
-        node = self._build(term)
-        self._memo[term] = node
+        syms, j = self._scope(term)
+        key = (term, tuple(map(self.env.objs.get, syms)))
+        node = self._memo[j].get(key)
+        if node is None:
+            node = self._memo[j][key] = self._build(term)
         return node
 
     def _build(self, term):
         env = self.env
         bnd = boundary(term, self.sig)
         if isinstance(term, Seq):
-            children = [self.node(p) for p in term.parts]
-            cums = [children[0].prof]
-            for ch in children[1:]:
-                cums.append(compose_prof(cums[-1], ch.prof))
-            return EvalSeq(term, bnd, cums[-1], children, cums)
+            # the left fold of parts[:-1] is a node of its own, shared by
+            # every composite that starts with those parts
+            *init, last = term.parts
+            if len(init) == 1:
+                first = self.node(init[0])
+                children, cums = [first], [first.prof]
+            else:
+                prefix = self.node(Seq(tuple(init)))
+                children, cums = prefix.children, prefix.cums
+            last = self.node(last)
+            cums = cums + [compose_prof(cums[-1], last.prof)]
+            return EvalSeq(term, bnd, cums[-1], children + [last], cums)
         if isinstance(term, Par):
             top, bottom = self.node(term.top), self.node(term.bottom)
             return EvalPar(term, bnd, tensor_prof(top.prof, bottom.prof),

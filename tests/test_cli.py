@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coendcheck import cli, pointed, profunctor, rewrite
+from coendcheck import cli, fincat, pointed, profunctor, rewrite, shapelang
 from coendcheck.cli import main
 from coendcheck.demos import demo_dir
 from coendcheck.fixtures import bad_fixture_names, bad_fixture_path, fixture_path
@@ -92,8 +92,19 @@ def test_demo_exit_codes_and_determinism(capsys):
 
 
 def test_demo_unknown(capsys):
-    code, _, err = run(capsys, "demo", "nope")
-    assert code == 2
+    code, out, err = run(capsys, "demo", "nope")
+    _one_line_exit_2(code, out, err)
+    assert err.startswith("error: unknown demo 'nope'; known: adjunctions, ")
+
+
+def test_demo_internal_key_error_exits_3(capsys, monkeypatch):
+    # only an unknown demo name is malformed input; a KeyError raised inside
+    # the run is an internal error
+    def crash(*args):
+        raise KeyError("internal")
+    monkeypatch.setattr(profunctor.CoendSet, "rep", crash)
+    code, out, err = run(capsys, "demo", "points")
+    assert (code, out, err) == (3, "", "internal error: KeyError: 'internal'\n")
 
 
 def test_json_format(capsys):
@@ -232,6 +243,34 @@ def test_internal_crash_is_not_a_failed_proof(capsys, monkeypatch, fault, argv):
     assert (code, out, err) == (3, "", "internal error: RuntimeError: injected\n")
 
 
+def _crash_prof_actions(monkeypatch):
+    init = profunctor.ConcreteProf.__init__
+
+    def crashing_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.act = _crash
+    monkeypatch.setattr(profunctor.ConcreteProf, "__init__", crashing_init)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda mp: mp.setattr(fincat.FinCategory, "compose", _crash),
+    _crash_prof_actions,
+    lambda mp: mp.setattr(shapelang.Evaluator, "node", _crash),
+], ids=["category-compose", "prof-act", "evaluator-node"])
+@pytest.mark.parametrize("argv", [
+    ("check", demo_path("lens_reduction.deriv")),
+    ("eval", demo_path("lens.shapes"), "--shape", "lens"),
+], ids=["check", "eval"])
+def test_internal_crash_in_evaluation_exits_3(capsys, monkeypatch, fault, argv):
+    # the fixture is loaded and validated before the fault goes in, so the
+    # crash happens in the sweep, not in the binding
+    bindings = cli._parse_bindings([f"C={fixture_path('meet-lattice-2')}"])
+    monkeypatch.setattr(cli, "_parse_bindings", lambda pairs: bindings)
+    fault(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: injected\n")
+
+
 def _step_script(tmp_path, shapes, shape, step):
     (tmp_path / shapes).write_text((demo_dir() / shapes).read_text(encoding="utf-8"))
     script = tmp_path / "step.deriv"
@@ -263,6 +302,39 @@ def test_bad_step_instantiation_fails_the_step(capsys, tmp_path, shapes, shape,
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert fails and all(line == f"FAIL step 1 {message}" for line in fails)
     assert out.endswith("result: FAILURE\n")
+
+
+@pytest.mark.parametrize("step,message", [
+    ("step R-INTERCHANGE at 2 with {span1 := abc}",
+     "R-INTERCHANGE: instantiation span1 must be an integer"),
+    ("step R-INTERCHANGE at 2 backward with {cut1 := x, cut2 := 0}",
+     "R-INTERCHANGE: instantiation cut1 must be an integer"),
+    ("step R-NOPE at 2", "R-NOPE: unknown rule 'R-NOPE'"),
+    ("step R-EPS-A at 1 backward", "R-EPS-A: R-EPS-A is directed; backward use rejected"),
+])
+def test_assignment_free_step_failure_is_reported_once(capsys, tmp_path, step,
+                                                       message):
+    # the step fails whatever the assignment, so it fails once, before the
+    # sweep (meet-lattice-2 gives lens 16 assignments)
+    code, out, err = run(capsys, "check", _step_script(tmp_path, "lens.shapes", "lens", step),
+                         *STEP_BIND)
+    assert (code, err) == (1, "")
+    assert out == f" derivation x from lens:\nFAIL step 1 {message}\nresult: FAILURE\n"
+
+
+def test_assignment_free_failure_leaves_the_other_derivations(capsys, tmp_path):
+    (tmp_path / "lens.shapes").write_text((demo_dir() / "lens.shapes").read_text(encoding="utf-8"))
+    script = tmp_path / "two.deriv"
+    script.write_text("use lens.shapes\n"
+                      "derivation bad from lens\n  step R-NOPE at 2\nend\n"
+                      "derivation good from lens\n  step R-CART-FORK at 1\nend\n")
+    code, out, _ = run(capsys, "check", str(script), *STEP_BIND)
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[:2] == [" derivation bad from lens:", "FAIL step 1 R-NOPE: unknown rule 'R-NOPE'"]
+    assert [line for line in lines if line.startswith("FAIL")] == lines[1:2]
+    assert out.count("assignment:") == 16
+    assert out.count(" derivation good from lens:") == out.count("step 1 R-CART-FORK ok") == 16
 
 
 def test_instantiation_of_two_forms_exits_2(capsys, tmp_path):

@@ -1,0 +1,166 @@
+"""One evaluator per sweep: the shared, evicting node cache against a naive
+reference that builds a fresh evaluator for every assignment, and the long
+sweeps against the report digests the benchmark records."""
+
+import hashlib
+import itertools
+import json
+import re
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from coendcheck.demos import DEMOS, load_scripts
+from coendcheck.fixtures import fixture, fixture_path
+from coendcheck.rewrite import (Report, _check_points, check_assignments,
+                                check_derivation, check_derivation_once,
+                                script_object_symbols)
+from coendcheck.shapelang import Env, Evaluator, objects_in
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
+
+
+def naive_report(script, sig, env, epilogue=None):
+    """check_assignments' report, from a fresh evaluator per assignment."""
+    report = Report()
+    derivs = list(script.named.items()) + ([("main", script.main)] if script.main else [])
+    for env_a in env.assignments(only=script_object_symbols(script, sig)):
+        desc = env_a.describe_objs()
+        report.line(f"assignment: {desc}" if desc else "assignment: (none)")
+        ev = Evaluator(env_a)
+        for name, deriv in derivs:
+            report.line(f" derivation {name} from {deriv.shape}:")
+            out = check_derivation_once(deriv, sig, ev, report)
+            if out is not None and name == "main" and epilogue:
+                epilogue(report, ev, *out)
+        _check_points(script, sig, ev, report)
+    return report.finish().text()
+
+
+def _fixed(term, env):
+    """The object values a node of `term` is built for under `env`."""
+    syms = sorted(objects_in(term))
+    return dict(zip(syms, (env.objs.get(s) for s in syms)))
+
+
+class Spy:
+    """Counts every node build of every evaluator, and checks after each
+    move of a sweep's evaluator that no live entry fixes a value of a
+    leading free symbol other than the current one."""
+
+    def __init__(self, monkeypatch):
+        self.builds = Counter()
+        self.live_fixing_first = 0  # live entries that fix the first free symbol
+        build, at = Evaluator._build, Evaluator.at
+
+        def counted_build(ev, term):
+            key = tuple(sorted(_fixed(term, ev.env).items()))
+            self.builds[(id(ev), term, key)] += 1
+            return build(ev, term)
+
+        def checked_at(ev, env):
+            out = at(ev, env)
+            for bucket in ev._memo:
+                for term, values in bucket:
+                    fixed = dict(zip(sorted(objects_in(term)), values))
+                    lead = list(itertools.takewhile(fixed.__contains__, ev.free))
+                    assert all(fixed[s] == env.objs[s] for s in lead), (term, fixed)
+                    self.live_fixing_first += bool(lead)
+            return out
+        monkeypatch.setattr(Evaluator, "_build", counted_build)
+        monkeypatch.setattr(Evaluator, "at", checked_at)
+
+    def assert_each_built_once(self):
+        assert self.builds and max(self.builds.values()) == 1
+
+
+def _shared_report(script, sig, env, epilogue):
+    report = Report()
+    check_assignments(script, sig, env, report, epilogue)
+    return report.finish().text()
+
+
+DEMO_RUNS = [(name, i) for name in sorted(DEMOS) for i in range(len(DEMOS[name]["bindings"]))]
+
+
+@pytest.mark.parametrize("name,i", DEMO_RUNS, ids=[f"{n}-{i}" for n, i in DEMO_RUNS])
+def test_shared_sweep_matches_naive_reference_on_demos(monkeypatch, name, i):
+    spec = DEMOS[name]
+    sig, script = load_scripts(spec["script"])
+    env = Env(sig, {sym: fixture(fx) for sym, fx in spec["bindings"][i].items()})
+    want = naive_report(script, sig, env, spec.get("epilogue"))
+    spy = Spy(monkeypatch)
+    assert _shared_report(script, sig, env, spec.get("epilogue")) == want
+    spy.assert_each_built_once()
+
+
+def _workload(name):
+    spec = WORKLOADS[name]
+    sig, script = load_scripts(spec["script"])
+    return spec, sig, script, Env(sig, {s: fixture(fx) for s, fx in spec["bind"].items()})
+
+
+@pytest.fixture(scope="module")
+def lens_diamond():
+    """lens_reduction.deriv over diamond (256 assignments), checked once for
+    the tests below, with the spy watching the sweep."""
+    spec, sig, script, env = _workload("lens-diamond")
+    with pytest.MonkeyPatch.context() as mp:
+        spy = Spy(mp)
+        text = check_derivation(script, sig, env).text()
+    return spec, sig, script, env, text, spy
+
+
+def test_lens_diamond_matches_naive_reference(lens_diamond):
+    _, sig, script, env, text, spy = lens_diamond
+    assert text == naive_report(script, sig, env)
+    spy.assert_each_built_once()
+    # entries fixing A exist, so the eviction check above is not vacuous
+    assert spy.live_fixing_first > 0
+
+
+STEP_RE = re.compile(r"^  step (\d+) (\S+) ok: classes \d+ -> (\d+)$")
+
+
+def test_lens_diamond_digest_and_oracle(lens_diamond):
+    spec, _, _, _, text, _ = lens_diamond
+    assert hashlib.sha1(text.encode("utf-8")).hexdigest() == spec["digest"]
+    # the classes after R-PORT-FUSE are |C(A,X)| * |C(A(x)Y,B)|, read
+    # straight from the fixture's JSON
+    fx = json.loads(Path(fixture_path("diamond")).read_text())
+    homs = {k: len(v) for k, v in fx["homs"].items()}
+    tensor = fx["monoidal"]["tensor_obj"]
+    want = {f"A={a} B={b} X={x} Y={y}":
+            homs.get(f"{a}->{x}", 0) * homs.get(f"{tensor[f'{a},{y}']}->{b}", 0)
+            for a, b, x, y in itertools.product(fx["objects"], repeat=4)}
+    got, current = {}, None
+    for line in text.splitlines():
+        if line.startswith("assignment: "):
+            current = line[len("assignment: "):]
+        m = STEP_RE.match(line)
+        if m and (m.group(1), m.group(2)) == (str(spec["oracle"]["step"]), spec["oracle"]["rule"]):
+            got[current] = int(m.group(3))
+    assert len(want) == spec["assignments"] == 256
+    assert got == want
+
+
+def test_optic_prod_digest():
+    spec, sig, script, env = _workload("optic-prod")
+    text = check_derivation(script, sig, env).text()
+    assert text.count("assignment: ") == spec["assignments"]
+    assert hashlib.sha1(text.encode("utf-8")).hexdigest() == spec["digest"]
+
+
+def test_port_is_built_once_per_value_of_its_symbol():
+    # the port (inport A) is built once per value of A, not once per
+    # assignment of A, B, X and Y
+    sig, _ = load_scripts("lens_reduction.deriv")
+    env = Env(sig, {"C": fixture("meet-lattice-2")})
+    free = env.free_objects(objects_in(sig.shapes["lens"]))
+    ev = Evaluator(env, free)
+    ports = [ev.at(env_a).node(sig.shapes["lens"]).children[0]
+             for env_a in env.assignments(only=free)]
+    assert free == ["A", "B", "X", "Y"] and len(ports) == 16
+    assert len({id(p) for p in ports}) == 2
