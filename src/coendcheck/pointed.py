@@ -187,120 +187,58 @@ def _walk(ev, sig, term, assignment, left_obj):
     return _leaf_value(ev, sig, term, assignment, left_obj)
 
 
+# the kinds whose value does not pin the right object (several x share
+# F x, or the fiber ignores x): their points name the right objects
+_NEEDS_OBJECTS = ("fork", "cobox", "codiscard", "named")
+
+
 def _leaf_value(ev, sig, term, assignment, left_obj):
-    env = ev.env
-    label = term.label
-    assigned = assignment.get(label) if label else None
+    """The leaf's assigned value (its identity element when unassigned) and
+    the right object of the fiber of the leaf's profunctor at `left_obj`
+    that holds it; given right objects, one per right wire, name it."""
+    env, name = ev.env, term.label or print_term(term)
+    value, objs = assignment.get(term.label) or (None, None)
+    if value is None:
+        value = _identity_value(env, term, left_obj, name)
+    prof = ev.node(term).prof
+    rw = boundary(term, sig)[1]
+    if objs is not None:
+        if len(objs) != len(rw):
+            raise PointError(f"{name} needs {len(rw)} target object(s)")
+        targets = [join_objs(env.boundary_cat(rw), zip(map(env.wire_cat, rw), objs))]
+    elif getattr(term, "kind", None) in _NEEDS_OBJECTS:
+        raise PointError(f"{name} needs a value with its target objects")
+    else:
+        targets = prof.target.objects
+    hits = [b for b in targets if value in prof.fiber(left_obj, b)]
+    if not hits:
+        raise PointError(f"value for {name} is not in a fiber at "
+                         f"{prof.source.obj_name(left_obj)}")
+    return value, hits[0]
+
+
+def _identity_value(env, term, left, name):
+    """The element of an unassigned leaf: an identity (at F(left) for a
+    companion, one per wire for copy, merge and sym) or the point *."""
     if isinstance(term, Id):
-        cat = env.boundary_cat(term.wires)
-        if assigned is None:
-            return cat.identity(left_obj), left_obj
-        v, _ = assigned
-        if cat.dom(v) != left_obj:
-            raise PointError(f"assignment for {label!r} starts at the wrong object")
-        return v, cat.cod(v)
-    kind, args = term.kind, term.args
+        return env.boundary_cat(term.wires).identity(left)
+    kind = term.kind
     if kind in COMPANION_KINDS:
-        # D(F-, -): a morphism out of F(left)
         fn = env.functor_of(term)
-        d, fx = fn.target, fn.obj(left_obj)
-        v = assigned[0] if assigned else d.identity(fx)
-        if d.dom(v) != fx:
-            raise PointError(f"{kind} value for {label or kind} must start at "
-                             f"{d.obj_name(fx)}")
-        return v, d.cod(v)
+        return fn.target.identity(fn.obj(left))
     if kind in CONJOINT_KINDS:
-        # D(-, F-): a morphism from left into F(x); the value names x, one
-        # object per right wire, unless the right boundary is empty
-        fn = env.functor_of(term)
-        d = fn.target
-        _, rw = boundary(term, sig)
-        objs = (assigned[1] if assigned else None) if rw else ()
-        if objs is None or len(objs) != len(rw):
-            raise PointError(f"{kind} {label or kind!r} needs a value with its "
-                             "target objects")
-        x = join_objs(env.boundary_cat(rw), zip(map(env.wire_cat, rw), objs))
-        fx = fn.obj(x)
-        v = assigned[0] if assigned else d.identity(fx)
-        if d.dom(v) != left_obj or d.cod(v) != fx:
-            raise PointError(f"{kind} value for {label or kind} must map "
-                             f"{d.obj_name(left_obj)} to {d.obj_name(fx)}")
-        return v, x
-    if kind == "merge":
-        c = env.cats[args[0]]
-        cc = env.boundary_cat((Wire(args[0]),) * 2)
-        m, n = split_obj(cc, c, c, left_obj)
-        if assigned:
-            (p, q) = assigned[0]
-            if c.dom(p) != m or c.dom(q) != n or c.cod(p) != c.cod(q):
-                raise PointError(f"merge value for {label or kind} is ill-typed")
-            return (p, q), c.cod(p)
-        if m != n:
-            raise PointError("an unassigned merge needs equal inputs")
-        return (c.identity(m), c.identity(n)), m
+        return env.functor_of(term).target.identity(left)
+    if kind in ("discard", "codiscard"):
+        return "*"
     if kind == "copy":
-        c = env.cats[args[0]]
-        cc = env.boundary_cat((Wire(args[0]),) * 2)
-        if assigned:
-            (p, q) = assigned[0]
-            if c.dom(p) != left_obj or c.dom(q) != left_obj:
-                raise PointError(f"copy value for {label or kind} is ill-typed")
-            return (p, q), join_objs(cc, [(c, c.cod(p)), (c, c.cod(q))])
-        e = c.identity(left_obj)
-        return (e, e), join_objs(cc, [(c, left_obj), (c, left_obj)])
-    if kind == "discard":
-        return "*", 0
-    if kind == "codiscard":
-        if not assigned or assigned[1] is None:
-            raise PointError("codiscard needs an assigned target object")
-        return "*", assigned[1][0]
-    if kind == "sym":
-        c1 = env.wire_cat(args[0])
-        c2 = env.wire_cat(args[1])
-        cc = env.boundary_cat(args)
-        ccs = env.boundary_cat((args[1], args[0]))
-        a, b = split_obj(cc, c1, c2, left_obj)
-        if assigned:
-            (u, v) = assigned[0]
-            if c1.dom(u) != a or c2.dom(v) != b:
-                raise PointError(f"sym value for {label or kind} is ill-typed")
-            return (u, v), join_objs(ccs, [(c2, c2.cod(v)), (c1, c1.cod(u))])
-        return (c1.identity(a), c2.identity(b)), join_objs(ccs, [(c2, b), (c1, a)])
-    if kind == "cup":
-        c = env.cats[args[0]]
-        w = Wire(args[0])
-        cc = env.boundary_cat((w, w.flip()))
-        from .fincat import opposite
-        x, y = split_obj(cc, c, opposite(c), left_obj)
-        if assigned:
-            v = assigned[0]
-            if c.dom(v) != x or c.cod(v) != y:
-                raise PointError(f"cup value for {label or kind} is ill-typed")
-            return v, 0
-        if x != y:
-            raise PointError("an unassigned cup needs equal endpoints")
-        return c.identity(x), 0
-    if kind == "cap":
-        c = env.cats[args[0]]
-        w = Wire(args[0])
-        cc = env.boundary_cat((w.flip(), w))
-        if not assigned:
-            raise PointError(f"cap {label or kind!r} needs an assigned value")
-        v = assigned[0]
-        from .fincat import opposite
-        return v, join_objs(cc, [(opposite(c), c.dom(v)), (c, c.cod(v))])
-    if kind == "named":
-        prof = ev.env.profs.get(args[0])
-        if prof is None:
-            raise PointError(f"named profunctor {args[0]!r} is unbound")
-        if not assigned or assigned[1] is None:
-            raise PointError(f"named leaf {label or args[0]!r} needs a value "
-                             "with its target object")
-        v, (x,) = assigned
-        if v not in prof.fiber(left_obj, x):
-            raise PointError(f"value for {label or args[0]} is not in the fiber")
-        return v, x
-    raise PointError(f"cannot assign a value to {print_term(term)}")
+        return (env.cats[term.args[0]].identity(left),) * 2
+    if kind in ("cap", "named"):
+        raise PointError(f"{name} needs an assigned value")
+    # merge, sym and cup: split the left object over the two left wires
+    lw = boundary(term, env.sig)[0]
+    c1, c2 = map(env.wire_cat, lw)
+    x, y = split_obj(env.boundary_cat(lw), c1, c2, left)
+    return c1.identity(x) if kind == "cup" else (c1.identity(x), c2.identity(y))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
+import itertools
+
 import pytest
 
+from coendcheck.fincat import FinFunctor, opposite
 from coendcheck.fixtures import build
 from coendcheck.optics import apply_lens, lens_set
 from coendcheck.pointed import (OpenDiagram, PointError, compose_open, embed,
                                 equal_up_to, forget, lift, lift_many)
+from coendcheck.profunctor import ConcreteProf, join_objs, split_obj
 from coendcheck.rewrite import Step, apply_step, strip_labels
-from coendcheck.shapelang import Env, Evaluator, parse_shape_script
+from coendcheck.shapelang import (Env, Evaluator, Wire, boundary,
+                                  parse_shape_script)
 
 SHAPES = """
 (category C)
@@ -211,3 +216,140 @@ def test_embed_forget_is_the_hom_shape(sig):
     from coendcheck.shapelang import Id, Wire
     d = embed(sig, env, "C", c.mor_id("1"), label="w")
     assert forget(d) == Id((Wire("C"),), "w")
+
+
+
+# -- one-leaf points of every generator kind ---------------------------------------
+
+LEAVES = """
+(category C)
+(object A C)
+(functor F C C (obj) (mor))
+(prof K (C) (C))
+(shape id (id C @v))
+(shape inport (inport A @v))
+(shape unit-in (unit-in C @v))
+(shape junction (junction C @v))
+(shape box (box F @v))
+(shape outport (outport A @v))
+(shape unit-out (unit-out C @v))
+(shape fork (fork C @v))
+(shape cobox (cobox F @v))
+(shape merge (merge C @v))
+(shape copy (copy C @v))
+(shape discard (discard C @v))
+(shape codiscard (codiscard C @v))
+(shape sym (sym C C @v))
+(shape cup (cup C @v))
+(shape cap (cap C @v))
+(shape named (named K @v))
+"""
+
+# kinds whose value does not pin the right object: a point names it
+NEEDS_OBJECTS = {"fork", "cobox", "codiscard", "named"}
+COMPANIONS = {"inport", "unit-in", "junction", "box"}
+
+
+def _leaf_env(sig, mon, a):
+    """C bound to mon, A to a, F to x |-> x (x) x and K to a profunctor with
+    two elements in every fiber and trivial actions."""
+    c = mon.base
+    env = Env(sig, {"C": mon}, objs={"A": a},
+              profs={"K": ConcreteProf(c, c, lambda x, y: ("k0", "k1"),
+                                       lambda f, g, v: v)})
+    env.functors["F"] = FinFunctor(
+        "F", c, c, {x: mon.tensor(x, x) for x in c.objects},
+        {f: mon.tensor_m(f, f) for f in c.morphisms})
+    return env
+
+
+def _pinned_right(kind, env, v):
+    """The right object that a value pins, by the kind's typing: None for
+    the kinds whose point names it."""
+    c = env.cats["C"]
+    w = Wire("C")
+    cc = env.boundary_cat((w, w))
+    if kind in NEEDS_OBJECTS:
+        return None
+    if kind == "id" or kind in COMPANIONS:
+        return c.cod(v)
+    if kind == "merge":
+        return c.cod(v[0])
+    if kind == "copy":
+        return join_objs(cc, [(c, c.cod(v[0])), (c, c.cod(v[1]))])
+    if kind == "sym":
+        return join_objs(cc, [(c, c.cod(v[1])), (c, c.cod(v[0]))])
+    if kind == "cap":
+        return join_objs(env.boundary_cat((w.flip(), w)),
+                         [(opposite(c), c.dom(v)), (c, c.cod(v))])
+    return 0  # outport, unit-out, discard, cup: no right wires
+
+
+def _unassigned(kind, env, left):
+    """The point (value, right object) of an unassigned leaf, or None where
+    the leaf needs a value."""
+    c = env.cats["C"]
+    w = Wire("C")
+    cc = env.boundary_cat((w, w))
+    if kind == "id":
+        return c.identity(left), left
+    if kind in COMPANIONS:
+        fx = env.functor_of(env.sig.shapes[kind]).obj(left)
+        return c.identity(fx), fx
+    if kind in ("outport", "unit-out"):
+        fx = env.functor_of(env.sig.shapes[kind]).obj(0)
+        return (c.identity(fx), 0) if left == fx else None
+    if kind == "merge":
+        m, n = split_obj(cc, c, c, left)
+        return ((c.identity(m), c.identity(n)), m) if m == n else None
+    if kind == "copy":
+        e = c.identity(left)
+        return (e, e), join_objs(cc, [(c, left), (c, left)])
+    if kind == "discard":
+        return "*", 0
+    if kind == "sym":
+        a, b = split_obj(cc, c, c, left)
+        return (c.identity(a), c.identity(b)), join_objs(cc, [(c, b), (c, a)])
+    if kind == "cup":
+        x, y = split_obj(env.boundary_cat((w, w.flip())), c, opposite(c), left)
+        return (c.identity(x), 0) if x == y else None
+    return None  # fork, cobox, codiscard, cap, named
+
+
+@pytest.mark.parametrize("fixture", ["z2", "meet-lattice-2", "prod-l2-z2"])
+def test_every_leaf_kind_points_at_its_fiber(fixture):
+    # every element of every fiber of every one-leaf shape, built with and
+    # without its right objects, lands at its own fiber, which is the one
+    # the kind's typing names; an unassigned leaf carries its identity
+    sig = parse_shape_script(LEAVES)
+    mon = build(fixture)
+    for a_obj in mon.base.objects:
+        env = _leaf_env(sig, mon, a_obj)
+        ev = Evaluator(env)
+        for kind, shape in sig.shapes.items():
+            rw = boundary(shape, sig)[1]
+            prof = ev.node(shape).prof
+            cats = [env.wire_cat(w) for w in rw]
+            objs_of = {join_objs(env.boundary_cat(rw), zip(cats, objs)): objs
+                       for objs in itertools.product(*[c.objects for c in cats])}
+            for left in prof.source.objects:
+                for b in prof.target.objects:
+                    for v in prof.fiber(left, b):
+                        d = OpenDiagram.from_fiber(sig, env, shape,
+                                                   {"v": (v, objs_of[b])}, left, ev)
+                        assert (d.point, d.fiber) == (v, (left, b)), kind
+                        if kind in NEEDS_OBJECTS:
+                            with pytest.raises(PointError):
+                                OpenDiagram.from_fiber(sig, env, shape, {"v": v},
+                                                       left, ev)
+                            continue
+                        assert _pinned_right(kind, env, v) == b, kind
+                        d = OpenDiagram.from_fiber(sig, env, shape, {"v": v}, left, ev)
+                        assert (d.point, d.fiber) == (v, (left, b)), kind
+                expected = _unassigned(kind, env, left)
+                if expected is None:
+                    with pytest.raises(PointError):
+                        OpenDiagram.from_fiber(sig, env, shape, {}, left, ev)
+                    continue
+                d = OpenDiagram.from_fiber(sig, env, shape, {}, left, ev)
+                assert (d.point, d.fiber[1]) == expected, kind
