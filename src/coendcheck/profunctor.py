@@ -7,9 +7,10 @@ junctions/forks and functor boxes are this pair for four functors: a point
 1 -> C, the unit, the tensor C x C -> C, and F itself.
 
 Element values are nested tuples over leaves (interned morphism ids, or
-short strings for singleton fibers).  A global key function flattens tuple
-trees left-to-right, which makes canonical class representatives
-independent of enumeration order.
+short strings for singleton fibers).  All elements of one profunctor have
+the same tuple shape, so Python's tuple order, which compares their leaves
+left to right, is a total order on them; it makes canonical class
+representatives independent of enumeration order.
 """
 
 from __future__ import annotations
@@ -21,20 +22,6 @@ from .fincat import FinCategory, FinFunctor, opposite, product, terminal_categor
 
 class ProfunctorError(Exception):
     pass
-
-
-def value_key(v):
-    """Deterministic total order on element values, flattening tuples."""
-    if isinstance(v, tuple):
-        return tuple(k for x in v for k in value_key(x))
-    if isinstance(v, int):
-        return ((0, v),)
-    return ((1, str(v)),)
-
-
-def _tag_key(tagged):
-    x, v = tagged
-    return (x,) + value_key(v)
 
 
 class ConcreteProf:
@@ -123,7 +110,7 @@ class CoendSet:
     profunctor with equal endpoints (a coend over the base category).
 
     Tagged elements are pairs (object, value); classes are represented by
-    the least tagged element under the global order.  Only the category's
+    the least tagged element in tuple order.  Only the category's
     generators are related: an identity relates an element to itself, and
     for a lawful action a composite's relation chains its factors' ones.
     """
@@ -157,7 +144,7 @@ class CoendSet:
         # one sort: each class lists its members in order, and the classes
         # come in the order of their least members, the representatives
         classes = {}
-        for t in sorted(self.index, key=_tag_key):
+        for t in sorted(self.index):
             classes.setdefault(find(t), []).append(t)
         self._rep_of = {}
         self._members = {}

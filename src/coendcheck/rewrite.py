@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fincat import FixtureError, opposite_monoidal, terminal_category
-from .profunctor import (ProfunctorError, dual, join_mors, join_objs, split_obj,
-                         value_key)
+from .profunctor import ProfunctorError, dual, join_mors, join_objs, split_obj
 from .shapelang import (Env, EvalError, Evaluator, Gen, Id, Par, Seq,
                         ShapeTypeError, StructureMissing, Wire, boundary,
                         is_plain_id, norm, obj_expr_cat, functor_expr_sig,
@@ -1242,7 +1241,7 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
                 return None
         for fiber, fmap in fwd.items():
             dst_reps = list(dst.prof.fiber(*fiber))
-            if sorted(map(value_key, fmap.values())) != sorted(map(value_key, dst_reps)):
+            if len(fmap) != len(dst_reps) or set(fmap.values()) != set(dst_reps):
                 report.fail(f"step {idx} {step.rule}: not a bijection at fiber "
                             f"{fiber} ({len(set(fmap.values()))} of "
                             f"{len(dst_reps)} classes hit)")

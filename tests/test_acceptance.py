@@ -28,11 +28,21 @@ from coendcheck.profunctor import (ConcreteProf, CoendSet, companion,
                                    compose_prof, conjoint, constant_prof,
                                    copy_prof, cup_prof, cap_prof, hom_prof,
                                    merge_prof, point, swap_prof,
-                                   tensor_functor, value_key)
+                                   tensor_functor)
 from coendcheck.rewrite import (Derivation, Report, Step, apply_step,
                                 check_derivation_once,
                                 script_object_symbols)
 from coendcheck.shapelang import Env, Evaluator, parse_shape_script
+
+
+def value_key(v):
+    """The flattened key of an element value: its leaves left to right,
+    ints before strings (an order independent of the one CoendSet uses)."""
+    if isinstance(v, tuple):
+        return tuple(k for x in v for k in value_key(x))
+    if isinstance(v, int):
+        return ((0, v),)
+    return ((1, str(v)),)
 
 
 def ok(n, text):

@@ -11,20 +11,35 @@ from coendcheck.demos import demo_dir
 from coendcheck.fincat import (build_category, from_comm_monoid, from_lattice,
                                opposite, product, terminal_category)
 from coendcheck.fixtures import FIXTURE_NAMES, build
-from coendcheck.profunctor import (ConcreteProf, NatFamily, _tag_key,
+from coendcheck.profunctor import (ConcreteProf, NatFamily,
                                    ProfunctorError, cap_prof,
                                    check_natural, companion, compose_prof,
                                    conjoint, constant_prof, copy_prof, cup_prof,
                                    CoendSet, discard_prof, empty_prof,
                                    hom_prof, merge_prof, point, swap_prof,
                                    tensor_functor, tensor_prof,
-                                   validate_prof, value_key)
+                                   validate_prof)
 from coendcheck.shapelang import Env, Evaluator, objects_in, parse_shape_script
 
 
 @pytest.fixture(scope="module")
 def oracles():
     return {name: build(name) for name in FIXTURE_NAMES}
+
+
+def value_key(v):
+    """The flattened key of an element value: its leaves left to right,
+    ints before strings (an order independent of the one CoendSet uses)."""
+    if isinstance(v, tuple):
+        return tuple(k for x in v for k in value_key(x))
+    if isinstance(v, int):
+        return ((0, v),)
+    return ((1, str(v)),)
+
+
+def tag_key(tagged):
+    x, v = tagged
+    return (x,) + value_key(v)
 
 
 def naive_quotient(pairs, relations):
@@ -73,8 +88,8 @@ def assert_coend_matches_naive(ce):
     mine = {frozenset(ce.members(r)) for r in ce.reps}
     theirs = {frozenset(c) for c in naive}
     assert mine == theirs
-    ordered = sorted((sorted(c, key=_tag_key) for c in naive),
-                     key=lambda c: _tag_key(c[0]))
+    ordered = sorted((sorted(c, key=tag_key) for c in naive),
+                     key=lambda c: tag_key(c[0]))
     assert ce.reps == [c[0] for c in ordered]
     assert [ce.members(r) for r in ce.reps] == ordered
 
