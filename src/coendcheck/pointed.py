@@ -115,7 +115,7 @@ def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation, sig,
     compare with d2's point.  Equality of open diagrams is only defined
     relative to the supplied deformation."""
     for step in deformation:
-        rule = check_instantiation(step)
+        rule = check_instantiation(step, sig)
         if rule.tag != "iso":
             raise RewriteError(
                 f"deformations must be invertible; {rule.name} is directed")
@@ -290,7 +290,13 @@ def _resolve_spec(sig, env, leaf, spec):
     if spec == "*":
         return ("*", None)
     if isinstance(spec, tuple):
-        head = spec[0]
+        head = spec[0] if spec else None
+        arity = {"pair": len(leaf.wires) if isinstance(leaf, Id) else 2,
+                 "split": 3, "mor": 2}.get(head)
+        if arity is None:
+            raise PointError(f"unknown value spec {spec!r}")
+        if len(spec) != arity + 1:
+            raise PointError(f"({head} ...) takes {arity} argument(s)")
         if head == "pair":
             if isinstance(leaf, Id):
                 cat = env.boundary_cat(leaf.wires)
@@ -305,10 +311,8 @@ def _resolve_spec(sig, env, leaf, spec):
             m = _resolve_obj_name(sig, env, spec[2], catsym)
             n = _resolve_obj_name(sig, env, spec[3], catsym)
             return (mor(spec[1]), (m, n))
-        if head == "mor":
-            x = _resolve_obj_name(sig, env, spec[2], catsym)
-            return (mor(spec[1]), (x,))
-        raise PointError(f"unknown value spec {spec!r}")
+        x = _resolve_obj_name(sig, env, spec[2], catsym)
+        return (mor(spec[1]), (x,))
     if isinstance(leaf, Id) and len(leaf.wires) == 1:
         return (mor(spec, leaf.wires[0].cat), None)
     return (mor(spec), None)

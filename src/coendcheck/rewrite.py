@@ -272,7 +272,7 @@ def apply_step(term, step: Step, sig, env, ev: Evaluator = None):
     elements, not just canonical representatives.  The inverse
     instantiation is the `inst` of the backward step that undoes this one.
     """
-    rule = check_instantiation(step)
+    rule = check_instantiation(step, sig)
     ev = ev or Evaluator(env)
     new_term, transport, inv = rewrite_at(ev, term, tuple(step.path), rule,
                                           step.inst, step.backward)
@@ -284,10 +284,11 @@ def apply_step(term, step: Step, sig, env, ev: Evaluator = None):
     return new_term, transport, inv
 
 
-def check_instantiation(step: Step):
+def check_instantiation(step: Step, sig):
     """The rule of a step, or the RewriteError that the step fails with
     under every assignment: an unknown rule, a directed rule used backward,
-    or a span or cut that is not an integer."""
+    a span or cut that is not an integer, or a name read as an object or
+    functor symbol that the signature does not declare."""
     rule = RULES.get(step.rule)
     if rule is None:
         raise RewriteError(f"unknown rule {step.rule!r}")
@@ -296,6 +297,15 @@ def check_instantiation(step: Step):
     for key in rule.int_keys[step.backward]:
         if key in step.inst:
             _int_inst(step.inst, key)
+    for keys, table, heads, unknown in (
+            (rule.obj_keys, sig.objects, ("tensor", "unit"), "object symbol {!r} is unassigned"),
+            (rule.functor_keys, sig.functors, ("fcomp",), "unknown functor symbol {!r}")):
+        for key in keys[step.backward]:
+            v = step.inst.get(key)
+            # the parser checked the symbols of a (tensor ..), (unit ..) or (fcomp ..)
+            if key in step.inst and not (
+                    v[:1] and v[0] in heads if isinstance(v, tuple) else v in table):
+                raise RewriteError(unknown.format(v))
     return rule
 
 
@@ -307,7 +317,9 @@ class Rule:
     name = "?"
     tag = "iso"       # or "directed": no backward use
     site = "slice"
-    int_keys = ((), ())  # integer instantiations read forward, backward
+    # instantiations read forward, backward as integers, object symbols
+    # and functor symbols
+    int_keys = obj_keys = functor_keys = ((), ())
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
         raise MatchError(f"{self.name} is not a slice rule")
@@ -605,6 +617,7 @@ class PortFuse(Rule):
     """Two parallel ports into a junction fuse to the port of the tensor
     object; in C^op, two parallel ports out of a fork."""
     name = "R-PORT-FUSE"
+    obj_keys = ((), ("A", "B"))
     readings = ((False, ("inport", "junction"), "in"), (True, ("outport", "fork"), "out"))
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
@@ -661,6 +674,11 @@ class AdjunctionUnit(Rule):
 
     def __init__(self, name, kinds, key=None, needs=None):
         self.name, self.kinds, self.key, self.needs = name, kinds, key, needs
+        if key is not None:  # an object symbol for ports, a functor for boxes
+            if kinds[0] == "box":
+                self.functor_keys = ((key,), ())
+            else:
+                self.obj_keys = ((key,), ())
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
         if self.key is None:
@@ -1012,6 +1030,7 @@ class ZigzagCap(ZigzagCup):
 class FunctorFuse(Rule):
     """Consecutive functor boxes fuse to the composite functor."""
     name = "R-FUNCTOR-FUSE"
+    functor_keys = ((), ("F", "G"))
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
         if backward:
@@ -1337,7 +1356,7 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
     the sweep.  `epilogue(report, ev, terms, maps)` runs after each main
     derivation that checks, with the evaluator at that assignment."""
     derivs = list(script.named.items()) + ([("main", script.main)] if script.main else [])
-    derivs = _refuse_instantiations(derivs, report)
+    derivs = _refuse_instantiations(derivs, sig, report)
     if not (derivs or script.points or script.asserts):
         return
     only = script_object_symbols(script, sig)
@@ -1354,7 +1373,7 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
         _check_points(script, sig, ev, report)
 
 
-def _refuse_instantiations(derivs, report):
+def _refuse_instantiations(derivs, sig, report):
     """Report once, before the sweep, every step that fails whatever the
     assignment; return the derivations that have none."""
     kept = []
@@ -1362,7 +1381,7 @@ def _refuse_instantiations(derivs, report):
         fails = []
         for idx, step in enumerate(deriv.steps, 1):
             try:
-                check_instantiation(step)
+                check_instantiation(step, sig)
             except RewriteError as e:
                 fails.append(f"step {idx} {step.rule}: {e}")
         if fails:
@@ -1391,6 +1410,9 @@ def _check_points(script, sig, ev, report):
     from . import pointed
     diagrams = {}
     for decl in script.points:
+        if decl.shape not in sig.shapes:
+            report.fail(f"point {decl.name}: unknown shape {decl.shape!r}")
+            continue
         try:
             d = pointed.OpenDiagram.from_names(sig, ev.env, sig.shapes[decl.shape],
                                                decl.assignment, ev)

@@ -319,6 +319,8 @@ def parse_term(x, sig):
     if not isinstance(x, list) or not x:
         raise ShapeSyntaxError(f"expected a term, got {x!r}")
     head = x[0]
+    if isinstance(head, list):
+        raise ShapeSyntaxError(f"expected a generator name, got {head!r}")
     args = x[1:]
     label = None
     if args and isinstance(args[-1], str) and args[-1].startswith("@"):
@@ -372,6 +374,8 @@ def parse_shape_script(text) -> Signature:
             raise ShapeSyntaxError(f"bad toplevel form {form!r}")
         head = form[0]
         if head == "category":
+            if len(form) != 2:
+                raise ShapeSyntaxError("(category C) expected")
             cats.append(_name_of(form[1]))
             sig.categories = tuple(cats)
         elif head == "object":
@@ -403,9 +407,9 @@ def parse_shape_script(text) -> Signature:
             right = tuple(_parse_wire(w, sig) for w in form[3])
             sig.profs[name] = (left, right)
         elif head == "shape":
-            name = _name_of(form[1])
             if len(form) != 3:
                 raise ShapeSyntaxError("(shape name term) expected")
+            name = _name_of(form[1])
             sig.shapes[name] = parse_term(form[2], sig)
         else:
             raise ShapeSyntaxError(f"unknown declaration {head!r}")

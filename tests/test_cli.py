@@ -1,4 +1,6 @@
+import functools
 import json
+import re
 
 import pytest
 
@@ -311,6 +313,15 @@ def test_bad_step_instantiation_fails_the_step(capsys, tmp_path, shapes, shape,
      "R-INTERCHANGE: instantiation cut1 must be an integer"),
     ("step R-NOPE at 2", "R-NOPE: unknown rule 'R-NOPE'"),
     ("step R-EPS-A at 1 backward", "R-EPS-A: R-EPS-A is directed; backward use rejected"),
+    ("step R-ETA-A at 0 with {A := Q}", "R-ETA-A: object symbol 'Q' is unassigned"),
+    ("step R-PORT-FUSE at 0 backward with {A := Q, B := A}",
+     "R-PORT-FUSE: object symbol 'Q' is unassigned"),
+    ("step R-PORT-FUSE at 0 backward with {A := A, B := 0}",
+     "R-PORT-FUSE: object symbol 0 is unassigned"),
+    ("step R-FUNCTOR-ADJ-ETA at 0 with {F := G}",
+     "R-FUNCTOR-ADJ-ETA: unknown functor symbol 'G'"),
+    ("step R-FUNCTOR-FUSE at 0 backward with {F := F, G := G}",
+     "R-FUNCTOR-FUSE: unknown functor symbol 'F'"),
 ])
 def test_assignment_free_step_failure_is_reported_once(capsys, tmp_path, step,
                                                        message):
@@ -343,3 +354,83 @@ def test_instantiation_of_two_forms_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, "check", script, *STEP_BIND)
     _one_line_exit_2(code, out, err)
     assert "instantiation '(a)(b)' is not one value" in err
+
+
+def _directive_mutants(text):
+    """Every single-token drop, adjacent swap and replacement by Q on each
+    directive line of a derivation script (comments stripped)."""
+    lines = [raw.split(";", 1)[0].strip() for raw in text.splitlines()]
+    for n, line in enumerate(lines):
+        toks = line.split()
+        edits = [toks[:i] + toks[i + 1:] for i in range(len(toks))]
+        edits += [toks[:i] + [toks[i + 1], toks[i]] + toks[i + 2:]
+                  for i in range(len(toks) - 1)]
+        edits += [toks[:i] + ["Q"] + toks[i + 1:] for i in range(len(toks))]
+        for toks2 in edits:
+            yield "\n".join(lines[:n] + [" ".join(toks2)] + lines[n + 1:])
+
+
+def _sexpr_mutants(text):
+    """Every single-token drop and replacement by Q in a shape script, a
+    parenthesis being a token."""
+    body = "\n".join(raw.split(";", 1)[0] for raw in text.splitlines())
+    toks = re.findall(r'[()]|"[^"]*"|[^\s()]+', body)
+    for i in range(len(toks)):
+        yield " ".join(toks[:i] + toks[i + 1:])
+        yield " ".join(toks[:i] + ["Q"] + toks[i + 1:])
+
+
+def test_mutated_shipped_scripts_never_exit_3(capsys, monkeypatch, tmp_path):
+    # malformed input exits 2 and a failed check 1: no one-token mutation
+    # of a shipped script reaches the internal-error exit (about 4,800
+    # runs; the parser is built once, as it does not depend on them)
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    z2 = fixture_path("z2")
+    scripts = {p.name: p.read_text(encoding="utf-8") for p in demo_dir().iterdir()}
+    runs = 0
+    for name, text in sorted(scripts.items()):
+        if name.endswith(".deriv"):
+            use = re.search(r"^use (\S+)", text, re.M).group(1)
+            (tmp_path / use).write_text(scripts[use])
+            path, cats, mutants = tmp_path / "mutant.deriv", scripts[use], _directive_mutants(text)
+            argv = ["check", str(path)]
+        elif name.endswith(".shapes"):
+            first = re.search(r"\(shape ([\w-]+)", text).group(1)
+            path, cats, mutants = tmp_path / "mutant.shapes", text, _sexpr_mutants(text)
+            argv = ["eval", str(path), "--shape", first]
+        else:
+            continue
+        for c in sorted(set(re.findall(r"\(category (\w+)", cats))):
+            argv += ["--bind", f"{c}={z2}"]
+        for mutant in mutants:
+            path.write_text(mutant)
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2) and "internal error" not in err, (name, mutant, err)
+            runs += 1
+    assert runs > 4000
+
+
+@pytest.mark.parametrize("edit,code", [
+    (("deriv", "point pg hom-pair", "point pg Q"), 1),
+    (("deriv", "(split 0 x x)", "(split 0 x)"), 1),
+    (("deriv", "{p := 1}", "{p := (mor 1)}"), 1),
+    (("shapes", "(category C)", "(category)"), 2),
+    (("shapes", "(outport (tensor B (unit C)) @q)", "((tensor B (unit C)) @q)"), 2),
+], ids=["point-shape", "split-arity", "mor-arity", "category-arity", "term-head"])
+def test_malformed_point_or_shape_does_not_crash(capsys, tmp_path, edit, code):
+    # an unknown point shape or a value spec of the wrong arity fails the
+    # point; a malformed shape script is malformed input
+    which, old, new = edit
+    for name in ("points.deriv", "points.shapes"):
+        text = (demo_dir() / name).read_text(encoding="utf-8")
+        if name.endswith(which):
+            assert old in text
+            text = text.replace(old, new)
+        (tmp_path / name).write_text(text)
+    got, out, err = run(capsys, "check", str(tmp_path / "points.deriv"),
+                        "--bind", f"C={fixture_path('z2')}")
+    assert got == code and "internal error" not in err
+    if code == 1:
+        assert "FAIL point " in out
+    else:
+        assert out == "" and len(err.splitlines()) == 1
