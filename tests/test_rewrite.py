@@ -8,7 +8,8 @@ from coendcheck.rewrite import (Derivation, DirectionError, Report, Step,
                                 strip_labels)
 from coendcheck.shapelang import (Env, Evaluator, Gen, Id, Par, Seq,
                                   StructureMissing, Wire, boundary,
-                                  class_count, eval_closed, parse_shape_script)
+                                  class_count, eval_closed, objects_in,
+                                  parse_shape_script)
 
 SCRIPT = """
 (category C)
@@ -738,3 +739,82 @@ def test_sym_refuses_an_unbraided_oracle():
                                       inst={"config": "fork"}))]:
         with pytest.raises(StructureMissing, match="'C' has no braiding"):
             apply_step(sig.shapes[t], step, sig, env)
+
+
+# -- a braiding that is not an identity ------------------------------------------------
+
+
+def braided_words():
+    """Words over {a, b} with aa = bb = z and every longer word z: objects
+    1, a, b, p = ab, q = ba and z.  Besides identities there are s: p -> q
+    and its inverse t.  A tensor of morphisms is an identity except against
+    the unit; the braiding is s at (a, b), t at (b, a) and an identity
+    elsewhere, so a braid read with its arguments swapped is ill-typed."""
+    from coendcheck.fincat import MonoidalStructure, build_category
+    objs = ["1", "a", "b", "p", "q", "z"]
+    word = {"1": "", "a": "a", "b": "b", "p": "ab", "q": "ba"}
+    homs = {(x, x): [f"id_{x}"] for x in objs}
+    homs.update({("p", "q"): ["s"], ("q", "p"): ["t"]})
+    compose = {(f"id_{x}", f"id_{x}"): f"id_{x}" for x in objs}
+    for f, (x, y) in (("s", ("p", "q")), ("t", ("q", "p"))):
+        compose.update({(f"id_{x}", f): f, (f, f"id_{y}"): f})
+    compose.update({("s", "t"): "id_p", ("t", "s"): "id_q"})
+    cat = build_category("braided-words", objs, homs, compose,
+                         {x: f"id_{x}" for x in objs})
+    ob, mor = cat.obj_id, cat.mor_id
+
+    def tensor(x, y):
+        if "1" in (x, y):
+            return y if x == "1" else x
+        w = word.get(x, "zz") + word.get(y, "zz")
+        return {"ab": "p", "ba": "q"}.get(w, "z")
+
+    tensor_obj = {(ob(x), ob(y)): ob(tensor(x, y)) for x in objs for y in objs}
+    unit_id = mor("id_1")
+    tensor_mor = {}
+    for f in cat.morphisms:
+        for g in cat.morphisms:
+            if unit_id in (f, g):
+                tensor_mor[(f, g)] = g if f == unit_id else f
+            else:
+                tensor_mor[(f, g)] = cat.identity(tensor_obj[(cat.dom(f), cat.dom(g))])
+    braiding = {(x, y): cat.identity(tensor_obj[(x, y)]) for x in cat.objects
+                for y in cat.objects}
+    braiding.update({(ob("a"), ob("b")): mor("s"), (ob("b"), ob("a")): mor("t")})
+    return MonoidalStructure(cat, tensor_obj, tensor_mor, ob("1"), braiding)
+
+
+BRAID_SCRIPT = """
+(category C)
+(object A C) (object B C) (object Y C)
+(shape sym-junction (seq (par (inport A) (inport B)) (sym C C) (junction C)))
+(shape fork-sym (seq (inport Y) (fork C) (sym C C)))
+"""
+
+
+def test_braided_words_is_a_braided_fixture():
+    from coendcheck.fincat import validate_category, validate_monoidal
+    mon = braided_words()
+    c = mon.base
+    assert (len(c.objects), len(c.morphisms)) == (6, 8)
+    assert validate_category(c).ok and validate_monoidal(mon).ok
+    a, b = c.obj_id("a"), c.obj_id("b")
+    assert mon.braid(a, b) == c.mor_id("s") != c.identity(mon.tensor(a, b))
+
+
+@pytest.mark.parametrize("shape", ["sym-junction", "fork-sym"])
+def test_sym_slides_a_braiding_that_is_not_an_identity(shape):
+    # R-SYM slides the braiding into the junction and, in C^op, out of the
+    # fork; with the braiding read as braid(n, m) both sides fail
+    sig = parse_shape_script(BRAID_SCRIPT)
+    deriv = Derivation("t", shape, [Step("R-SYM", (1,))])
+    mon, swapped = braided_words(), braided_words()
+    swapped.braiding = {(x, y): s for (y, x), s in mon.braiding.items()}
+    for oracle in (mon, swapped):
+        report = Report()
+        for env_a in Env(sig, {"C": oracle}).assignments(only=objects_in(sig.shapes[shape])):
+            check_derivation_once(deriv, sig, Evaluator(env_a), report)
+        if oracle is mon:
+            assert report.ok, report.text()
+            assert report.text().count("step 1 R-SYM ok") == (36 if shape == "sym-junction" else 6)
+    assert not report.ok
