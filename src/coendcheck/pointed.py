@@ -65,8 +65,10 @@ class OpenDiagram:
     @staticmethod
     def from_values(sig, env: Env, shape, assignment, ev: Evaluator = None):
         """Build from resolved leaf values: {label: value} or
-        {label: (value, right objects tuple)} where the extra objects pin
-        fibers that the value alone does not determine (forks, caps, ...).
+        {label: (value, right objects tuple)}.  A leaf's right object is that
+        of the fiber of its profunctor that holds the value; the extra
+        objects, one per right wire, pin fibers that the value alone does not
+        determine (forks, coboxes, codiscards, named leaves).
 
         Shapes with a non-empty left boundary infer their left fiber object
         when the assigned values pin it uniquely."""
@@ -168,7 +170,6 @@ def compose_open(d1: OpenDiagram, d2: OpenDiagram, sig, env,
 
 
 def _walk(ev, sig, term, assignment, left_obj):
-    env = ev.env
     if isinstance(term, Seq):
         items = []
         cur = left_obj
@@ -179,7 +180,7 @@ def _walk(ev, sig, term, assignment, left_obj):
         return build_seq_value(ev, items, (left_obj, cur)), cur
     if isinstance(term, Par):
         (lw_t, rw_t), (lw_b, rw_b) = boundary(term.top, sig), boundary(term.bottom, sig)
-        cat = env.boundary_cat
+        cat = ev.env.boundary_cat
         lt, lb = split_obj(cat(lw_t + lw_b), cat(lw_t), cat(lw_b), left_obj)
         vt, rt = _walk(ev, sig, term.top, assignment, lt)
         vb, rb = _walk(ev, sig, term.bottom, assignment, lb)

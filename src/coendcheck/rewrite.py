@@ -675,10 +675,7 @@ class AdjunctionUnit(Rule):
     def __init__(self, name, kinds, key=None, needs=None):
         self.name, self.kinds, self.key, self.needs = name, kinds, key, needs
         if key is not None:  # an object symbol for ports, a functor for boxes
-            if kinds[0] == "box":
-                self.functor_keys = ((key,), ())
-            else:
-                self.obj_keys = ((key,), ())
+            setattr(self, "functor_keys" if kinds[0] == "box" else "obj_keys", ((key,), ()))
 
     def apply_slice(self, ev, parts, i, inst, backward, container):
         if self.key is None:
