@@ -218,7 +218,6 @@ def test_embed_forget_is_the_hom_shape(sig):
     assert forget(d) == Id((Wire("C"),), "w")
 
 
-
 # -- one-leaf points of every generator kind ---------------------------------------
 
 LEAVES = """
@@ -264,13 +263,11 @@ def _leaf_env(sig, mon, a):
 
 
 def _pinned_right(kind, env, v):
-    """The right object that a value pins, by the kind's typing: None for
-    the kinds whose point names it."""
+    """The right object that a value pins, by the kind's typing (for the
+    kinds not in NEEDS_OBJECTS)."""
     c = env.cats["C"]
     w = Wire("C")
     cc = env.boundary_cat((w, w))
-    if kind in NEEDS_OBJECTS:
-        return None
     if kind == "id" or kind in COMPANIONS:
         return c.cod(v)
     if kind == "merge":
