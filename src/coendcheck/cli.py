@@ -9,6 +9,7 @@ fixtures that fail validation), 3 an internal error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -159,7 +160,10 @@ def cmd_demo(args):
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process.  Commands are
+    looked up in main at each call, not bound here."""
     ap = argparse.ArgumentParser(
         prog="coendcheck",
         description="verify shape evaluations and rewrite derivations "
@@ -168,22 +172,18 @@ def build_parser():
 
     p = sub.add_parser("validate", help="validate a category fixture file")
     p.add_argument("fixture")
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("eval", help="evaluate a shape from a shape script")
     p.add_argument("script")
     p.add_argument("--shape", required=False)
     p.add_argument("--bind", action="append", metavar="SYM=PATH")
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("check", help="check a derivation script")
     p.add_argument("script")
     p.add_argument("--bind", action="append", metavar="SYM=PATH")
-    p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("demo", help="run a shipped demo (or 'list')")
     p.add_argument("name")
-    p.set_defaults(fn=cmd_demo)
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -197,8 +197,10 @@ def main(argv=None):
     if not getattr(args, "command", None):
         ap.print_help()
         return EXIT_MALFORMED
+    fn = {"validate": cmd_validate, "eval": cmd_eval, "check": cmd_check,
+          "demo": cmd_demo}[args.command]
     try:
-        return args.fn(args)
+        return fn(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MALFORMED

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fincat import FixtureError
 from .profunctor import join_mors, join_objs, render_generic, split_obj
 from .rewrite import (PointError, RewriteError, apply_step, build_seq_value,
                       check_instantiation, strip_labels)
 from .shapelang import (COMPANION_KINDS, CONJOINT_KINDS, Env, Evaluator, Gen,
-                        Id, Par, Seq, Wire, boundary, obj_expr_cat, print_term)
+                        Id, Par, Seq, Wire, boundary, functor_expr_sig,
+                        obj_expr_cat, print_term)
 
 
 @dataclass
@@ -249,10 +251,15 @@ def _identity_value(env, term, left, name):
 def _resolve_obj_name(sig, env, name, catsym):
     if name in sig.objects:
         return env.resolve_obj(name)
-    return env.cats[catsym].obj_id(str(name))
+    try:
+        return env.cats[catsym].obj_id(str(name))
+    except FixtureError as e:
+        raise PointError(str(e)) from None
 
 
 def _leaf_catsym(sig, term):
+    """The category of the leaf's morphism values: a functor box's values
+    are morphisms of the functor's target."""
     if isinstance(term, Id):
         return term.wires[0].cat if term.wires else None
     if term.kind in ("inport", "outport"):
@@ -260,7 +267,7 @@ def _leaf_catsym(sig, term):
     if term.kind == "sym":
         return term.args[0].cat
     if term.kind in ("box", "cobox"):
-        return None
+        return functor_expr_sig(term.args[0], sig)[1]
     return term.args[0]
 
 
@@ -308,12 +315,13 @@ def _resolve_spec(sig, env, leaf, spec):
                 return ((mor(spec[1], leaf.args[0].cat),
                          mor(spec[2], leaf.args[1].cat)), None)
             return ((mor(spec[1]), mor(spec[2])), None)
-        if head == "split":
-            m = _resolve_obj_name(sig, env, spec[2], catsym)
-            n = _resolve_obj_name(sig, env, spec[3], catsym)
-            return (mor(spec[1]), (m, n))
-        x = _resolve_obj_name(sig, env, spec[2], catsym)
-        return (mor(spec[1]), (x,))
+        # (split f M N) and (mor f X): one right object per right wire,
+        # each named in its wire's category
+        rw = boundary(leaf, sig)[1]
+        if len(spec) - 2 != len(rw):
+            raise PointError(f"{leaf.label} needs {len(rw)} target object(s)")
+        return (mor(spec[1]), tuple(_resolve_obj_name(sig, env, n, w.cat)
+                                    for n, w in zip(spec[2:], rw)))
     if isinstance(leaf, Id) and len(leaf.wires) == 1:
         return (mor(spec, leaf.wires[0].cat), None)
     return (mor(spec), None)

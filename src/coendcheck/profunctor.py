@@ -47,6 +47,15 @@ class ConcreteProf:
             self._fibers[key] = tuple(self._fiber_fn(a, b))
         return self._fibers[key]
 
+    def relations(self, f):
+        """The coend relation of f: x -> y when source is target: for each
+        q in P(y, x), (x, P(f, 1)q) is related to (y, P(1, f)q)."""
+        cat = self.source
+        x, y = cat.dom(f), cat.cod(f)
+        idx, idy = cat.identity(x), cat.identity(y)
+        for q in self.fiber(y, x):
+            yield (x, self.act(f, idx, q)), (y, self.act(idy, f, q))
+
     def render(self, v):
         if self._render is not None:
             return self._render(v)
@@ -113,6 +122,8 @@ class CoendSet:
     the least tagged element in tuple order.  Only the category's
     generators are related: an identity relates an element to itself, and
     for a lawful action a composite's relation chains its factors' ones.
+    The pairs come from p.relations(f); the pair profunctor of a sequential
+    composite drops the identity actions there, on the same lawfulness.
     """
 
     def __init__(self, p: ConcreteProf):
@@ -133,11 +144,7 @@ class CoendSet:
             return root
 
         for f in cat.generators:
-            x, y = cat.dom(f), cat.cod(f)
-            idx, idy = cat.identity(x), cat.identity(y)
-            for q in p.fiber(y, x):
-                left = (x, p.act(f, idx, q))
-                right = (y, p.act(idy, f, q))
+            for left, right in p.relations(f):
                 ra, rb = find(left), find(right)
                 if ra != rb:
                     parent[ra] = rb
@@ -392,15 +399,8 @@ class ComposedProf(ConcreteProf):
     def coend_at(self, a, c) -> CoendSet:
         key = (a, c)
         if key not in self._coends:
-            p, q, mid = self.p, self.q, self.mid
-            pair = ConcreteProf(
-                mid, mid,
-                lambda b1, b2: tuple((u, w) for u in p.fiber(a, b2)
-                                     for w in q.fiber(b1, c)),
-                lambda f, g, v: (p.act(p.source.identity(a), g, v[0]),
-                                 q.act(f, q.target.identity(c), v[1])),
-                name=f"pair({self.name})")
-            self._coends[key] = CoendSet(pair)
+            self._coends[key] = CoendSet(_PairProf(self.p, self.q, a, c,
+                                                   f"pair({self.name})"))
         return self._coends[key]
 
     def _fib(self, a, c):
@@ -430,6 +430,34 @@ class ComposedProf(ConcreteProf):
         return {(r[0], r[1][0], r[1][1]):
                 [(x, v[0], v[1]) for (x, v) in ce.members(r)]
                 for r in ce.reps}
+
+
+class _PairProf(ConcreteProf):
+    """P(a, -) x Q(-, c) on the middle category, whose coend is the fiber
+    (P ; Q)(a, c): its fiber at (y, x) is P(a, x) x Q(y, c), and a
+    morphism acts on one factor on each side."""
+
+    def __init__(self, p: ConcreteProf, q: ConcreteProf, a, c, name):
+        self.p, self.q, self.a, self.c = p, q, a, c
+        self.ida = ida = p.source.identity(a)
+        self.idc = idc = q.target.identity(c)
+        super().__init__(
+            p.target, p.target,
+            lambda b1, b2: tuple((u, w) for u in p.fiber(a, b2)
+                                 for w in q.fiber(b1, c)),
+            lambda f, g, v: (p.act(ida, g, v[0]), q.act(f, idc, v[1])),
+            name=name)
+
+    def relations(self, f):
+        """(x, (u, Q(f, c)w)) ~ (y, (P(a, f)u, w)) for f: x -> y, from one
+        table of P(a, f) over P(a, x) and one of Q(f, c) over Q(y, c)."""
+        p, q = self.p, self.q
+        x, y = self.source.dom(f), self.source.cod(f)
+        p_f = [(u, p.act(self.ida, f, u)) for u in p.fiber(self.a, x)]
+        q_f = [(w, q.act(f, self.idc, w)) for w in q.fiber(y, self.c)]
+        for u, fu in p_f:
+            for w, fw in q_f:
+                yield (x, (u, fw)), (y, (fu, w))
 
 
 def compose_prof(p: ConcreteProf, q: ConcreteProf) -> ComposedProf:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from . import profunctor as pf
 from .fincat import FinCategory, FinFunctor, MonoidalStructure, opposite, product
@@ -64,15 +64,28 @@ class Gen:
     label: str = None
 
 
+def _hash_once(t):
+    """The hash of a Seq or Par, computed from its fields on first use and
+    kept: a term is frozen, and every memo lookup hashes it whole."""
+    h = t.__dict__.get("_hash")
+    if h is None:
+        h = t.__dict__["_hash"] = hash(tuple(getattr(t, f.name) for f in fields(t)))
+    return h
+
+
 @dataclass(frozen=True)
 class Seq:
     parts: tuple
+
+    __hash__ = _hash_once
 
 
 @dataclass(frozen=True)
 class Par:
     top: object
     bottom: object
+
+    __hash__ = _hash_once
 
 
 def is_plain_id(t):
@@ -230,6 +243,10 @@ class Signature:
     functors: dict = None   # sym -> (src, dst, {obj name: obj name}, {mor: mor})
     profs: dict = None      # name -> (left wires, right wires)
     shapes: dict = None     # name -> term
+    # term -> its boundary, filled by boundary() with well-typed terms only;
+    # a signature does not change once its terms are typed
+    boundaries: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         self.objects = self.objects or {}
@@ -466,7 +483,16 @@ def print_term(t):
 
 def boundary(t, sig, path=()):
     """Return (left wires, right wires) or raise ShapeTypeError with the
-    offending path."""
+    offending path.  A well-typed term's boundary is kept in
+    sig.boundaries; an ill-typed one is checked again on every call, so
+    its error names the path of that call."""
+    bnd = sig.boundaries.get(t)
+    if bnd is None:
+        bnd = sig.boundaries[t] = _boundary(t, sig, path)
+    return bnd
+
+
+def _boundary(t, sig, path):
     if isinstance(t, Id):
         return (t.wires, t.wires)
     if isinstance(t, Seq):

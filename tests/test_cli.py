@@ -1,4 +1,4 @@
-import functools
+import argparse
 import json
 import re
 
@@ -205,6 +205,38 @@ def test_bad_bound_fixture_exits_2(capsys, name, cmd):
     assert "fails validation: [" in err and "violation(s))" in err
 
 
+def test_main_builds_one_parser_for_independent_calls(capsys, monkeypatch):
+    # the parser is built once per process; each call still parses its own
+    # arguments (no --bind or --fail-fast carries over) and dispatches to
+    # the command bound at call time
+    cli.build_parser.cache_clear()
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    seen = []
+    real_check = cli.cmd_check
+
+    def cmd_check(args):
+        seen.append((list(args.bind), args.fail_fast))
+        return real_check(args)
+    monkeypatch.setattr(cli, "cmd_check", cmd_check)
+    script = demo_path("lens_reduction.deriv")
+    meet, z2 = fixture_path("meet-lattice-2"), fixture_path("z2")
+    calls = [("check", script, "--bind", f"C={meet}", "--fail-fast"),
+             ("check", script, "--bind", f"C={z2}")]
+    results = [run(capsys, *argv) for argv in calls]
+    assert built.count("coendcheck") == 1
+    assert seen == [([f"C={meet}"], True), ([f"C={z2}"], False)]
+    assert [code for code, _, _ in results] == [0, 1]
+    for argv, got in zip(calls, results):
+        cli.build_parser.cache_clear()
+        assert run(capsys, *argv) == got
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def crash(args):
         raise RuntimeError("boom")
@@ -282,6 +314,21 @@ def _step_script(tmp_path, shapes, shape, step):
 
 STEP_BIND = ("--bind", f"C={fixture_path('meet-lattice-2')}",
             "--bind", f"D={fixture_path('z2')}")
+
+
+@pytest.mark.parametrize("spec,code", [
+    ("(mor 0 0)", 0), ("(mor 1 1)", 0), ("(mor 0 Q)", 1), ("(split 0 0 1)", 1)])
+def test_cobox_point_names_a_source_object(capsys, tmp_path, spec, code):
+    # a cobox's right object lies in F's source: a name there resolves, an
+    # unknown name or a wrong count fails the point
+    shapes = (demo_dir() / "adjunctions.shapes").read_text(encoding="utf-8")
+    (tmp_path / "adjunctions.shapes").write_text(shapes + "(shape cobox-leg (cobox F @c))\n")
+    script = tmp_path / "point.deriv"
+    script.write_text("use adjunctions.shapes\nderivation d from in-leg\nend\n"
+                      f"point p cobox-leg {{c := {spec}}}\n")
+    got, out, err = run(capsys, "check", str(script), *STEP_BIND)
+    assert (got, err) == (code, "")
+    assert ("FAIL point p: " in out) == (code == 1)
 
 
 @pytest.mark.parametrize("shapes,shape,step,message", [
@@ -380,11 +427,9 @@ def _sexpr_mutants(text):
         yield " ".join(toks[:i] + ["Q"] + toks[i + 1:])
 
 
-def test_mutated_shipped_scripts_never_exit_3(capsys, monkeypatch, tmp_path):
+def test_mutated_shipped_scripts_never_exit_3(capsys, tmp_path):
     # malformed input exits 2 and a failed check 1: no one-token mutation
-    # of a shipped script reaches the internal-error exit (about 4,800
-    # runs; the parser is built once, as it does not depend on them)
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    # of a shipped script reaches the internal-error exit (about 4,800 runs)
     z2 = fixture_path("z2")
     scripts = {p.name: p.read_text(encoding="utf-8") for p in demo_dir().iterdir()}
     runs = 0

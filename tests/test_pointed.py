@@ -350,3 +350,47 @@ def test_every_leaf_kind_points_at_its_fiber(fixture):
                     continue
                 d = OpenDiagram.from_fiber(sig, env, shape, {}, left, ev)
                 assert (d.point, d.fiber[1]) == expected, kind
+
+
+# -- points on functor boxes between two categories ---------------------------
+
+BOXES = """
+(category C) (category D)
+(functor F C D {functor})
+(shape box (box F @v))
+(shape cobox (cobox F @v))
+"""
+
+# F: C -> D, constant at one object of D
+FUNCTORS = {("meet-lattice-2", "z2"): "(obj (0 x) (1 x)) (mor (id_0 0) (id_1 0) (0<1 1))",
+            ("z2", "meet-lattice-2"): "(obj (x 0)) (mor (0 id_0) (1 id_0))"}
+
+
+# the left object of a box over meet-lattice-2 is never pinned (F is constant)
+@pytest.mark.parametrize("kind,cats", [
+    ("cobox", ("meet-lattice-2", "z2")),
+    ("cobox", ("z2", "meet-lattice-2")),
+    ("box", ("z2", "meet-lattice-2")),
+])
+def test_box_points_resolve_names_in_their_wire_categories(kind, cats):
+    # a box's values are morphisms of F's target D, and (mor f X) names X
+    # on the leaf's right wire: D for a box, C for a cobox
+    sig = parse_shape_script(BOXES.format(functor=FUNCTORS[cats]))
+    env = Env(sig, {"C": build(cats[0]), "D": build(cats[1])})
+    ev = Evaluator(env)
+    shape = sig.shapes[kind]
+    prof = ev.node(shape).prof
+    d = env.cats["D"]
+    right = env.wire_cat(boundary(shape, sig)[1][0])
+    points = 0
+    for left in prof.source.objects:
+        for b in prof.target.objects:
+            for v in prof.fiber(left, b):
+                spec = ("mor", d.mor_name(v), right.obj_name(b))
+                got = OpenDiagram.from_names(sig, env, shape, {"v": spec}, ev)
+                assert (got.point, got.fiber) == (v, (left, b))
+                points += 1
+    assert points
+    for spec in [("mor", d.mor_name(v), "Q"), ("split", d.mor_name(v), "Q", "Q")]:
+        with pytest.raises(PointError):
+            OpenDiagram.from_names(sig, env, shape, {"v": spec}, ev)

@@ -220,6 +220,19 @@ SCRIPTS = {name: parse_shape_script((demo_dir() / name).read_text(encoding="utf-
            for name in ("lens.shapes", "feedback.shapes")}
 
 
+def generator_relations(p):
+    """coend_relations(p) split into one set per morphism (it lists each
+    morphism's relation as one block, in the order of cat.morphisms)."""
+    cat, naive = p.source, coend_relations(p)
+    out, start = {}, 0
+    for f in cat.morphisms:
+        end = start + len(p.fiber(cat.cod(f), cat.dom(f)))
+        out[f] = set(naive[start:end])
+        start = end
+    assert start == len(naive)
+    return out
+
+
 # lens.shapes meets products as middle categories, feedback.shapes also
 # their opposites (its cost over prod-l2-z2 would double the test's)
 @pytest.mark.parametrize("fx,scripts", [
@@ -239,6 +252,39 @@ def test_pair_quotients_of_shipped_shapes_match_naive(fx, scripts):
     assert (product(opposite(c), c) in mids) == ("feedback.shapes" in scripts)
     for ce in built:
         assert_coend_matches_naive(ce)
+        # the one-sided tables relate what acting on both factors relates
+        naive = generator_relations(ce.prof)
+        for f in ce.cat.generators:
+            assert set(ce.prof.relations(f)) == naive[f]
+
+
+def counting(p, calls):
+    """p with every action call counted in calls[0]."""
+    def act(f, g, v):
+        calls[0] += 1
+        return p.act(f, g, v)
+    return ConcreteProf(p.source, p.target, p.fiber, act, name=p.name)
+
+
+@pytest.mark.parametrize("fx", ["z2", "meet-lattice-2", "prod-l2-z2", "diamond"])
+def test_pair_quotient_acts_once_per_factor_element(fx):
+    # a pair quotient acts once per element of P(a, x) and once per element
+    # of Q(y, c), for each generator f: x -> y of the middle category
+    mon = build(fx)
+    c, tensor = mon.base, tensor_functor(mon)
+    for p, q in [(hom_prof(c), hom_prof(c)),
+                 (conjoint(tensor), companion(tensor)),
+                 (copy_prof(c), merge_prof(c))]:
+        calls = [0]
+        comp = compose_prof(counting(p, calls), counting(q, calls))
+        mid = comp.mid
+        for a in comp.source.objects:
+            for b in comp.target.objects:
+                calls[0] = 0
+                comp.coend_at(a, b)
+                assert calls[0] == sum(len(p.fiber(a, mid.dom(f))) +
+                                       len(q.fiber(mid.cod(f), b))
+                                       for f in mid.generators)
 
 
 def _closure(elems, cover):

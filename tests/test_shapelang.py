@@ -1,6 +1,12 @@
+import dataclasses
+from unittest import mock
+
 import pytest
 
+from coendcheck import rewrite
+from coendcheck.demos import DEMOS, demo_dir, load_scripts
 from coendcheck.fixtures import build
+from coendcheck.rewrite import check_derivation
 from coendcheck.shapelang import (Env, Gen, Id, Par, Seq,
                                   ShapeSyntaxError, ShapeTypeError,
                                   StructureMissing, boundary, class_count,
@@ -232,3 +238,96 @@ def test_free_symbol_sweep(sig):
     env = env_for(sig, "meet-lattice-2")
     assert sorted(env.free_objects()) == ["A", "B", "X", "Y"]
     assert sum(1 for _ in env.assignments()) == 16
+
+
+# -- the boundary memo and the cached term hash --------------------------------
+
+
+def reference_boundary(t, sig):
+    """boundary with no memo: Seq and Par are typed here, each leaf by a
+    fresh copy of the signature."""
+    if isinstance(t, Seq):
+        bnds = [reference_boundary(p, sig) for p in t.parts]
+        for (_, right), (left, _) in zip(bnds, bnds[1:]):
+            if right != left:
+                raise ShapeTypeError("boundary mismatch")
+        return bnds[0][0], bnds[-1][1]
+    if isinstance(t, Par):
+        (l1, r1), (l2, r2) = (reference_boundary(t.top, sig),
+                              reference_boundary(t.bottom, sig))
+        return l1 + l2, r1 + r2
+    return boundary(t, dataclasses.replace(sig))
+
+
+def derivation_bindings(name, sig):
+    """Every category bound to z2 (but adjunctions.shapes' functor names
+    objects of meet-lattice-2), then the bindings of the demos of `name`."""
+    out = [] if name == "adjunctions.deriv" else [dict.fromkeys(sig.categories, "z2")]
+    return out + [b for demo in DEMOS.values() if demo["script"] == name
+                  for b in demo["bindings"]]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in demo_dir().iterdir()
+                                        if p.name.endswith(".deriv")))
+def test_boundary_memo_matches_reference_along_derivations(name):
+    # every shape of the script and every term its derivations pass through
+    # is memoised with the boundary the reference computes
+    sig, script = load_scripts(name)
+    passed = []
+    real = rewrite.apply_step
+
+    def apply_step(*args, **kwargs):
+        out = real(*args, **kwargs)
+        passed.append(out[0])
+        return out
+    with mock.patch.object(rewrite, "apply_step", apply_step):
+        for bind in derivation_bindings(name, sig):
+            check_derivation(script, sig,
+                             Env(sig, {s: build(fx) for s, fx in bind.items()}))
+    assert all(term in sig.boundaries for term in passed)
+    for term in sig.shapes.values():
+        boundary(term, sig)
+    for term, bnd in sig.boundaries.items():
+        assert bnd == reference_boundary(term, sig), print_term(term)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in demo_dir().iterdir()
+                                        if p.name.endswith(".shapes")
+                                        and p.name != "bad_syntax.shapes"))
+def test_boundary_memo_matches_reference_on_shipped_shapes(name):
+    sig = parse_shape_script((demo_dir() / name).read_text(encoding="utf-8"))
+    for term in sig.shapes.values():
+        assert boundary(term, sig) == reference_boundary(term, sig)
+        assert boundary(term, sig) is sig.boundaries[term]
+
+
+def test_ill_typed_term_is_never_memoised(sig):
+    # the error, its text and its path are those of each call
+    bad = Seq((Gen("inport", ("A",)), Gen("inport", ("B",))))
+    t = Par(Gen("fork", ("C",)), bad)
+    errors = []
+    for path in [(), (), (2, 1)]:
+        with pytest.raises(ShapeTypeError) as e:
+            boundary(t, sig, path)
+        errors.append((str(e.value), e.value.path))
+        assert t not in sig.boundaries and bad not in sig.boundaries
+    assert errors[0] == errors[1] == ("at 1.1: boundary mismatch: ...<C> then <>...",
+                                      (1, 1))
+    assert errors[2] == ("at 2.1.1.1: boundary mismatch: ...<C> then <>...",
+                         (2, 1, 1, 1))
+    # its well-typed parts are memoised
+    assert Gen("fork", ("C",)) in sig.boundaries
+
+
+def test_terms_hash_by_value_and_stay_frozen():
+    lens = parse_shape_script(LENS_SCRIPT).shapes["lens"]
+    again = parse_shape_script(LENS_SCRIPT).shapes["lens"]
+    assert lens is not again and lens == again
+    assert hash(lens) == hash(again) == hash((lens.parts,))
+    par = lens.parts[2]
+    assert isinstance(par, Par) and hash(par) == hash((par.top, par.bottom))
+    assert {lens: 1}[again] == 1
+    for t, attr in [(lens, "parts"), (par, "top")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, attr, None)
+    assert repr(lens) == repr(again) and "_hash" not in repr(lens)
