@@ -846,7 +846,10 @@ def _load_fixture(data):
     homs = {_split_pair(k): list(v) for k, v in data["homs"].items()}
     compose = {(f, g): h for f, g, h in _triples(data["compose"], "compose")}
     identities = dict(data["identities"])
-    cat = build_category(data.get("name", "fixture"), objects, homs, compose, identities)
+    name = data.get("name", "fixture")
+    if not isinstance(name, str):
+        raise FixtureError(f"fixture name {name!r} is not a string")
+    cat = build_category(name, objects, homs, compose, identities)
     if "monoidal" not in data:
         return cat, None
     mb = data["monoidal"]

@@ -268,6 +268,8 @@ def _leaf_catsym(sig, term):
         return term.args[0].cat
     if term.kind in ("box", "cobox"):
         return functor_expr_sig(term.args[0], sig)[1]
+    if term.kind == "named":
+        return None   # a named profunctor's values lie in no category
     return term.args[0]
 
 

@@ -47,14 +47,18 @@ class ConcreteProf:
             self._fibers[key] = tuple(self._fiber_fn(a, b))
         return self._fibers[key]
 
-    def relations(self, f):
+    def relations(self, f, base):
         """The coend relation of f: x -> y when source is target: for each
-        q in P(y, x), (x, P(f, 1)q) is related to (y, P(1, f)q)."""
+        q in P(y, x), (x, P(f, 1)q) is related to (y, P(1, f)q).  Elements
+        come as positions in the coend index, whose fiber P(x, x) starts
+        at base[x]."""
         cat = self.source
         x, y = cat.dom(f), cat.cod(f)
         idx, idy = cat.identity(x), cat.identity(y)
+        at_x = {v: base[x] + i for i, v in enumerate(self.fiber(x, x))}
+        at_y = {v: base[y] + i for i, v in enumerate(self.fiber(y, y))}
         for q in self.fiber(y, x):
-            yield (x, self.act(f, idx, q)), (y, self.act(idy, f, q))
+            yield at_x[self.act(f, idx, q)], at_y[self.act(idy, f, q)]
 
     def render(self, v):
         if self._render is not None:
@@ -122,8 +126,11 @@ class CoendSet:
     the least tagged element in tuple order.  Only the category's
     generators are related: an identity relates an element to itself, and
     for a lawful action a composite's relation chains its factors' ones.
-    The pairs come from p.relations(f); the pair profunctor of a sequential
-    composite drops the identity actions there, on the same lawfulness.
+
+    The union-find runs over positions in `index`, which lists the fiber
+    P(x, x) of each object x in turn from base[x]; p.relations(f, base)
+    yields the relation of f as pairs of positions.  A coend of at most
+    one element reads no relation.
     """
 
     def __init__(self, p: ConcreteProf):
@@ -132,27 +139,33 @@ class CoendSet:
         self.prof = p
         self.cat = p.source
         cat = self.cat
-        self.index = [(x, v) for x in cat.objects for v in p.fiber(x, x)]
-        parent = {t: t for t in self.index}
+        fibers = [p.fiber(x, x) for x in cat.objects]
+        self.index = index = [(x, v) for x, fib in zip(cat.objects, fibers) for v in fib]
+        n, base = 0, []
+        for fib in fibers:
+            base.append(n)
+            n += len(fib)
+        self.base = base = tuple(base)
+        parent = list(range(n))
 
-        def find(t):
-            root = t
+        def find(i):
+            root = i
             while parent[root] != root:
                 root = parent[root]
-            while parent[t] != root:
-                parent[t], t = root, parent[t]
+            while parent[i] != root:
+                parent[i], i = root, parent[i]
             return root
 
-        for f in cat.generators:
-            for left, right in p.relations(f):
+        for f in cat.generators if n > 1 else ():
+            for left, right in p.relations(f, base):
                 ra, rb = find(left), find(right)
                 if ra != rb:
                     parent[ra] = rb
         # one sort: each class lists its members in order, and the classes
         # come in the order of their least members, the representatives
         classes = {}
-        for t in sorted(self.index):
-            classes.setdefault(find(t), []).append(t)
+        for i in sorted(range(n), key=index.__getitem__):
+            classes.setdefault(find(i), []).append(index[i])
         self._rep_of = {}
         self._members = {}
         for group in classes.values():
@@ -435,7 +448,10 @@ class ComposedProf(ConcreteProf):
 class _PairProf(ConcreteProf):
     """P(a, -) x Q(-, c) on the middle category, whose coend is the fiber
     (P ; Q)(a, c): its fiber at (y, x) is P(a, x) x Q(y, c), and a
-    morphism acts on one factor on each side."""
+    morphism acts on one factor on each side.
+
+    On the diagonal the fiber at x is |P(a, x)| rows of |Q(x, c)|: the
+    pair (u_i, w_j) sits at position i * |Q(x, c)| + j of it."""
 
     def __init__(self, p: ConcreteProf, q: ConcreteProf, a, c, name):
         self.p, self.q, self.a, self.c = p, q, a, c
@@ -448,16 +464,35 @@ class _PairProf(ConcreteProf):
             lambda f, g, v: (p.act(ida, g, v[0]), q.act(f, idc, v[1])),
             name=name)
 
-    def relations(self, f):
-        """(x, (u, Q(f, c)w)) ~ (y, (P(a, f)u, w)) for f: x -> y, from one
-        table of P(a, f) over P(a, x) and one of Q(f, c) over Q(y, c)."""
-        p, q = self.p, self.q
+    def fiber(self, b1, b2):
+        # not cached: its coend reads each diagonal fiber once and keeps
+        # the elements in `index`
+        return self._fiber_fn(b1, b2)
+
+    def relations(self, f, base):
+        """(x, (u_i, Q(f, c)w_j)) ~ (y, (P(a, f)u_i, w_j)) for f: x -> y, as
+        positions read from one table of P(a, f) over P(a, x) and one of
+        Q(f, c) over Q(y, c); f relates nothing when either is empty."""
+        p, q, a, c = self.p, self.q, self.a, self.c
         x, y = self.source.dom(f), self.source.cod(f)
-        p_f = [(u, p.act(self.ida, f, u)) for u in p.fiber(self.a, x)]
-        q_f = [(w, q.act(f, self.idc, w)) for w in q.fiber(y, self.c)]
-        for u, fu in p_f:
-            for w, fw in q_f:
-                yield (x, (u, fw)), (y, (fu, w))
+        us = p.fiber(a, x)
+        if not us:
+            return
+        ws = q.fiber(y, c)
+        if not ws:
+            return
+        at_py = {u: i for i, u in enumerate(p.fiber(a, y))}
+        qx = q.fiber(x, c)
+        at_qx = {w: j for j, w in enumerate(qx)}
+        ida, idc = self.ida, self.idc
+        pt = [at_py[p.act(ida, f, u)] for u in us]
+        qt = [at_qx[q.act(f, idc, w)] for w in ws]
+        nx, ny = len(qx), len(ws)
+        bx, by = base[x], base[y]
+        for i, fi in enumerate(pt):
+            li, ri = bx + i * nx, by + fi * ny
+            for j, fj in enumerate(qt):
+                yield li + fj, ri + j
 
 
 def compose_prof(p: ConcreteProf, q: ConcreteProf) -> ComposedProf:

@@ -179,6 +179,8 @@ MALFORMED = {
     "pairing-pair": lambda d: d["monoidal"]["cartesian"]["pairing"].append(["id_0", "id_0"]),
     "no-proj1": lambda d: d["monoidal"]["cartesian"].pop("proj1"),
     "no-unit": lambda d: d["monoidal"].pop("unit"),
+    "name-null": lambda d: d.update(name=None),
+    "name-number": lambda d: d.update(name=42),
 }
 
 
@@ -453,6 +455,57 @@ def test_mutated_shipped_scripts_never_exit_3(capsys, tmp_path):
             assert code in (0, 1, 2) and "internal error" not in err, (name, mutant, err)
             runs += 1
     assert runs > 4000
+
+
+def _json_mutants(data):
+    """Every drop of one key or list element, and every replacement of one
+    scalar by "Q" or by null, anywhere in parsed JSON data."""
+    if isinstance(data, dict):
+        for key in data:
+            yield {k: v for k, v in data.items() if k != key}
+        for key, val in data.items():
+            for m in _json_mutants(val):
+                yield {**data, key: m}
+    elif isinstance(data, list):
+        for i in range(len(data)):
+            yield data[:i] + data[i + 1:]
+        for i, val in enumerate(data):
+            for m in _json_mutants(val):
+                yield data[:i] + [m] + data[i + 1:]
+    else:
+        yield "Q"
+        yield None
+
+
+@pytest.mark.parametrize("name", ["z2", "meet-lattice-2"])
+def test_mutated_fixtures_never_exit_3(capsys, tmp_path, name):
+    # a fixture that loads and validates is checked, any other is malformed
+    # input: no one-place mutation of a shipped fixture reaches exit 3
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        data = json.load(fh)
+    path = tmp_path / "mutant.json"
+    runs = 0
+    for mutant in _json_mutants(data):
+        path.write_text(json.dumps(mutant))
+        for argv in (("eval", demo_path("lens.shapes"), "--shape", "lens-composite"),
+                     ("check", demo_path("lens_reduction.deriv"))):
+            code, _, err = run(capsys, *argv, "--bind", f"C={path}")
+            assert code in (0, 1, 2) and "internal error" not in err, (mutant, argv, err)
+            runs += 1
+    assert runs > 200
+
+
+@pytest.mark.parametrize("spec", ["(mor 1 x)", "1"])
+def test_point_on_a_named_leaf_fails_the_point(capsys, tmp_path, spec):
+    # a named profunctor's values lie in no category, so a morphism spec
+    # for its leaf cannot resolve: the point fails, it is no crash
+    (tmp_path / "k.shapes").write_text(
+        "(category C) (prof K (C) (C)) (shape k (named K @v))\n")
+    script = tmp_path / "k.deriv"
+    script.write_text(f"use k.shapes\nderivation d from k\nend\npoint p k {{v := {spec}}}\n")
+    code, out, err = run(capsys, "check", str(script), "--bind", f"C={fixture_path('z2')}")
+    assert (code, err) == (1, "")
+    assert "FAIL point p: cannot resolve morphism" in out
 
 
 @pytest.mark.parametrize("edit,code", [

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import random
 from unittest import mock
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coendcheck import profunctor
-from coendcheck.demos import demo_dir
+from coendcheck.demos import demo_dir, load_scripts
 from coendcheck.fincat import (build_category, from_comm_monoid, from_lattice,
                                opposite, product, terminal_category)
 from coendcheck.fixtures import FIXTURE_NAMES, build
@@ -19,7 +20,9 @@ from coendcheck.profunctor import (ConcreteProf, NatFamily,
                                    hom_prof, merge_prof, point, swap_prof,
                                    tensor_functor, tensor_prof,
                                    validate_prof)
-from coendcheck.shapelang import Env, Evaluator, objects_in, parse_shape_script
+from coendcheck.rewrite import Report, _count, check_step
+from coendcheck.shapelang import (Env, Evaluator, Seq, ShapeTypeError, boundary,
+                                  objects_in, parse_shape_script, print_term)
 
 
 @pytest.fixture(scope="module")
@@ -233,14 +236,22 @@ def generator_relations(p):
     return out
 
 
+def z3():
+    """(Z_3, +): its generator is no involution, unlike every morphism of
+    the shipped one-object oracles, so a relation read backwards shows."""
+    return from_comm_monoid("Z3", [0, 1, 2],
+                            {(a, b): (a + b) % 3 for a in range(3) for b in range(3)}, 0)
+
+
 # lens.shapes meets products as middle categories, feedback.shapes also
 # their opposites (its cost over prod-l2-z2 would double the test's)
 @pytest.mark.parametrize("fx,scripts", [
     pytest.param("z2", ("lens.shapes", "feedback.shapes"), id="z2"),
     pytest.param("meet-lattice-2", ("lens.shapes", "feedback.shapes"), id="meet-lattice-2"),
-    pytest.param("prod-l2-z2", ("lens.shapes",), id="prod-l2-z2")])
+    pytest.param("prod-l2-z2", ("lens.shapes",), id="prod-l2-z2"),
+    pytest.param("Z3", ("lens.shapes", "feedback.shapes"), id="Z3")])
 def test_pair_quotients_of_shipped_shapes_match_naive(fx, scripts):
-    mon = build(fx)
+    mon = z3() if fx == "Z3" else build(fx)
     with recorded_coends() as built:
         for sig in map(SCRIPTS.get, scripts):
             for term in sig.shapes.values():
@@ -251,11 +262,37 @@ def test_pair_quotients_of_shipped_shapes_match_naive(fx, scripts):
     assert product(c, c) in mids
     assert (product(opposite(c), c) in mids) == ("feedback.shapes" in scripts)
     for ce in built:
-        assert_coend_matches_naive(ce)
-        # the one-sided tables relate what acting on both factors relates
-        naive = generator_relations(ce.prof)
-        for f in ce.cat.generators:
-            assert set(ce.prof.relations(f)) == naive[f]
+        assert_relations_match_naive(ce)
+
+
+def assert_relations_match_naive(ce):
+    """The coend against the naive closure, and each generator's position
+    pairs, read back through the index, against acting on both factors."""
+    assert_coend_matches_naive(ce)
+    naive = generator_relations(ce.prof)
+    for f in ce.cat.generators:
+        pairs = ce.prof.relations(f, ce.base)
+        assert {(ce.index[i], ce.index[j]) for i, j in pairs} == naive[f]
+
+
+def test_pair_quotient_over_parallel_arrows_matches_naive():
+    # f, g: 0 -> 1 make |C(0, 1)| = 2 but |C(1, 1)| = 1, so the fibers of a
+    # pair quotient have rows of different lengths at 0 and at 1
+    c = build_category("parallel", ["0", "1"],
+                       {("0", "0"): ["id0"], ("0", "1"): ["f", "g"], ("1", "1"): ["id1"]},
+                       {("id0", "id0"): "id0", ("id1", "id1"): "id1",
+                        ("id0", "f"): "f", ("id0", "g"): "g",
+                        ("f", "id1"): "f", ("g", "id1"): "g"},
+                       {"0": "id0", "1": "id1"})
+    comp = compose_prof(hom_prof(c), hom_prof(c))
+    with recorded_coends() as built:
+        for a in c.objects:
+            for b in c.objects:
+                # Yoneda: C(a, -) x C(-, b) quotients to C(a, b)
+                assert len(comp.fiber(a, b)) == len(c.hom(a, b))
+    assert len(built) == 4
+    for ce in built:
+        assert_relations_match_naive(ce)
 
 
 def counting(p, calls):
@@ -268,10 +305,13 @@ def counting(p, calls):
 
 @pytest.mark.parametrize("fx", ["z2", "meet-lattice-2", "prod-l2-z2", "diamond"])
 def test_pair_quotient_acts_once_per_factor_element(fx):
-    # a pair quotient acts once per element of P(a, x) and once per element
-    # of Q(y, c), for each generator f: x -> y of the middle category
+    # a pair quotient of at most one element acts not at all; otherwise it
+    # acts once per element of P(a, x) and once per element of Q(y, c) for
+    # each generator f: x -> y of the middle category with both non-empty,
+    # and not at all for the other generators
     mon = build(fx)
     c, tensor = mon.base, tensor_functor(mon)
+    acted = False
     for p, q in [(hom_prof(c), hom_prof(c)),
                  (conjoint(tensor), companion(tensor)),
                  (copy_prof(c), merge_prof(c))]:
@@ -281,10 +321,13 @@ def test_pair_quotient_acts_once_per_factor_element(fx):
         for a in comp.source.objects:
             for b in comp.target.objects:
                 calls[0] = 0
-                comp.coend_at(a, b)
-                assert calls[0] == sum(len(p.fiber(a, mid.dom(f))) +
-                                       len(q.fiber(mid.cod(f), b))
-                                       for f in mid.generators)
+                n = len(comp.coend_at(a, b).index)
+                sides = [(len(p.fiber(a, mid.dom(f))), len(q.fiber(mid.cod(f), b)))
+                         for f in mid.generators]
+                want = sum(np + nq for np, nq in sides if np and nq) if n > 1 else 0
+                assert calls[0] == want, (a, b)
+                acted = acted or want > 0
+    assert acted
 
 
 def _closure(elems, cover):
@@ -654,3 +697,123 @@ def test_cobox_of_a_functor_between_oracles():
                     for f in c.morphisms:
                         if c.dom(f) == x:
                             assert p.act(g, f, v) == d.compose(g, d.compose(v, fn.mor(f)))
+
+
+# -- Fubini: the whole left fold as one quotient --------------------------------
+
+
+def seq_parts(term):
+    """The parts of a term's top-level Seq, nested Seqs flattened."""
+    if not isinstance(term, Seq):
+        return [term]
+    return [q for part in term.parts for q in seq_parts(part)]
+
+
+def fold_size(profs):
+    """|P1(0, m1) x ... x Pn(m(n-1), 0)|, summed over the middle objects."""
+    at = {0: 1}
+    for i, prof in enumerate(profs):
+        ends = (0,) if i == len(profs) - 1 else prof.target.objects
+        at = {b: sum(k * len(prof.fiber(a, b)) for a, k in at.items()) for b in ends}
+    return at[0]
+
+
+def fubini_count(profs):
+    """The classes of a closed term of parts P1, ..., Pn as one quotient of
+    its whole left fold: P1(0, m1) x ... x Pn(m(n-1), 0) by the relation of
+    every generator of every middle category m_i, which acts on parts i and
+    i+1 only (Fubini for coends), in one union-find instead of one per
+    composite."""
+    n = len(profs)
+    # an element is (objs, vals): objs[i] is the object between parts i-1
+    # and i (objs[0] = objs[n] = 0), vals[i] is in P_i(objs[i], objs[i+1])
+    elems = [((0,), ())]
+    for i, prof in enumerate(profs):
+        ends = (0,) if i == n - 1 else prof.target.objects
+        elems = [(objs + (b,), vals + (v,)) for objs, vals in elems
+                 for b in ends for v in prof.fiber(objs[-1], b)]
+    pos = {e: k for k, e in enumerate(elems)}
+    parent = list(range(len(elems)))
+
+    def find(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for i in range(1, n):
+        p, q = profs[i - 1], profs[i]
+        mid = p.target
+        # (u, Q(f, 1)w) at x ~ (P(1, f)u, w) at y, for u in part i-1 and w
+        # in Q(y, -): read once per u, off the element at x whose part i
+        # holds the first value of Q(x, -)
+        firsts = {}
+        for objs, vals in elems:
+            if vals[i] == q.fiber(objs[i], objs[i + 1])[0]:
+                firsts.setdefault(objs[i], []).append((objs, vals))
+        for f in mid.generators:
+            x, y = mid.dom(f), mid.cod(f)
+            # many elements share a factor: act once per factor value
+            p_f = functools.cache(lambda a, u: p.act(p.source.identity(a), f, u))
+            q_f = functools.cache(lambda c, w: q.act(f, q.target.identity(c), w))
+            for objs, vals in firsts.get(x, ()):
+                fu = p_f(objs[i - 1], vals[i - 1])
+                at_y = objs[:i] + (y,) + objs[i + 1:]
+                for w in q.fiber(y, objs[i + 1]):
+                    fw = q_f(objs[i + 1], w)
+                    left = pos[(objs, vals[:i] + (fw,) + vals[i + 1:])]
+                    right = pos[(at_y, vals[:i - 1] + (fu, w) + vals[i + 1:])]
+                    parent[find(left)] = find(right)
+    return len({find(k) for k in range(len(elems))})
+
+
+def _shipped_terms(deriv_name, binding):
+    """(evaluator, term) for every closed shape of a shipped derivation
+    script's shape script and every term one of its derivations passes
+    through, under every assignment of the object symbols."""
+    sig, script = load_scripts(deriv_name)
+    env = Env(sig, {sym: build(fx) for sym, fx in binding.items()})
+    derivs = list(script.named.values()) + ([script.main] if script.main else [])
+    ev = Evaluator(env, env.free_objects())
+    for env_a in env.assignments():
+        ev.at(env_a)
+        terms = set(sig.shapes.values())
+        for deriv in derivs:
+            term = sig.shapes[deriv.shape]
+            for idx, step in enumerate(deriv.steps, 1):
+                out = check_step(ev, term, step, Report(), idx, sig, env_a)
+                if out is None:
+                    break
+                term = out[0]
+                terms.add(term)
+        for term in terms:
+            try:
+                closed = boundary(term, sig) == ((), ())
+            except ShapeTypeError:
+                continue
+            if closed:
+                yield ev, term
+
+
+FUBINI_MAX = 20000
+FUBINI_SCRIPTS = ["lens_reduction.deriv", "lens_apply.deriv", "optic_category.deriv",
+                  "feedback.deriv", "lens_to_dynamics.deriv", "learner_reduction.deriv",
+                  "lenses_to_learner.deriv", "optic_crossed.deriv", "points.deriv"]
+
+
+@pytest.mark.parametrize("deriv_name,binding", [
+    pytest.param(d, {"C": fx}, id=f"{d.split('.')[0]}-{fx}")
+    for d in FUBINI_SCRIPTS for fx in ("z2", "meet-lattice-2")] + [
+    pytest.param("adjunctions.deriv", {"C": "meet-lattice-2", "D": "z2"},
+                 id="adjunctions-meet-lattice-2-z2")])
+def test_left_fold_matches_one_fubini_quotient(deriv_name, binding):
+    # the composite of n parts, quotiented one middle category at a time by
+    # coend_at, has as many classes as the one quotient over all of them;
+    # a product of more than FUBINI_MAX elements is left out (over z2 some
+    # terms reach 8 million)
+    seen = 0
+    for ev, term in _shipped_terms(deriv_name, binding):
+        profs = [ev.node(part).prof for part in seq_parts(term)]
+        if fold_size(profs) <= FUBINI_MAX:
+            assert fubini_count(profs) == _count(ev.node(term)), print_term(term)
+            seen += 1
+    assert seen
