@@ -20,10 +20,10 @@ ev = Evaluator(env)
 for lens in lens_set(mon, 0, 0, 0, 0).all():
     for h in c.morphisms:
         d = OpenDiagram.from_values(
-            sig, env, sig.shapes["lens-applied"],
+            ev, sig.shapes["lens-applied"],
             {"g": lens.fwd, "s": (c.identity(0), (0, 0)),
-             "f": lens.bwd, "h1": h}, ev)
-        out = lift_many(script.main.steps, d, sig, env, ev)
+             "f": lens.bwd, "h1": h})
+        out = lift_many(script.main.steps, d, ev)
         m, g, f = out.point
         lifted = c.compose(g, f)
         direct = apply_lens(lens, h, mon)

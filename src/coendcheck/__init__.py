@@ -23,7 +23,7 @@ from .profunctor import (ConcreteProf, CoendSet, NatFamily, ProfunctorError,
 from .shapelang import (Wire, Id, Gen, Seq, Par, Signature, Env, Evaluator,
                         ShapeSyntaxError, ShapeTypeError, StructureMissing,
                         EvalError, parse_shape_script, parse_term, print_term,
-                        boundary, eval_closed, class_count, norm)
+                        boundary, eval_closed, class_count, norm, sweep)
 from .rewrite import (RULES, Step, Derivation, DerivationScript, Report,
                       RewriteError, MatchError, DirectionError, PathError,
                       apply_step, check_derivation,
@@ -46,7 +46,7 @@ __all__ = [
     "Wire", "Id", "Gen", "Seq", "Par", "Signature", "Env", "Evaluator",
     "ShapeSyntaxError", "ShapeTypeError", "StructureMissing", "EvalError",
     "parse_shape_script", "parse_term", "print_term", "boundary",
-    "eval_closed", "class_count", "norm",
+    "eval_closed", "class_count", "norm", "sweep",
     "RULES", "Step", "Derivation", "DerivationScript", "Report",
     "RewriteError", "MatchError", "DirectionError", "PathError",
     "apply_step", "check_derivation",

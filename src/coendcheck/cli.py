@@ -17,9 +17,8 @@ import sys
 from .fincat import FixtureError, load_fixture_file, validate_category, validate_monoidal
 from .rewrite import (Report, RewriteError, check_derivation,
                       load_derivation_script)
-from .shapelang import (Env, EvalError, Evaluator, ShapeSyntaxError,
-                        ShapeTypeError, StructureMissing, boundary,
-                        parse_shape_script)
+from .shapelang import (Env, EvalError, ShapeSyntaxError, ShapeTypeError,
+                        StructureMissing, boundary, parse_shape_script, sweep)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -99,13 +98,11 @@ def cmd_eval(args):
     report = Report()
     try:
         bnd = boundary(term, sig)
-        env = Env(sig, bindings)
-        ev = Evaluator(env, env.free_objects())
-        for env_a in env.assignments():
-            desc = env_a.describe_objs()
+        for ev in sweep(Env(sig, bindings)):
+            desc = ev.env.describe_objs()
             if desc:
                 report.line(f"assignment: {desc}")
-            node = ev.at(env_a).node(term)
+            node = ev.node(term)
             if bnd == ((), ()):
                 fib = node.prof.fiber(0, 0)
                 report.line(f"classes: {len(fib)}")

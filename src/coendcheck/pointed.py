@@ -15,15 +15,14 @@ from .fincat import FixtureError
 from .profunctor import join_mors, join_objs, render_generic, split_obj
 from .rewrite import (PointError, RewriteError, apply_step, build_seq_value,
                       check_instantiation, strip_labels)
-from .shapelang import (COMPANION_KINDS, CONJOINT_KINDS, Env, Evaluator, Gen,
-                        Id, Par, Seq, Wire, boundary, functor_expr_sig,
+from .shapelang import (COMPANION_KINDS, CONJOINT_KINDS, Evaluator, Gen, Id,
+                        Par, Seq, Wire, boundary, functor_expr_sig,
                         obj_expr_cat, print_term)
 
 
 @dataclass
 class OpenDiagram:
     shape: object
-    assignment: dict
     fiber: tuple      # (source object, target object) of the evaluated shape
     point: object     # canonical class representative
 
@@ -39,56 +38,26 @@ class OpenDiagram:
         return out
 
     @staticmethod
-    def _build(sig, env, shape, norm_assign, left_obj, ev=None):
-        ev = ev or Evaluator(env)
-        value, right = _walk(ev, sig, shape, norm_assign, left_obj)
-        return OpenDiagram(shape, dict(norm_assign), (left_obj, right), value)
-
-    @staticmethod
-    def _search(sig, env, shape, norm_assign, ev):
-        """Build at the left fiber object that the assigned values pin
-        uniquely (the only one when the left boundary is empty)."""
-        lw, _ = boundary(shape, sig)
-        if not lw:
-            return OpenDiagram._build(sig, env, shape, norm_assign, 0, ev)
-        hits, last_err = [], None
-        for left in env.boundary_cat(lw).objects:
-            try:
-                hits.append(OpenDiagram._build(sig, env, shape, norm_assign,
-                                               left, ev))
-            except PointError as e:
-                last_err = e
-        if len(hits) == 1:
-            return hits[0]
-        if not hits:
-            raise last_err or PointError("no left fiber object fits the assignment")
-        raise PointError("left fiber object is ambiguous; use from_fiber")
-
-    @staticmethod
-    def from_values(sig, env: Env, shape, assignment, ev: Evaluator = None):
+    def from_values(ev: Evaluator, shape, assignment):
         """Build from resolved leaf values: {label: value} or
         {label: (value, right objects tuple)}.  A leaf's right object is that
         of the fiber of its profunctor that holds the value; the extra
         objects, one per right wire, pin fibers that the value alone does not
         determine (forks, coboxes, codiscards, named leaves).
 
-        Shapes with a non-empty left boundary infer their left fiber object
-        when the assigned values pin it uniquely."""
-        return OpenDiagram._search(sig, env, shape,
-                                   OpenDiagram._normalize(assignment), ev)
+        The left fiber object is the one the assigned values pin uniquely
+        (the only one when the left boundary is empty)."""
+        return _point(ev, shape, OpenDiagram._normalize(assignment))
 
     @staticmethod
-    def from_fiber(sig, env: Env, shape, assignment, left_obj,
-                   ev: Evaluator = None):
-        return OpenDiagram._build(sig, env, shape,
-                                  OpenDiagram._normalize(assignment), left_obj, ev)
+    def from_fiber(ev: Evaluator, shape, assignment, left_obj):
+        return _point(ev, shape, OpenDiagram._normalize(assignment), left_obj)
 
     @staticmethod
-    def from_names(sig, env: Env, shape, named_assignment, ev: Evaluator = None):
+    def from_names(ev: Evaluator, shape, named_assignment):
         """Build from script-level value specs (morphism names, (pair ..),
         (split f M N), (mor f X), *)."""
-        return OpenDiagram._search(
-            sig, env, shape, _resolve_named(sig, env, shape, named_assignment), ev)
+        return _point(ev, shape, _resolve_named(ev.env, shape, named_assignment))
 
     def describe(self):
         a, b = self.fiber
@@ -99,31 +68,29 @@ def forget(d: OpenDiagram):
     return d.shape
 
 
-def lift(step, d: OpenDiagram, sig, env, ev: Evaluator = None) -> OpenDiagram:
+def lift(step, d: OpenDiagram, ev: Evaluator) -> OpenDiagram:
     """Transport the point along one rewrite step."""
-    new_shape, transport, _ = apply_step(d.shape, step, sig, env, ev)
-    new_point = transport(d.fiber, d.point)
-    return OpenDiagram(new_shape, {}, d.fiber, new_point)
+    new_shape, transport, _ = apply_step(d.shape, step, ev)
+    return OpenDiagram(new_shape, d.fiber, transport(d.fiber, d.point))
 
 
-def lift_many(steps, d: OpenDiagram, sig, env, ev: Evaluator = None) -> OpenDiagram:
-    ev = ev or Evaluator(env)
+def lift_many(steps, d: OpenDiagram, ev: Evaluator) -> OpenDiagram:
     for step in steps:
-        d = lift(step, d, sig, env, ev)
+        d = lift(step, d, ev)
     return d
 
 
-def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation, sig,
+def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation,
                 ev: Evaluator) -> bool:
     """Transport d1's point along an all-iso derivation from d1's shape and
     compare with d2's point.  Equality of open diagrams is only defined
     relative to the supplied deformation."""
     for step in deformation:
-        rule = check_instantiation(step, sig)
+        rule = check_instantiation(step, ev.sig)
         if rule.tag != "iso":
             raise RewriteError(
                 f"deformations must be invertible; {rule.name} is directed")
-    d = lift_many(deformation, d1, sig, ev.env, ev)
+    d = lift_many(deformation, d1, ev)
     if strip_labels(d.shape) != strip_labels(d2.shape):
         raise PointError(
             "deformation does not reach the target shape: "
@@ -133,11 +100,10 @@ def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation, sig,
     return d.point == d2.point
 
 
-def embed(sig, env: Env, catsym, mor, label="w") -> OpenDiagram:
+def embed(ev: Evaluator, catsym, mor, label="w") -> OpenDiagram:
     """A base-category morphism as the pointed hom diagram."""
-    c = env.cats[catsym]
     shape = Id((Wire(catsym),), label)
-    return OpenDiagram(shape, {label: mor}, (c.dom(mor), c.cod(mor)), mor)
+    return _point(ev, shape, {label: (mor, None)}, ev.env.cats[catsym].dom(mor))
 
 
 def _relabel(t, prefix):
@@ -150,44 +116,59 @@ def _relabel(t, prefix):
     return Gen(t.kind, t.args, prefix + t.label if t.label else None)
 
 
-def compose_open(d1: OpenDiagram, d2: OpenDiagram, sig, env,
-                 ev: Evaluator = None) -> OpenDiagram:
+def compose_open(d1: OpenDiagram, d2: OpenDiagram, ev: Evaluator) -> OpenDiagram:
     """Sequential composition of open diagrams; the point is the class of
     the pair of points."""
     if d1.fiber[1] != d2.fiber[0]:
         raise PointError("open diagrams do not share a middle object")
-    ev = ev or Evaluator(env)
     s1, s2 = _relabel(d1.shape, "l:"), _relabel(d2.shape, "r:")
-    shape = Seq((s1, s2))
     value = build_seq_value(ev, [(s1, d1.point, d1.fiber[0], d1.fiber[1]),
                                  (s2, d2.point, d2.fiber[0], d2.fiber[1])],
                             (d1.fiber[0], d2.fiber[1]))
-    assignment = {("l:" + k): v for k, v in d1.assignment.items()}
-    assignment.update({("r:" + k): v for k, v in d2.assignment.items()})
-    return OpenDiagram(shape, assignment, (d1.fiber[0], d2.fiber[1]), value)
+    return OpenDiagram(Seq((s1, s2)), (d1.fiber[0], d2.fiber[1]), value)
 
 
 # ---------------------------------------------------------------------------
 # point construction
 
 
-def _walk(ev, sig, term, assignment, left_obj):
+def _point(ev, shape, assignment, left=None):
+    """The open diagram of `shape` whose leaves carry `assignment`
+    ({label: (value, right objects or None)}), at the left fiber object
+    `left`, or else at the one the assigned values pin uniquely."""
+    if left is not None:
+        value, right = _walk(ev, shape, assignment, left)
+        return OpenDiagram(shape, (left, right), value)
+    hits, last_err = [], None
+    for left in ev.env.boundary_cat(boundary(shape, ev.sig)[0]).objects:
+        try:
+            hits.append(_point(ev, shape, assignment, left))
+        except PointError as e:
+            last_err = e
+    if len(hits) == 1:
+        return hits[0]
+    if not hits:
+        raise last_err or PointError("no left fiber object fits the assignment")
+    raise PointError("left fiber object is ambiguous; use from_fiber")
+
+
+def _walk(ev, term, assignment, left_obj):
     if isinstance(term, Seq):
         items = []
         cur = left_obj
         for p in term.parts:
-            v, r = _walk(ev, sig, p, assignment, cur)
+            v, r = _walk(ev, p, assignment, cur)
             items.append((p, v, cur, r))
             cur = r
         return build_seq_value(ev, items, (left_obj, cur)), cur
     if isinstance(term, Par):
+        sig, cat = ev.sig, ev.env.boundary_cat
         (lw_t, rw_t), (lw_b, rw_b) = boundary(term.top, sig), boundary(term.bottom, sig)
-        cat = ev.env.boundary_cat
         lt, lb = split_obj(cat(lw_t + lw_b), cat(lw_t), cat(lw_b), left_obj)
-        vt, rt = _walk(ev, sig, term.top, assignment, lt)
-        vb, rb = _walk(ev, sig, term.bottom, assignment, lb)
+        vt, rt = _walk(ev, term.top, assignment, lt)
+        vb, rb = _walk(ev, term.bottom, assignment, lb)
         return (vt, vb), join_objs(cat(rw_t + rw_b), [(cat(rw_t), rt), (cat(rw_b), rb)])
-    return _leaf_value(ev, sig, term, assignment, left_obj)
+    return _leaf_value(ev, term, assignment, left_obj)
 
 
 # the kinds whose value does not pin the right object (several x share
@@ -195,7 +176,7 @@ def _walk(ev, sig, term, assignment, left_obj):
 _NEEDS_OBJECTS = ("fork", "cobox", "codiscard", "named")
 
 
-def _leaf_value(ev, sig, term, assignment, left_obj):
+def _leaf_value(ev, term, assignment, left_obj):
     """The leaf's assigned value (its identity element when unassigned) and
     the right object of the fiber of the leaf's profunctor at `left_obj`
     that holds it; given right objects, one per right wire, name it."""
@@ -204,7 +185,7 @@ def _leaf_value(ev, sig, term, assignment, left_obj):
     if value is None:
         value = _identity_value(env, term, left_obj, name)
     prof = ev.node(term).prof
-    rw = boundary(term, sig)[1]
+    rw = boundary(term, ev.sig)[1]
     if objs is not None:
         if len(objs) != len(rw):
             raise PointError(f"{name} needs {len(rw)} target object(s)")
@@ -248,8 +229,8 @@ def _identity_value(env, term, left, name):
 # script-level value specs
 
 
-def _resolve_obj_name(sig, env, name, catsym):
-    if name in sig.objects:
+def _resolve_obj_name(env, name, catsym):
+    if name in env.sig.objects:
         return env.resolve_obj(name)
     try:
         return env.cats[catsym].obj_id(str(name))
@@ -273,7 +254,7 @@ def _leaf_catsym(sig, term):
     return term.args[0]
 
 
-def _resolve_named(sig, env, shape, named_assignment):
+def _resolve_named(env, shape, named_assignment):
     from .shapelang import leaves
     by_label = {}
     for path, leaf in leaves(shape):
@@ -284,12 +265,12 @@ def _resolve_named(sig, env, shape, named_assignment):
         if label not in by_label:
             raise PointError(f"no leaf labelled {label!r} in the shape")
         leaf = by_label[label]
-        out[label] = _resolve_spec(sig, env, leaf, spec)
+        out[label] = _resolve_spec(env, leaf, spec)
     return out
 
 
-def _resolve_spec(sig, env, leaf, spec):
-    catsym = _leaf_catsym(sig, leaf)
+def _resolve_spec(env, leaf, spec):
+    catsym = _leaf_catsym(env.sig, leaf)
 
     def mor(name, cs=None):
         cs = cs or catsym
@@ -319,10 +300,10 @@ def _resolve_spec(sig, env, leaf, spec):
             return ((mor(spec[1]), mor(spec[2])), None)
         # (split f M N) and (mor f X): one right object per right wire,
         # each named in its wire's category
-        rw = boundary(leaf, sig)[1]
+        rw = boundary(leaf, env.sig)[1]
         if len(spec) - 2 != len(rw):
             raise PointError(f"{leaf.label} needs {len(rw)} target object(s)")
-        return (mor(spec[1]), tuple(_resolve_obj_name(sig, env, n, w.cat)
+        return (mor(spec[1]), tuple(_resolve_obj_name(env, n, w.cat)
                                     for n, w in zip(spec[2:], rw)))
     if isinstance(leaf, Id) and len(leaf.wires) == 1:
         return (mor(spec, leaf.wires[0].cat), None)

@@ -16,7 +16,7 @@ from .profunctor import ProfunctorError, dual, join_mors, join_objs, split_obj
 from .shapelang import (Env, EvalError, Evaluator, Gen, Id, Par, Seq,
                         ShapeTypeError, StructureMissing, Wire, boundary,
                         is_plain_id, norm, obj_expr_cat, functor_expr_sig,
-                        parse_shape_script, print_term)
+                        parse_shape_script, print_term, sweep)
 
 
 class RewriteError(Exception):
@@ -46,34 +46,12 @@ class Step:
     backward: bool = False
     inst: dict = field(default_factory=dict)
 
-    def __str__(self):
-        s = f"step {self.rule} at {'.'.join(map(str, self.path)) or 'root'}"
-        if self.backward:
-            s += " backward"
-        if self.inst:
-            body = ", ".join(f"{k} := {_inst_str(v)}" for k, v in sorted(self.inst.items()))
-            s += " with {" + body + "}"
-        return s
-
-
-def _inst_str(v):
-    if isinstance(v, tuple):
-        return "(" + " ".join(_inst_str(x) for x in v) + ")"
-    return str(v)
-
-
-class Adapter:
-    """Marker: a slice collapsed to an identity-wire morphism."""
-
-    def __init__(self, mor):
-        self.mor = mor
-
 
 @dataclass
 class SliceOutcome:
     consumed: int
-    parts: tuple
-    transform: object          # (vals, fibers, lobj, robj) -> (vals, mids) | Adapter
+    parts: tuple               # a collapsed window: the plain identity on its wires
+    transform: object          # (vals, fibers, lobj, robj) -> (vals, mids)
     inverse_inst: dict = field(default_factory=dict)
 
 
@@ -171,33 +149,23 @@ def _unfold(ev, term, fiber, value):
     return vals, [fiber[0]] + mids + [fiber[1]]
 
 
-def _seq_level(ev, term, i, outcome: SliceOutcome, sig):
+def _seq_level(ev, term, i, outcome: SliceOutcome):
     """Replace parts[i : i+consumed] of a sequential composite."""
     parts = term.parts if isinstance(term, Seq) else (term,)
     j = i + outcome.consumed
     if not (0 <= i and j <= len(parts)):
         raise PathError(f"slice {i}..{j} out of range")
     new_parts = parts[:i] + tuple(outcome.parts) + parts[j:]
-    if not new_parts:
-        new_term = Id(boundary(term, sig)[0])
-    elif len(new_parts) == 1:
-        new_term = new_parts[0]
-    else:
-        new_term = norm(Seq(new_parts))
-    wires_at = _slice_wires(sig, term, parts, i)
+    new_term = new_parts[0] if len(new_parts) == 1 else norm(Seq(new_parts))
 
     def transport(fiber, value):
         vals, ends = _unfold(ev, term, fiber, value)
         slice_vals = vals[i:j]
         slice_fibers = list(zip(ends[i:j], ends[i + 1:j + 1]))
-        res = outcome.transform(slice_vals, slice_fibers, ends[i], ends[j])
-        if isinstance(res, Adapter):
-            rep_items = [(Id(wires_at), res.mor, ends[i], ends[j])]
-        else:
-            rep_vals, rep_mids = res
-            rends = [ends[i]] + list(rep_mids) + [ends[j]]
-            rep_items = [(outcome.parts[k], rep_vals[k], rends[k], rends[k + 1])
-                         for k in range(len(outcome.parts))]
+        rep_vals, rep_mids = outcome.transform(slice_vals, slice_fibers, ends[i], ends[j])
+        rends = [ends[i]] + list(rep_mids) + [ends[j]]
+        rep_items = [(outcome.parts[k], rep_vals[k], rends[k], rends[k + 1])
+                     for k in range(len(outcome.parts))]
         items = [(parts[k], vals[k], ends[k], ends[k + 1]) for k in range(i)]
         items += rep_items
         items += [(parts[k], vals[k], ends[k], ends[k + 1])
@@ -208,7 +176,6 @@ def _seq_level(ev, term, i, outcome: SliceOutcome, sig):
 
 
 def rewrite_at(ev: Evaluator, term, path, rule, inst, backward):
-    sig = ev.sig
     if rule.site == "node":
         if not path:
             out = rule.apply_node(ev, term, inst, backward)
@@ -219,7 +186,7 @@ def rewrite_at(ev: Evaluator, term, path, rule, inst, backward):
             out = rule.apply_slice(
                 ev, term.parts if isinstance(term, Seq) else (term,), i,
                 inst, backward, term)
-            new_term, transport = _seq_level(ev, term, i, out, sig)
+            new_term, transport = _seq_level(ev, term, i, out)
             return new_term, transport, out.inverse_inst
     if not path:
         raise PathError(f"rule {rule.name} needs a {rule.site} position")
@@ -231,15 +198,10 @@ def rewrite_at(ev: Evaluator, term, path, rule, inst, backward):
         new_child, child_tr, inv = rewrite_at(ev, child, rest, rule, inst, backward)
 
         # express the child replacement through the splice machinery
-        def transform(vals, fibers, lobj, robj, child_tr=child_tr,
-                      new_child=new_child):
-            v = child_tr(fibers[0], vals[0])
-            if is_plain_id(new_child):
-                return Adapter(v)
-            return ([v], [])
-        out = SliceOutcome(1, () if is_plain_id(new_child) else (new_child,),
-                           transform)
-        new_term, transport = _seq_level(ev, term, k, out, sig)
+        def transform(vals, fibers, lobj, robj, child_tr=child_tr):
+            return ([child_tr(fibers[0], vals[0])], [])
+        out = SliceOutcome(1, (new_child,), transform)
+        new_term, transport = _seq_level(ev, term, k, out)
         return new_term, transport, inv
     if isinstance(term, Par):
         if k not in (0, 1):
@@ -263,21 +225,20 @@ def rewrite_at(ev: Evaluator, term, path, rule, inst, backward):
     raise PathError(f"path descends into a leaf {print_term(term)}")
 
 
-def apply_step(term, step: Step, sig, env, ev: Evaluator = None):
-    """Apply one rewrite step; returns (new term, element transport,
-    inverse instantiation).
+def apply_step(term, step: Step, ev: Evaluator):
+    """Apply one rewrite step under the assignment `ev` evaluates; returns
+    (new term, element transport, inverse instantiation).
 
     The transport maps an element of eval(term) at a fiber to the
     corresponding element of eval(new term); it is total on raw coend index
     elements, not just canonical representatives.  The inverse
     instantiation is the `inst` of the backward step that undoes this one.
     """
-    rule = check_instantiation(step, sig)
-    ev = ev or Evaluator(env)
+    rule = check_instantiation(step, ev.sig)
     new_term, transport, inv = rewrite_at(ev, term, tuple(step.path), rule,
                                           step.inst, step.backward)
-    b_old = boundary(term, sig)
-    b_new = boundary(new_term, sig)
+    b_old = boundary(term, ev.sig)
+    b_new = boundary(new_term, ev.sig)
     if b_old != b_new:
         raise RewriteError(
             f"{rule.name} changed the boundary: {b_old} -> {b_new}")
@@ -400,10 +361,7 @@ def _read_back(out: SliceOutcome, op):
     tf = out.transform
 
     def transform(vals, fibers, lobj, robj):
-        res = tf(vals[::-1], [f[::-1] for f in fibers[::-1]], robj, lobj)
-        if isinstance(res, Adapter):
-            return res
-        vals, mids = res
+        vals, mids = tf(vals[::-1], [f[::-1] for f in fibers[::-1]], robj, lobj)
         return vals[::-1], mids[::-1]
 
     return SliceOutcome(out.consumed, out.parts[::-1], transform, out.inverse_inst)
@@ -670,7 +628,6 @@ class AdjunctionUnit(Rule):
     the instantiation that gives F; without one, F is the tensor of the
     category of a C,C boundary point."""
     tag = "directed"
-    site = "insert"
 
     def __init__(self, name, kinds, key=None, needs=None):
         self.name, self.kinds, self.key, self.needs = name, kinds, key, needs
@@ -698,8 +655,9 @@ class AdjunctionUnit(Rule):
 
 
 class AdjunctionCounit(Rule):
-    """conjoint(F); companion(F) of one functor collapses by composing in
-    F's target: the counit of companion -| conjoint."""
+    """conjoint(F); companion(F) of one functor collapses to the identity
+    wire on F's target by composing there: the counit of companion -|
+    conjoint."""
     tag = "directed"
 
     def __init__(self, name, kinds, expects, disagree=None):
@@ -716,9 +674,9 @@ class AdjunctionCounit(Rule):
         d = fn.target
 
         def tf(vals, fibers, lobj, robj):
-            return Adapter(d.compose(*vals))
+            return ([d.compose(*vals)], [])
 
-        return SliceOutcome(2, (), tf)
+        return SliceOutcome(2, (Id(boundary(p1, ev.sig)[0]),), tf)
 
 
 class CartFork(Rule):
@@ -830,10 +788,11 @@ class Sym(Rule):
                 c1 = ev.env.wire_cat(p1.args[0])
                 c2 = ev.env.wire_cat(p1.args[1])
                 cc = ev.env.boundary_cat(p1.args)
-                return Adapter(join_mors(cc, [(c1, c1.compose(u, u2)),
-                                              (c2, c2.compose(v, v2))]))
+                return ([join_mors(cc, [(c1, c1.compose(u, u2)),
+                                        (c2, c2.compose(v, v2))])], [])
 
-            return SliceOutcome(2, (), tf, inverse_inst={"config": "cancel"})
+            return SliceOutcome(2, (Id(p1.args),), tf,
+                                inverse_inst={"config": "cancel"})
         raise MatchError("R-SYM does not match this site")
 
     def _slide(self, ev, parts, i, op, backward=False):
@@ -958,7 +917,7 @@ class LaxDiscard(Rule):
             t, g = _window(parts, i, 2, op)
             if isinstance(g, Gen) and g.kind == gen and _ends(t, ev.sig, op)[0] == ():
                 return SliceOutcome(
-                    2, (), lambda *_: Adapter(terminal_category().identity(0)))
+                    2, (Id(()),), lambda *_: ([terminal_category().identity(0)], []))
         raise MatchError("R-LAX-DISCARD expects a source into a discard "
                          "or a codiscard into a sink")
 
@@ -1011,9 +970,10 @@ class ZigzagCup(Rule):
 
         def tf(vals, fibers, lobj, robj):
             (f, cel), (uel, v) = vals
-            return Adapter(c.compose_chain(f, uel, cel, v))
+            return ([c.compose_chain(f, uel, cel, v)], [])
 
-        return _read_back(SliceOutcome(2, (), tf, inverse_inst={}), op)
+        # the snake collapses to its own identity wire
+        return _read_back(SliceOutcome(2, (q1.top,), tf, inverse_inst={}), op)
 
 
 class ZigzagCap(ZigzagCup):
@@ -1197,11 +1157,12 @@ STEP_ERRORS = (RewriteError, StructureMissing, ShapeTypeError, FixtureError, Eva
 CHECK_ERRORS = STEP_ERRORS + (ProfunctorError, PointError)
 
 
-def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
-    """Apply and semantically verify one step.  Returns
-    (new term, class map {fiber: {src rep: dst rep}}) or None on failure."""
+def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
+    """Apply and semantically verify one step under the assignment `ev`
+    evaluates.  Returns (new term, class map {fiber: {src rep: dst rep}})
+    or None on failure."""
     try:
-        new_term, transport, inv_inst = apply_step(term, step, sig, env, ev)
+        new_term, transport, inv_inst = apply_step(term, step, ev)
     except STEP_ERRORS as e:
         report.fail(f"step {idx} {step.rule}: {e}")
         return None
@@ -1240,7 +1201,7 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
         inv_step = Step(step.rule, step.path, not step.backward, inv_inst)
         back_tr = None
         try:
-            back_term, back_tr, _ = apply_step(new_term, inv_step, sig, env, ev)
+            back_term, back_tr, _ = apply_step(new_term, inv_step, ev)
             if strip_labels(back_term) != strip_labels(term):
                 back_tr = None
         except (PathError, MatchError):
@@ -1281,10 +1242,11 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx, sig, env):
     return new_term, fwd
 
 
-def check_derivation_once(deriv: Derivation, sig, ev: Evaluator, report: Report):
+def check_derivation_once(deriv: Derivation, ev: Evaluator, report: Report):
     """Run all steps and obligations of one derivation under the full object
     assignment that `ev` evaluates.  Returns (terms, per-step class maps) or
     None."""
+    sig = ev.sig
     if deriv.shape not in sig.shapes:
         report.fail(f"unknown shape {deriv.shape!r}")
         return None
@@ -1297,7 +1259,7 @@ def check_derivation_once(deriv: Derivation, sig, ev: Evaluator, report: Report)
     terms = [term]
     maps = []
     for idx, step in enumerate(deriv.steps, 1):
-        out = check_step(ev, terms[-1], step, report, idx, sig, ev.env)
+        out = check_step(ev, terms[-1], step, report, idx)
         if out is None:
             return None
         new_term, fwd = out
@@ -1356,18 +1318,15 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
     derivs = _refuse_instantiations(derivs, sig, report)
     if not (derivs or script.points or script.asserts):
         return
-    only = script_object_symbols(script, sig)
-    ev = Evaluator(env, env.free_objects(only))
-    for env_a in env.assignments(only=only):
-        desc = env_a.describe_objs()
+    for ev in sweep(env, only=script_object_symbols(script, sig)):
+        desc = ev.env.describe_objs()
         report.line(f"assignment: {desc}" if desc else "assignment: (none)")
-        ev.at(env_a)
         for name, deriv in derivs:
             report.line(f" derivation {name} from {deriv.shape}:")
-            out = check_derivation_once(deriv, sig, ev, report)
+            out = check_derivation_once(deriv, ev, report)
             if out is not None and name == "main" and epilogue:
                 epilogue(report, ev, *out)
-        _check_points(script, sig, ev, report)
+        _check_points(script, ev, report)
 
 
 def _refuse_instantiations(derivs, sig, report):
@@ -1401,18 +1360,19 @@ def check_derivation(script: DerivationScript, sig, env: Env,
     return report.finish()
 
 
-def _check_points(script, sig, ev, report):
+def _check_points(script, ev, report):
     if not script.points and not script.asserts:
         return
     from . import pointed
+    sig = ev.sig
     diagrams = {}
     for decl in script.points:
         if decl.shape not in sig.shapes:
             report.fail(f"point {decl.name}: unknown shape {decl.shape!r}")
             continue
         try:
-            d = pointed.OpenDiagram.from_names(sig, ev.env, sig.shapes[decl.shape],
-                                               decl.assignment, ev)
+            d = pointed.OpenDiagram.from_names(ev, sig.shapes[decl.shape],
+                                               decl.assignment)
         except CHECK_ERRORS as e:
             report.fail(f"point {decl.name}: {e}")
             continue
@@ -1431,7 +1391,7 @@ def _check_points(script, sig, ev, report):
                 continue
             deformation = script.named[a.via].steps
         try:
-            eq = pointed.equal_up_to(d1, d2, deformation, sig, ev)
+            eq = pointed.equal_up_to(d1, d2, deformation, ev)
         except CHECK_ERRORS as e:
             report.fail(f"assert-equal {a.left} {a.right}: {e}")
             continue

@@ -733,9 +733,10 @@ class Evaluator:
     A node depends only on the values of the object symbols its term
     mentions, so it is kept under (term, those values) and shared by every
     assignment that agrees on them.  `free` lists the swept symbols in
-    `itertools.product` order and `at` moves to the next assignment.  An
-    entry whose symbols cover the first j free symbols is dropped once one
-    of those j values changes: product order never brings it back.
+    `itertools.product` order and `at` moves to the next assignment, as
+    `sweep` does.  An entry whose symbols cover the first j free symbols is
+    dropped once one of those j values changes: product order never brings
+    it back.
     """
 
     def __init__(self, env: Env, free=()):
@@ -823,6 +824,15 @@ class Evaluator:
                 raise EvalError(f"named profunctor {args[0]!r} is unbound")
             return env.profs[args[0]]
         raise EvalError(f"unknown generator {kind!r}")
+
+
+def sweep(env: Env, only=None):
+    """The evaluator of one sweep, moved to each assignment of the free
+    object symbols (those in `only`, when given) in `Env.assignments`
+    order."""
+    ev = Evaluator(env, env.free_objects(only))
+    for env_a in env.assignments(only=only):
+        yield ev.at(env_a)
 
 
 def eval_closed(term, env: Env):

@@ -181,7 +181,7 @@ def test_criterion_5_lens_apply_script(oracles):
         report = Report()
         used = script_object_symbols(script, sig)
         for env_a in env.assignments(only=used):
-            assert check_derivation_once(deriv, sig, Evaluator(env_a), report) is not None
+            assert check_derivation_once(deriv, Evaluator(env_a), report) is not None
         assert report.ok, report.text()
         # well-definedness and pointwise agreement with the script
         from coendcheck.pointed import lift_many
@@ -195,12 +195,12 @@ def test_criterion_5_lens_apply_script(oracles):
                             for (m, (g, f)) in space.members(lens)}
                     assert len(outs) == 1
                     d = OpenDiagram.from_values(
-                        sig, env_a, sig.shapes["lens-applied"],
+                        ev, sig.shapes["lens-applied"],
                         {"g": lens.fwd,
                          "s": (c.identity(mon.tensor(lens.residual, x)),
                                (lens.residual, x)),
-                         "f": lens.bwd, "h1": h}, ev)
-                    out = lift_many(steps, d, sig, env_a, ev)
+                         "f": lens.bwd, "h1": h})
+                    out = lift_many(steps, d, ev)
                     m_, g_, f_ = out.point
                     assert c.compose(g_, f_) == outs.pop()
     ok(5, "the 4-step composition script verifies end to end and agrees "
@@ -273,7 +273,7 @@ def test_criterion_7_adjunction_zigzags(oracles):
             deriv = Derivation("t", shape, steps, [(1, 2)])
             report = Report()
             for env_a in env.assignments():
-                assert check_derivation_once(deriv, sig, Evaluator(env_a), report) \
+                assert check_derivation_once(deriv, Evaluator(env_a), report) \
                     is not None, (name, shape, report.text())
                 checked += 1
             assert report.ok, (name, shape, report.text())
@@ -304,11 +304,11 @@ def test_criterion_8_point_lifting(oracles):
                     for a in node.prof.source.objects:
                         for b in node.prof.target.objects:
                             for point in node.prof.fiber(a, b):
-                                d = OpenDiagram(term, {}, (a, b), point)
+                                d = OpenDiagram(term, (a, b), point)
                                 t = term
                                 for step in deriv.steps:
-                                    up = lift(step, d, sig, env_a, ev)
-                                    t2, _, _ = apply_step(t, step, sig, env_a, ev)
+                                    up = lift(step, d, ev)
+                                    t2, _, _ = apply_step(t, step, ev)
                                     assert forget(up) == t2
                                     assert up.point in ev.node(t2).prof.fiber(a, b)
                                     d, t = up, t2
@@ -327,11 +327,11 @@ def test_criterion_8_point_lifting(oracles):
     c = mon.base
     env = Env(sig, {"C": mon}, objs={k: 0 for k in "ABXY"})
     split = (c.identity(0), (0, 0))
-    d1 = OpenDiagram.from_values(sig, env, sig.shapes["lens"],
+    d1 = OpenDiagram.from_values(Evaluator(env), sig.shapes["lens"],
                                  {"g": 1, "s": split, "f": 0})
-    d2 = OpenDiagram.from_values(sig, env, sig.shapes["lens"],
+    d2 = OpenDiagram.from_values(Evaluator(env), sig.shapes["lens"],
                                  {"g": 0, "s": split, "f": 1})
-    d3 = OpenDiagram.from_values(sig, env, sig.shapes["lens"],
+    d3 = OpenDiagram.from_values(Evaluator(env), sig.shapes["lens"],
                                  {"g": 0, "s": split, "f": 0})
     assert d1.point == d2.point and d1.point != d3.point
     ok(8, f"forget commutes with lift and points stay in the target set "
@@ -390,7 +390,7 @@ def test_criterion_10_lax_copy(oracles):
             deriv = Derivation("t", shape, [Step("R-LAX-COPY", (0,))])
             report = Report()
             for env_a in env.assignments():
-                assert check_derivation_once(deriv, sig, Evaluator(env_a), report) \
+                assert check_derivation_once(deriv, Evaluator(env_a), report) \
                     is not None, (name, shape, report.text())
             assert report.ok, (name, shape)
         # bijective exactly on the representable inputs of the shipped set
@@ -399,8 +399,7 @@ def test_criterion_10_lax_copy(oracles):
             for shape, want_bijection in (("port-copy", True),
                                           ("named-copy", False)):
                 term = sig.shapes[shape]
-                new_t, tr = apply_step(term, Step("R-LAX-COPY", (0,)),
-                                       sig, env_a, ev)[:2]
+                new_t, tr = apply_step(term, Step("R-LAX-COPY", (0,)), ev)[:2]
                 src, dst = ev.node(term), ev.node(new_t)
                 bij = True
                 for bq in src.prof.target.objects:

@@ -7,7 +7,8 @@ import pytest
 from coendcheck import cli, fincat, pointed, profunctor, rewrite, shapelang
 from coendcheck.cli import main
 from coendcheck.demos import demo_dir
-from coendcheck.fixtures import bad_fixture_names, bad_fixture_path, fixture_path
+from coendcheck.fixtures import (FIXTURE_NAMES, bad_fixture_names, bad_fixture_path,
+                                 fixture_path)
 
 
 def demo_path(name):
@@ -493,6 +494,52 @@ def test_mutated_fixtures_never_exit_3(capsys, tmp_path, name):
             assert code in (0, 1, 2) and "internal error" not in err, (mutant, argv, err)
             runs += 1
     assert runs > 200
+
+
+def _truncations(text, cuts=20):
+    """`text` cut short at `cuts` evenly spaced points."""
+    return [text[:len(text) * k // (cuts + 1)] for k in range(1, cuts + 1)]
+
+
+def test_truncated_inputs_never_exit_3(capsys, tmp_path):
+    # a shipped script or fixture cut short anywhere is malformed input (or,
+    # where the cut leaves a complete prefix, a checkable one): never exit 3
+    z2 = fixture_path("z2")
+    scripts = {p.name: p.read_text(encoding="utf-8") for p in demo_dir().iterdir()}
+    jobs = []  # (file to write, its truncations, argv lists to run on it)
+    for name, text in sorted(scripts.items()):
+        if name.endswith(".deriv"):
+            use = re.search(r"^use (\S+)", text, re.M).group(1)
+            (tmp_path / use).write_text(scripts[use])
+            path, cats = tmp_path / "cut.deriv", scripts[use]
+            argv = ["check", str(path)]
+        elif name.endswith(".shapes"):
+            first = re.search(r"\(shape ([\w-]+)", text).group(1)
+            path, cats = tmp_path / "cut.shapes", text
+            argv = ["eval", str(path), "--shape", first]
+        else:
+            continue
+        for c in sorted(set(re.findall(r"\(category (\w+)", cats))):
+            argv += ["--bind", f"{c}={z2}"]
+        jobs.append((path, _truncations(text), [argv]))
+    fixtures = [fixture_path(n) for n in FIXTURE_NAMES]
+    fixtures += [bad_fixture_path(n) for n in bad_fixture_names()]
+    path = tmp_path / "cut.json"
+    for fx in fixtures:
+        with open(fx, encoding="utf-8") as fh:
+            text = fh.read()
+        jobs.append((path, _truncations(text), [
+            ["validate", str(path)],
+            ["eval", demo_path("lens.shapes"), "--shape", "lens", "--bind", f"C={path}"]]))
+    runs = 0
+    for path, cuts, argvs in jobs:
+        for cut in cuts:
+            path.write_text(cut)
+            for argv in argvs:
+                code, _, err = run(capsys, *argv)
+                assert code in (0, 1, 2) and "internal error" not in err, (argv, cut, err)
+                runs += 1
+    assert runs > 800
 
 
 @pytest.mark.parametrize("spec", ["(mor 1 x)", "1"])

@@ -73,13 +73,13 @@ def test_lens_reduction_script_computes_lens_to_pair():
         ev = Evaluator(env)
         space = lens_set(mon, a, b, x, y)
         for lens in space.all():
-            d = OpenDiagram.from_values(sig, env, sig.shapes["lens"],
-                                        _lens_assignment(mon, lens, x), ev)
-            out = lift_many(steps, d, sig, env, ev)
+            d = OpenDiagram.from_values(ev, sig.shapes["lens"],
+                                        _lens_assignment(mon, lens, x))
+            out = lift_many(steps, d, ev)
             view, update = lens_to_pair(lens, mon)
             expected = OpenDiagram.from_values(
-                sig, env, sig.shapes["lens-pair"],
-                {"p1": view, "p3": update}, ev)
+                ev, sig.shapes["lens-pair"],
+                {"p1": view, "p3": update})
             assert strip_labels(out.shape) == strip_labels(expected.shape)
             assert out.point == expected.point
 
@@ -94,13 +94,13 @@ def test_prism_reduction_script_computes_prism_to_pair():
         ev = Evaluator(env)
         space = lens_set(mon, a, b, x, y)
         for prism in space.all():
-            d = OpenDiagram.from_values(sig, env, sig.shapes["lens"],
-                                        _lens_assignment(mon, prism, x), ev)
-            out = lift_many(steps, d, sig, env, ev)
+            d = OpenDiagram.from_values(ev, sig.shapes["lens"],
+                                        _lens_assignment(mon, prism, x))
+            out = lift_many(steps, d, ev)
             match, bld = prism_to_pair(prism, mon)
             expected = OpenDiagram.from_values(
-                sig, env, sig.shapes["prism-pair"],
-                {"p1": match, "p3": bld}, ev)
+                ev, sig.shapes["prism-pair"],
+                {"p1": match, "p3": bld})
             assert strip_labels(out.shape) == strip_labels(expected.shape)
             assert out.point == expected.point
 
@@ -120,8 +120,8 @@ def test_lens_apply_script_computes_apply_lens():
                     assignment = _lens_assignment(mon, lens, x)
                     assignment["h1"] = h
                     d = OpenDiagram.from_values(
-                        sig, env, sig.shapes["lens-applied"], assignment, ev)
-                    out = lift_many(steps, d, sig, env, ev)
+                        ev, sig.shapes["lens-applied"], assignment)
+                    out = lift_many(steps, d, ev)
                     m, g, f = out.point
                     assert c.compose(g, f) == apply_lens(lens, h, mon)
 
@@ -154,18 +154,18 @@ def test_optic_category_script_computes_compose_optic():
                     assignment = {k: w for k, w in assignment.items()
                                   if w is not None}
                     d = OpenDiagram.from_values(
-                        sig, env, sig.shapes["lens-composite"], assignment, ev)
-                    out = lift_many(steps, d, sig, env, ev)
+                        ev, sig.shapes["lens-composite"], assignment)
+                    out = lift_many(steps, d, ev)
                     comp = compose_optic(l1, l2, mon)
                     # the composite lens written on the reduced shape
                     m, n = l1.residual, l2.residual
                     expected = OpenDiagram.from_values(
-                        sig, env, sig.shapes["composite-reduced"],
+                        ev, sig.shapes["composite-reduced"],
                         {"g1": comp.fwd,
                          "s1": (c.identity(mon.tensor(mon.tensor(m, n), u)),
                                 (m, mon.tensor(n, u))),
                          "s2": (c.identity(mon.tensor(n, u)), (n, u)),
-                         "f1": comp.bwd}, ev)
+                         "f1": comp.bwd})
                     assert strip_labels(out.shape) == strip_labels(expected.shape)
                     assert out.point == expected.point
 
@@ -190,18 +190,17 @@ def test_optic_crossed_script_computes_crossed_composition():
                 "f2": l2.bwd,
             }
             assignment = {k: w for k, w in assignment.items() if w is not None}
-            d = OpenDiagram.from_values(sig, env, sig.shapes["crossed"],
-                                        assignment, ev)
-            out = lift_many(steps, d, sig, env, ev)
+            d = OpenDiagram.from_values(ev, sig.shapes["crossed"], assignment)
+            out = lift_many(steps, d, ev)
             comp = compose_optic_crossed(l1, l2, mon)
             mn = mon.tensor(m, n)
             expected = OpenDiagram.from_values(
-                sig, env, sig.shapes["crossed-reduced"],
+                ev, sig.shapes["crossed-reduced"],
                 {"g1": comp.fwd,
                  "s1": (c.identity(mon.tensor(mn, 0)), (m, mon.tensor(n, 0))),
                  "s2": (c.identity(mon.tensor(n, 0)), (n, 0)),
                  "f2": c.compose(mon.tensor_m(mon.braid(n, m), c.identity(0)),
-                                 comp.bwd)}, ev)
+                                 comp.bwd)})
             assert strip_labels(out.shape) == strip_labels(expected.shape)
             assert out.point == expected.point
 
@@ -219,19 +218,19 @@ def test_lens_to_dynamics_script_computes_lens_to_feedback():
             for lens in space.all():
                 m = lens.residual
                 d = OpenDiagram.from_values(
-                    sig, env, sig.shapes["dynamics"],
+                    ev, sig.shapes["dynamics"],
                     {"st": c.identity(m), "yi": c.identity(y),
                      "j": c.identity(mon.tensor(m, y)),
                      "fo": lens.bwd, "gi": lens.fwd,
                      "s": (c.identity(mon.tensor(m, x)), (m, x)),
-                     "xo": c.identity(x)}, ev)
-                out = lift_many(steps, d, sig, env, ev)
+                     "xo": c.identity(x)})
+                out = lift_many(steps, d, ev)
                 fm, fh = lens_to_feedback(lens, mon)
                 expected = OpenDiagram.from_values(
-                    sig, env, sig.shapes["dynamics-reduced"],
+                    ev, sig.shapes["dynamics-reduced"],
                     {"st": c.identity(fm), "yi": c.identity(y),
                      "j": c.identity(mon.tensor(fm, y)),
-                     "s": (fh, (fm, x)), "xo": c.identity(x)}, ev)
+                     "s": (fh, (fm, x)), "xo": c.identity(x)})
                 assert strip_labels(out.shape) == strip_labels(expected.shape)
                 assert out.point == expected.point
 
@@ -258,19 +257,19 @@ def test_learner_reduction_script_computes_learner_reduce():
         for (s, (h1, h2)) in ls.coend.reps:
             p, q = split_obj(ls.pair_cat, c, c, s)
             d = OpenDiagram.from_values(
-                sig, env, sig.shapes["learner"],
-                _learner_assignment(mon, p, q, h1, h2, a, b), ev)
-            out = lift_many(steps, d, sig, env, ev)
+                ev, sig.shapes["learner"],
+                _learner_assignment(mon, p, q, h1, h2, a, b))
+            out = lift_many(steps, d, ev)
             tp, (ti, tr, tu) = learner_reduce(mon, a, b, (s, (h1, h2)), ls, ts)
             pa = mon.tensor(tp, a)
             expected = OpenDiagram.from_values(
-                sig, env, sig.shapes["learner-reduced"],
+                ev, sig.shapes["learner-reduced"],
                 {"cp": c.identity(tp), "a1": c.identity(a),
                  "j1": c.identity(pa), "s1": (c.identity(pa), ti),
                  "b1": c.identity(b), "a2": c.identity(b),
                  "j2": c.identity(mon.tensor(pa, b)),
                  "s2": (tu, tr), "b2": c.identity(a),
-                 "cu": c.identity(tp)}, ev)
+                 "cu": c.identity(tp)})
             assert strip_labels(out.shape) == strip_labels(expected.shape)
             assert out.point == expected.point
 
@@ -293,7 +292,7 @@ def test_lenses_to_learner_script_computes_the_operation():
                 for l2 in s2.all():
                     m, n = l1.residual, l2.residual
                     d = OpenDiagram.from_values(
-                        sig, env, sig.shapes["learner-from-lenses"],
+                        ev, sig.shapes["learner-from-lenses"],
                         {"cp": c.identity(m), "a1": c.identity(a),
                          "j1": c.identity(mon.tensor(m, a)),
                          "vo": l1.bwd, "vi": c.identity(v),
@@ -303,13 +302,13 @@ def test_lenses_to_learner_script_computes_the_operation():
                          "j2": c.identity(mon.tensor(n, b)),
                          "uo": l2.bwd, "ui": c.identity(u),
                          "s2": (l1.fwd, (m, a)), "b2": c.identity(a),
-                         "cu": c.identity(m)}, ev)
-                    out = lift_many(steps, d, sig, env, ev)
+                         "cu": c.identity(m)})
+                    out = lift_many(steps, d, ev)
                     (s, (h1, h2)) = lenses_to_learner(l1, l2, mon, ls)
                     lp, lq = split_obj(ls.pair_cat, c, c, s)
                     expected = OpenDiagram.from_values(
-                        sig, env, sig.shapes["learner"],
-                        _learner_assignment(mon, lp, lq, h1, h2, a, b), ev)
+                        ev, sig.shapes["learner"],
+                        _learner_assignment(mon, lp, lq, h1, h2, a, b))
                     assert strip_labels(out.shape) == strip_labels(expected.shape)
                     assert out.point == expected.point
 

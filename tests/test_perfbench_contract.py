@@ -1,5 +1,6 @@
 """The benchmark's tracer wraps package names from outside the package;
-installing and removing it here catches a rename before a traced run."""
+installing and removing it here catches a rename before a traced run, and
+a traced demo catches a call that goes around a wrapped name."""
 
 import importlib.util
 from pathlib import Path
@@ -7,14 +8,38 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def test_tracer_installs_and_restores():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    return tracing.Tracer()
+
+
+def test_tracer_installs_and_restores():
+    tracer = _tracer()
     try:
         tracer.install()
         assert tracer._patched
     finally:
         tracer.uninstall()
     assert tracer.restored()
+
+
+def test_traced_points_demo_reaches_every_wrapped_layer():
+    # the points demo applies and checks steps, builds points and asserts
+    # their equality: a checker that called around a wrapped name (the
+    # private point builder in place of from_names, say) would leave that
+    # layer's counter at 0
+    from coendcheck import demos
+    tracer = _tracer()
+    try:
+        tracer.install()
+        report = demos.run_demo("points")
+    finally:
+        tracer.uninstall()
+    assert tracer.restored() and report.ok
+    metrics = tracer.metrics()
+    for name in ("rewrite.apply_step_calls", "rewrite.transport_calls",
+                 "rewrite.check_step_calls", "pointed.points_built",
+                 "pointed.asserts", "shapelang.assignment_ms.count"):
+        assert metrics[name][0] > 0, name

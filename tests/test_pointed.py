@@ -51,7 +51,7 @@ def lens_point(sig, env, mon, m, g, f, shape="lens", extra=None):
     assignment = {"g": g, "s": (c.identity(mon.tensor(m, x)), (m, x)),
                   "f": f}
     assignment.update(extra or {})
-    return OpenDiagram.from_values(sig, env, sig.shapes[shape], assignment)
+    return OpenDiagram.from_values(Evaluator(env), sig.shapes[shape], assignment)
 
 
 # -- embeddings ----------------------------------------------------------------
@@ -59,14 +59,14 @@ def lens_point(sig, env, mon, m, g, f, shape="lens", extra=None):
 
 def test_embed_identity_and_composition(sig):
     env = z2_env(sig)
+    ev = Evaluator(env)
     c = env.cats["C"]
-    e0 = embed(sig, env, "C", c.identity(0))
+    e0 = embed(ev, "C", c.identity(0))
     assert e0.point == c.identity(0)
     for f in c.morphisms:
         for g in c.morphisms:
-            d = compose_open(embed(sig, env, "C", f), embed(sig, env, "C", g),
-                             sig, env)
-            lifted = lift(Step("R-YONEDA-L", (0,)), d, sig, env)
+            d = compose_open(embed(ev, "C", f), embed(ev, "C", g), ev)
+            lifted = lift(Step("R-YONEDA-L", (0,)), d, ev)
             assert lifted.point == c.compose(f, g)
             assert forget(lifted) == lifted.shape
 
@@ -74,8 +74,8 @@ def test_embed_identity_and_composition(sig):
 def test_embed_nonidentity_distinct(sig):
     env = z2_env(sig)
     c = env.cats["C"]
-    e0 = embed(sig, env, "C", c.mor_id("0"))
-    e1 = embed(sig, env, "C", c.mor_id("1"))
+    e0 = embed(Evaluator(env), "C", c.mor_id("0"))
+    e1 = embed(Evaluator(env), "C", c.mor_id("1"))
     assert e0.point != e1.point
 
 
@@ -98,7 +98,7 @@ def test_lens_points_classify(sig):
 def test_point_requires_fork_split(sig):
     env = z2_env(sig)
     with pytest.raises(PointError):
-        OpenDiagram.from_values(sig, env, sig.shapes["lens"], {"g": 0})
+        OpenDiagram.from_values(Evaluator(env), sig.shapes["lens"], {"g": 0})
 
 
 def test_sliding_equality_as_class_equality(sig):
@@ -109,9 +109,9 @@ def test_sliding_equality_as_class_equality(sig):
     # slide m = 1 from the forward leg to the backward leg
     d1 = lens_point(sig, env, mon, 0, one, zero)
     d2 = lens_point(sig, env, mon, 0, zero, one)
-    assert equal_up_to(d1, d2, [], sig, Evaluator(env))
+    assert equal_up_to(d1, d2, [], Evaluator(env))
     d3 = lens_point(sig, env, mon, 0, zero, zero)
-    assert not equal_up_to(d1, d3, [], sig, Evaluator(env))
+    assert not equal_up_to(d1, d3, [], Evaluator(env))
 
 
 # -- lifting -------------------------------------------------------------------
@@ -127,11 +127,11 @@ def test_lift_opfibration_square_every_assignment(sig):
     groups = node.prof.members(0, 0)
     for rep, members in groups.items():
         for raw in members:
-            d = OpenDiagram(term, {}, (0, 0), node.prof.classify(0, 0, *raw))
+            d = OpenDiagram(term, (0, 0), node.prof.classify(0, 0, *raw))
             t = term
             for step in APPLY_STEPS:
-                lifted = lift(step, d, sig, env, ev)
-                t2, _, _ = apply_step(t, step, sig, env, ev)
+                lifted = lift(step, d, ev)
+                t2, _, _ = apply_step(t, step, ev)
                 assert forget(lifted) == t2
                 assert lifted.point in ev.node(t2).prof.fiber(0, 0)
                 d, t = lifted, t2
@@ -155,7 +155,7 @@ def test_lift_matches_apply_lens(sig):
                                     sig, env, mon, lens.residual, lens.fwd,
                                     lens.bwd, shape="lens-applied",
                                     extra={"h1": h})
-                                out = lift_many(APPLY_STEPS, d, sig, env)
+                                out = lift_many(APPLY_STEPS, d, Evaluator(env))
                                 expected = apply_lens(lens, h, mon)
                                 got_m, got_g, got_f = out.point
                                 assert c.compose(got_g, got_f) == expected
@@ -169,10 +169,9 @@ def test_lift_iso_roundtrip_restores_point(sig):
     # z2 has no cartesian witness; use interchange instead
     fwd = Step("R-INTERCHANGE", (2,))
     ev = Evaluator(env)
-    up = lift(fwd, d, sig, env, ev)
-    _, _, inv = apply_step(d.shape, fwd, sig, env, ev)
-    back = lift(Step("R-INTERCHANGE", (2,), backward=True, inst=inv), up,
-                sig, env, ev)
+    up = lift(fwd, d, ev)
+    _, _, inv = apply_step(d.shape, fwd, ev)
+    back = lift(Step("R-INTERCHANGE", (2,), backward=True, inst=inv), up, ev)
     assert strip_labels(back.shape) == strip_labels(d.shape)
     assert back.point == d.point
 
@@ -185,7 +184,7 @@ def test_equal_up_to_rejects_directed(sig):
     mon = env.mons["C"]
     d = lens_point(sig, env, mon, 0, 0, 0)
     with pytest.raises(Exception) as e:
-        equal_up_to(d, d, [Step("R-EPS-A", (0,))], sig, Evaluator(env))
+        equal_up_to(d, d, [Step("R-EPS-A", (0,))], Evaluator(env))
     assert "directed" in str(e.value) or "invertible" in str(e.value)
 
 
@@ -195,26 +194,26 @@ def test_equal_up_to_equivalence_relation(sig):
     ev = Evaluator(env)
     d1 = lens_point(sig, env, mon, 0, 1, 0)
     # reflexivity under the empty deformation
-    assert equal_up_to(d1, d1, [], sig, ev)
+    assert equal_up_to(d1, d1, [], ev)
     step = Step("R-INTERCHANGE", (2,))
-    d2 = lift(step, d1, sig, env, ev)
-    assert equal_up_to(d1, d2, [step], sig, ev)
+    d2 = lift(step, d1, ev)
+    assert equal_up_to(d1, d2, [step], ev)
     # symmetry: the inverse deformation relates them the other way
-    _, _, inv = apply_step(d1.shape, step, sig, env, ev)
+    _, _, inv = apply_step(d1.shape, step, ev)
     back_step = Step("R-INTERCHANGE", step.path, True, inv)
-    assert equal_up_to(d2, d1, [back_step], sig, ev)
+    assert equal_up_to(d2, d1, [back_step], ev)
     # transitivity: concatenation of deformations
     step2 = Step("R-INTERCHANGE", (2,), True, {"cut1": 1, "cut2": 1})
-    d3 = lift(step2, d2, sig, env, ev)
-    assert equal_up_to(d2, d3, [step2], sig, ev)
-    assert equal_up_to(d1, d3, [step, step2], sig, ev)
+    d3 = lift(step2, d2, ev)
+    assert equal_up_to(d2, d3, [step2], ev)
+    assert equal_up_to(d1, d3, [step, step2], ev)
 
 
 def test_embed_forget_is_the_hom_shape(sig):
     env = z2_env(sig)
     c = env.cats["C"]
     from coendcheck.shapelang import Id, Wire
-    d = embed(sig, env, "C", c.mor_id("1"), label="w")
+    d = embed(Evaluator(env), "C", c.mor_id("1"), label="w")
     assert forget(d) == Id((Wire("C"),), "w")
 
 
@@ -332,23 +331,22 @@ def test_every_leaf_kind_points_at_its_fiber(fixture):
             for left in prof.source.objects:
                 for b in prof.target.objects:
                     for v in prof.fiber(left, b):
-                        d = OpenDiagram.from_fiber(sig, env, shape,
-                                                   {"v": (v, objs_of[b])}, left, ev)
+                        d = OpenDiagram.from_fiber(ev, shape,
+                                                   {"v": (v, objs_of[b])}, left)
                         assert (d.point, d.fiber) == (v, (left, b)), kind
                         if kind in NEEDS_OBJECTS:
                             with pytest.raises(PointError):
-                                OpenDiagram.from_fiber(sig, env, shape, {"v": v},
-                                                       left, ev)
+                                OpenDiagram.from_fiber(ev, shape, {"v": v}, left)
                             continue
                         assert _pinned_right(kind, env, v) == b, kind
-                        d = OpenDiagram.from_fiber(sig, env, shape, {"v": v}, left, ev)
+                        d = OpenDiagram.from_fiber(ev, shape, {"v": v}, left)
                         assert (d.point, d.fiber) == (v, (left, b)), kind
                 expected = _unassigned(kind, env, left)
                 if expected is None:
                     with pytest.raises(PointError):
-                        OpenDiagram.from_fiber(sig, env, shape, {}, left, ev)
+                        OpenDiagram.from_fiber(ev, shape, {}, left)
                     continue
-                d = OpenDiagram.from_fiber(sig, env, shape, {}, left, ev)
+                d = OpenDiagram.from_fiber(ev, shape, {}, left)
                 assert (d.point, d.fiber[1]) == expected, kind
 
 
@@ -387,10 +385,10 @@ def test_box_points_resolve_names_in_their_wire_categories(kind, cats):
         for b in prof.target.objects:
             for v in prof.fiber(left, b):
                 spec = ("mor", d.mor_name(v), right.obj_name(b))
-                got = OpenDiagram.from_names(sig, env, shape, {"v": spec}, ev)
+                got = OpenDiagram.from_names(ev, shape, {"v": spec})
                 assert (got.point, got.fiber) == (v, (left, b))
                 points += 1
     assert points
     for spec in [("mor", d.mor_name(v), "Q"), ("split", d.mor_name(v), "Q", "Q")]:
         with pytest.raises(PointError):
-            OpenDiagram.from_names(sig, env, shape, {"v": spec}, ev)
+            OpenDiagram.from_names(ev, shape, {"v": spec})

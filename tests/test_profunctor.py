@@ -12,6 +12,7 @@ from coendcheck.demos import demo_dir, load_scripts
 from coendcheck.fincat import (build_category, from_comm_monoid, from_lattice,
                                opposite, product, terminal_category)
 from coendcheck.fixtures import FIXTURE_NAMES, build
+from coendcheck.optics import lens_set
 from coendcheck.profunctor import (ConcreteProf, NatFamily,
                                    ProfunctorError, cap_prof,
                                    check_natural, companion, compose_prof,
@@ -22,7 +23,8 @@ from coendcheck.profunctor import (ConcreteProf, NatFamily,
                                    validate_prof)
 from coendcheck.rewrite import Report, _count, check_step
 from coendcheck.shapelang import (Env, Evaluator, Seq, ShapeTypeError, boundary,
-                                  objects_in, parse_shape_script, print_term)
+                                  class_count, objects_in, parse_shape_script,
+                                  print_term, sweep)
 
 
 @pytest.fixture(scope="module")
@@ -383,6 +385,19 @@ def test_pair_quotients_over_random_oracles_match_naive(mon, shape, data):
     assert built
     for ce in built:
         assert_coend_matches_naive(ce)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(mon=small_oracles(), data=st.data())
+def test_lens_classes_over_random_oracles_match_lens_set(mon, data):
+    # the closed lens shape denotes the optics from (A, B) to (X, Y): its
+    # class count is that of the direct coend over the residual M of
+    # C(A, M (x) X) x C(M (x) Y, B)
+    sig = SCRIPTS["lens.shapes"]
+    objs = {sym: data.draw(st.sampled_from(list(mon.base.objects)), label=sym)
+            for sym in "ABXY"}
+    got = class_count(sig.shapes["lens"], Env(sig, {"C": mon}, objs=objs))
+    assert got == lens_set(mon, *(objs[sym] for sym in "ABXY")).class_count
 
 
 def test_coend_enumeration_order_invariance(oracles):
@@ -773,14 +788,12 @@ def _shipped_terms(deriv_name, binding):
     sig, script = load_scripts(deriv_name)
     env = Env(sig, {sym: build(fx) for sym, fx in binding.items()})
     derivs = list(script.named.values()) + ([script.main] if script.main else [])
-    ev = Evaluator(env, env.free_objects())
-    for env_a in env.assignments():
-        ev.at(env_a)
+    for ev in sweep(env):
         terms = set(sig.shapes.values())
         for deriv in derivs:
             term = sig.shapes[deriv.shape]
             for idx, step in enumerate(deriv.steps, 1):
-                out = check_step(ev, term, step, Report(), idx, sig, env_a)
+                out = check_step(ev, term, step, Report(), idx)
                 if out is None:
                     break
                 term = out[0]

@@ -56,7 +56,7 @@ def run_derivation(sig, env, shape, steps, obligations=()):
     report = Report()
     ok_envs = 0
     for env_a in env.assignments():
-        out = check_derivation_once(deriv, sig, Evaluator(env_a), report)
+        out = check_derivation_once(deriv, Evaluator(env_a), report)
         assert out is not None, report.text()
         ok_envs += 1
     assert report.ok, report.text()
@@ -70,7 +70,7 @@ def test_eps_port_collapses_plugged(sig):
     env = env_z2(sig)
     t = sig.shapes["plugged"]
     assert class_count(t, env) == 4
-    new_t, tr = apply_step(t, Step("R-EPS-A", (1,)), sig, env)[:2]
+    new_t, tr = apply_step(t, Step("R-EPS-A", (1,)), Evaluator(env))[:2]
     assert new_t == sig.shapes["arrow"]
     assert class_count(new_t, env) == 2
 
@@ -85,7 +85,7 @@ def test_backward_directed_rejected(sig):
     env = env_z2(sig)
     with pytest.raises(DirectionError):
         apply_step(sig.shapes["plugged"], Step("R-EPS-A", (1,), backward=True),
-                   sig, env)
+                   Evaluator(env))
 
 
 def test_port_adjunction_triangles(sig):
@@ -125,7 +125,7 @@ def test_yoneda_on_labeled_homs(sig):
         run_derivation(sig, env, "hom-pair", [Step("R-YONEDA-L", (0,))])
         c = env.cats["C"]
         t = sig.shapes["hom-pair"]
-        new_t, tr = apply_step(t, Step("R-YONEDA-L", (0,)), sig, env)[:2]
+        new_t, tr = apply_step(t, Step("R-YONEDA-L", (0,)), Evaluator(env))[:2]
         assert isinstance(new_t, Id) and new_t.label == "f"
         ev = Evaluator(env)
         node = ev.node(t)
@@ -140,10 +140,10 @@ def test_yoneda_backward_requires_label(sig):
     env = env_z2(sig)
     t = sig.shapes["arrow"]
     with pytest.raises(Exception) as e:
-        apply_step(t, Step("R-YONEDA-L", (1,), backward=True), sig, env)
+        apply_step(t, Step("R-YONEDA-L", (1,), backward=True), Evaluator(env))
     assert "label" in str(e.value)
     new_t, tr, inv = apply_step(
-        t, Step("R-YONEDA-L", (1,), backward=True, inst={"label": "w"}), sig, env)
+        t, Step("R-YONEDA-L", (1,), backward=True, inst={"label": "w"}), Evaluator(env))
     assert new_t.parts[1] == Id((Wire("C"),), "w")
 
 
@@ -159,7 +159,7 @@ def test_cart_fork_structure_missing_on_z2(sig):
     env = env_z2(sig)
     report = Report()
     deriv = Derivation("t", "lens", [Step("R-CART-FORK", (1,))])
-    out = check_derivation_once(deriv, sig, Evaluator(env), report)
+    out = check_derivation_once(deriv, Evaluator(env), report)
     assert out is None
     assert any("cartesian" in f for f in report.failures)
 
@@ -177,7 +177,7 @@ def test_snake_collapses(sig):
         env = Env(sig, {"C": build(name)})
         run_derivation(sig, env, "snake", [Step("R-ZIGZAG-CUP", (1,))])
         t = sig.shapes["snake"]
-        new_t, tr = apply_step(t, Step("R-ZIGZAG-CUP", (1,)), sig, env)[:2]
+        new_t, tr = apply_step(t, Step("R-ZIGZAG-CUP", (1,)), Evaluator(env))[:2]
         assert strip_labels(new_t) == strip_labels(sig.shapes["arrow"]) or \
             new_t == Seq((Gen("inport", ("X",)), Gen("outport", ("Y",))))
 
@@ -198,7 +198,7 @@ def test_lax_copy_on_representable_is_bijection(sig):
     # map, so compare image and codomain counts here
     env = env_z2(sig)
     t = sig.shapes["copy-shape"]
-    new_t, tr = apply_step(t, Step("R-LAX-COPY", (0,)), sig, env)[:2]
+    new_t, tr = apply_step(t, Step("R-LAX-COPY", (0,)), Evaluator(env))[:2]
     ev = Evaluator(env)
     src, dst = ev.node(t), ev.node(new_t)
     tgt = src.prof.target
@@ -215,7 +215,7 @@ def test_lax_copy_on_constant_prof_not_surjective(sig):
               profs={"K": constant_prof(mon.base)})
     t = sig.shapes["named-copy"]
     run_derivation(sig, env, "named-copy", [Step("R-LAX-COPY", (0,))])
-    new_t, tr = apply_step(t, Step("R-LAX-COPY", (0,)), sig, env)[:2]
+    new_t, tr = apply_step(t, Step("R-LAX-COPY", (0,)), Evaluator(env))[:2]
     ev = Evaluator(env)
     src, dst = ev.node(t), ev.node(new_t)
     b = 0
@@ -228,7 +228,7 @@ def test_lax_copy_on_constant_prof_not_surjective(sig):
 def test_lax_discard(sig):
     env = env_z2(sig)
     t = Seq((Gen("inport", ("A",)), Gen("discard", ("C",))))
-    new_t, tr = apply_step(t, Step("R-LAX-DISCARD", (0,)), sig, env)[:2]
+    new_t, tr = apply_step(t, Step("R-LAX-DISCARD", (0,)), Evaluator(env))[:2]
     assert isinstance(new_t, Id) and new_t.wires == ()
     assert tr((0, 0), next(iter(Evaluator(env).node(t).prof.fiber(0, 0)))) == 0
 
@@ -249,7 +249,7 @@ def test_assoc_node_rule(sig):
     env = env_z2(sig)
     t = Par(Par(Gen("inport", ("A",)), Gen("inport", ("B",))),
             Gen("inport", ("X",)))
-    new_t, tr, inv = apply_step(t, Step("R-ASSOC", ()), sig, env)
+    new_t, tr, inv = apply_step(t, Step("R-ASSOC", ()), Evaluator(env))
     assert new_t == Par(Gen("inport", ("A",)),
                         Par(Gen("inport", ("B",)), Gen("inport", ("X",))))
     ev = Evaluator(env)
@@ -351,14 +351,14 @@ def test_counit_rejects_two_functors(shape, rule, message):
     env = Env(sig, {"C": build("meet-lattice-2"), "D": build("z2")},
               objs={"A": 0, "B": 1})
     with pytest.raises(rewrite.MatchError, match=message):
-        apply_step(sig.shapes[shape], Step(rule, (0,)), sig, env)
+        apply_step(sig.shapes[shape], Step(rule, (0,)), Evaluator(env))
 
 
 def test_port_counit_compares_objects_not_symbols():
     sig = parse_shape_script(COUNIT_SCRIPT)
     env = Env(sig, {"C": build("meet-lattice-2"), "D": build("z2")},
               objs={"A": 1, "B": 1})
-    new_t = apply_step(sig.shapes["ports"], Step("R-EPS-A", (0,)), sig, env)[0]
+    new_t = apply_step(sig.shapes["ports"], Step("R-EPS-A", (0,)), Evaluator(env))[0]
     assert new_t == Id((Wire("C"),))
 
 
@@ -395,8 +395,7 @@ def test_cart_counit_gate(sig):
     """)
     env = Env(s2, {"C": build("z2")})
     with pytest.raises(StructureMissing):
-        apply_step(s2.shapes["unit-out-leg"], Step("R-CART-COUNIT", (1,)),
-                   s2, env)
+        apply_step(s2.shapes["unit-out-leg"], Step("R-CART-COUNIT", (1,)), Evaluator(env))
 
 
 def test_named_hole_lens_encoding(sig):
@@ -497,21 +496,21 @@ def test_checker_rejects_faulty_transport(sig, monkeypatch, shape, steps,
                                           obligations, rule, fault, message):
     real = rewrite.apply_step
 
-    def faulty_apply_step(term, step, sig, env, ev=None):
-        new_term, transport, inv = real(term, step, sig, env, ev)
+    def faulty_apply_step(term, step, ev):
+        new_term, transport, inv = real(term, step, ev)
         if step.rule == rule and not step.backward:
-            dst = (ev or Evaluator(env)).node(new_term).prof
+            dst = ev.node(new_term).prof
             transport = fault(transport, dst)
         return new_term, transport, inv
 
     env = env_z2(sig)
     deriv = Derivation("t", shape, list(steps), list(obligations))
     report = Report()
-    check_derivation_once(deriv, sig, Evaluator(env), report)
+    check_derivation_once(deriv, Evaluator(env), report)
     assert report.ok, report.text()
     monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)
     report = Report()
-    check_derivation_once(deriv, sig, Evaluator(env), report)
+    check_derivation_once(deriv, Evaluator(env), report)
     assert len(report.failures) == 1, report.text()
     assert report.failures[0].startswith(message), report.text()
 
@@ -573,7 +572,7 @@ def test_node_rule_messages(rule, backward, shape, oracle, a, message):
     env = Env(s2, {"C": mon}, objs={"A": mon.base.obj_id(a)})
     error = StructureMissing if message in (NO_CART, NO_COCART) else rewrite.MatchError
     with pytest.raises(error) as info:
-        apply_step(s2.shapes[shape], Step(rule, (), backward), s2, env)
+        apply_step(s2.shapes[shape], Step(rule, (), backward), Evaluator(env))
     assert str(info.value) == message
 
 
@@ -605,7 +604,7 @@ def _mirror_envs():
 def _element_map(sig, env, shape, step):
     """(source node, target node, transport) of one step on a shape."""
     t = sig.shapes[shape]
-    new_t, tr, _ = apply_step(t, step, sig, env)
+    new_t, tr, _ = apply_step(t, step, Evaluator(env))
     ev = Evaluator(env)
     return ev.node(t), ev.node(new_t), tr
 
@@ -639,7 +638,7 @@ def test_yoneda_right_round_trips():
                        obligations=[(1, 2)])
     with pytest.raises(rewrite.MatchError, match="backward R-YONEDA-R needs a label"):
         apply_step(sig.shapes["port"], Step("R-YONEDA-R", (0,), backward=True),
-                   sig, env)
+                   Evaluator(env))
 
 
 def test_yoneda_right_over_a_braiding():
@@ -686,7 +685,7 @@ def test_sym_fork_round_trips():
                        match=r"backward R-SYM \(fork\) expects a fork"):
         apply_step(sig.shapes["fork-sym"],
                    Step("R-SYM", (0,), backward=True, inst={"config": "fork"}),
-                   sig, env)
+                   Evaluator(env))
 
 
 def test_lax_codiscard():
@@ -699,7 +698,7 @@ def test_lax_codiscard():
             assert dst.term == Id(())
             assert [tr(f, rep) for f, rep in _reps(src)] == [0], name
     with pytest.raises(rewrite.MatchError, match="R-LAX-DISCARD expects"):
-        apply_step(sig.shapes["port-fork"], Step("R-LAX-DISCARD", (0,)), sig, env)
+        apply_step(sig.shapes["port-fork"], Step("R-LAX-DISCARD", (0,)), Evaluator(env))
 
 
 # -- a tensor that is not commutative ------------------------------------------------
@@ -738,7 +737,7 @@ def test_sym_refuses_an_unbraided_oracle():
                     ("fuse-out", Step("R-SYM", (1,), backward=True,
                                       inst={"config": "fork"}))]:
         with pytest.raises(StructureMissing, match="'C' has no braiding"):
-            apply_step(sig.shapes[t], step, sig, env)
+            apply_step(sig.shapes[t], step, Evaluator(env))
 
 
 # -- a braiding that is not an identity ------------------------------------------------
@@ -813,7 +812,7 @@ def test_sym_slides_a_braiding_that_is_not_an_identity(shape):
     for oracle in (mon, swapped):
         report = Report()
         for env_a in Env(sig, {"C": oracle}).assignments(only=objects_in(sig.shapes[shape])):
-            check_derivation_once(deriv, sig, Evaluator(env_a), report)
+            check_derivation_once(deriv, Evaluator(env_a), report)
         if oracle is mon:
             assert report.ok, report.text()
             assert report.text().count("step 1 R-SYM ok") == (36 if shape == "sym-junction" else 6)

@@ -110,7 +110,7 @@ def _site(case):
         for sig, deriv, env, ks in _runs(case):
             report = Report()
             ev = Evaluator(env)
-            out = check_derivation_once(deriv, sig, ev, report)
+            out = check_derivation_once(deriv, ev, report)
             assert out is not None and report.ok, report.text()
             for k in ks:
                 if _visible(fault, ev.node(out[0][k - 1]).prof, ev.node(out[0][k]).prof):
@@ -125,15 +125,15 @@ def test_rule_rejects_corrupted_transport(case, monkeypatch):
     message = NOT_BIJECTION if fault is _collapse else OUTSIDE
     target, real = deriv.steps[k - 1], rewrite.apply_step
 
-    def faulty_apply_step(term, step, sig, env, ev=None):
-        new_term, transport, inv = real(term, step, sig, env, ev)
+    def faulty_apply_step(term, step, ev):
+        new_term, transport, inv = real(term, step, ev)
         if step is target:
-            transport = fault((ev or Evaluator(env)).node(new_term).prof)
+            transport = fault(ev.node(new_term).prof)
         return new_term, transport, inv
 
     monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)
     report = Report()
-    assert check_derivation_once(deriv, sig, Evaluator(env), report) is None
+    assert check_derivation_once(deriv, Evaluator(env), report) is None
     assert len(report.failures) == 1, report.text()
     assert report.failures[0].startswith(f"step {k} {rule}: {message}"), report.text()
 

@@ -16,7 +16,7 @@ from coendcheck.fixtures import fixture, fixture_path
 from coendcheck.rewrite import (Report, _check_points, check_assignments,
                                 check_derivation, check_derivation_once,
                                 script_object_symbols)
-from coendcheck.shapelang import Env, Evaluator, objects_in
+from coendcheck.shapelang import Env, Evaluator, objects_in, sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
@@ -32,10 +32,10 @@ def naive_report(script, sig, env, epilogue=None):
         ev = Evaluator(env_a)
         for name, deriv in derivs:
             report.line(f" derivation {name} from {deriv.shape}:")
-            out = check_derivation_once(deriv, sig, ev, report)
+            out = check_derivation_once(deriv, ev, report)
             if out is not None and name == "main" and epilogue:
                 epilogue(report, ev, *out)
-        _check_points(script, sig, ev, report)
+        _check_points(script, ev, report)
     return report.finish().text()
 
 
@@ -158,9 +158,8 @@ def test_port_is_built_once_per_value_of_its_symbol():
     # assignment of A, B, X and Y
     sig, _ = load_scripts("lens_reduction.deriv")
     env = Env(sig, {"C": fixture("meet-lattice-2")})
-    free = env.free_objects(objects_in(sig.shapes["lens"]))
-    ev = Evaluator(env, free)
-    ports = [ev.at(env_a).node(sig.shapes["lens"]).children[0]
-             for env_a in env.assignments(only=free)]
-    assert free == ["A", "B", "X", "Y"] and len(ports) == 16
+    ports = []
+    for ev in sweep(env, only=objects_in(sig.shapes["lens"])):
+        ports.append(ev.node(sig.shapes["lens"]).children[0])
+    assert ev.free == ("A", "B", "X", "Y") and len(ports) == 16
     assert len({id(p) for p in ports}) == 2
