@@ -591,13 +591,16 @@ def product(*cats: FinCategory) -> FinCategory:
                  for t in mor_tuples] if flat else ["id*"]
     dom = [obj_pack[tuple(c.dom(m) for c, m in zip(flat, t))] for t in mor_tuples]
     cod = [obj_pack[tuple(c.cod(m) for c, m in zip(flat, t))] for t in mor_tuples]
+    # only composable pairs: testing all M^2 pairs of morphism tuples takes
+    # seconds for a product of three factors of twenty morphisms
+    starting_at = {}
+    for j, d in enumerate(dom):
+        starting_at.setdefault(d, []).append(j)
     compose_table = {}
     for i, t1 in enumerate(mor_tuples):
-        for j, t2 in enumerate(mor_tuples):
-            if cod[i] != dom[j]:
-                continue
+        for j in starting_at.get(cod[i], ()):
             compose_table[(i, j)] = mor_pack[
-                tuple(c.compose(m1, m2) for c, m1, m2 in zip(flat, t1, t2))]
+                tuple(c.compose(m1, m2) for c, m1, m2 in zip(flat, t1, mor_tuples[j]))]
     identities = [mor_pack[tuple(c.identity(o) for c, o in zip(flat, t))]
                   for t in obj_tuples]
     if not flat:

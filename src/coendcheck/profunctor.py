@@ -190,6 +190,24 @@ class CoendSet:
         return self._members[rep]
 
 
+class _SmallCoend(CoendSet):
+    """The coend at (a, c) of a ComposedProf whose diagonal holds at most
+    one element: one element is one class, so the coend is its index.  The
+    pair profunctor is built only when `prof` is read."""
+
+    def __init__(self, comp, a, c, index):
+        self._at = (comp, a, c)
+        self.cat = comp.mid
+        self.index = self.reps = index
+        self._rep_of = {t: t for t in index}
+        self._members = {t: [t] for t in index}
+
+    @functools.cached_property
+    def prof(self):
+        comp, a, c = self._at
+        return comp._pair(a, c)
+
+
 # ---------------------------------------------------------------------------
 # basic constructors
 
@@ -411,10 +429,28 @@ class ComposedProf(ConcreteProf):
 
     def coend_at(self, a, c) -> CoendSet:
         key = (a, c)
-        if key not in self._coends:
-            self._coends[key] = CoendSet(_PairProf(self.p, self.q, a, c,
-                                                   f"pair({self.name})"))
-        return self._coends[key]
+        ce = self._coends.get(key)
+        if ce is None:
+            ce = self._coends[key] = self._coend(a, c)
+        return ce
+
+    def _coend(self, a, c):
+        """The coend of the pair at (a, c).  The diagonal is read off the
+        cached fibers of p and q first: one of at most one element is its
+        own quotient, and needs neither the pair nor a union-find."""
+        p, q = self.p, self.q
+        index = []
+        for x in self.mid.objects:
+            us = p.fiber(a, x)
+            ws = q.fiber(x, c) if us else ()
+            if ws:
+                if index or len(us) * len(ws) > 1:
+                    return CoendSet(self._pair(a, c))
+                index.append((x, (us[0], ws[0])))
+        return _SmallCoend(self, a, c, index)
+
+    def _pair(self, a, c):
+        return _PairProf(self.p, self.q, a, c, f"pair({self.name})")
 
     def _fib(self, a, c):
         ce = self.coend_at(a, c)

@@ -470,6 +470,8 @@ class Interchange(Rule):
     int_keys = (("span1", "span2"), ("cut1", "cut2"))
 
     def _column(self, ev, parts, lo, hi):
+        if not 0 <= lo < len(parts):
+            raise MatchError("empty interchange column")
         if hi - lo == 1 and isinstance(parts[lo], Par):
             p = parts[lo]
             return p.top, p.bottom, parts[lo:hi]

@@ -542,6 +542,36 @@ def test_truncated_inputs_never_exit_3(capsys, tmp_path):
     assert runs > 800
 
 
+def _sections_dropped(data):
+    """`data` without one of its top-level keys, or without one key of its
+    monoidal block, in turn."""
+    for key in data:
+        yield {k: v for k, v in data.items() if k != key}
+    for key in data.get("monoidal", {}):
+        yield data | {"monoidal": {k: v for k, v in data["monoidal"].items() if k != key}}
+
+
+def test_fixtures_missing_a_section_never_exit_3(capsys, tmp_path):
+    # a fixture that parses but lacks a section is malformed input (or, for
+    # an optional section, a checkable fixture): never exit 3
+    fixtures = [fixture_path(n) for n in FIXTURE_NAMES]
+    fixtures += [bad_fixture_path(n) for n in bad_fixture_names()]
+    path = tmp_path / "short.json"
+    runs = 0
+    for fx in fixtures:
+        with open(fx, encoding="utf-8") as fh:
+            data = json.load(fh)
+        for short in _sections_dropped(data):
+            path.write_text(json.dumps(short))
+            for argv in (["validate", str(path)],
+                         ["eval", demo_path("lens.shapes"), "--shape", "lens",
+                          "--bind", f"C={path}"]):
+                code, _, err = run(capsys, *argv)
+                assert code in (0, 1, 2) and "internal error" not in err, (argv, short, err)
+                runs += 1
+    assert runs > 200
+
+
 @pytest.mark.parametrize("spec", ["(mor 1 x)", "1"])
 def test_point_on_a_named_leaf_fails_the_point(capsys, tmp_path, spec):
     # a named profunctor's values lie in no category, so a morphism spec

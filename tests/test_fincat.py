@@ -226,6 +226,20 @@ def test_product_hom_sizes_multiply(oracles):
     assert validate_category(p).ok
 
 
+def test_product_composes_exactly_the_composable_pairs():
+    # against composing every pair of morphism tuples factor by factor
+    l2, z2, dia = (build(n).base for n in ("meet-lattice-2", "z2", "diamond"))
+    for p in (product(l2, z2, opposite(dia)), product(dia, dia)):
+        naive = {}
+        for f in p.morphisms:
+            for g in p.morphisms:
+                if p.cod(f) == p.dom(g):
+                    naive[(f, g)] = p.pack_mor(tuple(
+                        c.compose(a, b)
+                        for c, a, b in zip(p.factors, p.mor_tuple(f), p.mor_tuple(g))))
+        assert p._compose == naive
+
+
 def test_product_is_interned():
     c = build("z2").base
     assert product(c, c) is product(c, c)

@@ -13,16 +13,17 @@ from coendcheck.fincat import (build_category, from_comm_monoid, from_lattice,
                                opposite, product, terminal_category)
 from coendcheck.fixtures import FIXTURE_NAMES, build
 from coendcheck.optics import lens_set
-from coendcheck.profunctor import (ConcreteProf, NatFamily,
+from coendcheck.profunctor import (ComposedProf, ConcreteProf, NatFamily,
                                    ProfunctorError, cap_prof,
                                    check_natural, companion, compose_prof,
                                    conjoint, constant_prof, copy_prof, cup_prof,
                                    CoendSet, discard_prof, empty_prof,
                                    hom_prof, merge_prof, point, swap_prof,
                                    tensor_functor, tensor_prof,
-                                   validate_prof)
-from coendcheck.rewrite import Report, _count, check_step
-from coendcheck.shapelang import (Env, Evaluator, Seq, ShapeTypeError, boundary,
+                                   validate_prof, _PairProf)
+from coendcheck.rewrite import (RULES, STEP_ERRORS, Report, Step, _count,
+                                apply_step, check_step)
+from coendcheck.shapelang import (Env, Evaluator, Par, Seq, ShapeTypeError, boundary,
                                   class_count, objects_in, parse_shape_script,
                                   print_term, sweep)
 
@@ -83,10 +84,11 @@ def assert_matches_naive(p):
     assert_coend_matches_naive(CoendSet(p))
 
 
-def assert_coend_matches_naive(ce):
+def assert_coend_matches_naive(ce, p=None):
     """The classes, representatives and member order of a built coend
-    against the closure over all morphisms."""
-    p, cat = ce.prof, ce.prof.source
+    against the closure over all morphisms of p (by default its own)."""
+    p = ce.prof if p is None else p
+    cat = p.source
     index = [(x, v) for x in cat.objects for v in p.fiber(x, x)]
     naive = naive_quotient(index, coend_relations(p))
     assert ce.class_count == len(naive)
@@ -110,6 +112,31 @@ def recorded_coends():
         return built[-1]
     with mock.patch.object(profunctor, "CoendSet", record):
         yield built
+
+
+@contextlib.contextmanager
+def recorded_fibers():
+    """Collect every (composite, a, c) whose coend is read meanwhile, the
+    ones of at most one element that build no CoendSet included."""
+    seen = {}
+    real = ComposedProf.coend_at
+
+    def record(comp, a, c):
+        seen[(comp, a, c)] = None
+        return real(comp, a, c)
+    with mock.patch.object(ComposedProf, "coend_at", record):
+        yield seen
+
+
+def assert_fiber_matches_naive(comp, a, c):
+    """The coend that a composite keeps at (a, c), against the naive
+    quotient of a freshly built pair P(a, -) x Q(-, c)."""
+    ce = comp.coend_at(a, c)
+    pair = _PairProf(comp.p, comp.q, a, c, "pair")
+    assert ce.cat is pair.source
+    assert_coend_matches_naive(ce, pair)
+    assert ce.index == CoendSet(pair).index
+    return ce
 
 
 def evaluate_every_fiber(term, env):
@@ -287,14 +314,35 @@ def test_pair_quotient_over_parallel_arrows_matches_naive():
                         ("f", "id1"): "f", ("g", "id1"): "g"},
                        {"0": "id0", "1": "id1"})
     comp = compose_prof(hom_prof(c), hom_prof(c))
-    with recorded_coends() as built:
+    with recorded_fibers() as fibers:
         for a in c.objects:
             for b in c.objects:
                 # Yoneda: C(a, -) x C(-, b) quotients to C(a, b)
                 assert len(comp.fiber(a, b)) == len(c.hom(a, b))
-    assert len(built) == 4
-    for ce in built:
-        assert_relations_match_naive(ce)
+    assert len(fibers) == 4
+    # (0, 1) has two elements over each object; (1, 0) has none, (0, 0)
+    # and (1, 1) one, and these build no union-find
+    sizes = [len(assert_fiber_matches_naive(*key).index) for key in fibers]
+    assert sorted(sizes) == [0, 1, 1, 4]
+    assert_relations_match_naive(comp.coend_at(c.obj_id("0"), c.obj_id("1")))
+
+
+def test_small_coend_rejects_a_stranger_as_its_pair_quotient_does():
+    c = build("meet-lattice-2").base
+    lo, hi = c.obj_id("0"), c.obj_id("1")
+    comp = compose_prof(hom_prof(c), hom_prof(c))
+    # C(1, -) x C(-, 0) is empty, C(0, -) x C(-, 0) has (id, id) over 0 only
+    for a, b, n in [(hi, lo, 0), (lo, lo, 1)]:
+        ce = comp.coend_at(a, b)
+        ref = CoendSet(_PairProf(comp.p, comp.q, a, b, "pair"))
+        assert type(ce) is not CoendSet and ce.class_count == ref.class_count == n
+        assert ce.prof.fiber(lo, lo) == ref.prof.fiber(lo, lo)
+        errors = []
+        for coend in (ce, ref):
+            with pytest.raises(ProfunctorError) as err:
+                coend.rep(hi, ("u", "w"))
+            errors.append(str(err.value))
+        assert errors == [f"({hi},(u,w)) is not an element of the coend index"] * 2
 
 
 def counting(p, calls):
@@ -380,11 +428,11 @@ def test_pair_quotients_over_random_oracles_match_naive(mon, shape, data):
     term = sig.shapes[shape]
     objs = {sym: data.draw(st.sampled_from(list(mon.base.objects)), label=sym)
             for sym in sorted(objects_in(term))}
-    with recorded_coends() as built:
+    with recorded_fibers() as fibers:
         evaluate_every_fiber(term, Env(sig, {"C": mon}, objs=objs))
-    assert built
-    for ce in built:
-        assert_coend_matches_naive(ce)
+    assert fibers
+    for key in fibers:
+        assert_fiber_matches_naive(*key)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -398,6 +446,58 @@ def test_lens_classes_over_random_oracles_match_lens_set(mon, data):
             for sym in "ABXY"}
     got = class_count(sig.shapes["lens"], Env(sig, {"C": mon}, objs=objs))
     assert got == lens_set(mon, *(objs[sym] for sym in "ABXY")).class_count
+
+
+ISO_RULES = sorted(name for name, rule in RULES.items() if rule.tag == "iso")
+
+
+def rule_paths(term, rule):
+    """Every path at which a rule of the given site can be tried in term:
+    the node itself, or each offset of its parts, and the same in every
+    part and side it descends into."""
+    parts = term.parts if isinstance(term, Seq) else (term,)
+    if rule.site == "node":
+        yield ()
+    else:
+        yield from ((i,) for i in range(len(parts)))
+    children = (term.top, term.bottom) if isinstance(term, Par) else \
+        term.parts if isinstance(term, Seq) else ()
+    for k, child in enumerate(children):
+        for path in rule_paths(child, rule):
+            yield (k,) + path
+
+
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(mon=small_oracles(), data=st.data())
+def test_iso_rules_over_random_oracles_are_bijections(mon, data):
+    # every iso rule, either way, at a drawn one of the sites of each lens
+    # shape where it applies, passes check_step's bijection and inverse
+    # round-trip checks, on oracles whose empty and one-element coends the
+    # shipped fixtures do not reach
+    sig = SCRIPTS["lens.shapes"]
+    objs = {sym: data.draw(st.sampled_from(list(mon.base.objects)), label=sym)
+            for sym in sorted(sig.objects)}
+    ev = Evaluator(Env(sig, {"C": mon}, objs=objs))
+    checked = set()
+    for term in sig.shapes.values():
+        for name in ISO_RULES:
+            for backward in (False, True):
+                steps = []
+                for path in rule_paths(term, RULES[name]):
+                    try:
+                        apply_step(term, Step(name, path, backward), ev)
+                    except STEP_ERRORS:
+                        continue
+                    steps.append(Step(name, path, backward))
+                if not steps:
+                    continue
+                step = data.draw(st.sampled_from(steps), label=f"{name} site")
+                report = Report()
+                assert check_step(ev, term, step, report, 1), report.text()
+                assert report.ok, report.text()
+                checked.add(name)
+    # the others need a (co)cartesian witness or sites these shapes lack
+    assert {"R-INTERCHANGE", "R-ZIGZAG-CUP"} <= checked
 
 
 def test_coend_enumeration_order_invariance(oracles):

@@ -2,9 +2,10 @@ import pytest
 
 from coendcheck import rewrite
 from coendcheck.fixtures import build
-from coendcheck.profunctor import constant_prof
-from coendcheck.rewrite import (Derivation, DirectionError, Report, Step,
-                                apply_step, check_derivation_once,
+from coendcheck.profunctor import ProfunctorError, constant_prof
+from coendcheck.rewrite import (Derivation, DirectionError, MatchError, Report,
+                                Step, apply_step, check_derivation,
+                                check_derivation_once, parse_derivation_script,
                                 strip_labels)
 from coendcheck.shapelang import (Env, Evaluator, Gen, Id, Par, Seq,
                                   StructureMissing, Wire, boundary,
@@ -32,8 +33,11 @@ SCRIPT = """
        (par (cup C) (id C))
        (outport Y)))
 (shape hom-pair (seq (id C @g) (id C @f)))
+(shape hom-second (id C @f))
 (shape copy-shape (seq (inport A) (copy C)))
 (shape named-copy (seq (named K) (copy C)))
+(shape through-unit (seq (discard C) (codiscard C)))
+(shape ill-typed (seq (inport A) (inport B)))
 """
 
 
@@ -245,6 +249,14 @@ def test_interchange_roundtrip_on_lens(sig):
                    obligations=[(1, 2)])
 
 
+def test_interchange_at_a_lone_parallel_part_is_no_match(sig):
+    # a slice at a lone parallel part has no second column: the step
+    # matches nothing, it does not read past the last part
+    with pytest.raises(MatchError, match="empty interchange column"):
+        apply_step(sig.shapes["lens"], Step("R-INTERCHANGE", (2, 0)),
+                   Evaluator(env_z2(sig)))
+
+
 def test_assoc_node_rule(sig):
     env = env_z2(sig)
     t = Par(Par(Gen("inport", ("A",)), Gen("inport", ("B",))),
@@ -433,24 +445,41 @@ def test_named_hole_lens_encoding(sig):
 
 
 # -- checker rejections ---------------------------------------------------------
-# Each fault corrupts the forward transport of one rule; the checker must
-# reject the step (or the obligation) with the matching message.
+# Each fault corrupts the steps of one rule: most corrupt the forward
+# transport, the others the inverse application or the new term.  The
+# checker must reject the step (or the obligation) with the matching message.
 
 
+def _transport_fault(corrupt):
+    """The fault that corrupts a forward step's transport with
+    corrupt(transport, profunctor of the new term)."""
+    def fault(real, term, step, ev):
+        new_term, transport, inv = real(term, step, ev)
+        if not step.backward:
+            transport = corrupt(transport, ev.node(new_term).prof)
+        return new_term, transport, inv
+    return fault
+
+
+@_transport_fault
 def _fault_identity(transport, dst):
     # keeps raw index elements apart, so one class has several images
     return lambda fiber, v: v
 
 
+@_transport_fault
 def _fault_outside(transport, dst):
     return lambda fiber, v: "outside"
 
 
-def _fault_collapse(transport, dst):
+def _collapse(transport, dst):
     return lambda fiber, v: dst.fiber(*fiber)[0]
 
 
-def _fault_swap(transport, dst):
+_fault_collapse = _transport_fault(_collapse)
+
+
+def _swap(transport, dst):
     def swapped(fiber, v):
         out = transport(fiber, v)
         reps = dst.fiber(*fiber)
@@ -460,10 +489,14 @@ def _fault_swap(transport, dst):
     return swapped
 
 
+_fault_swap = _transport_fault(_swap)
+
+
+@_transport_fault
 def _fault_swap_on_repeat(transport, dst):
     # answers correctly the first time an element is transported and
     # swaps the answer when asked again
-    seen, swapped = set(), _fault_swap(transport, dst)
+    seen, swapped = set(), _swap(transport, dst)
 
     def fault(fiber, v):
         if (fiber, v) in seen:
@@ -473,37 +506,64 @@ def _fault_swap_on_repeat(transport, dst):
     return fault
 
 
+@_transport_fault
+def _fault_raise(transport, dst):
+    def raising(fiber, v):
+        raise ProfunctorError("injected")
+    return raising
+
+
+def _fault_inverse_fails(real, term, step, ev):
+    # the inverse step finds a structure of the oracle missing
+    if step.backward:
+        raise StructureMissing("injected")
+    return real(term, step, ev)
+
+
+def _fault_through_unit(real, term, step, ev):
+    # a new term whose fibers are all inhabited, with every class sent to
+    # the one element of its fiber
+    new_term, transport, inv = real(term, step, ev)
+    new_term = ev.sig.shapes["through-unit"]
+    return new_term, _collapse(transport, ev.node(new_term).prof), inv
+
+
 ETA_EPS = [Step("R-ETA-A", (0,), inst={"A": "A"}), Step("R-EPS-A", (1,))]
+YONEDA = [Step("R-YONEDA-L", (0,))]
 
 
-@pytest.mark.parametrize("shape, steps, obligations, rule, fault, message", [
-    ("plugged", [Step("R-EPS-A", (1,))], [], "R-EPS-A", _fault_identity,
+@pytest.mark.parametrize("shape, steps, obligations, rule, fault, oracle, message", [
+    ("plugged", [Step("R-EPS-A", (1,))], [], "R-EPS-A", _fault_identity, "z2",
      "step 1 R-EPS-A: not well-defined on the class of"),
-    ("plugged", [Step("R-EPS-A", (1,))], [], "R-EPS-A", _fault_outside,
+    ("plugged", [Step("R-EPS-A", (1,))], [], "R-EPS-A", _fault_outside, "z2",
      "step 1 R-EPS-A: image outside the target set at fiber (0, 0)"),
-    ("hom-pair", [Step("R-YONEDA-L", (0,))], [], "R-YONEDA-L", _fault_collapse,
+    ("plugged", [Step("R-EPS-A", (1,))], [], "R-EPS-A", _fault_raise, "z2",
+     "step 1 R-EPS-A: action failed on a representative at fiber (0, 0): injected"),
+    ("hom-pair", YONEDA, [], "R-YONEDA-L", _fault_collapse, "z2",
      "step 1 R-YONEDA-L: not a bijection at fiber (0, 0) (1 of 2 classes hit)"),
-    ("hom-pair", [Step("R-YONEDA-L", (0,))], [], "R-YONEDA-L", _fault_swap,
+    ("hom-pair", YONEDA, [], "R-YONEDA-L", _fault_through_unit, "meet-lattice-2",
+     "step 1 R-YONEDA-L: not a bijection at fiber (1, 0) (source side is empty)"),
+    ("hom-pair", YONEDA, [], "R-YONEDA-L", _fault_swap, "z2",
      "step 1 R-YONEDA-L: backward(forward) is not the identity on"),
-    ("hom-pair", [Step("R-YONEDA-L", (0,))], [], "R-YONEDA-L",
-     _fault_swap_on_repeat,
+    ("hom-pair", YONEDA, [], "R-YONEDA-L", _fault_swap_on_repeat, "z2",
      "step 1 R-YONEDA-L: forward(backward) is not the identity on"),
-    ("inport-only", ETA_EPS, [(1, 2)], "R-EPS-A", _fault_swap,
+    ("hom-pair", YONEDA, [], "R-YONEDA-L", _fault_inverse_fails, "z2",
+     "step 1 R-YONEDA-L: inverse application failed: injected"),
+    ("inport-only", ETA_EPS, [(1, 2)], "R-EPS-A", _fault_swap, "z2",
      "obligation 1..2: composite moves"),
-], ids=["not-well-defined", "image-outside", "not-a-bijection",
-        "backward-forward", "forward-backward", "obligation"])
+], ids=["not-well-defined", "image-outside", "action-failed", "not-a-bijection",
+        "source-side-empty", "backward-forward", "forward-backward",
+        "inverse-failed", "obligation"])
 def test_checker_rejects_faulty_transport(sig, monkeypatch, shape, steps,
-                                          obligations, rule, fault, message):
+                                          obligations, rule, fault, oracle, message):
     real = rewrite.apply_step
 
     def faulty_apply_step(term, step, ev):
-        new_term, transport, inv = real(term, step, ev)
-        if step.rule == rule and not step.backward:
-            dst = ev.node(new_term).prof
-            transport = fault(transport, dst)
-        return new_term, transport, inv
+        if step.rule == rule:
+            return fault(real, term, step, ev)
+        return real(term, step, ev)
 
-    env = env_z2(sig)
+    env = Env(sig, {"C": build(oracle)}, objs={k: 0 for k in ("A", "B", "X", "Y")})
     deriv = Derivation("t", shape, list(steps), list(obligations))
     report = Report()
     check_derivation_once(deriv, Evaluator(env), report)
@@ -511,6 +571,40 @@ def test_checker_rejects_faulty_transport(sig, monkeypatch, shape, steps,
     monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)
     report = Report()
     check_derivation_once(deriv, Evaluator(env), report)
+    assert len(report.failures) == 1, report.text()
+    assert report.failures[0].startswith(message), report.text()
+
+
+# a derivation script that checks, then one malformed line after another
+GOOD_SCRIPT = """
+derivation t from hom-pair
+  step R-YONEDA-L at 0
+end
+point p hom-pair {g := 0, f := 1}
+point q hom-second {f := 1}
+assert-equal p q via t
+"""
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("derivation u from nope\nend", "unknown shape 'nope'"),
+    ("derivation u from ill-typed\nend",
+     "shape ill-typed does not typecheck: at 1: boundary mismatch"),
+    ("derivation u from plugged\n step R-EPS-A at 1\n obligation identity 1 2\nend",
+     "obligation 1..2 out of range"),
+    ("derivation u from plugged\n step R-EPS-A at 1\n obligation identity 1 1\nend",
+     "obligation 1..1: terms differ, composite cannot be an identity"),
+    ("point r hom-second {f := 0}\nassert-equal p r via t",
+     "assert-equal p r via t: points differ"),
+    ("assert-equal p q via nope", "assert-equal: unknown derivation 'nope'"),
+], ids=["unknown-shape", "ill-typed", "obligation-range", "obligation-terms",
+        "points-differ", "unknown-derivation"])
+def test_checker_rejects_malformed_derivation(sig, extra, message):
+    env = env_z2(sig)
+    report = check_derivation(parse_derivation_script(GOOD_SCRIPT, sig), sig, env)
+    assert report.ok, report.text()
+    script = parse_derivation_script(GOOD_SCRIPT + extra, sig)
+    report = check_derivation(script, sig, env)
     assert len(report.failures) == 1, report.text()
     assert report.failures[0].startswith(message), report.text()
 
