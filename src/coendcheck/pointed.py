@@ -12,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fincat import FixtureError
-from .profunctor import join_mors, join_objs, render_generic, split_obj
+from .profunctor import (companion, conjoint, join_mors, join_objs, render_generic,
+                         split_obj)
 from .rewrite import (PointError, RewriteError, apply_step, build_seq_value,
                       check_instantiation, strip_labels)
-from .shapelang import (COMPANION_KINDS, CONJOINT_KINDS, Evaluator, Gen, Id,
-                        Par, Seq, Wire, boundary, functor_expr_sig,
-                        obj_expr_cat, print_term)
+from .shapelang import (KINDS, Evaluator, Gen, Id, Par, Seq, Wire, boundary,
+                        functor_expr_sig, obj_expr_cat, print_term)
 
 
 @dataclass
@@ -180,12 +180,12 @@ def _leaf_value(ev, term, assignment, left_obj):
     """The leaf's assigned value (its identity element when unassigned) and
     the right object of the fiber of the leaf's profunctor at `left_obj`
     that holds it; given right objects, one per right wire, name it."""
+    rw = boundary(term, ev.sig)[1]  # first: a leaf of no known kind is a type error
     env, name = ev.env, term.label or print_term(term)
     value, objs = assignment.get(term.label) or (None, None)
     if value is None:
         value = _identity_value(env, term, left_obj, name)
     prof = ev.node(term).prof
-    rw = boundary(term, ev.sig)[1]
     if objs is not None:
         if len(objs) != len(rw):
             raise PointError(f"{name} needs {len(rw)} target object(s)")
@@ -206,11 +206,11 @@ def _identity_value(env, term, left, name):
     companion, one per wire for copy, merge and sym) or the point *."""
     if isinstance(term, Id):
         return env.boundary_cat(term.wires).identity(left)
-    kind = term.kind
-    if kind in COMPANION_KINDS:
+    kind, denotes = term.kind, KINDS[term.kind].denotes
+    if denotes is companion:
         fn = env.functor_of(term)
         return fn.target.identity(fn.obj(left))
-    if kind in CONJOINT_KINDS:
+    if denotes is conjoint:
         return env.functor_of(term).target.identity(left)
     if kind in ("discard", "codiscard"):
         return "*"
@@ -243,13 +243,14 @@ def _leaf_catsym(sig, term):
     are morphisms of the functor's target."""
     if isinstance(term, Id):
         return term.wires[0].cat if term.wires else None
-    if term.kind in ("inport", "outport"):
+    sort = KINDS[term.kind].sort
+    if sort == "object":
         return obj_expr_cat(term.args[0], sig)
-    if term.kind == "sym":
+    if sort == "wires":
         return term.args[0].cat
-    if term.kind in ("box", "cobox"):
+    if sort == "functor":
         return functor_expr_sig(term.args[0], sig)[1]
-    if term.kind == "named":
+    if sort == "profunctor":
         return None   # a named profunctor's values lie in no category
     return term.args[0]
 

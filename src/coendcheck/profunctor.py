@@ -199,8 +199,10 @@ class _SmallCoend(CoendSet):
         self._at = (comp, a, c)
         self.cat = comp.mid
         self.index = self.reps = index
-        self._rep_of = {t: t for t in index}
-        self._members = {t: [t] for t in index}
+
+    # built on the first rep or members: most small coends are never read
+    _rep_of = functools.cached_property(lambda self: {t: t for t in self.index})
+    _members = functools.cached_property(lambda self: {t: [t] for t in self.index})
 
     @functools.cached_property
     def prof(self):

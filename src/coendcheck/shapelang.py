@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import copy
 import itertools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import profunctor as pf
 from .fincat import FinCategory, FinFunctor, MonoidalStructure, opposite, product
@@ -69,7 +70,7 @@ def _hash_once(t):
     kept: a term is frozen, and every memo lookup hashes it whole."""
     h = t.__dict__.get("_hash")
     if h is None:
-        h = t.__dict__["_hash"] = hash(tuple(getattr(t, f.name) for f in fields(t)))
+        h = t.__dict__["_hash"] = hash(tuple(getattr(t, f) for f in t.__dataclass_fields__))
     return h
 
 
@@ -139,7 +140,8 @@ def objects_in(term):
         out.add(e)
 
     for _, leaf in leaves(term):
-        if isinstance(leaf, Gen) and leaf.kind in ("inport", "outport"):
+        row = isinstance(leaf, Gen) and KINDS.get(leaf.kind)
+        if row and row.sort == "object":
             expr(leaf.args[0])
     return out
 
@@ -239,20 +241,14 @@ def _name_of(x):
 @dataclass
 class Signature:
     categories: tuple = ()
-    objects: dict = None    # sym -> (cat sym, pinned object name or None)
-    functors: dict = None   # sym -> (src, dst, {obj name: obj name}, {mor: mor})
-    profs: dict = None      # name -> (left wires, right wires)
-    shapes: dict = None     # name -> term
+    objects: dict = field(default_factory=dict)   # sym -> (cat sym, pinned name or None)
+    functors: dict = field(default_factory=dict)  # sym -> (src, dst, {obj: obj}, {mor: mor})
+    profs: dict = field(default_factory=dict)   # name -> (left wires, right wires)
+    shapes: dict = field(default_factory=dict)  # name -> term
     # term -> its boundary, filled by boundary() with well-typed terms only;
     # a signature does not change once its terms are typed
     boundaries: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
-
-    def __post_init__(self):
-        self.objects = self.objects or {}
-        self.functors = self.functors or {}
-        self.profs = self.profs or {}
-        self.shapes = self.shapes or {}
 
     def obj_cat(self, sym):
         if sym not in self.objects:
@@ -323,13 +319,93 @@ def functor_expr_sig(e, sig):
     return sig.functors[e][0], sig.functors[e][1]
 
 
-# generator kinds that are the companion, and the conjoint, of the functor
-# Env.functor_of names
-COMPANION_KINDS = ("inport", "unit-in", "junction", "box")
-CONJOINT_KINDS = ("outport", "unit-out", "fork", "cobox")
+def print_obj_expr(e):
+    if isinstance(e, tuple):
+        if e[0] == "tensor":
+            return f"(tensor {print_obj_expr(e[1])} {print_obj_expr(e[2])})"
+        if e[0] == "unit":
+            return f"(unit {e[1]})"
+    return e
 
-_NULLARY = {"junction", "fork", "copy", "merge", "discard", "codiscard",
-            "unit-in", "unit-out", "cup", "cap"}
+
+def print_functor_expr(e):
+    if isinstance(e, tuple) and e[0] == "fcomp":
+        return f"(fcomp {print_functor_expr(e[1])} {print_functor_expr(e[2])})"
+    return e
+
+
+def _parse_prof_name(x, sig):
+    name = _name_of(x)
+    if name not in sig.profs:
+        raise ShapeSyntaxError(f"unknown profunctor name {name!r}")
+    return name
+
+
+def _bound_prof(env, args):
+    if args[0] not in env.profs:
+        raise EvalError(f"named profunctor {args[0]!r} is unbound")
+    return (env.profs[args[0]],)
+
+
+class Sort(NamedTuple):
+    """The arguments of a generator kind: how many it takes, what its arity
+    error says they are, how each is parsed and printed, the wires its
+    boundary patterns name, and what a profunctor builder is applied to."""
+    arity: int
+    takes: str
+    parse: object    # (s-expression, sig) -> argument
+    show: object     # argument -> text
+    wires: object    # (args, sig) -> {pattern letter: wires}
+    resolve: object  # (env, args) -> the builder's arguments
+
+
+SORTS = {
+    "object": Sort(1, "one object", _parse_obj_expr, print_obj_expr,
+                   lambda args, sig: {"w": (Wire(obj_expr_cat(args[0], sig)),)}, None),
+    "category": Sort(1, "a category symbol", _check_cat, str,
+                     lambda args, sig: {"w": (Wire(args[0]),), "W": (Wire(args[0], True),)},
+                     lambda env, args: (env.cats[args[0]],)),
+    "wires": Sort(2, "two wires", _parse_wire, str,
+                  lambda args, sig: {"a": (args[0],), "b": (args[1],)},
+                  lambda env, args: map(env.wire_cat, args)),
+    "functor": Sort(1, "a functor", _parse_functor_expr, print_functor_expr,
+                    lambda args, sig: {k: (Wire(c),) for k, c in
+                                       zip("sd", functor_expr_sig(args[0], sig))}, None),
+    "profunctor": Sort(1, "a profunctor name", _parse_prof_name, str,
+                       lambda args, sig: dict(zip("lr", sig.profs[args[0]])), _bound_prof),
+}
+
+
+class Kind(NamedTuple):
+    """A generator kind: the sort of its arguments, its left and right
+    boundary as patterns over the sort's wires (W is the dual of w), and
+    what it denotes: pf.companion or pf.conjoint of the functor
+    Env.functor_of names, or else a builder applied to what the sort
+    resolves its arguments to."""
+    sort: str
+    left: str
+    right: str
+    denotes: object
+
+
+KINDS = {
+    "inport": Kind("object", "", "w", pf.companion),
+    "outport": Kind("object", "w", "", pf.conjoint),
+    "junction": Kind("category", "ww", "w", pf.companion),
+    "fork": Kind("category", "w", "ww", pf.conjoint),
+    "unit-in": Kind("category", "", "w", pf.companion),
+    "unit-out": Kind("category", "w", "", pf.conjoint),
+    "copy": Kind("category", "w", "ww", pf.copy_prof),
+    "merge": Kind("category", "ww", "w", pf.merge_prof),
+    "discard": Kind("category", "w", "", pf.discard_prof),
+    "codiscard": Kind("category", "", "w", pf.codiscard_prof),
+    "sym": Kind("wires", "ab", "ba", pf.swap_prof),
+    "cup": Kind("category", "wW", "", pf.cup_prof),
+    "cap": Kind("category", "", "Ww", pf.cap_prof),
+    "box": Kind("functor", "s", "d", pf.companion),
+    "cobox": Kind("functor", "d", "s", pf.conjoint),
+    "named": Kind("profunctor", "l", "r", lambda prof: prof),  # the bound profunctor
+}
 
 
 def parse_term(x, sig):
@@ -356,31 +432,13 @@ def parse_term(x, sig):
         return norm(t)
     if head == "id":
         return Id(tuple(_parse_wire(a, sig) for a in args), label)
-    if head in ("inport", "outport"):
-        if len(args) != 1:
-            raise ShapeSyntaxError(f"({head}) takes one object")
-        return Gen(head, (_parse_obj_expr(args[0], sig),), label)
-    if head in _NULLARY:
-        if len(args) != 1:
-            raise ShapeSyntaxError(f"({head}) takes a category symbol")
-        return Gen(head, (_check_cat(args[0], sig),), label)
-    if head == "sym":
-        if len(args) != 2:
-            raise ShapeSyntaxError("(sym) takes two wires")
-        return Gen("sym", (_parse_wire(args[0], sig), _parse_wire(args[1], sig)),
-                   label)
-    if head in ("box", "cobox"):
-        if len(args) != 1:
-            raise ShapeSyntaxError(f"({head}) takes a functor")
-        return Gen(head, (_parse_functor_expr(args[0], sig),), label)
-    if head == "named":
-        if len(args) != 1:
-            raise ShapeSyntaxError("(named) takes a profunctor name")
-        name = _name_of(args[0])
-        if name not in sig.profs:
-            raise ShapeSyntaxError(f"unknown profunctor name {name!r}")
-        return Gen("named", (name,), label)
-    raise ShapeSyntaxError(f"unknown generator {head!r}")
+    row = KINDS.get(head)
+    if row is None:
+        raise ShapeSyntaxError(f"unknown generator {head!r}")
+    sort = SORTS[row.sort]
+    if len(args) != sort.arity:
+        raise ShapeSyntaxError(f"({head}) takes {sort.takes}")
+    return Gen(head, tuple(sort.parse(a, sig) for a in args), label)
 
 
 def parse_shape_script(text) -> Signature:
@@ -437,44 +495,16 @@ def parse_shape_script(text) -> Signature:
 # printing (round-trips through the parser)
 
 
-def print_obj_expr(e):
-    if isinstance(e, tuple):
-        if e[0] == "tensor":
-            return f"(tensor {print_obj_expr(e[1])} {print_obj_expr(e[2])})"
-        if e[0] == "unit":
-            return f"(unit {e[1]})"
-    return e
-
-
-def print_functor_expr(e):
-    if isinstance(e, tuple) and e[0] == "fcomp":
-        return f"(fcomp {print_functor_expr(e[1])} {print_functor_expr(e[2])})"
-    return e
-
-
 def print_term(t):
-    lbl = ""
-    if isinstance(t, (Id, Gen)) and t.label:
-        lbl = f" @{t.label}"
-    if isinstance(t, Id):
-        ws = " ".join(str(w) for w in t.wires)
-        return f"(id{' ' + ws if ws else ''}{lbl})"
     if isinstance(t, Seq):
         return "(seq " + " ".join(print_term(p) for p in t.parts) + ")"
     if isinstance(t, Par):
         return f"(par {print_term(t.top)} {print_term(t.bottom)})"
-    kind, args = t.kind, t.args
-    if kind in ("inport", "outport"):
-        body = print_obj_expr(args[0])
-    elif kind in _NULLARY:
-        body = args[0]
-    elif kind == "sym":
-        body = f"{args[0]} {args[1]}"
-    elif kind in ("box", "cobox"):
-        body = print_functor_expr(args[0])
-    else:
-        body = args[0]
-    return f"({kind} {body}{lbl})"
+    lbl = f" @{t.label}" if t.label else ""
+    if isinstance(t, Id):
+        return f"(id{''.join(' ' + str(w) for w in t.wires)}{lbl})"
+    show = SORTS[KINDS[t.kind].sort].show
+    return f"({t.kind} {' '.join(map(show, t.args))}{lbl})"
 
 
 # ---------------------------------------------------------------------------
@@ -509,42 +539,11 @@ def _boundary(t, sig, path):
         l1, r1 = boundary(t.top, sig, path + (0,))
         l2, r2 = boundary(t.bottom, sig, path + (1,))
         return (l1 + l2, r1 + r2)
-    kind, args = t.kind, t.args
-    if kind == "inport":
-        return ((), (Wire(obj_expr_cat(args[0], sig)),))
-    if kind == "outport":
-        return ((Wire(obj_expr_cat(args[0], sig)),), ())
-    if kind in ("junction", "merge"):
-        w = Wire(args[0])
-        return ((w, w), (w,))
-    if kind in ("fork", "copy"):
-        w = Wire(args[0])
-        return ((w,), (w, w))
-    if kind == "unit-in":
-        return ((), (Wire(args[0]),))
-    if kind == "unit-out":
-        return ((Wire(args[0]),), ())
-    if kind == "discard":
-        return ((Wire(args[0]),), ())
-    if kind == "codiscard":
-        return ((), (Wire(args[0]),))
-    if kind == "sym":
-        return ((args[0], args[1]), (args[1], args[0]))
-    if kind == "cup":
-        w = Wire(args[0])
-        return ((w, w.flip()), ())
-    if kind == "cap":
-        w = Wire(args[0])
-        return ((), (w.flip(), w))
-    if kind == "box":
-        s, d = functor_expr_sig(args[0], sig)
-        return ((Wire(s),), (Wire(d),))
-    if kind == "cobox":
-        s, d = functor_expr_sig(args[0], sig)
-        return ((Wire(d),), (Wire(s),))
-    if kind == "named":
-        return sig.profs[args[0]]
-    raise ShapeTypeError(f"unknown generator {kind!r}", path)
+    row = KINDS.get(t.kind)
+    if row is None:
+        raise ShapeTypeError(f"unknown generator {t.kind!r}", path)
+    wires = SORTS[row.sort].wires(t.args, sig)
+    return (sum((wires[c] for c in row.left), ()), sum((wires[c] for c in row.right), ()))
 
 
 def _ws(wires):
@@ -670,8 +669,6 @@ class Env:
 
 
 class EvalNode:
-    kind = "gen"
-
     def __init__(self, term, bnd, prof):
         self.term = term
         self.boundary = bnd
@@ -679,8 +676,6 @@ class EvalNode:
 
 
 class EvalPar(EvalNode):
-    kind = "par"
-
     def __init__(self, term, bnd, prof, top, bottom):
         super().__init__(term, bnd, prof)
         self.top = top
@@ -697,8 +692,6 @@ class EvalPar(EvalNode):
 
 
 class EvalSeq(EvalNode):
-    kind = "seq"
-
     def __init__(self, term, bnd, prof, children, cums):
         super().__init__(term, bnd, prof)
         self.children = children
@@ -800,30 +793,10 @@ class Evaluator:
         return EvalNode(term, bnd, self._gen_prof(term))
 
     def _gen_prof(self, t: Gen):
-        env, kind, args = self.env, t.kind, t.args
-        if kind in COMPANION_KINDS:
-            return pf.companion(env.functor_of(t))
-        if kind in CONJOINT_KINDS:
-            return pf.conjoint(env.functor_of(t))
-        if kind == "copy":
-            return pf.copy_prof(env.cats[args[0]])
-        if kind == "merge":
-            return pf.merge_prof(env.cats[args[0]])
-        if kind == "discard":
-            return pf.discard_prof(env.cats[args[0]])
-        if kind == "codiscard":
-            return pf.codiscard_prof(env.cats[args[0]])
-        if kind == "sym":
-            return pf.swap_prof(env.wire_cat(args[0]), env.wire_cat(args[1]))
-        if kind == "cup":
-            return pf.cup_prof(env.cats[args[0]])
-        if kind == "cap":
-            return pf.cap_prof(env.cats[args[0]])
-        if kind == "named":
-            if args[0] not in env.profs:
-                raise EvalError(f"named profunctor {args[0]!r} is unbound")
-            return env.profs[args[0]]
-        raise EvalError(f"unknown generator {kind!r}")
+        row = KINDS[t.kind]
+        if row.denotes in (pf.companion, pf.conjoint):
+            return row.denotes(self.env.functor_of(t))
+        return row.denotes(*SORTS[row.sort].resolve(self.env, t.args))
 
 
 def sweep(env: Env, only=None):

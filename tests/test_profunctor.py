@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import random
+import re
 from unittest import mock
 
 import pytest
@@ -22,7 +23,7 @@ from coendcheck.profunctor import (ComposedProf, ConcreteProf, NatFamily,
                                    tensor_functor, tensor_prof,
                                    validate_prof, _PairProf)
 from coendcheck.rewrite import (RULES, STEP_ERRORS, Report, Step, _count,
-                                apply_step, check_step)
+                                apply_step, check_derivation_once, check_step)
 from coendcheck.shapelang import (Env, Evaluator, Par, Seq, ShapeTypeError, boundary,
                                   class_count, objects_in, parse_shape_script,
                                   print_term, sweep)
@@ -498,6 +499,37 @@ def test_iso_rules_over_random_oracles_are_bijections(mon, data):
                 checked.add(name)
     # the others need a (co)cartesian witness or sites these shapes lack
     assert {"R-INTERCHANGE", "R-ZIGZAG-CUP"} <= checked
+
+
+# the shipped derivations over one category, but for the negative cases,
+# which fail by design on every oracle
+ONE_CATEGORY_DERIVATIONS = {
+    name: (sig, script) for name, (sig, script) in (
+        (p.name, load_scripts(p.name)) for p in sorted(demo_dir().iterdir())
+        if p.name.endswith(".deriv") and not p.name.startswith("bad_"))
+    if len(sig.categories) == 1}
+MISSING_WITNESS = re.compile(r"step \d+ \S+: oracle for 'C' has no (co)?cartesian witness$")
+
+
+@settings(max_examples=5, deadline=None, database=None, derandomize=True)
+@given(mon=small_oracles(), data=st.data())
+def test_shipped_derivations_over_random_oracles_fail_only_for_structure(mon, data):
+    # every named and main derivation, under one drawn assignment, either
+    # checks or misses the (co)cartesian witness its rules read: no step is
+    # ill-defined, non-bijective or fails its round trip, and no obligation
+    # moves an element.  Points are left out: they name morphisms of the
+    # oracles their scripts were written for.
+    symbols = sorted({s for sig, _ in ONE_CATEGORY_DERIVATIONS.values() for s in sig.objects})
+    objs = {s: data.draw(st.sampled_from(list(mon.base.objects)), label=s) for s in symbols}
+    checked = 0
+    for name, (sig, script) in ONE_CATEGORY_DERIVATIONS.items():
+        ev = Evaluator(Env(sig, {"C": mon}, objs={s: objs[s] for s in sig.objects}))
+        for deriv in list(script.named.values()) + ([script.main] if script.main else []):
+            report = Report()
+            if check_derivation_once(deriv, ev, report) is not None:
+                checked += 1
+            assert all(map(MISSING_WITNESS.match, report.failures)), (name, report.failures)
+    assert checked
 
 
 def test_coend_enumeration_order_invariance(oracles):

@@ -1,13 +1,17 @@
 import dataclasses
+import re
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from coendcheck import rewrite
 from coendcheck.demos import DEMOS, demo_dir, load_scripts
-from coendcheck.fixtures import build
+from coendcheck.fixtures import FIXTURE_NAMES, build
+from coendcheck.pointed import OpenDiagram
+from coendcheck.profunctor import constant_prof
 from coendcheck.rewrite import check_derivation
-from coendcheck.shapelang import (Env, Gen, Id, Par, Seq,
+from coendcheck.shapelang import (KINDS, Env, EvalError, Evaluator, Gen, Id, Par, Seq,
                                   ShapeSyntaxError, ShapeTypeError,
                                   StructureMissing, boundary, class_count,
                                   eval_closed, norm, parse_shape_script,
@@ -331,3 +335,98 @@ def test_terms_hash_by_value_and_stay_frozen():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(t, attr, None)
     assert repr(lens) == repr(again) and "_hash" not in repr(lens)
+
+
+# -- each generator kind against the profunctor it denotes ---------------------
+
+
+# one leaf of each kind, with the arity error that kind gives
+LEAVES = {
+    "(inport A)": "(inport) takes one object",
+    "(outport A)": "(outport) takes one object",
+    "(junction C)": "(junction) takes a category symbol",
+    "(fork C)": "(fork) takes a category symbol",
+    "(unit-in C)": "(unit-in) takes a category symbol",
+    "(unit-out C)": "(unit-out) takes a category symbol",
+    "(copy C)": "(copy) takes a category symbol",
+    "(merge C)": "(merge) takes a category symbol",
+    "(discard C)": "(discard) takes a category symbol",
+    "(codiscard C)": "(codiscard) takes a category symbol",
+    "(sym C (op C))": "(sym) takes two wires",
+    "(cup C)": "(cup) takes a category symbol",
+    "(cap C)": "(cap) takes a category symbol",
+    "(box F)": "(box) takes a functor",
+    "(cobox F)": "(cobox) takes a functor",
+    "(named K)": "(named) takes a profunctor name",
+}
+
+
+def leaf_signature(mon, other):
+    """C with an object A, a named profunctor K: 1 -> C and the functor
+    F: C -> D that is constant at the unit of D, over the objects and
+    morphisms of `mon` (for C) and `other` (for D)."""
+    c, d = mon.base, other.base
+    unit, unit_id = d.obj_name(other.unit), d.mor_name(d.identity(other.unit))
+    to = lambda names, n: " ".join(f'("{m}" "{n}")' for m in names)  # noqa: E731
+    return parse_shape_script(
+        f"(category C) (category D) (object A C) (prof K () (C))"
+        f"(functor F C D (obj {to(c.obj_names, unit)}) (mor {to(c.mor_names, unit_id)}))")
+
+
+@pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+def test_each_generator_kind_types_as_its_profunctor(fixture):
+    # a leaf's boundary resolves to the source and target categories of the
+    # profunctor it evaluates to, under every value of its object symbol
+    mon, other = build(fixture), build("z2" if fixture != "z2" else "diamond")
+    sig = leaf_signature(mon, other)
+    checked = dict.fromkeys(LEAVES, 0)
+    for text in LEAVES:
+        leaf = parse_term(read_sexprs(text)[0], sig)
+        left, right = boundary(leaf, sig)
+        for a in mon.base.objects:
+            env = Env(sig, {"C": mon, "D": other}, objs={"A": a},
+                      profs={"K": constant_prof(mon.base)})
+            prof = Evaluator(env).node(leaf).prof
+            assert env.boundary_cat(left) is prof.source, (text, a)
+            assert env.boundary_cat(right) is prof.target, (text, a)
+            checked[text] += 1
+    assert all(checked.values()), checked
+
+
+def test_each_generator_kind_prints_parses_and_counts_its_arguments():
+    sig = leaf_signature(build("meet-lattice-2"), build("z2"))
+    for text, arity_error in LEAVES.items():
+        leaf = parse_term(read_sexprs(text)[0], sig)
+        assert print_term(leaf) == text
+        assert parse_term(read_sexprs(print_term(leaf))[0], sig) == leaf
+        labelled = dataclasses.replace(leaf, label="v")
+        assert parse_term(read_sexprs(print_term(labelled))[0], sig) == labelled
+        head, *args = read_sexprs(text)[0]
+        wrong = [[head], [head] + args * 2] if len(args) == 1 else [[head, args[0]]]
+        for form in wrong:
+            with pytest.raises(ShapeSyntaxError) as e:
+                parse_term(form, sig)
+            assert str(e.value) == arity_error, form
+
+
+def test_generator_errors_keep_their_messages_and_types():
+    sig = leaf_signature(build("z2"), build("diamond"))
+    with pytest.raises(ShapeSyntaxError, match="^unknown generator 'frob'$"):
+        parse_term(read_sexprs("(frob C)")[0], sig)
+    with pytest.raises(ShapeTypeError, match="^at 1: unknown generator 'frob'$"):
+        boundary(Par(Gen("copy", ("C",)), Gen("frob", ("C",))), sig)
+    with pytest.raises(ShapeSyntaxError, match="^unknown profunctor name 'L'$"):
+        parse_term(read_sexprs("(named L)")[0], sig)
+    env = Env(sig, {"C": build("z2"), "D": build("diamond")}, objs={"A": 0})
+    with pytest.raises(EvalError, match="^named profunctor 'K' is unbound$"):
+        Evaluator(env).node(Gen("named", ("K",)))
+    with pytest.raises(ShapeTypeError, match="^at root: unknown generator 'frob'$"):
+        OpenDiagram.from_fiber(Evaluator(env), Gen("frob", ("C",)), {}, 0)
+
+
+def test_readme_names_every_generator_kind():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("**Shape scripts**"):]
+    paragraph = paragraph[:paragraph.index("\n\n")]
+    missing = [kind for kind in KINDS if not re.search(rf"`\({re.escape(kind)}[ `]", paragraph)]
+    assert not missing
