@@ -16,7 +16,7 @@ import sys
 
 from .fincat import FixtureError, load_fixture_file, validate_category, validate_monoidal
 from .rewrite import (Report, RewriteError, check_derivation,
-                      load_derivation_script)
+                      load_derivation_script, script_object_symbols)
 from .shapelang import (Env, EvalError, ShapeSyntaxError, ShapeTypeError,
                         StructureMissing, boundary, parse_shape_script, sweep)
 
@@ -58,6 +58,13 @@ def _read(path):
         raise InputError(str(e))
 
 
+def _announce(count):
+    """Tell a user at a terminal how many assignments the sweep checks."""
+    if sys.stderr.isatty():
+        print(f"coendcheck: {count} assignment{'' if count == 1 else 's'} to sweep",
+              file=sys.stderr)
+
+
 def _emit(report: Report, fmt):
     if fmt == "json":
         print(json.dumps(report.data(), indent=1, sort_keys=True))
@@ -71,15 +78,12 @@ def cmd_validate(args):
         cat, mon = load_fixture_file(args.fixture)
     except (OSError, FixtureError) as e:
         raise InputError(str(e))
-    rep = validate_category(cat)
-    report.line(str(rep))
-    for v in rep.violations:
-        report.failures.append(str(v))
-    if mon is not None and rep.ok:
-        rep2 = validate_monoidal(mon)
-        report.line(str(rep2))
-        for v in rep2.violations:
-            report.failures.append(str(v))
+    reps = [validate_category(cat)]
+    if mon is not None and reps[0].ok:
+        reps.append(validate_monoidal(mon))
+    for rep in reps:
+        report.line(str(rep))
+        report.failures += map(str, rep.violations)
     _emit(report, args.format)
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
@@ -98,27 +102,27 @@ def cmd_eval(args):
     report = Report()
     try:
         bnd = boundary(term, sig)
-        for ev in sweep(Env(sig, bindings)):
+        env = Env(sig, bindings)
+        for k, ev in enumerate(sweep(env)):
             desc = ev.env.describe_objs()
             if desc:
                 report.line(f"assignment: {desc}")
             node = ev.node(term)
+            if k == 0:  # the inputs are valid: the others read the same bindings
+                _announce(env.assignment_count())
             if bnd == ((), ()):
                 fib = node.prof.fiber(0, 0)
                 report.line(f"classes: {len(fib)}")
                 for v in fib:
                     report.line(f"  {node.prof.render(v)}")
             else:
-                total = 0
-                for a in node.prof.source.objects:
-                    for b in node.prof.target.objects:
-                        n = len(node.prof.fiber(a, b))
-                        total += n
-                        if n:
-                            report.line(
-                                f"  fiber ({node.prof.source.obj_name(a)},"
-                                f"{node.prof.target.obj_name(b)}): {n}")
-                report.line(f"classes: {total}")
+                src, tgt = node.prof.source, node.prof.target
+                sizes = [(a, b, len(node.prof.fiber(a, b)))
+                         for a in src.objects for b in tgt.objects]
+                for a, b, n in sizes:
+                    if n:
+                        report.line(f"  fiber ({src.obj_name(a)},{tgt.obj_name(b)}): {n}")
+                report.line(f"classes: {sum(n for _, _, n in sizes)}")
     except (ShapeTypeError, EvalError, StructureMissing, FixtureError) as e:
         raise InputError(str(e))
     _emit(report, args.format)
@@ -137,6 +141,7 @@ def cmd_check(args):
         env = Env(sig, bindings)
     except (EvalError, FixtureError) as e:
         raise InputError(str(e))
+    _announce(env.assignment_count(script_object_symbols(script, sig)))
     report = check_derivation(script, sig, env, fail_fast=args.fail_fast)
     _emit(report, args.format)
     return EXIT_OK if report.ok else EXIT_VERIFICATION

@@ -129,13 +129,28 @@ class FinCategory:
         return self._identity[o]
 
     def compose(self, f, g):
-        """Diagrammatic composition: f then g."""
+        """Diagrammatic composition: f then g.  A product composes a pair
+        from its factors' tables when first asked for it."""
         try:
             return self._compose[(f, g)]
         except KeyError:
+            if self.factors and self._cod[f] == self._dom[g]:
+                h = self._compose[(f, g)] = self.pack_mor(tuple(
+                    c.compose(*fg) for c, *fg in zip(self.factors, self.mor_tuple(f),
+                                                     self.mor_tuple(g))))
+                return h
             raise FixtureError(
                 f"no composition entry for {self.mor_name(f)};{self.mor_name(g)}"
                 f" in {self.name}")
+
+    def composition(self):
+        """The whole composition table {(f, g): f;g}."""
+        if self.factors:  # a product's is filled in by compose
+            for f in self.morphisms:
+                for o in self.objects:
+                    for g in self.hom(self._cod[f], o):
+                        self.compose(f, g)
+        return self._compose
 
     def compose_chain(self, *ms):
         out = ms[0]
@@ -275,7 +290,8 @@ def validate_category(c: FinCategory) -> ValidationReport:
             rep.add("malformed", f"identity of {c.obj_name(o)} is a dangling id")
         elif c.dom(i) != o or c.cod(i) != o:
             rep.add("malformed", f"identity of {c.obj_name(o)} is not an endomorphism")
-    for (f, g), h in c._compose.items():
+    table = c.composition()
+    for (f, g), h in table.items():
         if not (0 <= h < n_mor):
             rep.add("malformed", f"composite of ({f},{g}) is a dangling id")
     if not rep.ok:
@@ -285,11 +301,11 @@ def validate_category(c: FinCategory) -> ValidationReport:
         for g in c.morphisms:
             if c.cod(f) != c.dom(g):
                 continue
-            if (f, g) not in c._compose:
+            if (f, g) not in table:
                 rep.add("malformed",
                         f"missing composite {c.mor_name(f)};{c.mor_name(g)}")
                 continue
-            h = c._compose[(f, g)]
+            h = table[(f, g)]
             if c.dom(h) != c.dom(f) or c.cod(h) != c.cod(g):
                 rep.add("malformed",
                         f"composite {c.mor_name(f)};{c.mor_name(g)} lands in the wrong hom-set")
@@ -577,36 +593,25 @@ def product(*cats: FinCategory) -> FinCategory:
         _PRODUCT_CACHE[key] = flat[0]
         return flat[0]
     name = "(" + "*".join(c.name for c in flat) + ")" if flat else "1"
-    obj_tuples = list(itertools.product(*[c.objects for c in flat]))
-    obj_names = ["(" + "|".join(c.obj_name(o) for c, o in zip(flat, t)) + ")"
-                 for t in obj_tuples]
-    if not flat:
-        obj_tuples, obj_names = [()], ["*"]
+
+    def tuples(tables):
+        """One tuple per object or morphism id, in id order."""
+        return itertools.product(*[getattr(c, tables) for c in flat])
+
+    def names(tables, empty):
+        return ["(" + "|".join(t) + ")" for t in tuples(tables)] if flat else [empty]
+    obj_tuples, mor_tuples = list(tuples("objects")), list(tuples("morphisms"))
     obj_pack = {t: i for i, t in enumerate(obj_tuples)}
-    mor_tuples = list(itertools.product(*[c.morphisms for c in flat]))
-    if not flat:
-        mor_tuples = [()]
     mor_pack = {t: i for i, t in enumerate(mor_tuples)}
-    mor_names = ["(" + "|".join(c.mor_name(m) for c, m in zip(flat, t)) + ")"
-                 for t in mor_tuples] if flat else ["id*"]
-    dom = [obj_pack[tuple(c.dom(m) for c, m in zip(flat, t))] for t in mor_tuples]
-    cod = [obj_pack[tuple(c.cod(m) for c, m in zip(flat, t))] for t in mor_tuples]
-    # only composable pairs: testing all M^2 pairs of morphism tuples takes
-    # seconds for a product of three factors of twenty morphisms
-    starting_at = {}
-    for j, d in enumerate(dom):
-        starting_at.setdefault(d, []).append(j)
-    compose_table = {}
-    for i, t1 in enumerate(mor_tuples):
-        for j in starting_at.get(cod[i], ()):
-            compose_table[(i, j)] = mor_pack[
-                tuple(c.compose(m1, m2) for c, m1, m2 in zip(flat, t1, mor_tuples[j]))]
-    identities = [mor_pack[tuple(c.identity(o) for c, o in zip(flat, t))]
-                  for t in obj_tuples]
-    if not flat:
-        compose_table = {(0, 0): 0}
-        identities = [0]
-    p = FinCategory(name, obj_names, mor_names, dom, cod, compose_table, identities)
+    obj_names, mor_names = names("obj_names", "*"), names("mor_names", "id*")
+    dom = [obj_pack[t] for t in tuples("_dom")]
+    cod = [obj_pack[t] for t in tuples("_cod")]
+    identities = [mor_pack[t] for t in tuples("_identity")]
+    # no composites yet: compose fills them in from the factors (a product
+    # of three factors of twenty morphisms has ~10^6 composable pairs, few
+    # of which a check reads)
+    p = FinCategory(name, obj_names, mor_names, dom, cod,
+                    {(0, 0): 0} if not flat else {}, identities)
     p.factors = tuple(flat)
     p._obj_tuple = {i: t for i, t in enumerate(obj_tuples)}
     p._obj_pack = obj_pack
@@ -621,26 +626,19 @@ def terminal_category() -> FinCategory:
 
 
 def product_monoidal(m1: MonoidalStructure, m2: MonoidalStructure) -> MonoidalStructure:
+    """The factorwise tensor, unit and braiding on the product of the bases."""
     c = product(m1.base, m2.base)
-    t_obj, t_mor = {}, {}
-    for a in c.objects:
-        for b in c.objects:
-            ta, tb = c.obj_tuple(a), c.obj_tuple(b)
-            t_obj[(a, b)] = c.pack_obj((m1.tensor(ta[0], tb[0]), m2.tensor(ta[1], tb[1])))
-    for f in c.morphisms:
-        for g in c.morphisms:
-            tf, tg = c.mor_tuple(f), c.mor_tuple(g)
-            t_mor[(f, g)] = c.pack_mor((m1.tensor_m(tf[0], tg[0]), m2.tensor_m(tf[1], tg[1])))
-    unit = c.pack_obj((m1.unit, m2.unit))
+
+    def factorwise(t1, t2, ids, split, pack):
+        return {(x, y): pack((t1[(split(x)[0], split(y)[0])], t2[(split(x)[1], split(y)[1])]))
+                for x in ids for y in ids}
     braiding = None
     if m1.braiding is not None and m2.braiding is not None:
-        braiding = {}
-        for a in c.objects:
-            for b in c.objects:
-                ta, tb = c.obj_tuple(a), c.obj_tuple(b)
-                braiding[(a, b)] = c.pack_mor((m1.braiding[(ta[0], tb[0])],
-                                               m2.braiding[(ta[1], tb[1])]))
-    return MonoidalStructure(c, t_obj, t_mor, unit, braiding)
+        braiding = factorwise(m1.braiding, m2.braiding, c.objects, c.obj_tuple, c.pack_mor)
+    return MonoidalStructure(
+        c, factorwise(m1.tensor_obj, m2.tensor_obj, c.objects, c.obj_tuple, c.pack_obj),
+        factorwise(m1.tensor_mor, m2.tensor_mor, c.morphisms, c.mor_tuple, c.pack_mor),
+        c.pack_obj((m1.unit, m2.unit)), braiding)
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +917,7 @@ def dump_fixture(cat: FinCategory, mon: MonoidalStructure = None) -> dict:
         "objects": list(cat.obj_names),
         "homs": {f"{on(a)}->{on(b)}": [mn(m) for m in ms]
                  for (a, b), ms in sorted(cat._hom.items())},
-        "compose": triples(cat._compose),
+        "compose": triples(cat.composition()),
         "identities": {on(o): mn(cat.identity(o)) for o in cat.objects},
     }
     if mon is None:

@@ -9,13 +9,15 @@ bijectivity for invertible rules, and declared identity obligations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fincat import FixtureError, opposite_monoidal, terminal_category
 from .profunctor import ProfunctorError, dual, join_mors, join_objs, split_obj
 from .shapelang import (Env, EvalError, Evaluator, Gen, Id, Par, Seq,
                         ShapeTypeError, StructureMissing, Wire, boundary,
-                        is_plain_id, norm, obj_expr_cat, functor_expr_sig,
+                        is_plain_id, norm, obj_expr_cat, objects_in, functor_expr_sig,
                         parse_shape_script, print_term, sweep)
 
 
@@ -39,6 +41,13 @@ class PointError(Exception):
     """An open diagram's point cannot be built from its assignment."""
 
 
+# a step the oracle or the instantiation cannot support fails; it is no crash
+STEP_ERRORS = (RewriteError, StructureMissing, ShapeTypeError, FixtureError, EvalError)
+# nor is a transport, point or assertion that fails with one of these; any
+# other exception is an internal error, never a failed proof
+CHECK_ERRORS = STEP_ERRORS + (ProfunctorError, PointError)
+
+
 @dataclass
 class Step:
     rule: str
@@ -51,14 +60,14 @@ class Step:
 class SliceOutcome:
     consumed: int
     parts: tuple               # a collapsed window: the plain identity on its wires
-    transform: object          # (vals, fibers, lobj, robj) -> (vals, mids)
+    transform: object          # (ev, vals, fibers, lobj, robj) -> (vals, mids)
     inverse_inst: dict = field(default_factory=dict)
 
 
 @dataclass
 class NodeOutcome:
     term: object
-    transform: object          # (fiber, value) -> value
+    transform: object          # (ev, fiber, value) -> value
     inverse_inst: dict = field(default_factory=dict)
 
 
@@ -76,11 +85,9 @@ def build_seq_value(ev: Evaluator, items, fiber):
     flat = []
     for (t, v, l, r) in items:
         if isinstance(t, Seq):
-            node = ev.node(t)
-            vals, mids = node.unfold((l, r), v)
+            vals, mids = ev.node(t).unfold((l, r), v)
             ends = [l] + mids + [r]
-            for k, p in enumerate(t.parts):
-                flat.append((p, vals[k], ends[k], ends[k + 1]))
+            flat += zip(t.parts, vals, ends, ends[1:])
         else:
             flat.append((t, v, l, r))
     out = []
@@ -132,12 +139,12 @@ def par_value(ev: Evaluator, top_term, v_top, bottom_term, v_bottom):
 # term surgery with transport
 
 
-def _slice_wires(sig, seqterm, parts, i):
+def _slice_wires(sig, parts, i):
+    """The wires at the boundary point before parts[i], or after the last
+    part when i is past it."""
     if i < len(parts):
         return boundary(parts[i], sig)[0]
-    if parts:
-        return boundary(parts[-1], sig)[1]
-    return boundary(seqterm, sig)[0]
+    return boundary(parts[-1], sig)[1]
 
 
 def _unfold(ev, term, fiber, value):
@@ -149,7 +156,7 @@ def _unfold(ev, term, fiber, value):
     return vals, [fiber[0]] + mids + [fiber[1]]
 
 
-def _seq_level(ev, term, i, outcome: SliceOutcome):
+def _seq_level(term, i, outcome: SliceOutcome) -> NodeOutcome:
     """Replace parts[i : i+consumed] of a sequential composite."""
     parts = term.parts if isinstance(term, Seq) else (term,)
     j = i + outcome.consumed
@@ -158,71 +165,91 @@ def _seq_level(ev, term, i, outcome: SliceOutcome):
     new_parts = parts[:i] + tuple(outcome.parts) + parts[j:]
     new_term = new_parts[0] if len(new_parts) == 1 else norm(Seq(new_parts))
 
-    def transport(fiber, value):
+    def transport(ev, fiber, value):
         vals, ends = _unfold(ev, term, fiber, value)
-        slice_vals = vals[i:j]
         slice_fibers = list(zip(ends[i:j], ends[i + 1:j + 1]))
-        rep_vals, rep_mids = outcome.transform(slice_vals, slice_fibers, ends[i], ends[j])
-        rends = [ends[i]] + list(rep_mids) + [ends[j]]
-        rep_items = [(outcome.parts[k], rep_vals[k], rends[k], rends[k + 1])
-                     for k in range(len(outcome.parts))]
-        items = [(parts[k], vals[k], ends[k], ends[k + 1]) for k in range(i)]
-        items += rep_items
-        items += [(parts[k], vals[k], ends[k], ends[k + 1])
-                  for k in range(j, len(parts))]
-        return build_seq_value(ev, items, fiber)
+        vals[i:j], mids = outcome.transform(ev, vals[i:j], slice_fibers, ends[i], ends[j])
+        ends[i:j + 1] = [ends[i], *mids, ends[j]]
+        return build_seq_value(ev, list(zip(new_parts, vals, ends, ends[1:])), fiber)
 
-    return new_term, transport
+    return NodeOutcome(new_term, transport, outcome.inverse_inst)
 
 
-def rewrite_at(ev: Evaluator, term, path, rule, inst, backward):
+def rewrite_at(ev: Evaluator, term, path, rule, inst, backward, gates):
+    """The rewrite of `term` by `rule` at `path`, as one outcome on the
+    whole term; the rule's checks that read the assignment are appended
+    to `gates` (see Rule)."""
     if rule.site == "node":
         if not path:
-            out = rule.apply_node(ev, term, inst, backward)
-            return out.term, out.transform, out.inverse_inst
-    else:
-        if len(path) == 1:
-            i = path[0]
-            out = rule.apply_slice(
-                ev, term.parts if isinstance(term, Seq) else (term,), i,
-                inst, backward, term)
-            new_term, transport = _seq_level(ev, term, i, out)
-            return new_term, transport, out.inverse_inst
+            return rule.match(ev, term, inst, backward, gates)
+    elif len(path) == 1:
+        parts = term.parts if isinstance(term, Seq) else (term,)
+        return _seq_level(term, path[0],
+                          rule.match(ev, parts, path[0], inst, backward, gates))
     if not path:
         raise PathError(f"rule {rule.name} needs a {rule.site} position")
     k, rest = path[0], path[1:]
     if isinstance(term, Seq):
         if not 0 <= k < len(term.parts):
             raise PathError(f"no part {k} in sequential composite")
-        child = term.parts[k]
-        new_child, child_tr, inv = rewrite_at(ev, child, rest, rule, inst, backward)
+        child = rewrite_at(ev, term.parts[k], rest, rule, inst, backward, gates)
 
         # express the child replacement through the splice machinery
-        def transform(vals, fibers, lobj, robj, child_tr=child_tr):
-            return ([child_tr(fibers[0], vals[0])], [])
-        out = SliceOutcome(1, (new_child,), transform)
-        new_term, transport = _seq_level(ev, term, k, out)
-        return new_term, transport, inv
+        def transform(ev, vals, fibers, lobj, robj):
+            return ([child.transform(ev, fibers[0], vals[0])], [])
+        return _seq_level(term, k, SliceOutcome(1, (child.term,), transform,
+                                                child.inverse_inst))
     if isinstance(term, Par):
         if k not in (0, 1):
             raise PathError("par sides are 0 and 1")
-        child = term.top if k == 0 else term.bottom
-        other = term.bottom if k == 0 else term.top
-        new_child, child_tr, inv = rewrite_at(ev, child, rest, rule, inst, backward)
-        new_top, new_bottom = ((new_child, other) if k == 0 else (other, new_child))
-        new_term = norm(Par(new_top, new_bottom))
+        child = rewrite_at(ev, term.top if k == 0 else term.bottom, rest, rule,
+                           inst, backward, gates)
+        new_top, new_bottom = ((child.term, term.bottom) if k == 0
+                               else (term.top, child.term))
 
-        def transport(fiber, value, term=term, k=k):
-            node = ev.node(term)
-            (f_top, v_top), (f_bot, v_bot) = node.split_value(fiber, value)
+        def transport(ev, fiber, value):
+            (f_top, v_top), (f_bot, v_bot) = ev.node(term).split_value(fiber, value)
             if k == 0:
-                v_top = child_tr(f_top, v_top)
+                v_top = child.transform(ev, f_top, v_top)
             else:
-                v_bot = child_tr(f_bot, v_bot)
+                v_bot = child.transform(ev, f_bot, v_bot)
             return par_value(ev, new_top, v_top, new_bottom, v_bot)
 
-        return new_term, transport, inv
+        return NodeOutcome(norm(Par(new_top, new_bottom)), transport, child.inverse_inst)
     raise PathError(f"path descends into a leaf {print_term(term)}")
+
+
+class Plan(NamedTuple):
+    """A step planned on one term, the same at every assignment of a sweep.
+    `gates` are the rule's checks that read the assignment, in their place
+    among its checks; once they pass, the step fails with `error`, or else
+    `outcome` holds its new term, transport and inverse instantiation."""
+    outcome: NodeOutcome
+    gates: tuple
+    error: Exception
+
+
+def plan_step(term, step: Step, ev: Evaluator) -> Plan:
+    """The plan of `step` on `term`, made once per evaluator: a sweep's
+    evaluator keeps one binding.  Plans are keyed by value, since the
+    inverse of a step is a new Step at every assignment."""
+    key = (term, step.rule, tuple(step.path), step.backward,
+           tuple(sorted(step.inst.items())))
+    plan = ev.plans.get(key)
+    if plan is None:
+        gates = []
+        try:
+            rule = check_instantiation(step, ev.sig)
+            out = rewrite_at(ev, term, key[2], rule, step.inst, step.backward, gates)
+            b_old, b_new = boundary(term, ev.sig), boundary(out.term, ev.sig)
+            if b_old != b_new:
+                raise RewriteError(
+                    f"{rule.name} changed the boundary: {b_old} -> {b_new}")
+            plan = Plan(out, tuple(gates), None)
+        except STEP_ERRORS as e:
+            plan = Plan(None, tuple(gates), e.with_traceback(None))
+        ev.plans[key] = plan
+    return plan
 
 
 def apply_step(term, step: Step, ev: Evaluator):
@@ -233,16 +260,25 @@ def apply_step(term, step: Step, ev: Evaluator):
     corresponding element of eval(new term); it is total on raw coend index
     elements, not just canonical representatives.  The inverse
     instantiation is the `inst` of the backward step that undoes this one.
+
+    The new term depends only on the term, the step and the signature, so
+    the step is planned once per evaluator (plan_step): the rule match, the
+    new term, the consumed window, the inverse instantiation, the boundary
+    check, or the error the step fails with.  A plan reads only what the
+    binding fixes: the signature, the categories, their monoidal structures
+    (or that one is missing) and the named functors.  What reads the
+    assignment is bound here, at every call: the gates, which compare the
+    objects of ports (R-EPS-A, R-CART-COUNIT, backward R-PORT-FUSE) through
+    `Env.resolve_obj` and `Env.functor_of`, and the transport, which reads
+    the evaluator's nodes and object ids.
     """
-    rule = check_instantiation(step, ev.sig)
-    new_term, transport, inv = rewrite_at(ev, term, tuple(step.path), rule,
-                                          step.inst, step.backward)
-    b_old = boundary(term, ev.sig)
-    b_new = boundary(new_term, ev.sig)
-    if b_old != b_new:
-        raise RewriteError(
-            f"{rule.name} changed the boundary: {b_old} -> {b_new}")
-    return new_term, transport, inv
+    plan = plan_step(term, step, ev)
+    for gate in plan.gates:
+        gate(ev)
+    if plan.error is not None:
+        raise plan.error.with_traceback(None)
+    out = plan.outcome
+    return out.term, functools.partial(out.transform, ev), out.inverse_inst
 
 
 def check_instantiation(step: Step, sig):
@@ -275,18 +311,19 @@ def check_instantiation(step: Step, sig):
 
 
 class Rule:
+    """A rewrite rule.  `match` reads the site and what the binding fixes,
+    and returns the outcome or raises MatchError: a slice rule's
+    match(ev, parts, i, inst, backward, gates) rewrites a sequential
+    composite's parts from offset i, a node rule's match(ev, term, inst,
+    backward, gates) the term at the step's path.  A check that reads the
+    assignment goes into `gates`, in its place among the others; a
+    transform takes the evaluator of the assignment first."""
     name = "?"
     tag = "iso"       # or "directed": no backward use
     site = "slice"
     # instantiations read forward, backward as integers, object symbols
     # and functor symbols
     int_keys = obj_keys = functor_keys = ((), ())
-
-    def apply_slice(self, ev, parts, i, inst, backward, container):
-        raise MatchError(f"{self.name} is not a slice rule")
-
-    def apply_node(self, ev, term, inst, backward):
-        raise MatchError(f"{self.name} is not a node rule")
 
 
 def _want(cond, msg):
@@ -320,6 +357,18 @@ def _monoidal(ev, catsym, op=False, need=None):
     return m
 
 
+def _read_at(ev, gates, terms, read):
+    """`read` as a function of the evaluator.  When one of `terms` names an
+    object symbol, `read` reads the assignment: it is then a gate, and read
+    again where the transform needs it.  Otherwise it reads only what the
+    binding fixes, once, now."""
+    if any(objects_in(t) for t in terms):
+        gates.append(read)
+        return read
+    value = read(ev)
+    return lambda ev: value
+
+
 # A mirror-image slice rule is its twin read in C^op: P |-> P^op sends
 # Prof(C, D) to Prof(D^op, C^op).  Its body, written once for the direct
 # reading, sees the window reversed, each boundary with its ends swapped,
@@ -346,10 +395,6 @@ def _prof(ev, t, op):
     return dual(p, p.name) if op else p
 
 
-def _is_sym(t):
-    return isinstance(t, Gen) and t.kind == "sym"
-
-
 def _read_back(out: SliceOutcome, op):
     """The outcome of a rule body run on the C^op reading of a window, as an
     outcome on the window: parts, values and middle objects reverse and the
@@ -360,8 +405,8 @@ def _read_back(out: SliceOutcome, op):
         return out
     tf = out.transform
 
-    def transform(vals, fibers, lobj, robj):
-        vals, mids = tf(vals[::-1], [f[::-1] for f in fibers[::-1]], robj, lobj)
+    def transform(ev, vals, fibers, lobj, robj):
+        vals, mids = tf(ev, vals[::-1], [f[::-1] for f in fibers[::-1]], robj, lobj)
         return vals[::-1], mids[::-1]
 
     return SliceOutcome(out.consumed, out.parts[::-1], transform, out.inverse_inst)
@@ -372,7 +417,7 @@ class YonedaL(Rule):
     name = "R-YONEDA-L"
     op = False    # True: read in C^op, where the identity wire comes second
 
-    def apply_slice(self, ev, parts, i, inst, backward, container):
+    def match(self, ev, parts, i, inst, backward, gates):
         op = self.op
         if backward:
             t = _part(parts, i)
@@ -382,7 +427,7 @@ class YonedaL(Rule):
                 "" if op else " (an unlabelled identity would normalize away)"))
             cat = ev.env.boundary_cat(lw)
 
-            def tf(vals, fibers, lobj, robj):
+            def tf(ev, vals, fibers, lobj, robj):
                 return ([cat.identity(lobj), vals[0]], [lobj])
 
             return _read_back(SliceOutcome(1, (Id(lw, label), t), tf), op)
@@ -391,7 +436,7 @@ class YonedaL(Rule):
               f"{self.name} expects an identity wire {'second' if op else 'first'}")
         _want(_ends(t, ev.sig, op)[0] == idt.wires, "wire mismatch")
 
-        def tf(vals, fibers, lobj, robj):
+        def tf(ev, vals, fibers, lobj, robj):
             f, v = vals
             prof = _prof(ev, t, op)
             return ([prof.act(f, prof.target.identity(robj), v)], [])
@@ -410,53 +455,57 @@ class Assoc(Rule):
     name = "R-ASSOC"
     site = "node"
 
-    def apply_node(self, ev, term, inst, backward):
+    def match(self, ev, term, inst, backward, gates):
         _want(isinstance(term, Par), "R-ASSOC expects a parallel composite")
         if not backward:
             _want(isinstance(term.top, Par), "R-ASSOC forward expects ((a|b)|c)")
             a, b, c = term.top.top, term.top.bottom, term.bottom
-            new_term = norm(Par(a, Par(b, c)))
+            bc = norm(Par(b, c))
 
-            def tf(fiber, value):
-                node = ev.node(term)
-                (ft, vt), (fc, vc) = node.split_value(fiber, value)
-                inner = ev.node(term.top)
-                (fa, va), (fb, vb) = inner.split_value(ft, vt)
-                vbc = par_value(ev, b, vb, c, vc)
-                return par_value(ev, a, va, norm(Par(b, c)), vbc)
+            def tf(ev, fiber, value):
+                (ft, vt), (fc, vc) = ev.node(term).split_value(fiber, value)
+                (fa, va), (fb, vb) = ev.node(term.top).split_value(ft, vt)
+                return par_value(ev, a, va, bc, par_value(ev, b, vb, c, vc))
 
-            return NodeOutcome(new_term, tf)
+            return NodeOutcome(norm(Par(a, Par(b, c))), tf)
         _want(isinstance(term.bottom, Par), "R-ASSOC backward expects (a|(b|c))")
         a, b, c = term.top, term.bottom.top, term.bottom.bottom
-        new_term = norm(Par(Par(a, b), c))
+        ab = norm(Par(a, b))
 
-        def tf(fiber, value):
-            node = ev.node(term)
-            (fa, va), (fbc, vbc) = node.split_value(fiber, value)
-            inner = ev.node(term.bottom)
-            (fb, vb), (fc, vc) = inner.split_value(fbc, vbc)
-            vab = par_value(ev, a, va, b, vb)
-            return par_value(ev, norm(Par(a, b)), vab, c, vc)
+        def tf(ev, fiber, value):
+            (fa, va), (fbc, vbc) = ev.node(term).split_value(fiber, value)
+            (fb, vb), (fc, vc) = ev.node(term.bottom).split_value(fbc, vbc)
+            return par_value(ev, ab, par_value(ev, a, va, b, vb), c, vc)
 
-        return NodeOutcome(new_term, tf)
+        return NodeOutcome(norm(Par(Par(a, b), c)), tf)
 
 
-def _cut_pieces(ev, term, cut):
-    """Split a term (viewed as its part list) at a cut position."""
+def _cut(ev, term, cut):
+    """Split a term, viewed as its part list, at a cut position: the two
+    pieces, and the split of the term's values into (left piece value, cut
+    object, right piece value), where an identity piece carries an
+    identity morphism."""
     parts = term.parts if isinstance(term, Seq) else (term,)
     if not 0 <= cut <= len(parts):
         raise MatchError(f"cut {cut} out of range")
-    lw, rw = boundary(term, ev.sig)
-    first = parts[:cut]
-    second = parts[cut:]
-    bnd_mid = boundary(first[-1], ev.sig)[1] if first else lw
+    lw = boundary(term, ev.sig)[0]
+    bnd_mid = boundary(parts[cut - 1], ev.sig)[1] if cut > 0 else lw
+    mid_cat = ev.env.boundary_cat(bnd_mid)
 
-    def piece(ps, wires):
+    def piece(ps):
+        return norm(Seq(ps)) if len(ps) > 1 else ps[0] if ps else Id(bnd_mid)
+
+    def assemble(ev, ps, vs, es):
         if not ps:
-            return Id(wires)
-        return norm(Seq(ps)) if len(ps) > 1 else ps[0]
+            return mid_cat.identity(es[0])
+        return build_seq_value(ev, list(zip(ps, vs, es, es[1:])), (es[0], es[-1]))
 
-    return piece(first, bnd_mid), piece(second, bnd_mid), parts
+    def split(ev, fiber, value):
+        vals, ends = _unfold(ev, term, fiber, value)
+        return (assemble(ev, parts[:cut], vals[:cut], ends[:cut + 1]), ends[cut],
+                assemble(ev, parts[cut:], vals[cut:], ends[cut:]))
+
+    return piece(parts[:cut]), piece(parts[cut:]), split
 
 
 class Interchange(Rule):
@@ -470,25 +519,35 @@ class Interchange(Rule):
     int_keys = (("span1", "span2"), ("cut1", "cut2"))
 
     def _column(self, ev, parts, lo, hi):
+        """(top leg, bottom leg, the column's values split over its legs)."""
         if not 0 <= lo < len(parts):
             raise MatchError("empty interchange column")
         if hi - lo == 1 and isinstance(parts[lo], Par):
             p = parts[lo]
-            return p.top, p.bottom, parts[lo:hi]
+
+            def split(ev, vals, fibers):
+                return ev.node(p).split_value(fibers[0], vals[0])
+            return p.top, p.bottom, split
         run = parts[lo:hi]
         if not run:
             raise MatchError("empty interchange column")
         b = norm(Seq(run)) if len(run) > 1 else run[0]
         if boundary(b, ev.sig)[0] != () or boundary(b, ev.sig)[1] != ():
             raise MatchError("a spanned interchange column must be closed")
-        return Id(()), b, run
 
-    def apply_slice(self, ev, parts, i, inst, backward, container):
+        def split(ev, vals, fibers):
+            # empty top leg: the top value is the unit identity
+            items = [(t, v, f[0], f[1]) for t, v, f in zip(run, vals, fibers)]
+            vb = build_seq_value(ev, items, (fibers[0][0], fibers[-1][1]))
+            return ((0, 0), 0), ((fibers[0][0], fibers[-1][1]), vb)
+        return Id(()), b, split
+
+    def match(self, ev, parts, i, inst, backward, gates):
         sig = ev.sig
         if not backward:
             n1, n2 = _int_inst(inst, "span1", 1), _int_inst(inst, "span2", 1)
-            a, b, run1 = self._column(ev, parts, i, i + n1)
-            c, d, run2 = self._column(ev, parts, i + n1, i + n1 + n2)
+            a, b, split1 = self._column(ev, parts, i, i + n1)
+            c, d, split2 = self._column(ev, parts, i + n1, i + n1 + n2)
             ra, lc = boundary(a, sig)[1], boundary(c, sig)[0]
             rb, ld = boundary(b, sig)[1], boundary(d, sig)[0]
             _want(ra == lc and rb == ld,
@@ -500,18 +559,9 @@ class Interchange(Rule):
             cut1 = len(a.parts) if isinstance(a, Seq) else (0 if is_plain_id(a) else 1)
             cut2 = len(b.parts) if isinstance(b, Seq) else (0 if is_plain_id(b) else 1)
 
-            def column_values(run, vals, fibers):
-                if len(run) == 1 and isinstance(run[0], Par):
-                    node = ev.node(run[0])
-                    return node.split_value(fibers[0], vals[0])
-                # empty top leg: the top value is the unit identity
-                items = [(t, v, f[0], f[1]) for t, v, f in zip(run, vals, fibers)]
-                vb = build_seq_value(ev, items, (fibers[0][0], fibers[-1][1]))
-                return ((0, 0), 0), ((fibers[0][0], fibers[-1][1]), vb)
-
-            def tf(vals, fibers, lobj, robj):
-                (fa, va), (fb, vb) = column_values(run1, vals[:n1], fibers[:n1])
-                (fc, vc), (fd, vd) = column_values(run2, vals[n1:], fibers[n1:])
+            def tf(ev, vals, fibers, lobj, robj):
+                (fa, va), (fb, vb) = split1(ev, vals[:n1], fibers[:n1])
+                (fc, vc), (fd, vd) = split2(ev, vals[n1:], fibers[n1:])
                 v_ac = build_seq_value(ev, [(a, va, fa[0], fa[1]),
                                             (c, vc, fc[0], fc[1])], (fa[0], fc[1]))
                 v_bd = build_seq_value(ev, [(b, vb, fb[0], fb[1]),
@@ -525,52 +575,28 @@ class Interchange(Rule):
         _want(isinstance(p, Par), "backward R-INTERCHANGE expects a parallel composite")
         _want("cut1" in inst and "cut2" in inst,
               "backward R-INTERCHANGE needs cut1 and cut2")
-        top, bottom = p.top, p.bottom
         cut1, cut2 = _int_inst(inst, "cut1"), _int_inst(inst, "cut2")
-        a, c, tparts = _cut_pieces(ev, top, cut1)
-        b, d, bparts = _cut_pieces(ev, bottom, cut2)
+        a, c, split_top = _cut(ev, p.top, cut1)
+        b, d, split_bottom = _cut(ev, p.bottom, cut2)
         q1, q2 = norm(Par(a, b)), norm(Par(c, d))
         if is_plain_id(q1) or is_plain_id(q2):
             raise MatchError("backward R-INTERCHANGE cut produces a bare "
                              "identity column")
         span1 = len(q1.parts) if isinstance(q1, Seq) else 1
         span2 = len(q2.parts) if isinstance(q2, Seq) else 1
-        wa, wb = boundary(a, ev.sig)[1], boundary(b, ev.sig)[1]
+        wa, wb = boundary(a, sig)[1], boundary(b, sig)[1]
+        cat = ev.env.boundary_cat
+        c_mid, c_a, c_b = cat(wa + wb), cat(wa), cat(wb)
 
-        def tf(vals, fibers, lobj, robj):
-            node = ev.node(p)
-            (ft, vt), (fb_, vb) = node.split_value(fibers[0], vals[0])
-            va, ma, vc = _split_seq_value(ev, top, cut1, ft, vt)
-            vb2, mb, vd = _split_seq_value(ev, bottom, cut2, fb_, vb)
-            v1 = par_value(ev, a, va, b, vb2)
-            v2 = par_value(ev, c, vc, d, vd)
-            cat = ev.env.boundary_cat
-            mid = join_objs(cat(wa + wb), [(cat(wa), ma), (cat(wb), mb)])
-            return ([v1, v2], [mid])
+        def tf(ev, vals, fibers, lobj, robj):
+            (ft, vt), (fb_, vb) = ev.node(p).split_value(fibers[0], vals[0])
+            va, ma, vc = split_top(ev, ft, vt)
+            vb2, mb, vd = split_bottom(ev, fb_, vb)
+            mid = join_objs(c_mid, [(c_a, ma), (c_b, mb)])
+            return ([par_value(ev, a, va, b, vb2), par_value(ev, c, vc, d, vd)], [mid])
 
         return SliceOutcome(1, (q1, q2), tf,
                             inverse_inst={"span1": span1, "span2": span2})
-
-
-def _split_seq_value(ev, term, cut, fiber, value):
-    """Split a composite value at a cut: (left piece value, cut object,
-    right piece value); identity pieces carry identity morphisms."""
-    parts = term.parts if isinstance(term, Seq) else (term,)
-    vals, ends = _unfold(ev, term, fiber, value)
-    mid_obj = ends[cut]
-    lw = boundary(term, ev.sig)[0]
-    bnd_mid = boundary(parts[cut - 1], ev.sig)[1] if cut > 0 else lw
-
-    def assemble(ps, vs, es):
-        if not ps:
-            cat = ev.env.boundary_cat(bnd_mid)
-            return cat.identity(mid_obj)
-        items = [(ps[k], vs[k], es[k], es[k + 1]) for k in range(len(ps))]
-        return build_seq_value(ev, items, (es[0], es[-1]))
-
-    left_v = assemble(parts[:cut], vals[:cut], ends[:cut + 1])
-    right_v = assemble(parts[cut:], vals[cut:], ends[cut:])
-    return left_v, mid_obj, right_v
 
 
 class PortFuse(Rule):
@@ -580,9 +606,9 @@ class PortFuse(Rule):
     obj_keys = ((), ("A", "B"))
     readings = ((False, ("inport", "junction"), "in"), (True, ("outport", "fork"), "out"))
 
-    def apply_slice(self, ev, parts, i, inst, backward, container):
+    def match(self, ev, parts, i, inst, backward, gates):
         if backward:
-            return self._backward(ev, parts, i, inst)
+            return self._backward(ev, parts, i, inst, gates)
         for op, (port, gen), side in self.readings:
             ports, j = _window(parts, i, 2, op)
             if not (isinstance(ports, Par) and isinstance(j, Gen) and j.kind == gen
@@ -592,7 +618,7 @@ class PortFuse(Rule):
             ea, eb = ports.top.args[0], ports.bottom.args[0]
             mon = _monoidal(ev, j.args[0], op)
 
-            def tf(vals, fibers, lobj, robj):
+            def tf(ev, vals, fibers, lobj, robj):
                 (f, g), h = vals
                 return ([mon.base.compose(mon.tensor_m(f, g), h)], [])
 
@@ -602,24 +628,30 @@ class PortFuse(Rule):
         raise MatchError("R-PORT-FUSE expects parallel ports beside a junction "
                          "or fork")
 
-    def _backward(self, ev, parts, i, inst):
+    def _backward(self, ev, parts, i, inst, gates):
         t = _part(parts, i)
         _want("A" in inst and "B" in inst, "backward R-PORT-FUSE needs A and B")
         ea, eb = inst["A"], inst["B"]
         catsym = obj_expr_cat(ea, ev.sig)
         mon = ev.env.monoidal(catsym)
-        a_id, b_id = ev.env.resolve_obj(ea), ev.env.resolve_obj(eb)
+
+        def ids(ev):
+            return ev.env.resolve_obj(ea), ev.env.resolve_obj(eb)
+
+        gates.append(ids)
         _want(isinstance(t, Gen) and t.kind in ("inport", "outport"),
               "backward R-PORT-FUSE expects a port")
-        _want(ev.env.resolve_obj(t.args[0]) == mon.tensor(a_id, b_id),
-              "port object is not the tensor of the instantiation")
+        gates.append(lambda ev: _want(ev.env.resolve_obj(t.args[0]) == mon.tensor(*ids(ev)),
+                                      "port object is not the tensor of the instantiation"))
         op, (port, gen), _ = self.readings[t.kind == "outport"]
         c = mon.base
         rep = (Par(Gen(port, (ea,)), Gen(port, (eb,))), Gen(gen, (catsym,)))
-        mid = join_objs(ev.env.boundary_cat((Wire(catsym),) * 2), [(c, a_id), (c, b_id)])
+        cc = ev.env.boundary_cat((Wire(catsym),) * 2)
 
-        def tf(vals, fibers, lobj, robj):
-            return ([(c.identity(a_id), c.identity(b_id)), vals[0]], [mid])
+        def tf(ev, vals, fibers, lobj, robj):
+            a_id, b_id = ids(ev)
+            return ([(c.identity(a_id), c.identity(b_id)), vals[0]],
+                    [join_objs(cc, [(c, a_id), (c, b_id)])])
 
         return _read_back(SliceOutcome(1, rep, tf), op)
 
@@ -636,9 +668,9 @@ class AdjunctionUnit(Rule):
         if key is not None:  # an object symbol for ports, a functor for boxes
             setattr(self, "functor_keys" if kinds[0] == "box" else "obj_keys", ((key,), ()))
 
-    def apply_slice(self, ev, parts, i, inst, backward, container):
+    def match(self, ev, parts, i, inst, backward, gates):
         if self.key is None:
-            wires = _slice_wires(ev.sig, container, parts, i)
+            wires = _slice_wires(ev.sig, parts, i)
             _want(len(wires) == 2 and wires[0] == wires[1] and not wires[0].op,
                   f"{self.name} needs a C,C boundary point")
             arg = wires[0].cat
@@ -646,11 +678,12 @@ class AdjunctionUnit(Rule):
             _want(self.key in inst, f"{self.name} needs {self.needs}")
             arg = inst[self.key]
         rep = tuple(Gen(kind, (arg,)) for kind in self.kinds)
-        fn = ev.env.functor_of(rep[0])
+        fn = _read_at(ev, gates, rep, lambda ev: ev.env.functor_of(rep[0]))
 
-        def tf(vals, fibers, lobj, robj):
-            fx = fn.obj(lobj)
-            e = fn.target.identity(fx)
+        def tf(ev, vals, fibers, lobj, robj):
+            f = fn(ev)
+            fx = f.obj(lobj)
+            e = f.target.identity(fx)
             return ([e, e], [fx])
 
         return SliceOutcome(0, rep, tf)
@@ -667,18 +700,19 @@ class AdjunctionCounit(Rule):
         self.expects = f"{name} expects {expects}"
         self.disagree = f"{name} {disagree}" if disagree else self.expects
 
-    def apply_slice(self, ev, parts, i, inst, backward, container):
+    def match(self, ev, parts, i, inst, backward, gates):
         p1, p2 = _part(parts, i), _part(parts, i + 1)
         _want(isinstance(p1, Gen) and p1.kind == self.kinds[1]
               and isinstance(p2, Gen) and p2.kind == self.kinds[0], self.expects)
-        fn = ev.env.functor_of(p1)
-        _want(fn == ev.env.functor_of(p2), self.disagree)
-        d = fn.target
+        _read_at(ev, gates, (p1, p2), lambda ev: _want(
+            ev.env.functor_of(p1) == ev.env.functor_of(p2), self.disagree))
+        (w,) = boundary(p1, ev.sig)[0]
+        d = ev.env.wire_cat(w)  # F's target
 
-        def tf(vals, fibers, lobj, robj):
+        def tf(ev, vals, fibers, lobj, robj):
             return ([d.compose(*vals)], [])
 
-        return SliceOutcome(2, (Id(boundary(p1, ev.sig)[0]),), tf)
+        return SliceOutcome(2, (Id((w,)),), tf)
 
 
 class CartFork(Rule):
@@ -689,7 +723,7 @@ class CartFork(Rule):
     kinds = ("fork", "copy")
     op = False    # True: read in C^op, where a fiber's two-wire end is its left end
 
-    def apply_node(self, ev, term, inst, backward):
+    def match(self, ev, term, inst, backward, gates):
         old, new = self.kinds[::-1] if backward else self.kinds
         _want(isinstance(term, Gen) and term.kind == old,
               f"{self.name} {'backward' if backward else 'forward'} expects a {old}")
@@ -697,10 +731,10 @@ class CartFork(Rule):
         c, w = mon.base, mon.cartesian
         new_term = Gen(new, term.args, term.label)
         if backward:
-            return NodeOutcome(new_term, lambda fiber, value: w.pairing[value])
+            return NodeOutcome(new_term, lambda ev, fiber, value: w.pairing[value])
         cc, end = ev.env.boundary_cat((Wire(term.args[0]),) * 2), 0 if self.op else 1
 
-        def tf(fiber, value):
+        def tf(ev, fiber, value):
             m, n = split_obj(cc, c, c, fiber[end])
             return (c.compose(value, w.proj1[(m, n)]),
                     c.compose(value, w.proj2[(m, n)]))
@@ -722,7 +756,7 @@ class CartCounit(Rule):
     kinds = ("outport", "unit-out", "discard")
     op = False    # True: read in C^op, where a fiber's wire end is its right end
 
-    def apply_node(self, ev, term, inst, backward):
+    def match(self, ev, term, inst, backward, gates):
         port, unit, gen = self.kinds
         if backward:
             _want(isinstance(term, Gen) and term.kind == gen,
@@ -730,15 +764,15 @@ class CartCounit(Rule):
             w = _monoidal(ev, term.args[0], self.op, "cartesian").cartesian
             end = 1 if self.op else 0
             return NodeOutcome(Gen(unit, term.args, term.label),
-                               lambda fiber, value: w.terminal[fiber[end]])
+                               lambda ev, fiber, value: w.terminal[fiber[end]])
         _want(isinstance(term, Gen) and term.kind in (port, unit),
               f"{self.name} forward expects a unit {port}")
         catsym = (obj_expr_cat(term.args[0], ev.sig) if term.kind == port
                   else term.args[0])
         mon = _monoidal(ev, catsym, self.op, "cartesian")
-        _want(ev.env.functor_of(term).obj(0) == mon.unit,
-              f"{self.name} needs the unit object")
-        return NodeOutcome(Gen(gen, (catsym,), term.label), lambda fiber, value: "*")
+        _read_at(ev, gates, (term,), lambda ev: _want(
+            ev.env.functor_of(term).obj(0) == mon.unit, f"{self.name} needs the unit object"))
+        return NodeOutcome(Gen(gen, (catsym,), term.label), lambda ev, fiber, value: "*")
 
 
 class CocartUnit(CartCounit):
@@ -754,9 +788,9 @@ class Sym(Rule):
     double crossing."""
     name = "R-SYM"
 
-    def apply_slice(self, ev, parts, i, inst, backward, container):
+    def match(self, ev, parts, i, inst, backward, gates):
         if backward:
-            return self._backward(ev, parts, i, inst, container)
+            return self._backward(ev, parts, i, inst)
         for op in (False, True):
             out = self._slide(ev, parts, i, op)
             if out is not None:
@@ -765,31 +799,28 @@ class Sym(Rule):
         # (par of sources ; sym) => par swapped
         if (isinstance(p1, Par) and isinstance(p2, Gen) and p2.kind == "sym"):
             a, b = p1.top, p1.bottom
-            la, lb = boundary(a, ev.sig)[0], boundary(b, ev.sig)[0]
-            _want(la == () and lb == (), "R-SYM port slide needs source legs")
-            swapped = norm(Par(b, a))
+            _want(boundary(a, ev.sig)[0] == boundary(b, ev.sig)[0] == (),
+                  "R-SYM port slide needs source legs")
 
-            def tf(vals, fibers, lobj, robj):
-                node = ev.node(_part(parts, i))
-                (fa, va), (fb, vb) = node.split_value(fibers[0], vals[0])
+            def tf(ev, vals, fibers, lobj, robj):
+                (fa, va), (fb, vb) = ev.node(p1).split_value(fibers[0], vals[0])
                 (u, v) = vals[1]
                 pa, pb = ev.node(a).prof, ev.node(b).prof
                 va2 = pa.act(pa.source.identity(fa[0]), u, va)
                 vb2 = pb.act(pb.source.identity(fb[0]), v, vb)
                 return ([par_value(ev, b, vb2, a, va2)], [])
 
-            return SliceOutcome(2, (swapped,), tf, inverse_inst={"config": "par"})
+            return SliceOutcome(2, (norm(Par(b, a)),), tf, inverse_inst={"config": "par"})
         # (sym ; sym) cancels
         if (isinstance(p1, Gen) and p1.kind == "sym" and isinstance(p2, Gen)
                 and p2.kind == "sym"):
             _want(p1.args == (p2.args[1], p2.args[0]),
                   "R-SYM cancellation needs opposite crossings")
+            c1, c2 = map(ev.env.wire_cat, p1.args)
+            cc = ev.env.boundary_cat(p1.args)
 
-            def tf(vals, fibers, lobj, robj):
+            def tf(ev, vals, fibers, lobj, robj):
                 (u, v), (v2, u2) = vals
-                c1 = ev.env.wire_cat(p1.args[0])
-                c2 = ev.env.wire_cat(p1.args[1])
-                cc = ev.env.boundary_cat(p1.args)
                 return ([join_mors(cc, [(c1, c1.compose(u, u2)),
                                         (c2, c2.compose(v, v2))])], [])
 
@@ -809,7 +840,8 @@ class Sym(Rule):
                   f"backward R-SYM ({gen}) expects a {gen}")
         else:
             s, p = _window(parts, i, 2, op)
-            if not (_is_sym(s) and isinstance(p, Gen) and p.kind == gen):
+            if not (isinstance(s, Gen) and s.kind == "sym" and isinstance(p, Gen)
+                    and p.kind == gen):
                 return None
             _want(s.args[0] == s.args[1] == Wire(p.args[0]),
                   f"R-SYM wires must match the {gen}")
@@ -817,7 +849,7 @@ class Sym(Rule):
         c, w = mon.base, Wire(p.args[0])
         cc = ev.env.boundary_cat((w, w))
         if backward:
-            def tf(vals, fibers, lobj, robj):
+            def tf(ev, vals, fibers, lobj, robj):
                 m, n = split_obj(cc, c, c, lobj)
                 e = (c.identity(m), c.identity(n))
                 return ([e[::-1] if op else e, c.compose(mon.braid(n, m), vals[0])],
@@ -825,7 +857,7 @@ class Sym(Rule):
 
             return _read_back(SliceOutcome(1, (Gen("sym", (w, w)), p), tf), op)
 
-        def tf(vals, fibers, lobj, robj):
+        def tf(ev, vals, fibers, lobj, robj):
             (u, v), j = vals
             u, v = (v, u) if op else (u, v)
             m, n = split_obj(cc, c, c, fibers[0][0])
@@ -833,7 +865,7 @@ class Sym(Rule):
 
         return _read_back(SliceOutcome(2, (p,), tf, inverse_inst={"config": gen}), op)
 
-    def _backward(self, ev, parts, i, inst, container):
+    def _backward(self, ev, parts, i, inst):
         config = inst.get("config")
         if config in ("junction", "fork"):
             return self._slide(ev, parts, i, config == "fork", backward=True)
@@ -844,35 +876,30 @@ class Sym(Rule):
             wa = boundary(a, ev.sig)[1]
             wb = boundary(b, ev.sig)[1]
             _want(len(wa) == 1 and len(wb) == 1, "one output wire per leg")
-            rep = (norm(Par(a, b)), Gen("sym", (wa[0], wb[0])))
+            ca, cb = ev.env.wire_cat(wa[0]), ev.env.wire_cat(wb[0])
+            cc = ev.env.boundary_cat((wa[0], wb[0]))
 
-            def tf(vals, fibers, lobj, robj):
-                node = ev.node(p)
-                (fb, vb), (fa, va) = node.split_value(fibers[0], vals[0])
-                ca = ev.env.wire_cat(wa[0])
-                cb = ev.env.wire_cat(wb[0])
-                cc = ev.env.boundary_cat((wa[0], wb[0]))
+            def tf(ev, vals, fibers, lobj, robj):
+                (fb, vb), (fa, va) = ev.node(p).split_value(fibers[0], vals[0])
                 mid = join_objs(cc, [(ca, fa[1]), (cb, fb[1])])
                 return ([par_value(ev, a, va, b, vb),
                          (ca.identity(fa[1]), cb.identity(fb[1]))], [mid])
 
-            return SliceOutcome(1, rep, tf)
+            return SliceOutcome(1, (norm(Par(a, b)), Gen("sym", (wa[0], wb[0]))), tf)
         if config == "cancel":
-            wires = _slice_wires(ev.sig, container, parts, i)
+            wires = _slice_wires(ev.sig, parts, i)
             _want(len(wires) == 2, "R-SYM cancellation insertion needs two wires")
             w1, w2 = wires
-            rep = (Gen("sym", (w1, w2)), Gen("sym", (w2, w1)))
+            c1, c2 = ev.env.wire_cat(w1), ev.env.wire_cat(w2)
+            cc, ccs = ev.env.boundary_cat((w1, w2)), ev.env.boundary_cat((w2, w1))
 
-            def tf(vals, fibers, lobj, robj):
-                c1, c2 = ev.env.wire_cat(w1), ev.env.wire_cat(w2)
-                cc = ev.env.boundary_cat((w1, w2))
-                ccs = ev.env.boundary_cat((w2, w1))
+            def tf(ev, vals, fibers, lobj, robj):
                 x, y = split_obj(cc, c1, c2, lobj)
                 mid = join_objs(ccs, [(c2, y), (c1, x)])
                 return ([(c1.identity(x), c2.identity(y)),
                          (c2.identity(y), c1.identity(x))], [mid])
 
-            return SliceOutcome(0, rep, tf)
+            return SliceOutcome(0, (Gen("sym", (w1, w2)), Gen("sym", (w2, w1))), tf)
         raise MatchError("backward R-SYM needs a config instantiation")
 
 
@@ -883,7 +910,7 @@ class LaxCopy(Rule):
     kinds = ("copy",)
     op = False    # True: read in C^op, a sink merged through the canonical merge
 
-    def apply_slice(self, ev, parts, i, inst, backward, container):
+    def match(self, ev, parts, i, inst, backward, gates):
         op, (gen,) = self.op, self.kinds
         t, g = _window(parts, i, 2, op)
         _want(isinstance(g, Gen) and g.kind == gen,
@@ -892,7 +919,7 @@ class LaxCopy(Rule):
         _want(lb == () and len(rb) == 1,
               f"{self.name} needs a one-wire {'sink' if op else 'source'} leg")
 
-        def tf(vals, fibers, lobj, robj):
+        def tf(ev, vals, fibers, lobj, robj):
             v, (f1, f2) = vals
             prof = _prof(ev, t, op)
             z = prof.source.identity(0)
@@ -914,7 +941,7 @@ class LaxDiscard(Rule):
     name = "R-LAX-DISCARD"
     tag = "directed"
 
-    def apply_slice(self, ev, parts, i, inst, backward, container):
+    def match(self, ev, parts, i, inst, backward, gates):
         for op, gen in ((False, "discard"), (True, "codiscard")):
             t, g = _window(parts, i, 2, op)
             if isinstance(g, Gen) and g.kind == gen and _ends(t, ev.sig, op)[0] == ():
@@ -930,10 +957,10 @@ class ZigzagCup(Rule):
     kinds = ("cap", "cup")
     op = False    # True: read in C^op, where the snake's wire is a dual one
 
-    def apply_slice(self, ev, parts, i, inst, backward, container):
+    def match(self, ev, parts, i, inst, backward, gates):
         op, (k1, k2) = self.op, self.kinds
         if backward:
-            wires = _slice_wires(ev.sig, container, parts, i)
+            wires = _slice_wires(ev.sig, parts, i)
             _want(len(wires) == 1 and wires[0].op == op,
                   f"backward {self.name} needs a single "
                   f"{'dual' if op else 'forward'} wire")
@@ -943,7 +970,7 @@ class ZigzagCup(Rule):
             c, mid_cat = ev.env.cats[catsym], ev.env.boundary_cat((w, w.flip(), w))
             cw, cf = ev.env.wire_cat(w), ev.env.wire_cat(w.flip())
 
-            def tf(vals, fibers, lobj, robj):
+            def tf(ev, vals, fibers, lobj, robj):
                 mid = join_objs(mid_cat, [(cw, lobj), (cf, lobj), (cw, lobj)])
                 e = c.identity(lobj)
                 return ([(e, e), (e, e)], [mid])
@@ -970,7 +997,7 @@ class ZigzagCup(Rule):
         # in either reading the snake's wire is a forward one, over C
         c = ev.env.cats[catsym]
 
-        def tf(vals, fibers, lobj, robj):
+        def tf(ev, vals, fibers, lobj, robj):
             (f, cel), (uel, v) = vals
             return ([c.compose_chain(f, uel, cel, v)], [])
 
@@ -991,7 +1018,7 @@ class FunctorFuse(Rule):
     name = "R-FUNCTOR-FUSE"
     functor_keys = ((), ("F", "G"))
 
-    def apply_slice(self, ev, parts, i, inst, backward, container):
+    def match(self, ev, parts, i, inst, backward, gates):
         if backward:
             t = _part(parts, i)
             _want(isinstance(t, Gen) and t.kind == "box",
@@ -1005,14 +1032,12 @@ class FunctorFuse(Rule):
                   "instantiation does not compose to the fused functor")
             fnF = ev.env.resolve_functor(ef)
             d = fnF.target
-            rep = (Gen("box", (ef,)), Gen("box", (eg,)))
 
-            def tf(vals, fibers, lobj, robj):
-                w = vals[0]
+            def tf(ev, vals, fibers, lobj, robj):
                 fx = fnF.obj(fibers[0][0])
-                return ([d.identity(fx), w], [fx])
+                return ([d.identity(fx), vals[0]], [fx])
 
-            return SliceOutcome(1, rep, tf)
+            return SliceOutcome(1, (Gen("box", (ef,)), Gen("box", (eg,))), tf)
         p1, p2 = _part(parts, i), _part(parts, i + 1)
         _want(isinstance(p1, Gen) and p1.kind == "box"
               and isinstance(p2, Gen) and p2.kind == "box",
@@ -1022,13 +1047,12 @@ class FunctorFuse(Rule):
               "functor boxes are not composable")
         fnG = ev.env.resolve_functor(p2.args[0])
         e = fnG.target
-        fused = Gen("box", (("fcomp", p1.args[0], p2.args[0]),))
 
-        def tf(vals, fibers, lobj, robj):
+        def tf(ev, vals, fibers, lobj, robj):
             u, v = vals
             return ([e.compose(fnG.mor(u), v)], [])
 
-        return SliceOutcome(2, (fused,), tf,
+        return SliceOutcome(2, (Gen("box", (("fcomp", p1.args[0], p2.args[0]),)),), tf,
                             inverse_inst={"F": p1.args[0], "G": p2.args[0]})
 
 
@@ -1048,6 +1072,7 @@ RULES = {r.name: r for r in [
 ]}
 
 
+
 # ---------------------------------------------------------------------------
 # derivations and the checker
 
@@ -1060,6 +1085,14 @@ def strip_labels(t):
     if isinstance(t, Id):
         return Id(t.wires)
     return Gen(t.kind, t.args)
+
+
+def same_shape(ev: Evaluator, a, b):
+    """strip_labels(a) == strip_labels(b), decided once per evaluator: the
+    terms of a derivation repeat at every assignment of its sweep."""
+    if (a, b) not in ev.plans:
+        ev.plans[(a, b)] = strip_labels(a) == strip_labels(b)
+    return ev.plans[(a, b)]
 
 
 @dataclass
@@ -1152,93 +1185,70 @@ def _count(node):
                for b in node.prof.target.objects)
 
 
-# a step the oracle or the instantiation cannot support fails; it is no crash
-STEP_ERRORS = (RewriteError, StructureMissing, ShapeTypeError, FixtureError, EvalError)
-# nor is a transport, point or assertion that fails with one of these; any
-# other exception is an internal error, never a failed proof
-CHECK_ERRORS = STEP_ERRORS + (ProfunctorError, PointError)
-
-
 def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
     """Apply and semantically verify one step under the assignment `ev`
     evaluates.  Returns (new term, class map {fiber: {src rep: dst rep}})
     or None on failure."""
+    def fail(text):
+        report.fail(f"step {idx} {step.rule}: {text}")
+
     try:
         new_term, transport, inv_inst = apply_step(term, step, ev)
     except STEP_ERRORS as e:
-        report.fail(f"step {idx} {step.rule}: {e}")
-        return None
-    src = ev.node(term)
-    dst = ev.node(new_term)
+        return fail(e)
+    src, dst = ev.node(term), ev.node(new_term)
     fwd = {}
     for fiber, groups in _fiber_members(src).items():
         dst_fiber = set(dst.prof.fiber(*fiber))
-        fmap = {}
+        fmap = fwd[fiber] = {}
         for rep, members in groups.items():
             images = set()
             for m in members:
                 try:
                     images.add(transport(fiber, m))
                 except CHECK_ERRORS as e:
-                    report.fail(f"step {idx} {step.rule}: action failed on a "
-                                f"representative at fiber {fiber}: {e}")
-                    return None
+                    return fail(f"action failed on a representative at fiber {fiber}: {e}")
             if len(images) != 1:
-                report.fail(f"step {idx} {step.rule}: not well-defined on the "
-                            f"class of {src.prof.render(rep)} at fiber {fiber}")
-                return None
-            img = images.pop()
+                return fail(f"not well-defined on the class of {src.prof.render(rep)} "
+                            f"at fiber {fiber}")
+            img = fmap[rep] = images.pop()
             if img not in dst_fiber:
-                report.fail(f"step {idx} {step.rule}: image outside the target "
-                            f"set at fiber {fiber} (internal consistency failure)")
-                return None
-            fmap[rep] = img
-        fwd[fiber] = fmap
-    rule = RULES[step.rule]
+                return fail(f"image outside the target set at fiber {fiber} "
+                            f"(internal consistency failure)")
     note = ""
-    if rule.tag == "iso":
+    if RULES[step.rule].tag == "iso":
         # the syntactic inverse exists unless the rewrite dissolved the
         # structure enclosing the site (for example a snake whose parallel
         # wrapper merged into an identity); bijectivity is still enforced
         inv_step = Step(step.rule, step.path, not step.backward, inv_inst)
-        back_tr = None
         try:
             back_term, back_tr, _ = apply_step(new_term, inv_step, ev)
-            if strip_labels(back_term) != strip_labels(term):
+            if not same_shape(ev, back_term, term):
                 back_tr = None
         except (PathError, MatchError):
             back_tr = None
         except STEP_ERRORS as e:
-            report.fail(f"step {idx} {step.rule}: inverse application failed: {e}")
-            return None
+            return fail(f"inverse application failed: {e}")
         if back_tr is None:
             note = " (inverse site collapsed; bijectivity verified)"
         for fiber, groups in _fiber_members(dst).items():
             if fiber not in fwd and groups:
-                report.fail(f"step {idx} {step.rule}: not a bijection at fiber "
-                            f"{fiber} (source side is empty)")
-                return None
+                return fail(f"not a bijection at fiber {fiber} (source side is empty)")
         for fiber, fmap in fwd.items():
             dst_reps = list(dst.prof.fiber(*fiber))
             if len(fmap) != len(dst_reps) or set(fmap.values()) != set(dst_reps):
-                report.fail(f"step {idx} {step.rule}: not a bijection at fiber "
-                            f"{fiber} ({len(set(fmap.values()))} of "
-                            f"{len(dst_reps)} classes hit)")
-                return None
+                return fail(f"not a bijection at fiber {fiber} ({len(set(fmap.values()))} "
+                            f"of {len(dst_reps)} classes hit)")
             if back_tr is None:
                 continue
             for rep, img in fmap.items():
-                back = back_tr(fiber, img)
-                if back != rep:
-                    report.fail(f"step {idx} {step.rule}: backward(forward) is "
-                                f"not the identity on {src.prof.render(rep)}")
-                    return None
+                if back_tr(fiber, img) != rep:
+                    return fail(f"backward(forward) is not the identity on "
+                                f"{src.prof.render(rep)}")
             for drep in dst_reps:
-                b = back_tr(fiber, drep)
-                if transport(fiber, b) != drep:
-                    report.fail(f"step {idx} {step.rule}: forward(backward) is "
-                                f"not the identity on {dst.prof.render(drep)}")
-                    return None
+                if transport(fiber, back_tr(fiber, drep)) != drep:
+                    return fail(f"forward(backward) is not the identity on "
+                                f"{dst.prof.render(drep)}")
     report.line(f"  step {idx} {step.rule} ok: classes {_count(src)} -> "
                 f"{_count(dst)}{note}")
     return new_term, fwd
@@ -1250,47 +1260,36 @@ def check_derivation_once(deriv: Derivation, ev: Evaluator, report: Report):
     None."""
     sig = ev.sig
     if deriv.shape not in sig.shapes:
-        report.fail(f"unknown shape {deriv.shape!r}")
-        return None
+        return report.fail(f"unknown shape {deriv.shape!r}")
     term = sig.shapes[deriv.shape]
     try:
         boundary(term, sig)
     except ShapeTypeError as e:
-        report.fail(f"shape {deriv.shape} does not typecheck: {e}")
-        return None
+        return report.fail(f"shape {deriv.shape} does not typecheck: {e}")
     terms = [term]
     maps = []
     for idx, step in enumerate(deriv.steps, 1):
         out = check_step(ev, terms[-1], step, report, idx)
         if out is None:
             return None
-        new_term, fwd = out
-        terms.append(new_term)
-        maps.append(fwd)
+        terms.append(out[0])
+        maps.append(out[1])
     for (first, last) in deriv.obligations:
         if not (1 <= first <= last <= len(deriv.steps)):
-            report.fail(f"obligation {first}..{last} out of range")
-            return None
+            return report.fail(f"obligation {first}..{last} out of range")
         t0, t1 = terms[first - 1], terms[last]
-        if strip_labels(t0) != strip_labels(t1):
-            report.fail(f"obligation {first}..{last}: terms differ, composite "
-                        f"cannot be an identity")
-            return None
+        if not same_shape(ev, t0, t1):
+            return report.fail(f"obligation {first}..{last}: terms differ, composite "
+                               f"cannot be an identity")
         node = ev.node(t0)
-        ok = True
-        for fiber in _fiber_members(node):
-            for rep in node.prof.fiber(*fiber):
-                v = rep
-                for k in range(first - 1, last):
-                    v = maps[k][fiber][v]
-                if v != rep:
-                    report.fail(f"obligation {first}..{last}: composite moves "
-                                f"{node.prof.render(rep)} at fiber {fiber}")
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        moved = next(((fiber, rep) for fiber in _fiber_members(node)
+                      for rep in node.prof.fiber(*fiber)
+                      if functools.reduce(lambda v, k: maps[k][fiber][v],
+                                          range(first - 1, last), rep) != rep), None)
+        if moved:
+            report.fail(f"obligation {first}..{last}: composite moves "
+                        f"{node.prof.render(moved[1])} at fiber {moved[0]}")
+        else:
             report.line(f"  obligation identity {first}..{last} ok")
     return terms, maps
 
@@ -1298,16 +1297,8 @@ def check_derivation_once(deriv: Derivation, ev: Evaluator, report: Report):
 def script_object_symbols(script: DerivationScript, sig):
     """Object symbols used by any shape a script touches (others are not
     swept)."""
-    from .shapelang import objects_in
-    used = set()
-    shapes = [d.shape for d in script.named.values()]
-    if script.main:
-        shapes.append(script.main.shape)
-    shapes += [p.shape for p in script.points]
-    for name in shapes:
-        if name in sig.shapes:
-            used |= objects_in(sig.shapes[name])
-    return used
+    decls = list(script.named.values()) + ([script.main] if script.main else []) + script.points
+    return set().union(*(objects_in(sig.shapes[d.shape]) for d in decls if d.shape in sig.shapes))
 
 
 def check_assignments(script: DerivationScript, sig, env: Env, report: Report,

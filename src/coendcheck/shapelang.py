@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -607,6 +608,10 @@ class Env:
             env.objs = {**self.objs, **dict(zip(free, combo))}
             yield env
 
+    def assignment_count(self, only=None):
+        return math.prod(len(self.cats[self.sig.objects[sym][0]].objects)
+                         for sym in self.free_objects(only))
+
     def monoidal(self, catsym) -> MonoidalStructure:
         m = self.mons.get(catsym)
         if m is None:
@@ -739,6 +744,7 @@ class Evaluator:
         self._scopes = {}  # term -> (symbols it mentions, its bucket)
         self._memo = [{} for _ in range(len(self.free) + 1)]
         self._values = [env.objs.get(s) for s in self.free]
+        self.plans = {}  # rewrite.py's, read by every assignment of the sweep
 
     def at(self, env: Env) -> Evaluator:
         """Move to the next assignment of the sweep."""

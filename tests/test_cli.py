@@ -1,6 +1,8 @@
 import argparse
+import io
 import json
 import re
+import sys
 
 import pytest
 
@@ -609,3 +611,48 @@ def test_malformed_point_or_shape_does_not_crash(capsys, tmp_path, edit, code):
         assert "FAIL point " in out
     else:
         assert out == "" and len(err.splitlines()) == 1
+
+
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+SWEEPS = [(("check", "lens_reduction.deriv"), "meet-lattice-2"),
+          (("check", "points.deriv"), "z2"),
+          (("eval", "lens.shapes", "--shape", "lens"), "meet-lattice-2"),
+          (("eval", "lens.shapes", "--shape", "composite-reduced"), "z2")]
+
+
+@pytest.mark.parametrize("cmd,oracle", SWEEPS, ids=[" ".join(c) for c, _ in SWEEPS])
+def test_sweep_size_goes_to_a_terminal_only(capsys, monkeypatch, cmd, oracle):
+    # stderr that is a terminal hears how many assignments the sweep
+    # checks; stdout, and stderr that is not a terminal, do not change
+    argv = (cmd[0], demo_path(cmd[1]), *cmd[2:], "--bind", f"C={fixture_path(oracle)}")
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    terminal = _Terminal()
+    monkeypatch.setattr(sys, "stderr", terminal)
+    assert run(capsys, *argv)[:2] == (code, out)
+    n = sum(line.startswith("assignment: ") for line in out.splitlines()) or 1
+    assert terminal.getvalue() == f"coendcheck: {n} assignment{'s' * (n > 1)} to sweep\n"
+
+
+@pytest.mark.parametrize("cmd", [("check", "lens_reduction.deriv"),
+                                 ("eval", "lens.shapes", "--shape", "lens")])
+def test_exit_2_on_a_terminal_is_still_one_line(capsys, monkeypatch, tmp_path, cmd):
+    # a category without a monoidal structure fails the evaluation of the
+    # first assignment, before the sweep size is told
+    data = fincat.dump_fixture(fincat.load_fixture_file(fixture_path("meet-lattice-2"))[0])
+    (tmp_path / "plain.json").write_text(json.dumps(data))
+    terminal = _Terminal()
+    monkeypatch.setattr(sys, "stderr", terminal)
+    code, out, _ = run(capsys, cmd[0], demo_path(cmd[1]), *cmd[2:],
+                       "--bind", f"C={tmp_path / 'plain.json'}")
+    if cmd[0] == "eval":
+        _one_line_exit_2(code, out, terminal.getvalue())
+        assert "carries no monoidal structure" in terminal.getvalue()
+    else:
+        # check reports a missing structure as a failed step, after the
+        # sweep size
+        assert code == 1 and terminal.getvalue() == "coendcheck: 16 assignments to sweep\n"

@@ -237,7 +237,57 @@ def test_product_composes_exactly_the_composable_pairs():
                     naive[(f, g)] = p.pack_mor(tuple(
                         c.compose(a, b)
                         for c, a, b in zip(p.factors, p.mor_tuple(f), p.mor_tuple(g))))
-        assert p._compose == naive
+        assert p.composition() == naive
+        assert all(p.compose(f, g) == h for (f, g), h in naive.items())
+
+
+def _diamond6():
+    """The meet lattice z < bot < a, b < top < t, built afresh (so its
+    products are not shared with other tests)."""
+    elems = ["z", "bot", "a", "b", "top", "t"]
+    below = {"z": [], "bot": ["z"], "a": ["bot"], "b": ["bot"], "top": ["a", "b"],
+             "t": ["top"]}
+
+    def down(x):
+        return {x}.union(*(down(y) for y in below[x]))
+    return from_lattice("diamond6", elems, {(y, x) for x in elems for y in down(x)}, "meet")
+
+
+def test_product_composes_a_pair_when_first_looked_up():
+    c = _diamond6().base
+    p = product(c, opposite(c), c)
+    assert len(p.mor_names) == 20 ** 3 and len(p._compose) == 0
+    f = p.pack_mor((c.mor_id("z<bot"), c.mor_id("id_a"), c.mor_id("a<top")))
+    g = p.pack_mor((c.mor_id("bot<t"), c.mor_id("z<a"), c.mor_id("id_top")))
+    fg = p.compose(f, g)
+    assert p.mor_tuple(fg) == (c.mor_id("z<t"), c.mor_id("z<a"), c.mor_id("a<top"))
+    assert p.compose(f, g) == fg and len(p._compose) == 1
+    with pytest.raises(FixtureError, match=r"no composition entry for .* in \(diamond6"):
+        p.compose(g, f)
+    assert len(p._compose) == 1
+
+
+def test_learner_over_a_six_element_lattice_builds_few_composites():
+    # learner_reduction.deriv at A=B=bot, U=V=t over the six-element
+    # diamond: evaluating its shape builds a 160,000-morphism product
+    # with ~6.4 million composable pairs, of which the evaluation composes
+    # none
+    from coendcheck.demos import load_scripts
+    from coendcheck.shapelang import Env, Evaluator
+    mon = _diamond6()
+    c = mon.base
+    sig, _ = load_scripts("learner_reduction.deriv")
+    objs = {s: c.obj_id("t" if s in ("U", "V") else "bot") for s in sig.objects}
+    node = Evaluator(Env(sig, {"C": mon}, objs=objs)).node(sig.shapes["learner"])
+    assert node.prof.fiber(0, 0)
+    products = [p for p in _products_over(c) if len(p.mor_names) >= 160_000]
+    assert products and sum(len(p._compose) for p in products) <= 1_000
+
+
+def _products_over(c):
+    from coendcheck.fincat import _PRODUCT_CACHE
+    return [p for p in _PRODUCT_CACHE.values()
+            if p.factors and all(f in (c, opposite(c)) for f in p.factors)]
 
 
 def test_product_is_interned():

@@ -17,7 +17,7 @@ import pytest
 from coendcheck import rewrite
 from coendcheck.demos import DEMOS, load_scripts
 from coendcheck.fixtures import fixture
-from coendcheck.rewrite import (RULES, Derivation, Report, Step,
+from coendcheck.rewrite import (RULES, Derivation, Report, Step, check_assignments,
                                 check_derivation_once, script_object_symbols)
 from coendcheck.shapelang import Env, Evaluator, parse_shape_script
 
@@ -142,3 +142,123 @@ def test_cases_cover_the_shipped_rules():
     assert {"R-CART-FORK", "R-COCART-JUNCTION"} <= set(DEMO_RULES)
     assert len(DEMO_RULES) >= 16
     assert set(DEMO_RULES) | set(map(_rule, UNIT_CASES)) <= set(RULES)
+
+
+# Two faults that keep the transport a bijection on every fiber, so that
+# only the inverse round trip can catch them.  Each takes the real
+# transport and the target profunctor.
+
+def _swap(transport, dst):
+    """The first two classes of each fiber trade places."""
+    def swapped(fiber, v):
+        out, reps = transport(fiber, v), dst.fiber(*fiber)
+        return {reps[0]: reps[1], reps[1]: reps[0]}.get(out, out) if len(reps) > 1 else out
+    return swapped
+
+
+def _moves(dst, fiber):
+    """The first action on the fiber by a non-identity endomorphism of one
+    of its ends that permutes its classes and moves one, or None."""
+    (a, b), reps = fiber, set(dst.fiber(*fiber))
+    src, tgt = dst.source, dst.target
+    acts = [lambda v, e=e: dst.act(e, tgt.identity(b), v)
+            for e in src.hom(a, a) if e != src.identity(a)]
+    acts += [lambda v, e=e: dst.act(src.identity(a), e, v)
+             for e in tgt.hom(b, b) if e != tgt.identity(b)]
+    return next((act for act in acts
+                 if set(map(act, reps)) == reps and any(act(r) != r for r in reps)), None)
+
+
+def _twist(transport, dst):
+    """Each image is acted on by a non-identity endomorphism (see _moves)."""
+    def twisted(fiber, v):
+        out, act = transport(fiber, v), _moves(dst, fiber)
+        return act(out) if act else out
+    return twisted
+
+
+def _shows(fault, dst):
+    fibers = [(a, b) for a in dst.source.objects for b in dst.target.objects]
+    if fault is _swap:
+        return any(len(dst.fiber(*f)) >= 2 for f in fibers)
+    return any(_moves(dst, f) for f in fibers)
+
+
+ISO_CASES = [case for case in DEMO_RULES + sorted(UNIT_CASES)
+             if RULES[_rule(case)].tag == "iso"]
+# iso cases where no shipped step and no unit case can show the fault:
+# every target fiber there is a singleton, or has no endomorphism acting
+# on it, or the inverse site collapses, so that only bijectivity is checked
+HIDDEN = {
+    _swap: {"R-COCART-JUNCTION", "R-ZIGZAG-CAP", "R-ZIGZAG-CUP", "R-CART-COUNIT",
+            "R-COCART-UNIT"},
+    _twist: {"R-CART-FORK", "R-COCART-JUNCTION", "R-INTERCHANGE", "R-PORT-FUSE",
+             "R-SYM", "R-ZIGZAG-CAP", "R-ZIGZAG-CUP", "R-CART-COUNIT", "R-COCART-UNIT"},
+}
+
+
+def _bijective_site(case, fault):
+    """The first (sig, derivation, env, step index) where the fault can
+    show: a checked step whose inverse site did not collapse."""
+    for sig, deriv, env, ks in _runs(case):
+        report, ev = Report(), Evaluator(env)
+        out = check_derivation_once(deriv, ev, report)
+        assert out is not None and report.ok, report.text()
+        for k in ks:
+            line = next(t for t in report.lines if t.startswith(f"  step {k} "))
+            if "collapsed" not in line and _shows(fault, ev.node(out[0][k]).prof):
+                return sig, deriv, env, k
+    return None
+
+
+@pytest.mark.parametrize("fault", [_swap, _twist], ids=["swap", "twist"])
+@pytest.mark.parametrize("case", ISO_CASES)
+def test_round_trip_rejects_a_bijective_fault(case, fault, monkeypatch):
+    site = _bijective_site(case, fault)
+    if case in HIDDEN[fault]:
+        assert site is None
+        return
+    assert site is not None, f"no shipped step can show a {fault.__name__} of {case}"
+    sig, deriv, env, k = site
+    target, real = deriv.steps[k - 1], rewrite.apply_step
+
+    def faulty_apply_step(term, step, ev):
+        new_term, transport, inv = real(term, step, ev)
+        if step is target:
+            transport = fault(transport, ev.node(new_term).prof)
+        return new_term, transport, inv
+
+    monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)
+    report = Report()
+    assert check_derivation_once(deriv, Evaluator(env), report) is None
+    assert report.failures == [report.failures[0]], report.text()
+    assert report.failures[0].startswith(
+        f"step {k} {_rule(case)}: backward(forward) is not the identity on"), report.text()
+
+
+def test_fault_at_a_later_assignment_of_one_sweep_fails_that_step(monkeypatch):
+    # the sweep's evaluator plans each step once, but apply_step hands out
+    # a transport at every assignment: one that goes wrong at the last of
+    # the 16 assignments fails the step there, and only there
+    sig, script = load_scripts("lens_reduction.deriv")
+    env = Env(sig, {"C": fixture("meet-lattice-2")})
+    target = script.main.steps[5]
+    last = list(env.assignments(script_object_symbols(script, sig)))[-1].describe_objs()
+    real = rewrite.apply_step
+
+    def faulty_apply_step(term, step, ev):
+        new_term, transport, inv = real(term, step, ev)
+        if step is target and ev.env.describe_objs() == last:
+            transport = _outside(ev.node(new_term).prof)
+        return new_term, transport, inv
+
+    monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)
+    report = Report()
+    check_assignments(script, sig, env, report)
+    fails = [i for i, line in enumerate(report.lines) if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert sum(line.startswith("  step 6 R-PORT-FUSE ok") for line in report.lines) == 15
+    assert report.lines[fails[0]].startswith(f"FAIL step 6 R-PORT-FUSE: {OUTSIDE}")
+    assert max(i for i, line in enumerate(report.lines)
+               if line.startswith("assignment: ")) < fails[0]
+    assert report.lines[-1] == report.lines[fails[0]]

@@ -13,17 +13,19 @@ import pytest
 
 from coendcheck.demos import DEMOS, load_scripts
 from coendcheck.fixtures import fixture, fixture_path
+from coendcheck import rewrite
 from coendcheck.rewrite import (Report, _check_points, check_assignments,
                                 check_derivation, check_derivation_once,
-                                script_object_symbols)
-from coendcheck.shapelang import Env, Evaluator, objects_in, sweep
+                                parse_derivation_script, script_object_symbols)
+from coendcheck.shapelang import Env, Evaluator, objects_in, parse_shape_script, sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
 
 
 def naive_report(script, sig, env, epilogue=None):
-    """check_assignments' report, from a fresh evaluator per assignment."""
+    """check_assignments' report, from a fresh evaluator per assignment, and
+    so with every rewrite step planned afresh at every assignment."""
     report = Report()
     derivs = list(script.named.items()) + ([("main", script.main)] if script.main else [])
     for env_a in env.assignments(only=script_object_symbols(script, sig)):
@@ -76,6 +78,41 @@ class Spy:
         assert self.builds and max(self.builds.values()) == 1
 
 
+def _step_key(term, path, rule, backward, inst):
+    return term, tuple(path), rule, backward, tuple(sorted(inst.items()))
+
+
+class PlanSpy:
+    """Counts, per evaluator and (term, step), the rule matches (calls of
+    rewrite_at from plan_step, not its own descents) and the calls of
+    apply_step."""
+
+    def __init__(self, monkeypatch):
+        self.matches, self.applies = Counter(), Counter()
+        rewrite_at, apply_step = rewrite.rewrite_at, rewrite.apply_step
+        depth = [0]
+
+        def counted_rewrite_at(ev, term, path, rule, inst, backward, gates):
+            if not depth[0]:
+                self.matches[(ev, _step_key(term, path, rule.name, backward, inst))] += 1
+            depth[0] += 1
+            try:
+                return rewrite_at(ev, term, path, rule, inst, backward, gates)
+            finally:
+                depth[0] -= 1
+
+        def counted_apply_step(term, step, ev):
+            key = _step_key(term, step.path, step.rule, step.backward, step.inst)
+            self.applies[(ev, key)] += 1
+            return apply_step(term, step, ev)
+        monkeypatch.setattr(rewrite, "rewrite_at", counted_rewrite_at)
+        monkeypatch.setattr(rewrite, "apply_step", counted_apply_step)
+
+    def assert_each_matched_once(self):
+        assert not self.matches or max(self.matches.values()) == 1
+        assert set(self.applies) <= set(self.matches)
+
+
 def _shared_report(script, sig, env, epilogue):
     report = Report()
     check_assignments(script, sig, env, report, epilogue)
@@ -91,9 +128,10 @@ def test_shared_sweep_matches_naive_reference_on_demos(monkeypatch, name, i):
     sig, script = load_scripts(spec["script"])
     env = Env(sig, {sym: fixture(fx) for sym, fx in spec["bindings"][i].items()})
     want = naive_report(script, sig, env, spec.get("epilogue"))
-    spy = Spy(monkeypatch)
+    spy, plans = Spy(monkeypatch), PlanSpy(monkeypatch)
     assert _shared_report(script, sig, env, spec.get("epilogue")) == want
     spy.assert_each_built_once()
+    plans.assert_each_matched_once()
 
 
 def _workload(name):
@@ -119,6 +157,63 @@ def test_lens_diamond_matches_naive_reference(lens_diamond):
     spy.assert_each_built_once()
     # entries fixing A exist, so the eviction check above is not vacuous
     assert spy.live_fixing_first > 0
+
+
+def test_lens_diamond_plans_each_step_once(monkeypatch):
+    # one match per step and per inverse step, each applied at all 256
+    # assignments
+    spec, sig, script, env = _workload("lens-diamond")
+    plans = PlanSpy(monkeypatch)
+    check_derivation(script, sig, env)
+    plans.assert_each_matched_once()
+    assert len(plans.matches) == len(plans.applies) > len(script.main.steps)
+    assert set(plans.applies.values()) == {spec["assignments"]} == {256}
+
+
+GATED = """
+(category C) (category D)
+(object X C) (object Y C) (object T C) (object S D)
+(shape bent (seq (inport X) (outport X) (inport Y) (outport Y)))
+(shape port (seq (inport T) (outport T)))
+(shape d-port (seq (inport S) (outport S)))
+"""
+GATED_SCRIPT = """
+derivation eps from bent
+  step R-EPS-A at 1
+end
+derivation fuse from port
+  step R-PORT-FUSE at 0 backward with {A := X, B := Y}
+end
+derivation cross from d-port
+  step R-PORT-FUSE at 0 backward with {A := X, B := Y}
+end
+"""
+
+
+@pytest.mark.parametrize("oracle", ["meet-lattice-2", "diamond"])
+def test_gates_read_each_assignment_of_a_shared_sweep(monkeypatch, oracle):
+    # R-EPS-A compares the objects of its two ports, and backward
+    # R-PORT-FUSE compares its port's object with the tensor of its
+    # instantiation: both planned once, their verdicts still follow each
+    # assignment, as with a fresh evaluator per assignment
+    sig = parse_shape_script(GATED)
+    script = parse_derivation_script(GATED_SCRIPT, sig)
+    env = Env(sig, {"C": fixture(oracle), "D": fixture("meet-lattice-2")})
+    want = naive_report(script, sig, env)
+    plans = PlanSpy(monkeypatch)
+    assert _shared_report(script, sig, env, None) == want
+    plans.assert_each_matched_once()
+    lines = want.splitlines()
+    for rule, gate in (("R-EPS-A", "R-EPS-A ports disagree on the object"),
+                       ("R-PORT-FUSE", "port object is not the tensor of the instantiation")):
+        assert any(line.startswith(f"  step 1 {rule} ok") for line in lines)
+        assert f"FAIL step 1 {rule}: {gate}" in lines
+    # a port of D fused into ports of C changes the boundary under every
+    # assignment, but the gate, which compares object ids, comes first
+    # where it fails
+    cross = [lines[i + 1] for i, line in enumerate(lines) if line == " derivation cross from d-port:"]
+    assert set(cross) == {"FAIL step 1 R-PORT-FUSE: port object is not the tensor of the instantiation",
+                          "FAIL step 1 R-PORT-FUSE: at 2: boundary mismatch: ...<C> then <D>..."}
 
 
 STEP_RE = re.compile(r"^  step (\d+) (\S+) ok: classes \d+ -> (\d+)$")
