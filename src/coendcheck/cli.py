@@ -18,7 +18,8 @@ from .fincat import FixtureError, load_fixture_file, validate_category, validate
 from .rewrite import (Report, RewriteError, check_derivation,
                       load_derivation_script, script_object_symbols)
 from .shapelang import (Env, EvalError, ShapeSyntaxError, ShapeTypeError,
-                        StructureMissing, boundary, parse_shape_script, sweep)
+                        StructureMissing, boundary, objects_in, parse_shape_script,
+                        sweep)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -103,13 +104,14 @@ def cmd_eval(args):
     try:
         bnd = boundary(term, sig)
         env = Env(sig, bindings)
-        for k, ev in enumerate(sweep(env)):
+        only = objects_in(term)
+        for k, ev in enumerate(sweep(env, only)):
             desc = ev.env.describe_objs()
             if desc:
                 report.line(f"assignment: {desc}")
             node = ev.node(term)
             if k == 0:  # the inputs are valid: the others read the same bindings
-                _announce(env.assignment_count())
+                _announce(env.assignment_count(only))
             if bnd == ((), ()):
                 fib = node.prof.fiber(0, 0)
                 report.line(f"classes: {len(fib)}")
@@ -183,13 +185,14 @@ def build_parser():
     p = sub.add_parser("check", help="check a derivation script")
     p.add_argument("script")
     p.add_argument("--bind", action="append", metavar="SYM=PATH")
+    p.add_argument("--fail-fast", action="store_true")
 
     p = sub.add_parser("demo", help="run a shipped demo (or 'list')")
     p.add_argument("name")
+    p.add_argument("--fail-fast", action="store_true")
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--fail-fast", action="store_true")
     return ap
 
 

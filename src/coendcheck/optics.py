@@ -36,11 +36,27 @@ class Lens:
     bwd: int   # f: residual (x) y -> b
 
 
-class LensSpace:
+class CoendSpace:
+    """A set of processes over one oracle, as the coend over `cat` of the
+    profunctor with fibers `fib` and action `act`.  `cls` is the class of
+    an element given by its residual object and its components."""
+
+    def __init__(self, cat, fib, act, name):
+        self.prof = ConcreteProf(cat, cat, fib, act, name=name)
+        self.coend = CoendSet(self.prof)
+
+    def cls(self, m, *v):
+        return self.coend.rep(m, v[0] if len(v) == 1 else v)
+
+    @property
+    def class_count(self):
+        return self.coend.class_count
+
+
+class LensSpace(CoendSpace):
     """The set of lenses of one type over one oracle, as a coend."""
 
     def __init__(self, mon: MonoidalStructure, typ: OpticType):
-        self.mon = mon
         self.typ = typ
         c = mon.base
         for o in (typ.a, typ.b, typ.x, typ.y):
@@ -56,11 +72,10 @@ class LensSpace:
             return (c.compose(g, mon.tensor_m(gm, c.identity(typ.x))),
                     c.compose(mon.tensor_m(fm, c.identity(typ.y)), f))
 
-        self.prof = ConcreteProf(c, c, fib, act, name="lens")
-        self.coend = CoendSet(self.prof)
+        super().__init__(c, fib, act, "lens")
 
     def cls(self, m, g, f) -> Lens:
-        rep_m, (rep_g, rep_f) = self.coend.rep(m, (g, f))
+        rep_m, (rep_g, rep_f) = super().cls(m, g, f)
         return Lens(self.typ, rep_m, rep_g, rep_f)
 
     def all(self):
@@ -68,10 +83,6 @@ class LensSpace:
 
     def members(self, lens: Lens):
         return self.coend.members((lens.residual, (lens.fwd, lens.bwd)))
-
-    @property
-    def class_count(self):
-        return self.coend.class_count
 
 
 def lens_set(mon, a, b, x, y) -> LensSpace:
@@ -84,19 +95,16 @@ def identity_optic(mon, a, b) -> Lens:
     return space.cls(mon.unit, c.identity(a), c.identity(b))
 
 
-def _require_cartesian(mon):
-    if mon.cartesian is None:
-        raise StructureMissing(f"{mon.base.name} carries no cartesian witness")
-
-
-def _require_cocartesian(mon):
-    if mon.cocartesian is None:
-        raise StructureMissing(f"{mon.base.name} carries no cocartesian witness")
+def _require(mon, what):
+    """Raise StructureMissing unless `mon` has the structure whose attribute
+    is the first word of `what` ("cartesian witness", "braiding")."""
+    if getattr(mon, what.split()[0]) is None:
+        raise StructureMissing(f"{mon.base.name} carries no {what}")
 
 
 def lens_to_pair(lens: Lens, mon):
     """A cartesian lens is a view morphism a -> x and an update a(x)y -> b."""
-    _require_cartesian(mon)
+    _require(mon, "cartesian witness")
     c, w, t = mon.base, mon.cartesian, lens.typ
     m = lens.residual
     view = c.compose(lens.fwd, w.proj2[(m, t.x)])
@@ -106,7 +114,7 @@ def lens_to_pair(lens: Lens, mon):
 
 
 def pair_to_lens(mon, typ: OpticType, view, update) -> Lens:
-    _require_cartesian(mon)
+    _require(mon, "cartesian witness")
     c, w = mon.base, mon.cartesian
     g = w.pairing[(c.identity(typ.a), view)]
     return lens_set(mon, typ.a, typ.b, typ.x, typ.y).cls(typ.a, g, update)
@@ -115,7 +123,7 @@ def pair_to_lens(mon, typ: OpticType, view, update) -> Lens:
 def prism_to_pair(lens: Lens, mon):
     """A cocartesian lens (a prism) is a match a -> b (+) x and a build
     y -> b."""
-    _require_cocartesian(mon)
+    _require(mon, "cocartesian witness")
     c, w, t = mon.base, mon.cocartesian, lens.typ
     m = lens.residual
     build = c.compose(w.inj2[(m, t.y)], lens.bwd)
@@ -125,7 +133,7 @@ def prism_to_pair(lens: Lens, mon):
 
 
 def pair_to_prism(mon, typ: OpticType, match, build) -> Lens:
-    _require_cocartesian(mon)
+    _require(mon, "cocartesian witness")
     c, w = mon.base, mon.cocartesian
     f = w.copairing[(c.identity(typ.b), build)]
     return lens_set(mon, typ.a, typ.b, typ.x, typ.y).cls(typ.b, match, f)
@@ -156,8 +164,7 @@ def compose_optic(l1: Lens, l2: Lens, mon) -> Lens:
 def compose_optic_crossed(l1: Lens, l2: Lens, mon) -> Lens:
     """The crossed composition: (a,y)->(x,v) with (x,b)->(u,y) gives
     (a,b)->(u,v), using the braiding of the base."""
-    if mon.braiding is None:
-        raise StructureMissing(f"{mon.base.name} carries no braiding")
+    _require(mon, "braiding")
     t1, t2 = l1.typ, l2.typ
     if t1.x != t2.a or t1.b != t2.y:
         raise OpticError("crossed optic boundaries do not match")
@@ -174,33 +181,18 @@ def compose_optic_crossed(l1: Lens, l2: Lens, mon) -> Lens:
 # feedback
 
 
-class FeedbackSpace:
+def feedback_set(mon, x, y) -> CoendSpace:
     """Stateful processes x -> y modulo sliding the state morphisms."""
+    c = mon.base
 
-    def __init__(self, mon: MonoidalStructure, x, y):
-        self.mon, self.x, self.y = mon, x, y
-        c = mon.base
+    def fib(m1, m2):
+        return c.hom(mon.tensor(m1, x), mon.tensor(m2, y))
 
-        def fib(m1, m2):
-            return c.hom(mon.tensor(m1, x), mon.tensor(m2, y))
+    def act(fm, gm, h):
+        return c.compose(mon.tensor_m(fm, c.identity(x)),
+                         c.compose(h, mon.tensor_m(gm, c.identity(y))))
 
-        def act(fm, gm, h):
-            return c.compose(mon.tensor_m(fm, c.identity(x)),
-                             c.compose(h, mon.tensor_m(gm, c.identity(y))))
-
-        self.prof = ConcreteProf(c, c, fib, act, name="feedback")
-        self.coend = CoendSet(self.prof)
-
-    def cls(self, m, h):
-        return self.coend.rep(m, h)
-
-    @property
-    def class_count(self):
-        return self.coend.class_count
-
-
-def feedback_set(mon, x, y) -> FeedbackSpace:
-    return FeedbackSpace(mon, x, y)
+    return CoendSpace(c, fib, act, "feedback")
 
 
 def lens_to_feedback(lens: Lens, mon):
@@ -218,14 +210,13 @@ def lens_to_feedback(lens: Lens, mon):
 # learners
 
 
-class LearnerSpace:
+class LearnerSpace(CoendSpace):
     """The monoidal learner set: pairs of stateful maps between p(x)a and
-    q(x)b, with both parameter objects quotiented."""
+    q(x)b, with both parameter objects quotiented, as a coend over C x C."""
 
     def __init__(self, mon: MonoidalStructure, a, b):
-        self.mon, self.a, self.b = mon, a, b
-        c = mon.base
-        cc = product(c, c)
+        c = self.base = mon.base
+        cc = self.pair_cat = product(c, c)
 
         def fib(s, t):
             p1, q1 = split_obj(cc, c, c, s)
@@ -245,70 +236,47 @@ class LearnerSpace:
                     c.compose(mon.tensor_m(f2, ib),
                               c.compose(h2, mon.tensor_m(g1, ia))))
 
-        self.prof = ConcreteProf(cc, cc, fib, act, name="learner")
-        self.coend = CoendSet(self.prof)
-        self.pair_cat = cc
+        super().__init__(cc, fib, act, "learner")
 
     def cls(self, p, q, h1, h2):
-        c = self.mon.base
-        s = join_objs(self.pair_cat, [(c, p), (c, q)])
-        return self.coend.rep(s, (h1, h2))
-
-    @property
-    def class_count(self):
-        return self.coend.class_count
+        s = join_objs(self.pair_cat, [(self.base, p), (self.base, q)])
+        return super().cls(s, h1, h2)
 
 
 def learner_set(mon, a, b) -> LearnerSpace:
     return LearnerSpace(mon, a, b)
 
 
-class TripleSpace:
+def learner_triples(mon, a, b) -> CoendSpace:
     """The cartesian learner set: implement, request and update morphisms
     sharing one parameter object, quotiented over the parameter."""
+    _require(mon, "cartesian witness")
+    c = mon.base
+    ia, ib = c.identity(a), c.identity(b)
 
-    def __init__(self, mon: MonoidalStructure, a, b):
-        _require_cartesian(mon)
-        self.mon, self.a, self.b = mon, a, b
-        c = mon.base
+    def fib(p1, p2):
+        pa1 = mon.tensor(p1, a)
+        pab1 = mon.tensor(pa1, b)
+        return tuple((i, r, u)
+                     for i in c.hom(pa1, b)
+                     for r in c.hom(pab1, a)
+                     for u in c.hom(pab1, p2))
 
-        def fib(p1, p2):
-            pa1 = mon.tensor(p1, a)
-            pab1 = mon.tensor(pa1, b)
-            return tuple((i, r, u)
-                         for i in c.hom(pa1, b)
-                         for r in c.hom(pab1, a)
-                         for u in c.hom(pab1, p2))
+    def act(fm, gm, v):
+        i, r, u = v
+        fa = mon.tensor_m(fm, ia)
+        fab = mon.tensor_m(fa, ib)
+        return (c.compose(fa, i), c.compose(fab, r),
+                c.compose(fab, c.compose(u, gm)))
 
-        def act(fm, gm, v):
-            i, r, u = v
-            c_ = c
-            ia, ib = c.identity(a), c.identity(b)
-            fa = mon.tensor_m(fm, ia)
-            fab = mon.tensor_m(fa, ib)
-            return (c_.compose(fa, i), c_.compose(fab, r),
-                    c_.compose(fab, c_.compose(u, gm)))
-
-        self.prof = ConcreteProf(c, c, fib, act, name="learner-triple")
-        self.coend = CoendSet(self.prof)
-
-    def cls(self, p, i, r, u):
-        return self.coend.rep(p, (i, r, u))
-
-    @property
-    def class_count(self):
-        return self.coend.class_count
-
-
-def learner_triples(mon, a, b) -> TripleSpace:
-    return TripleSpace(mon, a, b)
+    return CoendSpace(c, fib, act, "learner-triple")
 
 
 def learner_reduce(mon, a, b, learner_cls, space: LearnerSpace = None,
-                   triples: TripleSpace = None):
+                   triples: CoendSpace = None):
     """Reduce a monoidal learner class to an (implement, request, update)
     triple class over a cartesian oracle."""
-    _require_cartesian(mon)
+    _require(mon, "cartesian witness")
     c, w = mon.base, mon.cartesian
     space = space or learner_set(mon, a, b)
     triples = triples or learner_triples(mon, a, b)
@@ -325,7 +293,7 @@ def learner_reduce(mon, a, b, learner_cls, space: LearnerSpace = None,
 def triple_to_learner(mon, a, b, triple_cls, space: LearnerSpace = None):
     """Inverse direction: realize a triple as a learner with the second
     parameter chosen as p (x) a."""
-    _require_cartesian(mon)
+    _require(mon, "cartesian witness")
     c, w = mon.base, mon.cartesian
     space = space or learner_set(mon, a, b)
     p, (i, r, u) = triple_cls

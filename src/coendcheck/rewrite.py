@@ -1188,7 +1188,9 @@ def _count(node):
 def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
     """Apply and semantically verify one step under the assignment `ev`
     evaluates.  Returns (new term, class map {fiber: {src rep: dst rep}})
-    or None on failure."""
+    or None on failure.  The map holds every non-empty fiber of the source
+    and every class of it, in fiber order: obligations and the demos'
+    composites read them there."""
     def fail(text):
         report.fail(f"step {idx} {step.rule}: {text}")
 
@@ -1281,14 +1283,13 @@ def check_derivation_once(deriv: Derivation, ev: Evaluator, report: Report):
         if not same_shape(ev, t0, t1):
             return report.fail(f"obligation {first}..{last}: terms differ, composite "
                                f"cannot be an identity")
-        node = ev.node(t0)
-        moved = next(((fiber, rep) for fiber in _fiber_members(node)
-                      for rep in node.prof.fiber(*fiber)
+        moved = next(((fiber, rep) for fiber, fmap in maps[first - 1].items()
+                      for rep in fmap
                       if functools.reduce(lambda v, k: maps[k][fiber][v],
                                           range(first - 1, last), rep) != rep), None)
         if moved:
             report.fail(f"obligation {first}..{last}: composite moves "
-                        f"{node.prof.render(moved[1])} at fiber {moved[0]}")
+                        f"{ev.node(t0).prof.render(moved[1])} at fiber {moved[0]}")
         else:
             report.line(f"  obligation identity {first}..{last} ok")
     return terms, maps
@@ -1474,24 +1475,17 @@ def _parse_step_line(rest, sig):
     if len(toks) < 3 or toks[1] != "at":
         raise RewriteError(f"malformed step line: step {rest!r}")
     rule, _, tail = toks
-    tail = tail.strip()
-    backward = False
     inst = {}
     if tail.endswith("}") and " with " in tail:
         tail, bindings = tail.split(" with ", 1)
         inst = _parse_bindings(bindings, sig)
-        tail = tail.strip()
-    if tail.endswith(" backward"):
-        backward = True
-        tail = tail[:-len(" backward")].strip()
-    elif tail == "backward":
+    words = tail.split()
+    if words == ["backward"]:
         raise RewriteError("step needs a path before 'backward'")
-    path = _parse_path(tail.split()[0])
-    if len(tail.split()) > 1:
-        if tail.split()[1] == "backward":
-            backward = True
-        else:
-            raise RewriteError(f"unexpected token after path: {tail!r}")
+    path = _parse_path(words[0])
+    backward = words[1:] == ["backward"]
+    if len(words) > 1 + backward:
+        raise RewriteError(f"unexpected token after path: {tail.strip()!r}")
     return Step(rule, path, backward, inst)
 
 

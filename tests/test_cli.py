@@ -48,6 +48,25 @@ def test_eval_feedback_z2_prints_two_classes(capsys):
     assert "classes: 2" in out
 
 
+def test_eval_sweeps_only_the_symbols_of_the_shape(capsys):
+    # lens reads A, B, X and Y of the six object symbols of lens.shapes:
+    # over meet-lattice-2 that is 16 assignments, each evaluated once
+    code, out, _ = run(capsys, "eval", demo_path("lens.shapes"), "--shape", "lens",
+                       "--bind", f"C={fixture_path('meet-lattice-2')}")
+    heads = [line for line in out.splitlines() if line.startswith("assignment: ")]
+    assert code == 0 and len(heads) == len(set(heads)) == 16
+    assert heads[0] == "assignment: A=0 B=0 X=0 Y=0"
+
+
+def test_eval_of_an_open_shape_lists_its_fibers(capsys):
+    code, out, err = run(capsys, "eval", demo_path("adjunctions.shapes"), "--shape", "in-leg",
+                         "--bind", f"C={fixture_path('meet-lattice-2')}",
+                         "--bind", f"D={fixture_path('z2')}")
+    assert (code, err) == (0, "")
+    assert out == ("assignment: A=0\n  fiber (*,0): 1\n  fiber (*,1): 1\nclasses: 2\n"
+                   "assignment: A=1\n  fiber (*,1): 1\nclasses: 1\n")
+
+
 def test_eval_unknown_shape(capsys):
     code, _, err = run(capsys, "eval", demo_path("feedback.shapes"),
                        "--shape", "nope", "--bind", f"C={fixture_path('z2')}")
@@ -96,6 +115,14 @@ def test_demo_exit_codes_and_determinism(capsys):
     assert out1 == out2
 
 
+def test_demo_list(capsys):
+    from coendcheck.demos import DEMOS
+    code, out, err = run(capsys, "demo", "list")
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{name}: {spec['blurb']}\n" for name, spec in sorted(DEMOS.items()))
+    assert len(out.splitlines()) == 11
+
+
 def test_demo_unknown(capsys):
     code, out, err = run(capsys, "demo", "nope")
     _one_line_exit_2(code, out, err)
@@ -128,6 +155,16 @@ def test_fail_fast_stops_early(capsys):
     code, out, _ = run(capsys, "check", demo_path("bad_backward.deriv"),
                        "--bind", f"C={fixture_path('z2')}", "--fail-fast")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [("validate", fixture_path("z2")),
+                                  ("eval", demo_path("lens.shapes"), "--shape", "lens")])
+def test_fail_fast_is_an_option_of_check_and_demo_only(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main([*argv, "--fail-fast"])
+    assert stop.value.code == 2
+    assert "unrecognized arguments: --fail-fast" in capsys.readouterr().err
+    assert run(capsys, "demo", "points", "--fail-fast")[0] == 0
 
 
 def test_validate_non_object_fixture(capsys, tmp_path):

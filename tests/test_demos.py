@@ -6,14 +6,16 @@ import hashlib
 import itertools
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from coendcheck.demos import DEMOS, load_scripts, run_demo
-from coendcheck.fixtures import build
+from coendcheck.demos import DEMOS, _confirm, load_scripts, run_demo
+from coendcheck.fixtures import build, fixture
 from coendcheck.optics import (apply_lens, compose_optic,
                                compose_optic_crossed, learner_reduce,
                                learner_set, learner_triples, lens_set,
@@ -21,8 +23,9 @@ from coendcheck.optics import (apply_lens, compose_optic,
                                lenses_to_learner, prism_to_pair)
 from coendcheck.pointed import OpenDiagram, lift_many
 from coendcheck.profunctor import split_obj
-from coendcheck.rewrite import strip_labels
-from coendcheck.shapelang import Env, Evaluator
+from coendcheck.rewrite import (Report, _count, check_derivation_once,
+                                script_object_symbols, strip_labels)
+from coendcheck.shapelang import Env, Evaluator, sweep
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,6 +53,81 @@ def test_demo_runs_clean(name):
     assert report.ok, report.text()
     # the report bytes are pinned by the benchmark's recorded digests
     assert hashlib.sha1(report.text().encode("utf-8")).hexdigest() == DEMO_DIGESTS[name]
+
+
+def _floor_python():
+    """The interpreter of the requires-python floor, if one on PATH starts."""
+    floor = re.search(r'requires-python = ">=(\d+\.\d+)"',
+                      (ROOT / "pyproject.toml").read_text()).group(1)
+    exe = shutil.which(f"python{floor}")
+    if exe and subprocess.run([exe, "-c", ""], capture_output=True).returncode == 0:
+        return exe
+    return None
+
+
+@pytest.mark.skipif(_floor_python() is None,
+                    reason="no interpreter of the requires-python floor on PATH")
+def test_demo_runs_under_the_oldest_supported_python():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([_floor_python(), "-m", "coendcheck.cli", "demo", "points"],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == run_demo("points").text()
+
+
+def _checked_main(name, pick=lambda ev, terms, maps: any(maps[-1].values())):
+    """(evaluator, terms, maps) of a demo's main derivation at the first
+    assignment of its first binding that `pick` accepts; by default, one
+    where its last class map is not empty."""
+    spec = DEMOS[name]
+    sig, script = load_scripts(spec["script"])
+    env = Env(sig, {sym: fixture(fx) for sym, fx in spec["bindings"][0].items()})
+    for ev in sweep(env, script_object_symbols(script, sig)):
+        terms, maps = check_derivation_once(script.main, ev, Report())
+        if pick(ev, terms, maps):
+            return ev, terms, maps
+
+
+@pytest.mark.parametrize("name", ["lens_reduction", "prism_reduction", "learner_reduction"])
+def test_confirmation_fails_on_a_composite_that_is_not_a_bijection(name):
+    ev, terms, maps = _checked_main(name)
+    ok = Report()
+    DEMOS[name]["epilogue"](ok, ev, terms, maps)
+    assert ok.ok and ok.lines[0].startswith("  composite bijection: ")
+    confirmed = ok.lines[1].removeprefix("  confirmed: ")
+    # the last map sends one fiber's classes outside the target fiber
+    fiber, fmap = next((f, m) for f, m in maps[-1].items() if m)
+    bad = Report()
+    DEMOS[name]["epilogue"](bad, ev, terms,
+                            maps[:-1] + [{**maps[-1], fiber: dict.fromkeys(fmap, None)}])
+    assert bad.lines[0] == ok.lines[0].replace("composite bijection", "composite map")
+    assert bad.failures == ["expected: " + confirmed]
+    # a derivation of no steps composes to the identity
+    none = Report()
+    DEMOS[name]["epilogue"](none, ev, terms[:1], [])
+    assert none.lines[0].startswith("  composite bijection: ")
+
+
+def test_confirmation_fails_on_a_wrong_count():
+    ev, terms, maps = _checked_main("lens_apply")
+    report = Report()
+    _confirm("no classes", lambda C, mon, objs: -1)(report, ev, terms, maps)
+    assert report.failures == [f"expected: no classes = -1 at {ev.env.describe_objs()}"]
+    assert report.lines == ["FAIL " + report.failures[0]]
+
+
+def test_confirmation_counts_the_first_term_when_asked():
+    # lens_apply plugs a lens of no class into an arrow of one class at
+    # some assignments
+    def counts(ev, terms):
+        return [_count(ev.node(t)) for t in (terms[0], terms[-1])]
+    ev, terms, maps = _checked_main("lens_apply", lambda ev, terms, maps:
+                                    len(set(counts(ev, terms))) == 2)
+    for first, n in zip((True, False), counts(ev, terms)):
+        report = Report()
+        _confirm("classes", lambda C, mon, objs: n, first=first)(report, ev, terms, maps)
+        assert report.ok, report.text()
 
 
 def _ids(c, *objs):

@@ -3,8 +3,9 @@ import pytest
 from coendcheck import rewrite
 from coendcheck.fixtures import build
 from coendcheck.profunctor import ProfunctorError, constant_prof
+from coendcheck.fixtures import FIXTURE_NAMES
 from coendcheck.rewrite import (Derivation, DirectionError, MatchError, Report,
-                                Step, apply_step, check_derivation,
+                                RewriteError, Step, apply_step, check_derivation,
                                 check_derivation_once, parse_derivation_script,
                                 strip_labels)
 from coendcheck.shapelang import (Env, Evaluator, Gen, Id, Par, Seq,
@@ -911,3 +912,47 @@ def test_sym_slides_a_braiding_that_is_not_an_identity(shape):
             assert report.ok, report.text()
             assert report.text().count("step 1 R-SYM ok") == (36 if shape == "sym-junction" else 6)
     assert not report.ok
+
+
+ROUND_TRIP_SCRIPT = """
+(category C)
+(object A C) (object B C) (object X C)
+(shape par-sym (seq (par (inport A) (inport B)) (sym C C)))
+(shape par3 (par (par (inport A) (inport B)) (inport X)))
+"""
+
+
+@pytest.mark.parametrize("oracle", FIXTURE_NAMES)
+@pytest.mark.parametrize("shape, steps", [
+    ("par-sym", "step R-SYM at 0\nstep R-SYM at 0 backward with {config := par}"),
+    ("par3", "step R-ASSOC at root\nstep R-ASSOC at root backward"),
+], ids=["sym-par", "assoc"])
+def test_par_rewrite_then_its_backward_is_the_identity(oracle, shape, steps):
+    # R-SYM swapping a par of sources, then R-SYM (config := par) backward;
+    # R-ASSOC forward, then backward: each pair composes to the identity
+    sig = parse_shape_script(ROUND_TRIP_SCRIPT)
+    script = parse_derivation_script(f"derive {shape}\n{steps}\nobligation identity 1 2\n",
+                                     sig)
+    text = check_derivation(script, sig, Env(sig, {"C": build(oracle)})).text()
+    n = text.count("assignment: ")
+    assert n > 0 and text.count("obligation identity 1..2 ok") == n, text
+    assert text.endswith("result: ok\n"), text
+
+
+@pytest.mark.parametrize("line, step", [
+    ("step R-YONEDA-L at 0", Step("R-YONEDA-L", (0,))),
+    ("step R-YONEDA-L at 0 backward", Step("R-YONEDA-L", (0,), True)),
+    ("step R-SYM at 1.0 backward with {config := par}",
+     Step("R-SYM", (1, 0), True, {"config": "par"})),
+])
+def test_step_line_parses(sig, line, step):
+    assert parse_derivation_script(f"derive arrow\n{line}\n", sig).main.steps == [step]
+
+
+@pytest.mark.parametrize("tail", ["0 junk", "0 backward junk", "0 backward backward",
+                                  "0 junk backward", "0 backward junk with {config := par}"])
+def test_step_line_refuses_trailing_tokens(sig, tail):
+    with pytest.raises(RewriteError, match="^unexpected token after path: '0 "):
+        parse_derivation_script(f"derive arrow\nstep R-YONEDA-L at {tail}\n", sig)
+    with pytest.raises(RewriteError, match="^step needs a path before 'backward'$"):
+        parse_derivation_script("derive arrow\nstep R-YONEDA-L at backward\n", sig)

@@ -46,17 +46,28 @@ UNIT_LEGS = parse_shape_script("""
 (shape sym-hom (seq (sym C C) (id C C @w)))
 (shape fork-sym (seq (inport A) (fork C) (sym C C)))
 (shape codiscard-port (seq (codiscard C) (outport A)))
+(shape par-sym (seq (par (inport A) (inport A)) (sym C C)))
+(shape par3 (par (par (inport A) (inport A)) (inport A)))
 """)
 
-# a rule no shipped derivation applies, or a mirror side of one that no
-# shipped step reaches ("RULE:side"): (shape, oracle, path)
+SYM_PAR = Step("R-SYM", (0,))
+ASSOC = Step("R-ASSOC", ())
+
+# a rule no shipped derivation applies, or a mirror side or configuration
+# of one that no shipped step reaches ("RULE:side"): (shape, oracle, steps),
+# the last step applying the case's rule
 UNIT_CASES = {
-    "R-CART-COUNIT": ("unit-out-leg", "meet-lattice-2", (1,)),
-    "R-COCART-UNIT": ("unit-in-leg", "join-lattice-2", (0,)),
-    "R-YONEDA-R": ("port-hom", "z2", (0,)),
-    "R-YONEDA-R:sym": ("sym-hom", "z2", (0,)),
-    "R-SYM:fork": ("fork-sym", "z2", (1,)),
-    "R-LAX-DISCARD:codiscard": ("codiscard-port", "z2", (0,)),
+    "R-CART-COUNIT": ("unit-out-leg", "meet-lattice-2", [Step("R-CART-COUNIT", (1,))]),
+    "R-COCART-UNIT": ("unit-in-leg", "join-lattice-2", [Step("R-COCART-UNIT", (0,))]),
+    "R-YONEDA-R": ("port-hom", "z2", [Step("R-YONEDA-R", (0,))]),
+    "R-YONEDA-R:sym": ("sym-hom", "z2", [Step("R-YONEDA-R", (0,))]),
+    "R-SYM:fork": ("fork-sym", "z2", [Step("R-SYM", (1,))]),
+    "R-SYM:par": ("par-sym", "z2", [SYM_PAR]),
+    "R-SYM:par-backward": ("par-sym", "z2",
+                           [SYM_PAR, Step("R-SYM", (0,), True, {"config": "par"})]),
+    "R-LAX-DISCARD:codiscard": ("codiscard-port", "z2", [Step("R-LAX-DISCARD", (0,))]),
+    "R-ASSOC": ("par3", "z2", [ASSOC]),
+    "R-ASSOC:backward": ("par3", "z2", [ASSOC, Step("R-ASSOC", (), True)]),
 }
 
 
@@ -69,10 +80,10 @@ def _runs(case):
     registry, binding and assignment order."""
     rule = _rule(case)
     if case in UNIT_CASES:
-        shape, oracle, path = UNIT_CASES[case]
-        deriv = Derivation("t", shape, [Step(rule, path)])
+        shape, oracle, steps = UNIT_CASES[case]
+        deriv = Derivation("t", shape, list(steps))
         for env in Env(UNIT_LEGS, {"C": fixture(oracle)}).assignments():
-            yield UNIT_LEGS, deriv, env, [1]
+            yield UNIT_LEGS, deriv, env, [len(steps)]
         return
     for sig, script, deriv, bindings in _derivations():
         ks = [k for k, step in enumerate(deriv.steps, 1) if step.rule == rule]
