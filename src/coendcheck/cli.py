@@ -109,17 +109,17 @@ def cmd_eval(args):
             desc = ev.env.describe_objs()
             if desc:
                 report.line(f"assignment: {desc}")
-            node = ev.node(term)
+            prof = ev.node(term)
             if k == 0:  # the inputs are valid: the others read the same bindings
                 _announce(env.assignment_count(only))
             if bnd == ((), ()):
-                fib = node.prof.fiber(0, 0)
+                fib = prof.fiber(0, 0)
                 report.line(f"classes: {len(fib)}")
                 for v in fib:
-                    report.line(f"  {node.prof.render(v)}")
+                    report.line(f"  {prof.render(v)}")
             else:
-                src, tgt = node.prof.source, node.prof.target
-                sizes = [(a, b, len(node.prof.fiber(a, b)))
+                src, tgt = prof.source, prof.target
+                sizes = [(a, b, len(prof.fiber(a, b)))
                          for a in src.objects for b in tgt.objects]
                 for a, b, n in sizes:
                     if n:
@@ -141,10 +141,12 @@ def cmd_check(args):
     bindings = _parse_bindings(args.bind)
     try:
         env = Env(sig, bindings)
-    except (EvalError, FixtureError) as e:
+        _announce(env.assignment_count(script_object_symbols(script, sig)))
+        report = check_derivation(script, sig, env, fail_fast=args.fail_fast)
+    except (EvalError, FixtureError, StructureMissing) as e:
+        # the bindings lack a structure or named profunctor that a shape
+        # needs; a step that needs one fails instead
         raise InputError(str(e))
-    _announce(env.assignment_count(script_object_symbols(script, sig)))
-    report = check_derivation(script, sig, env, fail_fast=args.fail_fast)
     _emit(report, args.format)
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 

@@ -30,8 +30,8 @@ def _composite_bijection(report, ev, terms, maps, label):
     whether the composite is a bijection: injective into the target fiber
     at every source fiber, with as many classes on both sides.  The first
     map's keys are the source's non-empty fibers and all their classes."""
-    n_src, n_dst = _count(ev.node(terms[0])), _count(ev.node(terms[-1]))
-    dst = ev.node(terms[-1]).prof
+    dst = ev.node(terms[-1])
+    n_src, n_dst = _count(ev.node(terms[0])), _count(dst)
     bij = n_src == n_dst
     for fiber, fmap in (maps[0].items() if maps else ()):
         image = set()

@@ -815,16 +815,33 @@ def _split_pair(key):
     return parts[0], parts[1]
 
 
-def _triples(entries, key):
-    for e in entries:
-        if len(e) != 3:
-            raise FixtureError(f"{key} entry {e!r} is not a triple")
-    return entries
-
-
 # the two witness blocks; their dataclass fields share one order (the two
 # (co)projections, the (co)pairing, the terminal/initial points)
 _WITNESSES = (("cartesian", CartesianWitness), ("cocartesian", CocartesianWitness))
+
+# the JSON shape of a fixture: str is a string, [s] an array of s, [s, ...]
+# an array of as many s, {"": s} an object of s, and another dict an object
+# whose keys named in it have their shapes
+_TABLE, _TRIPLES = {"": str}, [[str] * 3]
+_SCHEMA = {"name": str, "objects": [str], "homs": {"": [str]}, "compose": _TRIPLES,
+           "identities": _TABLE, "monoidal": {
+               "tensor_obj": _TABLE, "tensor_mor": _TRIPLES, "unit": str, "braiding": _TABLE,
+               **{key: dict(zip((f.name for f in fields(cls)), (_TABLE, _TABLE, _TRIPLES, _TABLE)))
+                  for key, cls in _WITNESSES}}}
+_JSON_TYPES = {str: "string", list: "array", dict: "object"}
+
+
+def _check_shape(value, shape, where):
+    """Raise FixtureError unless `value` has the JSON `shape`."""
+    kind = shape if shape is str else type(shape)
+    if not isinstance(value, kind):
+        raise FixtureError(f"{where} must be a JSON {_JSON_TYPES[kind]}")
+    if kind is list and len(shape) > 1 and len(value) != len(shape):
+        raise FixtureError(f"{where} must have {len(shape)} entries")
+    for k, v in enumerate(value) if kind is list else value.items() if kind is dict else ():
+        sub = shape[0] if kind is list else shape.get("", shape.get(k))
+        if sub is not None:
+            _check_shape(v, sub, f"{where}[{k!r}]")
 
 
 def load_fixture(data) -> tuple:
@@ -834,8 +851,7 @@ def load_fixture(data) -> tuple:
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    if not isinstance(data, dict):
-        raise FixtureError("fixture must be a JSON object")
+    _check_shape(data, _SCHEMA, "fixture")
     try:
         return _load_fixture(data)
     except KeyError as e:
@@ -845,12 +861,9 @@ def load_fixture(data) -> tuple:
 def _load_fixture(data):
     objects = list(data["objects"])
     homs = {_split_pair(k): list(v) for k, v in data["homs"].items()}
-    compose = {(f, g): h for f, g, h in _triples(data["compose"], "compose")}
+    compose = {(f, g): h for f, g, h in data["compose"]}
     identities = dict(data["identities"])
-    name = data.get("name", "fixture")
-    if not isinstance(name, str):
-        raise FixtureError(f"fixture name {name!r} is not a string")
-    cat = build_category(name, objects, homs, compose, identities)
+    cat = build_category(data.get("name", "fixture"), objects, homs, compose, identities)
     if "monoidal" not in data:
         return cat, None
     mb = data["monoidal"]
@@ -861,7 +874,7 @@ def _load_fixture(data):
     t_obj = {(cat.obj_id(a), cat.obj_id(b)): cat.obj_id(v)
              for (a, b), v in ((_split_comma(k), v) for k, v in mb["tensor_obj"].items())}
     t_mor = {}
-    for f, g, h in _triples(mb["tensor_mor"], "tensor_mor"):
+    for f, g, h in mb["tensor_mor"]:
         pairs = [(i, j) for i in cat.mors_named(f) for j in cat.mors_named(g)]
         if len(pairs) != 1:
             raise FixtureError(f"tensor_mor entry ({f},{g}) is ambiguous")
@@ -876,7 +889,7 @@ def _load_fixture(data):
             setattr(mon, key, cls(
                 obj_pairs(w[one]), obj_pairs(w[two]),
                 {(cat.mor_id(f), cat.mor_id(g)): cat.mor_id(h)
-                 for f, g, h in _triples(w[pairing], pairing)},
+                 for f, g, h in w[pairing]},
                 {cat.obj_id(k): cat.mor_id(v) for k, v in w[point].items()}))
     return cat, mon
 

@@ -162,12 +162,11 @@ def _walk(ev, term, assignment, left_obj):
             cur = r
         return build_seq_value(ev, items, (left_obj, cur)), cur
     if isinstance(term, Par):
-        sig, cat = ev.sig, ev.env.boundary_cat
-        (lw_t, rw_t), (lw_b, rw_b) = boundary(term.top, sig), boundary(term.bottom, sig)
-        lt, lb = split_obj(cat(lw_t + lw_b), cat(lw_t), cat(lw_b), left_obj)
+        prof = ev.node(term)  # a TensorProf: its factors split the fiber's objects
+        lt, lb = split_obj(prof.source, prof.p1.source, prof.p2.source, left_obj)
         vt, rt = _walk(ev, term.top, assignment, lt)
         vb, rb = _walk(ev, term.bottom, assignment, lb)
-        return (vt, vb), join_objs(cat(rw_t + rw_b), [(cat(rw_t), rt), (cat(rw_b), rb)])
+        return (vt, vb), join_objs(prof.target, [(prof.p1.target, rt), (prof.p2.target, rb)])
     return _leaf_value(ev, term, assignment, left_obj)
 
 
@@ -185,7 +184,7 @@ def _leaf_value(ev, term, assignment, left_obj):
     value, objs = assignment.get(term.label) or (None, None)
     if value is None:
         value = _identity_value(env, term, left_obj, name)
-    prof = ev.node(term).prof
+    prof = ev.node(term)
     if objs is not None:
         if len(objs) != len(rw):
             raise PointError(f"{name} needs {len(rw)} target object(s)")

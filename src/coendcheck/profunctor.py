@@ -60,6 +60,11 @@ class ConcreteProf:
         for q in self.fiber(y, x):
             yield at_x[self.act(f, idx, q)], at_y[self.act(idy, f, q)]
 
+    def members(self, a, b):
+        """The raw elements at the fiber, grouped by class: with explicit
+        fibers each element is a class of its own."""
+        return {v: [v] for v in self.fiber(a, b)}
+
     def render(self, v):
         if self._render is not None:
             return self._render(v)
@@ -386,27 +391,41 @@ def empty_prof(c: FinCategory, d: FinCategory) -> ConcreteProf:
 # tensor and composition
 
 
-def tensor_prof(p1: ConcreteProf, p2: ConcreteProf) -> ConcreteProf:
-    """Parallel composition: fibers are cartesian products, actions are
-    componentwise.  Sources and targets are the flattened products."""
-    src = product(p1.source, p2.source)
-    tgt = product(p1.target, p2.target)
+class TensorProf(ConcreteProf):
+    """Parallel composition p1 (x) p2: fibers are cartesian products and
+    actions componentwise, over the flattened products."""
 
-    def fib(a, b):
-        a1, a2 = split_obj(src, p1.source, p2.source, a)
-        b1, b2 = split_obj(tgt, p1.target, p2.target, b)
-        return tuple((v1, v2) for v1 in p1.fiber(a1, b1) for v2 in p2.fiber(a2, b2))
+    def __init__(self, p1: ConcreteProf, p2: ConcreteProf):
+        self.p1, self.p2 = p1, p2
+        src = product(p1.source, p2.source)
+        tgt = product(p1.target, p2.target)
 
-    def act(f, g, v):
-        f1, f2 = split_mor(src, p1.source, p2.source, f)
-        g1, g2 = split_mor(tgt, p1.target, p2.target, g)
-        return (p1.act(f1, g1, v[0]), p2.act(f2, g2, v[1]))
+        def fib(a, b):
+            a1, a2 = split_obj(src, p1.source, p2.source, a)
+            b1, b2 = split_obj(tgt, p1.target, p2.target, b)
+            return tuple((v1, v2) for v1 in p1.fiber(a1, b1) for v2 in p2.fiber(a2, b2))
 
-    def render(v):
-        return f"({p1.render(v[0])},{p2.render(v[1])})"
+        def act(f, g, v):
+            f1, f2 = split_mor(src, p1.source, p2.source, f)
+            g1, g2 = split_mor(tgt, p1.target, p2.target, g)
+            return (p1.act(f1, g1, v[0]), p2.act(f2, g2, v[1]))
 
-    return ConcreteProf(src, tgt, fib, act,
-                        name=f"({p1.name}(x){p2.name})", render=render)
+        def render(v):
+            return f"({p1.render(v[0])},{p2.render(v[1])})"
+
+        super().__init__(src, tgt, fib, act,
+                         name=f"({p1.name}(x){p2.name})", render=render)
+
+    def split_value(self, fiber, value):
+        """The element `value` at `fiber` as its two factors, each with
+        its own fiber: ((fiber of p1, value), (fiber of p2, value))."""
+        p1, p2 = self.p1, self.p2
+        a1, a2 = split_obj(self.source, p1.source, p2.source, fiber[0])
+        b1, b2 = split_obj(self.target, p1.target, p2.target, fiber[1])
+        return ((a1, b1), value[0]), ((a2, b2), value[1])
+
+
+tensor_prof = TensorProf
 
 
 class ComposedProf(ConcreteProf):
@@ -475,6 +494,14 @@ class ComposedProf(ConcreteProf):
         m, u, w = val
         return (f"[{self.mid.obj_name(m)}: {self.p.render(u)}, {self.q.render(w)}]")
 
+    def refold(self, fiber, vals, mids):
+        """The class at `fiber` of the parts' values `vals` joined at the
+        objects `mids`, folded through len(vals) - 1 composites down `p`:
+        a first part that is itself a composite stays whole."""
+        a, b = fiber
+        v = vals[0] if len(vals) == 2 else self.p.refold((a, mids[-1]), vals[:-1], mids[:-1])
+        return self.classify(a, b, mids[-1], v, vals[-1])
+
     def members(self, a, c):
         """All raw (m, u, w) index elements at the fiber, grouped by class."""
         ce = self.coend_at(a, c)
@@ -533,8 +560,7 @@ class _PairProf(ConcreteProf):
                 yield li + fj, ri + j
 
 
-def compose_prof(p: ConcreteProf, q: ConcreteProf) -> ComposedProf:
-    return ComposedProf(p, q)
+compose_prof = ComposedProf
 
 
 # ---------------------------------------------------------------------------

@@ -85,8 +85,7 @@ def build_seq_value(ev: Evaluator, items, fiber):
     flat = []
     for (t, v, l, r) in items:
         if isinstance(t, Seq):
-            vals, mids = ev.node(t).unfold((l, r), v)
-            ends = [l] + mids + [r]
+            vals, ends = unfold(t, (l, r), v)
             flat += zip(t.parts, vals, ends, ends[1:])
         else:
             flat.append((t, v, l, r))
@@ -101,7 +100,7 @@ def build_seq_value(ev: Evaluator, items, fiber):
                 pend[0] = cat.compose(pend[0], v)
         else:
             if pend is not None:
-                prof = ev.node(t).prof
+                prof = ev.node(t)
                 v = prof.act(pend[0], prof.target.identity(r), v)
                 l = pend[1]
                 pend = None
@@ -110,7 +109,7 @@ def build_seq_value(ev: Evaluator, items, fiber):
         if not out:
             return pend[0]  # the whole composite is an identity wire
         t, v, l, r = out[-1]
-        prof = ev.node(t).prof
+        prof = ev.node(t)
         out[-1][1] = prof.act(prof.source.identity(l), pend[0], v)
         out[-1][3] = None  # right end moves to the fiber end
     if len(out) == 1:
@@ -124,10 +123,9 @@ def build_seq_value(ev: Evaluator, items, fiber):
 def par_value(ev: Evaluator, top_term, v_top, bottom_term, v_bottom):
     """Value of norm(Par(top, bottom)) from the component values."""
     if is_plain_id(top_term) and is_plain_id(bottom_term):
-        ct = ev.env.boundary_cat(top_term.wires)
-        cb = ev.env.boundary_cat(bottom_term.wires)
-        cc = ev.env.boundary_cat(top_term.wires + bottom_term.wires)
-        return cc.pack_mor(ct.mor_tuple(v_top) + cb.mor_tuple(v_bottom))
+        cat = ev.env.boundary_cat
+        return join_mors(cat(top_term.wires + bottom_term.wires),
+                         [(cat(top_term.wires), v_top), (cat(bottom_term.wires), v_bottom)])
     if is_plain_id(top_term) and not top_term.wires:
         return v_bottom
     if is_plain_id(bottom_term) and not bottom_term.wires:
@@ -147,13 +145,18 @@ def _slice_wires(sig, parts, i):
     return boundary(parts[-1], sig)[1]
 
 
-def _unfold(ev, term, fiber, value):
+def unfold(term, fiber, value):
     """The part values of a sequential composite (or of a lone part) and
-    the objects at the ends of its parts."""
+    the objects at the ends of its parts, peeling each left fold's (m, u,
+    w) in turn: the inverse of ComposedProf.refold."""
     if not isinstance(term, Seq):
         return [value], list(fiber)
-    vals, mids = ev.node(term).unfold(fiber, value)
-    return vals, [fiber[0]] + mids + [fiber[1]]
+    n = len(term.parts)
+    vals, ends = [None] * n, [fiber[0]] + [None] * (n - 1) + [fiber[1]]
+    for k in range(n - 1, 0, -1):
+        ends[k], value, vals[k] = value
+    vals[0] = value
+    return vals, ends
 
 
 def _seq_level(term, i, outcome: SliceOutcome) -> NodeOutcome:
@@ -166,7 +169,7 @@ def _seq_level(term, i, outcome: SliceOutcome) -> NodeOutcome:
     new_term = new_parts[0] if len(new_parts) == 1 else norm(Seq(new_parts))
 
     def transport(ev, fiber, value):
-        vals, ends = _unfold(ev, term, fiber, value)
+        vals, ends = unfold(term, fiber, value)
         slice_fibers = list(zip(ends[i:j], ends[i + 1:j + 1]))
         vals[i:j], mids = outcome.transform(ev, vals[i:j], slice_fibers, ends[i], ends[j])
         ends[i:j + 1] = [ends[i], *mids, ends[j]]
@@ -391,7 +394,7 @@ def _ends(t, sig, op):
 
 def _prof(ev, t, op):
     """The profunctor of t in the reading."""
-    p = ev.node(t).prof
+    p = ev.node(t)
     return dual(p, p.name) if op else p
 
 
@@ -501,7 +504,7 @@ def _cut(ev, term, cut):
         return build_seq_value(ev, list(zip(ps, vs, es, es[1:])), (es[0], es[-1]))
 
     def split(ev, fiber, value):
-        vals, ends = _unfold(ev, term, fiber, value)
+        vals, ends = unfold(term, fiber, value)
         return (assemble(ev, parts[:cut], vals[:cut], ends[:cut + 1]), ends[cut],
                 assemble(ev, parts[cut:], vals[cut:], ends[cut:]))
 
@@ -805,7 +808,7 @@ class Sym(Rule):
             def tf(ev, vals, fibers, lobj, robj):
                 (fa, va), (fb, vb) = ev.node(p1).split_value(fibers[0], vals[0])
                 (u, v) = vals[1]
-                pa, pb = ev.node(a).prof, ev.node(b).prof
+                pa, pb = ev.node(a), ev.node(b)
                 va2 = pa.act(pa.source.identity(fa[0]), u, va)
                 vb2 = pb.act(pb.source.identity(fb[0]), v, vb)
                 return ([par_value(ev, b, vb2, a, va2)], [])
@@ -1163,26 +1166,15 @@ class CheckAborted(Exception):
     pass
 
 
-def _fiber_members(node):
-    """All raw index elements of the evaluated term, grouped per class and
-    per fiber: {(a, b): {rep: [raw elements]}}."""
-    prof = node.prof
-    out = {}
-    for a in prof.source.objects:
-        for b in prof.target.objects:
-            if hasattr(prof, "members"):
-                groups = prof.members(a, b)
-            else:
-                groups = {v: [v] for v in prof.fiber(a, b)}
-            if groups:
-                out[(a, b)] = groups
-    return out
+def _fiber_members(prof):
+    """All raw index elements of an evaluated term, grouped per class and
+    per non-empty fiber: {(a, b): {rep: [raw elements]}}."""
+    fibers = ((a, b) for a in prof.source.objects for b in prof.target.objects)
+    return {fiber: groups for fiber in fibers if (groups := prof.members(*fiber))}
 
 
-def _count(node):
-    return sum(len(node.prof.fiber(a, b))
-               for a in node.prof.source.objects
-               for b in node.prof.target.objects)
+def _count(prof):
+    return sum(len(prof.fiber(a, b)) for a in prof.source.objects for b in prof.target.objects)
 
 
 def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
@@ -1201,7 +1193,7 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
     src, dst = ev.node(term), ev.node(new_term)
     fwd = {}
     for fiber, groups in _fiber_members(src).items():
-        dst_fiber = set(dst.prof.fiber(*fiber))
+        dst_fiber = set(dst.fiber(*fiber))
         fmap = fwd[fiber] = {}
         for rep, members in groups.items():
             images = set()
@@ -1211,7 +1203,7 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
                 except CHECK_ERRORS as e:
                     return fail(f"action failed on a representative at fiber {fiber}: {e}")
             if len(images) != 1:
-                return fail(f"not well-defined on the class of {src.prof.render(rep)} "
+                return fail(f"not well-defined on the class of {src.render(rep)} "
                             f"at fiber {fiber}")
             img = fmap[rep] = images.pop()
             if img not in dst_fiber:
@@ -1233,11 +1225,11 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
             return fail(f"inverse application failed: {e}")
         if back_tr is None:
             note = " (inverse site collapsed; bijectivity verified)"
-        for fiber, groups in _fiber_members(dst).items():
-            if fiber not in fwd and groups:
+        for fiber in _fiber_members(dst):
+            if fiber not in fwd:
                 return fail(f"not a bijection at fiber {fiber} (source side is empty)")
         for fiber, fmap in fwd.items():
-            dst_reps = list(dst.prof.fiber(*fiber))
+            dst_reps = list(dst.fiber(*fiber))
             if len(fmap) != len(dst_reps) or set(fmap.values()) != set(dst_reps):
                 return fail(f"not a bijection at fiber {fiber} ({len(set(fmap.values()))} "
                             f"of {len(dst_reps)} classes hit)")
@@ -1246,11 +1238,11 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
             for rep, img in fmap.items():
                 if back_tr(fiber, img) != rep:
                     return fail(f"backward(forward) is not the identity on "
-                                f"{src.prof.render(rep)}")
+                                f"{src.render(rep)}")
             for drep in dst_reps:
                 if transport(fiber, back_tr(fiber, drep)) != drep:
                     return fail(f"forward(backward) is not the identity on "
-                                f"{dst.prof.render(drep)}")
+                                f"{dst.render(drep)}")
     report.line(f"  step {idx} {step.rule} ok: classes {_count(src)} -> "
                 f"{_count(dst)}{note}")
     return new_term, fwd
@@ -1289,7 +1281,7 @@ def check_derivation_once(deriv: Derivation, ev: Evaluator, report: Report):
                                           range(first - 1, last), rep) != rep), None)
         if moved:
             report.fail(f"obligation {first}..{last}: composite moves "
-                        f"{ev.node(t0).prof.render(moved[1])} at fiber {moved[0]}")
+                        f"{ev.node(t0).render(moved[1])} at fiber {moved[0]}")
         else:
             report.line(f"  obligation identity {first}..{last} ok")
     return terms, maps

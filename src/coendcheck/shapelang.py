@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from . import profunctor as pf
 from .fincat import FinCategory, FinFunctor, MonoidalStructure, opposite, product
-from .profunctor import compose_prof, tensor_prof
 
 
 class ShapeSyntaxError(Exception):
@@ -673,58 +672,6 @@ class Env:
 # evaluation
 
 
-class EvalNode:
-    def __init__(self, term, bnd, prof):
-        self.term = term
-        self.boundary = bnd
-        self.prof = prof
-
-
-class EvalPar(EvalNode):
-    def __init__(self, term, bnd, prof, top, bottom):
-        super().__init__(term, bnd, prof)
-        self.top = top
-        self.bottom = bottom
-
-    def split_value(self, fiber, value):
-        a, b = fiber
-        src, tgt = self.prof.source, self.prof.target
-        ts, bs = self.top.prof.source, self.bottom.prof.source
-        tt, bt = self.top.prof.target, self.bottom.prof.target
-        a1, a2 = pf.split_obj(src, ts, bs, a)
-        b1, b2 = pf.split_obj(tgt, tt, bt, b)
-        return ((a1, b1), value[0]), ((a2, b2), value[1])
-
-
-class EvalSeq(EvalNode):
-    def __init__(self, term, bnd, prof, children, cums):
-        super().__init__(term, bnd, prof)
-        self.children = children
-        self.cums = cums  # cums[k]: composite of children[0..k]; cums[0] is children[0].prof
-
-    def unfold(self, fiber, value):
-        """Peel the left fold: part values and the middle objects between them."""
-        n = len(self.children)
-        vals = [None] * n
-        mids = [None] * (n - 1)
-        v = value
-        for k in range(n - 1, 0, -1):
-            m, u, w = v
-            vals[k] = w
-            mids[k - 1] = m
-            v = u
-        vals[0] = v
-        return vals, mids
-
-    def refold(self, fiber, vals, mids):
-        a, b = fiber
-        v = vals[0]
-        for k in range(1, len(vals)):
-            right = mids[k] if k < len(vals) - 1 else b
-            v = self.cums[k].classify(a, right, mids[k - 1], v, vals[k])
-        return v
-
-
 class Evaluator:
     """The evaluator of one sweep over object assignments.
 
@@ -766,43 +713,31 @@ class Evaluator:
             scope = self._scopes[term] = (syms, j)
         return scope
 
-    def node(self, term) -> EvalNode:
+    def node(self, term) -> pf.ConcreteProf:
+        """The profunctor of `term` at the current assignment: a ComposedProf
+        for a Seq, a TensorProf for a Par, else the leaf's own."""
         syms, j = self._scope(term)
         key = (term, tuple(map(self.env.objs.get, syms)))
-        node = self._memo[j].get(key)
-        if node is None:
-            node = self._memo[j][key] = self._build(term)
-        return node
+        prof = self._memo[j].get(key)
+        if prof is None:
+            prof = self._memo[j][key] = self._build(term)
+        return prof
 
     def _build(self, term):
-        env = self.env
-        bnd = boundary(term, self.sig)
         if isinstance(term, Seq):
             # the left fold of parts[:-1] is a node of its own, shared by
             # every composite that starts with those parts
             *init, last = term.parts
-            if len(init) == 1:
-                first = self.node(init[0])
-                children, cums = [first], [first.prof]
-            else:
-                prefix = self.node(Seq(tuple(init)))
-                children, cums = prefix.children, prefix.cums
-            last = self.node(last)
-            cums = cums + [compose_prof(cums[-1], last.prof)]
-            return EvalSeq(term, bnd, cums[-1], children + [last], cums)
+            first = self.node(init[0] if len(init) == 1 else Seq(tuple(init)))
+            return pf.ComposedProf(first, self.node(last))
         if isinstance(term, Par):
-            top, bottom = self.node(term.top), self.node(term.bottom)
-            return EvalPar(term, bnd, tensor_prof(top.prof, bottom.prof),
-                           top, bottom)
+            return pf.TensorProf(self.node(term.top), self.node(term.bottom))
         if isinstance(term, Id):
-            return EvalNode(term, bnd, pf.hom_prof(env.boundary_cat(term.wires)))
-        return EvalNode(term, bnd, self._gen_prof(term))
-
-    def _gen_prof(self, t: Gen):
-        row = KINDS[t.kind]
+            return pf.hom_prof(self.env.boundary_cat(term.wires))
+        row = KINDS[term.kind]
         if row.denotes in (pf.companion, pf.conjoint):
-            return row.denotes(self.env.functor_of(t))
-        return row.denotes(*SORTS[row.sort].resolve(self.env, t.args))
+            return row.denotes(self.env.functor_of(term))
+        return row.denotes(*SORTS[row.sort].resolve(self.env, term.args))
 
 
 def sweep(env: Env, only=None):
@@ -816,11 +751,9 @@ def sweep(env: Env, only=None):
 
 def eval_closed(term, env: Env):
     """Canonical class representatives of a closed shape."""
-    ev = Evaluator(env)
-    node = ev.node(term)
-    if node.boundary != ((), ()):
+    if boundary(term, env.sig) != ((), ()):
         raise EvalError("shape is not closed")
-    return node.prof.fiber(0, 0)
+    return Evaluator(env).node(term).fiber(0, 0)
 
 
 def class_count(term, env: Env) -> int:

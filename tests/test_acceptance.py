@@ -301,16 +301,16 @@ def test_criterion_8_point_lifting(oracles):
                 for deriv in derivs:
                     term = sig.shapes[deriv.shape]
                     node = ev.node(term)
-                    for a in node.prof.source.objects:
-                        for b in node.prof.target.objects:
-                            for point in node.prof.fiber(a, b):
+                    for a in node.source.objects:
+                        for b in node.target.objects:
+                            for point in node.fiber(a, b):
                                 d = OpenDiagram(term, (a, b), point)
                                 t = term
                                 for step in deriv.steps:
                                     up = lift(step, d, ev)
                                     t2, _, _ = apply_step(t, step, ev)
                                     assert forget(up) == t2
-                                    assert up.point in ev.node(t2).prof.fiber(a, b)
+                                    assert up.point in ev.node(t2).fiber(a, b)
                                     d, t = up, t2
                                     lifted += 1
     # sliding equality of lens points as class equality
@@ -402,11 +402,11 @@ def test_criterion_10_lax_copy(oracles):
                 new_t, tr = apply_step(term, Step("R-LAX-COPY", (0,)), ev)[:2]
                 src, dst = ev.node(term), ev.node(new_t)
                 bij = True
-                for bq in src.prof.target.objects:
-                    fib = src.prof.fiber(0, bq)
+                for bq in src.target.objects:
+                    fib = src.fiber(0, bq)
                     image = {tr((0, bq), v) for v in fib}
                     if len(image) != len(fib) or \
-                            image != set(dst.prof.fiber(0, bq)):
+                            image != set(dst.fiber(0, bq)):
                         bij = False
                 if name == "z2" and shape == "named-copy":
                     assert not bij

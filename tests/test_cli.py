@@ -101,6 +101,25 @@ def test_check_structure_missing(capsys):
     assert "step 1" in out and "cartesian" in out
 
 
+def test_check_of_a_shape_the_bindings_cannot_evaluate_exits_2(capsys, tmp_path):
+    # the shape needs a monoidal structure the bound fixture lacks, or a
+    # named profunctor check cannot bind: malformed input, as under eval
+    data = json.loads(open(fixture_path("z2"), encoding="utf-8").read())
+    del data["monoidal"]
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(data))
+    code, out, err = run(capsys, "check", demo_path("lens_apply.deriv"), "--bind", f"C={plain}")
+    _one_line_exit_2(code, out, err)
+    assert err == "error: category 'C' carries no monoidal structure\n"
+    (tmp_path / "k.shapes").write_text(
+        "(category C) (prof K (C) (C)) (shape k (seq (id C @w) (named K)))\n")
+    script = tmp_path / "k.deriv"
+    script.write_text("use k.shapes\nderive k\nstep R-YONEDA-L at 0\n")
+    code, out, err = run(capsys, "check", str(script), "--bind", f"C={fixture_path('z2')}")
+    _one_line_exit_2(code, out, err)
+    assert err == "error: named profunctor 'K' is unbound\n"
+
+
 def test_malformed_shape_script(capsys):
     code, _, err = run(capsys, "eval", demo_path("bad_syntax.shapes"),
                        "--shape", "broken", "--bind",
@@ -221,6 +240,12 @@ MALFORMED = {
     "no-unit": lambda d: d["monoidal"].pop("unit"),
     "name-null": lambda d: d.update(name=None),
     "name-number": lambda d: d.update(name=42),
+    "objects-number": lambda d: d.update(objects=5),
+    "objects-nested": lambda d: d.update(objects=[["x"]]),
+    "homs-array": lambda d: d.update(homs=[]),
+    "identities-string": lambda d: d.update(identities="x"),
+    "monoidal-array": lambda d: d.update(monoidal=[]),
+    "unit-array": lambda d: d["monoidal"].update(unit=["x"]),
 }
 
 

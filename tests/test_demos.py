@@ -2,6 +2,7 @@
 the direct class-level implementation and the script's composed semantic
 map agree pointwise, checked by transporting points through the scripts."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -55,18 +56,27 @@ def test_demo_runs_clean(name):
     assert hashlib.sha1(report.text().encode("utf-8")).hexdigest() == DEMO_DIGESTS[name]
 
 
+@functools.cache
 def _floor_python():
-    """The interpreter of the requires-python floor, if one on PATH starts."""
+    """The interpreter of the requires-python floor that starts: the one
+    on PATH, or else the one pyenv has installed, since pyenv's shim on
+    PATH does not start a version that is not active."""
     floor = re.search(r'requires-python = ">=(\d+\.\d+)"',
                       (ROOT / "pyproject.toml").read_text()).group(1)
-    exe = shutil.which(f"python{floor}")
-    if exe and subprocess.run([exe, "-c", ""], capture_output=True).returncode == 0:
-        return exe
+    exes = [shutil.which(f"python{floor}")]
+    if shutil.which("pyenv"):
+        prefix = subprocess.run(["pyenv", "prefix", floor], capture_output=True, text=True)
+        if prefix.returncode == 0:
+            exes.append(os.path.join(prefix.stdout.strip(), "bin", f"python{floor}"))
+    for exe in filter(None, exes):
+        if os.path.isfile(exe) and subprocess.run([exe, "-c", ""],
+                                                  capture_output=True).returncode == 0:
+            return exe
     return None
 
 
 @pytest.mark.skipif(_floor_python() is None,
-                    reason="no interpreter of the requires-python floor on PATH")
+                    reason="no interpreter of the requires-python floor starts")
 def test_demo_runs_under_the_oldest_supported_python():
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([_floor_python(), "-m", "coendcheck.cli", "demo", "points"],

@@ -279,7 +279,7 @@ def test_learner_over_a_six_element_lattice_builds_few_composites():
     sig, _ = load_scripts("learner_reduction.deriv")
     objs = {s: c.obj_id("t" if s in ("U", "V") else "bot") for s in sig.objects}
     node = Evaluator(Env(sig, {"C": mon}, objs=objs)).node(sig.shapes["learner"])
-    assert node.prof.fiber(0, 0)
+    assert node.fiber(0, 0)
     products = [p for p in _products_over(c) if len(p.mor_names) >= 160_000]
     assert products and sum(len(p._compose) for p in products) <= 1_000
 

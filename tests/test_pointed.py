@@ -124,16 +124,16 @@ def test_lift_opfibration_square_every_assignment(sig):
     ev = Evaluator(env)
     term = sig.shapes["lens-applied"]
     node = ev.node(term)
-    groups = node.prof.members(0, 0)
+    groups = node.members(0, 0)
     for rep, members in groups.items():
         for raw in members:
-            d = OpenDiagram(term, (0, 0), node.prof.classify(0, 0, *raw))
+            d = OpenDiagram(term, (0, 0), node.classify(0, 0, *raw))
             t = term
             for step in APPLY_STEPS:
                 lifted = lift(step, d, ev)
                 t2, _, _ = apply_step(t, step, ev)
                 assert forget(lifted) == t2
-                assert lifted.point in ev.node(t2).prof.fiber(0, 0)
+                assert lifted.point in ev.node(t2).fiber(0, 0)
                 d, t = lifted, t2
 
 
@@ -324,7 +324,7 @@ def test_every_leaf_kind_points_at_its_fiber(fixture):
         ev = Evaluator(env)
         for kind, shape in sig.shapes.items():
             rw = boundary(shape, sig)[1]
-            prof = ev.node(shape).prof
+            prof = ev.node(shape)
             cats = [env.wire_cat(w) for w in rw]
             objs_of = {join_objs(env.boundary_cat(rw), zip(cats, objs)): objs
                        for objs in itertools.product(*[c.objects for c in cats])}
@@ -377,7 +377,7 @@ def test_box_points_resolve_names_in_their_wire_categories(kind, cats):
     env = Env(sig, {"C": build(cats[0]), "D": build(cats[1])})
     ev = Evaluator(env)
     shape = sig.shapes[kind]
-    prof = ev.node(shape).prof
+    prof = ev.node(shape)
     d = env.cats["D"]
     right = env.wire_cat(boundary(shape, sig)[1][0])
     points = 0

@@ -19,11 +19,11 @@ from coendcheck.profunctor import (ComposedProf, ConcreteProf, NatFamily,
                                    check_natural, companion, compose_prof,
                                    conjoint, constant_prof, copy_prof, cup_prof,
                                    CoendSet, discard_prof, empty_prof,
-                                   hom_prof, merge_prof, point, swap_prof,
+                                   hom_prof, join_objs, merge_prof, point, swap_prof,
                                    tensor_functor, tensor_prof,
                                    validate_prof, _PairProf)
 from coendcheck.rewrite import (RULES, STEP_ERRORS, Report, Step, _count,
-                                apply_step, check_derivation_once, check_step)
+                                apply_step, check_derivation_once, check_step, unfold)
 from coendcheck.shapelang import (Env, Evaluator, Par, Seq, ShapeTypeError, boundary,
                                   class_count, objects_in, parse_shape_script,
                                   print_term, sweep)
@@ -141,7 +141,7 @@ def assert_fiber_matches_naive(comp, a, c):
 
 
 def evaluate_every_fiber(term, env):
-    prof = Evaluator(env).node(term).prof
+    prof = Evaluator(env).node(term)
     for a in prof.source.objects:
         for b in prof.target.objects:
             prof.fiber(a, b)
@@ -468,39 +468,6 @@ def rule_paths(term, rule):
             yield (k,) + path
 
 
-@settings(max_examples=15, deadline=None, database=None, derandomize=True)
-@given(mon=small_oracles(), data=st.data())
-def test_iso_rules_over_random_oracles_are_bijections(mon, data):
-    # every iso rule, either way, at a drawn one of the sites of each lens
-    # shape where it applies, passes check_step's bijection and inverse
-    # round-trip checks, on oracles whose empty and one-element coends the
-    # shipped fixtures do not reach
-    sig = SCRIPTS["lens.shapes"]
-    objs = {sym: data.draw(st.sampled_from(list(mon.base.objects)), label=sym)
-            for sym in sorted(sig.objects)}
-    ev = Evaluator(Env(sig, {"C": mon}, objs=objs))
-    checked = set()
-    for term in sig.shapes.values():
-        for name in ISO_RULES:
-            for backward in (False, True):
-                steps = []
-                for path in rule_paths(term, RULES[name]):
-                    try:
-                        apply_step(term, Step(name, path, backward), ev)
-                    except STEP_ERRORS:
-                        continue
-                    steps.append(Step(name, path, backward))
-                if not steps:
-                    continue
-                step = data.draw(st.sampled_from(steps), label=f"{name} site")
-                report = Report()
-                assert check_step(ev, term, step, report, 1), report.text()
-                assert report.ok, report.text()
-                checked.add(name)
-    # the others need a (co)cartesian witness or sites these shapes lack
-    assert {"R-INTERCHANGE", "R-ZIGZAG-CUP"} <= checked
-
-
 # the shipped derivations over one category, but for the negative cases,
 # which fail by design on every oracle
 ONE_CATEGORY_DERIVATIONS = {
@@ -509,6 +476,94 @@ ONE_CATEGORY_DERIVATIONS = {
         if p.name.endswith(".deriv") and not p.name.startswith("bad_"))
     if len(sig.categories) == 1}
 MISSING_WITNESS = re.compile(r"step \d+ \S+: oracle for 'C' has no (co)?cartesian witness$")
+
+
+def applies(ev, term, step):
+    try:
+        apply_step(term, step, ev)
+    except STEP_ERRORS:
+        return False
+    return True
+
+
+def iso_steps(ev, term, name, backward):
+    """The steps of an iso rule, one way, at every site of term where it
+    applies."""
+    steps = (Step(name, path, backward) for path in rule_paths(term, RULES[name]))
+    return [step for step in steps if applies(ev, term, step)]
+
+
+def derivation_sites(sig, script):
+    """(term, step) for each iso rule, either way, at each site where it
+    applies in a term that the derivations of a script pass through.
+    Terms and sites depend on the steps alone, so they are found over the
+    two-element lattice whose witnesses the steps read."""
+    sites = {}
+    for deriv in list(script.named.values()) + ([script.main] if script.main else []):
+        for fx in ("meet-lattice-2", "join-lattice-2"):
+            ev = Evaluator(Env(sig, {"C": build(fx)}, objs=dict.fromkeys(sig.objects, 0)))
+            terms = [sig.shapes[deriv.shape]]
+            try:
+                for step in deriv.steps:
+                    terms.append(apply_step(terms[-1], step, ev)[0])
+            except STEP_ERRORS:
+                continue
+            for term in terms:
+                for name in ISO_RULES:
+                    for backward in (False, True):
+                        sites.update(((term, step.rule, step.path, backward), step)
+                                     for step in iso_steps(ev, term, name, backward))
+            break
+        else:
+            raise AssertionError(f"{deriv.shape} applies over neither lattice")
+    return [(key[0], step) for key, step in sites.items()]
+
+
+DERIVATION_SITES = [(sig, derivation_sites(sig, script))
+                    for sig, script in ONE_CATEGORY_DERIVATIONS.values()]
+
+
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(mon=small_oracles(), data=st.data())
+def test_iso_rules_over_random_oracles_are_bijections(mon, data):
+    # every iso rule, either way, at a drawn one of the sites where it
+    # applies in each lens shape, and at a drawn one of its sites in all
+    # the terms the shipped derivations pass through, passes check_step's
+    # bijection and inverse round-trip checks, on oracles whose empty and
+    # one-element coends the shipped fixtures do not reach
+    lens = SCRIPTS["lens.shapes"]
+    symbols = sorted({s for sig, _ in DERIVATION_SITES for s in sig.objects} | set(lens.objects))
+    objs = {s: data.draw(st.sampled_from(list(mon.base.objects)), label=s) for s in symbols}
+    checked = set()
+
+    def check_drawn(sites, label):
+        ev, term, step = data.draw(st.sampled_from(sites), label=label)
+        report = Report()
+        assert check_step(ev, term, step, report, 1), report.text()
+        assert report.ok, report.text()
+        checked.add(step.rule)
+
+    ev = Evaluator(Env(lens, {"C": mon}, objs={s: objs[s] for s in lens.objects}))
+    for term in lens.shapes.values():
+        for name in ISO_RULES:
+            for backward in (False, True):
+                steps = iso_steps(ev, term, name, backward)
+                if steps:
+                    check_drawn([(ev, term, step) for step in steps], f"{name} site")
+    # R-ASSOC, R-PORT-FUSE, R-SYM and the Yoneda rules have sites only in
+    # the derivations' terms, where their transports split parallel
+    # elements through TensorProf.split_value
+    by_rule = {}
+    for sig, sites in DERIVATION_SITES:
+        ev = Evaluator(Env(sig, {"C": mon}, objs={s: objs[s] for s in sig.objects}))
+        for term, step in sites:
+            if applies(ev, term, step):
+                by_rule.setdefault((step.rule, step.backward), []).append((ev, term, step))
+    for (name, backward), sites in sorted(by_rule.items()):
+        check_drawn(sites, f"{name} {'backward' if backward else 'forward'} derivation site")
+    # the others need a (co)cartesian witness or sites these terms lack
+    assert {"R-ASSOC", "R-INTERCHANGE", "R-PORT-FUSE", "R-SYM", "R-YONEDA-L",
+            "R-YONEDA-R", "R-ZIGZAG-CUP"} <= checked
 
 
 @settings(max_examples=5, deadline=None, database=None, derandomize=True)
@@ -662,6 +717,49 @@ def test_tensor_with_terminal_unit_is_identity_shaped():
     for a in c.objects:
         for b in c.objects:
             assert [v[0] for v in p.fiber(a, b)] == list(c.hom(a, b))
+
+
+def subterms(term):
+    """The term and every term below it."""
+    yield term
+    for child in (term.top, term.bottom) if isinstance(term, Par) else \
+            term.parts if isinstance(term, Seq) else ():
+        yield from subterms(child)
+
+
+@pytest.mark.parametrize("fx", ["z2", "meet-lattice-2"])
+@pytest.mark.parametrize("script", ["lens.shapes", "feedback.shapes"])
+def test_unfolded_and_split_elements_fold_back(script, fx):
+    # at every Seq node, each class representative unfolds into part
+    # values in the parts' fibers, and ComposedProf.refold gives it back;
+    # at every Par node, TensorProf.split_value gives factor values in
+    # the factors' fibers, which pair back to it
+    sig = SCRIPTS[script]
+    nodes = {t for shape in sig.shapes.values() for t in subterms(shape)
+             if isinstance(t, (Seq, Par))}
+    seen = set()
+    for ev in sweep(Env(sig, {"C": build(fx)})):
+        for t in nodes:
+            prof = ev.node(t)
+            for a in prof.source.objects:
+                for b in prof.target.objects:
+                    for v in prof.fiber(a, b):
+                        if isinstance(t, Seq):
+                            vals, ends = unfold(t, (a, b), v)
+                            for k, part in enumerate(t.parts):
+                                assert vals[k] in ev.node(part).fiber(ends[k], ends[k + 1])
+                            assert prof.refold((a, b), vals, ends[1:-1]) == v
+                        else:
+                            (f1, v1), (f2, v2) = prof.split_value((a, b), v)
+                            p1, p2 = prof.p1, prof.p2
+                            assert v1 in p1.fiber(*f1) and v2 in p2.fiber(*f2)
+                            assert join_objs(prof.source, [(p1.source, f1[0]),
+                                                           (p2.source, f2[0])]) == a
+                            assert join_objs(prof.target, [(p1.target, f1[1]),
+                                                           (p2.target, f2[1])]) == b
+                            assert (v1, v2) == v
+                        seen.add(type(t))
+    assert seen == {Seq, Par}
 
 
 # -- naturality ----------------------------------------------------------------
@@ -957,7 +1055,7 @@ def test_left_fold_matches_one_fubini_quotient(deriv_name, binding):
     # terms reach 8 million)
     seen = 0
     for ev, term in _shipped_terms(deriv_name, binding):
-        profs = [ev.node(part).prof for part in seq_parts(term)]
+        profs = [ev.node(part) for part in seq_parts(term)]
         if fold_size(profs) <= FUBINI_MAX:
             assert fubini_count(profs) == _count(ev.node(term)), print_term(term)
             seen += 1

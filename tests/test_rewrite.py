@@ -136,7 +136,7 @@ def test_yoneda_on_labeled_homs(sig):
         node = ev.node(t)
         for a in c.objects:
             for b in c.objects:
-                for rep in node.prof.fiber(a, b):
+                for rep in node.fiber(a, b):
                     m, g, f = rep
                     assert tr((a, b), rep) == c.compose(g, f)
 
@@ -206,11 +206,11 @@ def test_lax_copy_on_representable_is_bijection(sig):
     new_t, tr = apply_step(t, Step("R-LAX-COPY", (0,)), Evaluator(env))[:2]
     ev = Evaluator(env)
     src, dst = ev.node(t), ev.node(new_t)
-    tgt = src.prof.target
+    tgt = src.target
     for b in tgt.objects:
-        image = {tr((0, b), v) for v in src.prof.fiber(0, b)}
-        assert len(image) == len(src.prof.fiber(0, b))
-        assert image == set(dst.prof.fiber(0, b))
+        image = {tr((0, b), v) for v in src.fiber(0, b)}
+        assert len(image) == len(src.fiber(0, b))
+        assert image == set(dst.fiber(0, b))
 
 
 def test_lax_copy_on_constant_prof_not_surjective(sig):
@@ -224,9 +224,9 @@ def test_lax_copy_on_constant_prof_not_surjective(sig):
     ev = Evaluator(env)
     src, dst = ev.node(t), ev.node(new_t)
     b = 0
-    image = {tr((0, b), v) for v in src.prof.fiber(0, b)}
-    assert len(src.prof.fiber(0, b)) == 4      # (p, f1, f2) mod sliding
-    assert len(dst.prof.fiber(0, b)) == 4      # pairs (p1, p2)
+    image = {tr((0, b), v) for v in src.fiber(0, b)}
+    assert len(src.fiber(0, b)) == 4      # (p, f1, f2) mod sliding
+    assert len(dst.fiber(0, b)) == 4      # pairs (p1, p2)
     assert len(image) == 2                     # only the diagonal is hit
 
 
@@ -235,7 +235,7 @@ def test_lax_discard(sig):
     t = Seq((Gen("inport", ("A",)), Gen("discard", ("C",))))
     new_t, tr = apply_step(t, Step("R-LAX-DISCARD", (0,)), Evaluator(env))[:2]
     assert isinstance(new_t, Id) and new_t.wires == ()
-    assert tr((0, 0), next(iter(Evaluator(env).node(t).prof.fiber(0, 0)))) == 0
+    assert tr((0, 0), next(iter(Evaluator(env).node(t).fiber(0, 0)))) == 0
 
 
 # -- interchange ----------------------------------------------------------------
@@ -267,9 +267,9 @@ def test_assoc_node_rule(sig):
                         Par(Gen("inport", ("B",)), Gen("inport", ("X",))))
     ev = Evaluator(env)
     node = ev.node(t)
-    tgt = node.prof.target
+    tgt = node.target
     for b in tgt.objects:
-        for v in node.prof.fiber(0, b):
+        for v in node.fiber(0, b):
             (x, y), z = v
             assert tr((0, b), v) == (x, (y, z))
 
@@ -437,7 +437,7 @@ def test_named_hole_lens_encoding(sig):
         for a in c.objects:
             base_env = Env(s2, {"C": mon},
                            objs={"A": a, "B": a, "X": a, "Y": a})
-            hole = Evaluator(base_env).node(s2.shapes["hole"]).prof
+            hole = Evaluator(base_env).node(s2.shapes["hole"])
             env = Env(s2, {"C": mon},
                       objs={"A": a, "B": a, "X": a, "Y": a},
                       profs={"K": hole})
@@ -457,7 +457,7 @@ def _transport_fault(corrupt):
     def fault(real, term, step, ev):
         new_term, transport, inv = real(term, step, ev)
         if not step.backward:
-            transport = corrupt(transport, ev.node(new_term).prof)
+            transport = corrupt(transport, ev.node(new_term))
         return new_term, transport, inv
     return fault
 
@@ -526,7 +526,7 @@ def _fault_through_unit(real, term, step, ev):
     # the one element of its fiber
     new_term, transport, inv = real(term, step, ev)
     new_term = ev.sig.shapes["through-unit"]
-    return new_term, _collapse(transport, ev.node(new_term).prof), inv
+    return new_term, _collapse(transport, ev.node(new_term)), inv
 
 
 ETA_EPS = [Step("R-ETA-A", (0,), inst={"A": "A"}), Step("R-EPS-A", (1,))]
@@ -697,15 +697,15 @@ def _mirror_envs():
 
 
 def _element_map(sig, env, shape, step):
-    """(source node, target node, transport) of one step on a shape."""
+    """(new term, source profunctor, target profunctor, transport) of one
+    step on a shape."""
     t = sig.shapes[shape]
     new_t, tr, _ = apply_step(t, step, Evaluator(env))
     ev = Evaluator(env)
-    return ev.node(t), ev.node(new_t), tr
+    return new_t, ev.node(t), ev.node(new_t), tr
 
 
-def _reps(node):
-    prof = node.prof
+def _reps(prof):
     for a in prof.source.objects:
         for b in prof.target.objects:
             for rep in prof.fiber(a, b):
@@ -717,9 +717,9 @@ def test_yoneda_right_element_map():
     for sig, name, env in _mirror_envs():
         for env_a in env.assignments():
             c = env_a.cats["C"]
-            src, dst, tr = _element_map(sig, env_a, "port-hom",
-                                        Step("R-YONEDA-R", (0,)))
-            assert dst.term == Gen("inport", ("A",))
+            new_t, src, _, tr = _element_map(sig, env_a, "port-hom",
+                                             Step("R-YONEDA-R", (0,)))
+            assert new_t == Gen("inport", ("A",))
             for fiber, (m, u, g) in _reps(src):
                 assert tr(fiber, (m, u, g)) == c.compose(u, g), name
 
@@ -741,11 +741,10 @@ def test_yoneda_right_over_a_braiding():
     # (s, g) at the hom wires maps to s acted on by g
     for sig, name, env in _mirror_envs():
         for env_a in env.assignments():
-            src, dst, tr = _element_map(sig, env_a, "sym-hom", Step("R-YONEDA-R", (0,)))
-            prof = dst.prof
+            _, src, dst, tr = _element_map(sig, env_a, "sym-hom", Step("R-YONEDA-R", (0,)))
             for (a, b), (m, s, g) in _reps(src):
                 assert tr((a, b), (m, s, g)) == \
-                    prof.act(prof.source.identity(a), g, s), name
+                    dst.act(dst.source.identity(a), g, s), name
     back = Step("R-YONEDA-R", (0,), backward=True, inst={"label": "w"})
     for sig, name, env in _mirror_envs():
         run_derivation(sig, env, "sym-hom", [Step("R-YONEDA-R", (0,)), back],
@@ -760,13 +759,13 @@ def test_sym_fork_element_map():
         for env_a in env.assignments():
             mon = env_a.monoidal("C")
             c = mon.base
-            src, dst, tr = _element_map(sig, env_a, "fork-sym", Step("R-SYM", (1,)))
-            assert strip_labels(dst.term) == sig.shapes["port-fork"]
+            new_t, src, dst, tr = _element_map(sig, env_a, "fork-sym", Step("R-SYM", (1,)))
+            assert strip_labels(new_t) == sig.shapes["port-fork"]
             for (a, b), (m2, (m1, i, h), (u, v)) in _reps(src):
                 slid = c.compose(h, c.compose(mon.tensor_m(u, v),
                                               mon.braid(c.cod(u), c.cod(v))))
                 assert tr((a, b), (m2, (m1, i, h), (u, v))) == \
-                    dst.prof.classify(a, b, m1, i, slid), name
+                    dst.classify(a, b, m1, i, slid), name
 
 
 def test_sym_fork_round_trips():
@@ -788,9 +787,9 @@ def test_lax_codiscard():
     for sig, name, env in _mirror_envs():
         run_derivation(sig, env, "codiscard-port", [Step("R-LAX-DISCARD", (0,))])
         for env_a in env.assignments():
-            src, dst, tr = _element_map(sig, env_a, "codiscard-port",
-                                        Step("R-LAX-DISCARD", (0,)))
-            assert dst.term == Id(())
+            new_t, src, _, tr = _element_map(sig, env_a, "codiscard-port",
+                                             Step("R-LAX-DISCARD", (0,)))
+            assert new_t == Id(())
             assert [tr(f, rep) for f, rep in _reps(src)] == [0], name
     with pytest.raises(rewrite.MatchError, match="R-LAX-DISCARD expects"):
         apply_step(sig.shapes["port-fork"], Step("R-LAX-DISCARD", (0,)), Evaluator(env))

@@ -124,7 +124,7 @@ def _site(case):
             out = check_derivation_once(deriv, ev, report)
             assert out is not None and report.ok, report.text()
             for k in ks:
-                if _visible(fault, ev.node(out[0][k - 1]).prof, ev.node(out[0][k]).prof):
+                if _visible(fault, ev.node(out[0][k - 1]), ev.node(out[0][k])):
                     return fault, sig, deriv, env, k
     pytest.fail(f"no shipped step can show a faulty {case}")
 
@@ -139,7 +139,7 @@ def test_rule_rejects_corrupted_transport(case, monkeypatch):
     def faulty_apply_step(term, step, ev):
         new_term, transport, inv = real(term, step, ev)
         if step is target:
-            transport = fault(ev.node(new_term).prof)
+            transport = fault(ev.node(new_term))
         return new_term, transport, inv
 
     monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)
@@ -217,7 +217,7 @@ def _bijective_site(case, fault):
         assert out is not None and report.ok, report.text()
         for k in ks:
             line = next(t for t in report.lines if t.startswith(f"  step {k} "))
-            if "collapsed" not in line and _shows(fault, ev.node(out[0][k]).prof):
+            if "collapsed" not in line and _shows(fault, ev.node(out[0][k])):
                 return sig, deriv, env, k
     return None
 
@@ -236,7 +236,7 @@ def test_round_trip_rejects_a_bijective_fault(case, fault, monkeypatch):
     def faulty_apply_step(term, step, ev):
         new_term, transport, inv = real(term, step, ev)
         if step is target:
-            transport = fault(transport, ev.node(new_term).prof)
+            transport = fault(transport, ev.node(new_term))
         return new_term, transport, inv
 
     monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)
@@ -260,7 +260,7 @@ def test_fault_at_a_later_assignment_of_one_sweep_fails_that_step(monkeypatch):
     def faulty_apply_step(term, step, ev):
         new_term, transport, inv = real(term, step, ev)
         if step is target and ev.env.describe_objs() == last:
-            transport = _outside(ev.node(new_term).prof)
+            transport = _outside(ev.node(new_term))
         return new_term, transport, inv
 
     monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)

@@ -386,7 +386,7 @@ def test_each_generator_kind_types_as_its_profunctor(fixture):
         for a in mon.base.objects:
             env = Env(sig, {"C": mon, "D": other}, objs={"A": a},
                       profs={"K": constant_prof(mon.base)})
-            prof = Evaluator(env).node(leaf).prof
+            prof = Evaluator(env).node(leaf)
             assert env.boundary_cat(left) is prof.source, (text, a)
             assert env.boundary_cat(right) is prof.target, (text, a)
             checked[text] += 1

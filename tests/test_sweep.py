@@ -255,6 +255,6 @@ def test_port_is_built_once_per_value_of_its_symbol():
     env = Env(sig, {"C": fixture("meet-lattice-2")})
     ports = []
     for ev in sweep(env, only=objects_in(sig.shapes["lens"])):
-        ports.append(ev.node(sig.shapes["lens"]).children[0])
+        ports.append(ev.node(sig.shapes["lens"].parts[0]))
     assert ev.free == ("A", "B", "X", "Y") and len(ports) == 16
     assert len({id(p) for p in ports}) == 2
