@@ -37,6 +37,9 @@ def _parse_bindings(pairs):
         if "=" not in pair:
             raise InputError(f"binding {pair!r} is not SYM=PATH")
         sym, path = pair.split("=", 1)
+        sym = sym.strip()
+        if sym in out:
+            raise InputError(f"category symbol {sym!r} is bound twice")
         try:
             cat, mon = load_fixture_file(path)
         except (OSError, FixtureError) as e:
@@ -47,7 +50,7 @@ def _parse_bindings(pairs):
         if not rep.ok:
             raise InputError(f"fixture {path!r} fails validation: {rep.violations[0]} "
                              f"({len(rep.violations)} violation(s))")
-        out[sym.strip()] = mon if mon is not None else cat
+        out[sym] = mon if mon is not None else cat
     return out
 
 

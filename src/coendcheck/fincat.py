@@ -62,6 +62,8 @@ class FinCategory:
         self.name = name
         self.obj_names = tuple(obj_names)
         self.mor_names = tuple(mor_names)
+        self.objects = range(len(self.obj_names))
+        self.morphisms = range(len(self.mor_names))
         self._dom = tuple(dom)
         self._cod = tuple(cod)
         self._compose = dict(compose_table)
@@ -84,14 +86,6 @@ class FinCategory:
         self._op_cache = None
 
     # -- basic accessors ---------------------------------------------------
-
-    @property
-    def objects(self):
-        return range(len(self.obj_names))
-
-    @property
-    def morphisms(self):
-        return range(len(self.mor_names))
 
     def obj_name(self, o):
         return self.obj_names[o]

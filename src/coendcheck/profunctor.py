@@ -444,8 +444,8 @@ class ComposedProf(ConcreteProf):
         self.p, self.q = p, q
         self.mid = p.target
         self._coends = {}
-        # _act is pure for fixed p and q: compute it once per (f, g, value)
-        super().__init__(p.source, q.target, self._fib, functools.cache(self._act),
+        self._acts = {}
+        super().__init__(p.source, q.target, self._fib, self.act,
                          name=f"({p.name};{q.name})", render=self._render_elem)
 
     def coend_at(self, a, c) -> CoendSet:
@@ -481,6 +481,13 @@ class ComposedProf(ConcreteProf):
         """Canonical representative of the class of the raw tagged element."""
         x, v = self.coend_at(a, c).rep(m, (u, w))
         return (x, v[0], v[1])
+
+    def act(self, f, g, val):
+        """_act is pure for fixed p and q: compute it once per (f, g, value)."""
+        out = self._acts.get((f, g, val))
+        if out is None:
+            out = self._acts[f, g, val] = self._act(f, g, val)
+        return out
 
     def _act(self, f, g, val):
         m, u, w = val

@@ -9,6 +9,7 @@ evaluates to the coend-quotient set with canonical representatives.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -40,10 +41,31 @@ class EvalError(Exception):
 # wires and terms
 
 
-@dataclass(frozen=True)
-class Wire:
+class _Interned:
+    """Hash-consing: a term class keeps one object per tuple of field values
+    and its constructor returns it, so equal terms are identical.  Inserts
+    are atomic (`setdefault`); copies and pickles rebuild through `cls`."""
+
+    def __init_subclass__(cls):
+        cls._table = {}
+
+    @classmethod
+    def _make(cls, key):
+        t = object.__new__(cls)
+        t.__dict__.update(zip(cls.__dataclass_fields__, key))
+        return cls._table.setdefault(key, t)
+
+    def __reduce__(self):
+        return type(self), tuple(self.__dict__[f] for f in self.__dataclass_fields__)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Wire(_Interned):
     cat: str
     op: bool = False
+
+    def __new__(cls, cat, op=False):
+        return cls._table.get((cat, op)) or cls._make((cat, op))
 
     def flip(self):
         return Wire(self.cat, not self.op)
@@ -52,41 +74,40 @@ class Wire:
         return f"(op {self.cat})" if self.op else self.cat
 
 
-@dataclass(frozen=True)
-class Id:
+@dataclass(frozen=True, eq=False, init=False)
+class Id(_Interned):
     wires: tuple
     label: str = None
 
+    def __new__(cls, wires, label=None):
+        return cls._table.get((wires, label)) or cls._make((wires, label))
 
-@dataclass(frozen=True)
-class Gen:
+
+@dataclass(frozen=True, eq=False, init=False)
+class Gen(_Interned):
     kind: str
     args: tuple
     label: str = None
 
-
-def _hash_once(t):
-    """The hash of a Seq or Par, computed from its fields on first use and
-    kept: a term is frozen, and every memo lookup hashes it whole."""
-    h = t.__dict__.get("_hash")
-    if h is None:
-        h = t.__dict__["_hash"] = hash(tuple(getattr(t, f) for f in t.__dataclass_fields__))
-    return h
+    def __new__(cls, kind, args, label=None):
+        return cls._table.get((kind, args, label)) or cls._make((kind, args, label))
 
 
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, eq=False, init=False)
+class Seq(_Interned):
     parts: tuple
 
-    __hash__ = _hash_once
+    def __new__(cls, parts):
+        return cls._table.get((parts,)) or cls._make((parts,))
 
 
-@dataclass(frozen=True)
-class Par:
+@dataclass(frozen=True, eq=False, init=False)
+class Par(_Interned):
     top: object
     bottom: object
 
-    __hash__ = _hash_once
+    def __new__(cls, top, bottom):
+        return cls._table.get((top, bottom)) or cls._make((top, bottom))
 
 
 def is_plain_id(t):
@@ -127,8 +148,9 @@ def norm(t):
     return t
 
 
+@functools.cache
 def objects_in(term):
-    """Object symbols referenced by a term's generators."""
+    """Object symbols referenced by a term's generators, sorted, once per term."""
     out = set()
 
     def expr(e):
@@ -143,7 +165,7 @@ def objects_in(term):
         row = isinstance(leaf, Gen) and KINDS.get(leaf.kind)
         if row and row.sort == "object":
             expr(leaf.args[0])
-    return out
+    return tuple(sorted(out))
 
 
 def leaves(t, path=()):
@@ -564,6 +586,9 @@ class Env:
         self.sig = sig
         self.mons = {}
         self.cats = {}
+        unknown = sorted(bindings.keys() - set(sig.categories))
+        if unknown:
+            raise EvalError(f"unknown category symbol {unknown[0]!r}")
         for sym in sig.categories:
             if sym not in bindings:
                 raise EvalError(f"category symbol {sym!r} is unbound")
@@ -706,10 +731,8 @@ class Evaluator:
     def _scope(self, term):
         scope = self._scopes.get(term)
         if scope is None:
-            syms = tuple(sorted(objects_in(term)))
-            j = 0
-            while j < len(self.free) and self.free[j] in syms:
-                j += 1
+            syms = objects_in(term)
+            j = next((i for i, s in enumerate(self.free) if s not in syms), len(self.free))
             scope = self._scopes[term] = (syms, j)
         return scope
 

@@ -272,6 +272,17 @@ def test_bad_bound_fixture_exits_2(capsys, name, cmd):
     assert "fails validation: [" in err and "violation(s))" in err
 
 
+@pytest.mark.parametrize("cmd", [("check", "lens_reduction.deriv"),
+                                 ("eval", "lens.shapes", "--shape", "lens")])
+@pytest.mark.parametrize("binds, err", [
+    ([("C", "z2"), ("C", "meet-lattice-2")], "error: category symbol 'C' is bound twice\n"),
+    ([("C", "meet-lattice-2"), ("Q", "z2")], "error: unknown category symbol 'Q'\n"),
+], ids=["bound-twice", "unknown-symbol"])
+def test_each_bound_symbol_is_declared_and_bound_once(capsys, cmd, binds, err):
+    argv = [a for sym, name in binds for a in ("--bind", f"{sym}={fixture_path(name)}")]
+    assert run(capsys, cmd[0], demo_path(cmd[1]), *cmd[2:], *argv) == (2, "", err)
+
+
 def test_main_builds_one_parser_for_independent_calls(capsys, monkeypatch):
     # the parser is built once per process; each call still parses its own
     # arguments (no --bind or --fail-fast carries over) and dispatches to
@@ -379,8 +390,9 @@ def _step_script(tmp_path, shapes, shape, step):
     return str(script)
 
 
-STEP_BIND = ("--bind", f"C={fixture_path('meet-lattice-2')}",
-            "--bind", f"D={fixture_path('z2')}")
+# lens.shapes declares C; adjunctions.shapes declares C and D
+STEP_BIND = ("--bind", f"C={fixture_path('meet-lattice-2')}")
+ADJ_BIND = STEP_BIND + ("--bind", f"D={fixture_path('z2')}")
 
 
 @pytest.mark.parametrize("spec,code", [
@@ -393,7 +405,7 @@ def test_cobox_point_names_a_source_object(capsys, tmp_path, spec, code):
     script = tmp_path / "point.deriv"
     script.write_text("use adjunctions.shapes\nderivation d from in-leg\nend\n"
                       f"point p cobox-leg {{c := {spec}}}\n")
-    got, out, err = run(capsys, "check", str(script), *STEP_BIND)
+    got, out, err = run(capsys, "check", str(script), *ADJ_BIND)
     assert (got, err) == (code, "")
     assert ("FAIL point p: " in out) == (code == 1)
 
@@ -413,7 +425,7 @@ def test_bad_step_instantiation_fails_the_step(capsys, tmp_path, shapes, shape,
     # an instantiation naming an unknown symbol or a non-integer cut is a
     # failed step (exit 1), not an internal error (exit 3)
     code, out, err = run(capsys, "check", _step_script(tmp_path, shapes, shape, step),
-                         *STEP_BIND)
+                         *(ADJ_BIND if shapes == "adjunctions.shapes" else STEP_BIND))
     assert (code, err) == (1, "")
     fails = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert fails and all(line == f"FAIL step 1 {message}" for line in fails)
@@ -465,7 +477,7 @@ def test_assignment_free_failure_leaves_the_other_derivations(capsys, tmp_path):
 def test_instantiation_of_two_forms_exits_2(capsys, tmp_path):
     script = _step_script(tmp_path, "adjunctions.shapes", "in-leg",
                           "step R-ETA-A at 0 with {A := (a)(b)}")
-    code, out, err = run(capsys, "check", script, *STEP_BIND)
+    code, out, err = run(capsys, "check", script, *ADJ_BIND)
     _one_line_exit_2(code, out, err)
     assert "instantiation '(a)(b)' is not one value" in err
 

@@ -1,9 +1,15 @@
+import copy
 import dataclasses
+import pickle
 import re
+import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coendcheck import rewrite
 from coendcheck.demos import DEMOS, demo_dir, load_scripts
@@ -11,7 +17,7 @@ from coendcheck.fixtures import FIXTURE_NAMES, build
 from coendcheck.pointed import OpenDiagram
 from coendcheck.profunctor import constant_prof
 from coendcheck.rewrite import check_derivation
-from coendcheck.shapelang import (KINDS, Env, EvalError, Evaluator, Gen, Id, Par, Seq,
+from coendcheck.shapelang import (KINDS, Env, EvalError, Evaluator, Gen, Id, Par, Seq, Wire,
                                   ShapeSyntaxError, ShapeTypeError,
                                   StructureMissing, boundary, class_count,
                                   eval_closed, norm, parse_shape_script,
@@ -323,18 +329,144 @@ def test_ill_typed_term_is_never_memoised(sig):
     assert Gen("fork", ("C",)) in sig.boundaries
 
 
-def test_terms_hash_by_value_and_stay_frozen():
+def test_terms_are_interned_and_stay_frozen():
+    # one object per distinct term: two parses give the same object, and
+    # ==, dict lookup and repr agree with it
     lens = parse_shape_script(LENS_SCRIPT).shapes["lens"]
     again = parse_shape_script(LENS_SCRIPT).shapes["lens"]
-    assert lens is not again and lens == again
-    assert hash(lens) == hash(again) == hash((lens.parts,))
+    assert lens is again and lens == again
     par = lens.parts[2]
-    assert isinstance(par, Par) and hash(par) == hash((par.top, par.bottom))
+    assert isinstance(par, Par) and par is Par(par.top, par.bottom)
     assert {lens: 1}[again] == 1
     for t, attr in [(lens, "parts"), (par, "top")]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(t, attr, None)
     assert repr(lens) == repr(again) and "_hash" not in repr(lens)
+    assert repr(Seq((Gen("inport", ("A",)), Id((Wire("C", True),), "w")))) == (
+        "Seq(parts=(Gen(kind='inport', args=('A',), label=None), "
+        "Id(wires=(Wire(cat='C', op=True),), label='w')))")
+
+
+def rebuild(t, rename=None):
+    """A structurally fresh copy of `t` through the constructors, with the
+    symbols in `rename` renamed: the naive reference that interning must
+    return the existing object for."""
+    def sym(x):
+        return tuple(map(sym, x)) if isinstance(x, tuple) else (rename or {}).get(x, x)
+    if isinstance(t, Seq):
+        return Seq(tuple(rebuild(p, rename) for p in t.parts))
+    if isinstance(t, Par):
+        return Par(rebuild(t.top, rename), rebuild(t.bottom, rename))
+    if isinstance(t, Id):
+        return Id(tuple(Wire(sym(w.cat), w.op) for w in t.wires), t.label)
+    return Gen(t.kind, sym(t.args), t.label)
+
+
+# random terms over few symbols, drawn as plain tuples so that draws often
+# coincide: ("seq", parts), ("par", top, bottom), ("id", wires, label) or
+# ("gen", kind, args, label)
+_labels = st.sampled_from([None, "u"])
+_leaves = st.one_of(
+    st.tuples(st.just("id"), st.lists(st.tuples(st.sampled_from("CD"), st.booleans()),
+                                      max_size=2).map(tuple), _labels),
+    st.tuples(st.just("gen"), st.sampled_from(["inport", "outport"]),
+              st.sampled_from([("A",), ("B",), (("tensor", "A", "B"),)]), _labels),
+    st.tuples(st.just("gen"), st.sampled_from(["fork", "junction"]), st.just(("C",)),
+              _labels))
+_descs = st.recursive(_leaves, lambda sub: st.one_of(
+    st.tuples(st.just("seq"), st.lists(sub, min_size=1, max_size=3).map(tuple)),
+    st.tuples(st.just("par"), sub, sub)), max_leaves=6)
+
+
+def build_desc(d):
+    if d[0] == "seq":
+        return Seq(tuple(map(build_desc, d[1])))
+    if d[0] == "par":
+        return Par(build_desc(d[1]), build_desc(d[2]))
+    if d[0] == "id":
+        return Id(tuple(Wire(c, op) for c, op in d[1]), d[2])
+    return Gen(*d[1:])
+
+
+def naive_repr(d):
+    """The structural dataclass repr of the term a description builds."""
+    def tup(items):
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+    if d[0] == "seq":
+        return f"Seq(parts={tup([naive_repr(p) for p in d[1]])})"
+    if d[0] == "par":
+        return f"Par(top={naive_repr(d[1])}, bottom={naive_repr(d[2])})"
+    if d[0] == "id":
+        wires = tup([f"Wire(cat={c!r}, op={op!r})" for c, op in d[1]])
+        return f"Id(wires={wires}, label={d[2]!r})"
+    return f"Gen(kind={d[1]!r}, args={d[2]!r}, label={d[3]!r})"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_descs, _descs)
+def test_interning_agrees_with_structural_repr(da, db):
+    a, b = build_desc(da), build_desc(db)
+    assert repr(a) == naive_repr(da) and repr(b) == naive_repr(db)
+    assert (a is b) == (a == b) == (repr(a) == repr(b)) == (da == db)
+    assert ({a: 1}.get(b) == 1) == (da == db)
+    assert build_desc(da) is a and rebuild(a) is a
+
+
+def _demo_shapes():
+    for spec in DEMOS.values():
+        sig, _ = load_scripts(spec["script"])
+        for name, term in sig.shapes.items():
+            yield name, term, sig
+
+
+def test_every_demo_shape_reparses_and_copies_to_itself():
+    shapes = list(_demo_shapes())
+    assert len(shapes) == 56
+    for name, t, sig in shapes:
+        assert parse_term(read_sexprs(print_term(t))[0], sig) is t, name
+        assert rebuild(t) is t, name
+        for again in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert again is t, name
+    w = Wire("C", True)
+    assert copy.copy(w) is copy.deepcopy(w) is pickle.loads(pickle.dumps(w)) is w
+
+
+def test_construction_from_threads_interns_each_term_once():
+    # 8 threads build the shapes of lens.shapes, half by parsing and half
+    # through the constructors, with the category renamed in each round so
+    # that they race to create every term: each comes out as one object
+    text = (demo_dir() / "lens.shapes").read_text(encoding="utf-8")
+    shapes = list(parse_shape_script(text).shapes.values())
+    rounds, n = 200, 8
+    texts = [re.sub(r"\bC\b", f"K{r}", text) for r in range(rounds)]
+    start = threading.Barrier(n, timeout=60)
+    built = [[] for _ in range(n)]
+
+    def build(k):
+        for r in range(rounds):
+            start.wait()
+            if k % 2:
+                built[k].extend(parse_shape_script(texts[r]).shapes.values())
+            else:
+                built[k].extend(rebuild(t, {"C": f"K{r}"}) for t in shapes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=build, args=(k,)) for k in range(n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(len(out) == rounds * len(shapes) for out in built)
+    for column in zip(*built):
+        assert all(t is column[0] for t in column)
+    by_repr = {}
+    for t in built[0]:
+        assert by_repr.setdefault(repr(t), t) is t and rebuild(t) is t
 
 
 # -- each generator kind against the profunctor it denotes ---------------------
