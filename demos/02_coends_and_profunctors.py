@@ -7,7 +7,7 @@ per class.
 """
 
 from coendcheck.fixtures import build
-from coendcheck.profunctor import (CoendSet, companion, compose_prof, conjoint,
+from coendcheck.profunctor import (CoendSet, ComposedProf, companion, conjoint,
                                    hom_prof, point)
 
 z2 = build("z2").base
@@ -22,5 +22,5 @@ for rep in ce.reps:
 # composing two representables collapses by the Yoneda lemma
 chain = build("meet-lattice-2").base
 lo, hi = chain.obj_id("0"), chain.obj_id("1")
-comp = compose_prof(companion(point(chain, lo)), conjoint(point(chain, hi)))
+comp = ComposedProf(companion(point(chain, lo)), conjoint(point(chain, hi)))
 print("|C(0,-) ; C(-,1)| =", len(comp.fiber(0, 0)), "=|C(0,1)|")

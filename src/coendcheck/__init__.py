@@ -14,12 +14,11 @@ from .fincat import (FinCategory, MonoidalStructure, FinFunctor,
                      validate_functor, opposite, product, terminal_category,
                      from_lattice, from_comm_monoid, load_fixture,
                      load_fixture_file, dump_fixture)
-from .profunctor import (ConcreteProf, CoendSet, NatFamily, ProfunctorError,
-                         compose_prof, tensor_prof, hom_prof, point,
-                         tensor_functor, companion, conjoint, copy_prof,
-                         merge_prof, discard_prof, codiscard_prof, swap_prof,
-                         cup_prof, cap_prof, dual, check_natural,
-                         validate_prof)
+from .profunctor import (ConcreteProf, CoendSet, ProfunctorError, ComposedProf,
+                         TensorProf, hom_prof, point, tensor_functor,
+                         companion, conjoint, copy_prof, merge_prof,
+                         discard_prof, codiscard_prof, swap_prof, cup_prof,
+                         cap_prof, dual, validate_prof)
 from .shapelang import (Wire, Id, Gen, Seq, Par, Signature, Env, Evaluator,
                         ShapeSyntaxError, ShapeTypeError, StructureMissing,
                         EvalError, parse_shape_script, parse_term, print_term,
@@ -38,11 +37,10 @@ __all__ = [
     "validate_category", "validate_monoidal", "validate_functor",
     "opposite", "product", "terminal_category", "from_lattice",
     "from_comm_monoid", "load_fixture", "load_fixture_file", "dump_fixture",
-    "ConcreteProf", "CoendSet", "NatFamily", "ProfunctorError",
-    "compose_prof", "tensor_prof", "hom_prof", "point", "tensor_functor",
-    "companion", "conjoint", "copy_prof", "merge_prof", "discard_prof",
-    "codiscard_prof", "swap_prof", "cup_prof", "cap_prof", "dual",
-    "check_natural", "validate_prof",
+    "ConcreteProf", "CoendSet", "ProfunctorError", "ComposedProf",
+    "TensorProf", "hom_prof", "point", "tensor_functor", "companion",
+    "conjoint", "copy_prof", "merge_prof", "discard_prof", "codiscard_prof",
+    "swap_prof", "cup_prof", "cap_prof", "dual", "validate_prof",
     "Wire", "Id", "Gen", "Seq", "Par", "Signature", "Env", "Evaluator",
     "ShapeSyntaxError", "ShapeTypeError", "StructureMissing", "EvalError",
     "parse_shape_script", "parse_term", "print_term", "boundary",

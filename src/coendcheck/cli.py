@@ -14,7 +14,8 @@ import json
 import os
 import sys
 
-from .fincat import FixtureError, load_fixture_file, validate_category, validate_monoidal
+from .fincat import (FixtureError, load_fixture_file, validate_category,
+                     validate_functor, validate_monoidal)
 from .rewrite import (Report, RewriteError, check_derivation,
                       load_derivation_script, script_object_symbols)
 from .shapelang import (Env, EvalError, ShapeSyntaxError, ShapeTypeError,
@@ -47,11 +48,23 @@ def _parse_bindings(pairs):
         rep = validate_category(cat)
         if rep.ok and mon is not None:
             rep = validate_monoidal(mon)
-        if not rep.ok:
-            raise InputError(f"fixture {path!r} fails validation: {rep.violations[0]} "
-                             f"({len(rep.violations)} violation(s))")
+        _require(rep, f"fixture {path!r}")
         out[sym] = mon if mon is not None else cat
     return out
+
+
+def _require(rep, what):
+    if not rep.ok:
+        raise InputError(f"{what} fails validation: {rep.violations[0]} "
+                         f"({len(rep.violations)} violation(s))")
+
+
+def _env(sig, bindings):
+    """The oracle environment, once each declared functor is a functor."""
+    env = Env(sig, bindings)
+    for name, fn in env.functors.items():
+        _require(validate_functor(fn), f"functor {name!r}")
+    return env
 
 
 def _read(path):
@@ -106,7 +119,7 @@ def cmd_eval(args):
     report = Report()
     try:
         bnd = boundary(term, sig)
-        env = Env(sig, bindings)
+        env = _env(sig, bindings)
         only = objects_in(term)
         for k, ev in enumerate(sweep(env, only)):
             desc = ev.env.describe_objs()
@@ -143,7 +156,7 @@ def cmd_check(args):
         raise InputError(str(e))
     bindings = _parse_bindings(args.bind)
     try:
-        env = Env(sig, bindings)
+        env = _env(sig, bindings)
         _announce(env.assignment_count(script_object_symbols(script, sig)))
         report = check_derivation(script, sig, env, fail_fast=args.fail_fast)
     except (EvalError, FixtureError, StructureMissing) as e:

@@ -607,9 +607,9 @@ def product(*cats: FinCategory) -> FinCategory:
     p = FinCategory(name, obj_names, mor_names, dom, cod,
                     {(0, 0): 0} if not flat else {}, identities)
     p.factors = tuple(flat)
-    p._obj_tuple = {i: t for i, t in enumerate(obj_tuples)}
+    p._obj_tuple = obj_tuples
     p._obj_pack = obj_pack
-    p._mor_tuple = {i: t for i, t in enumerate(mor_tuples)}
+    p._mor_tuple = mor_tuples
     p._mor_pack = mor_pack
     _PRODUCT_CACHE[key] = p
     return p

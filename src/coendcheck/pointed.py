@@ -15,9 +15,10 @@ from .fincat import FixtureError
 from .profunctor import (companion, conjoint, join_mors, join_objs, render_generic,
                          split_obj)
 from .rewrite import (PointError, RewriteError, apply_step, build_seq_value,
-                      check_instantiation, strip_labels)
-from .shapelang import (KINDS, Evaluator, Gen, Id, Par, Seq, Wire, boundary,
-                        functor_expr_sig, obj_expr_cat, print_term)
+                      check_instantiation)
+from .shapelang import (KINDS, Evaluator, Id, Par, Seq, Wire, boundary,
+                        functor_expr_sig, obj_expr_cat, print_term, relabel,
+                        strip_labels)
 
 
 @dataclass
@@ -91,7 +92,7 @@ def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation,
             raise RewriteError(
                 f"deformations must be invertible; {rule.name} is directed")
     d = lift_many(deformation, d1, ev)
-    if strip_labels(d.shape) != strip_labels(d2.shape):
+    if strip_labels(d.shape) is not strip_labels(d2.shape):
         raise PointError(
             "deformation does not reach the target shape: "
             f"{print_term(d.shape)} vs {print_term(d2.shape)}")
@@ -106,22 +107,13 @@ def embed(ev: Evaluator, catsym, mor, label="w") -> OpenDiagram:
     return _point(ev, shape, {label: (mor, None)}, ev.env.cats[catsym].dom(mor))
 
 
-def _relabel(t, prefix):
-    if isinstance(t, Seq):
-        return Seq(tuple(_relabel(p, prefix) for p in t.parts))
-    if isinstance(t, Par):
-        return Par(_relabel(t.top, prefix), _relabel(t.bottom, prefix))
-    if isinstance(t, Id):
-        return Id(t.wires, prefix + t.label if t.label else None)
-    return Gen(t.kind, t.args, prefix + t.label if t.label else None)
-
-
 def compose_open(d1: OpenDiagram, d2: OpenDiagram, ev: Evaluator) -> OpenDiagram:
     """Sequential composition of open diagrams; the point is the class of
     the pair of points."""
     if d1.fiber[1] != d2.fiber[0]:
         raise PointError("open diagrams do not share a middle object")
-    s1, s2 = _relabel(d1.shape, "l:"), _relabel(d2.shape, "r:")
+    s1 = relabel(d1.shape, lambda x: "l:" + x if x else None)
+    s2 = relabel(d2.shape, lambda x: "r:" + x if x else None)
     value = build_seq_value(ev, [(s1, d1.point, d1.fiber[0], d1.fiber[1]),
                                  (s2, d2.point, d2.fiber[0], d2.fiber[1])],
                             (d1.fiber[0], d2.fiber[1]))

@@ -383,10 +383,6 @@ def constant_prof(c: FinCategory, values=("p0", "p1")) -> ConcreteProf:
                         name=f"const({c.name})")
 
 
-def empty_prof(c: FinCategory, d: FinCategory) -> ConcreteProf:
-    return ConcreteProf(c, d, lambda a, b: (), lambda f, g, v: v, name="empty")
-
-
 # ---------------------------------------------------------------------------
 # tensor and composition
 
@@ -423,9 +419,6 @@ class TensorProf(ConcreteProf):
         a1, a2 = split_obj(self.source, p1.source, p2.source, fiber[0])
         b1, b2 = split_obj(self.target, p1.target, p2.target, fiber[1])
         return ((a1, b1), value[0]), ((a2, b2), value[1])
-
-
-tensor_prof = TensorProf
 
 
 class ComposedProf(ConcreteProf):
@@ -565,51 +558,3 @@ class _PairProf(ConcreteProf):
             li, ri = bx + i * nx, by + fi * ny
             for j, fj in enumerate(qt):
                 yield li + fj, ri + j
-
-
-compose_prof = ComposedProf
-
-
-# ---------------------------------------------------------------------------
-# natural families
-
-
-class NatFamily:
-    """A family of per-fiber maps between two parallel profunctors."""
-
-    def __init__(self, components):
-        # components: (a, b) -> dict value -> value, or a callable (a, b, v) -> v
-        self.components = components
-
-    def at(self, a, b, v):
-        if callable(self.components):
-            return self.components(a, b, v)
-        comp = self.components.get((a, b))
-        if comp is None:
-            raise ProfunctorError(f"missing component at ({a},{b})")
-        return comp[v]
-
-
-def check_natural(p: ConcreteProf, q: ConcreteProf, fam: NatFamily) -> bool:
-    """Exhaustively check every naturality square."""
-    if p.source is not q.source or p.target is not q.target:
-        raise ProfunctorError("naturality needs parallel profunctors")
-    src, tgt = p.source, p.target
-    for a in src.objects:
-        for b in tgt.objects:
-            for v in p.fiber(a, b):
-                fv = fam.at(a, b, v)
-                if fv not in q.fiber(a, b):
-                    raise ProfunctorError(
-                        f"component at ({a},{b}) leaves the target fiber")
-                for f in src.morphisms:
-                    if src.cod(f) != a:
-                        continue
-                    for g in tgt.morphisms:
-                        if tgt.dom(g) != b:
-                            continue
-                        lhs = fam.at(src.dom(f), tgt.cod(g), p.act(f, g, v))
-                        rhs = q.act(f, g, fv)
-                        if lhs != rhs:
-                            return False
-    return True

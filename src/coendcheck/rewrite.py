@@ -18,7 +18,7 @@ from .profunctor import ProfunctorError, dual, join_mors, join_objs, split_obj
 from .shapelang import (Env, EvalError, Evaluator, Gen, Id, Par, Seq,
                         ShapeTypeError, StructureMissing, Wire, boundary,
                         is_plain_id, norm, obj_expr_cat, objects_in, functor_expr_sig,
-                        parse_shape_script, print_term, sweep)
+                        parse_shape_script, print_term, strip_labels, sweep)
 
 
 class RewriteError(Exception):
@@ -607,12 +607,12 @@ class PortFuse(Rule):
     object; in C^op, two parallel ports out of a fork."""
     name = "R-PORT-FUSE"
     obj_keys = ((), ("A", "B"))
-    readings = ((False, ("inport", "junction"), "in"), (True, ("outport", "fork"), "out"))
+    readings = ((False, ("inport", "junction")), (True, ("outport", "fork")))
 
     def match(self, ev, parts, i, inst, backward, gates):
         if backward:
             return self._backward(ev, parts, i, inst, gates)
-        for op, (port, gen), side in self.readings:
+        for op, (port, gen) in self.readings:
             ports, j = _window(parts, i, 2, op)
             if not (isinstance(ports, Par) and isinstance(j, Gen) and j.kind == gen
                     and all(isinstance(p, Gen) and p.kind == port
@@ -626,7 +626,7 @@ class PortFuse(Rule):
                 return ([mon.base.compose(mon.tensor_m(f, g), h)], [])
 
             out = SliceOutcome(2, (Gen(port, (("tensor", ea, eb),)),), tf,
-                               inverse_inst={"A": ea, "B": eb, "side": side})
+                               inverse_inst={"A": ea, "B": eb})
             return _read_back(out, op)
         raise MatchError("R-PORT-FUSE expects parallel ports beside a junction "
                          "or fork")
@@ -646,7 +646,7 @@ class PortFuse(Rule):
               "backward R-PORT-FUSE expects a port")
         gates.append(lambda ev: _want(ev.env.resolve_obj(t.args[0]) == mon.tensor(*ids(ev)),
                                       "port object is not the tensor of the instantiation"))
-        op, (port, gen), _ = self.readings[t.kind == "outport"]
+        op, (port, gen) = self.readings[t.kind == "outport"]
         c = mon.base
         rep = (Par(Gen(port, (ea,)), Gen(port, (eb,))), Gen(gen, (catsym,)))
         cc = ev.env.boundary_cat((Wire(catsym),) * 2)
@@ -1080,24 +1080,6 @@ RULES = {r.name: r for r in [
 # derivations and the checker
 
 
-def strip_labels(t):
-    if isinstance(t, Seq):
-        return Seq(tuple(strip_labels(p) for p in t.parts))
-    if isinstance(t, Par):
-        return Par(strip_labels(t.top), strip_labels(t.bottom))
-    if isinstance(t, Id):
-        return Id(t.wires)
-    return Gen(t.kind, t.args)
-
-
-def same_shape(ev: Evaluator, a, b):
-    """strip_labels(a) == strip_labels(b), decided once per evaluator: the
-    terms of a derivation repeat at every assignment of its sweep."""
-    if (a, b) not in ev.plans:
-        ev.plans[(a, b)] = strip_labels(a) == strip_labels(b)
-    return ev.plans[(a, b)]
-
-
 @dataclass
 class Derivation:
     name: str
@@ -1217,7 +1199,7 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
         inv_step = Step(step.rule, step.path, not step.backward, inv_inst)
         try:
             back_term, back_tr, _ = apply_step(new_term, inv_step, ev)
-            if not same_shape(ev, back_term, term):
+            if strip_labels(back_term) is not strip_labels(term):
                 back_tr = None
         except (PathError, MatchError):
             back_tr = None
@@ -1272,7 +1254,7 @@ def check_derivation_once(deriv: Derivation, ev: Evaluator, report: Report):
         if not (1 <= first <= last <= len(deriv.steps)):
             return report.fail(f"obligation {first}..{last} out of range")
         t0, t1 = terms[first - 1], terms[last]
-        if not same_shape(ev, t0, t1):
+        if strip_labels(t0) is not strip_labels(t1):
             return report.fail(f"obligation {first}..{last}: terms differ, composite "
                                f"cannot be an identity")
         moved = next(((fiber, rep) for fiber, fmap in maps[first - 1].items()

@@ -114,6 +114,24 @@ def is_plain_id(t):
     return isinstance(t, Id) and t.label is None
 
 
+def relabel(t, label):
+    """`t` with each leaf's label l replaced by label(l)."""
+    if isinstance(t, Seq):
+        return Seq(tuple(relabel(p, label) for p in t.parts))
+    if isinstance(t, Par):
+        return Par(relabel(t.top, label), relabel(t.bottom, label))
+    if isinstance(t, Id):
+        return Id(t.wires, label(t.label))
+    return Gen(t.kind, t.args, label(t.label))
+
+
+@functools.cache
+def strip_labels(t):
+    """`t` without its labels.  Terms are interned, so two terms have the
+    same shape iff `strip_labels` gives both the same object."""
+    return relabel(t, lambda _: None)
+
+
 def norm(t):
     """Silent normalization: flatten nested Seq, drop unlabelled identity
     parts, merge parallel unlabelled identities, drop empty-boundary units.
@@ -321,8 +339,9 @@ def obj_expr_cat(e, sig):
 def _parse_functor_expr(x, sig):
     if isinstance(x, list):
         if len(x) == 3 and x[0] == "fcomp":
-            return ("fcomp", _parse_functor_expr(x[1], sig),
-                    _parse_functor_expr(x[2], sig))
+            e = ("fcomp", _parse_functor_expr(x[1], sig), _parse_functor_expr(x[2], sig))
+            functor_expr_sig(e, sig)
+            return e
         raise ShapeSyntaxError(f"bad functor expression {x!r}")
     x = _name_of(x)
     if x not in sig.functors:

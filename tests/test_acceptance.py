@@ -24,8 +24,8 @@ from coendcheck.optics import (Lens, apply_lens, compose_optic,
                                pair_to_lens, pair_to_prism, prism_to_pair,
                                triple_to_learner)
 from coendcheck.pointed import OpenDiagram, forget, lift
-from coendcheck.profunctor import (ConcreteProf, CoendSet, companion,
-                                   compose_prof, conjoint, constant_prof,
+from coendcheck.profunctor import (ComposedProf, ConcreteProf, CoendSet,
+                                   companion, conjoint, constant_prof,
                                    copy_prof, cup_prof, cap_prof, hom_prof,
                                    merge_prof, point, swap_prof,
                                    tensor_functor)
@@ -90,7 +90,7 @@ def test_criterion_2_yoneda_unitors(oracles):
         h = hom_prof(c)
         for p in shipped_profunctors(mon):
             if p.source is c:
-                left = compose_prof(h, p)
+                left = ComposedProf(h, p)
                 for a in p.source.objects:
                     for b in p.target.objects:
                         image = [p.act(u, p.target.identity(b), w)
@@ -100,7 +100,7 @@ def test_criterion_2_yoneda_unitors(oracles):
                             sorted(map(value_key, p.fiber(a, b))), (name, p.name)
                         pairs += 1
             if p.target is c:
-                right = compose_prof(p, h)
+                right = ComposedProf(p, h)
                 for a in p.source.objects:
                     for b in p.target.objects:
                         image = [p.act(p.source.identity(a), w, u)

@@ -534,6 +534,70 @@ def test_mutated_shipped_scripts_never_exit_3(capsys, tmp_path):
     assert runs > 4000
 
 
+FUNCTOR_LINES = ["(functor F C D (obj (0 x) (1 x)) (mor (id_0 0) (id_1 0) (0<1 1)))",
+                 "(functor G D C (obj (x 0)) (mor (0 id_0) (1 id_0)))",
+                 "(shape box (seq (id C @w) (box F)))",
+                 "(shape fcomp (box (fcomp F G)))"]
+
+
+def test_functor_inputs_never_exit_3(capsys, tmp_path):
+    # each name of a functor or box line put in place of each of its tokens
+    # (about 800 runs): a map that is not a functor, or an fcomp whose
+    # functors do not compose, is malformed input (exit 2), never an
+    # internal error
+    head = (demo_dir() / "adjunctions.shapes").read_text(encoding="utf-8")
+    path = tmp_path / "functors.shapes"
+    codes, runs = set(), 0
+    for n, line in enumerate(FUNCTOR_LINES):
+        toks = re.findall(r"[()]|[^\s()]+", line)
+        names = sorted(set(toks) - set("()"))
+        for i, tok in enumerate(toks):
+            for name in names if tok not in "()" else ():
+                mutant = FUNCTOR_LINES[:n] + [" ".join(toks[:i] + [name] + toks[i + 1:])]
+                path.write_text(head + "\n".join(mutant + FUNCTOR_LINES[n + 1:]) + "\n")
+                for shape in ("box", "fcomp"):
+                    code, _, err = run(capsys, "eval", str(path), "--shape", shape, *ADJ_BIND)
+                    assert code in (0, 2) and "internal error" not in err, (mutant, err)
+                    codes.add(code)
+                    runs += 1
+    assert codes == {0, 2} and runs > 700
+
+
+@pytest.mark.parametrize("edit,shape,message", [
+    # F sends an identity to a non-identity: its check failed one step
+    (("(id_0 0)", "(id_0 1)"), "box-leg",
+     "functor 'F' fails validation: [functoriality] identity at 0 not preserved"
+     " (3 violation(s))"),
+    # F's map misses a morphism: evaluation read the missing entry
+    ((" (0<1 1)", ""), "box-leg",
+     "functor 'F' fails validation: [malformed] morphism map missing at 0<1"
+     " (1 violation(s))"),
+    # F;G with F, G: C -> D does not compose
+    (("(shape box-leg (box F))", "(functor G C D (obj (0 x) (1 x)) "
+      "(mor (id_0 0) (id_1 0) (0<1 1)))\n(shape box-leg (box (fcomp F G)))"), "box-leg",
+     "functor composition mismatch"),
+], ids=["not-a-functor", "map-misses-a-morphism", "fcomp-does-not-compose"])
+def test_bad_functor_exits_2(capsys, tmp_path, edit, shape, message):
+    shapes = (demo_dir() / "adjunctions.shapes").read_text(encoding="utf-8")
+    assert edit[0] in shapes
+    (tmp_path / "adjunctions.shapes").write_text(shapes.replace(*edit))
+    script = tmp_path / "adjunctions.deriv"
+    script.write_text((demo_dir() / "adjunctions.deriv").read_text(encoding="utf-8"))
+    for argv in (("check", str(script)),
+                 ("eval", str(tmp_path / "adjunctions.shapes"), "--shape", shape)):
+        code, out, err = run(capsys, *argv, *ADJ_BIND)
+        _one_line_exit_2(code, out, err)
+        assert err == f"error: {message}\n"
+
+
+def test_instantiation_by_a_functor_composite_that_does_not_compose_exits_2(capsys, tmp_path):
+    script = _step_script(tmp_path, "adjunctions.shapes", "box-leg",
+                          "step R-FUNCTOR-ADJ-ETA at 0 with {F := (fcomp F F)}")
+    code, out, err = run(capsys, "check", script, *ADJ_BIND)
+    _one_line_exit_2(code, out, err)
+    assert err == "error: functor composition mismatch\n"
+
+
 def _json_mutants(data):
     """Every drop of one key or list element, and every replacement of one
     scalar by "Q" or by null, anywhere in parsed JSON data."""

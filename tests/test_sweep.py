@@ -11,13 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from coendcheck.demos import DEMOS, load_scripts
+from coendcheck.demos import DEMOS, load_scripts, run_demo
 from coendcheck.fixtures import fixture, fixture_path
 from coendcheck import rewrite
 from coendcheck.rewrite import (Report, _check_points, check_assignments,
                                 check_derivation, check_derivation_once,
                                 parse_derivation_script, script_object_symbols)
-from coendcheck.shapelang import Env, Evaluator, objects_in, parse_shape_script, sweep
+from coendcheck.shapelang import (Env, Evaluator, Gen, Id, Par, Seq, objects_in,
+                                  parse_shape_script, strip_labels, sweep)
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
@@ -132,6 +133,40 @@ def test_shared_sweep_matches_naive_reference_on_demos(monkeypatch, name, i):
     assert _shared_report(script, sig, env, spec.get("epilogue")) == want
     spy.assert_each_built_once()
     plans.assert_each_matched_once()
+
+
+def naive_strip(t):
+    """A label-dropping rebuild of `t`: the reference for the cached
+    strip_labels."""
+    if isinstance(t, Seq):
+        return Seq(tuple(naive_strip(p) for p in t.parts))
+    if isinstance(t, Par):
+        return Par(naive_strip(t.top), naive_strip(t.bottom))
+    if isinstance(t, Id):
+        return Id(t.wires)
+    return Gen(t.kind, t.args)
+
+
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_strip_labels_and_plans_over_a_demo(monkeypatch, name):
+    # every term a shipped derivation passes through strips as the naive
+    # rebuild does, to one object per term; the sweep's plan memo holds
+    # only plans
+    terms, evs = set(), {}
+    once = rewrite.check_derivation_once
+
+    def spied(deriv, ev, report):
+        out = once(deriv, ev, report)
+        evs[id(ev)] = ev
+        terms.update(out[0] if out else ())
+        return out
+    monkeypatch.setattr(rewrite, "check_derivation_once", spied)
+    assert run_demo(name).ok and terms
+    for t in terms:
+        assert strip_labels(t) == naive_strip(t)
+        assert strip_labels(t) is strip_labels(t)
+    plans = [p for ev in evs.values() for p in ev.plans.values()]
+    assert plans and all(isinstance(p, rewrite.Plan) for p in plans)
 
 
 def _workload(name):
