@@ -7,14 +7,14 @@ per class.
 """
 
 from coendcheck.fixtures import build
-from coendcheck.profunctor import (CoendSet, ComposedProf, companion, conjoint,
+from coendcheck.profunctor import (ComposedProf, coend, companion, conjoint,
                                    hom_prof, point)
 
 z2 = build("z2").base
 
 # the coend of the hom profunctor over Z/2: conjugation is trivial in an
 # abelian group, so two classes survive
-ce = CoendSet(hom_prof(z2))
+ce = coend(hom_prof(z2))
 print("coend of hom over Z/2:", ce.class_count, "classes")
 for rep in ce.reps:
     print("  class of", rep, "with members", ce.members(rep))

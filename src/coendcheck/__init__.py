@@ -15,7 +15,7 @@ from .fincat import (FinCategory, MonoidalStructure, FinFunctor,
                      from_lattice, from_comm_monoid, load_fixture,
                      load_fixture_file, dump_fixture)
 from .profunctor import (ConcreteProf, CoendSet, ProfunctorError, ComposedProf,
-                         TensorProf, hom_prof, point, tensor_functor,
+                         TensorProf, coend, hom_prof, point, tensor_functor,
                          companion, conjoint, copy_prof, merge_prof,
                          discard_prof, codiscard_prof, swap_prof, cup_prof,
                          cap_prof, dual, validate_prof)
@@ -38,7 +38,7 @@ __all__ = [
     "opposite", "product", "terminal_category", "from_lattice",
     "from_comm_monoid", "load_fixture", "load_fixture_file", "dump_fixture",
     "ConcreteProf", "CoendSet", "ProfunctorError", "ComposedProf",
-    "TensorProf", "hom_prof", "point", "tensor_functor", "companion",
+    "TensorProf", "coend", "hom_prof", "point", "tensor_functor", "companion",
     "conjoint", "copy_prof", "merge_prof", "discard_prof", "codiscard_prof",
     "swap_prof", "cup_prof", "cap_prof", "dual", "validate_prof",
     "Wire", "Id", "Gen", "Seq", "Par", "Signature", "Env", "Evaluator",

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fincat import MonoidalStructure, product
-from .profunctor import CoendSet, ConcreteProf, join_objs, split_mor, split_obj
+from .profunctor import ConcreteProf, coend, join_objs, split_mor, split_obj
 from .shapelang import StructureMissing
 
 
@@ -43,10 +43,10 @@ class CoendSpace:
 
     def __init__(self, cat, fib, act, name):
         self.prof = ConcreteProf(cat, cat, fib, act, name=name)
-        self.coend = CoendSet(self.prof)
+        self.coend = coend(self.prof)
 
     def cls(self, m, *v):
-        return self.coend.rep(m, v[0] if len(v) == 1 else v)
+        return self.coend.rep((m, v[0] if len(v) == 1 else v))
 
     @property
     def class_count(self):

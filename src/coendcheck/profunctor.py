@@ -125,32 +125,27 @@ def validate_prof(p: ConcreteProf):
 
 class CoendSet:
     """The coequalizer of the two morphism actions on the diagonal of a
-    profunctor with equal endpoints (a coend over the base category).
+    profunctor with equal endpoints (a coend over the category `cat`).
 
-    Tagged elements are pairs (object, value); classes are represented by
-    the least tagged element in tuple order.  Only the category's
-    generators are related: an identity relates an element to itself, and
-    for a lawful action a composite's relation chains its factors' ones.
-
-    The union-find runs over positions in `index`, which lists the fiber
-    P(x, x) of each object x in turn from base[x]; p.relations(f, base)
-    yields the relation of f as pairs of positions.  A coend of at most
+    `fibers` lists the tagged elements over each object of cat in turn,
+    and `index` is their concatenation, the fiber of object x starting at
+    base[x]; relations(f, base) yields the relation of a generator f as
+    pairs of positions in `index`.  Only the generators are related: an
+    identity relates an element to itself, and for a lawful action a
+    composite's relation chains its factors' ones.  Classes are
+    represented by their least tagged element in tuple order; `groups`
+    maps each representative to its members in order.  A coend of at most
     one element reads no relation.
     """
 
-    def __init__(self, p: ConcreteProf):
-        if p.source is not p.target:
-            raise ProfunctorError("coend needs equal source and target")
-        self.prof = p
-        self.cat = p.source
-        cat = self.cat
-        fibers = [p.fiber(x, x) for x in cat.objects]
-        self.index = index = [(x, v) for x, fib in zip(cat.objects, fibers) for v in fib]
+    def __init__(self, cat: FinCategory, fibers, relations):
+        self.cat = cat
+        self.index = index = [t for fib in fibers for t in fib]
         n, base = 0, []
         for fib in fibers:
             base.append(n)
             n += len(fib)
-        self.base = base = tuple(base)
+        base = tuple(base)
         parent = list(range(n))
 
         def find(i):
@@ -162,7 +157,7 @@ class CoendSet:
             return root
 
         for f in cat.generators if n > 1 else ():
-            for left, right in p.relations(f, base):
+            for left, right in relations(f, base):
                 ra, rb = find(left), find(right)
                 if ra != rb:
                     parent[ra] = rb
@@ -172,47 +167,51 @@ class CoendSet:
         for i in sorted(range(n), key=index.__getitem__):
             classes.setdefault(find(i), []).append(index[i])
         self._rep_of = {}
-        self._members = {}
+        self.groups = {}
         for group in classes.values():
             rep = group[0]
-            self._members[rep] = group
+            self.groups[rep] = group
             for t in group:
                 self._rep_of[t] = rep
-        self.reps = list(self._members)
+        self.reps = tuple(self.groups)
 
     @property
     def class_count(self):
         return len(self.reps)
 
-    def rep(self, x, v):
+    def rep(self, t):
+        """The representative of the class of the tagged element t."""
         try:
-            return self._rep_of[(x, v)]
+            return self._rep_of[t]
         except KeyError:
             raise ProfunctorError(
-                f"({x},{self.prof.render(v)}) is not an element of the coend index")
+                f"{render_generic(t)} is not an element of the coend index")
 
     def members(self, rep):
-        return self._members[rep]
+        return self.groups[rep]
 
 
 class _SmallCoend(CoendSet):
-    """The coend at (a, c) of a ComposedProf whose diagonal holds at most
-    one element: one element is one class, so the coend is its index.  The
-    pair profunctor is built only when `prof` is read."""
+    """A coend of at most one element: one element is one class, so the
+    coend is its index."""
 
-    def __init__(self, comp, a, c, index):
-        self._at = (comp, a, c)
-        self.cat = comp.mid
-        self.index = self.reps = index
+    def __init__(self, cat, fibers):
+        self.cat = cat
+        self.index = self.reps = tuple(t for fib in fibers for t in fib)
 
     # built on the first rep or members: most small coends are never read
     _rep_of = functools.cached_property(lambda self: {t: t for t in self.index})
-    _members = functools.cached_property(lambda self: {t: [t] for t in self.index})
+    groups = functools.cached_property(lambda self: {t: [t] for t in self.index})
 
-    @functools.cached_property
-    def prof(self):
-        comp, a, c = self._at
-        return comp._pair(a, c)
+
+def coend(p: ConcreteProf) -> CoendSet:
+    """The coend of p over its category, on the tagged elements (x, v) for
+    v in P(x, x)."""
+    if p.source is not p.target:
+        raise ProfunctorError("coend needs equal source and target")
+    cat = p.source
+    return CoendSet(cat, [[(x, v) for v in p.fiber(x, x)] for x in cat.objects],
+                    p.relations)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +424,9 @@ class ComposedProf(ConcreteProf):
     """Sequential composition (P ; Q)(a, c) = coend over the middle category
     of P(a, -) x Q(-, c).
 
-    Elements are canonical representatives (m, u, w): the middle object tag
-    and the pair of component values.  Actions act on representatives and
-    re-canonicalize.
+    The coend at (a, c) quotients the raw elements (m, u, w): a middle
+    object and a pair of component values.  Elements of P ; Q are the
+    canonical representatives; actions act on them and re-canonicalize.
     """
 
     def __init__(self, p: ConcreteProf, q: ConcreteProf):
@@ -449,31 +448,52 @@ class ComposedProf(ConcreteProf):
         return ce
 
     def _coend(self, a, c):
-        """The coend of the pair at (a, c).  The diagonal is read off the
-        cached fibers of p and q first: one of at most one element is its
-        own quotient, and needs neither the pair nor a union-find."""
+        """The coend at (a, c), over the raw (x, u, w) for u in P(a, x) and
+        w in Q(x, c) on each middle object x in turn.  One of at most one
+        element is its own quotient, and needs no union-find."""
         p, q = self.p, self.q
-        index = []
+        fibers = []
         for x in self.mid.objects:
             us = p.fiber(a, x)
             ws = q.fiber(x, c) if us else ()
-            if ws:
-                if index or len(us) * len(ws) > 1:
-                    return CoendSet(self._pair(a, c))
-                index.append((x, (us[0], ws[0])))
-        return _SmallCoend(self, a, c, index)
+            fibers.append([(x, u, w) for u in us for w in ws])
+        if sum(map(len, fibers)) > 1:
+            return CoendSet(self.mid, fibers, functools.partial(self._relations, a, c))
+        return _SmallCoend(self.mid, fibers)
 
-    def _pair(self, a, c):
-        return _PairProf(self.p, self.q, a, c, f"pair({self.name})")
+    def _relations(self, a, c, f, base):
+        """(x, u_i, Q(f, c)w_j) ~ (y, P(a, f)u_i, w_j) for f: x -> y, as
+        positions read from one table of P(a, f) over P(a, x) and one of
+        Q(f, c) over Q(y, c); f relates nothing when either is empty.  The
+        fiber of the coend at x is |P(a, x)| rows of |Q(x, c)|: (x, u_i,
+        w_j) sits at base[x] + i * |Q(x, c)| + j."""
+        p, q, mid = self.p, self.q, self.mid
+        x, y = mid.dom(f), mid.cod(f)
+        us = p.fiber(a, x)
+        if not us:
+            return
+        ws = q.fiber(y, c)
+        if not ws:
+            return
+        at_py = {u: i for i, u in enumerate(p.fiber(a, y))}
+        qx = q.fiber(x, c)
+        at_qx = {w: j for j, w in enumerate(qx)}
+        ida, idc = self.source.identity(a), self.target.identity(c)
+        pt = [at_py[p.act(ida, f, u)] for u in us]
+        qt = [at_qx[q.act(f, idc, w)] for w in ws]
+        nx, ny = len(qx), len(ws)
+        bx, by = base[x], base[y]
+        for i, fi in enumerate(pt):
+            li, ri = bx + i * nx, by + fi * ny
+            for j, fj in enumerate(qt):
+                yield li + fj, ri + j
 
     def _fib(self, a, c):
-        ce = self.coend_at(a, c)
-        return tuple((x, v[0], v[1]) for (x, v) in ce.reps)
+        return self.coend_at(a, c).reps
 
     def classify(self, a, c, m, u, w):
-        """Canonical representative of the class of the raw tagged element."""
-        x, v = self.coend_at(a, c).rep(m, (u, w))
-        return (x, v[0], v[1])
+        """Canonical representative of the class of the raw element."""
+        return self.coend_at(a, c).rep((m, u, w))
 
     def act(self, f, g, val):
         """_act is pure for fixed p and q: compute it once per (f, g, value)."""
@@ -504,57 +524,4 @@ class ComposedProf(ConcreteProf):
 
     def members(self, a, c):
         """All raw (m, u, w) index elements at the fiber, grouped by class."""
-        ce = self.coend_at(a, c)
-        return {(r[0], r[1][0], r[1][1]):
-                [(x, v[0], v[1]) for (x, v) in ce.members(r)]
-                for r in ce.reps}
-
-
-class _PairProf(ConcreteProf):
-    """P(a, -) x Q(-, c) on the middle category, whose coend is the fiber
-    (P ; Q)(a, c): its fiber at (y, x) is P(a, x) x Q(y, c), and a
-    morphism acts on one factor on each side.
-
-    On the diagonal the fiber at x is |P(a, x)| rows of |Q(x, c)|: the
-    pair (u_i, w_j) sits at position i * |Q(x, c)| + j of it."""
-
-    def __init__(self, p: ConcreteProf, q: ConcreteProf, a, c, name):
-        self.p, self.q, self.a, self.c = p, q, a, c
-        self.ida = ida = p.source.identity(a)
-        self.idc = idc = q.target.identity(c)
-        super().__init__(
-            p.target, p.target,
-            lambda b1, b2: tuple((u, w) for u in p.fiber(a, b2)
-                                 for w in q.fiber(b1, c)),
-            lambda f, g, v: (p.act(ida, g, v[0]), q.act(f, idc, v[1])),
-            name=name)
-
-    def fiber(self, b1, b2):
-        # not cached: its coend reads each diagonal fiber once and keeps
-        # the elements in `index`
-        return self._fiber_fn(b1, b2)
-
-    def relations(self, f, base):
-        """(x, (u_i, Q(f, c)w_j)) ~ (y, (P(a, f)u_i, w_j)) for f: x -> y, as
-        positions read from one table of P(a, f) over P(a, x) and one of
-        Q(f, c) over Q(y, c); f relates nothing when either is empty."""
-        p, q, a, c = self.p, self.q, self.a, self.c
-        x, y = self.source.dom(f), self.source.cod(f)
-        us = p.fiber(a, x)
-        if not us:
-            return
-        ws = q.fiber(y, c)
-        if not ws:
-            return
-        at_py = {u: i for i, u in enumerate(p.fiber(a, y))}
-        qx = q.fiber(x, c)
-        at_qx = {w: j for j, w in enumerate(qx)}
-        ida, idc = self.ida, self.idc
-        pt = [at_py[p.act(ida, f, u)] for u in us]
-        qt = [at_qx[q.act(f, idc, w)] for w in ws]
-        nx, ny = len(qx), len(ws)
-        bx, by = base[x], base[y]
-        for i, fi in enumerate(pt):
-            li, ri = bx + i * nx, by + fi * ny
-            for j, fj in enumerate(qt):
-                yield li + fj, ri + j
+        return self.coend_at(a, c).groups

@@ -24,7 +24,7 @@ from coendcheck.optics import (Lens, apply_lens, compose_optic,
                                pair_to_lens, pair_to_prism, prism_to_pair,
                                triple_to_learner)
 from coendcheck.pointed import OpenDiagram, forget, lift
-from coendcheck.profunctor import (ComposedProf, ConcreteProf, CoendSet,
+from coendcheck.profunctor import (ComposedProf, ConcreteProf, coend,
                                    companion, conjoint, constant_prof,
                                    copy_prof, cup_prof, cap_prof, hom_prof,
                                    merge_prof, point, swap_prof,
@@ -120,10 +120,10 @@ def test_criterion_3_coend_oracle_sanity(oracles):
         "disc", objs, {(o, o): [f"id{o}"] for o in objs},
         {(f"id{o}", f"id{o}"): f"id{o}" for o in objs},
         {o: f"id{o}" for o in objs})
-    assert CoendSet(hom_prof(disc)).class_count == 4
+    assert coend(hom_prof(disc)).class_count == 4
     z2 = oracles["z2"].base
-    assert CoendSet(hom_prof(z2)).class_count == 2
-    reference = CoendSet(hom_prof(z2))
+    assert coend(hom_prof(z2)).class_count == 2
+    reference = coend(hom_prof(z2))
     ref_classes = {frozenset(reference.members(r)) for r in reference.reps}
     for seed in range(10):
         rng = random.Random(seed)
@@ -135,7 +135,7 @@ def test_criterion_3_coend_oracle_sanity(oracles):
 
         p = ConcreteProf(z2, z2, shuffled,
                          lambda f, g, v: z2.compose(f, z2.compose(v, g)))
-        ce = CoendSet(p)
+        ce = coend(p)
         assert ce.class_count == 2
         assert {frozenset(ce.members(r)) for r in ce.reps} == ref_classes
     ok(3, "discrete coends are disjoint unions; hom over Z/2 has 2 classes; "

@@ -41,5 +41,7 @@ def test_traced_points_demo_reaches_every_wrapped_layer():
     metrics = tracer.metrics()
     for name in ("rewrite.apply_step_calls", "rewrite.transport_calls",
                  "rewrite.check_step_calls", "pointed.points_built",
-                 "pointed.asserts", "shapelang.assignment_ms.count"):
+                 "pointed.asserts", "shapelang.assignment_ms.count",
+                 "profunctor.coends_built", "profunctor.coend_index_elems",
+                 "profunctor.act_calls", "profunctor.classify_calls"):
         assert metrics[name][0] > 0, name

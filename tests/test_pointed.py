@@ -88,7 +88,7 @@ def test_lens_points_classify(sig):
     space = lens_set(mon, 0, 0, 0, 0)
     for (m, (g, f)) in space.coend.index:
         d = lens_point(sig, env, mon, m, g, f)
-        rep_m, (rep_g, rep_f) = space.coend.rep(m, (g, f))
+        rep_m, (rep_g, rep_f) = space.coend.rep((m, (g, f)))
         # the shape point and the direct coend agree on classes: two lens
         # data give the same point iff the coend identifies them
         d2 = lens_point(sig, env, mon, rep_m, rep_g, rep_f)

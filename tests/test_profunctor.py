@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import itertools
 import random
 import re
 from unittest import mock
@@ -8,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coendcheck import profunctor
 from coendcheck.demos import demo_dir, load_scripts
 from coendcheck.fincat import (build_category, from_comm_monoid, from_lattice,
                                opposite, product, terminal_category)
@@ -17,9 +17,9 @@ from coendcheck.optics import lens_set
 from coendcheck.profunctor import (ComposedProf, ConcreteProf,
                                    ProfunctorError, TensorProf, cap_prof,
                                    companion, conjoint, constant_prof, copy_prof,
-                                   cup_prof, CoendSet, discard_prof,
+                                   cup_prof, CoendSet, coend, discard_prof,
                                    hom_prof, join_objs, merge_prof, point, swap_prof,
-                                   tensor_functor, validate_prof, _PairProf)
+                                   tensor_functor, validate_prof)
 from coendcheck.rewrite import (RULES, STEP_ERRORS, Report, Step, _count,
                                 apply_step, check_derivation_once, check_step, unfold)
 from coendcheck.shapelang import (Env, Evaluator, Par, Seq, ShapeTypeError, boundary,
@@ -43,8 +43,16 @@ def value_key(v):
 
 
 def tag_key(tagged):
-    x, v = tagged
-    return (x,) + value_key(v)
+    """The key of a tagged element (x, v) or (x, *v): both flatten alike."""
+    return (tagged[0],) + value_key(tagged[1:])
+
+
+def pair_tag(x, v):
+    return (x, v)
+
+
+def flat_tag(x, v):
+    return (x, *v)
 
 
 def naive_quotient(pairs, relations):
@@ -80,36 +88,38 @@ def coend_relations(p):
 
 
 def assert_matches_naive(p):
-    assert_coend_matches_naive(CoendSet(p))
+    assert_coend_matches_naive(coend(p), p, pair_tag)
 
 
-def assert_coend_matches_naive(ce, p=None):
+def assert_coend_matches_naive(ce, p, tag):
     """The classes, representatives and member order of a built coend
-    against the closure over all morphisms of p (by default its own)."""
-    p = ce.prof if p is None else p
+    against the closure over all morphisms of the reference p, whose
+    element v over x the coend holds as tag(x, v)."""
     cat = p.source
-    index = [(x, v) for x in cat.objects for v in p.fiber(x, x)]
-    naive = naive_quotient(index, coend_relations(p))
+    index = [tag(x, v) for x in cat.objects for v in p.fiber(x, x)]
+    naive = naive_quotient(index, [(tag(*left), tag(*right))
+                                   for left, right in coend_relations(p)])
     assert ce.class_count == len(naive)
     mine = {frozenset(ce.members(r)) for r in ce.reps}
     theirs = {frozenset(c) for c in naive}
     assert mine == theirs
     ordered = sorted((sorted(c, key=tag_key) for c in naive),
                      key=lambda c: tag_key(c[0]))
-    assert ce.reps == [c[0] for c in ordered]
+    assert ce.reps == tuple(c[0] for c in ordered)
     assert [ce.members(r) for r in ce.reps] == ordered
 
 
 @contextlib.contextmanager
 def recorded_coends():
-    """Collect every coend built meanwhile, ComposedProf.coend_at's pair
-    quotients included."""
+    """Collect (composite, a, c) for every coend a composite builds
+    meanwhile."""
     built = []
+    real = ComposedProf._coend
 
-    def record(p):
-        built.append(CoendSet(p))
-        return built[-1]
-    with mock.patch.object(profunctor, "CoendSet", record):
+    def record(comp, a, c):
+        built.append((comp, a, c))
+        return real(comp, a, c)
+    with mock.patch.object(ComposedProf, "_coend", record):
         yield built
 
 
@@ -127,14 +137,30 @@ def recorded_fibers():
         yield seen
 
 
+def pair_prof(p, q, a, c):
+    """The reference P(a, -) x Q(-, c) on the middle category, whose coend
+    is the fiber (P ; Q)(a, c): its fiber at (y, x) is P(a, x) x Q(y, c),
+    and a morphism acts on one factor on each side."""
+    ida, idc = p.source.identity(a), q.target.identity(c)
+    return ConcreteProf(
+        p.target, p.target,
+        lambda y, x: tuple((u, w) for u in p.fiber(a, x) for w in q.fiber(y, c)),
+        lambda f, g, v: (p.act(ida, g, v[0]), q.act(f, idc, v[1])),
+        name="pair")
+
+
 def assert_fiber_matches_naive(comp, a, c):
     """The coend that a composite keeps at (a, c), against the naive
-    quotient of a freshly built pair P(a, -) x Q(-, c)."""
+    quotient of a freshly built pair P(a, -) x Q(-, c), and against that
+    pair's coend under the generic relation, flattened."""
     ce = comp.coend_at(a, c)
-    pair = _PairProf(comp.p, comp.q, a, c, "pair")
+    pair = pair_prof(comp.p, comp.q, a, c)
     assert ce.cat is pair.source
-    assert_coend_matches_naive(ce, pair)
-    assert ce.index == CoendSet(pair).index
+    assert_coend_matches_naive(ce, pair, flat_tag)
+    ref = coend(pair)
+    assert list(ce.index) == [flat_tag(*t) for t in ref.index]
+    assert list(ce.groups.values()) == [[flat_tag(*t) for t in group]
+                                        for group in ref.groups.values()]
     return ce
 
 
@@ -208,14 +234,14 @@ def test_constructed_profunctors_are_functorial(oracles):
 def test_coend_discrete_is_disjoint_union():
     c = discrete_category(3)
     p = hom_prof(c)
-    ce = CoendSet(p)
+    ce = coend(p)
     assert ce.class_count == 3
     assert_matches_naive(p)
 
 
 def test_coend_hom_z2_has_two_classes():
     p = hom_prof(build("z2").base)
-    ce = CoendSet(p)
+    ce = coend(p)
     assert ce.class_count == 2
     assert_matches_naive(p)
 
@@ -231,7 +257,7 @@ def test_coend_two_sided_representable_is_hom():
         lambda f, g, v: (c.compose(v[0], g), c.compose(f, v[1])),
         name="C(0,-)xC(-,1)")
     assert validate_prof(p) == []
-    ce = CoendSet(p)
+    ce = coend(p)
     assert ce.class_count == len(c.hom(lo, hi)) == 1
     assert_matches_naive(p)
     # the same count through the composition route
@@ -285,22 +311,28 @@ def test_pair_quotients_of_shipped_shapes_match_naive(fx, scripts):
             for term in sig.shapes.values():
                 for env in Env(sig, {"C": mon}).assignments(only=objects_in(term)):
                     evaluate_every_fiber(term, env)
-    mids = {ce.cat for ce in built}
+    mids = {comp.mid for comp, _, _ in built}
     c = mon.base
     assert product(c, c) in mids
     assert (product(opposite(c), c) in mids) == ("feedback.shapes" in scripts)
-    for ce in built:
-        assert_relations_match_naive(ce)
+    for key in built:
+        assert_relations_match_naive(*key)
 
 
-def assert_relations_match_naive(ce):
-    """The coend against the naive closure, and each generator's position
-    pairs, read back through the index, against acting on both factors."""
-    assert_coend_matches_naive(ce)
-    naive = generator_relations(ce.prof)
-    for f in ce.cat.generators:
-        pairs = ce.prof.relations(f, ce.base)
-        assert {(ce.index[i], ce.index[j]) for i, j in pairs} == naive[f]
+def assert_relations_match_naive(comp, a, c):
+    """The coend at (a, c) against the naive closure, and each generator's
+    position pairs, read back through the index, against acting on both
+    factors."""
+    ce = assert_fiber_matches_naive(comp, a, c)
+    pair = pair_prof(comp.p, comp.q, a, c)
+    naive = generator_relations(pair)
+    cat = ce.cat
+    base = tuple(itertools.accumulate((len(pair.fiber(x, x)) for x in cat.objects),
+                                      initial=0))
+    for f in cat.generators:
+        pairs = comp._relations(a, c, f, base)
+        assert {(ce.index[i], ce.index[j]) for i, j in pairs} == \
+            {(flat_tag(*left), flat_tag(*right)) for left, right in naive[f]}
 
 
 def test_pair_quotient_over_parallel_arrows_matches_naive():
@@ -323,7 +355,7 @@ def test_pair_quotient_over_parallel_arrows_matches_naive():
     # and (1, 1) one, and these build no union-find
     sizes = [len(assert_fiber_matches_naive(*key).index) for key in fibers]
     assert sorted(sizes) == [0, 1, 1, 4]
-    assert_relations_match_naive(comp.coend_at(c.obj_id("0"), c.obj_id("1")))
+    assert_relations_match_naive(comp, c.obj_id("0"), c.obj_id("1"))
 
 
 def test_small_coend_rejects_a_stranger_as_its_pair_quotient_does():
@@ -333,15 +365,32 @@ def test_small_coend_rejects_a_stranger_as_its_pair_quotient_does():
     # C(1, -) x C(-, 0) is empty, C(0, -) x C(-, 0) has (id, id) over 0 only
     for a, b, n in [(hi, lo, 0), (lo, lo, 1)]:
         ce = comp.coend_at(a, b)
-        ref = CoendSet(_PairProf(comp.p, comp.q, a, b, "pair"))
+        ref = coend(pair_prof(comp.p, comp.q, a, b))
         assert type(ce) is not CoendSet and ce.class_count == ref.class_count == n
-        assert ce.prof.fiber(lo, lo) == ref.prof.fiber(lo, lo)
+        assert list(ce.index) == [flat_tag(*t) for t in ref.index]
         errors = []
-        for coend in (ce, ref):
+        for quotient, tagged in [(ce, (hi, "u", "w")), (ref, (hi, ("u", "w")))]:
             with pytest.raises(ProfunctorError) as err:
-                coend.rep(hi, ("u", "w"))
+                quotient.rep(tagged)
             errors.append(str(err.value))
-        assert errors == [f"({hi},(u,w)) is not an element of the coend index"] * 2
+        assert errors == [f"({hi},u,w) is not an element of the coend index",
+                          f"({hi},(u,w)) is not an element of the coend index"]
+
+
+@pytest.mark.parametrize("fx", ["z2", "meet-lattice-2"])
+def test_composite_keeps_one_copy_of_its_classes(fx):
+    # a composite's fiber is its coend's tuple of representatives and its
+    # members are the coend's own grouping, not copies of them
+    sig = SCRIPTS["lens.shapes"]
+    with recorded_fibers() as fibers:
+        for term in sig.shapes.values():
+            for env in Env(sig, {"C": build(fx)}).assignments(only=objects_in(term)):
+                evaluate_every_fiber(term, env)
+    assert fibers
+    for comp, a, c in fibers:
+        ce = comp.coend_at(a, c)
+        assert comp.fiber(a, c) is ce.reps
+        assert comp.members(a, c) is ce.groups
 
 
 def counting(p, calls):
@@ -587,7 +636,7 @@ def test_shipped_derivations_over_random_oracles_fail_only_for_structure(mon, da
 
 def test_coend_enumeration_order_invariance(oracles):
     base = hom_prof(build("z2").base)
-    reference = CoendSet(base)
+    reference = coend(base)
     ref_classes = {frozenset(reference.members(r)) for r in reference.reps}
     ref_reps = set(reference.reps)
     for seed in range(10):
@@ -601,7 +650,7 @@ def test_coend_enumeration_order_invariance(oracles):
 
         p = ConcreteProf(c, c, shuffled,
                          lambda f, g, v: c.compose(f, c.compose(v, g)))
-        ce = CoendSet(p)
+        ce = coend(p)
         assert ce.class_count == reference.class_count
         assert {frozenset(ce.members(r)) for r in ce.reps} == ref_classes
         assert set(ce.reps) == ref_reps
@@ -610,7 +659,7 @@ def test_coend_enumeration_order_invariance(oracles):
 def test_coend_requires_equal_endpoints():
     c = build("z2").base
     with pytest.raises(ProfunctorError):
-        CoendSet(companion(point(c, 0)))
+        coend(companion(point(c, 0)))
 
 
 # -- composition and tensor ---------------------------------------------------
@@ -1028,6 +1077,8 @@ FUBINI_SCRIPTS = ["lens_reduction.deriv", "lens_apply.deriv", "optic_category.de
 @pytest.mark.parametrize("deriv_name,binding", [
     pytest.param(d, {"C": fx}, id=f"{d.split('.')[0]}-{fx}")
     for d in FUBINI_SCRIPTS for fx in ("z2", "meet-lattice-2")] + [
+    pytest.param(d, {"C": "join-lattice-2"}, id=f"{d.split('.')[0]}-join-lattice-2")
+    for d in FUBINI_SCRIPTS + ["prism_reduction.deriv"]] + [
     pytest.param("adjunctions.deriv", {"C": "meet-lattice-2", "D": "z2"},
                  id="adjunctions-meet-lattice-2-z2")])
 def test_left_fold_matches_one_fubini_quotient(deriv_name, binding):
