@@ -712,19 +712,18 @@ def from_lattice(name, elements, order, mode) -> MonoidalStructure:
                 if leq[i][j] and leq[j][k] and not leq[i][k]:
                     raise FixtureError(f"order is not transitive at ({elements[i]},{elements[k]})")
 
+    # a join is a meet in the reversed order, and the cocartesian witness
+    # is the cartesian one of the opposite category
+    below = leq if mode == "meet" else [list(col) for col in zip(*leq)]
+
     def bound(i, j):
-        if mode == "meet":
-            cands = [k for k in range(n) if leq[k][i] and leq[k][j]]
-            best = [k for k in cands if all(leq[c][k] for c in cands)]
-        else:
-            cands = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            best = [k for k in cands if all(leq[k][c] for c in cands)]
+        cands = [k for k in range(n) if below[k][i] and below[k][j]]
+        best = [k for k in cands if all(below[c][k] for c in cands)]
         if len(best) != 1:
             raise FixtureError(f"no {mode} for ({elements[i]},{elements[j]})")
         return best[0]
 
-    units = [k for k in range(n)
-             if all((leq[i][k] if mode == "meet" else leq[k][i]) for i in range(n))]
+    units = [k for k in range(n) if all(below[i][k] for i in range(n))]
     if len(units) != 1:
         raise FixtureError(f"lattice has no {'top' if mode == 'meet' else 'bottom'} element")
     unit = units[0]
@@ -742,35 +741,27 @@ def from_lattice(name, elements, order, mode) -> MonoidalStructure:
                 compose[(f, g)] = homs[(a, c2)][0]
     identities = {e: homs[(e, e)][0] for e in elements}
     cat = build_category(name, list(elements), homs, compose, identities)
+    w = cat if mode == "meet" else opposite(cat)
 
     def arrow(i, j):
-        return cat.hom(i, j)[0]
+        return w.hom(i, j)[0]
 
     t_obj = {(i, j): bound(i, j) for i in range(n) for j in range(n)}
     t_mor = {}
-    for f in cat.morphisms:
-        for g in cat.morphisms:
-            t_mor[(f, g)] = arrow(bound(cat.dom(f), cat.dom(g)),
-                                  bound(cat.cod(f), cat.cod(g)))
+    for f in w.morphisms:
+        for g in w.morphisms:
+            t_mor[(f, g)] = arrow(bound(w.dom(f), w.dom(g)), bound(w.cod(f), w.cod(g)))
     braiding = {(i, j): cat.identity(bound(i, j)) for i in range(n) for j in range(n)}
-    mon = MonoidalStructure(cat, t_obj, t_mor, unit, braiding)
+    cart = CartesianWitness(
+        proj1={(i, j): arrow(bound(i, j), i) for i in range(n) for j in range(n)},
+        proj2={(i, j): arrow(bound(i, j), j) for i in range(n) for j in range(n)},
+        pairing={(h1, h2): arrow(w.dom(h1), bound(w.cod(h1), w.cod(h2)))
+                 for h1 in w.morphisms for h2 in w.morphisms if w.dom(h1) == w.dom(h2)},
+        terminal={i: arrow(i, unit) for i in range(n)})
     if mode == "meet":
-        mon.cartesian = CartesianWitness(
-            proj1={(i, j): arrow(bound(i, j), i) for i in range(n) for j in range(n)},
-            proj2={(i, j): arrow(bound(i, j), j) for i in range(n) for j in range(n)},
-            pairing={(h1, h2): arrow(cat.dom(h1), bound(cat.cod(h1), cat.cod(h2)))
-                     for h1 in cat.morphisms for h2 in cat.morphisms
-                     if cat.dom(h1) == cat.dom(h2)},
-            terminal={i: arrow(i, unit) for i in range(n)})
-    else:
-        mon.cocartesian = CocartesianWitness(
-            inj1={(i, j): arrow(i, bound(i, j)) for i in range(n) for j in range(n)},
-            inj2={(i, j): arrow(j, bound(i, j)) for i in range(n) for j in range(n)},
-            copairing={(h1, h2): arrow(bound(cat.dom(h1), cat.dom(h2)), cat.cod(h1))
-                       for h1 in cat.morphisms for h2 in cat.morphisms
-                       if cat.cod(h1) == cat.cod(h2)},
-            initial={i: arrow(unit, i) for i in range(n)})
-    return mon
+        return MonoidalStructure(cat, t_obj, t_mor, unit, braiding, cart)
+    return MonoidalStructure(cat, t_obj, t_mor, unit, braiding, cocartesian=CocartesianWitness(
+        *(getattr(cart, f.name) for f in fields(CartesianWitness))))
 
 
 def from_comm_monoid(name, elements, op, unit) -> MonoidalStructure:

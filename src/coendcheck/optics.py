@@ -41,8 +41,8 @@ class CoendSpace:
     profunctor with fibers `fib` and action `act`.  `cls` is the class of
     an element given by its residual object and its components."""
 
-    def __init__(self, cat, fib, act, name):
-        self.prof = ConcreteProf(cat, cat, fib, act, name=name)
+    def __init__(self, cat, fib, act):
+        self.prof = ConcreteProf(cat, cat, fib, act)
         self.coend = coend(self.prof)
 
     def cls(self, m, *v):
@@ -72,7 +72,7 @@ class LensSpace(CoendSpace):
             return (c.compose(g, mon.tensor_m(gm, c.identity(typ.x))),
                     c.compose(mon.tensor_m(fm, c.identity(typ.y)), f))
 
-        super().__init__(c, fib, act, "lens")
+        super().__init__(c, fib, act)
 
     def cls(self, m, g, f) -> Lens:
         rep_m, (rep_g, rep_f) = super().cls(m, g, f)
@@ -192,7 +192,7 @@ def feedback_set(mon, x, y) -> CoendSpace:
         return c.compose(mon.tensor_m(fm, c.identity(x)),
                          c.compose(h, mon.tensor_m(gm, c.identity(y))))
 
-    return CoendSpace(c, fib, act, "feedback")
+    return CoendSpace(c, fib, act)
 
 
 def lens_to_feedback(lens: Lens, mon):
@@ -236,7 +236,7 @@ class LearnerSpace(CoendSpace):
                     c.compose(mon.tensor_m(f2, ib),
                               c.compose(h2, mon.tensor_m(g1, ia))))
 
-        super().__init__(cc, fib, act, "learner")
+        super().__init__(cc, fib, act)
 
     def cls(self, p, q, h1, h2):
         s = join_objs(self.pair_cat, [(self.base, p), (self.base, q)])
@@ -269,7 +269,7 @@ def learner_triples(mon, a, b) -> CoendSpace:
         return (c.compose(fa, i), c.compose(fab, r),
                 c.compose(fab, c.compose(u, gm)))
 
-    return CoendSpace(c, fib, act, "learner-triple")
+    return CoendSpace(c, fib, act)
 
 
 def learner_reduce(mon, a, b, learner_cls, space: LearnerSpace = None,

@@ -32,12 +32,11 @@ class ConcreteProf:
     """
 
     def __init__(self, source: FinCategory, target: FinCategory, fiber_fn,
-                 act_fn, name="P", render=None):
+                 act_fn, render=None):
         self.source = source
         self.target = target
         self._fiber_fn = fiber_fn
         self.act = act_fn
-        self.name = name
         self._render = render
         self._fibers = {}
 
@@ -71,7 +70,7 @@ class ConcreteProf:
         return render_generic(v)
 
     def __repr__(self):
-        return f"ConcreteProf({self.name})"
+        return f"{type(self).__name__}({self.source.name}, {self.target.name})"
 
 
 def render_generic(v):
@@ -135,12 +134,17 @@ class CoendSet:
     composite's relation chains its factors' ones.  Classes are
     represented by their least tagged element in tuple order; `groups`
     maps each representative to its members in order.  A coend of at most
-    one element reads no relation.
+    one element reads no relation: its one element is its one class, so
+    `reps` is `index`, and `_rep_of` and `groups` are built on first read
+    (most such coends are never read).
     """
 
     def __init__(self, cat: FinCategory, fibers, relations):
         self.cat = cat
-        self.index = index = [t for fib in fibers for t in fib]
+        self.index = index = tuple(t for fib in fibers for t in fib)
+        if len(index) <= 1:
+            self.reps = index
+            return
         n, base = 0, []
         for fib in fibers:
             base.append(n)
@@ -156,7 +160,7 @@ class CoendSet:
                 parent[i], i = root, parent[i]
             return root
 
-        for f in cat.generators if n > 1 else ():
+        for f in cat.generators:
             for left, right in relations(f, base):
                 ra, rb = find(left), find(right)
                 if ra != rb:
@@ -175,6 +179,10 @@ class CoendSet:
                 self._rep_of[t] = rep
         self.reps = tuple(self.groups)
 
+    # read only when __init__ did not set them: a coend of at most one element
+    _rep_of = functools.cached_property(lambda self: {t: t for t in self.index})
+    groups = functools.cached_property(lambda self: {t: [t] for t in self.index})
+
     @property
     def class_count(self):
         return len(self.reps)
@@ -189,19 +197,6 @@ class CoendSet:
 
     def members(self, rep):
         return self.groups[rep]
-
-
-class _SmallCoend(CoendSet):
-    """A coend of at most one element: one element is one class, so the
-    coend is its index."""
-
-    def __init__(self, cat, fibers):
-        self.cat = cat
-        self.index = self.reps = tuple(t for fib in fibers for t in fib)
-
-    # built on the first rep or members: most small coends are never read
-    _rep_of = functools.cached_property(lambda self: {t: t for t in self.index})
-    groups = functools.cached_property(lambda self: {t: [t] for t in self.index})
 
 
 def coend(p: ConcreteProf) -> CoendSet:
@@ -250,7 +245,6 @@ def hom_prof(c: FinCategory) -> ConcreteProf:
         c, c,
         lambda a, b: c.hom(a, b),
         lambda f, g, v: c.compose(f, c.compose(v, g)),
-        name=f"hom({c.name})",
         render=c.mor_name)
 
 
@@ -267,22 +261,21 @@ def copy_prof(c: FinCategory) -> ConcreteProf:
         p, q = v
         return (c.compose(f, c.compose(p, g1)), c.compose(f, c.compose(q, g2)))
 
-    return ConcreteProf(c, cc, fib, act, name=f"copy({c.name})")
+    return ConcreteProf(c, cc, fib, act)
 
 
 def merge_prof(c: FinCategory) -> ConcreteProf:
     """The canonical pseudomonoid C(-^1,-) x C(-^2,-): merges on the left."""
-    return dual(copy_prof(opposite(c)), f"merge({c.name})")
+    return dual(copy_prof(opposite(c)))
 
 
 def discard_prof(c: FinCategory) -> ConcreteProf:
     t = terminal_category()
-    return ConcreteProf(c, t, lambda a, _: ("*",), lambda f, _, v: "*",
-                        name=f"discard({c.name})")
+    return ConcreteProf(c, t, lambda a, _: ("*",), lambda f, _, v: "*")
 
 
 def codiscard_prof(c: FinCategory) -> ConcreteProf:
-    return dual(discard_prof(opposite(c)), f"codiscard({c.name})")
+    return dual(discard_prof(opposite(c)))
 
 
 def swap_prof(c1: FinCategory, c2: FinCategory) -> ConcreteProf:
@@ -301,7 +294,7 @@ def swap_prof(c1: FinCategory, c2: FinCategory) -> ConcreteProf:
         u, v = val
         return (c1.compose(f1, c1.compose(u, g1)), c2.compose(f2, c2.compose(v, g2)))
 
-    return ConcreteProf(src, tgt, fib, act, name=f"swap({c1.name},{c2.name})")
+    return ConcreteProf(src, tgt, fib, act)
 
 
 def cup_prof(c: FinCategory) -> ConcreteProf:
@@ -318,12 +311,12 @@ def cup_prof(c: FinCategory) -> ConcreteProf:
         # gop: y' -> y in op(c), i.e. g: y -> y' in c
         return c.compose(f, c.compose(v, gop))
 
-    return ConcreteProf(src, t, fib, act, name=f"cup({c.name})", render=c.mor_name)
+    return ConcreteProf(src, t, fib, act, render=c.mor_name)
 
 
 def cap_prof(c: FinCategory) -> ConcreteProf:
     """Unit of the compact closure: emits a dual wire and a wire."""
-    return dual(cup_prof(c), f"cap({c.name})")
+    return dual(cup_prof(c))
 
 
 def point(c: FinCategory, a) -> FinFunctor:
@@ -352,7 +345,7 @@ def companion(fn) -> ConcreteProf:
         c, d,
         lambda x, y: d.hom(fn.obj(x), y),
         lambda f, g, v: d.compose(fn.mor(f), d.compose(v, g)),
-        name=f"{d.name}({fn.name}-,-)", render=d.mor_name)
+        render=d.mor_name)
 
 
 def conjoint(fn) -> ConcreteProf:
@@ -361,25 +354,24 @@ def conjoint(fn) -> ConcreteProf:
     point, a fork that of the tensor."""
     op_fn = FinFunctor(fn.name, opposite(fn.source), opposite(fn.target),
                        fn.obj_map, fn.mor_map)
-    return dual(companion(op_fn), f"{fn.target.name}(-,{fn.name}-)")
+    return dual(companion(op_fn))
 
 
-def dual(p: ConcreteProf, name) -> ConcreteProf:
+def dual(p: ConcreteProf) -> ConcreteProf:
     """P read in the opposite categories: a profunctor from target^op to
     source^op with dual(P)(b, a) = P(a, b).  A mirror-image construction
     (a conjoint from a companion, merge from copy, ...) is its twin's dual."""
     return ConcreteProf(opposite(p.target), opposite(p.source),
                         lambda b, a: p.fiber(a, b),
                         lambda g, f, v: p.act(f, g, v),
-                        name=name, render=p.render)
+                        render=p.render)
 
 
 def constant_prof(c: FinCategory, values=("p0", "p1")) -> ConcreteProf:
     """A constant (hence non-representable for |values| != |hom|) profunctor
     from the terminal category; actions are trivial."""
     t = terminal_category()
-    return ConcreteProf(t, c, lambda _, b: tuple(values), lambda _, g, v: v,
-                        name=f"const({c.name})")
+    return ConcreteProf(t, c, lambda _, b: tuple(values), lambda _, g, v: v)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +400,7 @@ class TensorProf(ConcreteProf):
         def render(v):
             return f"({p1.render(v[0])},{p2.render(v[1])})"
 
-        super().__init__(src, tgt, fib, act,
-                         name=f"({p1.name}(x){p2.name})", render=render)
+        super().__init__(src, tgt, fib, act, render=render)
 
     def split_value(self, fiber, value):
         """The element `value` at `fiber` as its two factors, each with
@@ -426,19 +417,21 @@ class ComposedProf(ConcreteProf):
 
     The coend at (a, c) quotients the raw elements (m, u, w): a middle
     object and a pair of component values.  Elements of P ; Q are the
-    canonical representatives; actions act on them and re-canonicalize.
+    canonical representatives, so the fiber at (a, c) is the coend's
+    `reps`; actions act on them and re-canonicalize.
     """
 
     def __init__(self, p: ConcreteProf, q: ConcreteProf):
         if p.target is not q.source:
-            raise ProfunctorError(
-                f"cannot compose {p.name} with {q.name}: middle categories differ")
+            raise ProfunctorError(f"cannot compose: middle categories "
+                                  f"{p.target.name} and {q.source.name} differ")
         self.p, self.q = p, q
-        self.mid = p.target
+        self.source, self.mid, self.target = p.source, p.target, q.target
         self._coends = {}
         self._acts = {}
-        super().__init__(p.source, q.target, self._fib, self.act,
-                         name=f"({p.name};{q.name})", render=self._render_elem)
+
+    def fiber(self, a, c):
+        return self.coend_at(a, c).reps
 
     def coend_at(self, a, c) -> CoendSet:
         key = (a, c)
@@ -449,17 +442,14 @@ class ComposedProf(ConcreteProf):
 
     def _coend(self, a, c):
         """The coend at (a, c), over the raw (x, u, w) for u in P(a, x) and
-        w in Q(x, c) on each middle object x in turn.  One of at most one
-        element is its own quotient, and needs no union-find."""
+        w in Q(x, c) on each middle object x in turn."""
         p, q = self.p, self.q
         fibers = []
         for x in self.mid.objects:
             us = p.fiber(a, x)
             ws = q.fiber(x, c) if us else ()
             fibers.append([(x, u, w) for u in us for w in ws])
-        if sum(map(len, fibers)) > 1:
-            return CoendSet(self.mid, fibers, functools.partial(self._relations, a, c))
-        return _SmallCoend(self.mid, fibers)
+        return CoendSet(self.mid, fibers, functools.partial(self._relations, a, c))
 
     def _relations(self, a, c, f, base):
         """(x, u_i, Q(f, c)w_j) ~ (y, P(a, f)u_i, w_j) for f: x -> y, as
@@ -488,9 +478,6 @@ class ComposedProf(ConcreteProf):
             for j, fj in enumerate(qt):
                 yield li + fj, ri + j
 
-    def _fib(self, a, c):
-        return self.coend_at(a, c).reps
-
     def classify(self, a, c, m, u, w):
         """Canonical representative of the class of the raw element."""
         return self.coend_at(a, c).rep((m, u, w))
@@ -510,7 +497,7 @@ class ComposedProf(ConcreteProf):
         w2 = self.q.act(self.mid.identity(m), g, w)
         return self.classify(a2, c2, m, u2, w2)
 
-    def _render_elem(self, val):
+    def render(self, val):
         m, u, w = val
         return (f"[{self.mid.obj_name(m)}: {self.p.render(u)}, {self.q.render(w)}]")
 

@@ -395,7 +395,7 @@ def _ends(t, sig, op):
 def _prof(ev, t, op):
     """The profunctor of t in the reading."""
     p = ev.node(t)
-    return dual(p, p.name) if op else p
+    return dual(p) if op else p
 
 
 def _read_back(out: SliceOutcome, op):
@@ -1225,6 +1225,17 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
                 if transport(fiber, back_tr(fiber, drep)) != drep:
                     return fail(f"forward(backward) is not the identity on "
                                 f"{dst.render(drep)}")
+    # a step is a 2-cell: its class map commutes with the action of each
+    # generator into the source end or out of the target end of a fiber
+    s_cat, t_cat = src.source, src.target
+    for (a, b), fmap in fwd.items():
+        ida, idb = s_cat.identity(a), t_cat.identity(b)
+        edges = [(s_cat.mor_name(f), f, idb) for f in s_cat.generators if s_cat.cod(f) == a]
+        edges += [(t_cat.mor_name(g), ida, g) for g in t_cat.generators if t_cat.dom(g) == b]
+        for name, f, g in edges:
+            to = fwd[(s_cat.dom(f), t_cat.cod(g))]
+            if any(to[src.act(f, g, v)] != dst.act(f, g, w) for v, w in fmap.items()):
+                return fail(f"not natural at fiber {(a, b)} along {name}")
     report.line(f"  step {idx} {step.rule} ok: classes {_count(src)} -> "
                 f"{_count(dst)}{note}")
     return new_term, fwd

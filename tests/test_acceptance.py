@@ -97,7 +97,7 @@ def test_criterion_2_yoneda_unitors(oracles):
                                  for (m, u, w) in left.fiber(a, b)]
                         assert len(set(map(value_key, image))) == len(image)
                         assert sorted(map(value_key, image)) == \
-                            sorted(map(value_key, p.fiber(a, b))), (name, p.name)
+                            sorted(map(value_key, p.fiber(a, b))), (name, p)
                         pairs += 1
             if p.target is c:
                 right = ComposedProf(p, h)
@@ -107,7 +107,7 @@ def test_criterion_2_yoneda_unitors(oracles):
                                  for (m, u, w) in right.fiber(a, b)]
                         assert len(set(map(value_key, image))) == len(image)
                         assert sorted(map(value_key, image)) == \
-                            sorted(map(value_key, p.fiber(a, b))), (name, p.name)
+                            sorted(map(value_key, p.fiber(a, b))), (name, p)
                         pairs += 1
     ok(2, f"hom unitors are bijections at {pairs} object pairs across the "
           "shipped profunctors of every fixture")

@@ -425,6 +425,6 @@ def test_validate_prof_flags_unlawful_action():
     from coendcheck import profunctor as pf
     c = build("z2").base
     bad_act = lambda f, g, v: 1 - v if f or g else v
-    bad = pf.ConcreteProf(c, c, lambda a, b: (0, 1), bad_act, name="bad")
+    bad = pf.ConcreteProf(c, c, lambda a, b: (0, 1), bad_act)
     assert pf.validate_prof(bad)
     assert pf.validate_prof(pf.hom_prof(c)) == []

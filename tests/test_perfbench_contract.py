@@ -45,3 +45,24 @@ def test_traced_points_demo_reaches_every_wrapped_layer():
                  "profunctor.coends_built", "profunctor.coend_index_elems",
                  "profunctor.act_calls", "profunctor.classify_calls"):
         assert metrics[name][0] > 0, name
+
+
+def test_traced_coends_built_counts_every_coend(monkeypatch):
+    # every composite coend is a CoendSet, the ones of at most one element
+    # included, so the tracer's count is the number of coends built
+    from coendcheck import demos, profunctor
+    calls = []
+    real = profunctor.ComposedProf._coend
+
+    def spy(comp, a, c):
+        calls.append((a, c))
+        return real(comp, a, c)
+    monkeypatch.setattr(profunctor.ComposedProf, "_coend", spy)
+    tracer = _tracer()
+    try:
+        tracer.install()
+        report = demos.run_demo("lens_reduction")
+    finally:
+        tracer.uninstall()
+    assert tracer.restored() and report.ok
+    assert tracer.metrics()["profunctor.coends_built"][0] == len(calls) > 0

@@ -125,8 +125,7 @@ def recorded_coends():
 
 @contextlib.contextmanager
 def recorded_fibers():
-    """Collect every (composite, a, c) whose coend is read meanwhile, the
-    ones of at most one element that build no CoendSet included."""
+    """Collect every (composite, a, c) whose coend is read meanwhile."""
     seen = {}
     real = ComposedProf.coend_at
 
@@ -145,8 +144,7 @@ def pair_prof(p, q, a, c):
     return ConcreteProf(
         p.target, p.target,
         lambda y, x: tuple((u, w) for u in p.fiber(a, x) for w in q.fiber(y, c)),
-        lambda f, g, v: (p.act(ida, g, v[0]), q.act(f, idc, v[1])),
-        name="pair")
+        lambda f, g, v: (p.act(ida, g, v[0]), q.act(f, idc, v[1])))
 
 
 def assert_fiber_matches_naive(comp, a, c):
@@ -225,7 +223,7 @@ def test_constructed_profunctors_are_functorial(oracles):
             profs.append(companion(point(c, a)))
             profs.append(conjoint(point(c, a)))
         for p in profs:
-            assert validate_prof(p) == [], (name, p.name)
+            assert validate_prof(p) == [], (name, p)
 
 
 # -- coends ------------------------------------------------------------------
@@ -254,8 +252,7 @@ def test_coend_two_sided_representable_is_hom():
     p = ConcreteProf(
         c, c,
         lambda a, b: tuple((u, w) for u in c.hom(lo, b) for w in c.hom(a, hi)),
-        lambda f, g, v: (c.compose(v[0], g), c.compose(f, v[1])),
-        name="C(0,-)xC(-,1)")
+        lambda f, g, v: (c.compose(v[0], g), c.compose(f, v[1])))
     assert validate_prof(p) == []
     ce = coend(p)
     assert ce.class_count == len(c.hom(lo, hi)) == 1
@@ -366,7 +363,7 @@ def test_small_coend_rejects_a_stranger_as_its_pair_quotient_does():
     for a, b, n in [(hi, lo, 0), (lo, lo, 1)]:
         ce = comp.coend_at(a, b)
         ref = coend(pair_prof(comp.p, comp.q, a, b))
-        assert type(ce) is not CoendSet and ce.class_count == ref.class_count == n
+        assert ce.class_count == ref.class_count == n
         assert list(ce.index) == [flat_tag(*t) for t in ref.index]
         errors = []
         for quotient, tagged in [(ce, (hi, "u", "w")), (ref, (hi, ("u", "w")))]:
@@ -393,12 +390,57 @@ def test_composite_keeps_one_copy_of_its_classes(fx):
         assert comp.members(a, c) is ce.groups
 
 
+def test_a_coend_of_at_most_one_element_builds_its_tables_on_first_read():
+    c = build("meet-lattice-2").base
+    lo, hi = c.obj_id("0"), c.obj_id("1")
+    comp = ComposedProf(hom_prof(c), hom_prof(c))
+    # the diagonal of the terminal hom has one element; the composite
+    # fibers (1, 0) and (0, 0) have none and one
+    empty = comp.coend_at(hi, lo)
+    for ce in [coend(hom_prof(terminal_category())), empty, comp.coend_at(lo, lo)]:
+        assert type(ce) is CoendSet and ce.reps is ce.index
+        assert "groups" not in vars(ce) and "_rep_of" not in vars(ce)
+    for ce in [coend(hom_prof(terminal_category())), comp.coend_at(lo, lo)]:
+        (t,) = ce.index
+        assert ce.rep(t) == t
+        assert "_rep_of" in vars(ce) and "groups" not in vars(ce)
+        assert ce.members(t) == [t] and "groups" in vars(ce)
+    with pytest.raises(ProfunctorError):
+        empty.rep((lo, "u", "w"))
+    assert vars(empty)["_rep_of"] == {}
+
+
+def _composites(p):
+    if isinstance(p, ComposedProf):
+        yield p
+        yield from _composites(p.p)
+        yield from _composites(p.q)
+    elif isinstance(p, TensorProf):
+        yield from _composites(p.p1)
+        yield from _composites(p.p2)
+
+
+def test_every_composite_fiber_is_its_coends_reps():
+    # no composite keeps a fiber memo beside its coends
+    sig = SCRIPTS["lens.shapes"]
+    seen = 0
+    for term in sig.shapes.values():
+        for env in Env(sig, {"C": build("z2")}).assignments(only=objects_in(term)):
+            for comp in _composites(Evaluator(env).node(term)):
+                assert "_fibers" not in vars(comp)
+                for a in comp.source.objects:
+                    for c in comp.target.objects:
+                        assert comp.fiber(a, c) is comp.coend_at(a, c).reps
+                        seen += 1
+    assert seen
+
+
 def counting(p, calls):
     """p with every action call counted in calls[0]."""
     def act(f, g, v):
         calls[0] += 1
         return p.act(f, g, v)
-    return ConcreteProf(p.source, p.target, p.fiber, act, name=p.name)
+    return ConcreteProf(p.source, p.target, p.fiber, act)
 
 
 @pytest.mark.parametrize("fx", ["z2", "meet-lattice-2", "prod-l2-z2", "diamond"])
@@ -687,7 +729,7 @@ def test_yoneda_unitors_are_bijections(oracles):
                         image = [p.act(u, p.target.identity(b), w)
                                  for (m, u, w) in left.fiber(a, b)]
                         assert sorted(map(value_key, image)) == \
-                            sorted(map(value_key, p.fiber(a, b))), (name, p.name)
+                            sorted(map(value_key, p.fiber(a, b))), (name, p)
                         assert len(set(image)) == len(image)
             right = ComposedProf(p, h) if p.target is c else None
             if right is not None:
@@ -696,13 +738,13 @@ def test_yoneda_unitors_are_bijections(oracles):
                         image = [p.act(p.source.identity(a), w, u)
                                  for (m, u, w) in right.fiber(a, b)]
                         assert sorted(map(value_key, image)) == \
-                            sorted(map(value_key, p.fiber(a, b))), (name, p.name)
+                            sorted(map(value_key, p.fiber(a, b))), (name, p)
                         assert len(set(image)) == len(image)
 
 
 def test_compose_with_empty_is_empty(oracles):
     c = oracles["meet-lattice-2"].base
-    e = ConcreteProf(c, c, lambda a, b: (), lambda f, g, v: v, name="empty")
+    e = ConcreteProf(c, c, lambda a, b: (), lambda f, g, v: v)
     comp = ComposedProf(hom_prof(c), e)
     for a in c.objects:
         for b in c.objects:
@@ -904,14 +946,14 @@ def test_mirror_constructors_match_their_formulas(name, loader):
         src, tgt = p.source, p.target
         for a in src.objects:
             for b in tgt.objects:
-                assert p.fiber(a, b) == tuple(fib(a, b)), (name, p.name, a, b)
+                assert p.fiber(a, b) == tuple(fib(a, b)), (name, p, a, b)
                 for v in p.fiber(a, b):
                     for f in src.morphisms:
                         if src.cod(f) != a:
                             continue
                         for g in tgt.morphisms:
                             if tgt.dom(g) == b:
-                                assert p.act(f, g, v) == act(f, g, v), (name, p.name)
+                                assert p.act(f, g, v) == act(f, g, v), (name, p)
 
 
 def _companion_cases(mon, load):

@@ -23,6 +23,7 @@ from coendcheck.shapelang import Env, Evaluator, parse_shape_script
 
 NOT_BIJECTION = "not a bijection"
 OUTSIDE = "image outside the target set"
+NOT_NATURAL = "not natural"
 
 
 def _derivations():
@@ -48,6 +49,8 @@ UNIT_LEGS = parse_shape_script("""
 (shape codiscard-port (seq (codiscard C) (outport A)))
 (shape par-sym (seq (par (inport A) (inport A)) (sym C C)))
 (shape par3 (par (par (inport A) (inport A)) (inport A)))
+(shape snake (par (id C) (seq (par (id C) (cap C)) (par (cup C) (id C)))))
+(shape snake-op (par (id (op C)) (seq (par (cap C) (id (op C))) (par (id (op C)) (cup C)))))
 """)
 
 SYM_PAR = Step("R-SYM", (0,))
@@ -273,3 +276,58 @@ def test_fault_at_a_later_assignment_of_one_sweep_fails_that_step(monkeypatch):
     assert max(i for i, line in enumerate(report.lines)
                if line.startswith("assignment: ")) < fails[0]
     assert report.lines[-1] == report.lines[fails[0]]
+
+
+# Two faults that keep the transport a bijection and pass the round trip,
+# so that only naturality can catch them: a swap of the first two classes
+# of every fiber at a snake, whose inverse site collapses; and a swap pi
+# of the first two classes of one fiber after the forward transport, paired
+# with the same pi before the backward transport, which undoes it.
+
+def _pi(dst):
+    """The first two classes of the first fiber of dst with two or more
+    trade places; every other class stays."""
+    fiber = next((a, b) for a in dst.source.objects for b in dst.target.objects
+                 if len(dst.fiber(a, b)) >= 2)
+    r0, r1 = dst.fiber(*fiber)[:2]
+    return lambda f, v: {r0: r1, r1: r0}.get(v, v) if f == fiber else v
+
+
+# case: (shape, oracle, step, fault); each fault shows at the first assignment
+NATURALITY_CASES = {
+    "R-ZIGZAG-CUP": ("snake", "z2", Step("R-ZIGZAG-CUP", (1, 0)), _swap),
+    "R-ZIGZAG-CAP": ("snake-op", "z2", Step("R-ZIGZAG-CAP", (1, 0)), _swap),
+    "R-YONEDA-R": ("port-hom", "prod-l2-z2", Step("R-YONEDA-R", (0,)), _pi),
+    "R-YONEDA-R:sym": ("sym-hom", "prod-l2-z2", Step("R-YONEDA-R", (0,)), _pi),
+    "R-SYM:fork": ("fork-sym", "prod-l2-z2", Step("R-SYM", (1,)), _pi),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NATURALITY_CASES))
+def test_naturality_rejects_a_fault_the_round_trip_misses(case, monkeypatch):
+    shape, oracle, target, fault = NATURALITY_CASES[case]
+    deriv = Derivation("t", shape, [target])
+    env = next(Env(UNIT_LEGS, {"C": fixture(oracle)}).assignments())
+    report = Report()
+    assert check_derivation_once(deriv, Evaluator(env), report) is not None
+    assert ("inverse site collapsed" in report.lines[-1]) == (fault is _swap)
+    real = rewrite.apply_step
+
+    def faulty_apply_step(term, step, ev):
+        new_term, transport, inv = real(term, step, ev)
+        if step is target and fault is _swap:
+            transport = _swap(transport, ev.node(new_term))
+        elif step is target:
+            pi = _pi(ev.node(new_term))
+            return new_term, lambda f, v: pi(f, transport(f, v)), inv
+        elif fault is _pi:
+            pi = _pi(ev.node(term))
+            return new_term, lambda f, v: transport(f, pi(f, v)), inv
+        return new_term, transport, inv
+
+    monkeypatch.setattr(rewrite, "apply_step", faulty_apply_step)
+    report = Report()
+    assert check_derivation_once(deriv, Evaluator(env), report) is None
+    assert report.failures == [report.failures[0]], report.text()
+    assert report.failures[0].startswith(
+        f"step 1 {_rule(case)}: {NOT_NATURAL} at fiber"), report.text()
