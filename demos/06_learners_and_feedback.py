@@ -18,7 +18,7 @@ for a in c.objects:
         print(f"learners ({c.obj_name(a)},{c.obj_name(b)}): "
               f"{ls.class_count} monoidal = {ts.class_count} triples")
         for cls in ls.coend.reps:
-            tri = learner_reduce(mon, a, b, cls, ls, ts)
+            tri = learner_reduce(mon, a, b, cls, ts)
             assert triple_to_learner(mon, a, b, tri, ls) == cls
 
 z2 = build("z2")

@@ -79,10 +79,6 @@ class FinCategory:
             self._obj_by_name[n] = o
         # product/opposite bookkeeping, populated by the constructions below
         self.factors = None        # tuple of FinCategory for product categories
-        self._obj_tuple = None     # obj id -> tuple of factor obj ids
-        self._obj_pack = None
-        self._mor_tuple = None
-        self._mor_pack = None
         self._op_cache = None
 
     # -- basic accessors ---------------------------------------------------
@@ -186,33 +182,63 @@ class FinCategory:
                         todo.append(h)
         return reached
 
-    # -- product packing ---------------------------------------------------
+    # -- product ids (see join_objs) ---------------------------------------
 
     def obj_tuple(self, o):
-        if self._obj_tuple is None:
-            return (o,)
-        return self._obj_tuple[o]
+        return (o,) if self.factors is None else _digits(o, self.factors, "objects")
 
     def pack_obj(self, parts):
-        if self._obj_pack is None:
-            (o,) = parts
-            return o
-        return self._obj_pack[tuple(parts)]
+        return _pack(self, parts, join_objs)
 
     def mor_tuple(self, m):
-        if self._mor_tuple is None:
-            return (m,)
-        return self._mor_tuple[m]
+        return (m,) if self.factors is None else _digits(m, self.factors, "morphisms")
 
     def pack_mor(self, parts):
-        if self._mor_pack is None:
-            (m,) = parts
-            return m
-        return self._mor_pack[tuple(parts)]
+        return _pack(self, parts, join_mors)
 
     def __repr__(self):
         return (f"FinCategory({self.name!r}, {len(self.obj_names)} objects, "
                 f"{len(self.mor_names)} morphisms)")
+
+
+# A product's ids are its factors' ids in mixed radix, the last factor
+# varying fastest (itertools.product order).  So an id of a product
+# left x right is left id * |right| + right id, however either side is
+# itself a product, and opposites share their base's ids.
+
+
+def split_obj(right: FinCategory, o):
+    """(left object, right object) of an object o of a product left x right."""
+    return divmod(o, len(right.objects))
+
+
+def split_mor(right: FinCategory, m):
+    return divmod(m, len(right.morphisms))
+
+
+def join_objs(pairs):
+    """The product object of per-factor (category, object id) pairs."""
+    return functools.reduce(lambda o, cx: o * len(cx[0].objects) + cx[1], pairs, 0)
+
+
+def join_mors(pairs):
+    return functools.reduce(lambda m, cx: m * len(cx[0].morphisms) + cx[1], pairs, 0)
+
+
+def _digits(i, factors, kind):
+    """The factors' ids of the product id i, with |factor.kind| as radices."""
+    out = []
+    for c in reversed(factors):
+        i, d = divmod(i, len(getattr(c, kind)))
+        out.append(d)
+    return tuple(reversed(out))
+
+
+def _pack(c, parts, join):
+    if c.factors is None:
+        (i,) = parts
+        return i
+    return join(zip(c.factors, parts, strict=True))
 
 
 @dataclass
@@ -588,29 +614,24 @@ def product(*cats: FinCategory) -> FinCategory:
         return flat[0]
     name = "(" + "*".join(c.name for c in flat) + ")" if flat else "1"
 
-    def tuples(tables):
-        """One tuple per object or morphism id, in id order."""
-        return itertools.product(*[getattr(c, tables) for c in flat])
+    def names(table, empty):
+        return ["(" + "|".join(t) + ")" for t in itertools.product(
+            *[getattr(c, table) for c in flat])] if flat else [empty]
 
-    def names(tables, empty):
-        return ["(" + "|".join(t) + ")" for t in tuples(tables)] if flat else [empty]
-    obj_tuples, mor_tuples = list(tuples("objects")), list(tuples("morphisms"))
-    obj_pack = {t: i for i, t in enumerate(obj_tuples)}
-    mor_pack = {t: i for i, t in enumerate(mor_tuples)}
-    obj_names, mor_names = names("obj_names", "*"), names("mor_names", "id*")
-    dom = [obj_pack[t] for t in tuples("_dom")]
-    cod = [obj_pack[t] for t in tuples("_cod")]
-    identities = [mor_pack[t] for t in tuples("_identity")]
+    def ids(table, kind):
+        """The factors' `table` entries as product ids, in id order."""
+        out = [0]
+        for c in flat:
+            n = len(getattr(c, kind))
+            out = [i * n + x for i in out for x in getattr(c, table)]
+        return out
     # no composites yet: compose fills them in from the factors (a product
     # of three factors of twenty morphisms has ~10^6 composable pairs, few
     # of which a check reads)
-    p = FinCategory(name, obj_names, mor_names, dom, cod,
-                    {(0, 0): 0} if not flat else {}, identities)
+    p = FinCategory(name, names("obj_names", "*"), names("mor_names", "id*"),
+                    ids("_dom", "objects"), ids("_cod", "objects"),
+                    {(0, 0): 0} if not flat else {}, ids("_identity", "morphisms"))
     p.factors = tuple(flat)
-    p._obj_tuple = obj_tuples
-    p._obj_pack = obj_pack
-    p._mor_tuple = mor_tuples
-    p._mor_pack = mor_pack
     _PRODUCT_CACHE[key] = p
     return p
 
@@ -621,18 +642,20 @@ def terminal_category() -> FinCategory:
 
 def product_monoidal(m1: MonoidalStructure, m2: MonoidalStructure) -> MonoidalStructure:
     """The factorwise tensor, unit and braiding on the product of the bases."""
-    c = product(m1.base, m2.base)
+    c1, c2 = m1.base, m2.base
+    c = product(c1, c2)
 
-    def factorwise(t1, t2, ids, split, pack):
-        return {(x, y): pack((t1[(split(x)[0], split(y)[0])], t2[(split(x)[1], split(y)[1])]))
-                for x in ids for y in ids}
+    def factorwise(t1, t2, ids, split, join):
+        pairs = [(x, split(c2, x)) for x in ids]
+        return {(x, y): join(((c1, t1[(x1, y1)]), (c2, t2[(x2, y2)])))
+                for x, (x1, x2) in pairs for y, (y1, y2) in pairs}
     braiding = None
     if m1.braiding is not None and m2.braiding is not None:
-        braiding = factorwise(m1.braiding, m2.braiding, c.objects, c.obj_tuple, c.pack_mor)
+        braiding = factorwise(m1.braiding, m2.braiding, c.objects, split_obj, join_mors)
     return MonoidalStructure(
-        c, factorwise(m1.tensor_obj, m2.tensor_obj, c.objects, c.obj_tuple, c.pack_obj),
-        factorwise(m1.tensor_mor, m2.tensor_mor, c.morphisms, c.mor_tuple, c.pack_mor),
-        c.pack_obj((m1.unit, m2.unit)), braiding)
+        c, factorwise(m1.tensor_obj, m2.tensor_obj, c.objects, split_obj, join_objs),
+        factorwise(m1.tensor_mor, m2.tensor_mor, c.morphisms, split_mor, join_mors),
+        join_objs(((c1, m1.unit), (c2, m2.unit))), braiding)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import MonoidalStructure, product
-from .profunctor import ConcreteProf, coend, join_objs, split_mor, split_obj
+from .fincat import MonoidalStructure, join_objs, product, split_mor, split_obj
+from .profunctor import ConcreteProf, coend
 from .shapelang import StructureMissing
 
 
@@ -216,19 +216,16 @@ class LearnerSpace(CoendSpace):
 
     def __init__(self, mon: MonoidalStructure, a, b):
         c = self.base = mon.base
-        cc = self.pair_cat = product(c, c)
 
         def fib(s, t):
-            p1, q1 = split_obj(cc, c, c, s)
-            p2, q2 = split_obj(cc, c, c, t)
+            (p1, q1), (p2, q2) = split_obj(c, s), split_obj(c, t)
             return tuple(
                 (h1, h2)
                 for h1 in c.hom(mon.tensor(p1, a), mon.tensor(q2, b))
                 for h2 in c.hom(mon.tensor(q1, b), mon.tensor(p2, a)))
 
         def act(fm, gm, v):
-            f1, f2 = split_mor(cc, c, c, fm)
-            g1, g2 = split_mor(cc, c, c, gm)
+            (f1, f2), (g1, g2) = split_mor(c, fm), split_mor(c, gm)
             h1, h2 = v
             ia, ib = c.identity(a), c.identity(b)
             return (c.compose(mon.tensor_m(f1, ia),
@@ -236,11 +233,10 @@ class LearnerSpace(CoendSpace):
                     c.compose(mon.tensor_m(f2, ib),
                               c.compose(h2, mon.tensor_m(g1, ia))))
 
-        super().__init__(cc, fib, act)
+        super().__init__(product(c, c), fib, act)
 
     def cls(self, p, q, h1, h2):
-        s = join_objs(self.pair_cat, [(self.base, p), (self.base, q)])
-        return super().cls(s, h1, h2)
+        return super().cls(join_objs([(self.base, p), (self.base, q)]), h1, h2)
 
 
 def learner_set(mon, a, b) -> LearnerSpace:
@@ -272,16 +268,14 @@ def learner_triples(mon, a, b) -> CoendSpace:
     return CoendSpace(c, fib, act)
 
 
-def learner_reduce(mon, a, b, learner_cls, space: LearnerSpace = None,
-                   triples: CoendSpace = None):
+def learner_reduce(mon, a, b, learner_cls, triples: CoendSpace = None):
     """Reduce a monoidal learner class to an (implement, request, update)
     triple class over a cartesian oracle."""
     _require(mon, "cartesian witness")
     c, w = mon.base, mon.cartesian
-    space = space or learner_set(mon, a, b)
     triples = triples or learner_triples(mon, a, b)
     s, (h1, h2) = learner_cls
-    p, q = split_obj(space.pair_cat, c, c, s)
+    p, q = split_obj(c, s)
     i = c.compose(h1, w.proj2[(q, b)])
     qmap = c.compose(h1, w.proj1[(q, b)])          # p(x)a -> q
     wmap = c.compose(mon.tensor_m(qmap, c.identity(b)), h2)  # p(x)a(x)b -> p(x)a

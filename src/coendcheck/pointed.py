@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import FixtureError
-from .profunctor import (companion, conjoint, join_mors, join_objs, render_generic,
-                         split_obj)
+from .fincat import FixtureError, join_mors, join_objs, split_obj
+from .profunctor import companion, conjoint, render_generic
 from .rewrite import (PointError, RewriteError, apply_step, build_seq_value,
                       check_instantiation)
 from .shapelang import (KINDS, Evaluator, Id, Par, Seq, Wire, boundary,
@@ -58,7 +57,7 @@ class OpenDiagram:
     def from_names(ev: Evaluator, shape, named_assignment):
         """Build from script-level value specs (morphism names, (pair ..),
         (split f M N), (mor f X), *)."""
-        return _point(ev, shape, _resolve_named(ev.env, shape, named_assignment))
+        return _point(ev, shape, resolve_names(ev.env, shape, named_assignment))
 
     def describe(self):
         a, b = self.fiber
@@ -155,10 +154,10 @@ def _walk(ev, term, assignment, left_obj):
         return build_seq_value(ev, items, (left_obj, cur)), cur
     if isinstance(term, Par):
         prof = ev.node(term)  # a TensorProf: its factors split the fiber's objects
-        lt, lb = split_obj(prof.source, prof.p1.source, prof.p2.source, left_obj)
+        lt, lb = split_obj(prof.p2.source, left_obj)
         vt, rt = _walk(ev, term.top, assignment, lt)
         vb, rb = _walk(ev, term.bottom, assignment, lb)
-        return (vt, vb), join_objs(prof.target, [(prof.p1.target, rt), (prof.p2.target, rb)])
+        return (vt, vb), join_objs([(prof.p1.target, rt), (prof.p2.target, rb)])
     return _leaf_value(ev, term, assignment, left_obj)
 
 
@@ -173,14 +172,19 @@ def _leaf_value(ev, term, assignment, left_obj):
     that holds it; given right objects, one per right wire, name it."""
     rw = boundary(term, ev.sig)[1]  # first: a leaf of no known kind is a type error
     env, name = ev.env, term.label or print_term(term)
+    prof = ev.node(term)
+    if left_obj not in prof.source.objects:
+        raise PointError(f"{name} has no left object {left_obj!r}")
     value, objs = assignment.get(term.label) or (None, None)
     if value is None:
         value = _identity_value(env, term, left_obj, name)
-    prof = ev.node(term)
     if objs is not None:
         if len(objs) != len(rw):
             raise PointError(f"{name} needs {len(rw)} target object(s)")
-        targets = [join_objs(env.boundary_cat(rw), zip(map(env.wire_cat, rw), objs))]
+        cats = [env.wire_cat(w) for w in rw]
+        if not all(o in c.objects for c, o in zip(cats, objs)):
+            raise PointError(f"target objects {objs!r} of {name} are not its wires' objects")
+        targets = [join_objs(zip(cats, objs))]
     elif getattr(term, "kind", None) in _NEEDS_OBJECTS:
         raise PointError(f"{name} needs a value with its target objects")
     else:
@@ -210,9 +214,8 @@ def _identity_value(env, term, left, name):
     if kind in ("cap", "named"):
         raise PointError(f"{name} needs an assigned value")
     # merge, sym and cup: split the left object over the two left wires
-    lw = boundary(term, env.sig)[0]
-    c1, c2 = map(env.wire_cat, lw)
-    x, y = split_obj(env.boundary_cat(lw), c1, c2, left)
+    c1, c2 = map(env.wire_cat, boundary(term, env.sig)[0])
+    x, y = split_obj(c2, left)
     return c1.identity(x) if kind == "cup" else (c1.identity(x), c2.identity(y))
 
 
@@ -220,9 +223,9 @@ def _identity_value(env, term, left, name):
 # script-level value specs
 
 
-def _resolve_obj_name(env, name, catsym):
+def _resolve_obj_name(env, name, catsym, symbols):
     if name in env.sig.objects:
-        return env.resolve_obj(name)
+        return env.resolve_obj(name) if symbols else name
     try:
         return env.cats[catsym].obj_id(str(name))
     except FixtureError as e:
@@ -246,7 +249,11 @@ def _leaf_catsym(sig, term):
     return term.args[0]
 
 
-def _resolve_named(env, shape, named_assignment):
+def resolve_names(env, shape, named_assignment, symbols=True):
+    """{label: (value, right objects or None)} from script-level value
+    specs.  With symbols=False the object symbols are left as they are, so
+    it checks only what the bindings decide whatever the assignment: leaf
+    labels, spec forms, morphism names and the other object names."""
     from .shapelang import leaves
     by_label = {}
     for path, leaf in leaves(shape):
@@ -257,11 +264,11 @@ def _resolve_named(env, shape, named_assignment):
         if label not in by_label:
             raise PointError(f"no leaf labelled {label!r} in the shape")
         leaf = by_label[label]
-        out[label] = _resolve_spec(env, leaf, spec)
+        out[label] = _resolve_spec(env, leaf, spec, symbols)
     return out
 
 
-def _resolve_spec(env, leaf, spec):
+def _resolve_spec(env, leaf, spec, symbols):
     catsym = _leaf_catsym(env.sig, leaf)
 
     def mor(name, cs=None):
@@ -282,10 +289,8 @@ def _resolve_spec(env, leaf, spec):
             raise PointError(f"({head} ...) takes {arity} argument(s)")
         if head == "pair":
             if isinstance(leaf, Id):
-                cat = env.boundary_cat(leaf.wires)
-                pairs = [(env.wire_cat(w), mor(n, w.cat))
-                         for n, w in zip(spec[1:], leaf.wires)]
-                return (join_mors(cat, pairs), None)
+                return (join_mors([(env.wire_cat(w), mor(n, w.cat))
+                                   for n, w in zip(spec[1:], leaf.wires)]), None)
             if leaf.kind == "sym":
                 return ((mor(spec[1], leaf.args[0].cat),
                          mor(spec[2], leaf.args[1].cat)), None)
@@ -295,7 +300,7 @@ def _resolve_spec(env, leaf, spec):
         rw = boundary(leaf, env.sig)[1]
         if len(spec) - 2 != len(rw):
             raise PointError(f"{leaf.label} needs {len(rw)} target object(s)")
-        return (mor(spec[1]), tuple(_resolve_obj_name(env, n, w.cat)
+        return (mor(spec[1]), tuple(_resolve_obj_name(env, n, w.cat, symbols)
                                     for n, w in zip(spec[2:], rw)))
     if isinstance(leaf, Id) and len(leaf.wires) == 1:
         return (mor(spec, leaf.wires[0].cat), None)

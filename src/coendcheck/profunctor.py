@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import functools
 
-from .fincat import FinCategory, FinFunctor, opposite, product, terminal_category
+from .fincat import (FinCategory, FinFunctor, opposite, product, split_mor, split_obj,
+                     terminal_category)
 
 
 class ProfunctorError(Exception):
@@ -213,33 +214,6 @@ def coend(p: ConcreteProf) -> CoendSet:
 # basic constructors
 
 
-def _factors(c: FinCategory):
-    return c.factors if c.factors is not None else (c,)
-
-
-def split_obj(total: FinCategory, left: FinCategory, right: FinCategory, o):
-    """Unpack an object of the flattened product left x right."""
-    parts = total.obj_tuple(o)
-    k = len(_factors(left))
-    return left.pack_obj(parts[:k]), right.pack_obj(parts[k:])
-
-
-def split_mor(total: FinCategory, left: FinCategory, right: FinCategory, m):
-    parts = total.mor_tuple(m)
-    k = len(_factors(left))
-    return left.pack_mor(parts[:k]), right.pack_mor(parts[k:])
-
-
-def join_objs(total: FinCategory, pairs):
-    """Pack per-wire objects into a flattened product object; each entry is
-    (wire category, object id)."""
-    return total.pack_obj(tuple(x for cat, o in pairs for x in cat.obj_tuple(o)))
-
-
-def join_mors(total: FinCategory, pairs):
-    return total.pack_mor(tuple(x for cat, m in pairs for x in cat.mor_tuple(m)))
-
-
 def hom_prof(c: FinCategory) -> ConcreteProf:
     return ConcreteProf(
         c, c,
@@ -250,18 +224,16 @@ def hom_prof(c: FinCategory) -> ConcreteProf:
 
 def copy_prof(c: FinCategory) -> ConcreteProf:
     """The canonical pseudocomonoid C(-,-^1) x C(-,-^2): copies on the right."""
-    cc = product(c, c)
-
     def fib(x, t):
-        a, b = split_obj(cc, c, c, t)
+        a, b = split_obj(c, t)
         return tuple((p, q) for p in c.hom(x, a) for q in c.hom(x, b))
 
     def act(f, gp, v):
-        g1, g2 = split_mor(cc, c, c, gp)
+        g1, g2 = split_mor(c, gp)
         p, q = v
         return (c.compose(f, c.compose(p, g1)), c.compose(f, c.compose(q, g2)))
 
-    return ConcreteProf(c, cc, fib, act)
+    return ConcreteProf(c, product(c, c), fib, act)
 
 
 def merge_prof(c: FinCategory) -> ConcreteProf:
@@ -280,38 +252,33 @@ def codiscard_prof(c: FinCategory) -> ConcreteProf:
 
 def swap_prof(c1: FinCategory, c2: FinCategory) -> ConcreteProf:
     """The braiding 1-cell of the profunctor bicategory on c1 x c2."""
-    src = product(c1, c2)
-    tgt = product(c2, c1)
-
     def fib(s, t):
-        a, b = split_obj(src, c1, c2, s)
-        b2, a2 = split_obj(tgt, c2, c1, t)
+        a, b = split_obj(c2, s)
+        b2, a2 = split_obj(c1, t)
         return tuple((u, v) for u in c1.hom(a, a2) for v in c2.hom(b, b2))
 
     def act(fp, gp, val):
-        f1, f2 = split_mor(src, c1, c2, fp)
-        g2, g1 = split_mor(tgt, c2, c1, gp)
+        f1, f2 = split_mor(c2, fp)
+        g2, g1 = split_mor(c1, gp)
         u, v = val
         return (c1.compose(f1, c1.compose(u, g1)), c2.compose(f2, c2.compose(v, g2)))
 
-    return ConcreteProf(src, tgt, fib, act)
+    return ConcreteProf(product(c1, c2), product(c2, c1), fib, act)
 
 
 def cup_prof(c: FinCategory) -> ConcreteProf:
     """Counit of the compact closure: consumes a wire and its dual."""
-    src = product(c, opposite(c))
-    t = terminal_category()
-
     def fib(s, _):
-        x, y = split_obj(src, c, opposite(c), s)
+        x, y = split_obj(c, s)
         return c.hom(x, y)
 
     def act(fp, _, v):
-        f, gop = split_mor(src, c, opposite(c), fp)
+        f, gop = split_mor(c, fp)
         # gop: y' -> y in op(c), i.e. g: y -> y' in c
         return c.compose(f, c.compose(v, gop))
 
-    return ConcreteProf(src, t, fib, act, render=c.mor_name)
+    return ConcreteProf(product(c, opposite(c)), terminal_category(), fib, act,
+                        render=c.mor_name)
 
 
 def cap_prof(c: FinCategory) -> ConcreteProf:
@@ -333,8 +300,8 @@ def tensor_functor(m) -> FinFunctor:
     cc = product(c, c)
     return FinFunctor(
         f"(x)({c.name})", cc, c,
-        {s: m.tensor(*split_obj(cc, c, c, s)) for s in cc.objects},
-        {f: m.tensor_m(*split_mor(cc, c, c, f)) for f in cc.morphisms})
+        {s: m.tensor(*split_obj(c, s)) for s in cc.objects},
+        {f: m.tensor_m(*split_mor(c, f)) for f in cc.morphisms})
 
 
 def companion(fn) -> ConcreteProf:
@@ -384,30 +351,27 @@ class TensorProf(ConcreteProf):
 
     def __init__(self, p1: ConcreteProf, p2: ConcreteProf):
         self.p1, self.p2 = p1, p2
-        src = product(p1.source, p2.source)
-        tgt = product(p1.target, p2.target)
+        s2, t2 = p2.source, p2.target
 
         def fib(a, b):
-            a1, a2 = split_obj(src, p1.source, p2.source, a)
-            b1, b2 = split_obj(tgt, p1.target, p2.target, b)
+            (a1, a2), (b1, b2) = split_obj(s2, a), split_obj(t2, b)
             return tuple((v1, v2) for v1 in p1.fiber(a1, b1) for v2 in p2.fiber(a2, b2))
 
         def act(f, g, v):
-            f1, f2 = split_mor(src, p1.source, p2.source, f)
-            g1, g2 = split_mor(tgt, p1.target, p2.target, g)
+            (f1, f2), (g1, g2) = split_mor(s2, f), split_mor(t2, g)
             return (p1.act(f1, g1, v[0]), p2.act(f2, g2, v[1]))
 
         def render(v):
             return f"({p1.render(v[0])},{p2.render(v[1])})"
 
-        super().__init__(src, tgt, fib, act, render=render)
+        super().__init__(product(p1.source, s2), product(p1.target, t2), fib, act,
+                         render=render)
 
     def split_value(self, fiber, value):
         """The element `value` at `fiber` as its two factors, each with
         its own fiber: ((fiber of p1, value), (fiber of p2, value))."""
-        p1, p2 = self.p1, self.p2
-        a1, a2 = split_obj(self.source, p1.source, p2.source, fiber[0])
-        b1, b2 = split_obj(self.target, p1.target, p2.target, fiber[1])
+        (a1, a2), (b1, b2) = (split_obj(self.p2.source, fiber[0]),
+                              split_obj(self.p2.target, fiber[1]))
         return ((a1, b1), value[0]), ((a2, b2), value[1])
 
 

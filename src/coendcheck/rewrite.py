@@ -13,8 +13,9 @@ import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .fincat import FixtureError, opposite_monoidal, terminal_category
-from .profunctor import ProfunctorError, dual, join_mors, join_objs, split_obj
+from .fincat import (FixtureError, join_mors, join_objs, opposite_monoidal, split_obj,
+                     terminal_category)
+from .profunctor import ProfunctorError, dual
 from .shapelang import (Env, EvalError, Evaluator, Gen, Id, Par, Seq,
                         ShapeTypeError, StructureMissing, Wire, boundary,
                         is_plain_id, norm, obj_expr_cat, objects_in, functor_expr_sig,
@@ -124,8 +125,7 @@ def par_value(ev: Evaluator, top_term, v_top, bottom_term, v_bottom):
     """Value of norm(Par(top, bottom)) from the component values."""
     if is_plain_id(top_term) and is_plain_id(bottom_term):
         cat = ev.env.boundary_cat
-        return join_mors(cat(top_term.wires + bottom_term.wires),
-                         [(cat(top_term.wires), v_top), (cat(bottom_term.wires), v_bottom)])
+        return join_mors([(cat(top_term.wires), v_top), (cat(bottom_term.wires), v_bottom)])
     if is_plain_id(top_term) and not top_term.wires:
         return v_bottom
     if is_plain_id(bottom_term) and not bottom_term.wires:
@@ -588,14 +588,13 @@ class Interchange(Rule):
         span1 = len(q1.parts) if isinstance(q1, Seq) else 1
         span2 = len(q2.parts) if isinstance(q2, Seq) else 1
         wa, wb = boundary(a, sig)[1], boundary(b, sig)[1]
-        cat = ev.env.boundary_cat
-        c_mid, c_a, c_b = cat(wa + wb), cat(wa), cat(wb)
+        c_a, c_b = ev.env.boundary_cat(wa), ev.env.boundary_cat(wb)
 
         def tf(ev, vals, fibers, lobj, robj):
             (ft, vt), (fb_, vb) = ev.node(p).split_value(fibers[0], vals[0])
             va, ma, vc = split_top(ev, ft, vt)
             vb2, mb, vd = split_bottom(ev, fb_, vb)
-            mid = join_objs(c_mid, [(c_a, ma), (c_b, mb)])
+            mid = join_objs([(c_a, ma), (c_b, mb)])
             return ([par_value(ev, a, va, b, vb2), par_value(ev, c, vc, d, vd)], [mid])
 
         return SliceOutcome(1, (q1, q2), tf,
@@ -649,12 +648,11 @@ class PortFuse(Rule):
         op, (port, gen) = self.readings[t.kind == "outport"]
         c = mon.base
         rep = (Par(Gen(port, (ea,)), Gen(port, (eb,))), Gen(gen, (catsym,)))
-        cc = ev.env.boundary_cat((Wire(catsym),) * 2)
 
         def tf(ev, vals, fibers, lobj, robj):
             a_id, b_id = ids(ev)
             return ([(c.identity(a_id), c.identity(b_id)), vals[0]],
-                    [join_objs(cc, [(c, a_id), (c, b_id)])])
+                    [join_objs([(c, a_id), (c, b_id)])])
 
         return _read_back(SliceOutcome(1, rep, tf), op)
 
@@ -735,10 +733,10 @@ class CartFork(Rule):
         new_term = Gen(new, term.args, term.label)
         if backward:
             return NodeOutcome(new_term, lambda ev, fiber, value: w.pairing[value])
-        cc, end = ev.env.boundary_cat((Wire(term.args[0]),) * 2), 0 if self.op else 1
+        end = 0 if self.op else 1
 
         def tf(ev, fiber, value):
-            m, n = split_obj(cc, c, c, fiber[end])
+            m, n = split_obj(c, fiber[end])
             return (c.compose(value, w.proj1[(m, n)]),
                     c.compose(value, w.proj2[(m, n)]))
 
@@ -820,12 +818,10 @@ class Sym(Rule):
             _want(p1.args == (p2.args[1], p2.args[0]),
                   "R-SYM cancellation needs opposite crossings")
             c1, c2 = map(ev.env.wire_cat, p1.args)
-            cc = ev.env.boundary_cat(p1.args)
 
             def tf(ev, vals, fibers, lobj, robj):
                 (u, v), (v2, u2) = vals
-                return ([join_mors(cc, [(c1, c1.compose(u, u2)),
-                                        (c2, c2.compose(v, v2))])], [])
+                return ([join_mors([(c1, c1.compose(u, u2)), (c2, c2.compose(v, v2))])], [])
 
             return SliceOutcome(2, (Id(p1.args),), tf,
                                 inverse_inst={"config": "cancel"})
@@ -850,20 +846,19 @@ class Sym(Rule):
                   f"R-SYM wires must match the {gen}")
         mon = _monoidal(ev, p.args[0], op, "braiding")
         c, w = mon.base, Wire(p.args[0])
-        cc = ev.env.boundary_cat((w, w))
         if backward:
             def tf(ev, vals, fibers, lobj, robj):
-                m, n = split_obj(cc, c, c, lobj)
+                m, n = split_obj(c, lobj)
                 e = (c.identity(m), c.identity(n))
                 return ([e[::-1] if op else e, c.compose(mon.braid(n, m), vals[0])],
-                        [join_objs(cc, [(c, n), (c, m)])])
+                        [join_objs([(c, n), (c, m)])])
 
             return _read_back(SliceOutcome(1, (Gen("sym", (w, w)), p), tf), op)
 
         def tf(ev, vals, fibers, lobj, robj):
             (u, v), j = vals
             u, v = (v, u) if op else (u, v)
-            m, n = split_obj(cc, c, c, fibers[0][0])
+            m, n = split_obj(c, fibers[0][0])
             return ([c.compose(mon.braid(m, n), c.compose(mon.tensor_m(v, u), j))], [])
 
         return _read_back(SliceOutcome(2, (p,), tf, inverse_inst={"config": gen}), op)
@@ -880,11 +875,10 @@ class Sym(Rule):
             wb = boundary(b, ev.sig)[1]
             _want(len(wa) == 1 and len(wb) == 1, "one output wire per leg")
             ca, cb = ev.env.wire_cat(wa[0]), ev.env.wire_cat(wb[0])
-            cc = ev.env.boundary_cat((wa[0], wb[0]))
 
             def tf(ev, vals, fibers, lobj, robj):
                 (fb, vb), (fa, va) = ev.node(p).split_value(fibers[0], vals[0])
-                mid = join_objs(cc, [(ca, fa[1]), (cb, fb[1])])
+                mid = join_objs([(ca, fa[1]), (cb, fb[1])])
                 return ([par_value(ev, a, va, b, vb),
                          (ca.identity(fa[1]), cb.identity(fb[1]))], [mid])
 
@@ -894,11 +888,10 @@ class Sym(Rule):
             _want(len(wires) == 2, "R-SYM cancellation insertion needs two wires")
             w1, w2 = wires
             c1, c2 = ev.env.wire_cat(w1), ev.env.wire_cat(w2)
-            cc, ccs = ev.env.boundary_cat((w1, w2)), ev.env.boundary_cat((w2, w1))
 
             def tf(ev, vals, fibers, lobj, robj):
-                x, y = split_obj(cc, c1, c2, lobj)
-                mid = join_objs(ccs, [(c2, y), (c1, x)])
+                x, y = split_obj(c2, lobj)
+                mid = join_objs([(c2, y), (c1, x)])
                 return ([(c1.identity(x), c2.identity(y)),
                          (c2.identity(y), c1.identity(x))], [mid])
 
@@ -970,11 +963,10 @@ class ZigzagCup(Rule):
             (w,), catsym = wires, wires[0].cat
             rep = (Par(Id((w,)), Gen(k1, (catsym,))),
                    Par(Gen(k2, (catsym,)), Id((w,))))
-            c, mid_cat = ev.env.cats[catsym], ev.env.boundary_cat((w, w.flip(), w))
-            cw, cf = ev.env.wire_cat(w), ev.env.wire_cat(w.flip())
+            c = ev.env.cats[catsym]
 
             def tf(ev, vals, fibers, lobj, robj):
-                mid = join_objs(mid_cat, [(cw, lobj), (cf, lobj), (cw, lobj)])
+                mid = join_objs([(c, lobj)] * 3)  # on w, w.flip(), w: each has c's objects
                 e = c.identity(lobj)
                 return ([(e, e), (e, e)], [mid])
 
@@ -1294,10 +1286,12 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
     the sweep.  `epilogue(report, ev, terms, maps)` runs after each main
     derivation that checks, with the evaluator at that assignment."""
     derivs = list(script.named.items()) + ([("main", script.main)] if script.main else [])
+    only = script_object_symbols(script, sig)
     derivs = _refuse_instantiations(derivs, sig, report)
+    script = _refuse_points(script, sig, env, report)
     if not (derivs or script.points or script.asserts):
         return
-    for ev in sweep(env, only=script_object_symbols(script, sig)):
+    for ev in sweep(env, only=only):
         desc = ev.env.describe_objs()
         report.line(f"assignment: {desc}" if desc else "assignment: (none)")
         for name, deriv in derivs:
@@ -1328,6 +1322,28 @@ def _refuse_instantiations(derivs, sig, report):
     return kept
 
 
+def _refuse_points(script, sig, env, report):
+    """Report once, before the sweep, every point whose shape, labels or
+    names fail whatever the assignment, and every assert-equal that names
+    such a point; return the script without them."""
+    from . import pointed
+    refused = set()
+    for decl in script.points:
+        try:
+            if decl.shape not in sig.shapes:
+                raise PointError(f"unknown shape {decl.shape!r}")
+            pointed.resolve_names(env, sig.shapes[decl.shape], decl.assignment, False)
+        except CHECK_ERRORS as e:
+            report.fail(f"point {decl.name}: {e}")
+            refused.add(decl.name)
+    asserts = [a for a in script.asserts if not {a.left, a.right} & refused]
+    for a in script.asserts:
+        if a not in asserts:
+            report.fail(f"assert-equal: unknown point {a.left} or {a.right}")
+    return DerivationScript(script.main, script.named,
+                            [d for d in script.points if d.name not in refused], asserts)
+
+
 def check_derivation(script: DerivationScript, sig, env: Env,
                      fail_fast=False) -> Report:
     """The report of check_assignments, ending in the result line."""
@@ -1340,17 +1356,14 @@ def check_derivation(script: DerivationScript, sig, env: Env,
 
 
 def _check_points(script, ev, report):
+    """The points and assert-equals that _refuse_points left, at ev's assignment."""
     if not script.points and not script.asserts:
         return
     from . import pointed
-    sig = ev.sig
     diagrams = {}
     for decl in script.points:
-        if decl.shape not in sig.shapes:
-            report.fail(f"point {decl.name}: unknown shape {decl.shape!r}")
-            continue
         try:
-            d = pointed.OpenDiagram.from_names(ev, sig.shapes[decl.shape],
+            d = pointed.OpenDiagram.from_names(ev, ev.sig.shapes[decl.shape],
                                                decl.assignment)
         except CHECK_ERRORS as e:
             report.fail(f"point {decl.name}: {e}")

@@ -348,10 +348,10 @@ def test_criterion_9_learners(oracles):
         assert ls.class_count == ts.class_count
         image = set()
         for cls in ls.coend.reps:
-            tri = learner_reduce(mon, a, b, cls, ls, ts)
+            tri = learner_reduce(mon, a, b, cls, ts)
             image.add(tri)
             assert triple_to_learner(mon, a, b, tri, ls) == cls
-            outs = {learner_reduce(mon, a, b, member, ls, ts)
+            outs = {learner_reduce(mon, a, b, member, ts)
                     for member in ls.coend.members(cls)}
             assert len(outs) == 1
         assert image == set(ts.coend.reps)

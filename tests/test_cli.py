@@ -725,6 +725,37 @@ def test_point_on_a_named_leaf_fails_the_point(capsys, tmp_path, spec):
     assert "FAIL point p: cannot resolve morphism" in out
 
 
+def test_a_point_the_bindings_refuse_fails_once_before_the_sweep(capsys):
+    # points.deriv names z2's morphisms 0 and 1, which diamond lacks: each
+    # of its 6 points and each of the 3 assert-equals that name them fails
+    # once, before the first of the 256 assignments, and not at each
+    code, out, err = run(capsys, "check", demo_path("points.deriv"),
+                         "--bind", f"C={fixture_path('diamond')}")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL ")]
+    assert len(fails) == len(set(fails)) == 9
+    assert sum(f.startswith("FAIL point ") for f in fails) == 6
+    assert lines[:9] == fails and lines[9].startswith("assignment: ")
+    assert sum(line.startswith("assignment: ") for line in lines) == 256
+
+
+def test_object_symbols_in_a_point_wait_for_the_assignment(capsys, tmp_path):
+    # (split 0 X Y) names the object symbols X and Y, which are no objects
+    # of z2: the point is not refused, and at z2's one assignment it is the
+    # point of (split 0 x x)
+    for name in ("points.deriv", "points.shapes"):
+        (tmp_path / name).write_text((demo_dir() / name).read_text(encoding="utf-8"))
+    want = run(capsys, "check", str(tmp_path / "points.deriv"),
+               "--bind", f"C={fixture_path('z2')}")
+    text = (tmp_path / "points.deriv").read_text(encoding="utf-8")
+    assert "(split 0 x x)" in text
+    (tmp_path / "points.deriv").write_text(text.replace("(split 0 x x)", "(split 0 X Y)"))
+    got = run(capsys, "check", str(tmp_path / "points.deriv"),
+              "--bind", f"C={fixture_path('z2')}")
+    assert got == want and want[0] == 0
+
+
 @pytest.mark.parametrize("edit,code", [
     (("deriv", "point pg hom-pair", "point pg Q"), 1),
     (("deriv", "(split 0 x x)", "(split 0 x)"), 1),

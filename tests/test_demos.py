@@ -23,7 +23,7 @@ from coendcheck.optics import (apply_lens, compose_optic,
                                lens_to_feedback, lens_to_pair,
                                lenses_to_learner, prism_to_pair)
 from coendcheck.pointed import OpenDiagram, lift_many
-from coendcheck.profunctor import split_obj
+from coendcheck.fincat import split_obj
 from coendcheck.rewrite import (Report, _count, check_derivation_once,
                                 script_object_symbols, strip_labels)
 from coendcheck.shapelang import Env, Evaluator, sweep
@@ -343,12 +343,12 @@ def test_learner_reduction_script_computes_learner_reduce():
         ls = learner_set(mon, a, b)
         ts = learner_triples(mon, a, b)
         for (s, (h1, h2)) in ls.coend.reps:
-            p, q = split_obj(ls.pair_cat, c, c, s)
+            p, q = split_obj(c, s)
             d = OpenDiagram.from_values(
                 ev, sig.shapes["learner"],
                 _learner_assignment(mon, p, q, h1, h2, a, b))
             out = lift_many(steps, d, ev)
-            tp, (ti, tr, tu) = learner_reduce(mon, a, b, (s, (h1, h2)), ls, ts)
+            tp, (ti, tr, tu) = learner_reduce(mon, a, b, (s, (h1, h2)), ts)
             pa = mon.tensor(tp, a)
             expected = OpenDiagram.from_values(
                 ev, sig.shapes["learner-reduced"],
@@ -393,7 +393,7 @@ def test_lenses_to_learner_script_computes_the_operation():
                          "cu": c.identity(m)})
                     out = lift_many(steps, d, ev)
                     (s, (h1, h2)) = lenses_to_learner(l1, l2, mon, ls)
-                    lp, lq = split_obj(ls.pair_cat, c, c, s)
+                    lp, lq = split_obj(c, s)
                     expected = OpenDiagram.from_values(
                         ev, sig.shapes["learner"],
                         _learner_assignment(mon, lp, lq, h1, h2, a, b))

@@ -1,14 +1,18 @@
+import importlib.util
+import itertools
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from coendcheck.fincat import (FixtureError, load_fixture, dump_fixture,
-                               from_comm_monoid, from_lattice, opposite,
-                               opposite_monoidal, product, product_monoidal,
-                               terminal_category, validate_category,
+                               from_comm_monoid, from_lattice, join_mors, join_objs,
+                               opposite, opposite_monoidal, product, product_monoidal,
+                               split_mor, split_obj, terminal_category, validate_category,
                                validate_functor, validate_monoidal, FinFunctor)
 from coendcheck.fixtures import (FIXTURE_NAMES, bad_fixture_names,
-                                 bad_fixture_path, build, fixture)
+                                 bad_fixture_path, build, fixture, fixture_path)
 from coendcheck import load_fixture_file
 
 
@@ -30,6 +34,25 @@ def test_loaded_fixtures_match_builders(oracles):
             oracles[name].base, oracles[name])
         assert validate_category(loaded.base).ok
         assert validate_monoidal(loaded).ok
+
+
+def test_fixture_generator_rewrites_the_shipped_files_byte_for_byte(
+        tmp_path, monkeypatch, capsys):
+    # tools/gen_fixtures.py writes the 6 shipped fixtures and the 5 bad ones
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("gen_fixtures",
+                                                  root / "tools" / "gen_fixtures.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec.loader.exec_module(gen)
+    monkeypatch.setattr(gen, "OUT", str(tmp_path))
+    gen.main()
+    shipped = Path(fixture_path(FIXTURE_NAMES[0])).parent
+    names = sorted(str(p.relative_to(shipped)) for p in shipped.rglob("*.json"))
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*.json")) == names
+    assert len(names) == 11
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
 
 
 def test_chain_category_laws():
@@ -288,6 +311,51 @@ def _products_over(c):
     from coendcheck.fincat import _PRODUCT_CACHE
     return [p for p in _PRODUCT_CACHE.values()
             if p.factors and all(f in (c, opposite(c)) for f in p.factors)]
+
+
+def _naive_ids(cats, kind):
+    """The id table a product of the flat factor list `cats` once stored:
+    each tuple of factor ids numbered in itertools.product order."""
+    return {t: i for i, t in enumerate(itertools.product(*[getattr(c, kind) for c in cats]))}
+
+
+def _layout_cases():
+    c = build("diamond").base
+    co, t = opposite(c), terminal_category()
+    return [[c, c], [c, co], [co, c, co], [product(c, c), c], [t], [c, t], [t, c, t, c],
+            [build("prod-l2-z2").base, build("z2").base]]
+
+
+@pytest.mark.parametrize("parts", _layout_cases(), ids=[
+    "CxC", "CxCop", "CopxCxCop", "(CxC)xC", "1", "Cx1", "1xCx1xC", "prod-l2-z2xz2"])
+def test_product_ids_match_the_naive_tables(parts):
+    # packing, unpacking, splitting and joining a product's ids agree with
+    # the enumerated tables, and its dom, cod and identities with the
+    # factorwise ones
+    p = product(*parts)
+    flat = p.factors if p.factors is not None else (p,)
+    objs, mors = _naive_ids(flat, "objects"), _naive_ids(flat, "morphisms")
+    assert (len(p.objects), len(p.morphisms)) == (len(objs), len(mors))
+    for table, pack, unpack, join in ((objs, p.pack_obj, p.obj_tuple, join_objs),
+                                      (mors, p.pack_mor, p.mor_tuple, join_mors)):
+        for tup, i in table.items():
+            assert pack(tup) == i and unpack(i) == tup
+            assert join(zip(flat, tup)) == i
+    for tup, i in mors.items():
+        assert p.dom(i) == objs[tuple(f.dom(m) for f, m in zip(flat, tup))]
+        assert p.cod(i) == objs[tuple(f.cod(m) for f, m in zip(flat, tup))]
+    for tup, i in objs.items():
+        assert p.identity(i) == mors[tuple(f.identity(o) for f, o in zip(flat, tup))]
+    for k in range(len(parts) + 1):
+        left, right = product(*parts[:k]), product(*parts[k:])
+        n = len(left.factors) if left.factors is not None else 1
+        for kind, table, split, join in (("objects", objs, split_obj, join_objs),
+                                         ("morphisms", mors, split_mor, join_mors)):
+            lt, rt = _naive_ids(flat[:n], kind), _naive_ids(flat[n:], kind)
+            for tup, i in table.items():
+                halves = lt[tup[:n]], rt[tup[n:]]
+                assert split(right, i) == halves, (k, kind, tup)
+                assert join(zip((left, right), halves)) == i
 
 
 def test_product_is_interned():

@@ -338,16 +338,16 @@ def test_learner_reduce_is_bijection(oracles):
         for b in mon.base.objects:
             ls = learner_set(mon, a, b)
             ts = learner_triples(mon, a, b)
-            image = {learner_reduce(mon, a, b, cls, ls, ts)
+            image = {learner_reduce(mon, a, b, cls, ts)
                      for cls in ls.coend.reps}
             assert len(image) == ls.class_count
             assert image == set(ts.coend.reps)
             for cls in ls.coend.reps:
-                tri = learner_reduce(mon, a, b, cls, ls, ts)
+                tri = learner_reduce(mon, a, b, cls, ts)
                 assert triple_to_learner(mon, a, b, tri, ls) == cls
             for tri in ts.coend.reps:
                 cls = triple_to_learner(mon, a, b, tri, ls)
-                assert learner_reduce(mon, a, b, cls, ls, ts) == tri
+                assert learner_reduce(mon, a, b, cls, ts) == tri
 
 
 def test_learner_reduce_well_defined(oracles):
@@ -357,7 +357,7 @@ def test_learner_reduce_well_defined(oracles):
             ls = learner_set(mon, a, b)
             ts = learner_triples(mon, a, b)
             for rep in ls.coend.reps:
-                outs = {learner_reduce(mon, a, b, (s, v), ls, ts)
+                outs = {learner_reduce(mon, a, b, (s, v), ts)
                         for (s, v) in ls.coend.members(rep)}
                 assert len(outs) == 1
 

@@ -7,7 +7,8 @@ from coendcheck.fixtures import build
 from coendcheck.optics import apply_lens, lens_set
 from coendcheck.pointed import (OpenDiagram, PointError, compose_open, embed,
                                 equal_up_to, forget, lift, lift_many)
-from coendcheck.profunctor import ConcreteProf, join_objs, split_obj
+from coendcheck.fincat import join_objs, split_obj
+from coendcheck.profunctor import ConcreteProf
 from coendcheck.rewrite import Step, apply_step, strip_labels
 from coendcheck.shapelang import (Env, Evaluator, Wire, boundary,
                                   parse_shape_script)
@@ -265,19 +266,16 @@ def _pinned_right(kind, env, v):
     """The right object that a value pins, by the kind's typing (for the
     kinds not in NEEDS_OBJECTS)."""
     c = env.cats["C"]
-    w = Wire("C")
-    cc = env.boundary_cat((w, w))
     if kind == "id" or kind in COMPANIONS:
         return c.cod(v)
     if kind == "merge":
         return c.cod(v[0])
     if kind == "copy":
-        return join_objs(cc, [(c, c.cod(v[0])), (c, c.cod(v[1]))])
+        return join_objs([(c, c.cod(v[0])), (c, c.cod(v[1]))])
     if kind == "sym":
-        return join_objs(cc, [(c, c.cod(v[1])), (c, c.cod(v[0]))])
+        return join_objs([(c, c.cod(v[1])), (c, c.cod(v[0]))])
     if kind == "cap":
-        return join_objs(env.boundary_cat((w.flip(), w)),
-                         [(opposite(c), c.dom(v)), (c, c.cod(v))])
+        return join_objs([(opposite(c), c.dom(v)), (c, c.cod(v))])
     return 0  # outport, unit-out, discard, cup: no right wires
 
 
@@ -285,8 +283,6 @@ def _unassigned(kind, env, left):
     """The point (value, right object) of an unassigned leaf, or None where
     the leaf needs a value."""
     c = env.cats["C"]
-    w = Wire("C")
-    cc = env.boundary_cat((w, w))
     if kind == "id":
         return c.identity(left), left
     if kind in COMPANIONS:
@@ -296,18 +292,18 @@ def _unassigned(kind, env, left):
         fx = env.functor_of(env.sig.shapes[kind]).obj(0)
         return (c.identity(fx), 0) if left == fx else None
     if kind == "merge":
-        m, n = split_obj(cc, c, c, left)
+        m, n = split_obj(c, left)
         return ((c.identity(m), c.identity(n)), m) if m == n else None
     if kind == "copy":
         e = c.identity(left)
-        return (e, e), join_objs(cc, [(c, left), (c, left)])
+        return (e, e), join_objs([(c, left), (c, left)])
     if kind == "discard":
         return "*", 0
     if kind == "sym":
-        a, b = split_obj(cc, c, c, left)
-        return (c.identity(a), c.identity(b)), join_objs(cc, [(c, b), (c, a)])
+        a, b = split_obj(c, left)
+        return (c.identity(a), c.identity(b)), join_objs([(c, b), (c, a)])
     if kind == "cup":
-        x, y = split_obj(env.boundary_cat((w, w.flip())), c, opposite(c), left)
+        x, y = split_obj(opposite(c), left)
         return (c.identity(x), 0) if x == y else None
     return None  # fork, cobox, codiscard, cap, named
 
@@ -326,7 +322,7 @@ def test_every_leaf_kind_points_at_its_fiber(fixture):
             rw = boundary(shape, sig)[1]
             prof = ev.node(shape)
             cats = [env.wire_cat(w) for w in rw]
-            objs_of = {join_objs(env.boundary_cat(rw), zip(cats, objs)): objs
+            objs_of = {join_objs(zip(cats, objs)): objs
                        for objs in itertools.product(*[c.objects for c in cats])}
             for left in prof.source.objects:
                 for b in prof.target.objects:
@@ -348,6 +344,26 @@ def test_every_leaf_kind_points_at_its_fiber(fixture):
                     continue
                 d = OpenDiagram.from_fiber(ev, shape, {}, left)
                 assert (d.point, d.fiber[1]) == expected, kind
+
+
+def test_objects_outside_their_wires_fail_the_point():
+    # a left object, or right objects, given from outside must be ids of
+    # their wires' categories; over meet-lattice-2, right objects (0, 2)
+    # would otherwise pack to the id of (1, 0)
+    sig = parse_shape_script(LEAVES)
+    mon = build("meet-lattice-2")
+    ev = Evaluator(_leaf_env(sig, mon, 0))
+    fork, junction = sig.shapes["fork"], sig.shapes["junction"]
+    v = mon.base.identity(0)
+    for objs in [(0, 5), (0, 2), (2, 0), (-1, 1)]:
+        with pytest.raises(PointError, match=r"objects .* of v are not its wires'"):
+            OpenDiagram.from_values(ev, fork, {"v": (v, objs)})
+        with pytest.raises(PointError, match=r"objects .* of v are not its wires'"):
+            OpenDiagram.from_fiber(ev, fork, {"v": (v, objs)}, 0)
+    for left in (9, 4, -1):
+        with pytest.raises(PointError, match=r"^v has no left object"):
+            OpenDiagram.from_fiber(ev, junction, {}, left)
+    assert OpenDiagram.from_fiber(ev, junction, {}, 3).fiber == (3, 1)
 
 
 # -- points on functor boxes between two categories ---------------------------

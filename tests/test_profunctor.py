@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from coendcheck.demos import demo_dir, load_scripts
 from coendcheck.fincat import (build_category, from_comm_monoid, from_lattice,
-                               opposite, product, terminal_category)
+                               join_objs, opposite, product, terminal_category)
 from coendcheck.fixtures import FIXTURE_NAMES, build
 from coendcheck.optics import lens_set
 from coendcheck.profunctor import (ComposedProf, ConcreteProf,
                                    ProfunctorError, TensorProf, cap_prof,
                                    companion, conjoint, constant_prof, copy_prof,
                                    cup_prof, CoendSet, coend, discard_prof,
-                                   hom_prof, join_objs, merge_prof, point, swap_prof,
+                                   hom_prof, merge_prof, point, swap_prof,
                                    tensor_functor, validate_prof)
 from coendcheck.rewrite import (RULES, STEP_ERRORS, Report, Step, _count,
                                 apply_step, check_derivation_once, check_step, unfold)
@@ -842,10 +842,8 @@ def test_unfolded_and_split_elements_fold_back(script, fx):
                             (f1, v1), (f2, v2) = prof.split_value((a, b), v)
                             p1, p2 = prof.p1, prof.p2
                             assert v1 in p1.fiber(*f1) and v2 in p2.fiber(*f2)
-                            assert join_objs(prof.source, [(p1.source, f1[0]),
-                                                           (p2.source, f2[0])]) == a
-                            assert join_objs(prof.target, [(p1.target, f1[1]),
-                                                           (p2.target, f2[1])]) == b
+                            assert join_objs([(p1.source, f1[0]), (p2.source, f2[0])]) == a
+                            assert join_objs([(p1.target, f1[1]), (p2.target, f2[1])]) == b
                             assert (v1, v2) == v
                         seen.add(type(t))
     assert seen == {Seq, Par}
@@ -893,10 +891,9 @@ def test_constant_prof_is_functorial_but_not_representable():
 def _mirror_cases(mon):
     """(profunctor, fiber formula, action formula) for each mirror
     constructor; formulas take and return ids of the base category c."""
-    from coendcheck.fincat import FinFunctor, opposite, product
-    from coendcheck.profunctor import codiscard_prof, split_mor, split_obj
+    from coendcheck.fincat import FinFunctor, split_mor, split_obj
+    from coendcheck.profunctor import codiscard_prof
     c = mon.base
-    cc, ocx = product(c, c), product(opposite(c), c)
     out = []
     for a in c.objects:
         out.append((conjoint(point(c, a)),
@@ -904,25 +901,25 @@ def _mirror_cases(mon):
                     lambda f, _, v: c.compose(f, v)))
 
     def fork_fib(x, t):
-        return c.hom(x, mon.tensor(*split_obj(cc, c, c, t)))
+        return c.hom(x, mon.tensor(*split_obj(c, t)))
 
     def fork_act(f, gp, v):
-        return c.compose(f, c.compose(v, mon.tensor_m(*split_mor(cc, c, c, gp))))
+        return c.compose(f, c.compose(v, mon.tensor_m(*split_mor(c, gp))))
 
     def merge_fib(s, y):
-        a, b = split_obj(cc, c, c, s)
+        a, b = split_obj(c, s)
         return tuple((p, q) for p in c.hom(a, y) for q in c.hom(b, y))
 
     def merge_act(fp, g, v):
-        f1, f2 = split_mor(cc, c, c, fp)
+        f1, f2 = split_mor(c, fp)
         return (c.compose(f1, c.compose(v[0], g)), c.compose(f2, c.compose(v[1], g)))
 
     def cap_fib(_, s):
-        y, x = split_obj(ocx, opposite(c), c, s)
+        y, x = split_obj(c, s)
         return c.hom(y, x)
 
     def cap_act(_, gp, v):
-        u, g = split_mor(ocx, opposite(c), c, gp)
+        u, g = split_mor(c, gp)
         return c.compose(u, c.compose(v, g))
 
     out += [(conjoint(tensor_functor(mon)), fork_fib, fork_act),
@@ -960,15 +957,13 @@ def _companion_cases(mon, load):
     """(functor F: C -> D, object formula, morphism formula) for the point at
     every object of the base, the tensor, and a functor meet-lattice-2 -> z2;
     formulas give F's action from the oracle's tables, not from F."""
-    from coendcheck.fincat import FinFunctor
-    from coendcheck.profunctor import split_mor, split_obj
+    from coendcheck.fincat import FinFunctor, split_mor, split_obj
     c = mon.base
-    cc = product(c, c)
     out = [(point(c, a), lambda _, a=a: a, lambda _, a=a: c.identity(a))
            for a in c.objects]
     out.append((tensor_functor(mon),
-                lambda s: mon.tensor(*split_obj(cc, c, c, s)),
-                lambda f: mon.tensor_m(*split_mor(cc, c, c, f))))
+                lambda s: mon.tensor(*split_obj(c, s)),
+                lambda f: mon.tensor_m(*split_mor(c, f))))
     l2, z2 = load("meet-lattice-2").base, load("z2").base
     up = l2.mor_id("0<1")
     mors = {m: z2.mor_id("1" if m == up else "0") for m in l2.morphisms}
