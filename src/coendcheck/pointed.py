@@ -16,8 +16,8 @@ from .profunctor import companion, conjoint, render_generic
 from .rewrite import (PointError, RewriteError, apply_step, build_seq_value,
                       check_instantiation)
 from .shapelang import (KINDS, Evaluator, Id, Par, Seq, Wire, boundary,
-                        functor_expr_sig, obj_expr_cat, print_term, relabel,
-                        strip_labels)
+                        functor_expr_sig, leaves, obj_expr_cat, print_term,
+                        relabel, strip_labels)
 
 
 @dataclass
@@ -25,17 +25,6 @@ class OpenDiagram:
     shape: object
     fiber: tuple      # (source object, target object) of the evaluated shape
     point: object     # canonical class representative
-
-    @staticmethod
-    def _normalize(assignment):
-        out = {}
-        for k, v in assignment.items():
-            if isinstance(v, tuple) and len(v) == 2 and (
-                    v[1] is None or isinstance(v[1], tuple)):
-                out[k] = v
-            else:
-                out[k] = (v, None)
-        return out
 
     @staticmethod
     def from_values(ev: Evaluator, shape, assignment):
@@ -47,17 +36,18 @@ class OpenDiagram:
 
         The left fiber object is the one the assigned values pin uniquely
         (the only one when the left boundary is empty)."""
-        return _point(ev, shape, OpenDiagram._normalize(assignment))
+        return _point(ev, shape, assignment)
 
     @staticmethod
     def from_fiber(ev: Evaluator, shape, assignment, left_obj):
-        return _point(ev, shape, OpenDiagram._normalize(assignment), left_obj)
+        return _point(ev, shape, assignment, left_obj)
 
     @staticmethod
     def from_names(ev: Evaluator, shape, named_assignment):
         """Build from script-level value specs (morphism names, (pair ..),
         (split f M N), (mor f X), *)."""
-        return _point(ev, shape, resolve_names(ev.env, shape, named_assignment))
+        resolved = resolve_names(ev.env, shape, named_assignment)
+        return _point(ev, shape, read_symbols(ev.env, resolved))
 
     def describe(self):
         a, b = self.fiber
@@ -85,11 +75,7 @@ def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation,
     """Transport d1's point along an all-iso derivation from d1's shape and
     compare with d2's point.  Equality of open diagrams is only defined
     relative to the supplied deformation."""
-    for step in deformation:
-        rule = check_instantiation(step, ev.sig)
-        if rule.tag != "iso":
-            raise RewriteError(
-                f"deformations must be invertible; {rule.name} is directed")
+    check_deformation(deformation, ev.sig)
     d = lift_many(deformation, d1, ev)
     if strip_labels(d.shape) is not strip_labels(d2.shape):
         raise PointError(
@@ -100,10 +86,19 @@ def equal_up_to(d1: OpenDiagram, d2: OpenDiagram, deformation,
     return d.point == d2.point
 
 
+def check_deformation(deformation, sig):
+    """Raise the RewriteError of a deformation step that is refused or directed."""
+    for step in deformation:
+        rule = check_instantiation(step, sig)
+        if rule.tag != "iso":
+            raise RewriteError(
+                f"deformations must be invertible; {rule.name} is directed")
+
+
 def embed(ev: Evaluator, catsym, mor, label="w") -> OpenDiagram:
     """A base-category morphism as the pointed hom diagram."""
     shape = Id((Wire(catsym),), label)
-    return _point(ev, shape, {label: (mor, None)}, ev.env.cats[catsym].dom(mor))
+    return _point(ev, shape, {label: mor}, ev.env.cats[catsym].dom(mor))
 
 
 def compose_open(d1: OpenDiagram, d2: OpenDiagram, ev: Evaluator) -> OpenDiagram:
@@ -125,7 +120,7 @@ def compose_open(d1: OpenDiagram, d2: OpenDiagram, ev: Evaluator) -> OpenDiagram
 
 def _point(ev, shape, assignment, left=None):
     """The open diagram of `shape` whose leaves carry `assignment`
-    ({label: (value, right objects or None)}), at the left fiber object
+    (as OpenDiagram.from_values reads it), at the left fiber object
     `left`, or else at the one the assigned values pin uniquely."""
     if left is not None:
         value, right = _walk(ev, shape, assignment, left)
@@ -169,13 +164,17 @@ _NEEDS_OBJECTS = ("fork", "cobox", "codiscard", "named")
 def _leaf_value(ev, term, assignment, left_obj):
     """The leaf's assigned value (its identity element when unassigned) and
     the right object of the fiber of the leaf's profunctor at `left_obj`
-    that holds it; given right objects, one per right wire, name it."""
+    that holds it; given right objects, one per right wire, name it.  A
+    pair that no fiber at `left_obj` holds is read as (value, objects)."""
     rw = boundary(term, ev.sig)[1]  # first: a leaf of no known kind is a type error
     env, name = ev.env, term.label or print_term(term)
     prof = ev.node(term)
     if left_obj not in prof.source.objects:
         raise PointError(f"{name} has no left object {left_obj!r}")
-    value, objs = assignment.get(term.label) or (None, None)
+    value, objs = assignment.get(term.label), None
+    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], (tuple, type(None))) \
+            and not any(value in prof.fiber(left_obj, b) for b in prof.target.objects):
+        value, objs = value
     if value is None:
         value = _identity_value(env, term, left_obj, name)
     if objs is not None:
@@ -223,9 +222,9 @@ def _identity_value(env, term, left, name):
 # script-level value specs
 
 
-def _resolve_obj_name(env, name, catsym, symbols):
+def _resolve_obj_name(env, name, catsym):
     if name in env.sig.objects:
-        return env.resolve_obj(name) if symbols else name
+        return name   # an object symbol: read_symbols reads it per assignment
     try:
         return env.cats[catsym].obj_id(str(name))
     except FixtureError as e:
@@ -249,26 +248,29 @@ def _leaf_catsym(sig, term):
     return term.args[0]
 
 
-def resolve_names(env, shape, named_assignment, symbols=True):
+def resolve_names(env, shape, named_assignment):
     """{label: (value, right objects or None)} from script-level value
-    specs.  With symbols=False the object symbols are left as they are, so
-    it checks only what the bindings decide whatever the assignment: leaf
-    labels, spec forms, morphism names and the other object names."""
-    from .shapelang import leaves
-    by_label = {}
-    for path, leaf in leaves(shape):
-        if getattr(leaf, "label", None):
-            by_label[leaf.label] = leaf
+    specs, with object symbols left as names: it reads no assignment, so
+    it fails only on what the bindings decide, whatever the assignment
+    (leaf labels, spec forms, morphism names and other object names)."""
+    by_label = {leaf.label: leaf for _, leaf in leaves(shape) if getattr(leaf, "label", None)}
     out = {}
     for label, spec in named_assignment.items():
         if label not in by_label:
             raise PointError(f"no leaf labelled {label!r} in the shape")
-        leaf = by_label[label]
-        out[label] = _resolve_spec(env, leaf, spec, symbols)
+        out[label] = _resolve_spec(env, by_label[label], spec)
     return out
 
 
-def _resolve_spec(env, leaf, spec, symbols):
+def read_symbols(env, resolved):
+    """resolve_names' output with each object symbol read under `env`'s
+    assignment."""
+    return {label: (value, objs and tuple(
+                env.resolve_obj(o) if isinstance(o, str) else o for o in objs))
+            for label, (value, objs) in resolved.items()}
+
+
+def _resolve_spec(env, leaf, spec):
     catsym = _leaf_catsym(env.sig, leaf)
 
     def mor(name, cs=None):
@@ -300,7 +302,7 @@ def _resolve_spec(env, leaf, spec, symbols):
         rw = boundary(leaf, env.sig)[1]
         if len(spec) - 2 != len(rw):
             raise PointError(f"{leaf.label} needs {len(rw)} target object(s)")
-        return (mor(spec[1]), tuple(_resolve_obj_name(env, n, w.cat, symbols)
+        return (mor(spec[1]), tuple(_resolve_obj_name(env, n, w.cat)
                                     for n, w in zip(spec[2:], rw)))
     if isinstance(leaf, Id) and len(leaf.wires) == 1:
         return (mor(spec, leaf.wires[0].cat), None)

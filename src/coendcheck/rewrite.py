@@ -1234,18 +1234,10 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
 
 
 def check_derivation_once(deriv: Derivation, ev: Evaluator, report: Report):
-    """Run all steps and obligations of one derivation under the full object
-    assignment that `ev` evaluates.  Returns (terms, per-step class maps) or
-    None."""
-    sig = ev.sig
-    if deriv.shape not in sig.shapes:
-        return report.fail(f"unknown shape {deriv.shape!r}")
-    term = sig.shapes[deriv.shape]
-    try:
-        boundary(term, sig)
-    except ShapeTypeError as e:
-        return report.fail(f"shape {deriv.shape} does not typecheck: {e}")
-    terms = [term]
+    """Run all steps and obligations of one derivation that the pre-sweep
+    pass kept, under the full object assignment that `ev` evaluates.
+    Returns (terms, per-step class maps) or None."""
+    terms = [ev.sig.shapes[deriv.shape]]
     maps = []
     for idx, step in enumerate(deriv.steps, 1):
         out = check_step(ev, terms[-1], step, report, idx)
@@ -1254,8 +1246,6 @@ def check_derivation_once(deriv: Derivation, ev: Evaluator, report: Report):
         terms.append(out[0])
         maps.append(out[1])
     for (first, last) in deriv.obligations:
-        if not (1 <= first <= last <= len(deriv.steps)):
-            return report.fail(f"obligation {first}..{last} out of range")
         t0, t1 = terms[first - 1], terms[last]
         if strip_labels(t0) is not strip_labels(t1):
             return report.fail(f"obligation {first}..{last}: terms differ, composite "
@@ -1285,11 +1275,9 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
     free object symbols, then the point assertions, with one evaluator for
     the sweep.  `epilogue(report, ev, terms, maps)` runs after each main
     derivation that checks, with the evaluator at that assignment."""
-    derivs = list(script.named.items()) + ([("main", script.main)] if script.main else [])
     only = script_object_symbols(script, sig)
-    derivs = _refuse_instantiations(derivs, sig, report)
-    script = _refuse_points(script, sig, env, report)
-    if not (derivs or script.points or script.asserts):
+    derivs, points, asserts = _presweep(script, sig, env, report)
+    if not (derivs or points or asserts):
         return
     for ev in sweep(env, only=only):
         desc = ev.env.describe_objs()
@@ -1299,49 +1287,68 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
             out = check_derivation_once(deriv, ev, report)
             if out is not None and name == "main" and epilogue:
                 epilogue(report, ev, *out)
-        _check_points(script, ev, report)
+        _check_points(points, asserts, ev, report)
 
 
-def _refuse_instantiations(derivs, sig, report):
-    """Report once, before the sweep, every step that fails whatever the
-    assignment; return the derivations that have none."""
-    kept = []
-    for name, deriv in derivs:
+def _presweep(script: DerivationScript, sig, env: Env, report: Report):
+    """Report once, before the sweep, each failure that reads no assignment:
+    a derivation's shape, step instantiations and obligation ranges (the
+    derivation is reported whole, under its header), a point's shape,
+    labels and names, an assert-equal's points and deformation.  Returns
+    what is left to sweep: the derivations as (name, Derivation), the
+    points as (name, shape, resolve_names' output) and the assert-equals
+    as (AssertDecl, deformation steps)."""
+    from . import pointed
+    derivs, refused = [], set()
+    for name, deriv in (list(script.named.items())
+                        + ([("main", script.main)] if script.main else [])):
         fails = []
+        if deriv.shape not in sig.shapes:
+            fails.append(f"unknown shape {deriv.shape!r}")
+        else:
+            try:
+                boundary(sig.shapes[deriv.shape], sig)
+            except ShapeTypeError as e:
+                fails.append(f"shape {deriv.shape} does not typecheck: {e}")
         for idx, step in enumerate(deriv.steps, 1):
             try:
                 check_instantiation(step, sig)
             except RewriteError as e:
                 fails.append(f"step {idx} {step.rule}: {e}")
+        fails += [f"obligation {first}..{last} out of range" for first, last in deriv.obligations
+                  if not 1 <= first <= last <= len(deriv.steps)]
         if fails:
+            refused.add(name)
             report.line(f" derivation {name} from {deriv.shape}:")
             for text in fails:
                 report.fail(text)
         else:
-            kept.append((name, deriv))
-    return kept
-
-
-def _refuse_points(script, sig, env, report):
-    """Report once, before the sweep, every point whose shape, labels or
-    names fail whatever the assignment, and every assert-equal that names
-    such a point; return the script without them."""
-    from . import pointed
-    refused = set()
+            derivs.append((name, deriv))
+    points = []
     for decl in script.points:
         try:
             if decl.shape not in sig.shapes:
                 raise PointError(f"unknown shape {decl.shape!r}")
-            pointed.resolve_names(env, sig.shapes[decl.shape], decl.assignment, False)
+            shape = sig.shapes[decl.shape]
+            points.append((decl.name, shape, pointed.resolve_names(env, shape, decl.assignment)))
         except CHECK_ERRORS as e:
             report.fail(f"point {decl.name}: {e}")
-            refused.add(decl.name)
-    asserts = [a for a in script.asserts if not {a.left, a.right} & refused]
+    asserts = []
     for a in script.asserts:
-        if a not in asserts:
+        if not {a.left, a.right} <= {name for name, _, _ in points}:
             report.fail(f"assert-equal: unknown point {a.left} or {a.right}")
-    return DerivationScript(script.main, script.named,
-                            [d for d in script.points if d.name not in refused], asserts)
+        elif a.via != "-" and a.via not in script.named:
+            report.fail(f"assert-equal: unknown derivation {a.via!r}")
+        else:
+            steps = [] if a.via == "-" else script.named[a.via].steps
+            try:
+                pointed.check_deformation(steps, sig)
+                if a.via in refused:
+                    raise RewriteError(f"derivation {a.via!r} is refused")
+                asserts.append((a, steps))
+            except RewriteError as e:
+                report.fail(f"assert-equal {a.left} {a.right}: {e}")
+    return derivs, points, asserts
 
 
 def check_derivation(script: DerivationScript, sig, env: Env,
@@ -1355,35 +1362,25 @@ def check_derivation(script: DerivationScript, sig, env: Env,
     return report.finish()
 
 
-def _check_points(script, ev, report):
-    """The points and assert-equals that _refuse_points left, at ev's assignment."""
-    if not script.points and not script.asserts:
-        return
+def _check_points(points, asserts, ev, report):
+    """The points and assert-equals that _presweep kept, at ev's assignment."""
     from . import pointed
     diagrams = {}
-    for decl in script.points:
+    for name, shape, resolved in points:
         try:
-            d = pointed.OpenDiagram.from_names(ev, ev.sig.shapes[decl.shape],
-                                               decl.assignment)
+            d = pointed.OpenDiagram.from_values(ev, shape,
+                                                pointed.read_symbols(ev.env, resolved))
         except CHECK_ERRORS as e:
-            report.fail(f"point {decl.name}: {e}")
+            report.fail(f"point {name}: {e}")
             continue
-        diagrams[decl.name] = d
-        report.line(f"  point {decl.name}: {d.describe()}")
-    for a in script.asserts:
+        diagrams[name] = d
+        report.line(f"  point {name}: {d.describe()}")
+    for a, deformation in asserts:
         if a.left not in diagrams or a.right not in diagrams:
             report.fail(f"assert-equal: unknown point {a.left} or {a.right}")
             continue
-        d1, d2 = diagrams[a.left], diagrams[a.right]
-        if a.via == "-":
-            deformation = []
-        else:
-            if a.via not in script.named:
-                report.fail(f"assert-equal: unknown derivation {a.via!r}")
-                continue
-            deformation = script.named[a.via].steps
         try:
-            eq = pointed.equal_up_to(d1, d2, deformation, ev)
+            eq = pointed.equal_up_to(diagrams[a.left], diagrams[a.right], deformation, ev)
         except CHECK_ERRORS as e:
             report.fail(f"assert-equal {a.left} {a.right}: {e}")
             continue

@@ -73,6 +73,17 @@ def test_eval_unknown_shape(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("eval", demo_path("feedback.shapes")), "error: eval needs --shape NAME\n"),
+    (("eval", demo_path("feedback.shapes"), "--shape", "feedback", "--bind", "C"),
+     "error: binding 'C' is not SYM=PATH\n"),
+], ids=["no-shape", "bind-without-equals"])
+def test_malformed_eval_arguments_exit_2_with_one_line(capsys, argv, err):
+    code, out, got = run(capsys, *argv)
+    _one_line_exit_2(code, out, got)
+    assert got == err
+
+
 def test_eval_missing_binding(capsys):
     code, _, err = run(capsys, "eval", demo_path("feedback.shapes"),
                        "--shape", "feedback")
@@ -738,6 +749,93 @@ def test_a_point_the_bindings_refuse_fails_once_before_the_sweep(capsys):
     assert sum(f.startswith("FAIL point ") for f in fails) == 6
     assert lines[:9] == fails and lines[9].startswith("assignment: ")
     assert sum(line.startswith("assignment: ") for line in lines) == 256
+
+
+def _points_script(tmp_path, body):
+    """A derivation script next to a copy of points.shapes."""
+    (tmp_path / "points.shapes").write_text(
+        (demo_dir() / "points.shapes").read_text(encoding="utf-8"))
+    (tmp_path / "s.deriv").write_text("use points.shapes\n" + body)
+    return str(tmp_path / "s.deriv")
+
+
+def test_script_failures_no_assignment_decides_are_reported_once(capsys, tmp_path):
+    # an assert-equal via no derivation, an assert-equal naming an undeclared
+    # point, a derivation of an unknown shape and an obligation out of range
+    # each fail once, before the first of the 4 assignments of A and B
+    script = _points_script(tmp_path, (
+        "derivation d from counit-src\nend\n"
+        "point pg hom-pair {w1 := id_0, w2 := id_0}\n"
+        "assert-equal pg pg via nope\nassert-equal pg zz via -\n"
+        "derivation e from nosuch\nend\n"
+        "derive hom-pair\nobligation identity 1 2\n"))
+    code, out, err = run(capsys, "check", script, "--bind", f"C={fixture_path('meet-lattice-2')}")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[:6] == [" derivation e from nosuch:", "FAIL unknown shape 'nosuch'",
+                         " derivation main from hom-pair:", "FAIL obligation 1..2 out of range",
+                         "FAIL assert-equal: unknown derivation 'nope'",
+                         "FAIL assert-equal: unknown point pg or zz"]
+    assert lines[6] == "assignment: A=0 B=0"
+    assert sum(line.startswith("FAIL ") for line in lines) == 4
+    assert sum(line.startswith("assignment: ") for line in lines) == 4
+    code, out, _ = run(capsys, "check", script, "--bind", f"C={fixture_path('meet-lattice-2')}",
+                       "--fail-fast")
+    assert (code, out) == (1, "\n".join(lines[:2] + ["result: FAILURE\n"]))
+
+
+def test_a_deformation_no_assignment_can_use_fails_once(capsys, tmp_path):
+    # a deformation with a directed step, or from a refused derivation,
+    # fails its assert-equal once, before the sweep
+    script = _points_script(tmp_path, (
+        "derivation dir from counit-src\n  step R-EPS-A at 1\nend\n"
+        "derivation bad from nosuch\n  step R-YONEDA-L at 0\nend\n"
+        "point p hom-second {w2 := id_0}\n"
+        "assert-equal p p via dir\nassert-equal p p via bad\nassert-equal p p via -\n"))
+    code, out, err = run(capsys, "check", script, "--bind", f"C={fixture_path('meet-lattice-2')}")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[:4] == [" derivation bad from nosuch:", "FAIL unknown shape 'nosuch'",
+                         "FAIL assert-equal p p: deformations must be invertible; "
+                         "R-EPS-A is directed",
+                         "FAIL assert-equal p p: derivation 'bad' is refused"]
+    assert lines[4].startswith("assignment: ")
+    assert lines.count("  assert-equal p p via - ok") == 4
+    assert sum(line.startswith("FAIL assert-equal") for line in lines) == 2
+
+
+@pytest.mark.parametrize("body, fail", [
+    # counit-src only reaches hom-second's shape through a deformation
+    ("point pg hom-pair {w1 := 1, w2 := 1}\npoint pgf hom-second {w2 := 0}\n"
+     "assert-equal pg pgf via -\n",
+     "FAIL assert-equal pg pgf: deformation does not reach the target shape: "),
+    # the two points lie at the fibers (0,0) and (1,1)
+    ("point p hom-second {w2 := id_0}\npoint q hom-second {w2 := id_1}\n"
+     "assert-equal p q via -\n", "FAIL assert-equal p q via -: points differ"),
+], ids=["target-shape", "fibers-differ"])
+def test_assert_equal_fails_in_the_sweep(capsys, tmp_path, body, fail):
+    oracle = "z2" if "pgf" in body else "meet-lattice-2"
+    script = _points_script(tmp_path, "derivation d from hom-second\nend\n" + body)
+    code, out, err = run(capsys, "check", script, "--bind", f"C={fixture_path(oracle)}")
+    assert (code, err) == (1, "")
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(fails) == 1 and fails[0].startswith(fail)
+
+
+def test_a_point_that_fails_at_some_assignments_fails_there(capsys, tmp_path):
+    # 0<1 lies in the inport's fibers only at A=0: the point fails in the
+    # sweep at A=1, where its assert-equal names a point that is not built
+    script = _points_script(tmp_path, (
+        "derivation d from hom-second\nend\n"
+        "point r arrow-bi {p := 0<1}\nassert-equal r r via -\n"))
+    code, out, err = run(capsys, "check", script, "--bind", f"C={fixture_path('meet-lattice-2')}")
+    assert (code, err) == (1, "")
+    blocks = out.split("assignment: ")[1:]
+    assert [b.split("\n")[0] for b in blocks] == ["A=0 B=0", "A=0 B=1", "A=1 B=0", "A=1 B=1"]
+    assert "  assert-equal r r via - ok" in blocks[1]
+    for block in blocks[2:]:
+        assert "FAIL point r: value for p is not in a fiber at *" in block
+        assert "FAIL assert-equal: unknown point r or r" in block
 
 
 def test_object_symbols_in_a_point_wait_for_the_assignment(capsys, tmp_path):

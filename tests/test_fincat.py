@@ -1,14 +1,15 @@
 import importlib.util
 import itertools
 import json
+import operator
 import sys
 from pathlib import Path
 
 import pytest
 
-from coendcheck.fincat import (FixtureError, load_fixture, dump_fixture,
-                               from_comm_monoid, from_lattice, join_mors, join_objs,
-                               opposite, opposite_monoidal, product, product_monoidal,
+from coendcheck.fincat import (FinCategory, FixtureError, load_fixture, dump_fixture,
+                               compose_functors, from_comm_monoid, from_lattice, join_mors,
+                               join_objs, opposite, opposite_monoidal, product, product_monoidal,
                                split_mor, split_obj, terminal_category, validate_category,
                                validate_functor, validate_monoidal, FinFunctor)
 from coendcheck.fixtures import (FIXTURE_NAMES, bad_fixture_names,
@@ -481,3 +482,129 @@ def test_generator_counts():
     assert terminal_category().generators == ()
     # a cyclic group: every non-identity element is a power of the last one
     assert [len(_z(n).base.generators) for n in range(1, 7)] == [0, 1, 1, 1, 1, 1]
+
+
+# -- one failing input per fixture validator, builder and loader message --------
+
+
+def _mutated(name, mutate):
+    """The validation report of fixture `name` after `mutate(mon, cat)`."""
+    mon = build(name)
+    mutate(mon, mon.base)
+    return validate_monoidal(mon)
+
+
+def _set(table, key, value):
+    """mutate(mon, cat) setting `table`[key] = value, with morphisms named."""
+    def mutate(mon, c):
+        ids = [c.mor_id(n) for n in (*key, value)]
+        operator.attrgetter(table)(mon)[tuple(ids[:-1])] = ids[-1]
+    return mutate
+
+
+def _loaded(edit):
+    """Load meet-lattice-2's fixture data after `edit(data)`."""
+    data = dump_fixture(build("meet-lattice-2").base, build("meet-lattice-2"))
+    edit(data)
+    return load_fixture(json.dumps(data))
+
+
+def _rename_key(table, old, new):
+    def edit(data):
+        t = data["monoidal"][table] if table != "homs" else data["homs"]
+        t[new] = t.pop(old)
+    return edit
+
+
+# two morphisms named f, in hom(a, b) and hom(b, a); the braiding names f
+AMBIGUOUS = {"name": "amb", "objects": ["a", "b"],
+             "homs": {"a->a": ["ia"], "b->b": ["ib"], "a->b": ["f"], "b->a": ["f"]},
+             "compose": [], "identities": {"a": "ia", "b": "ib"},
+             "monoidal": {"tensor_obj": {}, "tensor_mor": [], "unit": "a",
+                          "braiding": {"a,a": "f"}}}
+
+
+def _functors():
+    l2, z2 = build("meet-lattice-2").base, build("z2").base
+    f = FinFunctor("F", l2, z2, {o: 0 for o in l2.objects}, {m: 0 for m in l2.morphisms})
+    return compose_functors(f, f)
+
+
+MESSAGES = [
+    # validate_category, on categories built directly
+    (lambda: validate_category(FinCategory("c", ["a"], ["f"], [0], [3], {}, [0])),
+     "[malformed] morphism f has dangling endpoint"),
+    (lambda: validate_category(FinCategory("c", ["a"], ["f"], [0], [0], {(0, 0): 0}, [4])),
+     "[malformed] identity of a is a dangling id"),
+    (lambda: validate_category(FinCategory("c", ["a", "b"], ["f", "g"], [0, 1], [1, 1],
+                                           {(0, 1): 0, (1, 1): 1}, [0, 1])),
+     "[malformed] identity of a is not an endomorphism"),
+    (lambda: validate_category(FinCategory("c", ["a"], ["f"], [0], [0], {(0, 0): 9}, [0])),
+     "[malformed] composite of (0,0) is a dangling id"),
+    # validate_monoidal, on one mutated table of a shipped oracle
+    (lambda: _mutated("meet-lattice-2", lambda m, c: m.tensor_obj.update({(0, 1): 1})),
+     "[strictness] unit law fails on object 0"),
+    (lambda: _mutated("diamond", lambda m, c: m.tensor_obj.update({(0, 0): 1})),
+     "[strictness] object associativity fails at (bot,bot,b)"),
+    (lambda: _mutated("meet-lattice-2", _set("tensor_mor", ("id_0", "id_1"), "0<1")),
+     "[strictness] morphism unit law fails at id_0"),
+    (lambda: _mutated("meet-lattice-2", _set("tensor_mor", ("id_0", "0<1"), "id_1")),
+     "[strictness] morphism associativity fails at (id_0,id_0,0<1)"),
+    (lambda: _mutated("meet-lattice-2", _set("tensor_mor", ("id_0", "id_0"), "0<1")),
+     "[strictness] tensor of identities is not the identity at (0,0)"),
+    (lambda: _mutated("meet-lattice-2", lambda m, c: m.braiding.update({(0, 0): 1})),
+     "[braiding] braiding at (0,0) has wrong type"),
+    (lambda: _mutated("prod-l2-z2", lambda m, c: m.braiding.update(
+        {(0, 1): c.mor_id("(id_0|1)")})),
+     "[braiding] symmetry fails at ((0|x),(1|x))"),
+    (lambda: _mutated("meet-lattice-2", lambda m, c: m.cartesian.terminal.pop(0)),
+     "[malformed] terminal point missing at 0"),
+    (lambda: _mutated("meet-lattice-2", _set("cartesian.pairing", ("id_0", "id_0"), "id_1")),
+     "[cartesian] pairing of (id_0,id_0) is not the unique mediating morphism"),
+    # from_lattice
+    (lambda: from_lattice("x", ["a"], {("a", "a")}, "both"),
+     "mode must be 'meet' or 'join', got 'both'"),
+    (lambda: from_lattice("x", ["a", "b"], {("a", "a"), ("a", "b")}, "meet"),
+     "order is not reflexive at b"),
+    (lambda: from_lattice("x", ["a", "b"], {("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")},
+                          "meet"),
+     "order is not antisymmetric at (a,b)"),
+    (lambda: from_lattice("x", ["a", "b", "c"], {("a", "a"), ("b", "b"), ("c", "c"),
+                                                 ("a", "b"), ("b", "c")}, "meet"),
+     "order is not transitive at (a,c)"),
+    (lambda: from_lattice("x", ["a", "b", "t"], {("a", "a"), ("b", "b"), ("t", "t"),
+                                                 ("a", "t"), ("b", "t")}, "meet"),
+     "no meet for (a,b)"),
+    # from_comm_monoid
+    (lambda: from_comm_monoid("x", [0, 1], {(0, 0): 0, (0, 1): 1, (1, 0): 0, (1, 1): 1}, 0),
+     "operation is not commutative at (0,1)"),
+    (lambda: from_comm_monoid("x", [0, 1], {(0, 0): 5, (0, 1): 1, (1, 0): 1, (1, 1): 0}, 0),
+     "operation leaves the carrier at (0,0)"),
+    (lambda: from_comm_monoid("x", [0, 1, 2], {
+        **{(0, x): x for x in range(3)}, **{(x, 0): x for x in range(3)},
+        (1, 1): 2, (1, 2): 2, (2, 1): 2, (2, 2): 1}, 0),
+     "operation is not associative at (1,1,2)"),
+    # the loader
+    (lambda: _loaded(_rename_key("homs", "0->1", "0-1")),
+     "bad hom key '0-1', expected 'A->B'"),
+    (lambda: _loaded(_rename_key("tensor_obj", "0,1", "01")),
+     "bad pair key '01', expected 'A,B'"),
+    (lambda: _loaded(lambda data: data["objects"].append("0")),
+     "duplicate object name '0'"),
+    (lambda: load_fixture(json.dumps(AMBIGUOUS)),
+     "ambiguous morphism name 'f' in amb"),
+    # compose_functors
+    (_functors, "functors F and F are not composable"),
+]
+
+
+@pytest.mark.parametrize("fail, message", MESSAGES, ids=[m for _, m in MESSAGES])
+def test_every_fixture_message_has_a_failing_input(fail, message):
+    # each validator violation is one line of its report; each builder or
+    # loader failure is the FixtureError it raises
+    try:
+        rep = fail()
+    except FixtureError as e:
+        assert str(e) == message
+    else:
+        assert message in [str(v) for v in rep.violations], str(rep)

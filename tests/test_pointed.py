@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from coendcheck.fincat import FinFunctor, opposite
+from coendcheck.fincat import FinFunctor, join_mors, opposite, terminal_category
 from coendcheck.fixtures import build
 from coendcheck.optics import apply_lens, lens_set
 from coendcheck.pointed import (OpenDiagram, PointError, compose_open, embed,
@@ -408,3 +408,71 @@ def test_box_points_resolve_names_in_their_wire_categories(kind, cats):
     for spec in [("mor", d.mor_name(v), "Q"), ("split", d.mor_name(v), "Q", "Q")]:
         with pytest.raises(PointError):
             OpenDiagram.from_names(ev, shape, {"v": spec})
+
+
+# -- point construction failures, (pair ..) specs and pair-shaped elements ------
+
+SMALL = """
+(category C)
+(prof K () (C))
+(shape discard (discard C @v))
+(shape wire (id C @w))
+(shape wires (id C C @v))
+(shape sym (sym C C @v))
+(shape copy (copy C @v))
+(shape named (named K @k))
+"""
+
+
+def test_a_lone_discard_point_is_ambiguous():
+    # every object of meet-lattice-2 is a left object of the discard's point
+    sig = parse_shape_script(SMALL)
+    ev = Evaluator(Env(sig, {"C": build("meet-lattice-2")}))
+    with pytest.raises(PointError, match="^left fiber object is ambiguous; use from_fiber$"):
+        OpenDiagram.from_values(ev, sig.shapes["discard"], {})
+    assert OpenDiagram.from_fiber(ev, sig.shapes["discard"], {}, 1).fiber == (1, 0)
+
+
+def test_right_objects_must_match_the_right_wires():
+    sig = parse_shape_script(SMALL)
+    ev = Evaluator(Env(sig, {"C": build("meet-lattice-2")}))
+    with pytest.raises(PointError, match=r"^w needs 1 target object\(s\)$"):
+        OpenDiagram.from_values(ev, sig.shapes["wire"], {"w": (0, (0, 1))})
+
+
+def test_compose_open_needs_a_shared_middle_object(sig):
+    ev = Evaluator(Env(sig, {"C": build("meet-lattice-2")}))
+    c = ev.env.cats["C"]
+    d0, d1 = (embed(ev, "C", c.mor_id(n)) for n in ("id_0", "id_1"))
+    with pytest.raises(PointError, match="^open diagrams do not share a middle object$"):
+        compose_open(d0, d1, ev)
+    assert compose_open(d0, embed(ev, "C", c.mor_id("0<1")), ev).fiber == (0, 1)
+
+
+@pytest.mark.parametrize("shape, names", [
+    ("sym", ("0", "1")), ("wires", ("1", "0")), ("copy", ("1", "1"))])
+def test_pair_specs_name_one_morphism_per_wire(shape, names):
+    sig = parse_shape_script(SMALL)
+    ev = Evaluator(Env(sig, {"C": build("z2")}))
+    c = ev.env.cats["C"]
+    mors = tuple(c.mor_id(n) for n in names)
+    want = join_mors(zip([c, c], mors)) if shape == "wires" else mors
+    d = OpenDiagram.from_names(ev, sig.shapes[shape], {"v": ("pair", *names)})
+    assert (d.point, d.fiber) == (want, (0, 0))
+    with pytest.raises(PointError, match=r"^\(pair \.\.\.\) takes 2 argument\(s\)$"):
+        OpenDiagram.from_names(ev, sig.shapes[shape], {"v": ("pair", names[0])})
+
+
+def test_an_element_that_is_a_pair_is_read_as_the_value():
+    # K: 1 -/-> C has the one element ("p", (b,)) at each fiber (*, b): a
+    # bare value of that form is the element, not (value, right objects)
+    sig = parse_shape_script(SMALL)
+    c = build("meet-lattice-2").base
+    k = ConcreteProf(terminal_category(), c, lambda x, b: (("p", (b,)),),
+                     lambda f, g, v: ("p", (c.cod(g),)))
+    ev = Evaluator(Env(sig, {"C": build("meet-lattice-2")}, profs={"K": k}))
+    shape = sig.shapes["named"]
+    with pytest.raises(PointError, match="^k needs a value with its target objects$"):
+        OpenDiagram.from_values(ev, shape, {"k": ("p", (1,))})
+    d = OpenDiagram.from_values(ev, shape, {"k": (("p", (1,)), (1,))})
+    assert (d.point, d.fiber) == (("p", (1,)), (0, 1))

@@ -226,6 +226,15 @@ def test_constructed_profunctors_are_functorial(oracles):
             assert validate_prof(p) == [], (name, p)
 
 
+@pytest.mark.parametrize("act, message", [
+    (lambda f, g, v: "b", "identity action fails at (0,0) on a"),
+    (lambda f, g, v: "z", "action leaves the fiber at (0,0)"),
+], ids=["identity", "leaves-the-fiber"])
+def test_validate_prof_reports_a_lawless_action(act, message):
+    c = build("z2").base
+    assert message in validate_prof(ConcreteProf(c, c, lambda a, b: ("a", "b"), act))
+
+
 # -- coends ------------------------------------------------------------------
 
 

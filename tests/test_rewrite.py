@@ -576,6 +576,30 @@ def test_checker_rejects_faulty_transport(sig, monkeypatch, shape, steps,
     assert report.failures[0].startswith(message), report.text()
 
 
+@pytest.mark.parametrize("shape, path, message", [
+    ("plugged", "root", "rule R-EPS-A needs a slice position"),
+    ("plugged", "9.0", "no part 9 in sequential composite"),
+    ("lens", "2.5.0", "par sides are 0 and 1"),
+], ids=["root", "no-part", "par-side"])
+def test_a_path_the_term_lacks_fails_the_step(sig, shape, path, message):
+    script = parse_derivation_script(f"derive {shape}\nstep R-EPS-A at {path}\n", sig)
+    report = check_derivation(script, sig, env_z2(sig))
+    assert report.failures == [f"step 1 R-EPS-A: {message}"], report.text()
+
+
+def test_a_rule_that_changes_the_boundary_fails_the_step(sig, monkeypatch):
+    # only a faulty rule reaches plan_step's boundary check: this one
+    # rewrites hom-pair's two identity wires to a discard
+    def match(self, ev, parts, i, inst, backward, gates):
+        return rewrite.SliceOutcome(2, (Gen("discard", ("C",)),), None)
+    monkeypatch.setattr(rewrite.YonedaL, "match", match)
+    script = parse_derivation_script("derive hom-pair\nstep R-YONEDA-L at 0\n", sig)
+    report = check_derivation(script, sig, env_z2(sig))
+    c = (Wire("C"),)
+    assert report.failures == ["step 1 R-YONEDA-L: R-YONEDA-L changed the boundary: "
+                               f"{(c, c)} -> {(c, ())}"], report.text()
+
+
 # a derivation script that checks, then one malformed line after another
 GOOD_SCRIPT = """
 derivation t from hom-pair

@@ -14,7 +14,7 @@ import pytest
 from coendcheck.demos import DEMOS, load_scripts, run_demo
 from coendcheck.fixtures import fixture, fixture_path
 from coendcheck import rewrite
-from coendcheck.rewrite import (Report, _check_points, check_assignments,
+from coendcheck.rewrite import (Report, _check_points, _presweep, check_assignments,
                                 check_derivation, check_derivation_once,
                                 parse_derivation_script, script_object_symbols)
 from coendcheck.shapelang import (Env, Evaluator, Gen, Id, Par, Seq, objects_in,
@@ -28,7 +28,7 @@ def naive_report(script, sig, env, epilogue=None):
     """check_assignments' report, from a fresh evaluator per assignment, and
     so with every rewrite step planned afresh at every assignment."""
     report = Report()
-    derivs = list(script.named.items()) + ([("main", script.main)] if script.main else [])
+    derivs, points, asserts = _presweep(script, sig, env, report)
     for env_a in env.assignments(only=script_object_symbols(script, sig)):
         desc = env_a.describe_objs()
         report.line(f"assignment: {desc}" if desc else "assignment: (none)")
@@ -38,7 +38,7 @@ def naive_report(script, sig, env, epilogue=None):
             out = check_derivation_once(deriv, ev, report)
             if out is not None and name == "main" and epilogue:
                 epilogue(report, ev, *out)
-        _check_points(script, ev, report)
+        _check_points(points, asserts, ev, report)
     return report.finish().text()
 
 
