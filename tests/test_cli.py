@@ -804,17 +804,16 @@ def test_a_deformation_no_assignment_can_use_fails_once(capsys, tmp_path):
     assert sum(line.startswith("FAIL assert-equal") for line in lines) == 2
 
 
-@pytest.mark.parametrize("body, fail", [
-    # counit-src only reaches hom-second's shape through a deformation
-    ("point pg hom-pair {w1 := 1, w2 := 1}\npoint pgf hom-second {w2 := 0}\n"
+@pytest.mark.parametrize("oracle, body, fail", [
+    # hom-pair only reaches hom-second's shape through a deformation
+    ("z2", "point pg hom-pair {w1 := 1, w2 := 1}\npoint pgf hom-second {w2 := 0}\n"
      "assert-equal pg pgf via -\n",
      "FAIL assert-equal pg pgf: deformation does not reach the target shape: "),
     # the two points lie at the fibers (0,0) and (1,1)
-    ("point p hom-second {w2 := id_0}\npoint q hom-second {w2 := id_1}\n"
+    ("meet-lattice-2", "point p hom-second {w2 := id_0}\npoint q hom-second {w2 := id_1}\n"
      "assert-equal p q via -\n", "FAIL assert-equal p q via -: points differ"),
 ], ids=["target-shape", "fibers-differ"])
-def test_assert_equal_fails_in_the_sweep(capsys, tmp_path, body, fail):
-    oracle = "z2" if "pgf" in body else "meet-lattice-2"
+def test_assert_equal_fails_in_the_sweep(capsys, tmp_path, oracle, body, fail):
     script = _points_script(tmp_path, "derivation d from hom-second\nend\n" + body)
     code, out, err = run(capsys, "check", script, "--bind", f"C={fixture_path(oracle)}")
     assert (code, err) == (1, "")

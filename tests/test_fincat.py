@@ -504,7 +504,8 @@ def _set(table, key, value):
 
 def _loaded(edit):
     """Load meet-lattice-2's fixture data after `edit(data)`."""
-    data = dump_fixture(build("meet-lattice-2").base, build("meet-lattice-2"))
+    mon = build("meet-lattice-2")
+    data = dump_fixture(mon.base, mon)
     edit(data)
     return load_fixture(json.dumps(data))
 
