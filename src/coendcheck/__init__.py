@@ -9,9 +9,9 @@ computes coends concretely over finite categories.
 __version__ = "0.1.0"
 
 from .fincat import (FinCategory, MonoidalStructure, FinFunctor,
-                     CartesianWitness, CocartesianWitness, ValidationReport,
-                     FixtureError, validate_category, validate_monoidal,
-                     validate_functor, opposite, product, terminal_category,
+                     CartesianWitness, ValidationReport, FixtureError,
+                     validate_category, validate_monoidal, validate_functor,
+                     opposite, product, terminal_category,
                      from_lattice, from_comm_monoid, load_fixture,
                      load_fixture_file, dump_fixture)
 from .profunctor import (ConcreteProf, CoendSet, ProfunctorError, ComposedProf,
@@ -33,7 +33,7 @@ from . import optics
 
 __all__ = [
     "FinCategory", "MonoidalStructure", "FinFunctor", "CartesianWitness",
-    "CocartesianWitness", "ValidationReport", "FixtureError",
+    "ValidationReport", "FixtureError",
     "validate_category", "validate_monoidal", "validate_functor",
     "opposite", "product", "terminal_category", "from_lattice",
     "from_comm_monoid", "load_fixture", "load_fixture_file", "dump_fixture",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 _UID = itertools.count()
 
@@ -243,18 +243,14 @@ def _pack(c, parts, join):
 
 @dataclass
 class CartesianWitness:
+    """Projections, pairing and terminal points making the tensor a
+    product.  A cocartesian structure on C is the cartesian structure of
+    C^op: there proj1, proj2, pairing and terminal are C's injections
+    A -> A(+)B, copairing A(+)B -> Y and initial points I -> X."""
     proj1: dict      # (A, B) -> morphism A(x)B -> A
     proj2: dict
     pairing: dict    # (h1: X->A, h2: X->B) -> X -> A(x)B
     terminal: dict   # X -> the morphism X -> I
-
-
-@dataclass
-class CocartesianWitness:
-    inj1: dict       # (A, B) -> morphism A -> A(+)B
-    inj2: dict
-    copairing: dict  # (h1: A->Y, h2: B->Y) -> A(+)B -> Y
-    initial: dict    # X -> the morphism I -> X
 
 
 @dataclass
@@ -265,7 +261,7 @@ class MonoidalStructure:
     unit: int
     braiding: dict = None     # (A, B) -> morphism A(x)B -> B(x)A
     cartesian: CartesianWitness = None
-    cocartesian: CocartesianWitness = None
+    cocartesian: CartesianWitness = None    # the cartesian witness of C^op
 
     def tensor(self, a, b):
         return self.tensor_obj[(a, b)]
@@ -416,10 +412,9 @@ def validate_monoidal(m: MonoidalStructure) -> ValidationReport:
     if m.braiding is not None:
         _validate_braiding(m, rep)
     if m.cartesian is not None:
-        _validate_cartesian(m, rep)
+        _validate_cartesian(m, rep, "cartesian")
     if m.cocartesian is not None:
-        # a cocartesian witness is a cartesian witness of the opposite category
-        _validate_cartesian(opposite_monoidal(m), rep, _COCARTESIAN_WORDS)
+        _validate_cartesian(opposite_monoidal(m), rep, "cocartesian")
     return rep
 
 
@@ -469,18 +464,22 @@ def _validate_braiding(m, rep):
                     rep.add("braiding", f"co-hexagon fails at ({c.obj_name(a)},{c.obj_name(b)},{c.obj_name(d)})")
 
 
-_CARTESIAN_WORDS = ("cartesian", "proj", "terminal", "pairing")
-_COCARTESIAN_WORDS = ("cocartesian", "inj", "initial", "copairing")
+# each witness block's JSON keys, which also name it in messages: its two
+# projections, its pairing and its terminal points (the cocartesian block
+# holds the cartesian witness of C^op, so these are C's injections,
+# copairing and initial points)
+_WITNESSES = {"cartesian": ("proj1", "proj2", "pairing", "terminal"),
+              "cocartesian": ("inj1", "inj2", "copairing", "initial")}
 
 
-def _validate_cartesian(m, rep, words=_CARTESIAN_WORDS):
-    """Check m.cartesian; `words` name the structure in the messages."""
-    kind, proj, terminal, pairing = words
+def _validate_cartesian(m, rep, kind):
+    """Check m.cartesian in the words of the `kind` witness block."""
+    one, two, pairing, terminal = _WITNESSES[kind]
     c, w = m.base, m.cartesian
     for a in c.objects:
         for b in c.objects:
             ab = m.tensor(a, b)
-            for key, tgt, tab in ((f"{proj}1", a, w.proj1), (f"{proj}2", b, w.proj2)):
+            for key, tgt, tab in ((one, a, w.proj1), (two, b, w.proj2)):
                 if (a, b) not in tab:
                     rep.add("malformed", f"{key} missing at ({c.obj_name(a)},{c.obj_name(b)})")
                     continue
@@ -583,15 +582,8 @@ def opposite_monoidal(m: MonoidalStructure) -> MonoidalStructure:
     braiding = None
     if m.braiding is not None:
         braiding = {(b, a): s for (a, b), s in m.braiding.items()}
-    cart = cocart = None
-    if m.cocartesian is not None:
-        cart = CartesianWitness(*(getattr(m.cocartesian, f.name)
-                                  for f in fields(CocartesianWitness)))
-    if m.cartesian is not None:
-        cocart = CocartesianWitness(*(getattr(m.cartesian, f.name)
-                                      for f in fields(CartesianWitness)))
     return MonoidalStructure(opposite(m.base), m.tensor_obj, m.tensor_mor, m.unit,
-                             braiding, cart, cocart)
+                             braiding, m.cocartesian, m.cartesian)
 
 
 _PRODUCT_CACHE = {}
@@ -781,24 +773,22 @@ def from_lattice(name, elements, order, mode) -> MonoidalStructure:
         pairing={(h1, h2): arrow(w.dom(h1), bound(w.cod(h1), w.cod(h2)))
                  for h1 in w.morphisms for h2 in w.morphisms if w.dom(h1) == w.dom(h2)},
         terminal={i: arrow(i, unit) for i in range(n)})
-    if mode == "meet":
-        return MonoidalStructure(cat, t_obj, t_mor, unit, braiding, cart)
-    return MonoidalStructure(cat, t_obj, t_mor, unit, braiding, cocartesian=CocartesianWitness(
-        *(getattr(cart, f.name) for f in fields(CartesianWitness))))
+    witness = "cartesian" if mode == "meet" else "cocartesian"
+    return MonoidalStructure(cat, t_obj, t_mor, unit, braiding, **{witness: cart})
 
 
 def from_comm_monoid(name, elements, op, unit) -> MonoidalStructure:
     """One-object oracle from a commutative monoid; tensor on morphisms is
     the monoid operation, so interchange is Eckmann-Hilton-tight.
     """
-    n = len(elements)
     idx = {e: i for i, e in enumerate(elements)}
+    for a, b in itertools.product(elements, repeat=2):
+        if op[(a, b)] not in idx:
+            raise FixtureError(f"operation leaves the carrier at ({a},{b})")
     for a in elements:
         for b in elements:
             if op[(a, b)] != op[(b, a)]:
                 raise FixtureError(f"operation is not commutative at ({a},{b})")
-            if (op[(a, b)]) not in idx:
-                raise FixtureError(f"operation leaves the carrier at ({a},{b})")
             for c in elements:
                 if op[(op[(a, b)], c)] != op[(a, op[(b, c)])]:
                     raise FixtureError(f"operation is not associative at ({a},{b},{c})")
@@ -823,10 +813,6 @@ def _split_pair(key):
     return parts[0], parts[1]
 
 
-# the two witness blocks; their dataclass fields share one order (the two
-# (co)projections, the (co)pairing, the terminal/initial points)
-_WITNESSES = (("cartesian", CartesianWitness), ("cocartesian", CocartesianWitness))
-
 # the JSON shape of a fixture: str is a string, [s] an array of s, [s, ...]
 # an array of as many s, {"": s} an object of s, and another dict an object
 # whose keys named in it have their shapes
@@ -834,8 +820,8 @@ _TABLE, _TRIPLES = {"": str}, [[str] * 3]
 _SCHEMA = {"name": str, "objects": [str], "homs": {"": [str]}, "compose": _TRIPLES,
            "identities": _TABLE, "monoidal": {
                "tensor_obj": _TABLE, "tensor_mor": _TRIPLES, "unit": str, "braiding": _TABLE,
-               **{key: dict(zip((f.name for f in fields(cls)), (_TABLE, _TABLE, _TRIPLES, _TABLE)))
-                  for key, cls in _WITNESSES}}}
+               **{key: dict(zip(words, (_TABLE, _TABLE, _TRIPLES, _TABLE)))
+                  for key, words in _WITNESSES.items()}}}
 _JSON_TYPES = {str: "string", list: "array", dict: "object"}
 
 
@@ -890,11 +876,10 @@ def _load_fixture(data):
     mon = MonoidalStructure(cat, t_obj, t_mor, cat.obj_id(mb["unit"]))
     if "braiding" in mb:
         mon.braiding = obj_pairs(mb["braiding"])
-    for key, cls in _WITNESSES:
+    for key, (one, two, pairing, point) in _WITNESSES.items():
         if key in mb:
             w = mb[key]
-            one, two, pairing, point = (f.name for f in fields(cls))
-            setattr(mon, key, cls(
+            setattr(mon, key, CartesianWitness(
                 obj_pairs(w[one]), obj_pairs(w[two]),
                 {(cat.mor_id(f), cat.mor_id(g)): cat.mor_id(h)
                  for f, g, h in w[pairing]},
@@ -951,12 +936,11 @@ def dump_fixture(cat: FinCategory, mon: MonoidalStructure = None) -> dict:
     }
     if mon.braiding is not None:
         mb["braiding"] = obj_pairs(mon.braiding)
-    for key, cls in _WITNESSES:
+    for key, (one, two, pairing, point) in _WITNESSES.items():
         w = getattr(mon, key)
         if w is not None:
-            one, two, pairing, point = (f.name for f in fields(cls))
-            mb[key] = {one: obj_pairs(getattr(w, one)), two: obj_pairs(getattr(w, two)),
-                       pairing: triples(getattr(w, pairing)),
-                       point: {on(o): mn(v) for o, v in sorted(getattr(w, point).items())}}
+            mb[key] = {one: obj_pairs(w.proj1), two: obj_pairs(w.proj2),
+                       pairing: triples(w.pairing),
+                       point: {on(o): mn(v) for o, v in sorted(w.terminal.items())}}
     data["monoidal"] = mb
     return data

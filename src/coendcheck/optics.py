@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fincat import MonoidalStructure, join_objs, product, split_mor, split_obj
+from .fincat import MonoidalStructure, join_objs, opposite_monoidal, product, split_mor, split_obj
 from .profunctor import ConcreteProf, coend
 from .shapelang import StructureMissing
 
@@ -122,20 +122,18 @@ def pair_to_lens(mon, typ: OpticType, view, update) -> Lens:
 
 def prism_to_pair(lens: Lens, mon):
     """A cocartesian lens (a prism) is a match a -> b (+) x and a build
-    y -> b."""
+    y -> b: the update and view of the same lens read in C^op."""
     _require(mon, "cocartesian witness")
-    c, w, t = mon.base, mon.cocartesian, lens.typ
-    m = lens.residual
-    build = c.compose(w.inj2[(m, t.y)], lens.bwd)
-    into_b = c.compose(w.inj1[(m, t.y)], lens.bwd)
-    match = c.compose(lens.fwd, mon.tensor_m(into_b, c.identity(t.x)))
-    return match, build
+    t = lens.typ
+    view, update = lens_to_pair(Lens(OpticType(t.b, t.a, t.y, t.x), lens.residual,
+                                     lens.bwd, lens.fwd), opposite_monoidal(mon))
+    return update, view
 
 
 def pair_to_prism(mon, typ: OpticType, match, build) -> Lens:
     _require(mon, "cocartesian witness")
     c, w = mon.base, mon.cocartesian
-    f = w.copairing[(c.identity(typ.b), build)]
+    f = w.pairing[(c.identity(typ.b), build)]
     return lens_set(mon, typ.a, typ.b, typ.x, typ.y).cls(typ.b, match, f)
 
 

@@ -17,7 +17,7 @@ from .fincat import (FixtureError, join_mors, join_objs, opposite_monoidal, spli
                      terminal_category)
 from .profunctor import ProfunctorError, dual
 from .shapelang import (Env, EvalError, Evaluator, Gen, Id, Par, Seq,
-                        ShapeTypeError, StructureMissing, Wire, boundary,
+                        ShapeTypeError, StructureMissing, Wire, _ws, boundary,
                         is_plain_id, norm, obj_expr_cat, objects_in, functor_expr_sig,
                         parse_shape_script, print_term, strip_labels, sweep)
 
@@ -163,7 +163,7 @@ def _seq_level(term, i, outcome: SliceOutcome) -> NodeOutcome:
     """Replace parts[i : i+consumed] of a sequential composite."""
     parts = term.parts if isinstance(term, Seq) else (term,)
     j = i + outcome.consumed
-    if not (0 <= i and j <= len(parts)):
+    if j > len(parts):
         raise PathError(f"slice {i}..{j} out of range")
     new_parts = parts[:i] + tuple(outcome.parts) + parts[j:]
     new_term = new_parts[0] if len(new_parts) == 1 else norm(Seq(new_parts))
@@ -244,10 +244,10 @@ def plan_step(term, step: Step, ev: Evaluator) -> Plan:
         try:
             rule = check_instantiation(step, ev.sig)
             out = rewrite_at(ev, term, key[2], rule, step.inst, step.backward, gates)
-            b_old, b_new = boundary(term, ev.sig), boundary(out.term, ev.sig)
-            if b_old != b_new:
-                raise RewriteError(
-                    f"{rule.name} changed the boundary: {b_old} -> {b_new}")
+            (l0, r0), (l1, r1) = boundary(term, ev.sig), boundary(out.term, ev.sig)
+            if (l0, r0) != (l1, r1):
+                raise RewriteError(f"{rule.name} changed the boundary from {_ws(l0)} -> "
+                                   f"{_ws(r0)} to {_ws(l1)} -> {_ws(r1)}")
             plan = Plan(out, tuple(gates), None)
         except STEP_ERRORS as e:
             plan = Plan(None, tuple(gates), e.with_traceback(None))
@@ -966,7 +966,7 @@ class ZigzagCup(Rule):
             c = ev.env.cats[catsym]
 
             def tf(ev, vals, fibers, lobj, robj):
-                mid = join_objs([(c, lobj)] * 3)  # on w, w.flip(), w: each has c's objects
+                mid = join_objs([(c, lobj)] * 3)  # on w, its dual, w: each has c's objects
                 e = c.identity(lobj)
                 return ([(e, e), (e, e)], [mid])
 
@@ -1209,14 +1209,17 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
                             f"of {len(dst_reps)} classes hit)")
             if back_tr is None:
                 continue
-            for rep, img in fmap.items():
-                if back_tr(fiber, img) != rep:
-                    return fail(f"backward(forward) is not the identity on "
-                                f"{src.render(rep)}")
-            for drep in dst_reps:
-                if transport(fiber, back_tr(fiber, drep)) != drep:
-                    return fail(f"forward(backward) is not the identity on "
-                                f"{dst.render(drep)}")
+            try:
+                for rep, img in fmap.items():
+                    if back_tr(fiber, img) != rep:
+                        return fail(f"backward(forward) is not the identity on "
+                                    f"{src.render(rep)}")
+                for drep in dst_reps:
+                    if transport(fiber, back_tr(fiber, drep)) != drep:
+                        return fail(f"forward(backward) is not the identity on "
+                                    f"{dst.render(drep)}")
+            except CHECK_ERRORS as e:
+                return fail(f"inverse action failed on a representative at fiber {fiber}: {e}")
     # a step is a 2-cell: its class map commutes with the action of each
     # generator into the source end or out of the target end of a fiber
     s_cat, t_cat = src.source, src.target
@@ -1395,12 +1398,13 @@ def _check_points(points, asserts, ev, report):
 
 
 def _parse_path(text):
+    """A path is `root` or non-negative child indices joined by dots."""
     if text == "root":
         return ()
-    try:
-        return tuple(int(p) for p in text.split("."))
-    except ValueError:
+    parts = text.split(".")
+    if not all(p.isdecimal() for p in parts):
         raise RewriteError(f"bad path {text!r}")
+    return tuple(map(int, parts))
 
 
 def _split_top_commas(body):

@@ -67,9 +67,6 @@ class Wire(_Interned):
     def __new__(cls, cat, op=False):
         return cls._table.get((cat, op)) or cls._make((cat, op))
 
-    def flip(self):
-        return Wire(self.cat, not self.op)
-
     def __str__(self):
         return f"(op {self.cat})" if self.op else self.cat
 
@@ -241,8 +238,6 @@ def read_sexprs(text):
 
     def read():
         nonlocal pos
-        if pos >= len(tokens):
-            raise ShapeSyntaxError("unexpected end of input")
         tok, line = tokens[pos]
         pos += 1
         if tok == "(":

@@ -430,11 +430,18 @@ def test_cobox_point_names_a_source_object(capsys, tmp_path, spec, code):
      "R-INTERCHANGE: instantiation span1 must be an integer"),
     ("lens.shapes", "lens", "step R-INTERCHANGE at 2 backward with {cut1 := x, cut2 := 0}",
      "R-INTERCHANGE: instantiation cut1 must be an integer"),
+    ("lens.shapes", "lens", "step R-INTERCHANGE at 2 backward with {cut1 := 9, cut2 := 0}",
+     "R-INTERCHANGE: cut 9 out of range"),
+    ("lens.shapes", "lens", "step R-INTERCHANGE at 2 with {span1 := 0}",
+     "R-INTERCHANGE: empty interchange column"),
+    ("lens.shapes", "lens", "step R-INTERCHANGE at 2 backward with {cut1 := 0, cut2 := 0}",
+     "R-INTERCHANGE: backward R-INTERCHANGE cut produces a bare identity column"),
 ])
 def test_bad_step_instantiation_fails_the_step(capsys, tmp_path, shapes, shape,
                                                step, message):
-    # an instantiation naming an unknown symbol or a non-integer cut is a
-    # failed step (exit 1), not an internal error (exit 3)
+    # an instantiation naming an unknown symbol, a non-integer or
+    # out-of-range cut, an empty span or cuts that leave a bare identity
+    # is a failed step (exit 1), not an internal error (exit 3)
     code, out, err = run(capsys, "check", _step_script(tmp_path, shapes, shape, step),
                          *(ADJ_BIND if shapes == "adjunctions.shapes" else STEP_BIND))
     assert (code, err) == (1, "")
@@ -483,6 +490,16 @@ def test_assignment_free_failure_leaves_the_other_derivations(capsys, tmp_path):
     assert [line for line in lines if line.startswith("FAIL")] == lines[1:2]
     assert out.count("assignment:") == 16
     assert out.count(" derivation good from lens:") == out.count("step 1 R-CART-FORK ok") == 16
+
+
+@pytest.mark.parametrize("path", ["-2", "0.-1"])
+def test_a_negative_path_exits_2(capsys, tmp_path, path):
+    # a path is non-negative child indices: a negative one is refused when
+    # the script is parsed, not read by Python's negative indexing
+    script = _step_script(tmp_path, "lens.shapes", "lens", f"step R-ETA-TENSOR at {path}")
+    code, out, err = run(capsys, "check", script, *STEP_BIND)
+    _one_line_exit_2(code, out, err)
+    assert err == f"error: bad path '{path}'\n"
 
 
 def test_instantiation_of_two_forms_exits_2(capsys, tmp_path):

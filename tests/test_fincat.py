@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from coendcheck.fincat import (FinCategory, FixtureError, load_fixture, dump_fixture,
+from coendcheck.fincat import (CartesianWitness, FinCategory, FixtureError, load_fixture,
+                               dump_fixture,
                                compose_functors, from_comm_monoid, from_lattice, join_mors,
                                join_objs, opposite, opposite_monoidal, product, product_monoidal,
                                split_mor, split_obj, terminal_category, validate_category,
@@ -119,15 +120,15 @@ def test_join_lattice_monoidal():
 
 
 def _drop_copairing(mon, c):
-    del mon.cocartesian.copairing[(c.mor_id("id_0"), c.mor_id("id_0"))]
+    del mon.cocartesian.pairing[(c.mor_id("id_0"), c.mor_id("id_0"))]
 
 
 def _mistype_initial(mon, c):
-    mon.cocartesian.initial[c.obj_id("0")] = c.mor_id("id_1")
+    mon.cocartesian.terminal[c.obj_id("0")] = c.mor_id("id_1")
 
 
 def _mistype_inj1(mon, c):
-    mon.cocartesian.inj1[(c.obj_id("0"), c.obj_id("0"))] = c.mor_id("id_1")
+    mon.cocartesian.proj1[(c.obj_id("0"), c.obj_id("0"))] = c.mor_id("id_1")
 
 
 def _drop_braiding(mon, c):
@@ -226,6 +227,29 @@ def test_opposite_monoidal_swaps_witnesses():
     assert validate_monoidal(m).ok
 
 
+def _lattice(name, below, mode):
+    """The lattice in which each element covers the elements `below` maps
+    it to, built afresh (so its products are not shared with other tests)."""
+    def down(x):
+        return {x}.union(*(down(y) for y in below[x]))
+    return from_lattice(name, list(below), {(y, x) for x in below for y in down(x)}, mode)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build("join-lattice-2"), lambda: build("diamond"),
+    lambda: _lattice("pentagon", {"bot": [], "a": ["bot"], "b": ["a"], "c": ["bot"],
+                                  "top": ["b", "c"]}, "join")],
+                         ids=["join-lattice-2", "diamond", "pentagon-join"])
+def test_opposite_monoidal_trades_the_witnesses_themselves(make):
+    # a cocartesian structure is kept as the cartesian witness of C^op, so
+    # reading C^op moves the one witness object, copying nothing
+    m = make()
+    op = opposite_monoidal(m)
+    assert op.cartesian is m.cocartesian and op.cocartesian is m.cartesian
+    assert opposite_monoidal(op).cartesian is m.cartesian
+    assert validate_monoidal(op).ok and validate_monoidal(m).ok
+
+
 def test_product_with_terminal_is_self():
     c = build("meet-lattice-2").base
     t = terminal_category()
@@ -266,15 +290,9 @@ def test_product_composes_exactly_the_composable_pairs():
 
 
 def _diamond6():
-    """The meet lattice z < bot < a, b < top < t, built afresh (so its
-    products are not shared with other tests)."""
-    elems = ["z", "bot", "a", "b", "top", "t"]
-    below = {"z": [], "bot": ["z"], "a": ["bot"], "b": ["bot"], "top": ["a", "b"],
-             "t": ["top"]}
-
-    def down(x):
-        return {x}.union(*(down(y) for y in below[x]))
-    return from_lattice("diamond6", elems, {(y, x) for x in elems for y in down(x)}, "meet")
+    """The meet lattice z < bot < a, b < top < t."""
+    return _lattice("diamond6", {"z": [], "bot": ["z"], "a": ["bot"], "b": ["bot"],
+                                 "top": ["a", "b"], "t": ["top"]}, "meet")
 
 
 def test_product_composes_a_pair_when_first_looked_up():
@@ -562,6 +580,11 @@ MESSAGES = [
      "[malformed] terminal point missing at 0"),
     (lambda: _mutated("meet-lattice-2", _set("cartesian.pairing", ("id_0", "id_0"), "id_1")),
      "[cartesian] pairing of (id_0,id_0) is not the unique mediating morphism"),
+    # z2's one object with identity projections: its hom(x, x) has two
+    # morphisms, so the unit is no terminal object
+    (lambda: _mutated("z2", lambda m, c: setattr(
+        m, "cartesian", CartesianWitness({(0, 0): 0}, {(0, 0): 0}, {}, {0: 0}))),
+     "[cartesian] unit is not terminal at x"),
     # from_lattice
     (lambda: from_lattice("x", ["a"], {("a", "a")}, "both"),
      "mode must be 'meet' or 'join', got 'both'"),
@@ -581,6 +604,11 @@ MESSAGES = [
      "operation is not commutative at (0,1)"),
     (lambda: from_comm_monoid("x", [0, 1], {(0, 0): 5, (0, 1): 1, (1, 0): 1, (1, 1): 0}, 0),
      "operation leaves the carrier at (0,0)"),
+    # the associativity check at (0,0,1) would read op[(0, 2)]
+    (lambda: from_comm_monoid("x", [0, 1], {(0, 0): 0, (0, 1): 2, (1, 0): 2, (1, 1): 1}, 0),
+     "operation leaves the carrier at (0,1)"),
+    (lambda: from_comm_monoid("x", [0, 1], {(a, b): 0 for a in (0, 1) for b in (0, 1)}, 0),
+     "unit law fails at 1"),
     (lambda: from_comm_monoid("x", [0, 1, 2], {
         **{(0, x): x for x in range(3)}, **{(x, 0): x for x in range(3)},
         (1, 1): 2, (1, 2): 2, (2, 1): 2, (2, 2): 1}, 0),

@@ -158,6 +158,36 @@ def test_apply_lens_type_mismatch(oracles):
         apply_lens(lens, c.hom(c.obj_id("0"), c.obj_id("1"))[0], mon)
 
 
+def _identities(mon, *pairs):
+    """The identity optic on each pair of object names ("01" for (0, 1))."""
+    return [identity_optic(mon, *map(mon.base.obj_id, pair)) for pair in pairs]
+
+
+# each OpticError message with one input that raises it, over meet-lattice-2
+OPTIC_ERRORS = [
+    (lambda mon: lens_set(mon, 0, 0, 0, 9), "object id 9 not in meet-lattice-2"),
+    (lambda mon: apply_lens(*_identities(mon, "00"), mon.base.mor_id("0<1"), mon),
+     "morphism does not fit the hole"),
+    (lambda mon: compose_optic(*_identities(mon, "00", "11"), mon),
+     "optic boundaries do not match"),
+    (lambda mon: compose_optic_crossed(*_identities(mon, "00", "11"), mon),
+     "crossed optic boundaries do not match"),
+    (lambda mon: lens_to_feedback(*_identities(mon, "01"), mon),
+     "feedback needs a lens of type (a,a) -> (x,y)"),
+    (lambda mon: lenses_to_learner(*_identities(mon, "01", "00"), mon),
+     "learner lenses need port types (a,a) and (b,b)"),
+    (lambda mon: lenses_to_learner(*_identities(mon, "00", "11"), mon),
+     "learner lenses must share their outer types crosswise"),
+]
+
+
+@pytest.mark.parametrize("fail, message", OPTIC_ERRORS, ids=[m for _, m in OPTIC_ERRORS])
+def test_every_optic_error_has_a_failing_input(oracles, fail, message):
+    with pytest.raises(OpticError) as info:
+        fail(oracles["meet-lattice-2"])
+    assert str(info.value) == message
+
+
 # -- category laws ---------------------------------------------------------------
 
 

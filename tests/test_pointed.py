@@ -476,3 +476,14 @@ def test_an_element_that_is_a_pair_is_read_as_the_value():
         OpenDiagram.from_values(ev, shape, {"k": ("p", (1,))})
     d = OpenDiagram.from_values(ev, shape, {"k": (("p", (1,)), (1,))})
     assert (d.point, d.fiber) == (("p", (1,)), (0, 1))
+
+
+def test_star_and_unknown_value_specs():
+    # `*` names the one element of a discard's fiber; a tuple spec must
+    # be a (pair ...), (split ...) or (mor ...)
+    sig = parse_shape_script(SMALL)
+    ev = Evaluator(Env(sig, {"C": build("z2")}))
+    d = OpenDiagram.from_names(ev, sig.shapes["discard"], {"v": "*"})
+    assert (d.point, d.fiber) == ("*", (0, 0))
+    with pytest.raises(PointError, match=r"^unknown value spec \('frob', '0'\)$"):
+        OpenDiagram.from_names(ev, sig.shapes["wire"], {"w": ("frob", "0")})

@@ -521,6 +521,15 @@ def _fault_inverse_fails(real, term, step, ev):
     return real(term, step, ev)
 
 
+def _fault_backward_raises(real, term, step, ev):
+    # the inverse step's transport fails on every element
+    new_term, transport, inv = real(term, step, ev)
+    if step.backward:
+        def transport(fiber, v):
+            raise ProfunctorError("injected backward")
+    return new_term, transport, inv
+
+
 def _fault_through_unit(real, term, step, ev):
     # a new term whose fibers are all inhabited, with every class sent to
     # the one element of its fiber
@@ -552,9 +561,12 @@ YONEDA = [Step("R-YONEDA-L", (0,))]
      "step 1 R-YONEDA-L: inverse application failed: injected"),
     ("inport-only", ETA_EPS, [(1, 2)], "R-EPS-A", _fault_swap, "z2",
      "obligation 1..2: composite moves"),
+    ("lens", [Step("R-CART-FORK", (1,))], [], "R-CART-FORK", _fault_backward_raises,
+     "meet-lattice-2", "step 1 R-CART-FORK: inverse action failed on a representative "
+     "at fiber (0, 0): injected backward"),
 ], ids=["not-well-defined", "image-outside", "action-failed", "not-a-bijection",
         "source-side-empty", "backward-forward", "forward-backward",
-        "inverse-failed", "obligation"])
+        "inverse-failed", "obligation", "inverse-action-failed"])
 def test_checker_rejects_faulty_transport(sig, monkeypatch, shape, steps,
                                           obligations, rule, fault, oracle, message):
     real = rewrite.apply_step
@@ -576,15 +588,16 @@ def test_checker_rejects_faulty_transport(sig, monkeypatch, shape, steps,
     assert report.failures[0].startswith(message), report.text()
 
 
-@pytest.mark.parametrize("shape, path, message", [
-    ("plugged", "root", "rule R-EPS-A needs a slice position"),
-    ("plugged", "9.0", "no part 9 in sequential composite"),
-    ("lens", "2.5.0", "par sides are 0 and 1"),
-], ids=["root", "no-part", "par-side"])
-def test_a_path_the_term_lacks_fails_the_step(sig, shape, path, message):
-    script = parse_derivation_script(f"derive {shape}\nstep R-EPS-A at {path}\n", sig)
+@pytest.mark.parametrize("shape, step, message", [
+    ("plugged", "R-EPS-A at root", "R-EPS-A: rule R-EPS-A needs a slice position"),
+    ("plugged", "R-EPS-A at 9.0", "R-EPS-A: no part 9 in sequential composite"),
+    ("lens", "R-EPS-A at 2.5.0", "R-EPS-A: par sides are 0 and 1"),
+    ("lens", "R-ETA-A at 9 with {A := A}", "R-ETA-A: slice 9..9 out of range"),
+], ids=["root", "no-part", "par-side", "past-the-end"])
+def test_a_path_the_term_lacks_fails_the_step(sig, shape, step, message):
+    script = parse_derivation_script(f"derive {shape}\nstep {step}\n", sig)
     report = check_derivation(script, sig, env_z2(sig))
-    assert report.failures == [f"step 1 R-EPS-A: {message}"], report.text()
+    assert report.failures == [f"step 1 {message}"], report.text()
 
 
 def test_a_rule_that_changes_the_boundary_fails_the_step(sig, monkeypatch):
@@ -595,9 +608,8 @@ def test_a_rule_that_changes_the_boundary_fails_the_step(sig, monkeypatch):
     monkeypatch.setattr(rewrite.YonedaL, "match", match)
     script = parse_derivation_script("derive hom-pair\nstep R-YONEDA-L at 0\n", sig)
     report = check_derivation(script, sig, env_z2(sig))
-    c = (Wire("C"),)
-    assert report.failures == ["step 1 R-YONEDA-L: R-YONEDA-L changed the boundary: "
-                               f"{(c, c)} -> {(c, ())}"], report.text()
+    assert report.failures == ["step 1 R-YONEDA-L: R-YONEDA-L changed the boundary "
+                               "from <C> -> <C> to <C> -> <>"], report.text()
 
 
 # a derivation script that checks, then one malformed line after another
@@ -967,6 +979,14 @@ def test_par_rewrite_then_its_backward_is_the_identity(oracle, shape, steps):
     ("step R-YONEDA-L at 0 backward", Step("R-YONEDA-L", (0,), True)),
     ("step R-SYM at 1.0 backward with {config := par}",
      Step("R-SYM", (1, 0), True, {"config": "par"})),
+    ('step R-YONEDA-L at 0 backward with {label := "w"}',
+     Step("R-YONEDA-L", (0,), True, {"label": "w"})),
+    ("step R-ETA-A at 0 with {A := (tensor X Y)}",
+     Step("R-ETA-A", (0,), inst={"A": ("tensor", "X", "Y")})),
+    ('step R-SYM at 0 with {v := (pair "f" g)}',
+     Step("R-SYM", (0,), inst={"v": ("pair", "f", "g")})),
+    ("step R-INTERCHANGE at 0 with {span1 := 1, , span2 := 2}",
+     Step("R-INTERCHANGE", (0,), inst={"span1": 1, "span2": 2})),
 ])
 def test_step_line_parses(sig, line, step):
     assert parse_derivation_script(f"derive arrow\n{line}\n", sig).main.steps == [step]
@@ -979,3 +999,17 @@ def test_step_line_refuses_trailing_tokens(sig, tail):
         parse_derivation_script(f"derive arrow\nstep R-YONEDA-L at {tail}\n", sig)
     with pytest.raises(RewriteError, match="^step needs a path before 'backward'$"):
         parse_derivation_script("derive arrow\nstep R-YONEDA-L at backward\n", sig)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("derive arrow\nderive lens\n", "only one main derivation per script"),
+    ("step R-YONEDA-L at 0\nderive arrow\n", "step before any 'derive' or 'derivation'"),
+    ("obligation identity 1 1\nderive arrow\n", "obligation before any derivation"),
+    ("derive arrow\nstep R-ETA-TENSOR at -2\n", "bad path '-2'"),
+    ("derive arrow\nstep R-ETA-TENSOR at 0.-1\n", "bad path '0.-1'"),
+], ids=["two-mains", "step-first", "obligation-first", "negative-path",
+        "negative-child"])
+def test_script_parser_refuses(sig, text, message):
+    with pytest.raises(RewriteError) as info:
+        parse_derivation_script(text, sig)
+    assert str(info.value) == message

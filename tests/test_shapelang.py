@@ -128,6 +128,52 @@ def test_parse_rejects_bad_arity(sig):
         parse_term(read_sexprs("(inport A B)")[0], sig)
 
 
+def _lens_env(**objs):
+    return Env(parse_shape_script(LENS_SCRIPT), {"C": build("z2")}, objs=objs)
+
+
+# each parser, normalizer and environment refusal with one input that
+# raises it: (thunk, exception type, message)
+SHAPE_ERRORS = [
+    (lambda: parse_shape_script('(category "C)'), ShapeSyntaxError,
+     "line 1: unterminated string"),
+    (lambda: parse_shape_script("(category (C))"), ShapeSyntaxError,
+     "expected a name, got ['C']"),
+    (lambda: parse_shape_script("(category C) (category D) (object A C) (object B D)"
+                                "(shape s (inport (tensor A B)))"), ShapeSyntaxError,
+     "tensor of objects from different categories"),
+    (lambda: parse_shape_script("(category C) (shape s (seq))"), ShapeSyntaxError,
+     "(seq) needs at least one part"),
+    (lambda: parse_shape_script("(category C) (shape s (par (id C)))"), ShapeSyntaxError,
+     "(par) needs at least two parts"),
+    (lambda: parse_shape_script("(category C) shape"), ShapeSyntaxError,
+     "bad toplevel form 'shape'"),
+    (lambda: parse_shape_script("(category C) (prof K (C))"), ShapeSyntaxError,
+     "(prof K (wires) (wires)) expected"),
+    (lambda: norm(Seq(())), ShapeSyntaxError, "empty seq"),
+    (lambda: _lens_env(Q=0), EvalError, "unknown object symbol 'Q'"),
+    (lambda: _lens_env().resolve_obj("A"), EvalError, "object symbol 'A' is unassigned"),
+    (lambda: eval_closed(Gen("inport", ("A",)), _lens_env(A=0)), EvalError,
+     "shape is not closed"),
+]
+
+
+@pytest.mark.parametrize("fail, error, message", SHAPE_ERRORS,
+                         ids=[m for _, _, m in SHAPE_ERRORS])
+def test_every_shape_refusal_has_a_failing_input(fail, error, message):
+    with pytest.raises(error) as info:
+        fail()
+    assert str(info.value) == message
+
+
+def test_a_box_of_a_composite_functor_prints_and_reparses():
+    sig = parse_shape_script("(category C) (category D) (functor F C D (obj) (mor))"
+                             "(functor G D C (obj) (mor))")
+    text = "(box (fcomp F G))"
+    t = parse_term(read_sexprs(text)[0], sig)
+    assert print_term(t) == text and boundary(t, sig) == ((Wire("C"),), (Wire("C"),))
+
+
 def test_boundary_mismatch_has_path(sig):
     t = Seq((Gen("inport", ("A",)), Gen("inport", ("B",))))
     with pytest.raises(ShapeTypeError) as e:
