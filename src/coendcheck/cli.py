@@ -136,10 +136,9 @@ def cmd_eval(args):
             else:
                 src, tgt = prof.source, prof.target
                 sizes = [(a, b, len(prof.fiber(a, b)))
-                         for a in src.objects for b in tgt.objects]
+                         for a in src.objects for b in prof.support(a)]
                 for a, b, n in sizes:
-                    if n:
-                        report.line(f"  fiber ({src.obj_name(a)},{tgt.obj_name(b)}): {n}")
+                    report.line(f"  fiber ({src.obj_name(a)},{tgt.obj_name(b)}): {n}")
                 report.line(f"classes: {sum(n for _, _, n in sizes)}")
     except (ShapeTypeError, EvalError, StructureMissing, FixtureError) as e:
         raise InputError(str(e))

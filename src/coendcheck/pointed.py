@@ -173,7 +173,7 @@ def _leaf_value(ev, term, assignment, left_obj):
         raise PointError(f"{name} has no left object {left_obj!r}")
     value, objs = assignment.get(term.label), None
     if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], (tuple, type(None))) \
-            and not any(value in prof.fiber(left_obj, b) for b in prof.target.objects):
+            and not any(value in prof.fiber(left_obj, b) for b in prof.support(left_obj)):
         value, objs = value
     if value is None:
         value = _identity_value(env, term, left_obj, name)
@@ -187,7 +187,7 @@ def _leaf_value(ev, term, assignment, left_obj):
     elif getattr(term, "kind", None) in _NEEDS_OBJECTS:
         raise PointError(f"{name} needs a value with its target objects")
     else:
-        targets = prof.target.objects
+        targets = prof.support(left_obj)
     hits = [b for b in targets if value in prof.fiber(left_obj, b)]
     if not hits:
         raise PointError(f"value for {name} is not in a fiber at "

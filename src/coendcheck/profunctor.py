@@ -40,12 +40,24 @@ class ConcreteProf:
         self.act = act_fn
         self._render = render
         self._fibers = {}
+        self._supports = {}
 
     def fiber(self, a, b):
         key = (a, b)
         if key not in self._fibers:
             self._fibers[key] = tuple(self._fiber_fn(a, b))
         return self._fibers[key]
+
+    def support(self, a):
+        """The objects b with P(a, b) non-empty, in id order, as the keys
+        of a dict (so membership is one lookup); kept per a."""
+        sup = self._supports.get(a)
+        if sup is None:
+            sup = self._supports[a] = self._support(a)
+        return sup
+
+    def _support(self, a):
+        return dict.fromkeys(b for b in self.target.objects if self.fiber(a, b))
 
     def relations(self, f, base):
         """The coend relation of f: x -> y when source is target: for each
@@ -86,7 +98,7 @@ def validate_prof(p: ConcreteProf):
     out = []
     src, tgt = p.source, p.target
     for a in src.objects:
-        for b in tgt.objects:
+        for b in p.support(a):
             fib = p.fiber(a, b)
             ida, idb = src.identity(a), tgt.identity(b)
             for v in fib:
@@ -127,30 +139,31 @@ class CoendSet:
     """The coequalizer of the two morphism actions on the diagonal of a
     profunctor with equal endpoints (a coend over the category `cat`).
 
-    `fibers` lists the tagged elements over each object of cat in turn,
-    and `index` is their concatenation, the fiber of object x starting at
-    base[x]; relations(f, base) yields the relation of a generator f as
-    pairs of positions in `index`.  Only the generators are related: an
+    `fibers` maps objects of cat, in id order, to the tagged elements over
+    them (an object left out has none), and `index` is their
+    concatenation, the fiber of object x starting at base[x];
+    relations(f, base) yields the relation of a generator f as pairs of
+    positions in `index`.  Only the generators are related: an
     identity relates an element to itself, and for a lawful action a
     composite's relation chains its factors' ones.  Classes are
     represented by their least tagged element in tuple order; `groups`
     maps each representative to its members in order.  A coend of at most
     one element reads no relation: its one element is its one class, so
     `reps` is `index`, and `_rep_of` and `groups` are built on first read
-    (most such coends are never read).
+    (most such coends are never read).  The coend with no elements is
+    `empty_coend(cat)`, one per category.
     """
 
     def __init__(self, cat: FinCategory, fibers, relations):
         self.cat = cat
-        self.index = index = tuple(t for fib in fibers for t in fib)
+        self.index = index = tuple(t for fib in fibers.values() for t in fib)
         if len(index) <= 1:
             self.reps = index
             return
-        n, base = 0, []
-        for fib in fibers:
-            base.append(n)
+        n, base = 0, {}
+        for x, fib in fibers.items():
+            base[x] = n
             n += len(fib)
-        base = tuple(base)
         parent = list(range(n))
 
         def find(i):
@@ -206,8 +219,15 @@ def coend(p: ConcreteProf) -> CoendSet:
     if p.source is not p.target:
         raise ProfunctorError("coend needs equal source and target")
     cat = p.source
-    return CoendSet(cat, [[(x, v) for v in p.fiber(x, x)] for x in cat.objects],
+    return CoendSet(cat, {x: [(x, v) for v in p.fiber(x, x)] for x in cat.objects},
                     p.relations)
+
+
+@functools.cache
+def empty_coend(cat: FinCategory) -> CoendSet:
+    """The coend over cat with no elements: every composite fiber outside
+    its support shares it."""
+    return CoendSet(cat, {}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +387,12 @@ class TensorProf(ConcreteProf):
         super().__init__(product(p1.source, s2), product(p1.target, t2), fib, act,
                          render=render)
 
+    def _support(self, a):
+        """The product of the factors' supports, in the product's ids."""
+        a1, a2 = split_obj(self.p2.source, a)
+        s2, n2 = self.p2.support(a2), len(self.p2.target.objects)
+        return dict.fromkeys(b1 * n2 + b2 for b1 in self.p1.support(a1) for b2 in s2)
+
     def split_value(self, fiber, value):
         """The element `value` at `fiber` as its two factors, each with
         its own fiber: ((fiber of p1, value), (fiber of p2, value))."""
@@ -383,6 +409,11 @@ class ComposedProf(ConcreteProf):
     object and a pair of component values.  Elements of P ; Q are the
     canonical representatives, so the fiber at (a, c) is the coend's
     `reps`; actions act on them and re-canonicalize.
+
+    The coend is empty unless some middle x has P(a, x) and Q(x, c) both
+    non-empty, so supports compose as relations.  A coend is built only
+    inside the support, over those x alone; outside it the fiber is the
+    middle category's one `empty_coend`.
     """
 
     def __init__(self, p: ConcreteProf, q: ConcreteProf):
@@ -393,6 +424,7 @@ class ComposedProf(ConcreteProf):
         self.source, self.mid, self.target = p.source, p.target, q.target
         self._coends = {}
         self._acts = {}
+        self._supports = {}
 
     def fiber(self, a, c):
         return self.coend_at(a, c).reps
@@ -401,34 +433,34 @@ class ComposedProf(ConcreteProf):
         key = (a, c)
         ce = self._coends.get(key)
         if ce is None:
-            ce = self._coends[key] = self._coend(a, c)
+            ce = self._coends[key] = (self._coend(a, c) if c in self.support(a)
+                                      else empty_coend(self.mid))
         return ce
+
+    def _support(self, a):
+        q = self.q
+        return dict.fromkeys(sorted({c for x in self.p.support(a) for c in q.support(x)}))
 
     def _coend(self, a, c):
         """The coend at (a, c), over the raw (x, u, w) for u in P(a, x) and
-        w in Q(x, c) on each middle object x in turn."""
+        w in Q(x, c) on each middle object x with both non-empty."""
         p, q = self.p, self.q
-        fibers = []
-        for x in self.mid.objects:
-            us = p.fiber(a, x)
-            ws = q.fiber(x, c) if us else ()
-            fibers.append([(x, u, w) for u in us for w in ws])
+        fibers = {x: [(x, u, w) for u in p.fiber(a, x) for w in q.fiber(x, c)]
+                  for x in p.support(a) if c in q.support(x)}
         return CoendSet(self.mid, fibers, functools.partial(self._relations, a, c))
 
     def _relations(self, a, c, f, base):
         """(x, u_i, Q(f, c)w_j) ~ (y, P(a, f)u_i, w_j) for f: x -> y, as
         positions read from one table of P(a, f) over P(a, x) and one of
-        Q(f, c) over Q(y, c); f relates nothing when either is empty.  The
+        Q(f, c) over Q(y, c); f relates nothing when either is empty, which
+        the supports tell without reading a fiber.  The
         fiber of the coend at x is |P(a, x)| rows of |Q(x, c)|: (x, u_i,
         w_j) sits at base[x] + i * |Q(x, c)| + j."""
         p, q, mid = self.p, self.q, self.mid
         x, y = mid.dom(f), mid.cod(f)
-        us = p.fiber(a, x)
-        if not us:
+        if x not in p.support(a) or c not in q.support(y):
             return
-        ws = q.fiber(y, c)
-        if not ws:
-            return
+        us, ws = p.fiber(a, x), q.fiber(y, c)
         at_py = {u: i for i, u in enumerate(p.fiber(a, y))}
         qx = q.fiber(x, c)
         at_qx = {w: j for j, w in enumerate(qx)}

@@ -19,7 +19,7 @@ from .profunctor import ProfunctorError, dual
 from .shapelang import (Env, EvalError, Evaluator, Gen, Id, Par, Seq,
                         ShapeTypeError, StructureMissing, Wire, _ws, boundary,
                         is_plain_id, norm, obj_expr_cat, objects_in, functor_expr_sig,
-                        parse_shape_script, print_term, strip_labels, sweep)
+                        parse_shape_script, print_term, strip_labels)
 
 
 class RewriteError(Exception):
@@ -187,6 +187,9 @@ def rewrite_at(ev: Evaluator, term, path, rule, inst, backward, gates):
             return rule.match(ev, term, inst, backward, gates)
     elif len(path) == 1:
         parts = term.parts if isinstance(term, Seq) else (term,)
+        if path[0] > len(parts):
+            # refused before the match can add a gate: the term alone decides
+            raise PathError(f"slice {path[0]}..{path[0]} out of range")
         return _seq_level(term, path[0],
                           rule.match(ev, parts, path[0], inst, backward, gates))
     if not path:
@@ -1143,12 +1146,11 @@ class CheckAborted(Exception):
 def _fiber_members(prof):
     """All raw index elements of an evaluated term, grouped per class and
     per non-empty fiber: {(a, b): {rep: [raw elements]}}."""
-    fibers = ((a, b) for a in prof.source.objects for b in prof.target.objects)
-    return {fiber: groups for fiber in fibers if (groups := prof.members(*fiber))}
+    return {(a, b): prof.members(a, b) for a in prof.source.objects for b in prof.support(a)}
 
 
 def _count(prof):
-    return sum(len(prof.fiber(a, b)) for a in prof.source.objects for b in prof.target.objects)
+    return sum(len(prof.fiber(a, b)) for a in prof.source.objects for b in prof.support(a))
 
 
 def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
@@ -1279,10 +1281,14 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
     the sweep.  `epilogue(report, ev, terms, maps)` runs after each main
     derivation that checks, with the evaluator at that assignment."""
     only = script_object_symbols(script, sig)
-    derivs, points, asserts = _presweep(script, sig, env, report)
+    # the pre-sweep plans steps in the sweep's evaluator, whose plans every
+    # assignment reads
+    ev = Evaluator(env, env.free_objects(only))
+    derivs, points, asserts = _presweep(script, sig, ev, report)
     if not (derivs or points or asserts):
         return
-    for ev in sweep(env, only=only):
+    for env_a in env.assignments(only=only):
+        ev.at(env_a)
         desc = ev.env.describe_objs()
         report.line(f"assignment: {desc}" if desc else "assignment: (none)")
         for name, deriv in derivs:
@@ -1293,14 +1299,16 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
         _check_points(points, asserts, ev, report)
 
 
-def _presweep(script: DerivationScript, sig, env: Env, report: Report):
+def _presweep(script: DerivationScript, sig, ev: Evaluator, report: Report):
     """Report once, before the sweep, each failure that reads no assignment:
-    a derivation's shape, step instantiations and obligation ranges (the
-    derivation is reported whole, under its header), a point's shape,
-    labels and names, an assert-equal's points and deformation.  Returns
-    what is left to sweep: the derivations as (name, Derivation), the
-    points as (name, shape, resolve_names' output) and the assert-equals
-    as (AssertDecl, deformation steps)."""
+    a derivation's shape, step instantiations, obligation ranges and the
+    first step whose plan the term alone fails, with no gate at it or
+    before it (the derivation is reported whole, under its header), a
+    point's shape, labels and names, an assert-equal's points and
+    deformation.  `ev` is the sweep's evaluator, at no assignment yet.
+    Returns what is left to sweep: the derivations as (name, Derivation),
+    the points as (name, shape, resolve_names' output) and the
+    assert-equals as (AssertDecl, deformation steps)."""
     from . import pointed
     derivs, refused = [], set()
     for name, deriv in (list(script.named.items())
@@ -1320,6 +1328,20 @@ def _presweep(script: DerivationScript, sig, env: Env, report: Report):
                 fails.append(f"step {idx} {step.rule}: {e}")
         fails += [f"obligation {first}..{last} out of range" for first, last in deriv.obligations
                   if not 1 <= first <= last <= len(deriv.steps)]
+        term = None if fails else sig.shapes[deriv.shape]
+        for idx, step in enumerate(deriv.steps if term else (), 1):
+            # a gate reads the assignment and can fail first: from the
+            # first gated plan on, a failure is the sweep's to report
+            plan = plan_step(term, step, ev)
+            if plan.gates:
+                break
+            if plan.error is not None:
+                # a binding that cannot carry the step may not carry the
+                # shape either, which the sweep refuses as malformed input
+                if isinstance(plan.error, (RewriteError, ShapeTypeError)):
+                    fails.append(f"step {idx} {step.rule}: {plan.error}")
+                break
+            term = plan.outcome.term
         if fails:
             refused.add(name)
             report.line(f" derivation {name} from {deriv.shape}:")
@@ -1333,7 +1355,8 @@ def _presweep(script: DerivationScript, sig, env: Env, report: Report):
             if decl.shape not in sig.shapes:
                 raise PointError(f"unknown shape {decl.shape!r}")
             shape = sig.shapes[decl.shape]
-            points.append((decl.name, shape, pointed.resolve_names(env, shape, decl.assignment)))
+            points.append((decl.name, shape,
+                           pointed.resolve_names(ev.env, shape, decl.assignment)))
         except CHECK_ERRORS as e:
             report.fail(f"point {decl.name}: {e}")
     asserts = []

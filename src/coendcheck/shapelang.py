@@ -511,7 +511,7 @@ def parse_shape_script(text) -> Signature:
                     table[_name_of(pair[0])] = _name_of(pair[1])
             sig.functors[name] = (src, dst, obj_map, mor_map)
         elif head == "prof":
-            if len(form) != 4:
+            if len(form) != 4 or not all(isinstance(ws, list) for ws in form[2:]):
                 raise ShapeSyntaxError("(prof K (wires) (wires)) expected")
             name = _name_of(form[1])
             left = tuple(_parse_wire(w, sig) for w in form[2])

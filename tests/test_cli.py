@@ -129,6 +129,14 @@ def test_check_of_a_shape_the_bindings_cannot_evaluate_exits_2(capsys, tmp_path)
     code, out, err = run(capsys, "check", str(script), "--bind", f"C={fixture_path('z2')}")
     _one_line_exit_2(code, out, err)
     assert err == "error: named profunctor 'K' is unbound\n"
+    # a later step the binding cannot carry is not refused before the
+    # sweep: the sweep evaluates the shape at step 1 and refuses the input
+    script = _step_script(tmp_path, "lens.shapes", "lens",
+                          "step R-YONEDA-L at 0 backward with {label := w}\n"
+                          "  step R-CART-FORK at 2")
+    code, out, err = run(capsys, "check", script, "--bind", f"C={plain}")
+    _one_line_exit_2(code, out, err)
+    assert err == "error: category 'C' carries no monoidal structure\n"
 
 
 def test_malformed_shape_script(capsys):
@@ -430,18 +438,11 @@ def test_cobox_point_names_a_source_object(capsys, tmp_path, spec, code):
      "R-INTERCHANGE: instantiation span1 must be an integer"),
     ("lens.shapes", "lens", "step R-INTERCHANGE at 2 backward with {cut1 := x, cut2 := 0}",
      "R-INTERCHANGE: instantiation cut1 must be an integer"),
-    ("lens.shapes", "lens", "step R-INTERCHANGE at 2 backward with {cut1 := 9, cut2 := 0}",
-     "R-INTERCHANGE: cut 9 out of range"),
-    ("lens.shapes", "lens", "step R-INTERCHANGE at 2 with {span1 := 0}",
-     "R-INTERCHANGE: empty interchange column"),
-    ("lens.shapes", "lens", "step R-INTERCHANGE at 2 backward with {cut1 := 0, cut2 := 0}",
-     "R-INTERCHANGE: backward R-INTERCHANGE cut produces a bare identity column"),
 ])
 def test_bad_step_instantiation_fails_the_step(capsys, tmp_path, shapes, shape,
                                                step, message):
-    # an instantiation naming an unknown symbol, a non-integer or
-    # out-of-range cut, an empty span or cuts that leave a bare identity
-    # is a failed step (exit 1), not an internal error (exit 3)
+    # an instantiation naming an unknown symbol or a non-integer cut or
+    # span is a failed step (exit 1), not an internal error (exit 3)
     code, out, err = run(capsys, "check", _step_script(tmp_path, shapes, shape, step),
                          *(ADJ_BIND if shapes == "adjunctions.shapes" else STEP_BIND))
     assert (code, err) == (1, "")
@@ -466,6 +467,14 @@ def test_bad_step_instantiation_fails_the_step(capsys, tmp_path, shapes, shape,
      "R-FUNCTOR-ADJ-ETA: unknown functor symbol 'G'"),
     ("step R-FUNCTOR-FUSE at 0 backward with {F := F, G := G}",
      "R-FUNCTOR-FUSE: unknown functor symbol 'F'"),
+    # planned without a gate: the term alone fails them
+    ("step R-ETA-A at 9 with {A := A}", "R-ETA-A: slice 9..9 out of range"),
+    ("step R-INTERCHANGE at 2 backward with {cut1 := 9, cut2 := 0}",
+     "R-INTERCHANGE: cut 9 out of range"),
+    ("step R-INTERCHANGE at 2 with {span1 := 0}",
+     "R-INTERCHANGE: empty interchange column"),
+    ("step R-INTERCHANGE at 2 backward with {cut1 := 0, cut2 := 0}",
+     "R-INTERCHANGE: backward R-INTERCHANGE cut produces a bare identity column"),
 ])
 def test_assignment_free_step_failure_is_reported_once(capsys, tmp_path, step,
                                                        message):
@@ -803,7 +812,9 @@ def test_script_failures_no_assignment_decides_are_reported_once(capsys, tmp_pat
 
 def test_a_deformation_no_assignment_can_use_fails_once(capsys, tmp_path):
     # a deformation with a directed step, or from a refused derivation,
-    # fails its assert-equal once, before the sweep
+    # fails its assert-equal once, before the sweep; `dir` is refused too,
+    # since R-EPS-A matches no window at 1 of counit-src whatever the
+    # assignment
     script = _points_script(tmp_path, (
         "derivation dir from counit-src\n  step R-EPS-A at 1\nend\n"
         "derivation bad from nosuch\n  step R-YONEDA-L at 0\nend\n"
@@ -812,13 +823,15 @@ def test_a_deformation_no_assignment_can_use_fails_once(capsys, tmp_path):
     code, out, err = run(capsys, "check", script, "--bind", f"C={fixture_path('meet-lattice-2')}")
     assert (code, err) == (1, "")
     lines = out.splitlines()
-    assert lines[:4] == [" derivation bad from nosuch:", "FAIL unknown shape 'nosuch'",
+    assert lines[:6] == [" derivation dir from counit-src:",
+                         "FAIL step 1 R-EPS-A: R-EPS-A expects outport then inport",
+                         " derivation bad from nosuch:", "FAIL unknown shape 'nosuch'",
                          "FAIL assert-equal p p: deformations must be invertible; "
                          "R-EPS-A is directed",
                          "FAIL assert-equal p p: derivation 'bad' is refused"]
-    assert lines[4].startswith("assignment: ")
+    assert lines[6].startswith("assignment: ")
     assert lines.count("  assert-equal p p via - ok") == 4
-    assert sum(line.startswith("FAIL assert-equal") for line in lines) == 2
+    assert sum(line.startswith("FAIL ") for line in lines) == 4
 
 
 @pytest.mark.parametrize("oracle, body, fail", [
@@ -876,7 +889,9 @@ def test_object_symbols_in_a_point_wait_for_the_assignment(capsys, tmp_path):
     (("deriv", "{p := 1}", "{p := (mor 1)}"), 1),
     (("shapes", "(category C)", "(category)"), 2),
     (("shapes", "(outport (tensor B (unit C)) @q)", "((tensor B (unit C)) @q)"), 2),
-], ids=["point-shape", "split-arity", "mor-arity", "category-arity", "term-head"])
+    (("shapes", "(category C)", "(category C) (prof K CC ())"), 2),
+], ids=["point-shape", "split-arity", "mor-arity", "category-arity", "term-head",
+        "prof-wires"])
 def test_malformed_point_or_shape_does_not_crash(capsys, tmp_path, edit, code):
     # an unknown point shape or a value spec of the wrong arity fails the
     # point; a malformed shape script is malformed input

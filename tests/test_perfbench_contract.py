@@ -2,6 +2,7 @@
 installing and removing it here catches a rename before a traced run, and
 a traced demo catches a call that goes around a wrapped name."""
 
+import functools
 import importlib.util
 from pathlib import Path
 
@@ -48,21 +49,38 @@ def test_traced_points_demo_reaches_every_wrapped_layer():
 
 
 def test_traced_coends_built_counts_every_coend(monkeypatch):
-    # every composite coend is a CoendSet, the ones of at most one element
-    # included, so the tracer's count is the number of coends built
-    from coendcheck import demos, profunctor
-    calls = []
+    # every composite coend is a CoendSet: _coend builds one inside a
+    # support, and empty_coend builds the one empty coend of a middle
+    # category on its first read, so the tracer's count is the sum of the
+    # two; a fresh empty_coend cache makes the count the same whichever
+    # tests ran before in the process
+    from coendcheck import demos, fixtures, profunctor
+    built, empties = [], []
     real = profunctor.ComposedProf._coend
+    real_empty = profunctor.empty_coend.__wrapped__
 
     def spy(comp, a, c):
-        calls.append((a, c))
+        built.append((a, c))
         return real(comp, a, c)
+
+    @functools.cache
+    def empty_spy(cat):
+        empties.append(cat)
+        return real_empty(cat)
     monkeypatch.setattr(profunctor.ComposedProf, "_coend", spy)
+    monkeypatch.setattr(profunctor, "empty_coend", empty_spy)
+    c = fixtures.build("meet-lattice-2").base
+    lo, hi = c.obj_id("0"), c.obj_id("1")
     tracer = _tracer()
     try:
         tracer.install()
         report = demos.run_demo("lens_reduction")
+        # C(1, -) x C(-, 0) is empty: two composites share one empty coend
+        for _ in range(2):
+            comp = profunctor.ComposedProf(profunctor.hom_prof(c), profunctor.hom_prof(c))
+            assert comp.coend_at(hi, lo).index == ()
     finally:
         tracer.uninstall()
     assert tracer.restored() and report.ok
-    assert tracer.metrics()["profunctor.coends_built"][0] == len(calls) > 0
+    assert len(built) > 0 and empties == [c]
+    assert tracer.metrics()["profunctor.coends_built"][0] == len(built) + len(empties)

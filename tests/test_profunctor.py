@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coendcheck.demos import demo_dir, load_scripts
+from coendcheck.demos import DEMOS, demo_dir, load_scripts
 from coendcheck.fincat import (build_category, from_comm_monoid, from_lattice,
                                join_objs, opposite, product, terminal_category)
 from coendcheck.fixtures import FIXTURE_NAMES, build
@@ -442,6 +442,73 @@ def test_every_composite_fiber_is_its_coends_reps():
                         assert comp.fiber(a, c) is comp.coend_at(a, c).reps
                         seen += 1
     assert seen
+
+
+class NaiveComposite(ComposedProf):
+    """A composite with no supports: every fiber is a coend built over
+    every middle object, related by the two-sided actions of the pair
+    P(a, -) x Q(-, c), whose fiber at (x, x) lists (u, w) in the order
+    the composite lists (x, u, w)."""
+
+    def coend_at(self, a, c):
+        ce = self._coends.get((a, c))
+        if ce is None:
+            pair = pair_prof(self.p, self.q, a, c)
+            ce = self._coends[a, c] = CoendSet(
+                self.mid, {x: [flat_tag(x, v) for v in pair.fiber(x, x)]
+                           for x in self.mid.objects}, pair.relations)
+        return ce
+
+    def support(self, a):
+        raise AssertionError("a naive composite has no support")
+
+
+def naive_nodes(prof, out):
+    """prof rebuilt from its leaves with naive composites; out maps each
+    node of prof to its naive twin."""
+    if isinstance(prof, ComposedProf):
+        twin = NaiveComposite(naive_nodes(prof.p, out), naive_nodes(prof.q, out))
+    elif isinstance(prof, TensorProf):
+        twin = TensorProf(naive_nodes(prof.p1, out), naive_nodes(prof.p2, out))
+    else:
+        twin = prof
+    out[prof] = twin
+    return twin
+
+
+def _demo_shape_nodes():
+    """(demo, shape name, node) for every shape of every demo's shape
+    script, at every assignment of its first binding."""
+    for name, spec in DEMOS.items():
+        sig, _ = load_scripts(spec["script"])
+        env = Env(sig, {sym: build(fx) for sym, fx in spec["bindings"][0].items()})
+        for shape, term in sig.shapes.items():
+            for env_a in env.assignments(only=objects_in(term)):
+                yield name, shape, Evaluator(env_a).node(term)
+
+
+def test_support_of_every_demo_shape_matches_a_naive_composite():
+    # a node's support at a is the objects where the composite built with
+    # no supports has a non-empty fiber, in id order; outside it a
+    # composite reads its middle category's empty coend and builds nothing
+    nodes = outside = 0
+    for demo, shape, node in _demo_shape_nodes():
+        twins = {}
+        naive_nodes(node, twins)
+        for prof, twin in twins.items():
+            for a in prof.source.objects:
+                want = [c for c in prof.target.objects if twin.fiber(a, c)]
+                assert list(prof.support(a)) == want, (demo, shape, prof, a)
+                nodes += 1
+                if not isinstance(prof, ComposedProf):
+                    continue
+                for c in prof.target.objects:
+                    if c not in want:
+                        with recorded_coends() as built:
+                            ce = prof.coend_at(a, c)
+                        assert ce.cat is prof.mid and ce.index == () and not built
+                        outside += 1
+    assert nodes and outside
 
 
 def counting(p, calls):

@@ -166,6 +166,14 @@ def test_every_shape_refusal_has_a_failing_input(fail, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("form", ["(prof K CC ())", "(prof K (C) C)"])
+def test_a_prof_wire_list_must_be_a_list(form):
+    # a bare name is not read one character at a time as a wire list
+    with pytest.raises(ShapeSyntaxError) as info:
+        parse_shape_script(f"(category C) {form}")
+    assert str(info.value) == "(prof K (wires) (wires)) expected"
+
+
 def test_a_box_of_a_composite_functor_prints_and_reparses():
     sig = parse_shape_script("(category C) (category D) (functor F C D (obj) (mor))"
                              "(functor G D C (obj) (mor))")

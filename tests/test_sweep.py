@@ -28,7 +28,7 @@ def naive_report(script, sig, env, epilogue=None):
     """check_assignments' report, from a fresh evaluator per assignment, and
     so with every rewrite step planned afresh at every assignment."""
     report = Report()
-    derivs, points, asserts = _presweep(script, sig, env, report)
+    derivs, points, asserts = _presweep(script, sig, Evaluator(env), report)
     for env_a in env.assignments(only=script_object_symbols(script, sig)):
         desc = env_a.describe_objs()
         report.line(f"assignment: {desc}" if desc else "assignment: (none)")
