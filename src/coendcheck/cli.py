@@ -16,9 +16,7 @@ import sys
 
 from .fincat import (FixtureError, load_fixture_file, validate_category,
                      validate_functor, validate_monoidal)
-from .rewrite import (Report, RewriteError, check_derivation,
-                      load_derivation_script, script_object_symbols)
-from .shapelang import (Env, EvalError, ShapeSyntaxError, ShapeTypeError,
+from .shapelang import (Env, EvalError, Report, ShapeSyntaxError, ShapeTypeError,
                         StructureMissing, boundary, objects_in, parse_shape_script,
                         sweep)
 
@@ -147,6 +145,9 @@ def cmd_eval(args):
 
 
 def cmd_check(args):
+    # the checking layer is loaded by the one command that checks
+    from .rewrite import (RewriteError, check_derivation, load_derivation_script,
+                          script_object_symbols)
     base = os.path.dirname(os.path.abspath(args.script))
     try:
         sig, script = load_derivation_script(

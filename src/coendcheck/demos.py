@@ -6,11 +6,12 @@ from __future__ import annotations
 
 from importlib import resources
 
+# rewrite first: compiling it is the package's largest transient at import,
+# and the less of the package is resident then, the lower a run's peak memory
+from .rewrite import _count, check_assignments, load_derivation_script
 from . import optics
 from .fixtures import fixture
-from .rewrite import (CheckAborted, Report, _count, check_assignments,
-                      load_derivation_script)
-from .shapelang import Env
+from .shapelang import CheckAborted, Env, Report
 
 
 def demo_dir():

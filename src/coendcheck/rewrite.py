@@ -16,9 +16,9 @@ from typing import NamedTuple
 from .fincat import (FixtureError, join_mors, join_objs, opposite_monoidal, split_obj,
                      terminal_category)
 from .profunctor import ProfunctorError, dual
-from .shapelang import (Env, EvalError, Evaluator, Gen, Id, Par, Seq,
-                        ShapeTypeError, StructureMissing, Wire, _ws, boundary,
-                        is_plain_id, norm, obj_expr_cat, objects_in, functor_expr_sig,
+from .shapelang import (CheckAborted, Env, EvalError, Evaluator, Gen, Id, Par, Report,
+                        Seq, ShapeTypeError, StructureMissing, Wire, _ws, boundary,
+                        is_plain_id, leaves, norm, obj_expr_cat, objects_in, functor_expr_sig,
                         parse_shape_script, print_term, strip_labels)
 
 
@@ -180,8 +180,8 @@ def _seq_level(term, i, outcome: SliceOutcome) -> NodeOutcome:
 
 def rewrite_at(ev: Evaluator, term, path, rule, inst, backward, gates):
     """The rewrite of `term` by `rule` at `path`, as one outcome on the
-    whole term; the rule's checks that read the assignment are appended
-    to `gates` (see Rule)."""
+    whole term; the rule's reads of the assignment are appended to `gates`
+    (see Rule)."""
     if rule.site == "node":
         if not path:
             return rule.match(ev, term, inst, backward, gates)
@@ -227,9 +227,12 @@ def rewrite_at(ev: Evaluator, term, path, rule, inst, backward, gates):
 
 class Plan(NamedTuple):
     """A step planned on one term, the same at every assignment of a sweep.
-    `gates` are the rule's checks that read the assignment, in their place
-    among its checks; once they pass, the step fails with `error`, or else
-    `outcome` holds its new term, transport and inverse instantiation."""
+    `gates` are the rule's reads of the assignment, as (read, check) pairs in
+    their place among its checks; once they pass, the step fails with
+    `error`, or else `outcome` holds its new term, transport and inverse
+    instantiation.  `check` marks a read that compares, which some
+    assignments can fail; a read that only resolves the objects of ports
+    passes at every assignment of a sweep or at none."""
     outcome: NodeOutcome
     gates: tuple
     error: Exception
@@ -279,8 +282,8 @@ def apply_step(term, step: Step, ev: Evaluator):
     the evaluator's nodes and object ids.
     """
     plan = plan_step(term, step, ev)
-    for gate in plan.gates:
-        gate(ev)
+    for read, _ in plan.gates:
+        read(ev)
     if plan.error is not None:
         raise plan.error.with_traceback(None)
     out = plan.outcome
@@ -321,8 +324,8 @@ class Rule:
     and returns the outcome or raises MatchError: a slice rule's
     match(ev, parts, i, inst, backward, gates) rewrites a sequential
     composite's parts from offset i, a node rule's match(ev, term, inst,
-    backward, gates) the term at the step's path.  A check that reads the
-    assignment goes into `gates`, in its place among the others; a
+    backward, gates) the term at the step's path.  A read of the assignment
+    goes into `gates` (see Plan), in its place among the checks; a
     transform takes the evaluator of the assignment first."""
     name = "?"
     tag = "iso"       # or "directed": no backward use
@@ -363,13 +366,13 @@ def _monoidal(ev, catsym, op=False, need=None):
     return m
 
 
-def _read_at(ev, gates, terms, read):
+def _read_at(ev, gates, terms, read, check=False):
     """`read` as a function of the evaluator.  When one of `terms` names an
-    object symbol, `read` reads the assignment: it is then a gate, and read
-    again where the transform needs it.  Otherwise it reads only what the
-    binding fixes, once, now."""
+    object symbol, `read` reads the assignment: it is then a gate, a check
+    if `check` is set, and read again where the transform needs it.
+    Otherwise it reads only what the binding fixes, once, now."""
     if any(objects_in(t) for t in terms):
-        gates.append(read)
+        gates.append((read, check))
         return read
     value = read(ev)
     return lambda ev: value
@@ -643,11 +646,12 @@ class PortFuse(Rule):
         def ids(ev):
             return ev.env.resolve_obj(ea), ev.env.resolve_obj(eb)
 
-        gates.append(ids)
+        gates.append((ids, False))
         _want(isinstance(t, Gen) and t.kind in ("inport", "outport"),
               "backward R-PORT-FUSE expects a port")
-        gates.append(lambda ev: _want(ev.env.resolve_obj(t.args[0]) == mon.tensor(*ids(ev)),
-                                      "port object is not the tensor of the instantiation"))
+        gates.append((lambda ev: _want(ev.env.resolve_obj(t.args[0]) == mon.tensor(*ids(ev)),
+                                       "port object is not the tensor of the instantiation"),
+                      True))
         op, (port, gen) = self.readings[t.kind == "outport"]
         c = mon.base
         rep = (Par(Gen(port, (ea,)), Gen(port, (eb,))), Gen(gen, (catsym,)))
@@ -709,7 +713,7 @@ class AdjunctionCounit(Rule):
         _want(isinstance(p1, Gen) and p1.kind == self.kinds[1]
               and isinstance(p2, Gen) and p2.kind == self.kinds[0], self.expects)
         _read_at(ev, gates, (p1, p2), lambda ev: _want(
-            ev.env.functor_of(p1) == ev.env.functor_of(p2), self.disagree))
+            ev.env.functor_of(p1) == ev.env.functor_of(p2), self.disagree), check=True)
         (w,) = boundary(p1, ev.sig)[0]
         d = ev.env.wire_cat(w)  # F's target
 
@@ -775,7 +779,8 @@ class CartCounit(Rule):
                   else term.args[0])
         mon = _monoidal(ev, catsym, self.op, "cartesian")
         _read_at(ev, gates, (term,), lambda ev: _want(
-            ev.env.functor_of(term).obj(0) == mon.unit, f"{self.name} needs the unit object"))
+            ev.env.functor_of(term).obj(0) == mon.unit, f"{self.name} needs the unit object"),
+            check=True)
         return NodeOutcome(Gen(gen, (catsym,), term.label), lambda ev, fiber, value: "*")
 
 
@@ -1105,44 +1110,6 @@ class DerivationScript:
     asserts: list
 
 
-class Report:
-    """Accumulates deterministic, line-oriented output."""
-
-    def __init__(self, fail_fast=False):
-        self.lines = []
-        self.failures = []
-        self.fail_fast = fail_fast
-
-    @property
-    def ok(self):
-        return not self.failures
-
-    def line(self, text):
-        self.lines.append(text)
-
-    def fail(self, text):
-        self.failures.append(text)
-        self.lines.append("FAIL " + text)
-        if self.fail_fast:
-            raise CheckAborted(text)
-
-    def finish(self):
-        """Append the result line; returns the report."""
-        self.line(f"result: {'ok' if self.ok else 'FAILURE'}")
-        return self
-
-    def text(self):
-        return "\n".join(self.lines) + "\n"
-
-    def data(self):
-        return {"ok": self.ok, "lines": list(self.lines),
-                "failures": list(self.failures)}
-
-
-class CheckAborted(Exception):
-    pass
-
-
 def _fiber_members(prof):
     """All raw index elements of an evaluated term, grouped per class and
     per non-empty fiber: {(a, b): {rep: [raw elements]}}."""
@@ -1302,23 +1269,24 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
 def _presweep(script: DerivationScript, sig, ev: Evaluator, report: Report):
     """Report once, before the sweep, each failure that reads no assignment:
     a derivation's shape, step instantiations, obligation ranges and the
-    first step whose plan the term alone fails, with no gate at it or
-    before it (the derivation is reported whole, under its header), a
+    first step whose plan the term alone fails, with no check among the
+    gates at it or before it (the derivation is reported whole, under its
+    header, once the bindings are known to carry its shape), a
     point's shape, labels and names, an assert-equal's points and
     deformation.  `ev` is the sweep's evaluator, at no assignment yet.
     Returns what is left to sweep: the derivations as (name, Derivation),
     the points as (name, shape, resolve_names' output) and the
     assert-equals as (AssertDecl, deformation steps)."""
-    from . import pointed
     derivs, refused = [], set()
     for name, deriv in (list(script.named.items())
                         + ([("main", script.main)] if script.main else [])):
-        fails = []
+        fails, shape = [], None
         if deriv.shape not in sig.shapes:
             fails.append(f"unknown shape {deriv.shape!r}")
         else:
             try:
                 boundary(sig.shapes[deriv.shape], sig)
+                shape = sig.shapes[deriv.shape]
             except ShapeTypeError as e:
                 fails.append(f"shape {deriv.shape} does not typecheck: {e}")
         for idx, step in enumerate(deriv.steps, 1):
@@ -1328,12 +1296,12 @@ def _presweep(script: DerivationScript, sig, ev: Evaluator, report: Report):
                 fails.append(f"step {idx} {step.rule}: {e}")
         fails += [f"obligation {first}..{last} out of range" for first, last in deriv.obligations
                   if not 1 <= first <= last <= len(deriv.steps)]
-        term = None if fails else sig.shapes[deriv.shape]
+        term = None if fails else shape
         for idx, step in enumerate(deriv.steps if term else (), 1):
-            # a gate reads the assignment and can fail first: from the
-            # first gated plan on, a failure is the sweep's to report
+            # a check reads the assignment and can fail first: from the
+            # first plan with one on, a failure is the sweep's to report
             plan = plan_step(term, step, ev)
-            if plan.gates:
+            if any(check for _, check in plan.gates):
                 break
             if plan.error is not None:
                 # a binding that cannot carry the step may not carry the
@@ -1343,6 +1311,8 @@ def _presweep(script: DerivationScript, sig, ev: Evaluator, report: Report):
                 break
             term = plan.outcome.term
         if fails:
+            if shape is not None:
+                _require_bindings(shape, ev)
             refused.add(name)
             report.line(f" derivation {name} from {deriv.shape}:")
             for text in fails:
@@ -1377,6 +1347,20 @@ def _presweep(script: DerivationScript, sig, ev: Evaluator, report: Report):
     return derivs, points, asserts
 
 
+def _require_bindings(term, ev: Evaluator):
+    """Raise what the sweep's first evaluation of `term` raises when the
+    bindings lack a structure or a named profunctor that one of its leaves
+    needs, so that malformed input is refused as such before a step is:
+    each generator leaf is built at the sweep's first assignment, by an
+    evaluator of its own."""
+    first = next(ev.env.assignments(only=ev.free), None)
+    if first is not None:
+        probe = Evaluator(first)
+        for _, leaf in leaves(term):
+            if isinstance(leaf, Gen):
+                probe.node(leaf)
+
+
 def check_derivation(script: DerivationScript, sig, env: Env,
                      fail_fast=False) -> Report:
     """The report of check_assignments, ending in the result line."""
@@ -1390,7 +1374,6 @@ def check_derivation(script: DerivationScript, sig, env: Env,
 
 def _check_points(points, asserts, ev, report):
     """The points and assert-equals that _presweep kept, at ev's assignment."""
-    from . import pointed
     diagrams = {}
     for name, shape, resolved in points:
         try:
@@ -1579,3 +1562,8 @@ def parse_derivation_script(text, sig) -> DerivationScript:
     if main is None and not named:
         raise RewriteError("script declares no derivation")
     return DerivationScript(main, named, points, asserts)
+
+
+# pointed builds on this module, and every check reads its points through
+# it: imported last, so that loading rewrite loads all that a check runs
+from . import pointed  # noqa: E402

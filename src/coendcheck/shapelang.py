@@ -4,6 +4,8 @@ oracles.
 Surface syntax is s-expressions.  Sequential composition is evaluated by
 composing profunctors, parallel composition by tensoring; a closed shape
 evaluates to the coend-quotient set with canonical representatives.
+Every command prints a Report, the deterministic line-oriented output
+kept here, with the evaluator that each of them loads.
 """
 
 from __future__ import annotations
@@ -795,3 +797,45 @@ def eval_closed(term, env: Env):
 
 def class_count(term, env: Env) -> int:
     return len(eval_closed(term, env))
+
+
+# ---------------------------------------------------------------------------
+# reports
+
+
+class Report:
+    """Accumulates deterministic, line-oriented output."""
+
+    def __init__(self, fail_fast=False):
+        self.lines = []
+        self.failures = []
+        self.fail_fast = fail_fast
+
+    @property
+    def ok(self):
+        return not self.failures
+
+    def line(self, text):
+        self.lines.append(text)
+
+    def fail(self, text):
+        self.failures.append(text)
+        self.lines.append("FAIL " + text)
+        if self.fail_fast:
+            raise CheckAborted(text)
+
+    def finish(self):
+        """Append the result line; returns the report."""
+        self.line(f"result: {'ok' if self.ok else 'FAILURE'}")
+        return self
+
+    def text(self):
+        return "\n".join(self.lines) + "\n"
+
+    def data(self):
+        return {"ok": self.ok, "lines": list(self.lines),
+                "failures": list(self.failures)}
+
+
+class CheckAborted(Exception):
+    """Raised by a fail-fast report at its first failure."""

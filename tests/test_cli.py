@@ -1,11 +1,15 @@
 import argparse
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import coendcheck
 from coendcheck import cli, fincat, pointed, profunctor, rewrite, shapelang
 from coendcheck.cli import main
 from coendcheck.demos import demo_dir
@@ -38,6 +42,67 @@ def test_validate_bad_fixture(capsys):
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent/fixture.json")
     assert code == 2
+
+
+# the modules that only checking needs: evaluation and validation load none
+CHECKING = {"coendcheck.rewrite", "coendcheck.pointed", "coendcheck.optics",
+            "coendcheck.demos"}
+
+
+def _loaded_after(code):
+    """The coendcheck modules a fresh interpreter has loaded once it has run
+    `code`, which must print nothing."""
+    code += ("\nimport sys\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('coendcheck')))")
+    src = str(Path(coendcheck.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    return set(out.split())
+
+
+def test_import_loads_no_submodule():
+    assert _loaded_after("import coendcheck") == {"coendcheck"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", demo_path("lens.shapes"), "--shape", "lens-composite",
+     "--bind", f"C={fixture_path('prod-l2-z2')}"],
+    ["validate", fixture_path("z2")],
+], ids=["eval", "validate"])
+def test_eval_and_validate_load_no_checking_module(argv):
+    loaded = _loaded_after("import contextlib, io\n"
+                           "from coendcheck import cli\n"
+                           "with contextlib.redirect_stdout(io.StringIO()):\n"
+                           f"    assert cli.main({argv!r}) == 0\n")
+    assert "coendcheck.cli" in loaded and not loaded & CHECKING
+
+
+def test_demo_runs_load_no_module_after_the_demos_import():
+    # a demo's verdict pays for no import: loading the demos module loads
+    # every module a demo run reaches
+    before = _loaded_after("import coendcheck.demos")
+    after = _loaded_after("from coendcheck.demos import DEMOS, run_demo\n"
+                          "for name in DEMOS:\n"
+                          "    assert run_demo(name).ok, name\n")
+    assert CHECKING <= before and after == before
+
+
+def test_every_public_name_is_its_modules_object(monkeypatch):
+    # each name is read from its module at every access, never kept in the
+    # package: a name rebound in its module (by a tracer) is read through
+    namespace = {}
+    exec("from coendcheck import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace.keys() == set(coendcheck.__all__)
+    for name, owner in coendcheck._OWNER.items():
+        module = sys.modules[f"coendcheck.{owner}"]
+        want = module if owner == name else getattr(module, name)
+        assert namespace[name] is getattr(coendcheck, name) is want, name
+    monkeypatch.setattr(rewrite, "check_derivation", lambda *args: None)
+    assert coendcheck.check_derivation is rewrite.check_derivation
+    with pytest.raises(AttributeError):
+        coendcheck.no_such_name
 
 
 def test_eval_feedback_z2_prints_two_classes(capsys):
@@ -134,6 +199,15 @@ def test_check_of_a_shape_the_bindings_cannot_evaluate_exits_2(capsys, tmp_path)
     script = _step_script(tmp_path, "lens.shapes", "lens",
                           "step R-YONEDA-L at 0 backward with {label := w}\n"
                           "  step R-CART-FORK at 2")
+    code, out, err = run(capsys, "check", script, "--bind", f"C={plain}")
+    _one_line_exit_2(code, out, err)
+    assert err == "error: category 'C' carries no monoidal structure\n"
+    # nor is a derivation refused before the sweep for a later step that
+    # fails on the term alone: the bindings are checked against its shape
+    # first, as the sweep's first evaluation would
+    script = _step_script(tmp_path, "lens.shapes", "lens",
+                          "step R-YONEDA-L at 0 backward with {label := w}\n"
+                          "  step R-ETA-A at 9 with {A := A}")
     code, out, err = run(capsys, "check", script, "--bind", f"C={plain}")
     _one_line_exit_2(code, out, err)
     assert err == "error: category 'C' carries no monoidal structure\n"
@@ -475,6 +549,10 @@ def test_bad_step_instantiation_fails_the_step(capsys, tmp_path, shapes, shape,
      "R-INTERCHANGE: empty interchange column"),
     ("step R-INTERCHANGE at 2 backward with {cut1 := 0, cut2 := 0}",
      "R-INTERCHANGE: backward R-INTERCHANGE cut produces a bare identity column"),
+    # the port's functor is read at each assignment, but that read is no
+    # check: the boundary check after it is the term's alone
+    ("step R-ETA-A at 1 with {A := A}",
+     "R-ETA-A: at 1: boundary mismatch: ...<C> then <>..."),
 ])
 def test_assignment_free_step_failure_is_reported_once(capsys, tmp_path, step,
                                                        message):

@@ -731,7 +731,7 @@ def test_iso_rules_over_random_oracles_are_bijections(mon, data):
             "R-YONEDA-R", "R-ZIGZAG-CUP"} <= checked
 
 
-@settings(max_examples=5, deadline=None, database=None, derandomize=True)
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
 @given(mon=small_oracles(), data=st.data())
 def test_shipped_derivations_over_random_oracles_fail_only_for_structure(mon, data):
     # every named and main derivation, under one drawn assignment, either
