@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 _UID = itertools.count()
 
@@ -19,8 +19,7 @@ class FixtureError(Exception):
     """Malformed fixture data (bad names, missing tables)."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     detail: str
 
@@ -28,10 +27,10 @@ class Violation:
         return f"[{self.kind}] {self.detail}"
 
 
-@dataclass
 class ValidationReport:
-    subject: str
-    violations: list = field(default_factory=list)
+    def __init__(self, subject):
+        self.subject = subject
+        self.violations = []
 
     @property
     def ok(self):
@@ -168,6 +167,15 @@ class FinCategory:
                 gens = rest
         return tuple(gens)
 
+    @functools.cached_property
+    def generators_from(self):
+        """The generators grouped by domain: {object: generators from it},
+        each group in generator order."""
+        out = {}
+        for f in self.generators:
+            out.setdefault(self._dom[f], []).append(f)
+        return out
+
     def _generated_by(self, gens):
         """The identities and every composite of the morphisms `gens`."""
         reached = set(self._identity)
@@ -241,8 +249,7 @@ def _pack(c, parts, join):
     return join(zip(c.factors, parts, strict=True))
 
 
-@dataclass
-class CartesianWitness:
+class CartesianWitness(NamedTuple):
     """Projections, pairing and terminal points making the tensor a
     product.  A cocartesian structure on C is the cartesian structure of
     C^op: there proj1, proj2, pairing and terminal are C's injections
@@ -253,15 +260,16 @@ class CartesianWitness:
     terminal: dict   # X -> the morphism X -> I
 
 
-@dataclass
 class MonoidalStructure:
-    base: FinCategory
-    tensor_obj: dict          # (A, B) -> object
-    tensor_mor: dict          # (f, g) -> morphism
-    unit: int
-    braiding: dict = None     # (A, B) -> morphism A(x)B -> B(x)A
-    cartesian: CartesianWitness = None
-    cocartesian: CartesianWitness = None    # the cartesian witness of C^op
+    def __init__(self, base, tensor_obj, tensor_mor, unit, braiding=None,
+                 cartesian=None, cocartesian=None):
+        self.base = base
+        self.tensor_obj = tensor_obj    # (A, B) -> object
+        self.tensor_mor = tensor_mor    # (f, g) -> morphism
+        self.unit = unit
+        self.braiding = braiding        # (A, B) -> morphism A(x)B -> B(x)A
+        self.cartesian = cartesian      # a CartesianWitness
+        self.cocartesian = cocartesian  # the cartesian witness of C^op
 
     def tensor(self, a, b):
         return self.tensor_obj[(a, b)]
@@ -275,8 +283,7 @@ class MonoidalStructure:
         return self.braiding[(a, b)]
 
 
-@dataclass
-class FinFunctor:
+class FinFunctor(NamedTuple):
     name: str
     source: FinCategory
     target: FinCategory

@@ -8,7 +8,7 @@ pointwise, so this module and the rewrite engine cross-validate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fincat import MonoidalStructure, join_objs, opposite_monoidal, product, split_mor, split_obj
 from .profunctor import ConcreteProf, coend
@@ -19,16 +19,14 @@ class OpticError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class OpticType:
+class OpticType(NamedTuple):
     a: int
     b: int
     x: int
     y: int
 
 
-@dataclass(frozen=True)
-class Lens:
+class Lens(NamedTuple):
     """A canonical coend class: residual tag plus the pair of morphisms."""
     typ: OpticType
     residual: int

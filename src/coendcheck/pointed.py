@@ -9,7 +9,7 @@ point commutes with rewriting on shapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fincat import FixtureError, join_mors, join_objs, split_obj
 from .profunctor import companion, conjoint, render_generic
@@ -20,8 +20,7 @@ from .shapelang import (KINDS, Evaluator, Id, Par, Seq, Wire, boundary,
                         relabel, strip_labels)
 
 
-@dataclass
-class OpenDiagram:
+class OpenDiagram(NamedTuple):
     shape: object
     fiber: tuple      # (source object, target object) of the evaluated shape
     point: object     # canonical class representative

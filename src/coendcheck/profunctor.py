@@ -143,9 +143,10 @@ class CoendSet:
     them (an object left out has none), and `index` is their
     concatenation, the fiber of object x starting at base[x];
     relations(f, base) yields the relation of a generator f as pairs of
-    positions in `index`.  Only the generators are related: an
-    identity relates an element to itself, and for a lawful action a
-    composite's relation chains its factors' ones.  Classes are
+    positions in `index`.  Only the generators with both ends in `base`
+    are related: an identity relates an element to itself, for a lawful
+    action a composite's relation chains its factors' ones, and a
+    generator with an end that holds no element relates nothing.  Classes are
     represented by their least tagged element in tuple order; `groups`
     maps each representative to its members in order.  A coend of at most
     one element reads no relation: its one element is its one class, so
@@ -174,11 +175,14 @@ class CoendSet:
                 parent[i], i = root, parent[i]
             return root
 
-        for f in cat.generators:
-            for left, right in relations(f, base):
-                ra, rb = find(left), find(right)
-                if ra != rb:
-                    parent[ra] = rb
+        gens_from = cat.generators_from
+        for x in base:
+            for f in gens_from.get(x, ()):
+                if cat.cod(f) in base:
+                    for left, right in relations(f, base):
+                        ra, rb = find(left), find(right)
+                        if ra != rb:
+                            parent[ra] = rb
         # one sort: each class lists its members in order, and the classes
         # come in the order of their least members, the representatives
         classes = {}
@@ -452,14 +456,10 @@ class ComposedProf(ConcreteProf):
     def _relations(self, a, c, f, base):
         """(x, u_i, Q(f, c)w_j) ~ (y, P(a, f)u_i, w_j) for f: x -> y, as
         positions read from one table of P(a, f) over P(a, x) and one of
-        Q(f, c) over Q(y, c); f relates nothing when either is empty, which
-        the supports tell without reading a fiber.  The
-        fiber of the coend at x is |P(a, x)| rows of |Q(x, c)|: (x, u_i,
-        w_j) sits at base[x] + i * |Q(x, c)| + j."""
+        Q(f, c) over Q(y, c).  The fiber of the coend at x is |P(a, x)|
+        rows of |Q(x, c)|: (x, u_i, w_j) sits at base[x] + i * |Q(x, c)| + j."""
         p, q, mid = self.p, self.q, self.mid
         x, y = mid.dom(f), mid.cod(f)
-        if x not in p.support(a) or c not in q.support(y):
-            return
         us, ws = p.fiber(a, x), q.fiber(y, c)
         at_py = {u: i for i, u in enumerate(p.fiber(a, y))}
         qx = q.fiber(x, c)

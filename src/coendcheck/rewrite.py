@@ -10,7 +10,7 @@ bijectivity for invertible rules, and declared identity obligations.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .fincat import (FixtureError, join_mors, join_objs, opposite_monoidal, split_obj,
@@ -49,27 +49,29 @@ STEP_ERRORS = (RewriteError, StructureMissing, ShapeTypeError, FixtureError, Eva
 CHECK_ERRORS = STEP_ERRORS + (ProfunctorError, PointError)
 
 
-@dataclass
-class Step:
+# the instantiation of a step or an inverse that binds nothing: read-only,
+# so the records that default to it share no mutable state
+NO_INST = MappingProxyType({})
+
+
+class Step(NamedTuple):
     rule: str
     path: tuple
     backward: bool = False
-    inst: dict = field(default_factory=dict)
+    inst: dict = NO_INST
 
 
-@dataclass
-class SliceOutcome:
+class SliceOutcome(NamedTuple):
     consumed: int
     parts: tuple               # a collapsed window: the plain identity on its wires
     transform: object          # (ev, vals, fibers, lobj, robj) -> (vals, mids)
-    inverse_inst: dict = field(default_factory=dict)
+    inverse_inst: dict = NO_INST
 
 
-@dataclass
-class NodeOutcome:
+class NodeOutcome(NamedTuple):
     term: object
     transform: object          # (ev, fiber, value) -> value
-    inverse_inst: dict = field(default_factory=dict)
+    inverse_inst: dict = NO_INST
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +292,13 @@ def apply_step(term, step: Step, ev: Evaluator):
     return out.term, functools.partial(out.transform, ev), out.inverse_inst
 
 
-def check_instantiation(step: Step, sig):
+def check_instantiation(step: Step, sig, objects=None):
     """The rule of a step, or the RewriteError that the step fails with
     under every assignment: an unknown rule, a directed rule used backward,
     a span or cut that is not an integer, or a name read as an object or
-    functor symbol that the signature does not declare."""
+    functor symbol that the signature does not declare.  Given `objects`,
+    the object symbols that every assignment assigns, a name read as an
+    object symbol must be one of them."""
     rule = RULES.get(step.rule)
     if rule is None:
         raise RewriteError(f"unknown rule {step.rule!r}")
@@ -304,7 +308,8 @@ def check_instantiation(step: Step, sig):
         if key in step.inst:
             _int_inst(step.inst, key)
     for keys, table, heads, unknown in (
-            (rule.obj_keys, sig.objects, ("tensor", "unit"), "object symbol {!r} is unassigned"),
+            (rule.obj_keys, sig.objects if objects is None else objects, ("tensor", "unit"),
+             "object symbol {!r} is unassigned"),
             (rule.functor_keys, sig.functors, ("fcomp",), "unknown functor symbol {!r}")):
         for key in keys[step.backward]:
             v = step.inst.get(key)
@@ -1080,30 +1085,28 @@ RULES = {r.name: r for r in [
 # derivations and the checker
 
 
-@dataclass
 class Derivation:
-    name: str
-    shape: str
-    steps: list = field(default_factory=list)
-    obligations: list = field(default_factory=list)  # (first, last), 1-based
+    def __init__(self, name, shape, steps=None, obligations=None):
+        self.name = name
+        self.shape = shape
+        self.steps = [] if steps is None else steps
+        # (first, last), 1-based
+        self.obligations = [] if obligations is None else obligations
 
 
-@dataclass
-class PointDecl:
+class PointDecl(NamedTuple):
     name: str
     shape: str
     assignment: dict
 
 
-@dataclass
-class AssertDecl:
+class AssertDecl(NamedTuple):
     left: str
     right: str
     via: str  # derivation name, or "-" for the empty deformation
 
 
-@dataclass
-class DerivationScript:
+class DerivationScript(NamedTuple):
     main: Derivation
     named: dict
     points: list
@@ -1268,7 +1271,8 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
 
 def _presweep(script: DerivationScript, sig, ev: Evaluator, report: Report):
     """Report once, before the sweep, each failure that reads no assignment:
-    a derivation's shape, step instantiations, obligation ranges and the
+    a derivation's shape, step instantiations (an object symbol among them
+    that no assignment assigns included), obligation ranges and the
     first step whose plan the term alone fails, with no check among the
     gates at it or before it (the derivation is reported whole, under its
     header, once the bindings are known to carry its shape), a
@@ -1278,6 +1282,7 @@ def _presweep(script: DerivationScript, sig, ev: Evaluator, report: Report):
     the points as (name, shape, resolve_names' output) and the
     assert-equals as (AssertDecl, deformation steps)."""
     derivs, refused = [], set()
+    assigned = ev.env.objs.keys() | script_object_symbols(script, sig)
     for name, deriv in (list(script.named.items())
                         + ([("main", script.main)] if script.main else [])):
         fails, shape = [], None
@@ -1291,7 +1296,7 @@ def _presweep(script: DerivationScript, sig, ev: Evaluator, report: Report):
                 fails.append(f"shape {deriv.shape} does not typecheck: {e}")
         for idx, step in enumerate(deriv.steps, 1):
             try:
-                check_instantiation(step, sig)
+                check_instantiation(step, sig, assigned)
             except RewriteError as e:
                 fails.append(f"step {idx} {step.rule}: {e}")
         fails += [f"obligation {first}..{last} out of range" for first, last in deriv.obligations

@@ -14,7 +14,6 @@ import copy
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import profunctor as pf
@@ -45,23 +44,35 @@ class EvalError(Exception):
 
 class _Interned:
     """Hash-consing: a term class keeps one object per tuple of field values
-    and its constructor returns it, so equal terms are identical.  Inserts
-    are atomic (`setdefault`); copies and pickles rebuild through `cls`."""
+    and its constructor returns it, so equal terms are identical and compare
+    and hash by identity.  Inserts are atomic (`setdefault`); copies and
+    pickles rebuild through `cls`.  A term's fields are its class's
+    annotations, in order, and cannot be assigned or deleted."""
 
     def __init_subclass__(cls):
         cls._table = {}
+        cls._fields = tuple(cls.__annotations__)
 
     @classmethod
     def _make(cls, key):
         t = object.__new__(cls)
-        t.__dict__.update(zip(cls.__dataclass_fields__, key))
+        t.__dict__.update(zip(cls._fields, key))
         return cls._table.setdefault(key, t)
 
     def __reduce__(self):
-        return type(self), tuple(self.__dict__[f] for f in self.__dataclass_fields__)
+        return type(self), tuple(self.__dict__[f] for f in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Wire(_Interned):
     cat: str
     op: bool = False
@@ -73,7 +84,6 @@ class Wire(_Interned):
         return f"(op {self.cat})" if self.op else self.cat
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Id(_Interned):
     wires: tuple
     label: str = None
@@ -82,7 +92,6 @@ class Id(_Interned):
         return cls._table.get((wires, label)) or cls._make((wires, label))
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Gen(_Interned):
     kind: str
     args: tuple
@@ -92,7 +101,6 @@ class Gen(_Interned):
         return cls._table.get((kind, args, label)) or cls._make((kind, args, label))
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Seq(_Interned):
     parts: tuple
 
@@ -100,7 +108,6 @@ class Seq(_Interned):
         return cls._table.get((parts,)) or cls._make((parts,))
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Par(_Interned):
     top: object
     bottom: object
@@ -275,17 +282,20 @@ def _name_of(x):
 # signatures
 
 
-@dataclass
 class Signature:
-    categories: tuple = ()
-    objects: dict = field(default_factory=dict)   # sym -> (cat sym, pinned name or None)
-    functors: dict = field(default_factory=dict)  # sym -> (src, dst, {obj: obj}, {mor: mor})
-    profs: dict = field(default_factory=dict)   # name -> (left wires, right wires)
-    shapes: dict = field(default_factory=dict)  # name -> term
-    # term -> its boundary, filled by boundary() with well-typed terms only;
-    # a signature does not change once its terms are typed
-    boundaries: dict = field(default_factory=dict, init=False, repr=False,
-                             compare=False)
+    def __init__(self, categories=(), objects=None, functors=None, profs=None, shapes=None):
+        self.categories = categories
+        # sym -> (cat sym, pinned name or None)
+        self.objects = {} if objects is None else objects
+        # sym -> (src, dst, {obj: obj}, {mor: mor})
+        self.functors = {} if functors is None else functors
+        # name -> (left wires, right wires)
+        self.profs = {} if profs is None else profs
+        # name -> term
+        self.shapes = {} if shapes is None else shapes
+        # term -> its boundary, filled by boundary() with well-typed terms only;
+        # a signature does not change once its terms are typed
+        self.boundaries = {}
 
     def obj_cat(self, sym):
         if sym not in self.objects:

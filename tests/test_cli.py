@@ -47,13 +47,18 @@ def test_validate_missing_file(capsys):
 # the modules that only checking needs: evaluation and validation load none
 CHECKING = {"coendcheck.rewrite", "coendcheck.pointed", "coendcheck.optics",
             "coendcheck.demos"}
+# what a `dataclasses` record costs at import (inspect loads ast, dis and
+# tokenize): no command loads either
+RECORD_IMPORTS = {"dataclasses", "inspect"}
 
 
 def _loaded_after(code):
-    """The coendcheck modules a fresh interpreter has loaded once it has run
-    `code`, which must print nothing."""
+    """The coendcheck modules, and those of RECORD_IMPORTS, that a fresh
+    interpreter has loaded once it has run `code`, which must print
+    nothing."""
     code += ("\nimport sys\n"
-             "print(*sorted(m for m in sys.modules if m.startswith('coendcheck')))")
+             "print(*sorted(m for m in sys.modules if m.startswith('coendcheck')"
+             f" or m in {sorted(RECORD_IMPORTS)!r}))")
     src = str(Path(coendcheck.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -75,7 +80,7 @@ def test_eval_and_validate_load_no_checking_module(argv):
                            "from coendcheck import cli\n"
                            "with contextlib.redirect_stdout(io.StringIO()):\n"
                            f"    assert cli.main({argv!r}) == 0\n")
-    assert "coendcheck.cli" in loaded and not loaded & CHECKING
+    assert "coendcheck.cli" in loaded and not loaded & (CHECKING | RECORD_IMPORTS)
 
 
 def test_demo_runs_load_no_module_after_the_demos_import():
@@ -85,7 +90,7 @@ def test_demo_runs_load_no_module_after_the_demos_import():
     after = _loaded_after("from coendcheck.demos import DEMOS, run_demo\n"
                           "for name in DEMOS:\n"
                           "    assert run_demo(name).ok, name\n")
-    assert CHECKING <= before and after == before
+    assert CHECKING <= before and after == before and not before & RECORD_IMPORTS
 
 
 def test_every_public_name_is_its_modules_object(monkeypatch):
@@ -533,6 +538,9 @@ def test_bad_step_instantiation_fails_the_step(capsys, tmp_path, shapes, shape,
     ("step R-NOPE at 2", "R-NOPE: unknown rule 'R-NOPE'"),
     ("step R-EPS-A at 1 backward", "R-EPS-A: R-EPS-A is directed; backward use rejected"),
     ("step R-ETA-A at 0 with {A := Q}", "R-ETA-A: object symbol 'Q' is unassigned"),
+    # lens.shapes declares U, but no shape of the script uses it, so no
+    # assignment assigns it
+    ("step R-ETA-A at 0 with {A := U}", "R-ETA-A: object symbol 'U' is unassigned"),
     ("step R-PORT-FUSE at 0 backward with {A := Q, B := A}",
      "R-PORT-FUSE: object symbol 'Q' is unassigned"),
     ("step R-PORT-FUSE at 0 backward with {A := A, B := 0}",

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from coendcheck.fincat import (CartesianWitness, FinCategory, FixtureError, load_fixture,
-                               dump_fixture,
+from coendcheck.fincat import (CartesianWitness, FinCategory, FixtureError, MonoidalStructure,
+                               load_fixture, dump_fixture,
                                compose_functors, from_comm_monoid, from_lattice, join_mors,
                                join_objs, opposite, opposite_monoidal, product, product_monoidal,
                                split_mor, split_obj, terminal_category, validate_category,
@@ -624,6 +624,9 @@ MESSAGES = [
      "ambiguous morphism name 'f' in amb"),
     # compose_functors
     (_functors, "functors F and F are not composable"),
+    # MonoidalStructure.braid, of a structure with no braiding
+    (lambda: MonoidalStructure(terminal_category(), {(0, 0): 0}, {(0, 0): 0}, 0).braid(0, 0),
+     "1 carries no braiding"),
 ]
 
 

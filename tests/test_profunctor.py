@@ -546,6 +546,35 @@ def test_pair_quotient_acts_once_per_factor_element(fx):
     assert acted
 
 
+@pytest.mark.parametrize("fx", ["z2", "meet-lattice-2", "prod-l2-z2", "diamond"])
+def test_a_pair_quotient_walks_the_generators_with_both_ends_in_its_fibers(fx):
+    # a generator with an end that holds no element relates nothing, so a
+    # coend walks each generator between its non-empty fibers once and no
+    # other; a coend of at most one element walks none
+    mon = build(fx)
+    c, tensor = mon.base, tensor_functor(mon)
+    walked = []
+    real = ComposedProf._relations
+
+    def record(comp, a, b, f, base):
+        walked.append(f)
+        return real(comp, a, b, f, base)
+    with mock.patch.object(ComposedProf, "_relations", record):
+        for p, q in [(hom_prof(c), hom_prof(c)),
+                     (conjoint(tensor), companion(tensor)),
+                     (copy_prof(c), merge_prof(c))]:
+            comp = ComposedProf(p, q)
+            mid = comp.mid
+            for a in comp.source.objects:
+                for b in comp.target.objects:
+                    walked.clear()
+                    n = len(comp.coend_at(a, b).index)
+                    held = {x for x in mid.objects if p.fiber(a, x) and q.fiber(x, b)}
+                    want = [f for f in mid.generators
+                            if mid.dom(f) in held and mid.cod(f) in held] if n > 1 else []
+                    assert sorted(walked) == sorted(want), (a, b)
+
+
 def _closure(elems, cover):
     """The reflexive-transitive closure of a covering relation."""
     order = {(x, x) for x in elems} | set(cover)
@@ -778,6 +807,22 @@ def test_coend_requires_equal_endpoints():
     c = build("z2").base
     with pytest.raises(ProfunctorError):
         coend(companion(point(c, 0)))
+
+
+# the refusals no shipped input reaches, each with one input that raises it
+PROFUNCTOR_ERRORS = [
+    (lambda: point(build("z2").base, 1), "unknown object id 1 in z2"),
+    (lambda: ComposedProf(hom_prof(build("z2").base), hom_prof(build("diamond").base)),
+     "cannot compose: middle categories z2 and diamond differ"),
+]
+
+
+@pytest.mark.parametrize("fail, message", PROFUNCTOR_ERRORS,
+                         ids=[m for _, m in PROFUNCTOR_ERRORS])
+def test_every_profunctor_refusal_has_a_failing_input(fail, message):
+    with pytest.raises(ProfunctorError) as info:
+        fail()
+    assert str(info.value) == message
 
 
 # -- composition and tensor ---------------------------------------------------

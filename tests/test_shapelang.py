@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import pickle
 import re
 import sys
@@ -18,7 +17,7 @@ from coendcheck.pointed import OpenDiagram
 from coendcheck.profunctor import constant_prof
 from coendcheck.rewrite import check_derivation
 from coendcheck.shapelang import (KINDS, Env, EvalError, Evaluator, Gen, Id, Par, Seq, Wire,
-                                  ShapeSyntaxError, ShapeTypeError,
+                                  ShapeSyntaxError, ShapeTypeError, Signature,
                                   StructureMissing, boundary, class_count,
                                   eval_closed, norm, parse_shape_script,
                                   parse_term, print_term, read_sexprs)
@@ -153,6 +152,7 @@ SHAPE_ERRORS = [
     (lambda: norm(Seq(())), ShapeSyntaxError, "empty seq"),
     (lambda: _lens_env(Q=0), EvalError, "unknown object symbol 'Q'"),
     (lambda: _lens_env().resolve_obj("A"), EvalError, "object symbol 'A' is unassigned"),
+    (lambda: _lens_env().resolve_functor("F"), EvalError, "unknown functor symbol 'F'"),
     (lambda: eval_closed(Gen("inport", ("A",)), _lens_env(A=0)), EvalError,
      "shape is not closed"),
 ]
@@ -320,7 +320,8 @@ def reference_boundary(t, sig):
         (l1, r1), (l2, r2) = (reference_boundary(t.top, sig),
                               reference_boundary(t.bottom, sig))
         return l1 + l2, r1 + r2
-    return boundary(t, dataclasses.replace(sig))
+    return boundary(t, Signature(sig.categories, sig.objects, sig.functors, sig.profs,
+                                 sig.shapes))
 
 
 def derivation_bindings(name, sig):
@@ -393,8 +394,10 @@ def test_terms_are_interned_and_stay_frozen():
     assert isinstance(par, Par) and par is Par(par.top, par.bottom)
     assert {lens: 1}[again] == 1
     for t, attr in [(lens, "parts"), (par, "top")]:
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{attr}'$"):
             setattr(t, attr, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{attr}'$"):
+            delattr(t, attr)
     assert repr(lens) == repr(again) and "_hash" not in repr(lens)
     assert repr(Seq((Gen("inport", ("A",)), Id((Wire("C", True),), "w")))) == (
         "Seq(parts=(Gen(kind='inport', args=('A',), label=None), "
@@ -443,7 +446,8 @@ def build_desc(d):
 
 
 def naive_repr(d):
-    """The structural dataclass repr of the term a description builds."""
+    """The structural repr, Name(field=value, ...), of the term a description
+    builds."""
     def tup(items):
         return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
     if d[0] == "seq":
@@ -585,7 +589,7 @@ def test_each_generator_kind_prints_parses_and_counts_its_arguments():
         leaf = parse_term(read_sexprs(text)[0], sig)
         assert print_term(leaf) == text
         assert parse_term(read_sexprs(print_term(leaf))[0], sig) == leaf
-        labelled = dataclasses.replace(leaf, label="v")
+        labelled = Gen(leaf.kind, leaf.args, "v")
         assert parse_term(read_sexprs(print_term(labelled))[0], sig) == labelled
         head, *args = read_sexprs(text)[0]
         wrong = [[head], [head] + args * 2] if len(args) == 1 else [[head, args[0]]]
