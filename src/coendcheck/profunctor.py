@@ -43,10 +43,10 @@ class ConcreteProf:
         self._supports = {}
 
     def fiber(self, a, b):
-        key = (a, b)
-        if key not in self._fibers:
-            self._fibers[key] = tuple(self._fiber_fn(a, b))
-        return self._fibers[key]
+        fib = self._fibers.get((a, b))
+        if fib is None:
+            fib = self._fibers[a, b] = tuple(self._fiber_fn(a, b))
+        return fib
 
     def support(self, a):
         """The objects b with P(a, b) non-empty, in id order, as the keys
@@ -165,29 +165,26 @@ class CoendSet:
         for x, fib in fibers.items():
             base[x] = n
             n += len(fib)
+        # union-find over positions, each root found by path halving
         parent = list(range(n))
-
-        def find(i):
-            root = i
-            while parent[root] != root:
-                root = parent[root]
-            while parent[i] != root:
-                parent[i], i = root, parent[i]
-            return root
-
         gens_from = cat.generators_from
         for x in base:
             for f in gens_from.get(x, ()):
                 if cat.cod(f) in base:
-                    for left, right in relations(f, base):
-                        ra, rb = find(left), find(right)
-                        if ra != rb:
-                            parent[ra] = rb
+                    for i, j in relations(f, base):
+                        while parent[i] != i:
+                            parent[i] = i = parent[parent[i]]
+                        while parent[j] != j:
+                            parent[j] = j = parent[parent[j]]
+                        parent[i] = j
         # one sort: each class lists its members in order, and the classes
         # come in the order of their least members, the representatives
         classes = {}
-        for i in sorted(range(n), key=index.__getitem__):
-            classes.setdefault(find(i), []).append(index[i])
+        for k in sorted(range(n), key=index.__getitem__):
+            i = k
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            classes.setdefault(i, []).append(index[k])
         self._rep_of = {}
         self.groups = {}
         for group in classes.values():
@@ -469,14 +466,15 @@ class ComposedProf(ConcreteProf):
         qt = [at_qx[q.act(f, idc, w)] for w in ws]
         nx, ny = len(qx), len(ws)
         bx, by = base[x], base[y]
-        for i, fi in enumerate(pt):
-            li, ri = bx + i * nx, by + fi * ny
-            for j, fj in enumerate(qt):
-                yield li + fj, ri + j
+        return [(bx + i * nx + fj, by + fi * ny + j)
+                for i, fi in enumerate(pt) for j, fj in enumerate(qt)]
 
     def classify(self, a, c, m, u, w):
         """Canonical representative of the class of the raw element."""
-        return self.coend_at(a, c).rep((m, u, w))
+        ce = self._coends.get((a, c))
+        if ce is None:
+            ce = self.coend_at(a, c)
+        return ce.rep((m, u, w))
 
     def act(self, f, g, val):
         """_act is pure for fixed p and q: compute it once per (f, g, value)."""

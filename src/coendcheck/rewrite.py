@@ -18,8 +18,8 @@ from .fincat import (FixtureError, join_mors, join_objs, opposite_monoidal, spli
 from .profunctor import ProfunctorError, dual
 from .shapelang import (CheckAborted, Env, EvalError, Evaluator, Gen, Id, Par, Report,
                         Seq, ShapeTypeError, StructureMissing, Wire, _ws, boundary,
-                        is_plain_id, leaves, norm, obj_expr_cat, objects_in, functor_expr_sig,
-                        parse_shape_script, print_term, strip_labels)
+                        is_plain_id, leaves, norm, obj_expr_cat, obj_expr_symbols, objects_in,
+                        functor_expr_sig, parse_shape_script, print_term, strip_labels)
 
 
 class RewriteError(Exception):
@@ -78,49 +78,69 @@ class NodeOutcome(NamedTuple):
 # value assembly mirroring term normalization
 
 
+@functools.cache
+def _seq_skeleton(terms):
+    """What build_seq_value reads off the part terms alone: the positions
+    of the nested composites, which unfold; per part of the flattened
+    composite that is no plain identity wire, its position and the
+    positions of the identity wires just before it; the positions of the
+    identity wires after the last such part; and the composite of the kept
+    parts (None when fewer than two are kept)."""
+    nested = tuple(k for k, t in enumerate(terms) if isinstance(t, Seq))
+    flat = [p for t in terms for p in (t.parts if isinstance(t, Seq) else (t,))]
+    kept, ids = [], []
+    for k, t in enumerate(flat):
+        if is_plain_id(t):
+            ids.append(k)
+        else:
+            kept.append((k, tuple(ids)))
+            ids = []
+    out = Seq(tuple(flat[k] for k, _ in kept)) if len(kept) > 1 else None
+    return nested, tuple(kept), tuple(ids), out
+
+
+def _wire_value(ev, flat, ids):
+    """The composite of the values of the identity wires at positions `ids`."""
+    m = flat[ids[0]][1]
+    for k in ids[1:]:
+        t, v = flat[k][:2]
+        m = ev.env.boundary_cat(t.wires).compose(m, v)
+    return m
+
+
 def build_seq_value(ev: Evaluator, items, fiber):
     """Value of norm(Seq(terms)) given per-item values and fiber ends.
 
     items: list of (term, value, left_obj, right_obj).  Mirrors the silent
     normalization: nested composites unfold, identity wires are absorbed
-    into their neighbours by the profunctor actions.
+    into their neighbours by the profunctor actions.  Which items unfold,
+    which parts are identity wires and the composite left are decided once
+    per tuple of terms (_seq_skeleton); a call moves the values.
     """
-    flat = []
-    for (t, v, l, r) in items:
-        if isinstance(t, Seq):
-            vals, ends = unfold(t, (l, r), v)
-            flat += zip(t.parts, vals, ends, ends[1:])
-        else:
-            flat.append((t, v, l, r))
-    out = []
-    pend = None  # (morphism, left end) of pending identity wires
-    for (t, v, l, r) in flat:
-        if is_plain_id(t):
-            if pend is None:
-                pend = [v, l]
-            else:
-                cat = ev.env.boundary_cat(t.wires)
-                pend[0] = cat.compose(pend[0], v)
-        else:
-            if pend is not None:
-                prof = ev.node(t)
-                v = prof.act(pend[0], prof.target.identity(r), v)
-                l = pend[1]
-                pend = None
-            out.append([t, v, l, r])
-    if pend is not None:
-        if not out:
-            return pend[0]  # the whole composite is an identity wire
-        t, v, l, r = out[-1]
+    nested, kept, trail, out = _seq_skeleton(tuple([it[0] for it in items]))
+    flat = list(items)
+    for k in reversed(nested):
+        t, v, l, r = flat[k]
+        vals, ends = unfold(t, (l, r), v)
+        flat[k:k + 1] = zip(t.parts, vals, ends, ends[1:])
+    if not kept:
+        return _wire_value(ev, flat, trail)  # the whole composite is an identity wire
+    vals, mids = [], []
+    for k, ids in kept:
+        t, v, l, r = flat[k]
+        if ids:
+            prof = ev.node(t)
+            v = prof.act(_wire_value(ev, flat, ids), prof.target.identity(r), v)
+            l = flat[ids[0]][2]
+        vals.append(v)
+        mids.append(r)
+    if trail:
+        # the last kept part, t from l, absorbs the wires after it
         prof = ev.node(t)
-        out[-1][1] = prof.act(prof.source.identity(l), pend[0], v)
-        out[-1][3] = None  # right end moves to the fiber end
-    if len(out) == 1:
-        return out[0][1]
-    terms = tuple(it[0] for it in out)
-    vals = [it[1] for it in out]
-    mids = [it[3] for it in out[:-1]]
-    return ev.node(Seq(terms)).refold(fiber, vals, mids)
+        vals[-1] = prof.act(prof.source.identity(l), _wire_value(ev, flat, trail), vals[-1])
+    if out is None:
+        return vals[0]
+    return ev.node(out).refold(fiber, vals, mids[:-1])
 
 
 def par_value(ev: Evaluator, top_term, v_top, bottom_term, v_bottom):
@@ -298,7 +318,7 @@ def check_instantiation(step: Step, sig, objects=None):
     a span or cut that is not an integer, or a name read as an object or
     functor symbol that the signature does not declare.  Given `objects`,
     the object symbols that every assignment assigns, a name read as an
-    object symbol must be one of them."""
+    object symbol, alone or in a (tensor ..), must be one of them."""
     rule = RULES.get(step.rule)
     if rule is None:
         raise RewriteError(f"unknown rule {step.rule!r}")
@@ -307,16 +327,17 @@ def check_instantiation(step: Step, sig, objects=None):
     for key in rule.int_keys[step.backward]:
         if key in step.inst:
             _int_inst(step.inst, key)
-    for keys, table, heads, unknown in (
-            (rule.obj_keys, sig.objects if objects is None else objects, ("tensor", "unit"),
-             "object symbol {!r} is unassigned"),
-            (rule.functor_keys, sig.functors, ("fcomp",), "unknown functor symbol {!r}")):
-        for key in keys[step.backward]:
-            v = step.inst.get(key)
-            # the parser checked the symbols of a (tensor ..), (unit ..) or (fcomp ..)
-            if key in step.inst and not (
-                    v[:1] and v[0] in heads if isinstance(v, tuple) else v in table):
-                raise RewriteError(unknown.format(v))
+    objects = sig.objects if objects is None else objects
+    for key in rule.obj_keys[step.backward]:
+        for name in obj_expr_symbols(step.inst[key]) if key in step.inst else ():
+            if name not in objects:
+                raise RewriteError(f"object symbol {name!r} is unassigned")
+    for key in rule.functor_keys[step.backward]:
+        v = step.inst.get(key)
+        # the parser checked the symbols of an (fcomp ..)
+        if key in step.inst and not (v[:1] == ("fcomp",) if isinstance(v, tuple)
+                                     else v in sig.functors):
+            raise RewriteError(f"unknown functor symbol {v!r}")
     return rule
 
 
@@ -1182,12 +1203,16 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
             if back_tr is None:
                 continue
             try:
+                # fmap is a bijection onto dst_reps: every class of the
+                # target has its backward image in `back`
+                back = {}
                 for rep, img in fmap.items():
-                    if back_tr(fiber, img) != rep:
+                    back[img] = back_tr(fiber, img)
+                    if back[img] != rep:
                         return fail(f"backward(forward) is not the identity on "
                                     f"{src.render(rep)}")
                 for drep in dst_reps:
-                    if transport(fiber, back_tr(fiber, drep)) != drep:
+                    if transport(fiber, back[drep]) != drep:
                         return fail(f"forward(backward) is not the identity on "
                                     f"{dst.render(drep)}")
             except CHECK_ERRORS as e:

@@ -14,6 +14,7 @@ import copy
 import functools
 import itertools
 import math
+import re
 from typing import NamedTuple
 
 from . import profunctor as pf
@@ -172,23 +173,22 @@ def norm(t):
     return t
 
 
+def obj_expr_symbols(e):
+    """The object symbols of an object expression, left to right: none in
+    a (unit ..), and any other value is one symbol."""
+    if isinstance(e, tuple) and e[:1] == ("tensor",):
+        return obj_expr_symbols(e[1]) + obj_expr_symbols(e[2])
+    return () if isinstance(e, tuple) and e[:1] == ("unit",) else (e,)
+
+
 @functools.cache
 def objects_in(term):
     """Object symbols referenced by a term's generators, sorted, once per term."""
     out = set()
-
-    def expr(e):
-        if isinstance(e, tuple):
-            if e[0] == "tensor":
-                expr(e[1])
-                expr(e[2])
-            return
-        out.add(e)
-
     for _, leaf in leaves(term):
         row = isinstance(leaf, Gen) and KINDS.get(leaf.kind)
         if row and row.sort == "object":
-            expr(leaf.args[0])
+            out.update(obj_expr_symbols(leaf.args[0]))
     return tuple(sorted(out))
 
 
@@ -208,36 +208,25 @@ def leaves(t, path=()):
 # s-expression reader
 
 
+# one token per match: a newline, a run of blanks, a comment, a
+# parenthesis or atom, a string, or a quote that no other closes
+_TOKEN = re.compile(r'(\n)|[ \t\r]+|;[^\n]*|([()]|[^ \t\r\n();"]+)|("[^"]*")|(")')
+
+
 def tokenize(text):
-    tokens = []
-    i, n, line = 0, len(text), 1
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    """The tokens of `text` as (token, line) pairs: "(", ")", an atom, or
+    ("str", contents) for a string, which may span lines (they are not
+    counted)."""
+    tokens, line = [], 1
+    for newline, atom, string, quote in _TOKEN.findall(text):
+        if newline:
             line += 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append((ch, line))
-            i += 1
-        elif ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                j += 1
-            if j >= n:
-                raise ShapeSyntaxError(f"line {line}: unterminated string")
-            tokens.append((("str", text[i + 1:j]), line))
-            i = j + 1
-        else:
-            j = i
-            while j < n and text[j] not in ' \t\r\n();"':
-                j += 1
-            tokens.append((text[i:j], line))
-            i = j
+        elif atom:
+            tokens.append((atom, line))
+        elif string:
+            tokens.append((("str", string[1:-1]), line))
+        elif quote:
+            raise ShapeSyntaxError(f"line {line}: unterminated string")
     return tokens
 
 
@@ -732,7 +721,8 @@ class Evaluator:
     `itertools.product` order and `at` moves to the next assignment, as
     `sweep` does.  An entry whose symbols cover the first j free symbols is
     dropped once one of those j values changes: product order never brings
-    it back.
+    it back.  `_nodes` holds the nodes read at the current assignment, by
+    term alone; `at` empties it.
     """
 
     def __init__(self, env: Env, free=()):
@@ -741,6 +731,7 @@ class Evaluator:
         self.free = tuple(free)
         self._scopes = {}  # term -> (symbols it mentions, its bucket)
         self._memo = [{} for _ in range(len(self.free) + 1)]
+        self._nodes = {}
         self._values = [env.objs.get(s) for s in self.free]
         self.plans = {}  # rewrite.py's, read by every assignment of the sweep
 
@@ -751,6 +742,7 @@ class Evaluator:
                         if u != v), len(values))
         for bucket in self._memo[changed + 1:]:
             bucket.clear()
+        self._nodes.clear()
         self.env, self._values = env, values
         return self
 
@@ -765,11 +757,14 @@ class Evaluator:
     def node(self, term) -> pf.ConcreteProf:
         """The profunctor of `term` at the current assignment: a ComposedProf
         for a Seq, a TensorProf for a Par, else the leaf's own."""
-        syms, j = self._scope(term)
-        key = (term, tuple(map(self.env.objs.get, syms)))
-        prof = self._memo[j].get(key)
+        prof = self._nodes.get(term)
         if prof is None:
-            prof = self._memo[j][key] = self._build(term)
+            syms, j = self._scope(term)
+            key = (term, tuple(map(self.env.objs.get, syms)))
+            prof = self._memo[j].get(key)
+            if prof is None:
+                prof = self._memo[j][key] = self._build(term)
+            self._nodes[term] = prof
         return prof
 
     def _build(self, term):

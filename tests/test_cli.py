@@ -541,6 +541,7 @@ def test_bad_step_instantiation_fails_the_step(capsys, tmp_path, shapes, shape,
     # lens.shapes declares U, but no shape of the script uses it, so no
     # assignment assigns it
     ("step R-ETA-A at 0 with {A := U}", "R-ETA-A: object symbol 'U' is unassigned"),
+    ("step R-ETA-A at 0 with {A := (tensor U A)}", "R-ETA-A: object symbol 'U' is unassigned"),
     ("step R-PORT-FUSE at 0 backward with {A := Q, B := A}",
      "R-PORT-FUSE: object symbol 'Q' is unassigned"),
     ("step R-PORT-FUSE at 0 backward with {A := A, B := 0}",

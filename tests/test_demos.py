@@ -127,6 +127,17 @@ def test_confirmation_fails_on_a_wrong_count():
     assert report.lines == ["FAIL " + report.failures[0]]
 
 
+def test_fail_fast_demo_stops_at_its_first_failed_epilogue(monkeypatch):
+    # lens_apply checks over two oracles; the report stops at the first
+    # assignment's failed confirmation and still ends in its result line
+    monkeypatch.setitem(DEMOS["lens_apply"], "epilogue",
+                        _confirm("no classes", lambda C, mon, objs: -1))
+    report = run_demo("lens_apply", fail_fast=True)
+    assert len(report.failures) == 1 and report.failures[0].startswith("expected: no classes")
+    assert report.lines[-2:] == ["FAIL " + report.failures[0], "result: FAILURE"]
+    assert sum(line.startswith("oracle ") for line in report.lines) == 1
+
+
 def test_confirmation_counts_the_first_term_when_asked():
     # lens_apply plugs a lens of no class into an arrow of one class at
     # some assignments

@@ -39,6 +39,7 @@ SCRIPT = """
 (shape named-copy (seq (named K) (copy C)))
 (shape through-unit (seq (discard C) (codiscard C)))
 (shape ill-typed (seq (inport A) (inport B)))
+(shape ports-then-closed (seq (par (outport A) (outport B)) (inport X) (outport Y)))
 """
 
 
@@ -248,6 +249,20 @@ def test_interchange_roundtrip_on_lens(sig):
                     Step("R-INTERCHANGE", (2,), backward=True,
                          inst={"cut1": 1, "cut2": 1})],
                    obligations=[(1, 2)])
+
+
+def test_interchange_cut_to_an_empty_bottom_leg(sig):
+    # after lens_reduction's first four steps, part 0 is (par (inport A)
+    # (seq (inport A) ...)): cutting the bottom at 0 leaves its first
+    # column an empty identity beside the top leg, whose value is the
+    # column's value
+    script = parse_derivation_script(
+        "derive lens\nstep R-CART-FORK at 1\nstep R-LAX-COPY at 0\nstep R-INTERCHANGE at 1\n"
+        "step R-INTERCHANGE at 0\nstep R-INTERCHANGE at 0 backward with {cut1 := 1, cut2 := 0}\n",
+        sig)
+    report = check_derivation(script, sig, env_l2(sig))
+    assert report.ok, report.text()
+    assert sum(line.startswith("  step 5 R-INTERCHANGE ok: ") for line in report.lines) == 16
 
 
 def test_interchange_at_a_lone_parallel_part_is_no_match(sig):
@@ -593,7 +608,10 @@ def test_checker_rejects_faulty_transport(sig, monkeypatch, shape, steps,
     ("plugged", "R-EPS-A at 9.0", "R-EPS-A: no part 9 in sequential composite"),
     ("lens", "R-EPS-A at 2.5.0", "R-EPS-A: par sides are 0 and 1"),
     ("lens", "R-ETA-A at 9 with {A := A}", "R-ETA-A: slice 9..9 out of range"),
-], ids=["root", "no-part", "par-side", "past-the-end"])
+    # the second column is a closed run, which span2 asks past the end of
+    ("ports-then-closed", "R-INTERCHANGE at 0 with {span2 := 5}",
+     "R-INTERCHANGE: slice 0..6 out of range"),
+], ids=["root", "no-part", "par-side", "past-the-end", "span-past-the-end"])
 def test_a_path_the_term_lacks_fails_the_step(sig, shape, step, message):
     script = parse_derivation_script(f"derive {shape}\nstep {step}\n", sig)
     report = check_derivation(script, sig, env_z2(sig))

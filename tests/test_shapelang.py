@@ -20,7 +20,7 @@ from coendcheck.shapelang import (KINDS, Env, EvalError, Evaluator, Gen, Id, Par
                                   ShapeSyntaxError, ShapeTypeError, Signature,
                                   StructureMissing, boundary, class_count,
                                   eval_closed, norm, parse_shape_script,
-                                  parse_term, print_term, read_sexprs)
+                                  parse_term, print_term, read_sexprs, tokenize)
 
 LENS_SCRIPT = """
 ; the monoidal lens shape and friends
@@ -125,6 +125,64 @@ def test_parse_rejects_unknown_symbol(sig):
 def test_parse_rejects_bad_arity(sig):
     with pytest.raises(ShapeSyntaxError):
         parse_term(read_sexprs("(inport A B)")[0], sig)
+
+
+def naive_tokenize(text):
+    """The tokenizer as a character loop: the reference for the one-regex
+    tokenize."""
+    tokens = []
+    i, n, line = 0, len(text), 1
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+        elif ch in " \t\r":
+            i += 1
+        elif ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif ch in "()":
+            tokens.append((ch, line))
+            i += 1
+        elif ch == '"':
+            j = i + 1
+            while j < n and text[j] != '"':
+                j += 1
+            if j >= n:
+                raise ShapeSyntaxError(f"line {line}: unterminated string")
+            tokens.append((("str", text[i + 1:j]), line))
+            i = j + 1
+        else:
+            j = i
+            while j < n and text[j] not in ' \t\r\n();"':
+                j += 1
+            tokens.append((text[i:j], line))
+            i = j
+    return tokens
+
+
+def _tokens_or_error(tokenizer, text):
+    try:
+        return tokenizer(text)
+    except ShapeSyntaxError as e:
+        return str(e)
+
+
+SHIPPED_SCRIPTS = sorted(p.name for p in demo_dir().iterdir()
+                         if p.name.endswith((".shapes", ".deriv")))
+
+
+@pytest.mark.parametrize("name", SHIPPED_SCRIPTS)
+def test_tokenize_matches_the_naive_loop_on_shipped_scripts(name):
+    text = (demo_dir() / name).read_text(encoding="utf-8")
+    assert tokenize(text) == naive_tokenize(text)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.text(alphabet=st.sampled_from('ab(); "\n\t\r\f\\@'), max_size=40))
+def test_tokenize_matches_the_naive_loop_on_generated_texts(text):
+    assert _tokens_or_error(tokenize, text) == _tokens_or_error(naive_tokenize, text)
 
 
 def _lens_env(**objs):

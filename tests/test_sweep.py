@@ -13,12 +13,12 @@ import pytest
 
 from coendcheck.demos import DEMOS, load_scripts, run_demo
 from coendcheck.fixtures import fixture, fixture_path
-from coendcheck import rewrite
+from coendcheck import pointed, rewrite
 from coendcheck.rewrite import (Report, _check_points, _presweep, check_assignments,
                                 check_derivation, check_derivation_once,
                                 parse_derivation_script, script_object_symbols)
-from coendcheck.shapelang import (Env, Evaluator, Gen, Id, Par, Seq, objects_in,
-                                  parse_shape_script, strip_labels, sweep)
+from coendcheck.shapelang import (Env, Evaluator, Gen, Id, Par, Seq, Wire, is_plain_id,
+                                  objects_in, parse_shape_script, strip_labels, sweep)
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
@@ -50,8 +50,9 @@ def _fixed(term, env):
 
 class Spy:
     """Counts every node build of every evaluator, and checks after each
-    move of a sweep's evaluator that no live entry fixes a value of a
-    leading free symbol other than the current one."""
+    move of a sweep's evaluator that its table of the nodes read at one
+    assignment is empty and that no live entry fixes a value of a leading
+    free symbol other than the current one."""
 
     def __init__(self, monkeypatch):
         self.builds = Counter()
@@ -65,6 +66,7 @@ class Spy:
 
         def checked_at(ev, env):
             out = at(ev, env)
+            assert not ev._nodes
             for bucket in ev._memo:
                 for term, values in bucket:
                     fixed = dict(zip(sorted(objects_in(term)), values))
@@ -167,6 +169,88 @@ def test_strip_labels_and_plans_over_a_demo(monkeypatch, name):
         assert strip_labels(t) is strip_labels(t)
     plans = [p for ev in evs.values() for p in ev.plans.values()]
     assert plans and all(isinstance(p, rewrite.Plan) for p in plans)
+
+
+def naive_build_seq_value(ev, items, fiber):
+    """build_seq_value without its skeleton: every call unfolds the nested
+    composites, finds the identity wires and builds the composite left."""
+    flat = []
+    for (t, v, l, r) in items:
+        if isinstance(t, Seq):
+            vals, ends = rewrite.unfold(t, (l, r), v)
+            flat += zip(t.parts, vals, ends, ends[1:])
+        else:
+            flat.append((t, v, l, r))
+    out = []
+    pend = None  # (morphism, left end) of pending identity wires
+    for (t, v, l, r) in flat:
+        if is_plain_id(t):
+            if pend is None:
+                pend = [v, l]
+            else:
+                cat = ev.env.boundary_cat(t.wires)
+                pend[0] = cat.compose(pend[0], v)
+        else:
+            if pend is not None:
+                prof = ev.node(t)
+                v = prof.act(pend[0], prof.target.identity(r), v)
+                l = pend[1]
+                pend = None
+            out.append([t, v, l, r])
+    if pend is not None:
+        if not out:
+            return pend[0]  # the whole composite is an identity wire
+        t, v, l, r = out[-1]
+        prof = ev.node(t)
+        out[-1][1] = prof.act(prof.source.identity(l), pend[0], v)
+        out[-1][3] = None  # right end moves to the fiber end
+    if len(out) == 1:
+        return out[0][1]
+    terms = tuple(it[0] for it in out)
+    vals = [it[1] for it in out]
+    mids = [it[3] for it in out[:-1]]
+    return ev.node(Seq(terms)).refold(fiber, vals, mids)
+
+
+def test_seq_values_match_the_naive_assembly_over_the_demos(monkeypatch):
+    # every call the 11 demos make, from the rules' transports and from
+    # the point builder, gives the value the naive assembly gives
+    build, seen = rewrite.build_seq_value, set()
+
+    def compared(ev, items, fiber):
+        got = build(ev, items, fiber)
+        assert got == naive_build_seq_value(ev, items, fiber), (items, fiber)
+        nested, kept, trail, _ = rewrite._seq_skeleton(tuple(it[0] for it in items))
+        seen.update(case for case, hit in [
+            ("nested", nested), ("wires only", not kept), ("wires after", kept and trail),
+            ("wires before", any(ids for _, ids in kept))] if hit)
+        return got
+    monkeypatch.setattr(rewrite, "build_seq_value", compared)
+    monkeypatch.setattr(pointed, "build_seq_value", compared)
+    assert all(run_demo(name).ok for name in DEMOS)
+    assert seen == {"nested", "wires only", "wires after", "wires before"}
+
+
+@pytest.mark.parametrize("oracle", ["z2", "meet-lattice-2", "prod-l2-z2"])
+def test_seq_values_with_wires_on_both_sides_match_the_naive_assembly(oracle):
+    # labelled identities are kept parts, the plain ones between and
+    # around them are absorbed: every chain of composable morphisms, with
+    # wires before, between and after the kept parts
+    sig = parse_shape_script("(category C)")
+    ev = Evaluator(Env(sig, {"C": fixture(oracle)}))
+    c, wires = ev.env.cats["C"], (Wire("C"),)
+    wire, f, g = Id(wires), Id(wires, "f"), Id(wires, "g")
+
+    def value(t, m):
+        # m as an element of f ; g: m, then the identity of its codomain
+        return (c.cod(m), m, c.identity(c.cod(m))) if isinstance(t, Seq) else m
+    for terms in [(wire, f, wire, wire), (wire, f, g, wire), (f, wire, Seq((f, g))), (wire, wire)]:
+        for ms in itertools.product(c.morphisms, repeat=len(terms)):
+            if all(c.cod(m) == c.dom(m2) for m, m2 in zip(ms, ms[1:])):
+                items = [(t, value(t, m), c.dom(m), c.cod(m)) for t, m in zip(terms, ms)]
+                fiber = (c.dom(ms[0]), c.cod(ms[-1]))
+                assert (rewrite.build_seq_value(ev, items, fiber)
+                        == naive_build_seq_value(ev, items, fiber)), items
 
 
 def _workload(name):
