@@ -41,6 +41,8 @@ class ConcreteProf:
         self._render = render
         self._fibers = {}
         self._supports = {}
+        self._rights = {}
+        self._lefts = {}
 
     def fiber(self, a, b):
         fib = self._fibers.get((a, b))
@@ -59,18 +61,39 @@ class ConcreteProf:
     def _support(self, a):
         return dict.fromkeys(b for b in self.target.objects if self.fiber(a, b))
 
+    def right_table(self, a, g):
+        """P(a, g) as positions: for each v in P(a, dom g), in order, the
+        position of P(a, g)v in P(a, cod g).  Built on first read and
+        kept, so every coend that reads it shares it."""
+        table = self._rights.get((a, g))
+        if table is None:
+            tgt, ida, act = self.target, self.source.identity(a), self.act
+            at = {v: i for i, v in enumerate(self.fiber(a, tgt.cod(g)))}
+            table = self._rights[a, g] = [at[act(ida, g, v)]
+                                          for v in self.fiber(a, tgt.dom(g))]
+        return table
+
+    def left_table(self, f, c):
+        """P(f, c) as positions: for each w in P(cod f, c), in order, the
+        position of P(f, c)w in P(dom f, c).  Built on first read and
+        kept, so every coend that reads it shares it."""
+        table = self._lefts.get((f, c))
+        if table is None:
+            src, idc, act = self.source, self.target.identity(c), self.act
+            at = {w: j for j, w in enumerate(self.fiber(src.dom(f), c))}
+            table = self._lefts[f, c] = [at[act(f, idc, w)]
+                                         for w in self.fiber(src.cod(f), c)]
+        return table
+
     def relations(self, f, base):
         """The coend relation of f: x -> y when source is target: for each
-        q in P(y, x), (x, P(f, 1)q) is related to (y, P(1, f)q).  Elements
-        come as positions in the coend index, whose fiber P(x, x) starts
-        at base[x]."""
+        q in P(y, x), (x, P(f, x)q) is related to (y, P(y, f)q).  It is
+        the grid of `CoendSet` with one row, (base[x], base[y]), whose
+        columns are the tables of P(f, x) and P(y, f), both over P(y, x):
+        the fiber P(x, x) starts at base[x] in the coend index."""
         cat = self.source
         x, y = cat.dom(f), cat.cod(f)
-        idx, idy = cat.identity(x), cat.identity(y)
-        at_x = {v: base[x] + i for i, v in enumerate(self.fiber(x, x))}
-        at_y = {v: base[y] + i for i, v in enumerate(self.fiber(y, y))}
-        for q in self.fiber(y, x):
-            yield at_x[self.act(f, idx, q)], at_y[self.act(idy, f, q)]
+        return [(base[x], base[y])], (self.left_table(f, x), self.right_table(y, f))
 
     def members(self, a, b):
         """The raw elements at the fiber, grouped by class: with explicit
@@ -139,14 +162,15 @@ class CoendSet:
     """The coequalizer of the two morphism actions on the diagonal of a
     profunctor with equal endpoints (a coend over the category `cat`).
 
-    `fibers` maps objects of cat, in id order, to the tagged elements over
-    them (an object left out has none), and `index` is their
-    concatenation, the fiber of object x starting at base[x];
-    relations(f, base) yields the relation of a generator f as pairs of
-    positions in `index`.  Only the generators with both ends in `base`
-    are related: an identity relates an element to itself, for a lawful
-    action a composite's relation chains its factors' ones, and a
-    generator with an end that holds no element relates nothing.  Classes are
+    `index` is the tuple of tagged elements, object by object in id
+    order, and the elements over x start at base[x]; an object left out
+    of `base` has none.  relations(f, base) gives the relation of a
+    generator f as a grid, (rows, (left, right)): each row (r, s) and
+    column j relate the positions r + left[j] and s + right[j] of
+    `index`.  Only the generators with both ends in `base` are related:
+    an identity relates an element to itself, for a lawful action a
+    composite's relation chains its factors' ones, and a generator with
+    an end that holds no element relates nothing.  Classes are
     represented by their least tagged element in tuple order; `groups`
     maps each representative to its members in order.  A coend of at most
     one element reads no relation: its one element is its one class, so
@@ -155,28 +179,29 @@ class CoendSet:
     `empty_coend(cat)`, one per category.
     """
 
-    def __init__(self, cat: FinCategory, fibers, relations):
+    def __init__(self, cat: FinCategory, index, base, relations):
         self.cat = cat
-        self.index = index = tuple(t for fib in fibers.values() for t in fib)
-        if len(index) <= 1:
+        self.index = index
+        n = len(index)
+        if n <= 1:
             self.reps = index
             return
-        n, base = 0, {}
-        for x, fib in fibers.items():
-            base[x] = n
-            n += len(fib)
         # union-find over positions, each root found by path halving
         parent = list(range(n))
-        gens_from = cat.generators_from
+        gens_from, cod = cat.generators_from, cat.cod
         for x in base:
             for f in gens_from.get(x, ()):
-                if cat.cod(f) in base:
-                    for i, j in relations(f, base):
-                        while parent[i] != i:
-                            parent[i] = i = parent[parent[i]]
-                        while parent[j] != j:
-                            parent[j] = j = parent[parent[j]]
-                        parent[i] = j
+                if cod(f) in base:
+                    rows, (left, right) = relations(f, base)
+                    for r, s in rows:
+                        for i, j in zip(left, right):
+                            i += r
+                            j += s
+                            while parent[i] != i:
+                                parent[i] = i = parent[parent[i]]
+                            while parent[j] != j:
+                                parent[j] = j = parent[parent[j]]
+                            parent[i] = j
         # one sort: each class lists its members in order, and the classes
         # come in the order of their least members, the representatives
         classes = {}
@@ -219,16 +244,18 @@ def coend(p: ConcreteProf) -> CoendSet:
     v in P(x, x)."""
     if p.source is not p.target:
         raise ProfunctorError("coend needs equal source and target")
-    cat = p.source
-    return CoendSet(cat, {x: [(x, v) for v in p.fiber(x, x)] for x in cat.objects},
-                    p.relations)
+    index, base = [], {}
+    for x in p.source.objects:
+        base[x] = len(index)
+        index += [(x, v) for v in p.fiber(x, x)]
+    return CoendSet(p.source, tuple(index), base, p.relations)
 
 
 @functools.cache
 def empty_coend(cat: FinCategory) -> CoendSet:
     """The coend over cat with no elements: every composite fiber outside
     its support shares it."""
-    return CoendSet(cat, {}, None)
+    return CoendSet(cat, (), {}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +453,9 @@ class ComposedProf(ConcreteProf):
         self._coends = {}
         self._acts = {}
         self._supports = {}
+        self._rights = {}
+        self._lefts = {}
+        self._texts = {}
 
     def fiber(self, a, c):
         return self.coend_at(a, c).reps
@@ -446,28 +476,27 @@ class ComposedProf(ConcreteProf):
         """The coend at (a, c), over the raw (x, u, w) for u in P(a, x) and
         w in Q(x, c) on each middle object x with both non-empty."""
         p, q = self.p, self.q
-        fibers = {x: [(x, u, w) for u in p.fiber(a, x) for w in q.fiber(x, c)]
-                  for x in p.support(a) if c in q.support(x)}
-        return CoendSet(self.mid, fibers, functools.partial(self._relations, a, c))
+        index, base = [], {}
+        for x in p.support(a):
+            if c in q.support(x):
+                base[x] = len(index)
+                ws = q.fiber(x, c)
+                index += [(x, u, w) for u in p.fiber(a, x) for w in ws]
+        return CoendSet(self.mid, tuple(index), base, functools.partial(self._relations, a, c))
 
     def _relations(self, a, c, f, base):
-        """(x, u_i, Q(f, c)w_j) ~ (y, P(a, f)u_i, w_j) for f: x -> y, as
-        positions read from one table of P(a, f) over P(a, x) and one of
-        Q(f, c) over Q(y, c).  The fiber of the coend at x is |P(a, x)|
-        rows of |Q(x, c)|: (x, u_i, w_j) sits at base[x] + i * |Q(x, c)| + j."""
-        p, q, mid = self.p, self.q, self.mid
+        """(x, u_i, Q(f, c)w_j) ~ (y, P(a, f)u_i, w_j) for f: x -> y, as a
+        grid read from P's table of P(a, f) and Q's table of Q(f, c).  The
+        fiber of the coend at x is |P(a, x)| rows of |Q(x, c)|: (x, u_i, w_j)
+        sits at base[x] + i * |Q(x, c)| + j.  So row i is (base[x] + i *
+        |Q(x, c)|, base[y] + P(a, f)[i] * |Q(y, c)|), and column j adds
+        Q(f, c)[j] on the left and j on the right."""
+        q, mid = self.q, self.mid
         x, y = mid.dom(f), mid.cod(f)
-        us, ws = p.fiber(a, x), q.fiber(y, c)
-        at_py = {u: i for i, u in enumerate(p.fiber(a, y))}
-        qx = q.fiber(x, c)
-        at_qx = {w: j for j, w in enumerate(qx)}
-        ida, idc = self.source.identity(a), self.target.identity(c)
-        pt = [at_py[p.act(ida, f, u)] for u in us]
-        qt = [at_qx[q.act(f, idc, w)] for w in ws]
-        nx, ny = len(qx), len(ws)
+        nx, ny = len(q.fiber(x, c)), len(q.fiber(y, c))
         bx, by = base[x], base[y]
-        return [(bx + i * nx + fj, by + fi * ny + j)
-                for i, fi in enumerate(pt) for j, fj in enumerate(qt)]
+        rows = [(bx + i * nx, by + fi * ny) for i, fi in enumerate(self.p.right_table(a, f))]
+        return rows, (q.left_table(f, c), range(ny))
 
     def classify(self, a, c, m, u, w):
         """Canonical representative of the class of the raw element."""
@@ -492,8 +521,14 @@ class ComposedProf(ConcreteProf):
         return self.classify(a2, c2, m, u2, w2)
 
     def render(self, val):
-        m, u, w = val
-        return (f"[{self.mid.obj_name(m)}: {self.p.render(u)}, {self.q.render(w)}]")
+        """The text of a value, kept per value: the same class is rendered
+        at every fiber and assignment that shows it."""
+        text = self._texts.get(val)
+        if text is None:
+            m, u, w = val
+            text = self._texts[val] = (
+                f"[{self.mid.obj_name(m)}: {self.p.render(u)}, {self.q.render(w)}]")
+        return text
 
     def refold(self, fiber, vals, mids):
         """The class at `fiber` of the parts' values `vals` joined at the

@@ -215,8 +215,9 @@ _TOKEN = re.compile(r'(\n)|[ \t\r]+|;[^\n]*|([()]|[^ \t\r\n();"]+)|("[^"]*")|(")
 
 def tokenize(text):
     """The tokens of `text` as (token, line) pairs: "(", ")", an atom, or
-    ("str", contents) for a string, which may span lines (they are not
-    counted)."""
+    ("str", contents) for a string.  A string may span lines: it is on the
+    line where it opens, and its newlines count towards the lines after
+    it."""
     tokens, line = [], 1
     for newline, atom, string, quote in _TOKEN.findall(text):
         if newline:
@@ -225,6 +226,7 @@ def tokenize(text):
             tokens.append((atom, line))
         elif string:
             tokens.append((("str", string[1:-1]), line))
+            line += string.count("\n")
         elif quote:
             raise ShapeSyntaxError(f"line {line}: unterminated string")
     return tokens

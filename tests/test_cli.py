@@ -100,6 +100,8 @@ def test_every_public_name_is_its_modules_object(monkeypatch):
     exec("from coendcheck import *", namespace)
     del namespace["__builtins__"]
     assert namespace.keys() == set(coendcheck.__all__)
+    # dir() lists them too, though none is bound in the package
+    assert set(coendcheck.__all__) <= set(dir(coendcheck))
     for name, owner in coendcheck._OWNER.items():
         module = sys.modules[f"coendcheck.{owner}"]
         want = module if owner == name else getattr(module, name)

@@ -38,6 +38,17 @@ def test_loaded_fixtures_match_builders(oracles):
         assert validate_monoidal(loaded).ok
 
 
+def test_build_refuses_an_unknown_fixture_name():
+    with pytest.raises(KeyError) as info:
+        build("no-such-fixture")
+    assert info.value.args == ("unknown fixture 'no-such-fixture'",)
+
+
+def test_a_category_repr_gives_its_name_and_size(oracles):
+    assert repr(oracles["z2"].base) == "FinCategory('z2', 1 objects, 2 morphisms)"
+    assert repr(oracles["diamond"].base) == "FinCategory('diamond', 4 objects, 9 morphisms)"
+
+
 def test_fixture_generator_rewrites_the_shipped_files_byte_for_byte(
         tmp_path, monkeypatch, capsys):
     # tools/gen_fixtures.py writes the 6 shipped fixtures and the 5 bad ones

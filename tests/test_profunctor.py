@@ -88,7 +88,25 @@ def coend_relations(p):
 
 
 def assert_matches_naive(p):
-    assert_coend_matches_naive(coend(p), p, pair_tag)
+    """coend(p) against the naive closure, and each generator's one-row
+    grid, expanded into position pairs and read back through the index,
+    against acting on both sides."""
+    ce = coend(p)
+    assert_coend_matches_naive(ce, p, pair_tag)
+    cat, naive = p.source, generator_relations(p)
+    base = tuple(itertools.accumulate((len(p.fiber(x, x)) for x in cat.objects), initial=0))
+    for f in cat.generators:
+        pairs = grid_pairs(p.relations(f, base))
+        assert {(ce.index[i], ce.index[j]) for i, j in pairs} == naive[f]
+
+
+def two_sided_representable(c, lo, hi):
+    """C(lo, -) x C(-, hi) as a profunctor from c to c: (u, w) at (a, b)
+    for u: lo -> b and w: a -> hi.  By Yoneda its coend is C(lo, hi)."""
+    return ConcreteProf(
+        c, c,
+        lambda a, b: tuple((u, w) for u in c.hom(lo, b) for w in c.hom(a, hi)),
+        lambda f, g, v: (c.compose(v[0], g), c.compose(f, v[1])))
 
 
 def assert_coend_matches_naive(ce, p, tag):
@@ -257,11 +275,7 @@ def test_coend_two_sided_representable_is_hom():
     # coend over X of C(0,X) x C(X,1) on the chain: Yoneda predicts |C(0,1)| = 1
     c = build("meet-lattice-2").base
     lo, hi = c.obj_id("0"), c.obj_id("1")
-
-    p = ConcreteProf(
-        c, c,
-        lambda a, b: tuple((u, w) for u in c.hom(lo, b) for w in c.hom(a, hi)),
-        lambda f, g, v: (c.compose(v[0], g), c.compose(f, v[1])))
+    p = two_sided_representable(c, lo, hi)
     assert validate_prof(p) == []
     ce = coend(p)
     assert ce.class_count == len(c.hom(lo, hi)) == 1
@@ -272,8 +286,16 @@ def test_coend_two_sided_representable_is_hom():
 
 
 def test_coend_of_all_fixture_homs_matches_naive(oracles):
-    for mon in oracles.values():
+    for mon in [*oracles.values(), z3()]:
         assert_matches_naive(hom_prof(mon.base))
+        # over Z3 the relations of C(lo, -) x C(-, hi) are no symmetric sets
+        # of pairs, so a grid that read P(f, x) and P(y, f) the wrong way
+        # round would show
+        c = mon.base
+        lo, hi = c.objects[0], c.objects[-1]
+        p = two_sided_representable(c, lo, hi)
+        assert coend(p).class_count == len(c.hom(lo, hi))
+        assert_matches_naive(p)
         tensor = tensor_functor(mon)
         assert_matches_naive(fork_junction := ComposedProf(conjoint(tensor),
                                                            companion(tensor)))
@@ -325,10 +347,18 @@ def test_pair_quotients_of_shipped_shapes_match_naive(fx, scripts):
         assert_relations_match_naive(*key)
 
 
+def grid_pairs(grid):
+    """The position pairs of a relation grid: (r + left[j], s + right[j])
+    for each row (r, s) and column j."""
+    rows, (left, right) = grid
+    assert len(left) == len(right)
+    return [(r + i, s + j) for r, s in rows for i, j in zip(left, right)]
+
+
 def assert_relations_match_naive(comp, a, c):
     """The coend at (a, c) against the naive closure, and each generator's
-    position pairs, read back through the index, against acting on both
-    factors."""
+    grid, expanded into position pairs and read back through the index,
+    against acting on both factors."""
     ce = assert_fiber_matches_naive(comp, a, c)
     pair = pair_prof(comp.p, comp.q, a, c)
     naive = generator_relations(pair)
@@ -336,7 +366,7 @@ def assert_relations_match_naive(comp, a, c):
     base = tuple(itertools.accumulate((len(pair.fiber(x, x)) for x in cat.objects),
                                       initial=0))
     for f in cat.generators:
-        pairs = comp._relations(a, c, f, base)
+        pairs = grid_pairs(comp._relations(a, c, f, base))
         assert {(ce.index[i], ce.index[j]) for i, j in pairs} == \
             {(flat_tag(*left), flat_tag(*right)) for left, right in naive[f]}
 
@@ -454,9 +484,12 @@ class NaiveComposite(ComposedProf):
         ce = self._coends.get((a, c))
         if ce is None:
             pair = pair_prof(self.p, self.q, a, c)
-            ce = self._coends[a, c] = CoendSet(
-                self.mid, {x: [flat_tag(x, v) for v in pair.fiber(x, x)]
-                           for x in self.mid.objects}, pair.relations)
+            index, base = [], {}
+            for x in self.mid.objects:
+                base[x] = len(index)
+                index += [flat_tag(x, v) for v in pair.fiber(x, x)]
+            ce = self._coends[a, c] = CoendSet(self.mid, tuple(index), base,
+                                               pair.relations)
         return ce
 
     def support(self, a):
@@ -519,31 +552,81 @@ def counting(p, calls):
     return ConcreteProf(p.source, p.target, p.fiber, act)
 
 
+def tables_read(comp, a, b):
+    """The keys of the tables of P(a, f) and of Q(f, b) that the coend of
+    comp at (a, b) reads: none for a coend of at most one element, else
+    one of each for every generator f of the middle category with both
+    ends held (P(a, -) and Q(-, b) non-empty there)."""
+    p, q, mid = comp.p, comp.q, comp.mid
+    if len(comp.coend_at(a, b).index) <= 1:
+        return set(), set()
+    held = {x for x in mid.objects if p.fiber(a, x) and q.fiber(x, b)}
+    gens = [f for f in mid.generators if mid.dom(f) in held and mid.cod(f) in held]
+    return {(a, f) for f in gens}, {(f, b) for f in gens}
+
+
+def table_acts(comp, rights, lefts):
+    """The actions that building the tables with these keys takes: one per
+    element of P(a, dom f) for each (a, f), one per element of
+    Q(cod f, b) for each (f, b)."""
+    p, q, mid = comp.p, comp.q, comp.mid
+    return (sum(len(p.fiber(a, mid.dom(f))) for a, f in rights)
+            + sum(len(q.fiber(mid.cod(f), b)) for f, b in lefts))
+
+
 @pytest.mark.parametrize("fx", ["z2", "meet-lattice-2", "prod-l2-z2", "diamond"])
 def test_pair_quotient_acts_once_per_factor_element(fx):
-    # a pair quotient of at most one element acts not at all; otherwise it
-    # acts once per element of P(a, x) and once per element of Q(y, c) for
-    # each generator f: x -> y of the middle category with both non-empty,
-    # and not at all for the other generators
+    # each factor keeps its tables of P(a, f) and Q(f, c), so building
+    # every fiber of a composite acts once per element of each table's
+    # domain fiber, however many coends read the table; over an oracle of
+    # more than one object some table is read by two coends, where acting
+    # per coend would count it twice (over one object, each of these
+    # composites has one fiber)
     mon = build(fx)
     c, tensor = mon.base, tensor_functor(mon)
-    acted = False
+    shared = False
     for p, q in [(hom_prof(c), hom_prof(c)),
                  (conjoint(tensor), companion(tensor)),
                  (copy_prof(c), merge_prof(c))]:
         calls = [0]
         comp = ComposedProf(counting(p, calls), counting(q, calls))
-        mid = comp.mid
+        rights, lefts, reads = set(), set(), 0
         for a in comp.source.objects:
             for b in comp.target.objects:
-                calls[0] = 0
-                n = len(comp.coend_at(a, b).index)
-                sides = [(len(p.fiber(a, mid.dom(f))), len(q.fiber(mid.cod(f), b)))
-                         for f in mid.generators]
-                want = sum(np + nq for np, nq in sides if np and nq) if n > 1 else 0
-                assert calls[0] == want, (a, b)
-                acted = acted or want > 0
-    assert acted
+                right, left = tables_read(comp, a, b)
+                rights |= right
+                lefts |= left
+                reads += len(right) + len(left)
+        assert calls[0] == table_acts(comp, rights, lefts)
+        shared = shared or reads > len(rights) + len(lefts)
+    assert shared == (len(c.objects) > 1)
+
+
+@pytest.mark.parametrize("fx", ["z2", "meet-lattice-2", "prod-l2-z2", "diamond"])
+def test_composites_sharing_a_left_factor_read_its_tables_once(fx):
+    # P ; Q1 and P ; Q2 read P(a, f) from the one table P keeps: the second
+    # composite acts on P only for the tables the first did not read, and
+    # every fiber of both still matches the naive quotient
+    mon = build(fx)
+    c, tensor = mon.base, tensor_functor(mon)
+    calls = [0]
+    p = counting(hom_prof(c), calls)
+    comps = [ComposedProf(p, hom_prof(c)), ComposedProf(p, conjoint(tensor))]
+    read, both = set(), set()
+    for comp in comps:
+        calls[0] = 0
+        rights = set()
+        for a in comp.source.objects:
+            for b in comp.target.objects:
+                rights |= tables_read(comp, a, b)[0]
+        assert calls[0] == table_acts(comp, rights - read, ())
+        both |= rights & read
+        read |= rights
+    assert both
+    for comp in comps:
+        for a in comp.source.objects:
+            for b in comp.target.objects:
+                assert_relations_match_naive(comp, a, b)
 
 
 @pytest.mark.parametrize("fx", ["z2", "meet-lattice-2", "prod-l2-z2", "diamond"])
@@ -807,6 +890,12 @@ def test_coend_requires_equal_endpoints():
     c = build("z2").base
     with pytest.raises(ProfunctorError):
         coend(companion(point(c, 0)))
+
+
+def test_a_profunctor_repr_gives_its_class_and_categories():
+    h = hom_prof(build("z2").base)
+    assert [repr(p) for p in (h, ComposedProf(h, h), TensorProf(h, h))] == [
+        "ConcreteProf(z2, z2)", "ComposedProf(z2, z2)", "TensorProf((z2*z2), (z2*z2))"]
 
 
 # the refusals no shipped input reaches, each with one input that raises it

@@ -152,6 +152,7 @@ def naive_tokenize(text):
             if j >= n:
                 raise ShapeSyntaxError(f"line {line}: unterminated string")
             tokens.append((("str", text[i + 1:j]), line))
+            line += text.count("\n", i, j)
             i = j + 1
         else:
             j = i
@@ -194,6 +195,10 @@ def _lens_env(**objs):
 SHAPE_ERRORS = [
     (lambda: parse_shape_script('(category "C)'), ShapeSyntaxError,
      "line 1: unterminated string"),
+    # a string's newlines count towards the lines after it
+    (lambda: parse_shape_script('(category C)\n(object "A\n B" C)\n(shape s\n'
+                                '  (inport A @g)'), ShapeSyntaxError,
+     "line 4: unclosed '('"),
     (lambda: parse_shape_script("(category (C))"), ShapeSyntaxError,
      "expected a name, got ['C']"),
     (lambda: parse_shape_script("(category C) (category D) (object A C) (object B D)"
