@@ -9,8 +9,10 @@ junctions/forks and functor boxes are this pair for four functors: a point
 Element values are nested tuples over leaves (interned morphism ids, or
 short strings for singleton fibers).  All elements of one profunctor have
 the same tuple shape, so Python's tuple order, which compares their leaves
-left to right, is a total order on them; it makes canonical class
-representatives independent of enumeration order.
+left to right, is a total order on them.  Every fiber lists its elements
+in that order, so every coend index is in tuple order too: the least
+position of a class holds its least element, the canonical
+representative, and a coend finds it by positions alone.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ class ProfunctorError(Exception):
 class ConcreteProf:
     """A profunctor source^op x target -> Set with explicit finite fibers.
 
-    fiber_fn(a, b) returns the element values at (a, b); act(f, g, v) is
-    the two-sided action for f: a'->a in source and g: b->b' in target.
+    fiber_fn(a, b) returns the element values at (a, b) in tuple order (a
+    coend represents a class by its first element listed); act(f, g, v)
+    is the two-sided action for f: a'->a in source and g: b->b' in target.
     """
 
     def __init__(self, source: FinCategory, target: FinCategory, fiber_fn,
@@ -67,11 +70,14 @@ class ConcreteProf:
         kept, so every coend that reads it shares it."""
         table = self._rights.get((a, g))
         if table is None:
-            tgt, ida, act = self.target, self.source.identity(a), self.act
-            at = {v: i for i, v in enumerate(self.fiber(a, tgt.cod(g)))}
-            table = self._rights[a, g] = [at[act(ida, g, v)]
-                                          for v in self.fiber(a, tgt.dom(g))]
+            table = self._rights[a, g] = self._right_table(a, g)
         return table
+
+    def _right_table(self, a, g):
+        """A leaf's table, by acting on its values."""
+        tgt, ida, act = self.target, self.source.identity(a), self.act
+        at = {v: i for i, v in enumerate(self.fiber(a, tgt.cod(g)))}
+        return [at[act(ida, g, v)] for v in self.fiber(a, tgt.dom(g))]
 
     def left_table(self, f, c):
         """P(f, c) as positions: for each w in P(cod f, c), in order, the
@@ -79,11 +85,14 @@ class ConcreteProf:
         kept, so every coend that reads it shares it."""
         table = self._lefts.get((f, c))
         if table is None:
-            src, idc, act = self.source, self.target.identity(c), self.act
-            at = {w: j for j, w in enumerate(self.fiber(src.dom(f), c))}
-            table = self._lefts[f, c] = [at[act(f, idc, w)]
-                                         for w in self.fiber(src.cod(f), c)]
+            table = self._lefts[f, c] = self._left_table(f, c)
         return table
+
+    def _left_table(self, f, c):
+        """A leaf's table, by acting on its values."""
+        src, idc, act = self.source, self.target.identity(c), self.act
+        at = {w: j for j, w in enumerate(self.fiber(src.dom(f), c))}
+        return [at[act(f, idc, w)] for w in self.fiber(src.cod(f), c)]
 
     def relations(self, f, base):
         """The coend relation of f: x -> y when source is target: for each
@@ -158,33 +167,54 @@ def validate_prof(p: ConcreteProf):
 # coends
 
 
+class _derived:
+    """A map that a coend derives from its classes: built on its first
+    read and kept on the instance, where later reads find it first."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, ce, owner=None):
+        value = ce.__dict__[self.name] = self.build(ce)
+        return value
+
+
 class CoendSet:
     """The coequalizer of the two morphism actions on the diagonal of a
     profunctor with equal endpoints (a coend over the category `cat`).
 
     `index` is the tuple of tagged elements, object by object in id
     order, and the elements over x start at base[x]; an object left out
-    of `base` has none.  relations(f, base) gives the relation of a
-    generator f as a grid, (rows, (left, right)): each row (r, s) and
-    column j relate the positions r + left[j] and s + right[j] of
-    `index`.  Only the generators with both ends in `base` are related:
-    an identity relates an element to itself, for a lawful action a
-    composite's relation chains its factors' ones, and a generator with
-    an end that holds no element relates nothing.  Classes are
-    represented by their least tagged element in tuple order; `groups`
-    maps each representative to its members in order.  A coend of at most
-    one element reads no relation: its one element is its one class, so
-    `reps` is `index`, and `_rep_of` and `groups` are built on first read
-    (most such coends are never read).  The coend with no elements is
-    `empty_coend(cat)`, one per category.
+    of `base` has none.  The index is in tuple order: each fiber lists
+    its elements in order (hom-sets and their products in id order, a
+    composite's fiber as its representatives).  relations(f, base) gives
+    the relation of a generator f as a grid, (rows, (left, right)): each
+    row (r, s) and column j relate the positions r + left[j] and
+    s + right[j] of `index`.  Only the generators with both ends in
+    `base` are related: an identity relates an element to itself, for a
+    lawful action a composite's relation chains its factors' ones, and a
+    generator with an end that holds no element relates nothing.
+
+    A union links the larger root under the smaller, so every parent
+    precedes its child and each class's root is its least position, which
+    holds its least tagged element: the class's representative.  One pass
+    in order then numbers the classes by their roots: `_heads` keeps the
+    roots in order, `reps` their elements and `place` each position's
+    class number.  `_rep_of` and `groups` (each representative's members
+    in order) are built from them on first read.  A coend of at most one
+    element reads no relation: its one element is its one class, so
+    `reps` is `index`.  The coend with no elements is `empty_coend(cat)`,
+    one per category.
     """
 
     def __init__(self, cat: FinCategory, index, base, relations):
         self.cat = cat
         self.index = index
+        self.base = base
         n = len(index)
         if n <= 1:
             self.reps = index
+            self._heads = self.place = ((), (0,))[n]
             return
         # union-find over positions, each root found by path halving
         parent = list(range(n))
@@ -201,27 +231,33 @@ class CoendSet:
                                 parent[i] = i = parent[parent[i]]
                             while parent[j] != j:
                                 parent[j] = j = parent[parent[j]]
-                            parent[i] = j
-        # one sort: each class lists its members in order, and the classes
-        # come in the order of their least members, the representatives
-        classes = {}
-        for k in sorted(range(n), key=index.__getitem__):
-            i = k
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            classes.setdefault(i, []).append(index[k])
-        self._rep_of = {}
-        self.groups = {}
-        for group in classes.values():
-            rep = group[0]
-            self.groups[rep] = group
-            for t in group:
-                self._rep_of[t] = rep
-        self.reps = tuple(self.groups)
+                            if i < j:
+                                parent[j] = i
+                            else:
+                                parent[i] = j
+        # a parent precedes its child, so one pass in order numbers the
+        # roots in order and gives every other position its parent's number
+        heads = []
+        for k, r in enumerate(parent):
+            if r == k:
+                parent[k] = len(heads)
+                heads.append(k)
+            else:
+                parent[k] = parent[r]
+        self.place, self._heads = parent, heads
+        self.reps = tuple(map(index.__getitem__, heads))
 
-    # read only when __init__ did not set them: a coend of at most one element
-    _rep_of = functools.cached_property(lambda self: {t: t for t in self.index})
-    groups = functools.cached_property(lambda self: {t: [t] for t in self.index})
+    @_derived
+    def _rep_of(self):
+        reps = self.reps
+        return {t: reps[c] for t, c in zip(self.index, self.place)}
+
+    @_derived
+    def groups(self):
+        members = [[] for _ in self.reps]
+        for t, c in zip(self.index, self.place):
+            members[c].append(t)
+        return dict(zip(self.reps, members))
 
     @property
     def class_count(self):
@@ -395,7 +431,8 @@ def constant_prof(c: FinCategory, values=("p0", "p1")) -> ConcreteProf:
 
 class TensorProf(ConcreteProf):
     """Parallel composition p1 (x) p2: fibers are cartesian products and
-    actions componentwise, over the flattened products."""
+    actions componentwise, over the flattened products.  Its tables are
+    its factors' tables by position, with no value acted on."""
 
     def __init__(self, p1: ConcreteProf, p2: ConcreteProf):
         self.p1, self.p2 = p1, p2
@@ -421,6 +458,22 @@ class TensorProf(ConcreteProf):
         s2, n2 = self.p2.support(a2), len(self.p2.target.objects)
         return dict.fromkeys(b1 * n2 + b2 for b1 in self.p1.support(a1) for b2 in s2)
 
+    def _right_table(self, a, g):
+        """From the factors' tables: (v1_i, v2_j) sits at i * n2 + j in
+        P(a, dom g), so its image sits at t1[i] * n2' + t2[j] in
+        P(a, cod g), with n2' = |P2(a2, cod g2)|."""
+        p2 = self.p2
+        (a1, a2), (g1, g2) = split_obj(p2.source, a), split_mor(p2.target, g)
+        n2, t2 = len(p2.fiber(a2, p2.target.cod(g2))), p2.right_table(a2, g2)
+        return [i1 * n2 + i2 for i1 in self.p1.right_table(a1, g1) for i2 in t2]
+
+    def _left_table(self, f, c):
+        """As _right_table, with n2' = |P2(dom f2, c2)|."""
+        p2 = self.p2
+        (f1, f2), (c1, c2) = split_mor(p2.source, f), split_obj(p2.target, c)
+        n2, t2 = len(p2.fiber(p2.source.dom(f2), c2)), p2.left_table(f2, c2)
+        return [i1 * n2 + i2 for i1 in self.p1.left_table(f1, c1) for i2 in t2]
+
     def split_value(self, fiber, value):
         """The element `value` at `fiber` as its two factors, each with
         its own fiber: ((fiber of p1, value), (fiber of p2, value))."""
@@ -436,7 +489,15 @@ class ComposedProf(ConcreteProf):
     The coend at (a, c) quotients the raw elements (m, u, w): a middle
     object and a pair of component values.  Elements of P ; Q are the
     canonical representatives, so the fiber at (a, c) is the coend's
-    `reps`; actions act on them and re-canonicalize.
+    `reps`; `act` acts on them part by part and re-classifies, for
+    element transport and points.
+
+    The tables need no value: a coend is functorial, Q(g) acting on a
+    class [x, u, w] as [x, u, Q(x, g)w] and P(f) as [x, P(f, x)u, w], and
+    (x, u_i, w_j) sits at base[x] + i * |Q(x, c)| + j in the coend at
+    (a, c).  So a representative's image is a position found from its
+    factors' tables, and its class is that position's `place` in the
+    target coend.
 
     The coend is empty unless some middle x has P(a, x) and Q(x, c) both
     non-empty, so supports compose as relations.  A coend is built only
@@ -498,6 +559,23 @@ class ComposedProf(ConcreteProf):
         rows = [(bx + i * nx, by + fi * ny) for i, fi in enumerate(self.p.right_table(a, f))]
         return rows, (q.left_table(f, c), range(ny))
 
+    def _right_table(self, a, g):
+        """From Q's tables: the class of (x, u_i, w_j) goes to that of
+        (x, u_i, Q(x, g)w_j)."""
+        p, q, c2 = self.p, self.q, self.target.cod(g)
+        return _image_classes(self.coend_at(a, self.target.dom(g)), self.coend_at(a, c2),
+                              lambda x: (range(len(p.fiber(a, x))), len(q.fiber(x, c2)),
+                                         q.right_table(x, g)))
+
+    def _left_table(self, f, c):
+        """From P's tables: the class of (x, u_i, w_j) goes to that of
+        (x, P(f, x)u_i, w_j)."""
+        p, q = self.p, self.q
+        return _image_classes(self.coend_at(self.source.cod(f), c),
+                              self.coend_at(self.source.dom(f), c),
+                              lambda x: (p.left_table(f, x), len(q.fiber(x, c)),
+                                         range(len(q.fiber(x, c)))))
+
     def classify(self, a, c, m, u, w):
         """Canonical representative of the class of the raw element."""
         ce = self._coends.get((a, c))
@@ -541,3 +619,22 @@ class ComposedProf(ConcreteProf):
     def members(self, a, c):
         """All raw (m, u, w) index elements at the fiber, grouped by class."""
         return self.coend_at(a, c).groups
+
+
+def _image_classes(src, dst, block):
+    """A composite's table between two of its coends, by positions: for
+    each representative (x, u_i, w_j) of src in order, the class number in
+    dst of its image.  block(x) gives (rows, n, cols) for a middle object
+    x: the representative sits at src.base[x] + i * len(cols) + j, and
+    its image at dst.base[x] + rows[i] * n + cols[j]."""
+    index, base, place, to = src.index, src.base, dst.place, dst.base
+    table, last = [], None
+    for k in src._heads:
+        x = index[k][0]
+        if x != last:
+            last, bx, row0 = x, base[x], to[x]
+            rows, n, cols = block(x)
+            m = len(cols)
+        i, j = divmod(k - bx, m)
+        table.append(place[row0 + rows[i] * n + cols[j]])
+    return table

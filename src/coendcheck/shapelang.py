@@ -10,7 +10,6 @@ kept here, with the evaluator that each of them loads.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -645,8 +644,9 @@ class Env:
         free = self.free_objects(only)
         ranges = [list(self.cats[self.sig.objects[sym][0]].objects) for sym in free]
         for combo in itertools.product(*ranges):
-            env = copy.copy(self)
-            env.objs = {**self.objs, **dict(zip(free, combo))}
+            # a shallow copy, without loading the copy module at set-up
+            env = object.__new__(Env)
+            env.__dict__ = {**vars(self), "objs": {**self.objs, **dict(zip(free, combo))}}
             yield env
 
     def assignment_count(self, only=None):

@@ -40,6 +40,12 @@ def test_counts_a_small_callable_per_function():
     assert opcount.count(_sum_of_squares, 6)[1][_square.__code__][0] > rows["_square"][0]
     name = opcount.function_name(_square.__code__)
     assert name == f"tests/test_opcount.py:{_square.__code__.co_firstlineno}:_square"
+    # summed per source file: all three functions live in this one
+    assert opcount.totals(counts, opcount.source_file) == {"tests/test_opcount.py": {
+        "bytecodes": sum(ops for ops, _ in counts.values()),
+        "calls": sum(calls for _, calls in counts.values())}}
+    assert opcount.totals(counts, opcount.function_name)[name] == {
+        "bytecodes": rows["_square"][0], "calls": 5}
 
 
 def test_counts_one_verdict_of_a_workload_the_same_twice():
@@ -57,4 +63,9 @@ def test_counts_one_verdict_of_a_workload_the_same_twice():
     first, second = rows
     assert first["workload"] == "eval-optic-prod" and first["failed"] == 0
     assert first["bytecodes"] > 0 and first["calls"] > 0
+    # the per-file and the per-function rows each add up to the totals
+    for field in ("modules", "functions"):
+        for total in ("bytecodes", "calls"):
+            assert sum(row[total] for row in first[field].values()) == first[total]
+    assert first["modules"]["src/coendcheck/profunctor.py"]["bytecodes"] > 0
     assert second == first

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Count the bytecodes and Python calls of one verdict of a benchmark
-workload, per function; prints one JSON line.
+workload, per source file and per function; prints one JSON line.
 
     python3 tools/opcount.py WORKLOAD
 
@@ -47,9 +47,24 @@ def count(fn, *args):
     return out, counts
 
 
+def source_file(code):
+    return os.path.relpath(code.co_filename, ROOT)
+
+
 def function_name(code):
-    path = os.path.relpath(code.co_filename, ROOT)
-    return f"{path}:{code.co_firstlineno}:{getattr(code, 'co_qualname', code.co_name)}"
+    name = getattr(code, "co_qualname", code.co_name)
+    return f"{source_file(code)}:{code.co_firstlineno}:{name}"
+
+
+def totals(counts, key):
+    """The counts of `count` summed by key(code object), largest first:
+    {key: {"bytecodes": n, "calls": n}}."""
+    rows = defaultdict(lambda: {"bytecodes": 0, "calls": 0})
+    for code, (ops, calls) in counts.items():
+        row = rows[key(code)]
+        row["bytecodes"] += ops
+        row["calls"] += calls
+    return dict(sorted(rows.items(), key=lambda kv: -kv[1]["bytecodes"]))
 
 
 def main(argv):
@@ -60,17 +75,13 @@ def main(argv):
     name = argv[0]
     jobs = workloads.setup(name, SEED)
     results, counts = count(workloads.run_verdict, jobs)
-    per_function = defaultdict(lambda: {"bytecodes": 0, "calls": 0})
-    for code, (ops, calls) in counts.items():
-        row = per_function[function_name(code)]
-        row["bytecodes"] += ops
-        row["calls"] += calls
     print(json.dumps({
         "workload": name, "seed": SEED,
         "failed": workloads.count_failed(name, results),
         "bytecodes": sum(ops for ops, _ in counts.values()),
         "calls": sum(calls for _, calls in counts.values()),
-        "functions": dict(sorted(per_function.items(), key=lambda kv: -kv[1]["bytecodes"])),
+        "modules": totals(counts, source_file),
+        "functions": totals(counts, function_name),
     }))
 
 
