@@ -67,6 +67,7 @@ class FinCategory:
         self._cod = tuple(cod)
         self._compose = dict(compose_table)
         self._identity = tuple(identities)
+        self.identities = frozenset(self._identity)
         self._hom = {}
         for m in range(len(mor_names)):
             self._hom.setdefault((dom[m], cod[m]), []).append(m)
@@ -160,7 +161,7 @@ class FinCategory:
                 slots = ids[:i] + [c.generators] + ids[i + 1:]
                 gens.extend(self.pack_mor(t) for t in itertools.product(*slots))
             return tuple(gens)
-        gens = [m for m in self.morphisms if m not in self._identity]
+        gens = [m for m in self.morphisms if m not in self.identities]
         for m in tuple(gens):
             rest = [g for g in gens if g != m]
             if m in self._generated_by(rest):
@@ -192,17 +193,22 @@ class FinCategory:
 
     # -- product ids (see join_objs) ---------------------------------------
 
-    def obj_tuple(self, o):
-        return (o,) if self.factors is None else _digits(o, self.factors, "objects")
-
-    def pack_obj(self, parts):
-        return _pack(self, parts, join_objs)
-
     def mor_tuple(self, m):
-        return (m,) if self.factors is None else _digits(m, self.factors, "morphisms")
+        """The factors' ids of the morphism m, with |factor.morphisms| as
+        radices; (m,) outside a product."""
+        if self.factors is None:
+            return (m,)
+        out = []
+        for c in reversed(self.factors):
+            m, d = divmod(m, len(c.morphisms))
+            out.append(d)
+        return tuple(reversed(out))
 
     def pack_mor(self, parts):
-        return _pack(self, parts, join_mors)
+        if self.factors is None:
+            (m,) = parts
+            return m
+        return join_mors(zip(self.factors, parts, strict=True))
 
     def __repr__(self):
         return (f"FinCategory({self.name!r}, {len(self.obj_names)} objects, "
@@ -231,22 +237,6 @@ def join_objs(pairs):
 
 def join_mors(pairs):
     return functools.reduce(lambda m, cx: m * len(cx[0].morphisms) + cx[1], pairs, 0)
-
-
-def _digits(i, factors, kind):
-    """The factors' ids of the product id i, with |factor.kind| as radices."""
-    out = []
-    for c in reversed(factors):
-        i, d = divmod(i, len(getattr(c, kind)))
-        out.append(d)
-    return tuple(reversed(out))
-
-
-def _pack(c, parts, join):
-    if c.factors is None:
-        (i,) = parts
-        return i
-    return join(zip(c.factors, parts, strict=True))
 
 
 class CartesianWitness(NamedTuple):

@@ -32,7 +32,8 @@ class ConcreteProf:
 
     fiber_fn(a, b) returns the element values at (a, b) in tuple order (a
     coend represents a class by its first element listed); act(f, g, v)
-    is the two-sided action for f: a'->a in source and g: b->b' in target.
+    is the two-sided action for f: a'->a in source and g: b->b' in target,
+    and table(f, g) is that action as positions.
     """
 
     def __init__(self, source: FinCategory, target: FinCategory, fiber_fn,
@@ -44,8 +45,7 @@ class ConcreteProf:
         self._render = render
         self._fibers = {}
         self._supports = {}
-        self._rights = {}
-        self._lefts = {}
+        self._tables = {}
 
     def fiber(self, a, b):
         fib = self._fibers.get((a, b))
@@ -64,35 +64,27 @@ class ConcreteProf:
     def _support(self, a):
         return dict.fromkeys(b for b in self.target.objects if self.fiber(a, b))
 
-    def right_table(self, a, g):
-        """P(a, g) as positions: for each v in P(a, dom g), in order, the
-        position of P(a, g)v in P(a, cod g).  Built on first read and
-        kept, so every coend that reads it shares it."""
-        table = self._rights.get((a, g))
+    def table(self, f, g):
+        """P(f, g) as positions: for each v in P(cod f, dom g), in order,
+        the position of P(f, g)v in P(dom f, cod g).  Built on first read
+        and kept, so every coend that reads it shares it.  With f and g
+        both identities it is range(|P(dom f, cod g)|), by the identity
+        law, as a fiber lists each element once."""
+        table = self._tables.get((f, g))
         if table is None:
-            table = self._rights[a, g] = self._right_table(a, g)
+            src, tgt = self.source, self.target
+            if f in src.identities and g in tgt.identities:
+                table = range(len(self.fiber(src.dom(f), tgt.cod(g))))
+            else:
+                table = self._table(f, g)
+            self._tables[f, g] = table
         return table
 
-    def _right_table(self, a, g):
+    def _table(self, f, g):
         """A leaf's table, by acting on its values."""
-        tgt, ida, act = self.target, self.source.identity(a), self.act
-        at = {v: i for i, v in enumerate(self.fiber(a, tgt.cod(g)))}
-        return [at[act(ida, g, v)] for v in self.fiber(a, tgt.dom(g))]
-
-    def left_table(self, f, c):
-        """P(f, c) as positions: for each w in P(cod f, c), in order, the
-        position of P(f, c)w in P(dom f, c).  Built on first read and
-        kept, so every coend that reads it shares it."""
-        table = self._lefts.get((f, c))
-        if table is None:
-            table = self._lefts[f, c] = self._left_table(f, c)
-        return table
-
-    def _left_table(self, f, c):
-        """A leaf's table, by acting on its values."""
-        src, idc, act = self.source, self.target.identity(c), self.act
-        at = {w: j for j, w in enumerate(self.fiber(src.dom(f), c))}
-        return [at[act(f, idc, w)] for w in self.fiber(src.cod(f), c)]
+        src, tgt, act = self.source, self.target, self.act
+        at = {w: i for i, w in enumerate(self.fiber(src.dom(f), tgt.cod(g)))}
+        return [at[act(f, g, v)] for v in self.fiber(src.cod(f), tgt.dom(g))]
 
     def relations(self, f, base):
         """The coend relation of f: x -> y when source is target: for each
@@ -102,7 +94,8 @@ class ConcreteProf:
         the fiber P(x, x) starts at base[x] in the coend index."""
         cat = self.source
         x, y = cat.dom(f), cat.cod(f)
-        return [(base[x], base[y])], (self.left_table(f, x), self.right_table(y, f))
+        return [(base[x], base[y])], (self.table(f, cat.identity(x)),
+                                      self.table(cat.identity(y), f))
 
     def members(self, a, b):
         """The raw elements at the fiber, grouped by class: with explicit
@@ -125,13 +118,16 @@ def render_generic(v):
 
 
 def validate_prof(p: ConcreteProf):
-    """Exhaustive identity and functoriality check; returns a list of
-    violation strings (empty iff the actions are lawful)."""
+    """Exhaustive fiber order, identity and functoriality check; returns a
+    list of violation strings (empty iff every fiber is listed in
+    increasing tuple order and the actions are lawful)."""
     out = []
     src, tgt = p.source, p.target
     for a in src.objects:
         for b in p.support(a):
             fib = p.fiber(a, b)
+            if any(v >= w for v, w in zip(fib, fib[1:])):
+                out.append(f"fiber at ({a},{b}) is not in increasing tuple order")
             ida, idb = src.identity(a), tgt.identity(b)
             for v in fib:
                 if p.act(ida, idb, v) != v:
@@ -187,10 +183,12 @@ class CoendSet:
     order, and the elements over x start at base[x]; an object left out
     of `base` has none.  The index is in tuple order: each fiber lists
     its elements in order (hom-sets and their products in id order, a
-    composite's fiber as its representatives).  relations(f, base) gives
-    the relation of a generator f as a grid, (rows, (left, right)): each
-    row (r, s) and column j relate the positions r + left[j] and
-    s + right[j] of `index`.  Only the generators with both ends in
+    composite's fiber as its representatives; `validate_prof` reports a
+    fiber out of order).  relations(f, base) gives the relation of a
+    generator f as a grid, (rows, (left, right)), with left and right
+    read from `table`s of the profunctor's actions: each row (r, s) and
+    column j relate the positions r + left[j] and s + right[j] of
+    `index`.  Only the generators with both ends in
     `base` are related: an identity relates an element to itself, for a
     lawful action a composite's relation chains its factors' ones, and a
     generator with an end that holds no element relates nothing.
@@ -418,13 +416,6 @@ def dual(p: ConcreteProf) -> ConcreteProf:
                         render=p.render)
 
 
-def constant_prof(c: FinCategory, values=("p0", "p1")) -> ConcreteProf:
-    """A constant (hence non-representable for |values| != |hom|) profunctor
-    from the terminal category; actions are trivial."""
-    t = terminal_category()
-    return ConcreteProf(t, c, lambda _, b: tuple(values), lambda _, g, v: v)
-
-
 # ---------------------------------------------------------------------------
 # tensor and composition
 
@@ -432,7 +423,8 @@ def constant_prof(c: FinCategory, values=("p0", "p1")) -> ConcreteProf:
 class TensorProf(ConcreteProf):
     """Parallel composition p1 (x) p2: fibers are cartesian products and
     actions componentwise, over the flattened products.  Its tables are
-    its factors' tables by position, with no value acted on."""
+    its factors' tables by position, with no value acted on: a factor's
+    table at two identities is a range, built without acting either."""
 
     def __init__(self, p1: ConcreteProf, p2: ConcreteProf):
         self.p1, self.p2 = p1, p2
@@ -458,21 +450,14 @@ class TensorProf(ConcreteProf):
         s2, n2 = self.p2.support(a2), len(self.p2.target.objects)
         return dict.fromkeys(b1 * n2 + b2 for b1 in self.p1.support(a1) for b2 in s2)
 
-    def _right_table(self, a, g):
+    def _table(self, f, g):
         """From the factors' tables: (v1_i, v2_j) sits at i * n2 + j in
-        P(a, dom g), so its image sits at t1[i] * n2' + t2[j] in
-        P(a, cod g), with n2' = |P2(a2, cod g2)|."""
+        P(cod f, dom g), so its image sits at t1[i] * n2' + t2[j] in
+        P(dom f, cod g), with n2' = |P2(dom f2, cod g2)|."""
         p2 = self.p2
-        (a1, a2), (g1, g2) = split_obj(p2.source, a), split_mor(p2.target, g)
-        n2, t2 = len(p2.fiber(a2, p2.target.cod(g2))), p2.right_table(a2, g2)
-        return [i1 * n2 + i2 for i1 in self.p1.right_table(a1, g1) for i2 in t2]
-
-    def _left_table(self, f, c):
-        """As _right_table, with n2' = |P2(dom f2, c2)|."""
-        p2 = self.p2
-        (f1, f2), (c1, c2) = split_mor(p2.source, f), split_obj(p2.target, c)
-        n2, t2 = len(p2.fiber(p2.source.dom(f2), c2)), p2.left_table(f2, c2)
-        return [i1 * n2 + i2 for i1 in self.p1.left_table(f1, c1) for i2 in t2]
+        (f1, f2), (g1, g2) = split_mor(p2.source, f), split_mor(p2.target, g)
+        n2, t2 = len(p2.fiber(p2.source.dom(f2), p2.target.cod(g2))), p2.table(f2, g2)
+        return [i1 * n2 + i2 for i1 in self.p1.table(f1, g1) for i2 in t2]
 
     def split_value(self, fiber, value):
         """The element `value` at `fiber` as its two factors, each with
@@ -492,12 +477,11 @@ class ComposedProf(ConcreteProf):
     `reps`; `act` acts on them part by part and re-classifies, for
     element transport and points.
 
-    The tables need no value: a coend is functorial, Q(g) acting on a
-    class [x, u, w] as [x, u, Q(x, g)w] and P(f) as [x, P(f, x)u, w], and
-    (x, u_i, w_j) sits at base[x] + i * |Q(x, c)| + j in the coend at
-    (a, c).  So a representative's image is a position found from its
-    factors' tables, and its class is that position's `place` in the
-    target coend.
+    The tables need no value: a coend is functorial, (P ; Q)(f, g) acting
+    on a class [x, u, w] as [x, P(f, x)u, Q(x, g)w], and (x, u_i, w_j)
+    sits at base[x] + i * |Q(x, c)| + j in the coend at (a, c).  So a
+    representative's image is a position found from its factors' tables,
+    and its class is that position's `place` in the target coend.
 
     The coend is empty unless some middle x has P(a, x) and Q(x, c) both
     non-empty, so supports compose as relations.  A coend is built only
@@ -512,10 +496,8 @@ class ComposedProf(ConcreteProf):
         self.p, self.q = p, q
         self.source, self.mid, self.target = p.source, p.target, q.target
         self._coends = {}
-        self._acts = {}
         self._supports = {}
-        self._rights = {}
-        self._lefts = {}
+        self._tables = {}
         self._texts = {}
 
     def fiber(self, a, c):
@@ -547,7 +529,7 @@ class ComposedProf(ConcreteProf):
 
     def _relations(self, a, c, f, base):
         """(x, u_i, Q(f, c)w_j) ~ (y, P(a, f)u_i, w_j) for f: x -> y, as a
-        grid read from P's table of P(a, f) and Q's table of Q(f, c).  The
+        grid read from the tables of P(a, f) and Q(f, c).  The
         fiber of the coend at x is |P(a, x)| rows of |Q(x, c)|: (x, u_i, w_j)
         sits at base[x] + i * |Q(x, c)| + j.  So row i is (base[x] + i *
         |Q(x, c)|, base[y] + P(a, f)[i] * |Q(y, c)|), and column j adds
@@ -556,25 +538,30 @@ class ComposedProf(ConcreteProf):
         x, y = mid.dom(f), mid.cod(f)
         nx, ny = len(q.fiber(x, c)), len(q.fiber(y, c))
         bx, by = base[x], base[y]
-        rows = [(bx + i * nx, by + fi * ny) for i, fi in enumerate(self.p.right_table(a, f))]
-        return rows, (q.left_table(f, c), range(ny))
+        rows = [(bx + i * nx, by + fi * ny)
+                for i, fi in enumerate(self.p.table(self.source.identity(a), f))]
+        return rows, (q.table(f, self.target.identity(c)), range(ny))
 
-    def _right_table(self, a, g):
-        """From Q's tables: the class of (x, u_i, w_j) goes to that of
-        (x, u_i, Q(x, g)w_j)."""
-        p, q, c2 = self.p, self.q, self.target.cod(g)
-        return _image_classes(self.coend_at(a, self.target.dom(g)), self.coend_at(a, c2),
-                              lambda x: (range(len(p.fiber(a, x))), len(q.fiber(x, c2)),
-                                         q.right_table(x, g)))
-
-    def _left_table(self, f, c):
-        """From P's tables: the class of (x, u_i, w_j) goes to that of
-        (x, P(f, x)u_i, w_j)."""
-        p, q = self.p, self.q
-        return _image_classes(self.coend_at(self.source.cod(f), c),
-                              self.coend_at(self.source.dom(f), c),
-                              lambda x: (p.left_table(f, x), len(q.fiber(x, c)),
-                                         range(len(q.fiber(x, c)))))
+    def _table(self, f, g):
+        """For each representative (x, u_i, w_j) of the coend at (cod f,
+        dom g) in order, the class number of its image in the coend at
+        (dom f, cod g), where it sits at base'[x] + P(f, x)[i] *
+        |Q(x, cod g)| + Q(x, g)[j]."""
+        p, q, mid, c2 = self.p, self.q, self.mid, self.target.cod(g)
+        src = self.coend_at(self.source.cod(f), self.target.dom(g))
+        dst = self.coend_at(self.source.dom(f), c2)
+        index, base, place, to = src.index, src.base, dst.place, dst.base
+        table, last = [], None
+        for k in src._heads:
+            x = index[k][0]
+            if x != last:
+                idx = mid.identity(x)
+                last, bx, row0, n = x, base[x], to[x], len(q.fiber(x, c2))
+                rows, cols = p.table(f, idx), q.table(idx, g)
+                m = len(cols)
+            i, j = divmod(k - bx, m)
+            table.append(place[row0 + rows[i] * n + cols[j]])
+        return table
 
     def classify(self, a, c, m, u, w):
         """Canonical representative of the class of the raw element."""
@@ -584,11 +571,7 @@ class ComposedProf(ConcreteProf):
         return ce.rep((m, u, w))
 
     def act(self, f, g, val):
-        """_act is pure for fixed p and q: compute it once per (f, g, value)."""
-        out = self._acts.get((f, g, val))
-        if out is None:
-            out = self._acts[f, g, val] = self._act(f, g, val)
-        return out
+        return self._act(f, g, val)
 
     def _act(self, f, g, val):
         m, u, w = val
@@ -619,22 +602,3 @@ class ComposedProf(ConcreteProf):
     def members(self, a, c):
         """All raw (m, u, w) index elements at the fiber, grouped by class."""
         return self.coend_at(a, c).groups
-
-
-def _image_classes(src, dst, block):
-    """A composite's table between two of its coends, by positions: for
-    each representative (x, u_i, w_j) of src in order, the class number in
-    dst of its image.  block(x) gives (rows, n, cols) for a middle object
-    x: the representative sits at src.base[x] + i * len(cols) + j, and
-    its image at dst.base[x] + rows[i] * n + cols[j]."""
-    index, base, place, to = src.index, src.base, dst.place, dst.base
-    table, last = [], None
-    for k in src._heads:
-        x = index[k][0]
-        if x != last:
-            last, bx, row0 = x, base[x], to[x]
-            rows, n, cols = block(x)
-            m = len(cols)
-        i, j = divmod(k - bx, m)
-        table.append(place[row0 + rows[i] * n + cols[j]])
-    return table

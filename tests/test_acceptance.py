@@ -13,8 +13,8 @@ import pytest
 
 from coendcheck.cli import main as cli_main
 from coendcheck.demos import DEMOS, demo_dir, load_scripts, run_demo
-from coendcheck.fincat import (load_fixture_file, validate_category,
-                               validate_monoidal)
+from coendcheck.fincat import (load_fixture_file, terminal_category,
+                               validate_category, validate_monoidal)
 from coendcheck.fixtures import (FIXTURE_NAMES, bad_fixture_names,
                                  bad_fixture_path, build, fixture_path)
 from coendcheck.optics import (Lens, apply_lens, compose_optic,
@@ -25,7 +25,7 @@ from coendcheck.optics import (Lens, apply_lens, compose_optic,
                                triple_to_learner)
 from coendcheck.pointed import OpenDiagram, forget, lift
 from coendcheck.profunctor import (ComposedProf, ConcreteProf, coend,
-                                   companion, conjoint, constant_prof,
+                                   companion, conjoint,
                                    copy_prof, cup_prof, cap_prof, hom_prof,
                                    merge_prof, point, swap_prof,
                                    tensor_functor)
@@ -33,6 +33,12 @@ from coendcheck.rewrite import (Derivation, Report, Step, apply_step,
                                 check_derivation_once,
                                 script_object_symbols)
 from coendcheck.shapelang import Env, Evaluator, parse_shape_script
+
+
+def constant_prof(c):
+    """A profunctor 1 -> c with the fiber ("p0", "p1") at every object and
+    trivial actions: functorial, but not representable."""
+    return ConcreteProf(terminal_category(), c, lambda _, b: ("p0", "p1"), lambda _, g, v: v)
 
 
 def value_key(v):

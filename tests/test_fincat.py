@@ -278,7 +278,7 @@ def test_product_hom_sizes_multiply(oracles):
     sizes = set()
     for a in p.objects:
         for b in p.objects:
-            ta, tb = p.obj_tuple(a), p.obj_tuple(b)
+            ta, tb = split_obj(d, a), split_obj(d, b)
             assert len(p.hom(a, b)) == len(c.hom(ta[0], tb[0])) * len(d.hom(ta[1], tb[1]))
             sizes.add(len(p.hom(a, b)))
     assert sizes == {0, 2}
@@ -359,18 +359,18 @@ def _layout_cases():
 @pytest.mark.parametrize("parts", _layout_cases(), ids=[
     "CxC", "CxCop", "CopxCxCop", "(CxC)xC", "1", "Cx1", "1xCx1xC", "prod-l2-z2xz2"])
 def test_product_ids_match_the_naive_tables(parts):
-    # packing, unpacking, splitting and joining a product's ids agree with
+    # joining, splitting, and packing and unpacking a morphism, agree with
     # the enumerated tables, and its dom, cod and identities with the
     # factorwise ones
     p = product(*parts)
     flat = p.factors if p.factors is not None else (p,)
     objs, mors = _naive_ids(flat, "objects"), _naive_ids(flat, "morphisms")
     assert (len(p.objects), len(p.morphisms)) == (len(objs), len(mors))
-    for table, pack, unpack, join in ((objs, p.pack_obj, p.obj_tuple, join_objs),
-                                      (mors, p.pack_mor, p.mor_tuple, join_mors)):
-        for tup, i in table.items():
-            assert pack(tup) == i and unpack(i) == tup
-            assert join(zip(flat, tup)) == i
+    for tup, i in objs.items():
+        assert join_objs(zip(flat, tup)) == i
+    for tup, i in mors.items():
+        assert p.pack_mor(tup) == i and p.mor_tuple(i) == tup
+        assert join_mors(zip(flat, tup)) == i
     for tup, i in mors.items():
         assert p.dom(i) == objs[tuple(f.dom(m) for f, m in zip(flat, tup))]
         assert p.cod(i) == objs[tuple(f.cod(m) for f, m in zip(flat, tup))]

@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 from coendcheck.cli import main
 from coendcheck.demos import DEMOS, demo_dir, load_scripts, run_demo
 from coendcheck.fincat import (build_category, from_comm_monoid, from_lattice,
-                               join_objs, opposite, product, terminal_category)
+                               join_objs, opposite, product, split_obj,
+                               terminal_category)
 from coendcheck.fixtures import FIXTURE_NAMES, build, fixture_path
 from coendcheck.optics import lens_set
 from coendcheck.profunctor import (ComposedProf, ConcreteProf,
                                    ProfunctorError, TensorProf, cap_prof,
-                                   companion, conjoint, constant_prof, copy_prof,
+                                   companion, conjoint, copy_prof,
                                    cup_prof, CoendSet, coend, discard_prof,
                                    hom_prof, merge_prof, point, swap_prof,
                                    tensor_functor, validate_prof)
@@ -222,11 +223,10 @@ def test_junction_fork_unit_sizes(oracles):
     m2 = oracles["meet-lattice-2"]
     f = conjoint(tensor_functor(m2))
     one = m2.base.obj_id("1")
-    cc = f.target
-    assert len(f.fiber(one, cc.pack_obj((one, one)))) == 1
+    assert len(f.fiber(one, join_objs([(m2.base, one), (m2.base, one)]))) == 1
     z2 = oracles["z2"]
     j = companion(tensor_functor(z2))
-    assert len(j.fiber(j.source.pack_obj((0, 0)), 0)) == 2
+    assert len(j.fiber(join_objs([(z2.base, 0), (z2.base, 0)]), 0)) == 2
     uo = conjoint(point(m2.base, m2.unit))
     assert len(uo.fiber(m2.base.obj_id("0"), 0)) == 1
     ui = companion(point(m2.base, m2.unit))
@@ -254,6 +254,22 @@ def test_constructed_profunctors_are_functorial(oracles):
 def test_validate_prof_reports_a_lawless_action(act, message):
     c = build("z2").base
     assert message in validate_prof(ConcreteProf(c, c, lambda a, b: ("a", "b"), act))
+
+
+def test_validate_prof_reports_a_fiber_out_of_tuple_order():
+    # a coend represents a class by its least position, so it reads each
+    # fiber as listed in increasing tuple order, and a table at two
+    # identities is the range over its fiber, so it reads each element as
+    # listed once: a hom over z2 with its fibers reversed gives a
+    # composite the greatest elements as representatives
+    c = build("z2").base
+    message = "fiber at (0,0) is not in increasing tuple order"
+    rev = ConcreteProf(c, c, lambda a, b: c.hom(a, b)[::-1],
+                       lambda f, g, v: c.compose(f, c.compose(v, g)))
+    assert ComposedProf(rev, hom_prof(c)).fiber(0, 0) == ((0, 1, 0), (0, 1, 1))
+    assert validate_prof(rev) == [message]
+    twice = ConcreteProf(c, c, lambda a, b: ("a", "a"), lambda f, g, v: v)
+    assert validate_prof(twice) == [message]
 
 
 # -- coends ------------------------------------------------------------------
@@ -669,20 +685,12 @@ def test_a_pair_quotient_walks_the_generators_with_both_ends_in_its_fibers(fx):
                     assert sorted(walked) == sorted(want), (a, b)
 
 
-def naive_right_table(p, a, g):
-    """The reference for P(a, g) as positions: act on each v in
-    P(a, dom g) and look its image up in P(a, cod g)."""
-    ida, tgt = p.source.identity(a), p.target
-    at = {v: i for i, v in enumerate(p.fiber(a, tgt.cod(g)))}
-    return [at[p.act(ida, g, v)] for v in p.fiber(a, tgt.dom(g))]
-
-
-def naive_left_table(p, f, c):
-    """The reference for P(f, c) as positions: act on each w in
-    P(cod f, c) and look its image up in P(dom f, c)."""
-    src, idc = p.source, p.target.identity(c)
-    at = {w: j for j, w in enumerate(p.fiber(src.dom(f), c))}
-    return [at[p.act(f, idc, w)] for w in p.fiber(src.cod(f), c)]
+def naive_table(p, f, g):
+    """The reference for P(f, g) as positions: act on each v in
+    P(cod f, dom g) and look its image up in P(dom f, cod g)."""
+    src, tgt = p.source, p.target
+    at = {v: i for i, v in enumerate(p.fiber(src.dom(f), tgt.cod(g)))}
+    return [at[p.act(f, g, v)] for v in p.fiber(src.cod(f), tgt.dom(g))]
 
 
 def table_cases(mon):
@@ -707,16 +715,16 @@ def table_cases(mon):
 
 
 def assert_tables_match_naive(cases):
-    """Every table of each profunctor, at every generator and every fiber,
-    against acting on each value."""
+    """The table of each profunctor at every f among the source's
+    generators and identities and every g among the target's, both sides
+    moving at once too, against acting on each value."""
     for name, p in cases.items():
         src, tgt = p.source, p.target
-        for g in tgt.generators:
-            for a in src.objects:
-                assert p.right_table(a, g) == naive_right_table(p, a, g), (name, a, g)
-        for f in src.generators:
-            for c in tgt.objects:
-                assert p.left_table(f, c) == naive_left_table(p, f, c), (name, f, c)
+        fs = [*src.generators, *map(src.identity, src.objects)]
+        gs = [*tgt.generators, *map(tgt.identity, tgt.objects)]
+        for f in fs:
+            for g in gs:
+                assert list(p.table(f, g)) == naive_table(p, f, g), (name, f, g)
 
 
 @pytest.mark.parametrize("fx", ["z2", "meet-lattice-2", "prod-l2-z2", "diamond"])
@@ -725,6 +733,37 @@ def test_composite_and_tensor_tables_match_acting_on_values(fx):
     # by position arithmetic; acting on each value and classifying its
     # image is the reference
     assert_tables_match_naive(table_cases(build(fx)))
+
+
+@pytest.mark.parametrize("fx", ["z2", "meet-lattice-2", "prod-l2-z2", "diamond"])
+def test_a_table_at_two_identities_is_the_range_over_its_fiber(fx):
+    mon = build(fx)
+    for name, p in {**table_cases(mon), "hom": hom_prof(mon.base)}.items():
+        src, tgt = p.source, p.target
+        for a in src.objects:
+            for b in tgt.objects:
+                table = p.table(src.identity(a), tgt.identity(b))
+                assert table == range(len(p.fiber(a, b))), (name, a, b)
+
+
+def test_no_table_is_built_at_two_identities():
+    # a table at two identities is taken as a range before any class
+    # builds one, so no leaf acts on its values for it and no tensor or
+    # composite reads its factors' tables for it
+    built = collections.Counter()
+
+    def spy(cls):
+        real = cls._table
+
+        def record(p, f, g):
+            built[f in p.source.identities and g in p.target.identities] += 1
+            return real(p, f, g)
+        return mock.patch.object(cls, "_table", record)
+    with spy(ConcreteProf), spy(TensorProf), spy(ComposedProf):
+        assert eval_lens_composite() == 0
+        for name in DEMOS:
+            assert run_demo(name).ok
+    assert built[False] > 1000 and built[True] == 0
 
 
 def test_tables_through_a_relation_free_middle_match_acting_on_values():
@@ -1131,7 +1170,7 @@ def test_tensor_sizes_multiply(oracles):
     src = p.source
     for a in src.objects:
         for b in src.objects:
-            (a1, a2), (b1, b2) = src.obj_tuple(a), src.obj_tuple(b)
+            (a1, a2), (b1, b2) = split_obj(z2.base, a), split_obj(z2.base, b)
             assert len(p.fiber(a, b)) == \
                 len(m2.base.hom(a1, b1)) * len(z2.base.hom(a2, b2))
     assert validate_prof(p) == []
@@ -1141,11 +1180,9 @@ def test_tensor_of_representables_hand_count():
     c = build("meet-lattice-2").base
     p = TensorProf(companion(point(c, c.obj_id("0"))),
                    companion(point(c, c.obj_id("1"))))
-    tgt = p.target
     # C(0,a) x C(1,b): nonzero only when b = 1; sizes all 1 there
-    assert len(p.fiber(0, tgt.pack_obj((c.obj_id("1"), c.obj_id("1"))))) == 1
-    assert len(p.fiber(0, tgt.pack_obj((c.obj_id("0"), c.obj_id("1"))))) == 1
-    assert len(p.fiber(0, tgt.pack_obj((c.obj_id("1"), c.obj_id("0"))))) == 0
+    for b1, b2, n in [("1", "1", 1), ("0", "1", 1), ("1", "0", 0)]:
+        assert len(p.fiber(0, join_objs([(c, c.obj_id(b1)), (c, c.obj_id(b2))]))) == n
 
 
 def test_tensor_with_terminal_unit_is_identity_shaped():
@@ -1226,6 +1263,12 @@ def test_composition_family_is_natural(oracles):
 
 
 # -- the lax-copy counterexample input ----------------------------------------
+
+
+def constant_prof(c):
+    """A profunctor 1 -> c with the fiber ("p0", "p1") at every object and
+    trivial actions: functorial, but not representable."""
+    return ConcreteProf(terminal_category(), c, lambda _, b: ("p0", "p1"), lambda _, g, v: v)
 
 
 def test_constant_prof_is_functorial_but_not_representable():

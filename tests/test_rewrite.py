@@ -1,8 +1,9 @@
 import pytest
 
 from coendcheck import rewrite
+from coendcheck.fincat import terminal_category
 from coendcheck.fixtures import build
-from coendcheck.profunctor import ProfunctorError, constant_prof
+from coendcheck.profunctor import ConcreteProf, ProfunctorError
 from coendcheck.fixtures import FIXTURE_NAMES
 from coendcheck.rewrite import (Derivation, DirectionError, MatchError, Report,
                                 RewriteError, Step, apply_step, check_derivation,
@@ -12,6 +13,13 @@ from coendcheck.shapelang import (Env, Evaluator, Gen, Id, Par, Seq,
                                   StructureMissing, Wire, boundary,
                                   class_count, eval_closed, objects_in,
                                   parse_shape_script)
+
+
+def constant_prof(c):
+    """A profunctor 1 -> c with the fiber ("p0", "p1") at every object and
+    trivial actions: functorial, but not representable."""
+    return ConcreteProf(terminal_category(), c, lambda _, b: ("p0", "p1"), lambda _, g, v: v)
+
 
 SCRIPT = """
 (category C)

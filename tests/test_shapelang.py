@@ -12,15 +12,23 @@ from hypothesis import strategies as st
 
 from coendcheck import rewrite
 from coendcheck.demos import DEMOS, demo_dir, load_scripts
+from coendcheck.fincat import terminal_category
 from coendcheck.fixtures import FIXTURE_NAMES, build
 from coendcheck.pointed import OpenDiagram
-from coendcheck.profunctor import constant_prof
+from coendcheck.profunctor import ConcreteProf
 from coendcheck.rewrite import check_derivation
 from coendcheck.shapelang import (KINDS, Env, EvalError, Evaluator, Gen, Id, Par, Seq, Wire,
                                   ShapeSyntaxError, ShapeTypeError, Signature,
                                   StructureMissing, boundary, class_count,
                                   eval_closed, norm, parse_shape_script,
                                   parse_term, print_term, read_sexprs, tokenize)
+
+
+def constant_prof(c):
+    """A profunctor 1 -> c with the fiber ("p0", "p1") at every object and
+    trivial actions: functorial, but not representable."""
+    return ConcreteProf(terminal_category(), c, lambda _, b: ("p0", "p1"), lambda _, g, v: v)
+
 
 LENS_SCRIPT = """
 ; the monoidal lens shape and friends
