@@ -80,6 +80,9 @@ class FinCategory:
         # product/opposite bookkeeping, populated by the constructions below
         self.factors = None        # tuple of FinCategory for product categories
         self._op_cache = None
+        # composite coend quotients over this middle category, by what
+        # their relation grids read (profunctor.ComposedProf._coend)
+        self._quotients = {}
 
     # -- basic accessors ---------------------------------------------------
 

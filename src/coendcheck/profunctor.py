@@ -12,7 +12,9 @@ the same tuple shape, so Python's tuple order, which compares their leaves
 left to right, is a total order on them.  Every fiber lists its elements
 in that order, so every coend index is in tuple order too: the least
 position of a class holds its least element, the canonical
-representative, and a coend finds it by positions alone.
+representative, and a coend finds it by positions alone.  So the
+composite coends over one middle category whose relation grids are
+equal share one quotient, which that category keeps.
 """
 
 from __future__ import annotations
@@ -175,6 +177,13 @@ class _derived:
         return value
 
 
+def _walk(cat: FinCategory, base):
+    """The generators of cat with both ends in `base`, in order: the only
+    ones whose coend relation relates anything."""
+    gens_from, cod = cat.generators_from, cat.cod
+    return [f for x in base for f in gens_from.get(x, ()) if cod(f) in base]
+
+
 class CoendSet:
     """The coequalizer of the two morphism actions on the diagonal of a
     profunctor with equal endpoints (a coend over the category `cat`).
@@ -203,9 +212,16 @@ class CoendSet:
     element reads no relation: its one element is its one class, so
     `reps` is `index`.  The coend with no elements is `empty_coend(cat)`,
     one per category.
+
+    The partition depends on positions alone.  A coend given a `key`
+    that fixes n and every grid it reads takes `place` and `_heads` from
+    `cat._quotients` when that key is stored there, and reads no
+    relation; else it runs the union-find and stores them under the key.
+    So they are shared, read-only tuples; `reps` comes from the coend's
+    own `index`.
     """
 
-    def __init__(self, cat: FinCategory, index, base, relations):
+    def __init__(self, cat: FinCategory, index, base, relations, key=None):
         self.cat = cat
         self.index = index
         self.base = base
@@ -214,36 +230,38 @@ class CoendSet:
             self.reps = index
             self._heads = self.place = ((), (0,))[n]
             return
-        # union-find over positions, each root found by path halving
-        parent = list(range(n))
-        gens_from, cod = cat.generators_from, cat.cod
-        for x in base:
-            for f in gens_from.get(x, ()):
-                if cod(f) in base:
-                    rows, (left, right) = relations(f, base)
-                    for r, s in rows:
-                        for i, j in zip(left, right):
-                            i += r
-                            j += s
-                            while parent[i] != i:
-                                parent[i] = i = parent[parent[i]]
-                            while parent[j] != j:
-                                parent[j] = j = parent[parent[j]]
-                            if i < j:
-                                parent[j] = i
-                            else:
-                                parent[i] = j
-        # a parent precedes its child, so one pass in order numbers the
-        # roots in order and gives every other position its parent's number
-        heads = []
-        for k, r in enumerate(parent):
-            if r == k:
-                parent[k] = len(heads)
-                heads.append(k)
-            else:
-                parent[k] = parent[r]
-        self.place, self._heads = parent, heads
-        self.reps = tuple(map(index.__getitem__, heads))
+        quotient = cat._quotients.get(key)
+        if quotient is None:
+            # union-find over positions, each root found by path halving
+            parent = list(range(n))
+            for f in _walk(cat, base):
+                rows, (left, right) = relations(f, base)
+                for r, s in rows:
+                    for i, j in zip(left, right):
+                        i += r
+                        j += s
+                        while parent[i] != i:
+                            parent[i] = i = parent[parent[i]]
+                        while parent[j] != j:
+                            parent[j] = j = parent[parent[j]]
+                        if i < j:
+                            parent[j] = i
+                        else:
+                            parent[i] = j
+            # a parent precedes its child, so one pass in order numbers the
+            # roots in order and gives every other position its parent's number
+            heads = []
+            for k, r in enumerate(parent):
+                if r == k:
+                    parent[k] = len(heads)
+                    heads.append(k)
+                else:
+                    parent[k] = parent[r]
+            quotient = tuple(parent), tuple(heads)
+            if key is not None:
+                cat._quotients[key] = quotient
+        self.place, self._heads = quotient
+        self.reps = tuple(map(index.__getitem__, self._heads))
 
     @_derived
     def _rep_of(self):
@@ -517,15 +535,29 @@ class ComposedProf(ConcreteProf):
 
     def _coend(self, a, c):
         """The coend at (a, c), over the raw (x, u, w) for u in P(a, x) and
-        w in Q(x, c) on each middle object x with both non-empty."""
-        p, q = self.p, self.q
-        index, base = [], {}
+        w in Q(x, c) on each middle object x with both non-empty.
+
+        Its key is all that its grids read: each x in order with |P(a, x)|
+        and |Q(x, c)|, then each generator f it walks followed by the
+        contents of P(a, f) and Q(f, c), whose lengths those sizes fix.
+        `_relations` runs only if the key is new, and reads the same
+        tables, which the factors keep."""
+        p, q, mid = self.p, self.q, self.mid
+        index, base, sizes = [], {}, []
         for x in p.support(a):
             if c in q.support(x):
                 base[x] = len(index)
-                ws = q.fiber(x, c)
-                index += [(x, u, w) for u in p.fiber(a, x) for w in ws]
-        return CoendSet(self.mid, tuple(index), base, functools.partial(self._relations, a, c))
+                us, ws = p.fiber(a, x), q.fiber(x, c)
+                sizes += x, len(us), len(ws)
+                index += [(x, u, w) for u in us for w in ws]
+        key = None
+        if len(index) > 1:
+            ida, idc = self.source.identity(a), self.target.identity(c)
+            key = [tuple(sizes)]
+            for f in _walk(mid, base):
+                key += f, *p.table(ida, f), *q.table(f, idc)
+            key = tuple(key)
+        return CoendSet(mid, tuple(index), base, functools.partial(self._relations, a, c), key)
 
     def _relations(self, a, c, f, base):
         """(x, u_i, Q(f, c)w_j) ~ (y, P(a, f)u_i, w_j) for f: x -> y, as a

@@ -659,11 +659,13 @@ def test_composites_sharing_a_left_factor_read_its_tables_once(fx):
 @pytest.mark.parametrize("fx", ["z2", "meet-lattice-2", "prod-l2-z2", "diamond"])
 def test_a_pair_quotient_walks_the_generators_with_both_ends_in_its_fibers(fx):
     # a generator with an end that holds no element relates nothing, so a
-    # coend walks each generator between its non-empty fibers once and no
-    # other; a coend of at most one element walks none
+    # coend whose key its middle category has not stored walks each
+    # generator between its non-empty fibers once and no other; a coend
+    # with a stored key, or of at most one element, walks none.  The
+    # fixture is built fresh, so no earlier test stored a key over it.
     mon = build(fx)
     c, tensor = mon.base, tensor_functor(mon)
-    walked = []
+    walked, kinds = [], collections.Counter()
     real = ComposedProf._relations
 
     def record(comp, a, b, f, base):
@@ -678,11 +680,18 @@ def test_a_pair_quotient_walks_the_generators_with_both_ends_in_its_fibers(fx):
             for a in comp.source.objects:
                 for b in comp.target.objects:
                     walked.clear()
+                    stored = len(mid._quotients)
                     n = len(comp.coend_at(a, b).index)
+                    new = len(mid._quotients) > stored
                     held = {x for x in mid.objects if p.fiber(a, x) and q.fiber(x, b)}
                     want = [f for f in mid.generators
-                            if mid.dom(f) in held and mid.cod(f) in held] if n > 1 else []
+                            if mid.dom(f) in held and mid.cod(f) in held] if new else []
                     assert sorted(walked) == sorted(want), (a, b)
+                    assert new == (n > 1 and len(mid._quotients) == stored + 1)
+                    kinds["new" if new else "stored" if n > 1 else "small"] += 1
+    # over a lattice some coends of one composite repeat a key
+    assert kinds["new"] and kinds["stored"] == {"z2": 0, "meet-lattice-2": 1,
+                                                "prod-l2-z2": 0, "diamond": 3}[fx]
 
 
 def naive_table(p, f, g):
@@ -1046,6 +1055,53 @@ def test_every_coend_index_is_in_tuple_order():
             assert ce._heads[c] == at[rep] == min(map(at.get, group))
             assert {ce.place[at[t]] for t in group} == {c}
         assert ce.reps == tuple(ce.groups)
+
+
+def test_coends_with_equal_keys_share_one_quotient():
+    # eval loads prod-l2-z2 afresh, so no earlier test stored a key over
+    # its categories: of the 170 coends of more than one element that
+    # lens-composite builds, 31 compute their quotient and every other one
+    # repeats the key of one before it, at another fiber or assignment,
+    # and takes its quotient; each matches the naive quotient either way
+    with recorded_coends() as built:
+        assert eval_lens_composite() == 0
+    big = [ce for ce in map(assert_fiber_matches_naive, *zip(*built)) if len(ce.index) > 1]
+    computed = {id(ce.place): ce for ce in reversed(big)}
+    assert (len(big), len(computed)) == (170, 31)
+    assert sum(len(mid._quotients) for mid in {comp.mid for comp, _, _ in built}) == 31
+    for ce in big:
+        first = computed[id(ce.place)]
+        assert ce._heads is first._heads
+        assert ce.reps == tuple(map(ce.index.__getitem__, ce._heads))
+
+
+def test_a_quotient_is_shared_only_between_equal_grids():
+    # over z2, the hom and a profunctor with its fibers but the trivial
+    # action have equal block sizes but different tables P(0, f), so their
+    # composites with the hom key and keep different quotients
+    c = build("z2").base
+    hom = hom_prof(c)
+    trivial = ConcreteProf(c, c, c.hom, lambda f, g, v: v)
+    ces = [assert_fiber_matches_naive(ComposedProf(p, hom), 0, 0) for p in (hom, trivial)]
+    assert [len(ce.index) for ce in ces] == [4, 4]
+    assert ces[0].place != ces[1].place and len(c._quotients) == 2
+    # lens over a fresh prod-l2-z2 at two assignments: a coend of the second
+    # that takes a quotient the first stored gives the representatives in
+    # its own index, with other values than the first's
+    sig = SCRIPTS["lens.shapes"]
+    term = sig.shapes["lens"]
+    firsts, differ = {}, 0
+    for k, env in enumerate(itertools.islice(
+            Env(sig, {"C": build("prod-l2-z2")}).assignments(only=objects_in(term)), 2)):
+        with recorded_coends() as built:
+            evaluate_every_fiber(term, env)
+        for ce in map(assert_fiber_matches_naive, *zip(*built)):
+            if k == 0:
+                firsts[id(ce.place)] = ce
+            elif id(ce.place) in firsts and len(ce.index) > 1:
+                assert ce.reps == tuple(map(ce.index.__getitem__, ce._heads))
+                differ += ce.reps != firsts[id(ce.place)].reps
+    assert differ == 2
 
 
 def test_evaluating_a_shape_acts_on_no_composite_value():
