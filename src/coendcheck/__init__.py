@@ -30,7 +30,7 @@ _EXPORTS = {
     "shapelang": ("Wire", "Id", "Gen", "Seq", "Par", "Signature", "Env", "Evaluator",
                   "ShapeSyntaxError", "ShapeTypeError", "StructureMissing", "EvalError",
                   "parse_shape_script", "parse_term", "print_term", "boundary",
-                  "eval_closed", "class_count", "norm", "sweep", "Report"),
+                  "eval_closed", "class_count", "seq", "par", "sweep", "Report"),
     "rewrite": ("RULES", "Step", "Derivation", "DerivationScript",
                 "RewriteError", "MatchError", "DirectionError", "PathError",
                 "apply_step", "check_derivation", "parse_derivation_script"),

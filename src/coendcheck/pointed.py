@@ -17,7 +17,7 @@ from .rewrite import (PointError, RewriteError, apply_step, build_seq_value,
                       check_instantiation)
 from .shapelang import (KINDS, Evaluator, Id, Par, Seq, Wire, boundary,
                         functor_expr_sig, leaves, obj_expr_cat, print_term,
-                        relabel, strip_labels)
+                        relabel, seq, strip_labels)
 
 
 class OpenDiagram(NamedTuple):
@@ -107,10 +107,8 @@ def compose_open(d1: OpenDiagram, d2: OpenDiagram, ev: Evaluator) -> OpenDiagram
         raise PointError("open diagrams do not share a middle object")
     s1 = relabel(d1.shape, lambda x: "l:" + x if x else None)
     s2 = relabel(d2.shape, lambda x: "r:" + x if x else None)
-    value = build_seq_value(ev, [(s1, d1.point, d1.fiber[0], d1.fiber[1]),
-                                 (s2, d2.point, d2.fiber[0], d2.fiber[1])],
-                            (d1.fiber[0], d2.fiber[1]))
-    return OpenDiagram(Seq((s1, s2)), (d1.fiber[0], d2.fiber[1]), value)
+    value = build_seq_value(ev, [(s1, d1.point, *d1.fiber), (s2, d2.point, *d2.fiber)])
+    return OpenDiagram(seq((s1, s2)), (d1.fiber[0], d2.fiber[1]), value)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +143,7 @@ def _walk(ev, term, assignment, left_obj):
             v, r = _walk(ev, p, assignment, cur)
             items.append((p, v, cur, r))
             cur = r
-        return build_seq_value(ev, items, (left_obj, cur)), cur
+        return build_seq_value(ev, items), cur
     if isinstance(term, Par):
         prof = ev.node(term)  # a TensorProf: its factors split the fiber's objects
         lt, lb = split_obj(prof.p2.source, left_obj)

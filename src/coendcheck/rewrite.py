@@ -18,8 +18,9 @@ from .fincat import (FixtureError, join_mors, join_objs, opposite_monoidal, spli
 from .profunctor import ProfunctorError, dual
 from .shapelang import (CheckAborted, Env, EvalError, Evaluator, Gen, Id, Par, Report,
                         Seq, ShapeTypeError, StructureMissing, Wire, _ws, boundary,
-                        is_plain_id, leaves, norm, obj_expr_cat, obj_expr_symbols, objects_in,
-                        functor_expr_sig, parse_shape_script, print_term, strip_labels)
+                        is_plain_id, leaves, obj_expr_cat, obj_expr_symbols, objects_in, par,
+                        functor_expr_sig, parse_shape_script, print_term, seq,
+                        seq_skeleton, strip_labels)
 
 
 class RewriteError(Exception):
@@ -78,27 +79,6 @@ class NodeOutcome(NamedTuple):
 # value assembly mirroring term normalization
 
 
-@functools.cache
-def _seq_skeleton(terms):
-    """What build_seq_value reads off the part terms alone: the positions
-    of the nested composites, which unfold; per part of the flattened
-    composite that is no plain identity wire, its position and the
-    positions of the identity wires just before it; the positions of the
-    identity wires after the last such part; and the composite of the kept
-    parts (None when fewer than two are kept)."""
-    nested = tuple(k for k, t in enumerate(terms) if isinstance(t, Seq))
-    flat = [p for t in terms for p in (t.parts if isinstance(t, Seq) else (t,))]
-    kept, ids = [], []
-    for k, t in enumerate(flat):
-        if is_plain_id(t):
-            ids.append(k)
-        else:
-            kept.append((k, tuple(ids)))
-            ids = []
-    out = Seq(tuple(flat[k] for k, _ in kept)) if len(kept) > 1 else None
-    return nested, tuple(kept), tuple(ids), out
-
-
 def _wire_value(ev, flat, ids):
     """The composite of the values of the identity wires at positions `ids`."""
     m = flat[ids[0]][1]
@@ -108,16 +88,16 @@ def _wire_value(ev, flat, ids):
     return m
 
 
-def build_seq_value(ev: Evaluator, items, fiber):
-    """Value of norm(Seq(terms)) given per-item values and fiber ends.
+def build_seq_value(ev: Evaluator, items):
+    """Value of seq(terms) given per-item values and their fiber ends.
 
     items: list of (term, value, left_obj, right_obj).  Mirrors the silent
     normalization: nested composites unfold, identity wires are absorbed
     into their neighbours by the profunctor actions.  Which items unfold,
     which parts are identity wires and the composite left are decided once
-    per tuple of terms (_seq_skeleton); a call moves the values.
+    per tuple of terms (seq_skeleton); a call moves the values.
     """
-    nested, kept, trail, out = _seq_skeleton(tuple([it[0] for it in items]))
+    _, nested, kept, trail, out = seq_skeleton(tuple([it[0] for it in items]))
     flat = list(items)
     for k in reversed(nested):
         t, v, l, r = flat[k]
@@ -140,19 +120,22 @@ def build_seq_value(ev: Evaluator, items, fiber):
         vals[-1] = prof.act(prof.source.identity(l), _wire_value(ev, flat, trail), vals[-1])
     if out is None:
         return vals[0]
-    return ev.node(out).refold(fiber, vals, mids[:-1])
+    return ev.node(out).refold((items[0][2], items[-1][3]), vals, mids[:-1])
 
 
 def par_value(ev: Evaluator, top_term, v_top, bottom_term, v_bottom):
-    """Value of norm(Par(top, bottom)) from the component values."""
-    if is_plain_id(top_term) and is_plain_id(bottom_term):
-        cat = ev.env.boundary_cat
-        return join_mors([(cat(top_term.wires), v_top), (cat(bottom_term.wires), v_bottom)])
-    if is_plain_id(top_term) and not top_term.wires:
-        return v_bottom
-    if is_plain_id(bottom_term) and not bottom_term.wires:
+    """Value of par(top, bottom): the pair, the kept side's value, or the
+    merged wires' joined morphism (a unit wire's one morphism is 0, so
+    a wire kept beside one keeps its value, which is that join too)."""
+    t = par(top_term, bottom_term)
+    if isinstance(t, Par):
+        return (v_top, v_bottom)
+    if t is top_term:
         return v_top
-    return (v_top, v_bottom)
+    if t is bottom_term:
+        return v_bottom
+    cat = ev.env.boundary_cat
+    return join_mors([(cat(top_term.wires), v_top), (cat(bottom_term.wires), v_bottom)])
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +171,14 @@ def _seq_level(term, i, outcome: SliceOutcome) -> NodeOutcome:
     if j > len(parts):
         raise PathError(f"slice {i}..{j} out of range")
     new_parts = parts[:i] + tuple(outcome.parts) + parts[j:]
-    new_term = new_parts[0] if len(new_parts) == 1 else norm(Seq(new_parts))
+    new_term = seq(new_parts)
 
     def transport(ev, fiber, value):
         vals, ends = unfold(term, fiber, value)
         slice_fibers = list(zip(ends[i:j], ends[i + 1:j + 1]))
         vals[i:j], mids = outcome.transform(ev, vals[i:j], slice_fibers, ends[i], ends[j])
         ends[i:j + 1] = [ends[i], *mids, ends[j]]
-        return build_seq_value(ev, list(zip(new_parts, vals, ends, ends[1:])), fiber)
+        return build_seq_value(ev, list(zip(new_parts, vals, ends, ends[1:])))
 
     return NodeOutcome(new_term, transport, outcome.inverse_inst)
 
@@ -243,7 +226,7 @@ def rewrite_at(ev: Evaluator, term, path, rule, inst, backward, gates):
                 v_bot = child.transform(ev, f_bot, v_bot)
             return par_value(ev, new_top, v_top, new_bottom, v_bot)
 
-        return NodeOutcome(norm(Par(new_top, new_bottom)), transport, child.inverse_inst)
+        return NodeOutcome(par(new_top, new_bottom), transport, child.inverse_inst)
     raise PathError(f"path descends into a leaf {print_term(term)}")
 
 
@@ -495,24 +478,24 @@ class Assoc(Rule):
         if not backward:
             _want(isinstance(term.top, Par), "R-ASSOC forward expects ((a|b)|c)")
             a, b, c = term.top.top, term.top.bottom, term.bottom
-            bc = norm(Par(b, c))
+            bc = par(b, c)
 
             def tf(ev, fiber, value):
                 (ft, vt), (fc, vc) = ev.node(term).split_value(fiber, value)
                 (fa, va), (fb, vb) = ev.node(term.top).split_value(ft, vt)
                 return par_value(ev, a, va, bc, par_value(ev, b, vb, c, vc))
 
-            return NodeOutcome(norm(Par(a, Par(b, c))), tf)
+            return NodeOutcome(par(a, bc), tf)
         _want(isinstance(term.bottom, Par), "R-ASSOC backward expects (a|(b|c))")
         a, b, c = term.top, term.bottom.top, term.bottom.bottom
-        ab = norm(Par(a, b))
+        ab = par(a, b)
 
         def tf(ev, fiber, value):
             (fa, va), (fbc, vbc) = ev.node(term).split_value(fiber, value)
             (fb, vb), (fc, vc) = ev.node(term.bottom).split_value(fbc, vbc)
             return par_value(ev, ab, par_value(ev, a, va, b, vb), c, vc)
 
-        return NodeOutcome(norm(Par(Par(a, b), c)), tf)
+        return NodeOutcome(par(ab, c), tf)
 
 
 def _cut(ev, term, cut):
@@ -528,12 +511,12 @@ def _cut(ev, term, cut):
     mid_cat = ev.env.boundary_cat(bnd_mid)
 
     def piece(ps):
-        return norm(Seq(ps)) if len(ps) > 1 else ps[0] if ps else Id(bnd_mid)
+        return seq(ps) if ps else Id(bnd_mid)
 
     def assemble(ev, ps, vs, es):
         if not ps:
             return mid_cat.identity(es[0])
-        return build_seq_value(ev, list(zip(ps, vs, es, es[1:])), (es[0], es[-1]))
+        return build_seq_value(ev, list(zip(ps, vs, es, es[1:])))
 
     def split(ev, fiber, value):
         vals, ends = unfold(term, fiber, value)
@@ -566,14 +549,14 @@ class Interchange(Rule):
         run = parts[lo:hi]
         if not run:
             raise MatchError("empty interchange column")
-        b = norm(Seq(run)) if len(run) > 1 else run[0]
+        b = seq(run)
         if boundary(b, ev.sig)[0] != () or boundary(b, ev.sig)[1] != ():
             raise MatchError("a spanned interchange column must be closed")
 
         def split(ev, vals, fibers):
             # empty top leg: the top value is the unit identity
             items = [(t, v, f[0], f[1]) for t, v, f in zip(run, vals, fibers)]
-            vb = build_seq_value(ev, items, (fibers[0][0], fibers[-1][1]))
+            vb = build_seq_value(ev, items)
             return ((0, 0), 0), ((fibers[0][0], fibers[-1][1]), vb)
         return Id(()), b, split
 
@@ -587,8 +570,8 @@ class Interchange(Rule):
             rb, ld = boundary(b, sig)[1], boundary(d, sig)[0]
             _want(ra == lc and rb == ld,
                   "R-INTERCHANGE legs do not split the middle boundary")
-            ac, bd = norm(Seq((a, c))), norm(Seq((b, d)))
-            new_par = norm(Par(ac, bd))
+            ac, bd = seq((a, c)), seq((b, d))
+            new_par = par(ac, bd)
             _want(not is_plain_id(new_par),
                   "R-INTERCHANGE would collapse to an identity wire")
             cut1 = len(a.parts) if isinstance(a, Seq) else (0 if is_plain_id(a) else 1)
@@ -597,10 +580,8 @@ class Interchange(Rule):
             def tf(ev, vals, fibers, lobj, robj):
                 (fa, va), (fb, vb) = split1(ev, vals[:n1], fibers[:n1])
                 (fc, vc), (fd, vd) = split2(ev, vals[n1:], fibers[n1:])
-                v_ac = build_seq_value(ev, [(a, va, fa[0], fa[1]),
-                                            (c, vc, fc[0], fc[1])], (fa[0], fc[1]))
-                v_bd = build_seq_value(ev, [(b, vb, fb[0], fb[1]),
-                                            (d, vd, fd[0], fd[1])], (fb[0], fd[1]))
+                v_ac = build_seq_value(ev, [(a, va, *fa), (c, vc, *fc)])
+                v_bd = build_seq_value(ev, [(b, vb, *fb), (d, vd, *fd)])
                 return ([par_value(ev, ac, v_ac, bd, v_bd)], [])
 
             return SliceOutcome(n1 + n2, (new_par,), tf,
@@ -613,7 +594,7 @@ class Interchange(Rule):
         cut1, cut2 = _int_inst(inst, "cut1"), _int_inst(inst, "cut2")
         a, c, split_top = _cut(ev, p.top, cut1)
         b, d, split_bottom = _cut(ev, p.bottom, cut2)
-        q1, q2 = norm(Par(a, b)), norm(Par(c, d))
+        q1, q2 = par(a, b), par(c, d)
         if is_plain_id(q1) or is_plain_id(q2):
             raise MatchError("backward R-INTERCHANGE cut produces a bare "
                              "identity column")
@@ -680,7 +661,7 @@ class PortFuse(Rule):
                       True))
         op, (port, gen) = self.readings[t.kind == "outport"]
         c = mon.base
-        rep = (Par(Gen(port, (ea,)), Gen(port, (eb,))), Gen(gen, (catsym,)))
+        rep = (par(Gen(port, (ea,)), Gen(port, (eb,))), Gen(gen, (catsym,)))
 
         def tf(ev, vals, fibers, lobj, robj):
             a_id, b_id = ids(ev)
@@ -845,7 +826,7 @@ class Sym(Rule):
                 vb2 = pb.act(pb.source.identity(fb[0]), v, vb)
                 return ([par_value(ev, b, vb2, a, va2)], [])
 
-            return SliceOutcome(2, (norm(Par(b, a)),), tf, inverse_inst={"config": "par"})
+            return SliceOutcome(2, (par(b, a),), tf, inverse_inst={"config": "par"})
         # (sym ; sym) cancels
         if (isinstance(p1, Gen) and p1.kind == "sym" and isinstance(p2, Gen)
                 and p2.kind == "sym"):
@@ -916,7 +897,7 @@ class Sym(Rule):
                 return ([par_value(ev, a, va, b, vb),
                          (ca.identity(fa[1]), cb.identity(fb[1]))], [mid])
 
-            return SliceOutcome(1, (norm(Par(a, b)), Gen("sym", (wa[0], wb[0]))), tf)
+            return SliceOutcome(1, (par(a, b), Gen("sym", (wa[0], wb[0]))), tf)
         if config == "cancel":
             wires = _slice_wires(ev.sig, parts, i)
             _want(len(wires) == 2, "R-SYM cancellation insertion needs two wires")
@@ -955,7 +936,7 @@ class LaxCopy(Rule):
             z = prof.source.identity(0)
             return ([(prof.act(z, f1, v), prof.act(z, f2, v))], [])
 
-        return _read_back(SliceOutcome(2, (norm(Par(t, t)),), tf), op)
+        return _read_back(SliceOutcome(2, (par(t, t),), tf), op)
 
 
 class LaxMerge(LaxCopy):
@@ -995,8 +976,8 @@ class ZigzagCup(Rule):
                   f"backward {self.name} needs a single "
                   f"{'dual' if op else 'forward'} wire")
             (w,), catsym = wires, wires[0].cat
-            rep = (Par(Id((w,)), Gen(k1, (catsym,))),
-                   Par(Gen(k2, (catsym,)), Id((w,))))
+            rep = (par(Id((w,)), Gen(k1, (catsym,))),
+                   par(Gen(k2, (catsym,)), Id((w,))))
             c = ev.env.cats[catsym]
 
             def tf(ev, vals, fibers, lobj, robj):
@@ -1192,9 +1173,10 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
             return fail(f"inverse application failed: {e}")
         if back_tr is None:
             note = " (inverse site collapsed; bijectivity verified)"
-        for fiber in _fiber_members(dst):
-            if fiber not in fwd:
-                return fail(f"not a bijection at fiber {fiber} (source side is empty)")
+        for a in dst.source.objects:
+            for b in dst.support(a):
+                if (a, b) not in fwd:
+                    return fail(f"not a bijection at fiber {(a, b)} (source side is empty)")
         for fiber, fmap in fwd.items():
             dst_reps = list(dst.fiber(*fiber))
             if len(fmap) != len(dst_reps) or set(fmap.values()) != set(dst_reps):

@@ -138,38 +138,47 @@ def strip_labels(t):
     return relabel(t, lambda _: None)
 
 
-def norm(t):
-    """Silent normalization: flatten nested Seq, drop unlabelled identity
-    parts, merge parallel unlabelled identities, drop empty-boundary units.
-    Par re-association and interchange are explicit rewrite rules, never
-    applied here.
-    """
-    if isinstance(t, Seq):
-        flat = []
-        for p in t.parts:
-            p = norm(p)
-            if isinstance(p, Seq):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
-        kept = [p for p in flat if not is_plain_id(p)]
-        if not kept:
-            if not flat:
-                raise ShapeSyntaxError("empty seq")
-            kept = [flat[0]]
-        if len(kept) == 1:
-            return kept[0]
-        return Seq(tuple(kept))
-    if isinstance(t, Par):
-        top, bottom = norm(t.top), norm(t.bottom)
-        if is_plain_id(top) and is_plain_id(bottom):
+@functools.cache
+def seq_skeleton(parts):
+    """Silent normalization of a composite of normal `parts`, decided once
+    per tuple: nested composites flatten and plain identity parts drop.
+    Returns the normal form and what rewrite.build_seq_value reads to move
+    values onto it: the positions of the nested composites; per kept part
+    of the flattened composite, its position and those of the identity
+    wires just before it; those of the wires after the last kept part; the
+    kept parts' composite, None when fewer than two are kept."""
+    if not parts:
+        raise ShapeSyntaxError("empty seq")
+    nested = tuple(k for k, t in enumerate(parts) if isinstance(t, Seq))
+    flat = [p for t in parts for p in (t.parts if isinstance(t, Seq) else (t,))]
+    kept, ids = [], []
+    for k, t in enumerate(flat):
+        if is_plain_id(t):
+            ids.append(k)
+        else:
+            kept.append((k, tuple(ids)))
+            ids = []
+    out = Seq(tuple(flat[k] for k, _ in kept)) if len(kept) > 1 else None
+    return out or flat[kept[0][0] if kept else 0], nested, tuple(kept), tuple(ids), out
+
+
+def seq(parts):
+    """The normal form of Seq(parts), for normal parts."""
+    return seq_skeleton(parts)[0]
+
+
+def par(top, bottom):
+    """Par(top, bottom) normalized, for normal top and bottom: plain
+    identities merge and empty-boundary units drop (re-association and
+    interchange are rewrite rules, never applied here)."""
+    if is_plain_id(top):
+        if is_plain_id(bottom):
             return Id(top.wires + bottom.wires)
-        if is_plain_id(top) and not top.wires:
+        if not top.wires:
             return bottom
-        if is_plain_id(bottom) and not bottom.wires:
-            return top
-        return Par(top, bottom)
-    return t
+    elif is_plain_id(bottom) and not bottom.wires:
+        return top
+    return Par(top, bottom)
 
 
 def obj_expr_symbols(e):
@@ -460,14 +469,14 @@ def parse_term(x, sig):
     if head == "seq":
         if not args:
             raise ShapeSyntaxError("(seq) needs at least one part")
-        return norm(Seq(tuple(parse_term(a, sig) for a in args)))
+        return seq(tuple(parse_term(a, sig) for a in args))
     if head == "par":
         if len(args) < 2:
             raise ShapeSyntaxError("(par) needs at least two parts")
         t = parse_term(args[0], sig)
         for a in args[1:]:
-            t = Par(t, parse_term(a, sig))
-        return norm(t)
+            t = par(t, parse_term(a, sig))
+        return t
     if head == "id":
         return Id(tuple(_parse_wire(a, sig) for a in args), label)
     row = KINDS.get(head)

@@ -11,7 +11,7 @@ from coendcheck.fincat import join_objs, split_obj
 from coendcheck.profunctor import ConcreteProf
 from coendcheck.rewrite import Step, apply_step, strip_labels
 from coendcheck.shapelang import (Env, Evaluator, Wire, boundary,
-                                  parse_shape_script)
+                                  parse_shape_script, print_term)
 
 SHAPES = """
 (category C)
@@ -447,6 +447,20 @@ def test_compose_open_needs_a_shared_middle_object(sig):
     with pytest.raises(PointError, match="^open diagrams do not share a middle object$"):
         compose_open(d0, d1, ev)
     assert compose_open(d0, embed(ev, "C", c.mor_id("0<1")), ev).fiber == (0, 1)
+
+
+def test_compose_open_of_a_composite_points_into_the_flattened_shape(sig):
+    # the right diagram is itself a composite: the shape flattens, and the
+    # point, assembled for the flattened composite, is one of its elements
+    ev = Evaluator(z2_env(sig))
+    c = ev.env.cats["C"]
+    d = compose_open(embed(ev, "C", 1, "a"),
+                     compose_open(embed(ev, "C", 1, "b"), embed(ev, "C", 0, "c"), ev), ev)
+    assert print_term(d.shape) == "(seq (id C @l:a) (id C @r:l:b) (id C @r:r:c))"
+    assert d.point in ev.node(d.shape).fiber(*d.fiber)
+    lifted = lift_many([Step("R-YONEDA-L", (0,))] * 2, d, ev)
+    assert print_term(lifted.shape) == "(id C @r:r:c)"
+    assert lifted.point == c.compose(c.compose(1, 1), 0)
 
 
 @pytest.mark.parametrize("shape, names", [

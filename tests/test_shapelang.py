@@ -20,7 +20,7 @@ from coendcheck.rewrite import check_derivation
 from coendcheck.shapelang import (KINDS, Env, EvalError, Evaluator, Gen, Id, Par, Seq, Wire,
                                   ShapeSyntaxError, ShapeTypeError, Signature,
                                   StructureMissing, boundary, class_count,
-                                  eval_closed, norm, parse_shape_script,
+                                  eval_closed, is_plain_id, par, parse_shape_script, seq,
                                   parse_term, print_term, read_sexprs, tokenize)
 
 
@@ -220,7 +220,7 @@ SHAPE_ERRORS = [
      "bad toplevel form 'shape'"),
     (lambda: parse_shape_script("(category C) (prof K (C))"), ShapeSyntaxError,
      "(prof K (wires) (wires)) expected"),
-    (lambda: norm(Seq(())), ShapeSyntaxError, "empty seq"),
+    (lambda: seq(()), ShapeSyntaxError, "empty seq"),
     (lambda: _lens_env(Q=0), EvalError, "unknown object symbol 'Q'"),
     (lambda: _lens_env().resolve_obj("A"), EvalError, "object symbol 'A' is unassigned"),
     (lambda: _lens_env().resolve_functor("F"), EvalError, "unknown functor symbol 'F'"),
@@ -299,7 +299,7 @@ def test_labeled_id_is_kept(sig):
 
 
 def test_par_id_merge(sig):
-    t = norm(Par(Id((), None), Gen("inport", ("A",))))
+    t = par(Id((), None), Gen("inport", ("A",)))
     assert t == Gen("inport", ("A",))
     t = parse_term(read_sexprs("(par (id C) (id C))")[0], sig)
     assert isinstance(t, Id) and len(t.wires) == 2
@@ -539,6 +539,58 @@ def test_interning_agrees_with_structural_repr(da, db):
     assert (a is b) == (a == b) == (repr(a) == repr(b)) == (da == db)
     assert ({a: 1}.get(b) == 1) == (da == db)
     assert build_desc(da) is a and rebuild(a) is a
+
+
+def naive_norm(t):
+    """The recursive normalization that `seq` and `par` take one level at
+    a time: the reference they are compared with."""
+    if isinstance(t, Seq):
+        flat = []
+        for p in t.parts:
+            p = naive_norm(p)
+            if isinstance(p, Seq):
+                flat.extend(p.parts)
+            else:
+                flat.append(p)
+        kept = [p for p in flat if not is_plain_id(p)]
+        if not kept:
+            if not flat:
+                raise ShapeSyntaxError("empty seq")
+            kept = [flat[0]]
+        if len(kept) == 1:
+            return kept[0]
+        return Seq(tuple(kept))
+    if isinstance(t, Par):
+        top, bottom = naive_norm(t.top), naive_norm(t.bottom)
+        if is_plain_id(top) and is_plain_id(bottom):
+            return Id(top.wires + bottom.wires)
+        if is_plain_id(top) and not top.wires:
+            return bottom
+        if is_plain_id(bottom) and not bottom.wires:
+            return top
+        return Par(top, bottom)
+    return t
+
+
+def fold_norm(t):
+    """`t` normalized bottom-up, one level at a time."""
+    if isinstance(t, Seq):
+        return seq(tuple(map(fold_norm, t.parts)))
+    if isinstance(t, Par):
+        return par(fold_norm(t.top), fold_norm(t.bottom))
+    return t
+
+
+NORM_SIG = parse_shape_script("(category C) (category D) (object A C) (object B C)")
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_descs)
+def test_seq_and_par_give_the_naive_normal_form(d):
+    t = build_desc(d)
+    n = naive_norm(t)
+    assert fold_norm(t) is n and fold_norm(n) is n
+    assert parse_term(read_sexprs(print_term(t))[0], NORM_SIG) is n
 
 
 def _demo_shapes():

@@ -18,7 +18,8 @@ from coendcheck.rewrite import (Report, _check_points, _presweep, check_assignme
                                 check_derivation, check_derivation_once,
                                 parse_derivation_script, script_object_symbols)
 from coendcheck.shapelang import (Env, Evaluator, Gen, Id, Par, Seq, Wire, is_plain_id,
-                                  objects_in, parse_shape_script, strip_labels, sweep)
+                                  objects_in, parse_shape_script, seq_skeleton, strip_labels,
+                                  sweep)
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
@@ -171,7 +172,7 @@ def test_strip_labels_and_plans_over_a_demo(monkeypatch, name):
     assert plans and all(isinstance(p, rewrite.Plan) for p in plans)
 
 
-def naive_build_seq_value(ev, items, fiber):
+def naive_build_seq_value(ev, items):
     """build_seq_value without its skeleton: every call unfolds the nested
     composites, finds the identity wires and builds the composite left."""
     flat = []
@@ -209,7 +210,7 @@ def naive_build_seq_value(ev, items, fiber):
     terms = tuple(it[0] for it in out)
     vals = [it[1] for it in out]
     mids = [it[3] for it in out[:-1]]
-    return ev.node(Seq(terms)).refold(fiber, vals, mids)
+    return ev.node(Seq(terms)).refold((items[0][2], items[-1][3]), vals, mids)
 
 
 def test_seq_values_match_the_naive_assembly_over_the_demos(monkeypatch):
@@ -217,10 +218,10 @@ def test_seq_values_match_the_naive_assembly_over_the_demos(monkeypatch):
     # the point builder, gives the value the naive assembly gives
     build, seen = rewrite.build_seq_value, set()
 
-    def compared(ev, items, fiber):
-        got = build(ev, items, fiber)
-        assert got == naive_build_seq_value(ev, items, fiber), (items, fiber)
-        nested, kept, trail, _ = rewrite._seq_skeleton(tuple(it[0] for it in items))
+    def compared(ev, items):
+        got = build(ev, items)
+        assert got == naive_build_seq_value(ev, items), items
+        _, nested, kept, trail, _ = seq_skeleton(tuple(it[0] for it in items))
         seen.update(case for case, hit in [
             ("nested", nested), ("wires only", not kept), ("wires after", kept and trail),
             ("wires before", any(ids for _, ids in kept))] if hit)
@@ -248,9 +249,8 @@ def test_seq_values_with_wires_on_both_sides_match_the_naive_assembly(oracle):
         for ms in itertools.product(c.morphisms, repeat=len(terms)):
             if all(c.cod(m) == c.dom(m2) for m, m2 in zip(ms, ms[1:])):
                 items = [(t, value(t, m), c.dom(m), c.cod(m)) for t, m in zip(terms, ms)]
-                fiber = (c.dom(ms[0]), c.cod(ms[-1]))
-                assert (rewrite.build_seq_value(ev, items, fiber)
-                        == naive_build_seq_value(ev, items, fiber)), items
+                assert (rewrite.build_seq_value(ev, items)
+                        == naive_build_seq_value(ev, items)), items
 
 
 def _workload(name):
