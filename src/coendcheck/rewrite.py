@@ -165,13 +165,38 @@ def unfold(term, fiber, value):
 
 
 def _seq_level(term, i, outcome: SliceOutcome) -> NodeOutcome:
-    """Replace parts[i : i+consumed] of a sequential composite."""
+    """Replace parts[i : i+consumed] of a sequential composite.
+
+    A window below the last part Q is replaced in P, the left fold of the
+    parts before Q and the first factor of the term's node.  When the new
+    term is P' ; Q, with P' that replacement's new term, the transport
+    whiskers P's transport by Q: [x, u, w] goes to [x, P's image of u, w].
+    The image of each class u at its fiber is kept among the evaluator's
+    nodes until `Evaluator.at` moves on, so a class that many elements
+    share is transported once per assignment.  Else, as at the level whose
+    last part the window reaches, the parts unfold, the window transforms
+    and build_seq_value folds the new parts back."""
     parts = term.parts if isinstance(term, Seq) else (term,)
     j = i + outcome.consumed
     if j > len(parts):
         raise PathError(f"slice {i}..{j} out of range")
     new_parts = parts[:i] + tuple(outcome.parts) + parts[j:]
     new_term = seq(new_parts)
+    if j < len(parts) > 1:
+        head = _seq_level(parts[0] if len(parts) == 2 else Seq(parts[:-1]), i, outcome)
+        if isinstance(new_term, Seq) and seq((head.term, parts[-1])) is new_term:
+            prefix = head.transform
+
+            def whiskered(ev, fiber, value):
+                a, c = fiber
+                x, u, w = value
+                # one value can lie in two fibers and map apart from each
+                key = (prefix, a, x, u)
+                v = ev._nodes.get(key)
+                if v is None:
+                    v = ev._nodes[key] = prefix(ev, (a, x), u)
+                return ev.node(new_term).classify(a, c, x, v, w)
+            return NodeOutcome(new_term, whiskered, outcome.inverse_inst)
 
     def transport(ev, fiber, value):
         vals, ends = unfold(term, fiber, value)
@@ -285,6 +310,11 @@ def apply_step(term, step: Step, ev: Evaluator):
     objects of ports (R-EPS-A, R-CART-COUNIT, backward R-PORT-FUSE) through
     `Env.resolve_obj` and `Env.functor_of`, and the transport, which reads
     the evaluator's nodes and object ids.
+
+    A transport whiskers its window by the parts after it, level by level
+    down the left folds (see _seq_level): below the top, each level keeps
+    the image of each (fiber, class) it transports until `Evaluator.at`
+    moves to the next assignment.
     """
     plan = plan_step(term, step, ev)
     for read, _ in plan.gates:

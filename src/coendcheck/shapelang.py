@@ -733,7 +733,8 @@ class Evaluator:
     `sweep` does.  An entry whose symbols cover the first j free symbols is
     dropped once one of those j values changes: product order never brings
     it back.  `_nodes` holds the nodes read at the current assignment, by
-    term alone; `at` empties it.
+    term alone, and rewrite.py's images of prefix classes at it, by
+    tuples; `at` empties it.
     """
 
     def __init__(self, env: Env, free=()):

@@ -49,23 +49,30 @@ def test_counts_a_small_callable_per_function():
 
 
 def test_counts_one_verdict_of_a_workload_the_same_twice():
-    # the tool end to end on eval-optic-prod, in a fresh interpreter as it
-    # is run (the package's caches would make a second run in one process
-    # cheaper): one JSON line, every report digest matched, and the same
-    # counts on a second run
-    rows = []
-    for _ in range(2):
-        proc = subprocess.run([sys.executable, str(OPCOUNT), "eval-optic-prod"],
-                              capture_output=True, text=True, timeout=120, check=True)
-        lines = proc.stdout.splitlines()
-        assert len(lines) == 1
-        rows.append(json.loads(lines[0]))
-    first, second = rows
-    assert first["workload"] == "eval-optic-prod" and first["failed"] == 0
-    assert first["bytecodes"] > 0 and first["calls"] > 0
+    # the tool end to end, one JSON line per workload in the order named,
+    # each counted in a fresh interpreter as it is run (the package's
+    # caches would make a second run in one process cheaper): every report
+    # digest matched, and the same counts for eval-optic-prod both times
+    proc = subprocess.run([sys.executable, str(OPCOUNT), "eval-optic-prod", "lens-meet",
+                           "eval-optic-prod"],
+                          capture_output=True, text=True, timeout=240, check=True)
+    rows = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [row["workload"] for row in rows] == ["eval-optic-prod", "lens-meet",
+                                                 "eval-optic-prod"]
+    first, _, second = rows
+    assert all(row["failed"] == 0 and row["bytecodes"] > 0 and row["calls"] > 0
+               for row in rows)
     # the per-file and the per-function rows each add up to the totals
-    for field in ("modules", "functions"):
-        for total in ("bytecodes", "calls"):
-            assert sum(row[total] for row in first[field].values()) == first[total]
+    for row in rows:
+        for field in ("modules", "functions"):
+            for total in ("bytecodes", "calls"):
+                assert sum(r[total] for r in row[field].values()) == row[total]
     assert first["modules"]["src/coendcheck/profunctor.py"]["bytecodes"] > 0
     assert second == first
+
+
+def test_refuses_an_unknown_workload_before_counting_any():
+    proc = subprocess.run([sys.executable, str(OPCOUNT), "lens-meet", "no-such-workload"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: opcount.py WORKLOAD [WORKLOAD ...]")

@@ -44,6 +44,7 @@ UNIT_LEGS = parse_shape_script("""
 (shape unit-out-leg (seq (inport A) (outport (unit C))))
 (shape unit-in-leg (seq (inport (unit C)) (outport A)))
 (shape port-hom (seq (inport A) (id C @w)))
+(shape hom-triple (seq (id C @u) (id C @v) (id C @w)))
 (shape sym-hom (seq (sym C C) (id C C @w)))
 (shape fork-sym (seq (inport A) (fork C) (sym C C)))
 (shape codiscard-port (seq (codiscard C) (outport A)))
@@ -58,10 +59,12 @@ ASSOC = Step("R-ASSOC", ())
 
 # a rule no shipped derivation applies, or a mirror side or configuration
 # of one that no shipped step reaches ("RULE:side"): (shape, oracle, steps),
-# the last step applying the case's rule
+# the last step applying the case's rule; "R-YONEDA-L:whiskered" has its
+# window below the last part, where a _twist shows
 UNIT_CASES = {
     "R-CART-COUNIT": ("unit-out-leg", "meet-lattice-2", [Step("R-CART-COUNIT", (1,))]),
     "R-COCART-UNIT": ("unit-in-leg", "join-lattice-2", [Step("R-COCART-UNIT", (0,))]),
+    "R-YONEDA-L:whiskered": ("hom-triple", "z2", [Step("R-YONEDA-L", (0,))]),
     "R-YONEDA-R": ("port-hom", "z2", [Step("R-YONEDA-R", (0,))]),
     "R-YONEDA-R:sym": ("sym-hom", "z2", [Step("R-YONEDA-R", (0,))]),
     "R-SYM:fork": ("fork-sym", "z2", [Step("R-SYM", (1,))]),
@@ -248,6 +251,23 @@ def test_round_trip_rejects_a_bijective_fault(case, fault, monkeypatch):
     assert report.failures == [report.failures[0]], report.text()
     assert report.failures[0].startswith(
         f"step {k} {_rule(case)}: backward(forward) is not the identity on"), report.text()
+
+
+def _whiskered(sig, deriv, env, k):
+    """Whether step k transports by whiskering: its window lies below the
+    last part of a composite."""
+    ev = Evaluator(env)
+    terms = check_derivation_once(deriv, ev, Report())[0]
+    plan = rewrite.plan_step(terms[k - 1], deriv.steps[k - 1], ev)
+    return plan.outcome.transform.__name__ == "whiskered"
+
+
+@pytest.mark.parametrize("fault", [_swap, _twist], ids=["swap", "twist"])
+def test_round_trip_faults_reach_a_whiskered_site(fault):
+    # the round trip also catches a fault on a transport that whiskers its
+    # window; no shipped step shows a _twist there, R-YONEDA-L:whiskered does
+    sites = [_bijective_site(case, fault) for case in ISO_CASES if case not in HIDDEN[fault]]
+    assert any(_whiskered(*site) for site in sites)
 
 
 def test_fault_at_a_later_assignment_of_one_sweep_fails_that_step(monkeypatch):

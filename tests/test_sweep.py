@@ -18,7 +18,7 @@ from coendcheck.rewrite import (Report, _check_points, _presweep, check_assignme
                                 check_derivation, check_derivation_once,
                                 parse_derivation_script, script_object_symbols)
 from coendcheck.shapelang import (Env, Evaluator, Gen, Id, Par, Seq, Wire, is_plain_id,
-                                  objects_in, parse_shape_script, seq_skeleton, strip_labels,
+                                  objects_in, parse_shape_script, seq, seq_skeleton, strip_labels,
                                   sweep)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -253,6 +253,105 @@ def test_seq_values_with_wires_on_both_sides_match_the_naive_assembly(oracle):
                         == naive_build_seq_value(ev, items)), items
 
 
+def naive_transport(term, i, outcome):
+    """_seq_level without whiskering: every call unfolds the term down to
+    all of its parts, transforms the window and folds all the new parts
+    back."""
+    parts = term.parts if isinstance(term, Seq) else (term,)
+    j = i + outcome.consumed
+    new_parts = parts[:i] + tuple(outcome.parts) + parts[j:]
+
+    def transport(ev, fiber, value):
+        vals, ends = rewrite.unfold(term, fiber, value)
+        slice_fibers = list(zip(ends[i:j], ends[i + 1:j + 1]))
+        vals[i:j], mids = outcome.transform(ev, vals[i:j], slice_fibers, ends[i], ends[j])
+        ends[i:j + 1] = [ends[i], *mids, ends[j]]
+        return naive_build_seq_value(ev, list(zip(new_parts, vals, ends, ends[1:])))
+
+    return rewrite.NodeOutcome(seq(new_parts), transport, outcome.inverse_inst)
+
+
+class FlatTransports:
+    """Compares, at every call of apply_step, the step's transport with
+    the one of the same step matched with naive_transport for each slice,
+    on every raw member of every fiber.  `seen` names the kinds of
+    outermost transport compared."""
+
+    def __init__(self, monkeypatch):
+        real, flat = rewrite.apply_step, {}
+        self.seen = set()
+
+        def naive_step(term, step, ev):
+            slices = []
+
+            def recorded(term, i, outcome):
+                slices.append((term, i, outcome))
+                return naive_transport(term, i, outcome)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rewrite, "_seq_level", recorded)
+                rule = rewrite.check_instantiation(step, ev.sig)
+                out = rewrite.rewrite_at(ev, term, tuple(step.path), rule, step.inst,
+                                         step.backward, [])
+            return out, slices
+
+        def compared(term, step, ev):
+            new_term, transport, inv = real(term, step, ev)
+            plan = rewrite.plan_step(term, step, ev)
+            if id(plan) not in flat:
+                # the plan is kept with its naive twin, so its id is not reused
+                flat[id(plan)] = plan, *naive_step(term, step, ev)
+            _, naive, slices = flat[id(plan)]
+            assert naive.term is new_term
+            whiskered = transport.func.__name__ == "whiskered"
+            self.seen.add("whiskered" if whiskered else "other")
+            # the outermost window ends just before the last part, with a
+            # plain identity wire last in its replacement: the whiskered
+            # transport absorbs that wire into the prefix, the flat one
+            # into the last part
+            if whiskered:
+                s_term, i, out = slices[-1]
+                if (out.parts and is_plain_id(out.parts[-1])
+                        and i + out.consumed == len(s_term.parts) - 1):
+                    self.seen.add("wire before the last part")
+            for fiber, groups in rewrite._fiber_members(ev.node(term)).items():
+                for members in groups.values():
+                    for m in members:
+                        assert (transport(fiber, m)
+                                == naive.transform(ev, fiber, m)), (step, fiber, m)
+            return new_term, transport, inv
+        monkeypatch.setattr(rewrite, "apply_step", compared)
+
+
+def test_whiskered_transport_matches_the_flat_one_over_the_demos(monkeypatch):
+    # every step the 11 demos apply, forward and as an inverse, at every
+    # binding and assignment
+    spy = FlatTransports(monkeypatch)
+    assert all(run_demo(name).ok for name in DEMOS)
+    assert spy.seen == {"whiskered", "other", "wire before the last part"}
+
+
+JUNCTION = """
+(category C) (object A C)
+(shape join-out (seq (junction C) (outport A)))
+"""
+
+
+def test_whiskered_transport_tells_fibers_apart(monkeypatch):
+    # a junction's element at ((m, n), y) is a morphism m + n -> y, the same
+    # at every (m, n) with one join; R-COCART-JUNCTION maps it to a pair
+    # that depends on m and n, so a prefix image is kept per fiber
+    sig = parse_shape_script(JUNCTION)
+    script = parse_derivation_script("derive join-out\nstep R-COCART-JUNCTION at 0\n", sig)
+    env = Env(sig, {"C": fixture("join-lattice-2")})
+    junction = Evaluator(env).node(sig.shapes["join-out"].parts[0])
+    values = [v for s in junction.source.objects for v in junction.fiber(s, 1)]
+    assert len(set(values)) < len(values)
+    spy = FlatTransports(monkeypatch)
+    report = Report()
+    check_assignments(script, sig, env, report)
+    assert report.ok and spy.seen == {"whiskered"}
+
+
 def _workload(name):
     spec = WORKLOADS[name]
     sig, script = load_scripts(spec["script"])
@@ -287,6 +386,58 @@ def test_lens_diamond_plans_each_step_once(monkeypatch):
     plans.assert_each_matched_once()
     assert len(plans.matches) == len(plans.applies) > len(script.main.steps)
     assert set(plans.applies.values()) == {spec["assignments"]} == {256}
+
+
+def test_at_drops_the_prefix_images_of_the_assignment_it_leaves(monkeypatch):
+    spec, sig, script, env = _workload("lens-meet")
+    at, kept = Evaluator.at, []
+
+    def checked_at(ev, env):
+        kept.append(sum(isinstance(key, tuple) for key in ev._nodes))
+        out = at(ev, env)
+        assert not ev._nodes
+        return out
+    monkeypatch.setattr(Evaluator, "at", checked_at)
+    check_derivation(script, sig, env)
+    # images were kept at the assignments left, so the check is not vacuous
+    assert len(kept) == spec["assignments"] and max(kept) > 0
+
+
+def test_each_prefix_class_is_transported_once_per_step_and_assignment(monkeypatch):
+    # the calls of the window transforms of the slices that rewrite_at
+    # makes, and of the prefix transports that a whiskered level makes, the
+    # latter per evaluator, assignment, level, fiber and value
+    spec, sig, script, env = _workload("lens-meet")
+    windows, prefixes = [0], Counter()
+    real, depth = rewrite._seq_level, [0]
+
+    def counted(term, i, outcome):
+        if not depth[0]:
+            window = outcome.transform
+
+            def transform(ev, *args):
+                windows[0] += 1
+                return window(ev, *args)
+            outcome = outcome._replace(transform=transform)
+        depth[0] += 1
+        try:
+            out = real(term, i, outcome)
+        finally:
+            depth[0] -= 1
+        if depth[0]:
+            transport = out.transform
+
+            def prefix(ev, fiber, value):
+                prefixes[(id(ev), ev.env.describe_objs(), prefix, fiber, value)] += 1
+                return transport(ev, fiber, value)
+            out = out._replace(transform=prefix)
+        return out
+    monkeypatch.setattr(rewrite, "_seq_level", counted)
+    check_derivation(script, sig, env)
+    assert prefixes and max(prefixes.values()) == 1
+    # 126 window transforms, where the flat transport, which transforms
+    # the window at every transport call, makes 206
+    assert windows == [126]
 
 
 GATED = """

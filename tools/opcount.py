@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
-"""Count the bytecodes and Python calls of one verdict of a benchmark
-workload, per source file and per function; prints one JSON line.
+"""Count the bytecodes and Python calls of one verdict of each benchmark
+workload named, per source file and per function; prints one JSON line
+per workload, in the order given.
 
-    python3 tools/opcount.py WORKLOAD
+    python3 tools/opcount.py WORKLOAD [WORKLOAD ...]
 
-The workload is set up and run as perfbench/one_pass.py runs it (seed
-SEED), and only its verdict is counted, under `sys.settrace` with opcode
-events on.  Unlike a wall-clock time, the counts repeat exactly from run
-to run, so they resolve a change of a few percent on a noisy host.  A
-call is a trace `call` event: a generator counts once more at each
-resumption.  Tracing makes the verdict some 20 times slower.
+Each workload is counted in a fresh interpreter, since the package's
+caches would make a later one in the same process cheaper.  It is set
+up and run as perfbench/one_pass.py runs it (seed SEED), and only its
+verdict is counted, under `sys.settrace` with opcode events on.
+Unlike a wall-clock time, the counts repeat exactly from run to run, so
+they resolve a change of a few percent on a noisy host.  A call is a
+trace `call` event: a generator counts once more at each resumption.
+Tracing makes the verdict some 20 times slower.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
 import sys
 from collections import defaultdict
 
@@ -70,8 +74,15 @@ def totals(counts, key):
 def main(argv):
     sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
     import workloads
-    if len(argv) != 1 or argv[0] not in workloads.WORKLOADS:
-        sys.exit(f"usage: opcount.py WORKLOAD, one of {', '.join(sorted(workloads.WORKLOADS))}")
+    if not argv or not set(argv) <= set(workloads.WORKLOADS):
+        sys.exit(f"usage: opcount.py WORKLOAD [WORKLOAD ...], each one of "
+                 f"{', '.join(sorted(workloads.WORKLOADS))}")
+    if len(argv) > 1:
+        for name in argv:
+            code = subprocess.run([sys.executable, __file__, name]).returncode
+            if code:
+                sys.exit(code)
+        return
     name = argv[0]
     jobs = workloads.setup(name, SEED)
     results, counts = count(workloads.run_verdict, jobs)
