@@ -171,11 +171,11 @@ def _seq_level(term, i, outcome: SliceOutcome) -> NodeOutcome:
     parts before Q and the first factor of the term's node.  When the new
     term is P' ; Q, with P' that replacement's new term, the transport
     whiskers P's transport by Q: [x, u, w] goes to [x, P's image of u, w].
-    The image of each class u at its fiber is kept among the evaluator's
-    nodes until `Evaluator.at` moves on, so a class that many elements
-    share is transported once per assignment.  Else, as at the level whose
-    last part the window reaches, the parts unfold, the window transforms
-    and build_seq_value folds the new parts back."""
+    The evaluator keeps the image of each class u at its fiber under the
+    objects that P and P' mention, so a class is transported once per step
+    and values of those symbols.  Else, as at the level whose last part
+    the window reaches, the parts unfold, the window transforms and
+    build_seq_value folds the new parts back."""
     parts = term.parts if isinstance(term, Seq) else (term,)
     j = i + outcome.consumed
     if j > len(parts):
@@ -183,18 +183,17 @@ def _seq_level(term, i, outcome: SliceOutcome) -> NodeOutcome:
     new_parts = parts[:i] + tuple(outcome.parts) + parts[j:]
     new_term = seq(new_parts)
     if j < len(parts) > 1:
-        head = _seq_level(parts[0] if len(parts) == 2 else Seq(parts[:-1]), i, outcome)
+        old = parts[0] if len(parts) == 2 else Seq(parts[:-1])
+        head = _seq_level(old, i, outcome)
         if isinstance(new_term, Seq) and seq((head.term, parts[-1])) is new_term:
             prefix = head.transform
+            syms = tuple(sorted({*objects_in(old), *objects_in(head.term)}))
 
             def whiskered(ev, fiber, value):
                 a, c = fiber
                 x, u, w = value
                 # one value can lie in two fibers and map apart from each
-                key = (prefix, a, x, u)
-                v = ev._nodes.get(key)
-                if v is None:
-                    v = ev._nodes[key] = prefix(ev, (a, x), u)
+                v = ev.keep((prefix, a, x, u), syms, prefix, ev, (a, x), u)
                 return ev.node(new_term).classify(a, c, x, v, w)
             return NodeOutcome(new_term, whiskered, outcome.inverse_inst)
 
@@ -269,26 +268,26 @@ class Plan(NamedTuple):
 
 
 def plan_step(term, step: Step, ev: Evaluator) -> Plan:
-    """The plan of `step` on `term`, made once per evaluator: a sweep's
+    """The plan of `step` on `term`, kept under no object symbols: a sweep's
     evaluator keeps one binding.  Plans are keyed by value, since the
     inverse of a step is a new Step at every assignment."""
     key = (term, step.rule, tuple(step.path), step.backward,
            tuple(sorted(step.inst.items())))
-    plan = ev.plans.get(key)
-    if plan is None:
-        gates = []
-        try:
-            rule = check_instantiation(step, ev.sig)
-            out = rewrite_at(ev, term, key[2], rule, step.inst, step.backward, gates)
-            (l0, r0), (l1, r1) = boundary(term, ev.sig), boundary(out.term, ev.sig)
-            if (l0, r0) != (l1, r1):
-                raise RewriteError(f"{rule.name} changed the boundary from {_ws(l0)} -> "
-                                   f"{_ws(r0)} to {_ws(l1)} -> {_ws(r1)}")
-            plan = Plan(out, tuple(gates), None)
-        except STEP_ERRORS as e:
-            plan = Plan(None, tuple(gates), e.with_traceback(None))
-        ev.plans[key] = plan
-    return plan
+    return ev.keep(key, (), _plan, term, step, key[2], ev)
+
+
+def _plan(term, step: Step, path, ev: Evaluator) -> Plan:
+    gates = []
+    try:
+        rule = check_instantiation(step, ev.sig)
+        out = rewrite_at(ev, term, path, rule, step.inst, step.backward, gates)
+        (l0, r0), (l1, r1) = boundary(term, ev.sig), boundary(out.term, ev.sig)
+        if (l0, r0) != (l1, r1):
+            raise RewriteError(f"{rule.name} changed the boundary from {_ws(l0)} -> "
+                               f"{_ws(r0)} to {_ws(l1)} -> {_ws(r1)}")
+        return Plan(out, tuple(gates), None)
+    except STEP_ERRORS as e:
+        return Plan(None, tuple(gates), e.with_traceback(None))
 
 
 def apply_step(term, step: Step, ev: Evaluator):
@@ -312,9 +311,9 @@ def apply_step(term, step: Step, ev: Evaluator):
     the evaluator's nodes and object ids.
 
     A transport whiskers its window by the parts after it, level by level
-    down the left folds (see _seq_level): below the top, each level keeps
-    the image of each (fiber, class) it transports until `Evaluator.at`
-    moves to the next assignment.
+    down the left folds (see _seq_level): below the top, the evaluator
+    keeps each level's image of each (fiber, class) for every assignment
+    that agrees on the symbols of that level's old and new prefix.
     """
     plan = plan_step(term, step, ev)
     for read, _ in plan.gates:
@@ -1287,15 +1286,13 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
     free object symbols, then the point assertions, with one evaluator for
     the sweep.  `epilogue(report, ev, terms, maps)` runs after each main
     derivation that checks, with the evaluator at that assignment."""
-    only = script_object_symbols(script, sig)
-    # the pre-sweep plans steps in the sweep's evaluator, whose plans every
-    # assignment reads
-    ev = Evaluator(env, env.free_objects(only))
+    # the pre-sweep plans steps in the sweep's evaluator, which keeps the
+    # plans for every assignment
+    ev = Evaluator(env, env.free_objects(script_object_symbols(script, sig)))
     derivs, points, asserts = _presweep(script, sig, ev, report)
     if not (derivs or points or asserts):
         return
-    for env_a in env.assignments(only=only):
-        ev.at(env_a)
+    for ev in ev.sweep():
         desc = ev.env.describe_objs()
         report.line(f"assignment: {desc}" if desc else "assignment: (none)")
         for name, deriv in derivs:

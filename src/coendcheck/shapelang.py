@@ -726,57 +726,61 @@ class Env:
 class Evaluator:
     """The evaluator of one sweep over object assignments.
 
-    A node depends only on the values of the object symbols its term
-    mentions, so it is kept under (term, those values) and shared by every
-    assignment that agrees on them.  `free` lists the swept symbols in
-    `itertools.product` order and `at` moves to the next assignment, as
-    `sweep` does.  An entry whose symbols cover the first j free symbols is
-    dropped once one of those j values changes: product order never brings
-    it back.  `_nodes` holds the nodes read at the current assignment, by
-    term alone, and rewrite.py's images of prefix classes at it, by
-    tuples; `at` empties it.
+    It keeps one table: `keep` builds a value once and keeps it under a key
+    and the values of the object symbols it reads, shared by every
+    assignment that agrees on them.  Nodes are kept under the symbols of
+    their term, rewrite.py's step plans under none and its images of prefix
+    classes under the symbols of the old prefix and its replacement.
+    `free` lists the swept symbols in `itertools.product` order and `at`
+    moves to the next assignment.  An entry whose symbols cover the first j
+    free symbols is dropped once one of those j values changes: product
+    order never brings it back.  In front of the table, `_nodes` holds the
+    nodes read at the current assignment, by term alone; `at` empties it.
     """
 
     def __init__(self, env: Env, free=()):
         self.env = env
         self.sig = env.sig
         self.free = tuple(free)
-        self._scopes = {}  # term -> (symbols it mentions, its bucket)
         self._memo = [{} for _ in range(len(self.free) + 1)]
+        self._buckets = {}  # symbols -> the bucket of `_memo` they are kept in
         self._nodes = {}
-        self._values = [env.objs.get(s) for s in self.free]
-        self.plans = {}  # rewrite.py's, read by every assignment of the sweep
 
     def at(self, env: Env) -> Evaluator:
         """Move to the next assignment of the sweep."""
-        values = [env.objs.get(s) for s in self.free]
-        changed = next((i for i, (u, v) in enumerate(zip(self._values, values))
-                        if u != v), len(values))
+        changed = next((i for i, s in enumerate(self.free)
+                        if self.env.objs.get(s) != env.objs.get(s)), len(self.free))
         for bucket in self._memo[changed + 1:]:
             bucket.clear()
         self._nodes.clear()
-        self.env, self._values = env, values
+        self.env = env
         return self
 
-    def _scope(self, term):
-        scope = self._scopes.get(term)
-        if scope is None:
-            syms = objects_in(term)
-            j = next((i for i, s in enumerate(self.free) if s not in syms), len(self.free))
-            scope = self._scopes[term] = (syms, j)
-        return scope
+    def sweep(self):
+        """Move to each assignment of the free symbols, in `Env.assignments`
+        order, yielding the evaluator at each; run before any `at`."""
+        for env in self.env.assignments(only=self.free):
+            yield self.at(env)
+
+    def keep(self, key, symbols, build, *args):
+        """build(*args), made once per `key` and values of the sorted object
+        `symbols`.  Keys of different kinds must not be equal."""
+        bucket = self._buckets.get(symbols)
+        if bucket is None:
+            j = next((i for i, s in enumerate(self.free) if s not in symbols), len(self.free))
+            bucket = self._buckets[symbols] = self._memo[j]
+        key = (key, tuple(map(self.env.objs.get, symbols)))
+        value = bucket.get(key)
+        if value is None:
+            value = bucket[key] = build(*args)
+        return value
 
     def node(self, term) -> pf.ConcreteProf:
         """The profunctor of `term` at the current assignment: a ComposedProf
         for a Seq, a TensorProf for a Par, else the leaf's own."""
         prof = self._nodes.get(term)
         if prof is None:
-            syms, j = self._scope(term)
-            key = (term, tuple(map(self.env.objs.get, syms)))
-            prof = self._memo[j].get(key)
-            if prof is None:
-                prof = self._memo[j][key] = self._build(term)
-            self._nodes[term] = prof
+            prof = self._nodes[term] = self.keep(term, objects_in(term), self._build, term)
         return prof
 
     def _build(self, term):
@@ -800,9 +804,7 @@ def sweep(env: Env, only=None):
     """The evaluator of one sweep, moved to each assignment of the free
     object symbols (those in `only`, when given) in `Env.assignments`
     order."""
-    ev = Evaluator(env, env.free_objects(only))
-    for env_a in env.assignments(only=only):
-        yield ev.at(env_a)
+    return Evaluator(env, env.free_objects(only)).sweep()
 
 
 def eval_closed(term, env: Env):

@@ -2,16 +2,23 @@
 reference that builds a fresh evaluator for every assignment, and the long
 sweeps against the report digests the benchmark records."""
 
+import ast
 import hashlib
 import itertools
 import json
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_profunctor import small_oracles
 
-from coendcheck.demos import DEMOS, load_scripts, run_demo
+import coendcheck
+from coendcheck.cli import main
+from coendcheck.demos import DEMOS, demo_dir, load_scripts, run_demo
 from coendcheck.fixtures import fixture, fixture_path
 from coendcheck import pointed, rewrite
 from coendcheck.rewrite import (Report, _check_points, _presweep, check_assignments,
@@ -52,30 +59,48 @@ def _fixed(term, env):
 class Spy:
     """Counts every node build of every evaluator, and checks after each
     move of a sweep's evaluator that its table of the nodes read at one
-    assignment is empty and that no live entry fixes a value of a leading
-    free symbol other than the current one."""
+    assignment is empty and that the move dropped exactly the kept entries
+    that fix a value of a leading free symbol other than the current one.
+    `symbols` records what each key was kept under."""
 
     def __init__(self, monkeypatch):
         self.builds = Counter()
+        self.symbols = {}
+        self.moves = 0
         self.live_fixing_first = 0  # live entries that fix the first free symbol
-        build, at = Evaluator._build, Evaluator.at
+        self.images_dropped = 0
+        self.images_kept = 0  # over a move that leaves their symbols' values alone
+        build, at, keep = Evaluator._build, Evaluator.at, Evaluator.keep
 
         def counted_build(ev, term):
             key = tuple(sorted(_fixed(term, ev.env).items()))
             self.builds[(id(ev), term, key)] += 1
             return build(ev, term)
 
+        def recorded_keep(ev, key, symbols, *args):
+            assert self.symbols.setdefault(key, symbols) == symbols
+            return keep(ev, key, symbols, *args)
+
         def checked_at(ev, env):
+            prev, before = ev.env, {entry for bucket in ev._memo for entry in bucket}
             out = at(ev, env)
+            self.moves += 1
             assert not ev._nodes
-            for bucket in ev._memo:
-                for term, values in bucket:
-                    fixed = dict(zip(sorted(objects_in(term)), values))
-                    lead = list(itertools.takewhile(fixed.__contains__, ev.free))
-                    assert all(fixed[s] == env.objs[s] for s in lead), (term, fixed)
-                    self.live_fixing_first += bool(lead)
+            after = {entry for bucket in ev._memo for entry in bucket}
+            assert after <= before
+            for key, values in before:
+                fixed = dict(zip(self.symbols[key], values))
+                lead = list(itertools.takewhile(fixed.__contains__, ev.free))
+                live = all(fixed[s] == env.objs[s] for s in lead)
+                assert ((key, values) in after) == live, (key, fixed)
+                self.live_fixing_first += live and bool(lead)
+                if isinstance(key, tuple) and callable(key[0]):
+                    alone = all(prev.objs.get(s) == env.objs.get(s) for s in fixed)
+                    self.images_kept += live and alone
+                    self.images_dropped += not live
             return out
         monkeypatch.setattr(Evaluator, "_build", counted_build)
+        monkeypatch.setattr(Evaluator, "keep", recorded_keep)
         monkeypatch.setattr(Evaluator, "at", checked_at)
 
     def assert_each_built_once(self):
@@ -153,8 +178,8 @@ def naive_strip(t):
 @pytest.mark.parametrize("name", sorted(DEMOS))
 def test_strip_labels_and_plans_over_a_demo(monkeypatch, name):
     # every term a shipped derivation passes through strips as the naive
-    # rebuild does, to one object per term; the sweep's plan memo holds
-    # only plans
+    # rebuild does, to one object per term; the sweep's keyed table holds
+    # a plan under each step key, kept under no object symbols
     terms, evs = set(), {}
     once = rewrite.check_derivation_once
 
@@ -168,8 +193,12 @@ def test_strip_labels_and_plans_over_a_demo(monkeypatch, name):
     for t in terms:
         assert strip_labels(t) == naive_strip(t)
         assert strip_labels(t) is strip_labels(t)
-    plans = [p for ev in evs.values() for p in ev.plans.values()]
-    assert plans and all(isinstance(p, rewrite.Plan) for p in plans)
+    kept = [(key, values, v) for ev in evs.values() for bucket in ev._memo
+            for (key, values), v in bucket.items()]
+    steps = [(values, v) for key, values, v in kept
+             if isinstance(key, tuple) and isinstance(key[0], (Seq, Par, Id, Gen))]
+    assert steps and all(values == () and isinstance(v, rewrite.Plan) for values, v in steps)
+    assert sum(isinstance(v, rewrite.Plan) for _, _, v in kept) == len(steps)
 
 
 def naive_build_seq_value(ev, items):
@@ -389,24 +418,22 @@ def test_lens_diamond_plans_each_step_once(monkeypatch):
 
 
 def test_at_drops_the_prefix_images_of_the_assignment_it_leaves(monkeypatch):
+    # each move drops exactly the kept entries, prefix images among them,
+    # that fix a leading free symbol's value it changes (see Spy)
     spec, sig, script, env = _workload("lens-meet")
-    at, kept = Evaluator.at, []
-
-    def checked_at(ev, env):
-        kept.append(sum(isinstance(key, tuple) for key in ev._nodes))
-        out = at(ev, env)
-        assert not ev._nodes
-        return out
-    monkeypatch.setattr(Evaluator, "at", checked_at)
+    spy = Spy(monkeypatch)
     check_derivation(script, sig, env)
-    # images were kept at the assignments left, so the check is not vacuous
-    assert len(kept) == spec["assignments"] and max(kept) > 0
+    assert spy.moves == spec["assignments"] and spy.images_dropped > 0
+    # an image outlives a move that leaves its symbols' values alone, so
+    # the check is not vacuous
+    assert spy.images_kept > 0
 
 
 def test_each_prefix_class_is_transported_once_per_step_and_assignment(monkeypatch):
     # the calls of the window transforms of the slices that rewrite_at
     # makes, and of the prefix transports that a whiskered level makes, the
-    # latter per evaluator, assignment, level, fiber and value
+    # latter per evaluator, level, fiber, value and values of the object
+    # symbols that the level's old and new prefix mention
     spec, sig, script, env = _workload("lens-meet")
     windows, prefixes = [0], Counter()
     real, depth = rewrite._seq_level, [0]
@@ -425,19 +452,21 @@ def test_each_prefix_class_is_transported_once_per_step_and_assignment(monkeypat
         finally:
             depth[0] -= 1
         if depth[0]:
-            transport = out.transform
+            transport, new = out.transform, out.term
 
             def prefix(ev, fiber, value):
-                prefixes[(id(ev), ev.env.describe_objs(), prefix, fiber, value)] += 1
+                reads = {**_fixed(term, ev.env), **_fixed(new, ev.env)}
+                prefixes[(id(ev), prefix, fiber, value, tuple(sorted(reads.items())))] += 1
                 return transport(ev, fiber, value)
             out = out._replace(transform=prefix)
         return out
     monkeypatch.setattr(rewrite, "_seq_level", counted)
     check_derivation(script, sig, env)
     assert prefixes and max(prefixes.values()) == 1
-    # 126 window transforms, where the flat transport, which transforms
-    # the window at every transport call, makes 206
-    assert windows == [126]
+    # 59 window transforms, where a memo kept per assignment makes
+    # 126 and the flat transport, which transforms the window at every
+    # transport call, makes 206
+    assert windows == [59]
 
 
 GATED = """
@@ -486,6 +515,30 @@ def test_gates_read_each_assignment_of_a_shared_sweep(monkeypatch, oracle):
                           "FAIL step 1 R-PORT-FUSE: at 2: boundary mismatch: ...<C> then <D>..."}
 
 
+@pytest.mark.parametrize("oracle", ["meet-lattice-2", "diamond"])
+def test_prefix_images_are_kept_under_the_symbols_of_both_prefixes(monkeypatch, oracle):
+    # backward R-PORT-FUSE replaces (inport T) with ports of X and Y, which
+    # the old prefix does not name: the image of a class of (inport T)
+    # differs between assignments that agree on T alone
+    sig = parse_shape_script(GATED)
+    script = parse_derivation_script(GATED_SCRIPT[:GATED_SCRIPT.index("derivation cross")], sig)
+    env = Env(sig, {"C": fixture(oracle), "D": fixture("meet-lattice-2")})
+    spy = FlatTransports(monkeypatch)
+    report = Report()
+    check_assignments(script, sig, env, report)
+    assert "whiskered" in spy.seen
+    fused, objs, name = Counter(), None, None
+    for line in report.lines:
+        if line.startswith("assignment: "):
+            objs = dict(kv.split("=") for kv in line.split()[1:])
+        elif line.startswith(" derivation "):
+            name = line.split()[1]
+        elif name == "fuse" and line.startswith("  step 1 R-PORT-FUSE ok"):
+            fused[objs["T"]] += 1
+    # the step maps classes at several assignments that agree on T
+    assert max(fused.values()) > 1
+
+
 STEP_RE = re.compile(r"^  step (\d+) (\S+) ok: classes \d+ -> (\d+)$")
 
 
@@ -528,3 +581,54 @@ def test_port_is_built_once_per_value_of_its_symbol():
         ports.append(ev.node(sig.shapes["lens"].parts[0]))
     assert ev.free == ("A", "B", "X", "Y") and len(ports) == 16
     assert len({id(p) for p in ports}) == 2
+
+
+def _small_sweep(name):
+    """Whether a demo's derivation binds one category and sweeps at most
+    four object symbols."""
+    sig, script = load_scripts(DEMOS[name]["script"])
+    return list(sig.categories) == ["C"] and len(script_object_symbols(script, sig)) <= 4
+
+
+SMALL_SWEEPS = [name for name in sorted(DEMOS) if _small_sweep(name)]
+
+
+@settings(max_examples=24, deadline=None, database=None, derandomize=True)
+@given(mon=small_oracles().filter(lambda m: len(m.base.objects) in (2, 3)),
+       name=st.sampled_from(SMALL_SWEEPS))
+def test_shared_sweep_matches_naive_reference_over_random_oracles(mon, name):
+    spec = DEMOS[name]
+    sig, script = load_scripts(spec["script"])
+    env = Env(sig, {"C": mon})
+    epilogue = spec.get("epilogue")
+    assert _shared_report(script, sig, env, epilogue) == naive_report(script, sig, env, epilogue)
+
+
+def test_every_sweep_runs_through_the_evaluators_loop(monkeypatch, capsys):
+    # `eval`, through shapelang.sweep, and check_assignments move their
+    # evaluator only from Evaluator.sweep
+    at, callers = Evaluator.at, Counter()
+
+    def moved(ev, env):
+        callers[sys._getframe(1).f_code is Evaluator.sweep.__code__] += 1
+        return at(ev, env)
+    monkeypatch.setattr(Evaluator, "at", moved)
+    sig, script = load_scripts("lens_reduction.deriv")
+    bind = f"C={fixture_path('meet-lattice-2')}"
+    assert main(["eval", str(demo_dir() / "lens.shapes"), "--shape", "lens", "--bind", bind]) == 0
+    assert capsys.readouterr().out.count("assignment: ") == 16
+    assert callers == {True: 16}
+    check_assignments(script, sig, Env(sig, {"C": fixture("meet-lattice-2")}), Report())
+    assert callers == {True: 32}
+
+
+def test_only_shapelang_reads_the_evaluators_private_fields():
+    sig = parse_shape_script("(category C) (object A C)")
+    private = {name for name in vars(Evaluator(Env(sig, {"C": fixture("z2")}), ["A"]))
+               if name.startswith("_")}
+    assert "_nodes" in private
+    for path in sorted(Path(coendcheck.__file__).parent.glob("*.py")):
+        if path.name != "shapelang.py":
+            names = {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.Attribute)}
+            assert not names & private, (path.name, names & private)
