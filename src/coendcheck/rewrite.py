@@ -10,6 +10,7 @@ bijectivity for invertible rules, and declared identity obligations.
 from __future__ import annotations
 
 import functools
+import itertools
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -18,7 +19,7 @@ from .fincat import (FixtureError, join_mors, join_objs, opposite_monoidal, spli
 from .profunctor import ProfunctorError, dual
 from .shapelang import (CheckAborted, Env, EvalError, Evaluator, Gen, Id, Par, Report,
                         Seq, ShapeTypeError, StructureMissing, Wire, _ws, boundary,
-                        is_plain_id, leaves, obj_expr_cat, obj_expr_symbols, objects_in, par,
+                        is_plain_id, obj_expr_cat, obj_expr_symbols, objects_in, par,
                         functor_expr_sig, parse_shape_script, print_term, seq,
                         seq_skeleton, strip_labels)
 
@@ -256,12 +257,10 @@ def rewrite_at(ev: Evaluator, term, path, rule, inst, backward, gates):
 
 class Plan(NamedTuple):
     """A step planned on one term, the same at every assignment of a sweep.
-    `gates` are the rule's reads of the assignment, as (read, check) pairs in
-    their place among its checks; once they pass, the step fails with
-    `error`, or else `outcome` holds its new term, transport and inverse
-    instantiation.  `check` marks a read that compares, which some
-    assignments can fail; a read that only resolves the objects of ports
-    passes at every assignment of a sweep or at none."""
+    `gates` are the rule's checks of the assignment, callables of the
+    evaluator in their order among its checks; once they pass, the step
+    fails with `error`, or else `outcome` holds its new term, transport and
+    inverse instantiation."""
     outcome: NodeOutcome
     gates: tuple
     error: Exception
@@ -302,13 +301,13 @@ def apply_step(term, step: Step, ev: Evaluator):
     The new term depends only on the term, the step and the signature, so
     the step is planned once per evaluator (plan_step): the rule match, the
     new term, the consumed window, the inverse instantiation, the boundary
-    check, or the error the step fails with.  A plan reads only what the
-    binding fixes: the signature, the categories, their monoidal structures
-    (or that one is missing) and the named functors.  What reads the
-    assignment is bound here, at every call: the gates, which compare the
-    objects of ports (R-EPS-A, R-CART-COUNIT, backward R-PORT-FUSE) through
-    `Env.resolve_obj` and `Env.functor_of`, and the transport, which reads
-    the evaluator's nodes and object ids.
+    check, or the error the step fails with.  A plan reads what the binding
+    fixes (the signature, categories, monoidal structures or their absence,
+    named functors) and resolves the objects of ports, which succeeds at
+    every assignment of a sweep or at none (see _read_at).  What depends on
+    the values assigned is bound here, at every call: the gates, which
+    compare the objects of ports (R-EPS-A, R-CART-COUNIT, backward
+    R-PORT-FUSE), and the transport, which reads nodes and object ids.
 
     A transport whiskers its window by the parts after it, level by level
     down the left folds (see _seq_level): below the top, the evaluator
@@ -316,8 +315,8 @@ def apply_step(term, step: Step, ev: Evaluator):
     that agrees on the symbols of that level's old and new prefix.
     """
     plan = plan_step(term, step, ev)
-    for read, _ in plan.gates:
-        read(ev)
+    for gate in plan.gates:
+        gate(ev)
     if plan.error is not None:
         raise plan.error.with_traceback(None)
     out = plan.outcome
@@ -362,9 +361,9 @@ class Rule:
     and returns the outcome or raises MatchError: a slice rule's
     match(ev, parts, i, inst, backward, gates) rewrites a sequential
     composite's parts from offset i, a node rule's match(ev, term, inst,
-    backward, gates) the term at the step's path.  A read of the assignment
-    goes into `gates` (see Plan), in its place among the checks; a
-    transform takes the evaluator of the assignment first."""
+    backward, gates) the term at the step's path.  A check of the
+    assignment goes into `gates` (see Plan), in its place among the others;
+    a transform takes the evaluator of the assignment first."""
     name = "?"
     tag = "iso"       # or "directed": no backward use
     site = "slice"
@@ -405,15 +404,20 @@ def _monoidal(ev, catsym, op=False, need=None):
 
 
 def _read_at(ev, gates, terms, read, check=False):
-    """`read` as a function of the evaluator.  When one of `terms` names an
-    object symbol, `read` reads the assignment: it is then a gate, a check
-    if `check` is set, and read again where the transform needs it.
-    Otherwise it reads only what the binding fixes, once, now."""
-    if any(objects_in(t) for t in terms):
-        gates.append((read, check))
-        return read
-    value = read(ev)
-    return lambda ev: value
+    """`read` as a function of the evaluator, made once, now, when none of
+    `terms` names an object symbol.  Else the transform reads it again, and
+    a `check`, which some assignments fail, is a gate, while a read that
+    resolves ports succeeds at every assignment or none: the match makes it
+    unless a symbol is unassigned, as in a sweep with no assignment."""
+    symbols = {s for t in terms for s in objects_in(t)}
+    if not symbols:
+        value = read(ev)
+        return lambda ev: value
+    if check:
+        gates.append(read)
+    elif symbols <= ev.env.objs.keys():
+        read(ev)
+    return read
 
 
 # A mirror-image slice rule is its twin read in C^op: P |-> P^op sends
@@ -679,15 +683,12 @@ class PortFuse(Rule):
         catsym = obj_expr_cat(ea, ev.sig)
         mon = ev.env.monoidal(catsym)
 
-        def ids(ev):
-            return ev.env.resolve_obj(ea), ev.env.resolve_obj(eb)
-
-        gates.append((ids, False))
+        ids = _read_at(ev, gates, (Gen("inport", (ea,)), Gen("inport", (eb,))),
+                       lambda ev: (ev.env.resolve_obj(ea), ev.env.resolve_obj(eb)))
         _want(isinstance(t, Gen) and t.kind in ("inport", "outport"),
               "backward R-PORT-FUSE expects a port")
-        gates.append((lambda ev: _want(ev.env.resolve_obj(t.args[0]) == mon.tensor(*ids(ev)),
-                                       "port object is not the tensor of the instantiation"),
-                      True))
+        gates.append(lambda ev: _want(ev.env.resolve_obj(t.args[0]) == mon.tensor(*ids(ev)),
+                                      "port object is not the tensor of the instantiation"))
         op, (port, gen) = self.readings[t.kind == "outport"]
         c = mon.base
         rep = (par(Gen(port, (ea,)), Gen(port, (eb,))), Gen(gen, (catsym,)))
@@ -1239,8 +1240,8 @@ def check_step(ev: Evaluator, term, step: Step, report: Report, idx):
             to = fwd[(s_cat.dom(f), t_cat.cod(g))]
             if any(to[src.act(f, g, v)] != dst.act(f, g, w) for v, w in fmap.items()):
                 return fail(f"not natural at fiber {(a, b)} along {name}")
-    report.line(f"  step {idx} {step.rule} ok: classes {_count(src)} -> "
-                f"{_count(dst)}{note}")
+    report.line(f"  step {idx} {step.rule} ok: classes "
+                f"{sum(map(len, fwd.values()))} -> {_count(dst)}{note}")
     return new_term, fwd
 
 
@@ -1286,13 +1287,15 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
     free object symbols, then the point assertions, with one evaluator for
     the sweep.  `epilogue(report, ev, terms, maps)` runs after each main
     derivation that checks, with the evaluator at that assignment."""
-    # the pre-sweep plans steps in the sweep's evaluator, which keeps the
-    # plans for every assignment
     ev = Evaluator(env, env.free_objects(script_object_symbols(script, sig)))
+    sweep = ev.sweep()
+    # the pre-sweep plans steps at the first assignment, where the objects of
+    # ports can be read, and the evaluator keeps the plans for every other
+    started = next(sweep, None) is not None
     derivs, points, asserts = _presweep(script, sig, ev, report)
-    if not (derivs or points or asserts):
+    if not (started and (derivs or points or asserts)):
         return
-    for ev in ev.sweep():
+    for ev in itertools.chain((ev,), sweep):
         desc = ev.env.describe_objs()
         report.line(f"assignment: {desc}" if desc else "assignment: (none)")
         for name, deriv in derivs:
@@ -1306,17 +1309,18 @@ def check_assignments(script: DerivationScript, sig, env: Env, report: Report,
 def _presweep(script: DerivationScript, sig, ev: Evaluator, report: Report):
     """Report once, before the sweep, each failure that reads no assignment:
     a derivation's shape, step instantiations (an object symbol among them
-    that no assignment assigns included), obligation ranges and the
-    first step whose plan the term alone fails, with no check among the
-    gates at it or before it (the derivation is reported whole, under its
-    header, once the bindings are known to carry its shape), a
-    point's shape, labels and names, an assert-equal's points and
-    deformation.  `ev` is the sweep's evaluator, at no assignment yet.
-    Returns what is left to sweep: the derivations as (name, Derivation),
-    the points as (name, shape, resolve_names' output) and the
-    assert-equals as (AssertDecl, deformation steps)."""
+    that no assignment assigns included), obligation ranges and the first
+    step whose plan the term alone fails, with no gate at it or before it
+    (the derivation is reported whole, under its header, once the bindings
+    are known to carry its shape), a point's shape, labels and names, an
+    assert-equal's points and deformation.  `ev` is the sweep's evaluator,
+    at its first assignment or, in a sweep with none, at none.  Returns
+    what is left to sweep: the derivations as (name, Derivation), the points
+    as (name, shape, resolve_names' output) and the assert-equals as
+    (AssertDecl, deformation steps)."""
     derivs, refused = [], set()
-    assigned = ev.env.objs.keys() | script_object_symbols(script, sig)
+    swept = script_object_symbols(script, sig)
+    assigned = ev.env.objs.keys() | swept
     for name, deriv in (list(script.named.items())
                         + ([("main", script.main)] if script.main else [])):
         fails, shape = [], None
@@ -1337,10 +1341,10 @@ def _presweep(script: DerivationScript, sig, ev: Evaluator, report: Report):
                   if not 1 <= first <= last <= len(deriv.steps)]
         term = None if fails else shape
         for idx, step in enumerate(deriv.steps if term else (), 1):
-            # a check reads the assignment and can fail first: from the
+            # a gate checks the assignment and can fail first: from the
             # first plan with one on, a failure is the sweep's to report
             plan = plan_step(term, step, ev)
-            if any(check for _, check in plan.gates):
+            if plan.gates:
                 break
             if plan.error is not None:
                 # a binding that cannot carry the step may not carry the
@@ -1350,8 +1354,8 @@ def _presweep(script: DerivationScript, sig, ev: Evaluator, report: Report):
                 break
             term = plan.outcome.term
         if fails:
-            if shape is not None:
-                _require_bindings(shape, ev)
+            if shape is not None and swept <= ev.env.objs.keys():
+                ev.node(shape)  # bindings that cannot carry it are malformed input
             refused.add(name)
             report.line(f" derivation {name} from {deriv.shape}:")
             for text in fails:
@@ -1386,20 +1390,6 @@ def _presweep(script: DerivationScript, sig, ev: Evaluator, report: Report):
     return derivs, points, asserts
 
 
-def _require_bindings(term, ev: Evaluator):
-    """Raise what the sweep's first evaluation of `term` raises when the
-    bindings lack a structure or a named profunctor that one of its leaves
-    needs, so that malformed input is refused as such before a step is:
-    each generator leaf is built at the sweep's first assignment, by an
-    evaluator of its own."""
-    first = next(ev.env.assignments(only=ev.free), None)
-    if first is not None:
-        probe = Evaluator(first)
-        for _, leaf in leaves(term):
-            if isinstance(leaf, Gen):
-                probe.node(leaf)
-
-
 def check_derivation(script: DerivationScript, sig, env: Env,
                      fail_fast=False) -> Report:
     """The report of check_assignments, ending in the result line."""
@@ -1424,8 +1414,9 @@ def _check_points(points, asserts, ev, report):
         diagrams[name] = d
         report.line(f"  point {name}: {d.describe()}")
     for a, deformation in asserts:
-        if a.left not in diagrams or a.right not in diagrams:
-            report.fail(f"assert-equal: unknown point {a.left} or {a.right}")
+        missing = next((p for p in (a.left, a.right) if p not in diagrams), None)
+        if missing is not None:
+            report.fail(f"assert-equal {a.left} {a.right}: point {missing} is not built")
             continue
         try:
             eq = pointed.equal_up_to(diagrams[a.left], diagrams[a.right], deformation, ev)

@@ -849,7 +849,7 @@ class Report:
         return self
 
     def text(self):
-        return "\n".join(self.lines) + "\n"
+        return "\n".join(self.lines) + "\n" if self.lines else ""
 
     def data(self):
         return {"ok": self.ok, "lines": list(self.lines),

@@ -923,6 +923,48 @@ def test_a_deformation_no_assignment_can_use_fails_once(capsys, tmp_path):
     assert sum(line.startswith("FAIL ") for line in lines) == 4
 
 
+def test_a_step_that_no_assignment_reaches_is_not_blamed(capsys, tmp_path):
+    # step 1 resolves the ports of (tensor X X), which the plain category
+    # cannot: it fails at both assignments, and step 2, which does not
+    # match the shape, is never reached, so never blamed
+    data = json.loads(open(fixture_path("meet-lattice-2"), encoding="utf-8").read())
+    del data["monoidal"]
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(data))
+    (tmp_path / "s.shapes").write_text(
+        "(category C) (object X C) (shape s (seq (inport X) (outport X)))\n")
+    script = tmp_path / "s.deriv"
+    script.write_text("use s.shapes\nderive s\n"
+                      "step R-ETA-A at 2 with {A := (tensor X X)}\nstep R-SYM at 0\n")
+    code, out, err = run(capsys, "check", str(script), "--bind", f"C={plain}")
+    assert (code, err) == (1, "")
+    fail = "FAIL step 1 R-ETA-A: category 'C' carries no monoidal structure"
+    assert out.splitlines() == [
+        "assignment: X=0", " derivation main from s:", fail,
+        "assignment: X=1", " derivation main from s:", fail, "result: FAILURE"]
+
+
+def test_a_sweep_with_no_assignment(capsys, tmp_path):
+    # a category with no objects validates, and lens's A and B then have no
+    # assignment: check reports once what the terms alone decide, with the
+    # port read of step 1 left to a transform that never runs, and eval
+    # prints nothing
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"name": "empty", "objects": [], "homs": {},
+                                 "compose": [], "identities": {}}))
+    bind = ("--bind", f"C={empty}")
+    assert run(capsys, "validate", str(empty))[0] == 0
+    script = _step_script(tmp_path, "lens.shapes", "lens",
+                          "step R-ETA-A at 0 with {A := A}\n  step R-SYM at 0")
+    assert run(capsys, "check", script, *bind) == (
+        1, " derivation x from lens:\nFAIL step 2 R-SYM: R-SYM does not match this site\n"
+        "result: FAILURE\n", "")
+    script = _step_script(tmp_path, "lens.shapes", "lens", "step R-ETA-A at 0 with {A := A}")
+    assert run(capsys, "check", script, *bind) == (0, "result: ok\n", "")
+    assert run(capsys, "eval", str(tmp_path / "lens.shapes"), "--shape", "lens", *bind) == (
+        0, "", "")
+
+
 @pytest.mark.parametrize("oracle, body, fail", [
     # hom-pair only reaches hom-second's shape through a deformation
     ("z2", "point pg hom-pair {w1 := 1, w2 := 1}\npoint pgf hom-second {w2 := 0}\n"
@@ -953,7 +995,8 @@ def test_a_point_that_fails_at_some_assignments_fails_there(capsys, tmp_path):
     assert "  assert-equal r r via - ok" in blocks[1]
     for block in blocks[2:]:
         assert "FAIL point r: value for p is not in a fiber at *" in block
-        assert "FAIL assert-equal: unknown point r or r" in block
+        assert "FAIL assert-equal r r: point r is not built" in block
+        assert "unknown point" not in block
 
 
 def test_object_symbols_in_a_point_wait_for_the_assignment(capsys, tmp_path):

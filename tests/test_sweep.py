@@ -19,12 +19,12 @@ from test_profunctor import small_oracles
 import coendcheck
 from coendcheck.cli import main
 from coendcheck.demos import DEMOS, demo_dir, load_scripts, run_demo
-from coendcheck.fixtures import fixture, fixture_path
+from coendcheck.fixtures import build, fixture, fixture_path
 from coendcheck import pointed, rewrite
 from coendcheck.rewrite import (Report, _check_points, _presweep, check_assignments,
                                 check_derivation, check_derivation_once,
                                 parse_derivation_script, script_object_symbols)
-from coendcheck.shapelang import (Env, Evaluator, Gen, Id, Par, Seq, Wire, is_plain_id,
+from coendcheck.shapelang import (Env, EvalError, Evaluator, Gen, Id, Par, Seq, Wire, is_plain_id,
                                   objects_in, parse_shape_script, seq, seq_skeleton, strip_labels,
                                   sweep)
 
@@ -34,10 +34,14 @@ WORKLOADS = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["wor
 
 def naive_report(script, sig, env, epilogue=None):
     """check_assignments' report, from a fresh evaluator per assignment, and
-    so with every rewrite step planned afresh at every assignment."""
+    so with every rewrite step planned afresh at every assignment; the
+    pre-sweep plans in a fresh evaluator at the first assignment, or at none
+    when there is none."""
     report = Report()
-    derivs, points, asserts = _presweep(script, sig, Evaluator(env), report)
-    for env_a in env.assignments(only=script_object_symbols(script, sig)):
+    swept = script_object_symbols(script, sig)
+    first = next(env.assignments(only=swept), env)
+    derivs, points, asserts = _presweep(script, sig, Evaluator(first), report)
+    for env_a in env.assignments(only=swept):
         desc = env_a.describe_objs()
         report.line(f"assignment: {desc}" if desc else "assignment: (none)")
         ev = Evaluator(env_a)
@@ -513,6 +517,63 @@ def test_gates_read_each_assignment_of_a_shared_sweep(monkeypatch, oracle):
     cross = [lines[i + 1] for i, line in enumerate(lines) if line == " derivation cross from d-port:"]
     assert set(cross) == {"FAIL step 1 R-PORT-FUSE: port object is not the tensor of the instantiation",
                           "FAIL step 1 R-PORT-FUSE: at 2: boundary mismatch: ...<C> then <D>..."}
+
+
+UNREACHED = "(category C) (object X C) (shape s (seq (inport X) (outport X)))"
+UNREACHED_SCRIPT = """
+derive s
+step R-ETA-A at 2 with {A := (tensor X X)}
+step R-SYM at 0
+"""
+
+
+def test_a_step_that_no_assignment_reaches_is_not_blamed():
+    # R-ETA-A resolves the ports of (tensor X X), which meet-lattice-2's
+    # category without its monoidal structure cannot: step 1 fails at both
+    # assignments, so R-SYM, which the term alone refuses, is never reached
+    sig = parse_shape_script(UNREACHED)
+    script = parse_derivation_script(UNREACHED_SCRIPT, sig)
+    env = Env(sig, {"C": build("meet-lattice-2").base})
+    text = _shared_report(script, sig, env, None)
+    assert text == naive_report(script, sig, env)
+    assert "step 2" not in text
+    fail = "FAIL step 1 R-ETA-A: category 'C' carries no monoidal structure"
+    assert text.splitlines().count(fail) == text.count("assignment: ") == 2
+
+
+def test_plans_are_made_at_an_assignment_and_gate_only_on_checks(monkeypatch):
+    # over every demo binding, each step is planned where the evaluator
+    # stands at an assignment of every swept symbol, and each gate a plan
+    # holds is a check that reads an object symbol: with none assigned, it
+    # fails on the first it reads
+    plan_step, gates = rewrite.plan_step, []
+
+    def planned(term, step, ev):
+        assert ev.free and set(ev.free) <= ev.env.objs.keys()
+        plan = plan_step(term, step, ev)
+        gates.extend(plan.gates)
+        return plan
+    monkeypatch.setattr(rewrite, "plan_step", planned)
+    for name, i in DEMO_RUNS:
+        spec = DEMOS[name]
+        sig, script = load_scripts(spec["script"])
+        env = Env(sig, {sym: fixture(fx) for sym, fx in spec["bindings"][i].items()})
+        check_assignments(script, sig, env, Report(), spec.get("epilogue"))
+        for gate in gates:
+            assert callable(gate)
+            with pytest.raises(EvalError, match="is unassigned"):
+                gate(Evaluator(env))
+        gates.clear()
+
+
+def test_rewrite_builds_one_evaluator():
+    # check_assignments' evaluator serves the pre-sweep as well as the sweep
+    tree = ast.parse(Path(rewrite.__file__).read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "Evaluator" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    (owner,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                and fn.name == "check_assignments"]
+    assert len(calls) == 1 and calls[0] in set(ast.walk(owner))
 
 
 @pytest.mark.parametrize("oracle", ["meet-lattice-2", "diamond"])
